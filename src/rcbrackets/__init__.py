@@ -45,6 +45,7 @@ from .identities import (
     verify_eholzer_associativity,
     verify_four_function,
     verify_main_identity,
+    verify_on_monomials,
     verify_operator_convolution,
     verify_reverse_identity,
     verify_zagier_invariance,
@@ -74,6 +75,7 @@ from .rewrite import (
     InadmissibleLocalWeightsError,
     LinearCombo,
     StandardTerm,
+    bind_terms,
     check_identity,
     format_combo,
     is_standard,
@@ -82,7 +84,7 @@ from .rewrite import (
     to_standard,
     tree_to_standard_term,
 )
-from .samples import base_triples, default_triples, seeded_triples
+from .samples import base_triples, default_triples, seeded_rows, seeded_triples
 from .star import StarSeries, TruncationMismatchError, assoc_defect, star
 from .transition import (
     InadmissibleParametersError,

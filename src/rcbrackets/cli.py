@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +37,7 @@ from .rewrite import (
     parse_bracket,
     to_standard,
 )
-from .samples import BASE_VALUES, default_triples
+from .samples import BASE_VALUES, default_triples, seeded_rows
 from .star import StarSeries, star
 from .transition import (
     InadmissibleParametersError,
@@ -171,12 +170,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _parse_triple(args: argparse.Namespace) -> ParamTriple:
+def _parse_table_args(args: argparse.Namespace) -> ParamTriple:
+    """The weight triple of u-table and racah; a negative --n is a usage error."""
+    if args.n < 0:
+        raise UsageError(f"n must be nonnegative, got {args.n}")
     return ParamTriple(_rational_arg(args.l1), _rational_arg(args.l2), _rational_arg(args.l3))
 
 
 def cmd_u_table(args: argparse.Namespace) -> int:
-    params = _parse_triple(args)
+    params = _parse_table_args(args)
     table = u_matrix(params, args.n)
     if args.json:
         doc = {
@@ -198,7 +200,7 @@ def cmd_u_table(args: argparse.Namespace) -> int:
 
 
 def cmd_racah(args: argparse.Namespace) -> int:
-    params = _parse_triple(args)
+    params = _parse_table_args(args)
     lines = ["p\\k," + ",".join(str(k) for k in range(args.n + 1))]
     for p in range(args.n + 1):
         row = [
@@ -261,13 +263,8 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
 def _default_weight_assignments(
     slot_count: int, seed: int, sample_count: int
 ) -> list[list[Fraction]]:
-    assignments = [[BASE_VALUES[i % len(BASE_VALUES)] for i in range(slot_count)]]
-    rng = random.Random(seed)
-    for _ in range(sample_count):
-        assignments.append(
-            [Fraction(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(slot_count)]
-        )
-    return assignments
+    base = [BASE_VALUES[i % len(BASE_VALUES)] for i in range(slot_count)]
+    return [base] + seeded_rows(seed, sample_count, slot_count)
 
 
 def cmd_check(args: argparse.Namespace) -> int:

@@ -4,6 +4,14 @@ Every verifier works over exact rationals and compares polynomials for
 equality, so a pass is a machine check with zero tolerance.  Checked suites
 return pass/fail reports; survey suites (``zagier``, parts of ``cmz``)
 return ``report_only`` findings without gating.
+
+The bracket-tree identities (main and reverse recoupling, the classical
+first-order pair and the four-function identity) are term tables: lists of
+(coefficient, BracketExpr) pairs whose sum vanishes.  Their verifiers only
+build tables, and one engine, ``verify_on_monomials``, evaluates every table
+on monomial leaves.  The fixed tables are written in the coefficient and
+bracket languages of ``rcbrackets check`` files, so the rewriter can certify
+the same text.
 """
 
 from __future__ import annotations
@@ -12,11 +20,12 @@ from fractions import Fraction
 from itertools import count, product
 from typing import Sequence
 
-from .brackets import monomial_form, rc_bracket
+from .brackets import BracketExpr, Leaf, Node, eval_bracket_tree, monomial_form, rc_bracket
 from .hypergeom import jacobi_two_var
 from .poly import Poly
-from .rationals import as_rational, factorial, pochhammer
+from .rationals import RationalLike, as_rational, factorial, pochhammer
 from .report import VerificationReport, merge_reports
+from .rewrite import bind_terms
 from .samples import default_triples
 from .star import assoc_defect
 from .transition import (
@@ -58,136 +67,118 @@ def _two_var_on(ell: int, w1: Fraction, w2: Fraction, first: Poly, second: Poly)
 
 # -- checked identities -----------------------------------------------------------
 
+Terms = list[tuple[Fraction, BracketExpr]]
+
+F1, F2, F3 = Leaf(1), Leaf(2), Leaf(3)
+
+CLASSICAL_TERMS = (
+    (
+        "cyclic-first-order",
+        (("1", "[[f1,f2]_1,f3]_1"), ("1", "[[f2,f3]_1,f1]_1"), ("1", "[[f3,f1]_1,f2]_1")),
+    ),
+    (
+        "weighted-first-order",
+        (("l3", "[[f1,f2]_1,f3]_0"), ("l1", "[[f2,f3]_1,f1]_0"), ("l2", "[[f3,f1]_1,f2]_0")),
+    ),
+)
+
+FOUR_FUNCTION_TERMS = (
+    ("1", "[[[f1,f2]_0,f3]_0,f4]_1"),
+    ("1", "[[[f2,f3]_0,f4]_0,f1]_1"),
+    ("1", "[[[f4,f3]_0,f1]_0,f2]_1"),
+    ("1", "[[[f4,f1]_0,f2]_0,f3]_1"),
+)
+
+
+def verify_on_monomials(
+    identity_id: str,
+    weights: Sequence[RationalLike],
+    identities: Sequence[tuple[dict[str, object], Terms]],
+    max_degree: int,
+) -> VerificationReport:
+    """Check that every term table sums to zero on all monomial leaf bindings.
+
+    Slot i carries ``weights[i-1]``; each degree tuple in {0..max_degree}^slots
+    binds slot i to z^(degree i) once and checks every (failure label, terms)
+    pair in ``identities`` as one instance.  A failure records the sample, the
+    label's fields, the degrees and the nonzero residual sum.
+    """
+    weights = [as_rational(w) for w in weights]
+    sample = {f"lam{slot}": str(w) for slot, w in enumerate(weights, start=1)}
+    failures = []
+    instances = 0
+    for degs in product(range(max_degree + 1), repeat=len(weights)):
+        leaves = {
+            slot: monomial_form(w, d) for slot, (w, d) in enumerate(zip(weights, degs), start=1)
+        }
+        for label, terms in identities:
+            # summed on the term maps: Poly arithmetic would revalidate every scalar
+            residual: dict[tuple[int, ...], Fraction] = {}
+            for coeff, expr in terms:
+                for exps, c in eval_bracket_tree(expr, leaves).form.terms.items():
+                    residual[exps] = residual.get(exps, 0) + coeff * c
+            instances += 1
+            if any(residual.values()):
+                value = str(Poly(("z",), residual))
+                failures.append({"sample": sample, **label, "degrees": list(degs), "value": value})
+    return VerificationReport.checked(identity_id, [sample], instances, failures)
+
+
+def _triple(params: ParamTriple) -> tuple[Fraction, Fraction, Fraction]:
+    return params.lam1, params.lam2, params.lam3
+
+
+def _left_nest(n: int, k: int) -> Node:
+    return Node(Node(F1, F2, k), F3, n - k)
+
+
+def _right_nest(n: int, p: int) -> Node:
+    return Node(F1, Node(F2, F3, p), n - p)
+
 
 def verify_main_identity(
     params: ParamTriple, n: int, k: int, max_degree: int = 3
 ) -> VerificationReport:
     """[[f1,f2]_k, f3]_{n-k} = sum_p U_p [f1, [f2,f3]_p]_{n-p} on monomials."""
-    coeffs = [u_coefficient(params, RacahQuery(n, k, p)) for p in range(n + 1)]
-    failures = []
-    instances = 0
-    for degs in product(range(max_degree + 1), repeat=3):
-        f1 = monomial_form(params.lam1, degs[0])
-        f2 = monomial_form(params.lam2, degs[1])
-        f3 = monomial_form(params.lam3, degs[2])
-        lhs = rc_bracket(rc_bracket(f1, f2, k), f3, n - k)
-        rhs = Poly.zero(("z",))
-        for p, u in enumerate(coeffs):
-            if u:
-                rhs = rhs + u * rc_bracket(f1, rc_bracket(f2, f3, p), n - p).form
-        instances += 1
-        if lhs.form != rhs:
-            failures.append(
-                {
-                    "sample": sample_dict(params),
-                    "n": n,
-                    "k": k,
-                    "degrees": list(degs),
-                    "lhs": str(lhs.form),
-                    "rhs": str(rhs),
-                }
-            )
-    return VerificationReport.checked("main-recoupling", [sample_dict(params)], instances, failures)
+    terms = [(Fraction(1), _left_nest(n, k))]
+    for p in range(n + 1):
+        u = u_coefficient(params, RacahQuery(n, k, p))
+        if u:
+            terms.append((-u, _right_nest(n, p)))
+    return verify_on_monomials(
+        "main-recoupling", _triple(params), [({"n": n, "k": k}, terms)], max_degree
+    )
 
 
 def verify_reverse_identity(
     params: ParamTriple, n: int, p: int, max_degree: int = 3
 ) -> VerificationReport:
     """[f1, [f2,f3]_p]_{n-p} = sum_k Utilde_k [[f1,f2]_k, f3]_{n-k} on monomials."""
-    rows = u_reverse_matrix(params, n)
-    failures = []
-    instances = 0
-    for degs in product(range(max_degree + 1), repeat=3):
-        f1 = monomial_form(params.lam1, degs[0])
-        f2 = monomial_form(params.lam2, degs[1])
-        f3 = monomial_form(params.lam3, degs[2])
-        lhs = rc_bracket(f1, rc_bracket(f2, f3, p), n - p)
-        rhs = Poly.zero(("z",))
-        for k, u in enumerate(rows[p]):
-            if u:
-                rhs = rhs + u * rc_bracket(rc_bracket(f1, f2, k), f3, n - k).form
-        instances += 1
-        if lhs.form != rhs:
-            failures.append(
-                {
-                    "sample": sample_dict(params),
-                    "n": n,
-                    "p": p,
-                    "degrees": list(degs),
-                    "lhs": str(lhs.form),
-                    "rhs": str(rhs),
-                }
-            )
-    return VerificationReport.checked(
-        "reverse-recoupling", [sample_dict(params)], instances, failures
+    terms = [(Fraction(1), _right_nest(n, p))]
+    for k, u in enumerate(u_reverse_matrix(params, n)[p]):
+        if u:
+            terms.append((-u, _left_nest(n, k)))
+    return verify_on_monomials(
+        "reverse-recoupling", _triple(params), [({"n": n, "p": p}, terms)], max_degree
     )
 
 
 def verify_classical(params: ParamTriple, max_degree: int = 4) -> VerificationReport:
     """First-bracket Jacobi-type cyclic identity and its weighted order-0 variant."""
-    failures = []
-    instances = 0
-    for degs in product(range(max_degree + 1), repeat=3):
-        f1 = monomial_form(params.lam1, degs[0])
-        f2 = monomial_form(params.lam2, degs[1])
-        f3 = monomial_form(params.lam3, degs[2])
-        cyclic = (
-            rc_bracket(rc_bracket(f1, f2, 1), f3, 1).form
-            + rc_bracket(rc_bracket(f2, f3, 1), f1, 1).form
-            + rc_bracket(rc_bracket(f3, f1, 1), f2, 1).form
-        )
-        instances += 1
-        if not cyclic.is_zero():
-            failures.append(
-                {
-                    "sample": sample_dict(params),
-                    "identity": "cyclic-first-order",
-                    "degrees": list(degs),
-                    "value": str(cyclic),
-                }
-            )
-        weighted = (
-            params.lam3 * rc_bracket(rc_bracket(f1, f2, 1), f3, 0).form
-            + params.lam1 * rc_bracket(rc_bracket(f2, f3, 1), f1, 0).form
-            + params.lam2 * rc_bracket(rc_bracket(f3, f1, 1), f2, 0).form
-        )
-        instances += 1
-        if not weighted.is_zero():
-            failures.append(
-                {
-                    "sample": sample_dict(params),
-                    "identity": "weighted-first-order",
-                    "degrees": list(degs),
-                    "value": str(weighted),
-                }
-            )
-    return VerificationReport.checked(
-        "classical-first-order", [sample_dict(params)], instances, failures
-    )
+    weights = _triple(params)
+    slot_weights = dict(enumerate(weights, start=1))
+    identities = [
+        ({"identity": name}, bind_terms(terms, slot_weights)) for name, terms in CLASSICAL_TERMS
+    ]
+    return verify_on_monomials("classical-first-order", weights, identities, max_degree)
 
 
 def verify_four_function(
     weights: Sequence[Fraction], max_degree: int = 2
 ) -> VerificationReport:
     """Four-slot identity: the sum of the four order-(0,0,1) triple products vanishes."""
-    w1, w2, w3, w4 = (as_rational(w) for w in weights)
-    sample = {f"lam{i}": str(w) for i, w in enumerate((w1, w2, w3, w4), start=1)}
-    failures = []
-    instances = 0
-    for degs in product(range(max_degree + 1), repeat=4):
-        f1, f2, f3, f4 = (
-            monomial_form(w, d) for w, d in zip((w1, w2, w3, w4), degs)
-        )
-        total = (
-            rc_bracket(rc_bracket(rc_bracket(f1, f2, 0), f3, 0), f4, 1).form
-            + rc_bracket(rc_bracket(rc_bracket(f2, f3, 0), f4, 0), f1, 1).form
-            + rc_bracket(rc_bracket(rc_bracket(f4, f3, 0), f1, 0), f2, 1).form
-            + rc_bracket(rc_bracket(rc_bracket(f4, f1, 0), f2, 0), f3, 1).form
-        )
-        instances += 1
-        if not total.is_zero():
-            failures.append({"sample": sample, "degrees": list(degs), "value": str(total)})
-    return VerificationReport.checked("four-function-first-order", [sample], instances, failures)
+    terms = bind_terms(FOUR_FUNCTION_TERMS, {})
+    return verify_on_monomials("four-function-first-order", weights, [({}, terms)], max_degree)
 
 
 def verify_convolution(params: ParamTriple, n: int, k: int) -> VerificationReport:
@@ -277,24 +268,6 @@ def verify_eholzer_associativity(
 
 
 # -- independent oracle ------------------------------------------------------------
-
-
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Exact Gauss-Jordan; None when the system is singular."""
-    size = len(matrix)
-    aug = [row[:] + [value] for row, value in zip(matrix, rhs)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = aug[col][col]
-        aug[col] = [entry / scale for entry in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]
 
 
 def solve_u_from_brackets(

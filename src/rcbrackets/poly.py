@@ -354,7 +354,10 @@ class PolySyntaxError(ValueError):
 _TOKEN_CHARS = set("+-*^()")
 
 
-def _tokenize_poly(src: str) -> list[tuple[str, str, int]]:
+def _tokenize_poly(
+    src: str, error: type[ValueError] = PolySyntaxError
+) -> list[tuple[str, str, int]]:
+    """Tokens (kind, text, position); ``error(message, position)`` reports bad input."""
     tokens: list[tuple[str, str, int]] = []
     i = 0
     while i < len(src):
@@ -379,7 +382,7 @@ def _tokenize_poly(src: str) -> list[tuple[str, str, int]]:
                 while k < len(src) and src[k].isdigit():
                     k += 1
                 if k == j + 1:
-                    raise PolySyntaxError("missing denominator", j)
+                    raise error("missing denominator", k)
                 tokens.append(("number", src[i:k], i))
                 i = k
             else:
@@ -393,7 +396,7 @@ def _tokenize_poly(src: str) -> list[tuple[str, str, int]]:
             tokens.append(("name", src[i:j], i))
             i = j
             continue
-        raise PolySyntaxError(f"unexpected character {ch!r}", i)
+        raise error(f"unexpected character {ch!r}", i)
     tokens.append(("end", "", len(src)))
     return tokens
 

@@ -35,6 +35,7 @@ from .brackets import (
     expr_weight,
     format_expr,
 )
+from .poly import _tokenize_poly
 from .rationals import RationalLike, as_rational, parse_rational
 from .report import VerificationReport
 from .transition import ParamTriple, RacahQuery, u_coefficient, u_reverse
@@ -343,49 +344,9 @@ def format_combo(combo: LinearCombo) -> str:
 # -- coefficient mini-language -------------------------------------------------------
 
 
-def _tokenize_coeff(src: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch == "l":
-            j = i + 1
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise BracketSyntaxError("expected slot number after 'l'", i)
-            tokens.append(("weight", src[i + 1 : j], i))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            if j < len(src) and src[j] == "/":
-                j += 1
-                start = j
-                while j < len(src) and src[j].isdigit():
-                    j += 1
-                if j == start:
-                    raise BracketSyntaxError("missing denominator", j)
-            tokens.append(("number", src[i:j], i))
-            i = j
-            continue
-        raise BracketSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", len(src)))
-    return tokens
-
-
 def parse_coeff(src: str):
     """Parse the coefficient language: RATIONAL | l INT | + - * | parens."""
-    tokens = _tokenize_coeff(src)
+    tokens = _tokenize_poly(src, BracketSyntaxError)
     pos = 0
 
     def peek():
@@ -417,8 +378,10 @@ def parse_coeff(src: str):
             return ("neg", factor())
         if kind == "number":
             return ("num", parse_rational(text))
-        if kind == "weight":
-            return ("slot", int(text))
+        if kind == "name":
+            if text[0] != "l" or not text[1:].isdecimal():
+                raise BracketSyntaxError(f"expected a slot weight lN, found {text!r}", position)
+            return ("slot", int(text[1:]))
         if kind == "(":
             node = expr()
             closing = advance()
@@ -453,6 +416,13 @@ def eval_coeff(ast, weights: Mapping[int, Fraction]) -> Fraction:
     return a * b
 
 
+def bind_terms(
+    terms: Sequence[tuple[str, str]], weights: Mapping[int, Fraction]
+) -> list[tuple[Fraction, BracketExpr]]:
+    """Parse (coefficient text, bracket expression text) pairs at the slot weights."""
+    return [(eval_coeff(parse_coeff(c), weights), parse_bracket(e)) for c, e in terms]
+
+
 # -- identity certification -----------------------------------------------------------
 
 
@@ -470,9 +440,7 @@ def check_identity(
     """
     weights = {slot: as_rational(w) for slot, w in weights.items()}
     total: LinearCombo = {}
-    for coeff_src, expr_src in terms:
-        scale = eval_coeff(parse_coeff(coeff_src), weights)
-        expr = parse_bracket(expr_src)
+    for scale, expr in bind_terms(terms, weights):
         combo_add(total, to_standard(expr, weights, strategy), scale)
     failures = []
     if total:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -101,6 +102,15 @@ def test_u_table_malformed_rational_exit_2(capsys) -> None:
     code, _, err = run_cli(capsys, ["u-table", "--l1", "x", "--l2", "1", "--l3", "1", "--n", "1"])
     assert code == 2
     assert "bad rational" in err
+
+
+def test_table_commands_reject_negative_n(capsys) -> None:
+    for command in ("u-table", "racah"):
+        argv = [command, "--l1", "1", "--l2", "1", "--l3", "1", "--n", "-1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: n must be nonnegative, got -1\n"
 
 
 def test_racah_csv_golden(capsys) -> None:
@@ -227,6 +237,15 @@ def test_check_uses_seeded_default_assignments(capsys, tmp_path) -> None:
     assert doc["instances_checked"] == 4  # one base assignment plus three seeded
 
 
+def test_check_seeded_assignments_golden_bytes(capsys, tmp_path) -> None:
+    cyclic = tmp_path / "cyclic.txt"
+    cyclic.write_text("1 | [[f1,f2]_1,f3]_1\n1 | [[f2,f3]_1,f1]_1\n1 | [[f3,f1]_1,f2]_1\n")
+    code, out, _ = run_cli(capsys, ["check", "--identity-file", str(cyclic), "--samples", "5"])
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "729f9019344239b206a08e891d3e0d2e3ce91d28838ae1ed9adb58916922d0ab"
+
+
 def test_check_text_rendering(capsys, tmp_path) -> None:
     good = tmp_path / "identity.txt"
     good.write_text(WEIGHTED_IDENTITY)
@@ -269,6 +288,14 @@ def test_verify_json_schema_and_determinism(capsys) -> None:
     code, second, _ = run_cli(capsys, argv)
     assert code == 0
     assert second == first
+
+
+def test_verify_all_small_scope_golden_bytes(capsys) -> None:
+    argv = ["verify", "--suite", "all", "--samples", "0", "--n", "1", "--max-degree", "1"]
+    code, out, _ = run_cli(capsys, argv + ["--hbar-order", "1", "--output", "json"])
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "86e49205109b5a7b5b57ec4545b9c38c6bb47457faab9e05d3b7cd605e425a9d"
 
 
 def test_verify_csv_and_text_renderings(capsys) -> None:

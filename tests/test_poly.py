@@ -165,6 +165,12 @@ def test_parser_error_carries_position():
     assert err.value.position == 4
 
 
+def test_parser_missing_denominator_position():
+    with pytest.raises(PolySyntaxError) as err:
+        poly_from_string("3/ + x", ("x",))
+    assert err.value.position == 2
+
+
 def test_parser_unknown_variable():
     with pytest.raises(PolySyntaxError) as err:
         poly_from_string("x + w", ("x",))

@@ -1,6 +1,12 @@
 from fractions import Fraction
 
-from rcbrackets.samples import BASE_VALUES, base_triples, default_triples, seeded_triples
+from rcbrackets.samples import (
+    BASE_VALUES,
+    base_triples,
+    default_triples,
+    seeded_rows,
+    seeded_triples,
+)
 
 
 def test_base_values():
@@ -38,3 +44,10 @@ def test_default_triples_composition():
     assert len(triples) == 47
     assert triples[:27] == base_triples()
     assert triples[27:] == seeded_triples(42, 20)
+
+
+def test_seeded_rows_are_the_triple_draw():
+    rows = seeded_rows(42, 20, 3)
+    assert rows == [[tr.lam1, tr.lam2, tr.lam3] for tr in seeded_triples(42, 20)]
+    assert rows[0] == [Fraction(4), Fraction(9, 8), Fraction(8, 5)]
+    assert [len(row) for row in seeded_rows(5, 3, 4)] == [4, 4, 4]
