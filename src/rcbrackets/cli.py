@@ -10,6 +10,8 @@ there are no timestamps.
 A flat ``key=value`` config file can preset the run parameters (seed,
 sample_count, max_n, max_degree, hbar_order, output); explicit command-line
 flags take precedence over the file, which takes precedence over defaults.
+``verify`` reads every parameter; ``check`` reads seed, sample_count and
+output, and accepts the others in a file without using them.
 The ``output`` parameter selects the report rendering: json (default), csv,
 or text.
 """
@@ -213,6 +215,8 @@ def cmd_racah(args: argparse.Namespace) -> int:
 
 
 def cmd_bracket(args: argparse.Namespace) -> int:
+    if args.n < 0:
+        raise UsageError(f"n must be nonnegative, got {args.n}")
     f = WeightedForm(_rational_arg(args.l1), poly_from_string(args.f, ("z",)))
     g = WeightedForm(_rational_arg(args.l2), poly_from_string(args.g, ("z",)))
     result = rc_bracket(f, g, args.n)
@@ -228,6 +232,8 @@ def _parse_symbol(text: str) -> WeightedForm:
 
 
 def cmd_star(args: argparse.Namespace) -> int:
+    if args.order < 0:
+        raise UsageError(f"N must be nonnegative, got {args.order}")
     f = _parse_symbol(args.f)
     g = _parse_symbol(args.g)
     kappa = _rational_arg(args.kappa) if args.kappa is not None else None
@@ -255,7 +261,7 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
     expr = parse_bracket(args.expr)
     slots = expr_slots(expr)
     weights = _weights_for_slots(slots, args.weights)
-    combo = to_standard(expr, weights, strategy=args.strategy)
+    combo = to_standard(expr, weights)
     _emit(format_combo(combo))
     return 0
 
@@ -293,7 +299,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     reports = []
     for values in assignments:
         weights = dict(zip(slots, values))
-        reports.append(check_identity(terms, weights, identity_id="bracket-identity", strategy=args.strategy))
+        reports.append(check_identity(terms, weights, identity_id="bracket-identity"))
     merged = merge_reports("bracket-identity", reports)
     _emit(_render_reports(merged.to_dict(), [merged], config.output))
     return 0 if merged.status == "pass" else 1
@@ -327,6 +333,11 @@ def cmd_verma(args: argparse.Namespace) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
+def _weight_help(name: str) -> str:
+    # argparse reads "-1/2" as a flag; only a bare negative integer passes as a value
+    return f"rational weight; a negative fraction needs --{name}=-1/2"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rcbrackets",
@@ -338,9 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--samples", dest="sample_count", type=int, default=None)
-        p.add_argument("--n", dest="max_n", type=int, default=None)
-        p.add_argument("--max-degree", dest="max_degree", type=int, default=None)
-        p.add_argument("--hbar-order", dest="hbar_order", type=int, default=None)
         p.add_argument("--output", choices=OUTPUT_FORMATS, default=None, help="report rendering")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -348,24 +356,27 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite", choices=SUITE_NAMES + ("all",), default="all"
     )
     add_run_flags(p_verify)
+    p_verify.add_argument("--n", dest="max_n", type=int, default=None)
+    p_verify.add_argument("--max-degree", dest="max_degree", type=int, default=None)
+    p_verify.add_argument("--hbar-order", dest="hbar_order", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("u-table", help="emit the transition matrix U as CSV or JSON")
     for name in ("l1", "l2", "l3"):
-        p_table.add_argument(f"--{name}", required=True)
+        p_table.add_argument(f"--{name}", required=True, help=_weight_help(name))
     p_table.add_argument("--n", type=int, required=True)
     p_table.add_argument("--json", action="store_true")
     p_table.set_defaults(func=cmd_u_table)
 
     p_racah = sub.add_parser("racah", help="emit the Racah-value table R as CSV")
     for name in ("l1", "l2", "l3"):
-        p_racah.add_argument(f"--{name}", required=True)
+        p_racah.add_argument(f"--{name}", required=True, help=_weight_help(name))
     p_racah.add_argument("--n", type=int, required=True)
     p_racah.set_defaults(func=cmd_racah)
 
     p_bracket = sub.add_parser("bracket", help="bracket two weighted polynomials in z")
-    p_bracket.add_argument("--l1", required=True, help="weight of f")
-    p_bracket.add_argument("--l2", required=True, help="weight of g")
+    p_bracket.add_argument("--l1", required=True, help="weight of f; " + _weight_help("l1"))
+    p_bracket.add_argument("--l2", required=True, help="weight of g; " + _weight_help("l2"))
     p_bracket.add_argument("--n", type=int, required=True)
     p_bracket.add_argument("--f", required=True)
     p_bracket.add_argument("--g", required=True)
@@ -373,21 +384,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_star = sub.add_parser("star", help="truncated star product of two symbols")
     p_star.add_argument("--N", dest="order", type=int, required=True, help="truncation order")
-    p_star.add_argument("--f", required=True, help="WEIGHT:POLY in z")
-    p_star.add_argument("--g", required=True, help="WEIGHT:POLY in z")
+    for name in ("f", "g"):
+        p_star.add_argument(
+            f"--{name}", required=True, help=f"WEIGHT:POLY in z; a negative weight needs --{name}=-1:z"
+        )
     p_star.add_argument("--kappa", default=None)
     p_star.set_defaults(func=cmd_star)
 
     p_rewrite = sub.add_parser("rewrite", help="rewrite a bracket expression to standard form")
     p_rewrite.add_argument("--expr", required=True)
     p_rewrite.add_argument("--weights", required=True, help="comma-separated, by ascending slot")
-    p_rewrite.add_argument("--strategy", choices=("leftmost", "rightmost"), default="leftmost")
     p_rewrite.set_defaults(func=cmd_rewrite)
 
     p_check = sub.add_parser("check", help="certify a bracket identity from a file")
     p_check.add_argument("--identity-file", required=True)
     p_check.add_argument("--weights", default=None, help="comma-separated, by ascending slot")
-    p_check.add_argument("--strategy", choices=("leftmost", "rightmost"), default="leftmost")
     add_run_flags(p_check)
     p_check.set_defaults(func=cmd_check)
 
@@ -412,6 +423,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, PolySyntaxError, BracketSyntaxError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 1
     except (
         InadmissibleParametersError,
         InadmissibleLocalWeightsError,

@@ -10,11 +10,12 @@ used:
 * antisymmetry on a bracket of two leaves ([u, w]_m = (-1)^m [w, u]_m).
 
 An adjacent-leaf transposition is the literal composite (reverse expansion,
-antisymmetry on the now-inner leaf pair, forward expansion).  Each move
-strictly decreases the lexicographic metric (leaf inversions, sum over
-internal nodes of (left-subtree leaf count - 1)), so rewriting terminates;
-the two built-in strategies give identical normal forms and that is checked
-by the test suite as confluence evidence.
+antisymmetry on the now-inner leaf pair, forward expansion).  Each tree is
+rewritten at its first redex in post-order (left subtree, right subtree, then
+the node itself).  Each move strictly decreases the lexicographic metric (leaf
+inversions, sum over internal nodes of (left-subtree leaf count - 1)), so
+rewriting terminates whichever redex is taken; and since the standard combs
+are a basis, every order reaches the same normal form.
 
 Every rewrite site is gated by local admissibility of the weight triple it
 touches; an inadmissible site raises instead of producing wrong output.
@@ -39,9 +40,6 @@ from .poly import _tokenize_poly
 from .rationals import RationalLike, as_rational, parse_rational
 from .report import VerificationReport
 from .transition import ParamTriple, RacahQuery, u_coefficient, u_reverse
-
-STRATEGIES = ("leftmost", "rightmost")
-
 
 class BracketSyntaxError(ValueError):
     """Malformed bracket-expression or coefficient text; carries a position."""
@@ -169,6 +167,15 @@ def tree_to_standard_term(tree: BracketExpr) -> StandardTerm:
     return StandardTerm(tuple(reversed(orders)), tuple(slots))
 
 
+def _accumulate(combo: dict, key, coeff: Fraction) -> None:
+    """Add coeff to combo[key], dropping the entry when it cancels to zero."""
+    acc = combo.get(key, Fraction(0)) + coeff
+    if acc:
+        combo[key] = acc
+    else:
+        combo.pop(key, None)
+
+
 # -- moves --------------------------------------------------------------------------
 
 
@@ -221,113 +228,54 @@ def _transpose_adjacent(node: Node, weights: Mapping[int, Fraction]) -> list[tup
         flipped_inner, sign = _flip(left_nested.left)
         intermediate = Node(flipped_inner, left_nested.right, left_nested.order)
         for result, c2 in _expand_left_nest(intermediate, weights):
-            acc = merged.get(result, Fraction(0)) + c1 * sign * c2
-            if acc:
-                merged[result] = acc
-            else:
-                merged.pop(result, None)
+            _accumulate(merged, result, c1 * sign * c2)
     return list(merged.items())
 
 
-def _find_redexes(tree: BracketExpr) -> list[tuple[tuple[str, ...], str]]:
-    found: list[tuple[tuple[str, ...], str]] = []
-
-    def walk(node: BracketExpr, path: tuple[str, ...]) -> None:
-        if isinstance(node, Leaf):
-            return
-        if isinstance(node.left, Node):
-            found.append((path, "expand"))
-        elif isinstance(node.right, Leaf):
-            if node.left.slot > node.right.slot:
-                found.append((path, "flip"))
-        elif isinstance(node.right.left, Leaf) and node.left.slot > node.right.left.slot:
-            found.append((path, "transpose"))
-        walk(node.left, path + ("L",))
-        walk(node.right, path + ("R",))
-
-    walk(tree, ())
-    return found
-
-
-def _pick_redex(
-    redexes: list[tuple[tuple[str, ...], str]], strategy: str
-) -> tuple[tuple[str, ...], str]:
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    first = "L" if strategy == "leftmost" else "R"
-
-    def key(entry: tuple[tuple[str, ...], str]):
-        path, _ = entry
-        return (-len(path), tuple(0 if step == first else 1 for step in path))
-
-    return min(redexes, key=key)
+def _step(
+    node: BracketExpr, weights: Mapping[int, Fraction]
+) -> list[tuple[BracketExpr, Fraction]] | None:
+    """One move at the first redex in post-order, rebuilt up to node; None when standard."""
+    if isinstance(node, Leaf):
+        return None
+    pieces = _step(node.left, weights)
+    if pieces is not None:
+        return [(Node(sub, node.right, node.order), c) for sub, c in pieces]
+    pieces = _step(node.right, weights)
+    if pieces is not None:
+        return [(Node(node.left, sub, node.order), c) for sub, c in pieces]
+    if isinstance(node.left, Node):
+        return _expand_left_nest(node, weights)
+    if isinstance(node.right, Leaf):
+        return [_flip(node)] if node.left.slot > node.right.slot else None
+    if node.left.slot > node.right.left.slot:
+        return _transpose_adjacent(node, weights)
+    return None
 
 
-def _subtree_at(tree: BracketExpr, path: tuple[str, ...]) -> Node:
-    node = tree
-    for step in path:
-        node = node.left if step == "L" else node.right
-    return node
-
-
-def _rebuild(
-    tree: BracketExpr, path: tuple[str, ...], pieces: list[tuple[BracketExpr, Fraction]]
-) -> list[tuple[BracketExpr, Fraction]]:
-    if not path:
-        return pieces
-    step, rest = path[0], path[1:]
-    child = tree.left if step == "L" else tree.right
-    rebuilt = _rebuild(child, rest, pieces)
-    if step == "L":
-        return [(Node(sub, tree.right, tree.order), c) for sub, c in rebuilt]
-    return [(Node(tree.left, sub, tree.order), c) for sub, c in rebuilt]
-
-
-_MOVES = {
-    "expand": _expand_left_nest,
-    "transpose": _transpose_adjacent,
-}
-
-
-def to_standard(
-    expr: BracketExpr,
-    weights: Mapping[int, RationalLike],
-    strategy: str = "leftmost",
-) -> LinearCombo:
+def to_standard(expr: BracketExpr, weights: Mapping[int, RationalLike]) -> LinearCombo:
     """Rewrite into the standard basis; exact coefficients, deterministic order."""
     weights = {slot: as_rational(w) for slot, w in weights.items()}
     for slot in expr_slots(expr):
         if slot not in weights:
             raise KeyError(f"no weight bound for slot {slot}")
-    combo: dict[BracketExpr, Fraction] = {expr: Fraction(1)}
-    while True:
-        target = next((tree for tree in combo if not is_standard(tree)), None)
-        if target is None:
-            break
-        coeff = combo.pop(target)
-        path, kind = _pick_redex(_find_redexes(target), strategy)
-        site = _subtree_at(target, path)
-        if kind == "flip":
-            flipped, sign = _flip(site)
-            pieces = [(flipped, sign)]
-        else:
-            pieces = _MOVES[kind](site, weights)
-        for rebuilt, c in _rebuild(target, path, pieces):
-            acc = combo.get(rebuilt, Fraction(0)) + coeff * c
-            if acc:
-                combo[rebuilt] = acc
-            else:
-                combo.pop(rebuilt, None)
-    return {tree_to_standard_term(tree): c for tree, c in combo.items()}
+    pending: dict[BracketExpr, Fraction] = {expr: Fraction(1)}
+    done: dict[BracketExpr, Fraction] = {}
+    while pending:
+        tree = next(iter(pending))
+        coeff = pending.pop(tree)
+        pieces = _step(tree, weights)
+        if pieces is None:
+            _accumulate(done, tree, coeff)
+            continue
+        for piece, c in pieces:
+            _accumulate(pending, piece, coeff * c)
+    return {tree_to_standard_term(tree): c for tree, c in done.items()}
 
 
 def combo_add(accum: LinearCombo, incoming: LinearCombo, scale: Fraction) -> None:
     for term, c in incoming.items():
-        acc = accum.get(term, Fraction(0)) + scale * c
-        if acc:
-            accum[term] = acc
-        else:
-            accum.pop(term, None)
+        _accumulate(accum, term, scale * c)
 
 
 def format_combo(combo: LinearCombo) -> str:
@@ -430,7 +378,6 @@ def check_identity(
     terms: Sequence[tuple[str, str]],
     weights: Mapping[int, RationalLike],
     identity_id: str = "bracket-identity",
-    strategy: str = "leftmost",
 ) -> VerificationReport:
     """Certify that sum_i coeff_i * expr_i rewrites to the zero combination.
 
@@ -441,7 +388,7 @@ def check_identity(
     weights = {slot: as_rational(w) for slot, w in weights.items()}
     total: LinearCombo = {}
     for scale, expr in bind_terms(terms, weights):
-        combo_add(total, to_standard(expr, weights, strategy), scale)
+        combo_add(total, to_standard(expr, weights), scale)
     failures = []
     if total:
         failures.append(

@@ -113,6 +113,24 @@ def test_table_commands_reject_negative_n(capsys) -> None:
         assert err == "error: n must be nonnegative, got -1\n"
 
 
+def test_pointwise_commands_reject_negative_orders(capsys) -> None:
+    cases = [
+        (["bracket", "--l1", "1", "--l2", "1", "--n", "-1", "--f", "z", "--g", "z"], "n"),
+        (["star", "--N", "-1", "--f", "1:z", "--g", "1:z"], "N"),
+    ]
+    for argv, name in cases:
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {name} must be nonnegative, got -1\n"
+
+
+def test_negative_fraction_needs_equals_form(capsys) -> None:
+    code, out, _ = run_cli(capsys, ["u-table", "--l1=-1/2", "--l2", "1", "--l3", "1", "--n", "1"])
+    assert code == 0
+    assert out == "k\\p,0,1\n0,1/2,3/4\n1,1/2,1/4\n"
+
+
 def test_racah_csv_golden(capsys) -> None:
     code, out, _ = run_cli(capsys, ["racah", "--l1", "1", "--l2", "1", "--l3", "1", "--n", "2"])
     assert code == 0
@@ -255,6 +273,50 @@ def test_check_text_rendering(capsys, tmp_path) -> None:
     )
     assert code == 0
     assert out == "bracket-identity: pass (1 instances)\n"
+
+
+def test_removed_flags_are_usage_errors(capsys) -> None:
+    for argv in (
+        ["rewrite", "--expr", "[f2,f1]_1", "--weights", "1,1", "--strategy", "leftmost"],
+        ["check", "--identity-file", "identity.txt", "--n", "3"],
+    ):
+        assert run_cli(capsys, argv)[0] == 2
+
+
+def test_check_config_accepts_keys_it_does_not_read(capsys, tmp_path) -> None:
+    good = tmp_path / "identity.txt"
+    good.write_text(WEIGHTED_IDENTITY)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 2\nn = 4\nmax-degree = 9\nhbar-order = 1\n")
+    code, out, _ = run_cli(capsys, ["check", "--identity-file", str(good), "--config", str(cfg)])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "pass"
+    assert doc["instances_checked"] == 3
+
+
+def _left_comb(depth: int) -> str:
+    expr = "f1"
+    for slot in range(2, depth + 2):
+        expr = f"[{expr},f{slot}]_0"
+    return expr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rewrite", "--expr", _left_comb(600), "--weights", ",".join(["1"] * 601)],
+        ["rewrite", "--expr", _left_comb(1200), "--weights", ",".join(["1"] * 1201)],
+        ["bracket", "--l1", "1", "--l2", "1", "--n", "1", "--f", "(" * 1500 + "z" + ")" * 1500,
+         "--g", "z"],
+    ],
+    ids=["rewrite-600", "rewrite-1200", "bracket-parens-1500"],
+)
+def test_over_deep_input_is_one_line_error(capsys, argv) -> None:
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == "error: input nested too deeply\n"
 
 
 def test_check_missing_file_exit_2(capsys) -> None:

@@ -1,6 +1,7 @@
 """Tests for the bracket-expression rewriter and identity certifier."""
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,10 @@ from rcbrackets.brackets import (
     Node,
     WeightedForm,
     eval_bracket_tree,
+    expr_slots,
     format_expr,
 )
+from rcbrackets.cli import main
 from rcbrackets.poly import Poly
 from rcbrackets.rewrite import (
     BracketSyntaxError,
@@ -127,11 +130,6 @@ def test_missing_weight_is_an_error() -> None:
         to_standard(parse_bracket("[f1,f2]_1"), {1: Fraction(1)})
 
 
-def test_unknown_strategy_is_an_error() -> None:
-    with pytest.raises(ValueError):
-        to_standard(parse_bracket("[[f1,f2]_1,f3]_1"), GENERIC_WEIGHTS, "middle")
-
-
 def test_inadmissible_local_weights_are_gated() -> None:
     tree = parse_bracket("[[f1,f2]_1,f3]_1")
     bad = {1: Fraction(1), 2: Fraction(1), 3: Fraction(-2)}
@@ -139,14 +137,20 @@ def test_inadmissible_local_weights_are_gated() -> None:
         to_standard(tree, bad)
 
 
-def test_strategies_are_confluent() -> None:
-    tree = parse_bracket("[[f3,f1]_2,[f2,f4]_1]_1")
-    left = to_standard(tree, GENERIC_WEIGHTS, "leftmost")
-    right = to_standard(tree, GENERIC_WEIGHTS, "rightmost")
-    assert left == right
-    assert len(left) == 14
-    assert all(term.slots == (1, 2, 3, 4) for term in left)
-    assert all(sum(term.orders) == 4 for term in left)
+def test_rewrite_golden_normal_forms(capsys) -> None:
+    combo = to_standard(parse_bracket("[[f3,f1]_2,[f2,f4]_1]_1"), GENERIC_WEIGHTS)
+    assert len(combo) == 14
+    assert all(term.slots == (1, 2, 3, 4) for term in combo)
+    assert all(sum(term.orders) == 4 for term in combo)
+    golden = {
+        "[[f3,f1]_2,[f2,f4]_1]_1": "368939c157f9aec488c749423f13461ca86940d165c26429eb5588853e232ceb",
+        "[f4,[f3,[f2,f1]_3]_3]_3": "29fa1f66f60c9017a171ac8d4aae3600fd536e8e622de49b64b2dd526dbc18dc",
+        "[[[f1,f2]_3,f3]_3,f4]_3": "c573becb387242eb5656f6f7208ea4ec57ad273c6d4fbd1878c79f16fefd27c8",
+    }
+    for expr, digest in golden.items():
+        assert main(["rewrite", "--expr", expr, "--weights", "1/2,1,7/3,3/5"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, expr
 
 
 def test_rewrite_preserves_semantics() -> None:
@@ -165,11 +169,25 @@ def test_rewrite_preserves_semantics() -> None:
     assert total == direct.form
 
 
-@given(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2))
-def test_rewrite_preserves_semantics_small(k: int, m: int) -> None:
-    tree = Node(Node(Leaf(2), Leaf(1), k), Leaf(3), m)
+@st.composite
+def small_trees(draw) -> Node:
+    """Random 3-4-leaf shapes over a random slot order, bracket orders 0-2."""
+    slots = draw(st.permutations(range(1, draw(st.integers(min_value=3, max_value=4)) + 1)))
+
+    def build(leaves):
+        if len(leaves) == 1:
+            return Leaf(leaves[0])
+        cut = draw(st.integers(min_value=1, max_value=len(leaves) - 1))
+        order = draw(st.integers(min_value=0, max_value=2))
+        return Node(build(leaves[:cut]), build(leaves[cut:]), order)
+
+    return build(list(slots))
+
+
+@given(small_trees())
+def test_rewrite_preserves_semantics_small(tree: Node) -> None:
     combo = to_standard(tree, GENERIC_WEIGHTS)
-    leaves = {slot: monomial(GENERIC_WEIGHTS[slot], slot) for slot in (1, 2, 3)}
+    leaves = {slot: monomial(GENERIC_WEIGHTS[slot], slot) for slot in expr_slots(tree)}
     direct = eval_bracket_tree(tree, leaves)
     total = Poly.zero(("z",))
     for term, coeff in combo.items():
@@ -241,9 +259,8 @@ def test_weighted_first_order_identity_certifies() -> None:
         ("l1", "[[f2,f3]_1,f1]_0"),
         ("l2", "[[f3,f1]_1,f2]_0"),
     ]
-    for strategy in ("leftmost", "rightmost"):
-        report = check_identity(terms, GENERIC_WEIGHTS, "weighted", strategy)
-        assert report.status == "pass"
+    report = check_identity(terms, GENERIC_WEIGHTS, "weighted")
+    assert report.status == "pass"
 
 
 def test_four_function_identity_certifies() -> None:
