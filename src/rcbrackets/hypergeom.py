@@ -3,13 +3,15 @@
 Everything here is exact: a generalized hypergeometric series is admitted
 only when some top parameter is a nonpositive integer, the sum is truncated
 at the least such termination index T, and bottom parameters are checked for
-poles over the summation range actually used (b + j != 0 for 0 <= j <= T-1).
+poles over the summation range actually used (b + j != 0 for 0 <= j <= T-1),
+which is what keeps the term ratio of every series free of division by zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .poly import Poly
 from .rationals import (
@@ -55,37 +57,30 @@ class HypSpec:
                 raise BottomPoleError(f"bottom parameter {b} vanishes at shift {-int(b)}")
 
 
-def hyp_terminating_poly(spec: HypSpec, var: str = "t") -> Poly:
-    """The terminating series as a polynomial: sum_j prod(top)_j / prod(bottom)_j * var^j / j!."""
+def _series_terms(spec: HypSpec) -> list[Fraction]:
+    """Terms t_0..t_T of the series at unit argument, built by the term ratio.
+
+    t_0 = 1 and t_{j+1} = t_j * prod(a + j) / ((j + 1) * prod(b + j)).  No
+    division is by zero: T is the least termination index, and check_bottom(T)
+    rules out b + j = 0 for every j < T, the only shifts the ratio uses.
+    """
     T = spec.termination_index()
     spec.check_bottom(T)
-    terms = {}
-    for j in range(T + 1):
-        num = Fraction(1)
-        for a in spec.top:
-            num *= pochhammer(a, j)
-        den = factorial(j)
-        for b in spec.bottom:
-            den *= pochhammer(b, j)
-        coeff = num / den
-        if coeff:
-            terms[(j,)] = coeff
-    return Poly((var,), terms)
+    terms = [Fraction(1)]
+    for j in range(T):
+        num = terms[-1] * prod(a + j for a in spec.top)
+        terms.append(num / ((j + 1) * prod(b + j for b in spec.bottom)))
+    return terms
+
+
+def hyp_terminating_poly(spec: HypSpec) -> Poly:
+    """The terminating series as a polynomial in t: sum_j t_j t^j (see _series_terms)."""
+    return Poly(("t",), {(j,): term for j, term in enumerate(_series_terms(spec))})
 
 
 def hyp_terminating_at_one(spec: HypSpec) -> Fraction:
     """Exact value of the terminating series at unit argument."""
-    T = spec.termination_index()
-    spec.check_bottom(T)
-    total = Fraction(0)
-    for j in range(T + 1):
-        term = Fraction(1) / factorial(j)
-        for a in spec.top:
-            term *= pochhammer(a, j)
-        for b in spec.bottom:
-            term /= pochhammer(b, j)
-        total += term
-    return total
+    return sum(_series_terms(spec), Fraction(0))
 
 
 def jacobi_basis_admissible(alpha: RationalLike, beta: RationalLike) -> bool:
@@ -118,7 +113,7 @@ def jacobi_poly_hyp(ell: int, alpha: RationalLike, beta: RationalLike) -> Poly:
     """
     alpha, beta = as_rational(alpha), as_rational(beta)
     spec = HypSpec((-ell, 1 + alpha + beta + ell), (alpha + 1,))
-    series = hyp_terminating_poly(spec, var="t")
+    series = hyp_terminating_poly(spec)
     v = Poly.variable("v")
     argument = Fraction(1, 2) * (Poly.const(("v",), 1) - v)
     value = series.subst({"t": argument})

@@ -34,7 +34,6 @@ from .transition import (
     cmz_t_closed,
     cmz_t_sum,
     u_coefficient,
-    u_matrix,
     u_reverse_matrix,
 )
 from .verma import intertwiner_phi_tilde
@@ -450,13 +449,29 @@ def zagier_suite(triples: Sequence[ParamTriple], max_n: int = 3) -> Verification
         "corrected_violation_examples": corrected_violations[:5],
         "printed_violation_examples": printed_violations[:5],
     }
-    samples: list[dict[str, str]] = []
-    for report in reports:
-        for sample in report.parameter_samples:
-            if sample not in samples:
-                samples.append(sample)
-    instances = sum(report.instances_checked for report in reports)
-    return VerificationReport.survey("zagier-invariance", samples, instances, findings)
+    merged = merge_reports("zagier-invariance", reports)
+    return VerificationReport.survey(
+        "zagier-invariance", merged.parameter_samples, merged.instances_checked, findings
+    )
+
+
+def _deformation_compatible(
+    kappa: Fraction, scale: Fraction, params: ParamTriple, n: int, p: int
+) -> bool:
+    """Coefficient identity equivalent to associativity of the deformed product,
+    with the deformation coefficients taken at the weights times ``scale``:
+
+    sum_k U_{k,p} t_k(l1, l2) t_{n-k}(l1+l2+2k, l3) = t_p(l2, l3) t_{n-p}(l1, l2+l3+2p).
+    """
+    l1, l2, l3 = (scale * lam for lam in _triple(params))
+    left = sum(
+        u_coefficient(params, RacahQuery(n, k, p))
+        * cmz_t_sum(kappa, l1, l2, k)
+        * cmz_t_sum(kappa, l1 + l2 + 2 * scale * k, l3, n - k)
+        for k in range(n + 1)
+    )
+    right = cmz_t_sum(kappa, l2, l3, p) * cmz_t_sum(kappa, l1, l2 + l3 + 2 * scale * p, n - p)
+    return left == right
 
 
 def cmz_reports(triples: Sequence[ParamTriple], max_n: int = 4) -> list[VerificationReport]:
@@ -469,100 +484,52 @@ def cmz_reports(triples: Sequence[ParamTriple], max_n: int = 4) -> list[Verifica
     product), using index n-p in the final factor.
     """
     samples = [sample_dict(tr) for tr in triples]
-    failures = []
-    instances = 0
+    kappas = ASSERTED_KAPPAS + GENERIC_KAPPAS
+    failures, generic_mismatches = [], []
     for tr in triples:
-        for kappa in ASSERTED_KAPPAS:
+        for kappa in kappas:
             for n in range(max_n + 1):
                 left = cmz_t_sum(kappa, tr.lam1, tr.lam2, n)
                 right = cmz_t_closed(kappa, tr.lam1, tr.lam2, n)
-                instances += 1
-                if left != right:
-                    failures.append(
-                        {
-                            "sample": sample_dict(tr),
-                            "kappa": str(kappa),
-                            "n": n,
-                            "sum_form": str(left),
-                            "closed_form": str(right),
-                        }
-                    )
+                if left == right:
+                    continue
+                record = {"sample": sample_dict(tr), "kappa": str(kappa), "n": n}
+                if kappa in ASSERTED_KAPPAS:
+                    failures.append({**record, "sum_form": str(left), "closed_form": str(right)})
+                else:
+                    generic_mismatches.append(record)
+    per_kappa = len(triples) * len(range(max_n + 1))
     gated = VerificationReport.checked(
-        "cmz-sum-vs-closed-special-kappas", samples, instances, failures
+        "cmz-sum-vs-closed-special-kappas", samples, per_kappa * len(ASSERTED_KAPPAS), failures
     )
 
-    surveyed = 0
-    generic_mismatches = []
-    for tr in triples:
-        for kappa in GENERIC_KAPPAS:
-            for n in range(max_n + 1):
-                surveyed += 1
-                if cmz_t_sum(kappa, tr.lam1, tr.lam2, n) != cmz_t_closed(
-                    kappa, tr.lam1, tr.lam2, n
-                ):
-                    generic_mismatches.append(
-                        {"sample": sample_dict(tr), "kappa": str(kappa), "n": n}
-                    )
-    racah_mismatches = []
-    racah_checked = 0
-    compat_by_kappa: dict[str, bool] = {}
-    compat_halfweight_by_kappa: dict[str, bool] = {}
-    half = Fraction(1, 2)
-    for kappa in ASSERTED_KAPPAS + GENERIC_KAPPAS:
-        kappa_ok = True
-        halfweight_ok = True
-        for tr in triples:
-            for n in range(max_n + 1):
-                table = u_matrix(tr, n)
-                for p in range(n + 1):
-                    for scale, literal in ((Fraction(1), True), (half, False)):
-                        left = sum(
-                            table[k][p]
-                            * cmz_t_sum(kappa, scale * tr.lam1, scale * tr.lam2, k)
-                            * cmz_t_sum(
-                                kappa,
-                                scale * (tr.lam1 + tr.lam2 + 2 * k),
-                                scale * tr.lam3,
-                                n - k,
-                            )
-                            for k in range(n + 1)
-                        )
-                        right = cmz_t_sum(
-                            kappa, scale * tr.lam2, scale * tr.lam3, p
-                        ) * cmz_t_sum(
-                            kappa,
-                            scale * tr.lam1,
-                            scale * (tr.lam2 + tr.lam3 + 2 * p),
-                            n - p,
-                        )
-                        racah_checked += 1
-                        if left != right:
-                            if literal:
-                                kappa_ok = False
-                                if len(racah_mismatches) < 10:
-                                    racah_mismatches.append(
-                                        {
-                                            "sample": sample_dict(tr),
-                                            "kappa": str(kappa),
-                                            "n": n,
-                                            "p": p,
-                                        }
-                                    )
-                            else:
-                                halfweight_ok = False
-        compat_by_kappa[str(kappa)] = kappa_ok
-        compat_halfweight_by_kappa[str(kappa)] = halfweight_ok
+    cases = [(tr, n, p) for tr in triples for n in range(max_n + 1) for p in range(n + 1)]
+    scales = (Fraction(1), Fraction(1, 2))
+    compatible = {
+        kappa: [[_deformation_compatible(kappa, s, *case) for s in scales] for case in cases]
+        for kappa in kappas
+    }
+    racah_mismatches = [
+        {"sample": sample_dict(tr), "kappa": str(kappa), "n": n, "p": p}
+        for kappa in kappas
+        for (tr, n, p), (literal, _) in zip(cases, compatible[kappa])
+        if not literal
+    ]
     survey = VerificationReport.survey(
         "cmz-deformation-findings",
         samples,
-        surveyed + racah_checked,
+        per_kappa * len(GENERIC_KAPPAS) + len(kappas) * len(cases) * len(scales),
         {
             "generic_kappa_sum_vs_closed_all_equal": not generic_mismatches,
             "generic_kappa_mismatches": generic_mismatches,
-            "transition_compatibility_by_kappa": compat_by_kappa,
-            "transition_compatibility_halfweight_by_kappa": compat_halfweight_by_kappa,
-            "transition_compatibility_mismatch_examples": racah_mismatches,
-            "kappas_surveyed": [str(k) for k in ASSERTED_KAPPAS + GENERIC_KAPPAS],
+            "transition_compatibility_by_kappa": {
+                str(kappa): all(literal for literal, _ in compatible[kappa]) for kappa in kappas
+            },
+            "transition_compatibility_halfweight_by_kappa": {
+                str(kappa): all(half for _, half in compatible[kappa]) for kappa in kappas
+            },
+            "transition_compatibility_mismatch_examples": racah_mismatches[:10],
+            "kappas_surveyed": [str(k) for k in kappas],
             "note": (
                 "At the special kappas 1/2 and 3/2 the deformation coefficients collapse"
                 " to (-1/4)^n and the compatibility identity reduces to the sum-to-one"

@@ -24,7 +24,6 @@ from .rationals import (
     RationalLike,
     as_rational,
     binom_general,
-    factorial,
     is_nonpositive_integer,
     pochhammer,
 )
@@ -96,23 +95,26 @@ def _nonzero(value: Fraction, what: str) -> Fraction:
     return value
 
 
-@lru_cache(maxsize=None)
-def _u_cached(
-    lam1: Fraction, lam2: Fraction, lam3: Fraction, n: int, k: int, p: int
-) -> Fraction:
-    total = lam1 + lam2 + lam3
-    numerator = (
-        binom_general(Fraction(n), k)
-        * pochhammer(lam2, k)
-        * pochhammer(lam3, n - k)
-        * pochhammer(total + n - 1, p)
-    )
-    denominator = (
+def _column_scale(lam2: Fraction, lam3: Fraction, total: Fraction, n: int, p: int) -> Fraction:
+    """Column-p normalisation (L+n-1)_p / [(l3)_p (l2+l3+p-1)_p (l2+l3+2p)_{n-p}]."""
+    return pochhammer(total + n - 1, p) / (
         _nonzero(pochhammer(lam3, p), f"(l3)_{p}")
         * _nonzero(pochhammer(lam2 + lam3 + p - 1, p), f"(l2+l3+p-1)_{p}")
         * _nonzero(pochhammer(lam2 + lam3 + 2 * p, n - p), f"(l2+l3+2p)_{n - p}")
     )
-    return numerator / denominator * racah_value(p, k, n, lam1, lam2, lam3)
+
+
+@lru_cache(maxsize=None)
+def _u_cached(
+    lam1: Fraction, lam2: Fraction, lam3: Fraction, n: int, k: int, p: int
+) -> Fraction:
+    return (
+        binom_general(Fraction(n), k)
+        * pochhammer(lam2, k)
+        * pochhammer(lam3, n - k)
+        * _column_scale(lam2, lam3, lam1 + lam2 + lam3, n, p)
+        * racah_value(p, k, n, lam1, lam2, lam3)
+    )
 
 
 def u_coefficient(params: ParamTriple, query: RacahQuery) -> Fraction:
@@ -132,18 +134,16 @@ def u_reverse(params: ParamTriple, query: RacahQuery) -> Fraction:
 
 def u_matrix(params: ParamTriple, n: int) -> list[list[Fraction]]:
     """Rows k = 0..n, columns p = 0..n."""
-    return [
-        [u_coefficient(params, RacahQuery(n, k, p)) for p in range(n + 1)]
-        for k in range(n + 1)
-    ]
+    _require_admissible(params)
+    lams = (params.lam1, params.lam2, params.lam3)
+    return [[_u_cached(*lams, n, k, p) for p in range(n + 1)] for k in range(n + 1)]
 
 
 def u_reverse_matrix(params: ParamTriple, n: int) -> list[list[Fraction]]:
     """Rows p = 0..n, columns k = 0..n; the exact inverse of u_matrix."""
-    return [
-        [u_reverse(params, RacahQuery(n, k, p)) for k in range(n + 1)]
-        for p in range(n + 1)
-    ]
+    _require_admissible(params)
+    lams = (params.lam3, params.lam2, params.lam1)
+    return [[_u_cached(*lams, n, p, k) for k in range(n + 1)] for p in range(n + 1)]
 
 
 def u_generating_poly(params: ParamTriple, n: int, p: int) -> Poly:
@@ -159,43 +159,33 @@ def u_generating_poly(params: ParamTriple, n: int, p: int) -> Poly:
         raise ValueError(f"need integers 0 <= p <= n, got p={p!r}, n={n!r}")
     lam1, lam2, lam3 = params.lam1, params.lam2, params.lam3
     total = params.total
-    prefactor = (
-        pochhammer(lam3, n)
-        * pochhammer(total + n - 1, p)
-        / _nonzero(pochhammer(lam3, p), f"(l3)_{p}")
-        / _nonzero(pochhammer(lam2 + lam3 + p - 1, p), f"(l2+l3+p-1)_{p}")
-        / _nonzero(pochhammer(lam2 + lam3 + 2 * p, n - p), f"(l2+l3+2p)_{n - p}")
-    )
-    first = hyp_terminating_poly(HypSpec((-p, lam1 + n - p), (total + n - 1,)), var="t")
-    second = hyp_terminating_poly(HypSpec((p - n, p + lam2), (-lam3 - n + 1,)), var="t")
+    prefactor = pochhammer(lam3, n) * _column_scale(lam2, lam3, total, n, p)
+    first = hyp_terminating_poly(HypSpec((-p, lam1 + n - p), (total + n - 1,)))
+    second = hyp_terminating_poly(HypSpec((p - n, p + lam2), (-lam3 - n + 1,)))
     return prefactor * (first * second)
 
 
 # -- CMZ deformation coefficients ------------------------------------------------
 
 
-def _B(x: RationalLike, m: int) -> Fraction:
-    return binom_general(x, m)
-
-
 @lru_cache(maxsize=None)
 def _cmz_sum_cached(kappa: Fraction, lam1: Fraction, lam2: Fraction, n: int) -> Fraction:
-    lead = _B(-2 * lam2, n)
+    lead = binom_general(-2 * lam2, n)
     if not lead:
         raise VanishingDenominatorError(f"leading factor C(-2*l2, {n}) vanishes")
     total = Fraction(0)
     for r in range(n + 1):
         s = n - r
-        denom = _B(-2 * lam1, r) * _B(2 * n + 2 * lam1 + 2 * lam2 - 2, s)
+        denom = binom_general(-2 * lam1, r) * binom_general(2 * (n + lam1 + lam2 - 1), s)
         if not denom:
             raise VanishingDenominatorError(
                 f"denominator C(-2*l1, {r}) * C(2n+2*l1+2*l2-2, {s}) vanishes"
             )
         total += (
-            _B(-lam1, r)
-            * _B(-lam1 + kappa - 1, r)
-            * _B(n + lam1 + lam2 - kappa, s)
-            * _B(n + lam1 + lam2 - 1, s)
+            binom_general(-lam1, r)
+            * binom_general(-lam1 + kappa - 1, r)
+            * binom_general(n + lam1 + lam2 - kappa, s)
+            * binom_general(n + lam1 + lam2 - 1, s)
             / denom
         )
     return total / lead
@@ -214,7 +204,9 @@ def _cmz_closed_cached(kappa: Fraction, lam1: Fraction, lam2: Fraction, n: int) 
     total = Fraction(0)
     for j in range(n // 2 + 1):
         denom = (
-            _B(-lam1 - half, j) * _B(-lam2 - half, j) * _B(n + lam1 + lam2 - Fraction(3, 2), j)
+            binom_general(-lam1 - half, j)
+            * binom_general(-lam2 - half, j)
+            * binom_general(n + lam1 + lam2 - Fraction(3, 2), j)
         )
         if not denom:
             raise VanishingDenominatorError(
@@ -222,9 +214,9 @@ def _cmz_closed_cached(kappa: Fraction, lam1: Fraction, lam2: Fraction, n: int) 
             )
         total += (
             binom_general(Fraction(n), 2 * j)
-            * _B(-half, j)
-            * _B(kappa - Fraction(3, 2), j)
-            * _B(half - kappa, j)
+            * binom_general(-half, j)
+            * binom_general(kappa - Fraction(3, 2), j)
+            * binom_general(half - kappa, j)
             / denom
         )
     return Fraction(-1, 4) ** n * total

@@ -137,6 +137,25 @@ def test_racah_csv_golden(capsys) -> None:
     assert out == "p\\k,0,1,2\n0,1,1,1\n1,1,1/2,-1/2\n2,1,-1/2,1/10\n"
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["u-table", "--l1", "1/2", "--l2", "1", "--l3", "7/3", "--n", "12", "--json"],
+            "389112120f6d999eaf204217479477c71775aa2f1258c72b56c7d58ce00a2969",
+        ),
+        (
+            ["racah", "--l1", "3/5", "--l2", "7/4", "--l3", "2/9", "--n", "10"],
+            "92409b17e6b8b9ed62ff05441ede042aa924dec6b0550df939ce0296047cc4da",
+        ),
+    ],
+)
+def test_table_commands_golden_bytes(capsys, argv, digest) -> None:
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # -- pointwise subcommands ------------------------------------------------------------
 
 

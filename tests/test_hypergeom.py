@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,7 @@ from rcbrackets.hypergeom import (
     racah_value,
 )
 from rcbrackets.poly import Poly, poly_from_string
-from rcbrackets.rationals import pochhammer
+from rcbrackets.rationals import factorial, pochhammer
 
 params = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(6), max_denominator=6
@@ -165,3 +166,28 @@ def test_racah_transpose_symmetry(p, k, lams):
     assert racah_value(p, k, n, lam1, lam2, lam3) == racah_value(
         k, p, n, lam3, lam2, lam1
     )
+
+
+@given(
+    st.lists(params, min_size=0, max_size=3),
+    st.integers(min_value=-6, max_value=0),
+    st.lists(params, min_size=0, max_size=3),
+    st.data(),
+)
+def test_term_ratio_series_matches_pochhammer_formula(others, stop, bottom, data):
+    top = data.draw(st.permutations(others + [Fraction(stop)]))
+    spec = HypSpec(top, bottom)
+    T = spec.termination_index()
+    if any(pochhammer(b, T) == 0 for b in bottom):
+        with pytest.raises(BottomPoleError):
+            hyp_terminating_poly(spec)
+        with pytest.raises(BottomPoleError):
+            hyp_terminating_at_one(spec)
+        return
+    expected = [
+        prod((pochhammer(a, j) for a in top), start=Fraction(1))
+        / (factorial(j) * prod(pochhammer(b, j) for b in bottom))
+        for j in range(T + 1)
+    ]
+    assert hyp_terminating_poly(spec) == Poly(("t",), {(j,): c for j, c in enumerate(expected)})
+    assert hyp_terminating_at_one(spec) == sum(expected)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from rcbrackets import identities
 from rcbrackets.identities import (
     SUITE_NAMES,
     cmz_reports,
@@ -149,6 +150,29 @@ def test_cmz_survey_findings_structure() -> None:
     assert findings["transition_compatibility_mismatch_examples"]
     assert findings["kappas_surveyed"] == ["1/2", "3/2", "5/7"]
     assert "half-weight" in findings["note"]
+
+
+def test_cmz_mismatch_split_by_kappa(monkeypatch) -> None:
+    clean_gated, clean_survey = cmz_reports([GENERIC, ONES], max_n=3)
+    closed = identities.cmz_t_closed
+    monkeypatch.setattr(
+        identities,
+        "cmz_t_closed",
+        lambda kappa, lam1, lam2, n: closed(kappa, lam1, lam2, n) + (1 if n == 2 else 0),
+    )
+    gated, survey = cmz_reports([GENERIC, ONES], max_n=3)
+    assert gated.status == "fail"
+    assert {f["kappa"] for f in gated.failures} == {"1/2", "3/2"}
+    assert len(gated.failures) == 4
+    for failure in gated.failures:
+        assert set(failure) == {"sample", "kappa", "n", "sum_form", "closed_form"}
+        assert failure["n"] == 2
+    generic = survey.findings["generic_kappa_mismatches"]
+    assert survey.findings["generic_kappa_sum_vs_closed_all_equal"] is False
+    assert [(g["kappa"], g["n"]) for g in generic] == [("5/7", 2), ("5/7", 2)]
+    assert all(set(g) == {"sample", "kappa", "n"} for g in generic)
+    assert gated.instances_checked == clean_gated.instances_checked
+    assert survey.instances_checked == clean_survey.instances_checked
 
 
 def test_run_suite_dispatch_and_order() -> None:
