@@ -3,9 +3,10 @@
 Subcommands: verify, u-table, racah, bracket, star, rewrite, check, verma.
 Exit codes: 0 on success (including report_only outcomes), 1 when a checked
 identity fails or a domain gate rejects the inputs, 2 on usage or syntax
-errors.  All output goes to standard output.  Reports are deterministic: the
-same configuration (including the seed) produces byte-identical output, so
-there are no timestamps.
+errors (a slot repeated in a bracket expression is a syntax error).  All
+output goes to standard output.  Reports are deterministic: the same
+configuration (including the seed) produces byte-identical output, so there
+are no timestamps.
 
 A flat ``key=value`` config file can preset the run parameters (seed,
 sample_count, max_n, max_degree, hbar_order, output); explicit command-line
@@ -21,33 +22,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
-from .brackets import WeightedForm, expr_slots, rc_bracket
+from .brackets import DuplicateSlotError, WeightedForm, expr_slots, rc_bracket
 from .hypergeom import racah_value
-from .identities import SUITE_NAMES, run_suite
+from .identities import SUITE_NAMES, run_suite, sample_dict
 from .poly import PolySyntaxError, poly_from_string
 from .rationals import parse_rational
 from .report import VerificationReport, merge_reports
-from .rewrite import (
-    BracketSyntaxError,
-    InadmissibleLocalWeightsError,
-    check_identity,
-    format_combo,
-    parse_bracket,
-    to_standard,
-)
+from .rewrite import BracketSyntaxError, check_identity, format_combo, parse_bracket, to_standard
 from .samples import BASE_VALUES, default_triples, seeded_rows
 from .star import StarSeries, star
-from .transition import (
-    InadmissibleParametersError,
-    ParamTriple,
-    VanishingDenominatorError,
-    u_matrix,
-)
-from .verma import Highest, Lowest, TensorLowest, TensorLowestTV, act
+from .transition import ParamTriple, u_matrix
+from .verma import GENERATORS, Highest, Lowest, TensorLowest, TensorLowestTV, act
 
 OUTPUT_FORMATS = ("json", "csv", "text")
 
@@ -80,24 +69,39 @@ def _rational_arg(text: str) -> Fraction:
         raise UsageError(f"bad rational {text!r}: {err}") from None
 
 
-def load_config_file(path: str) -> dict[str, object]:
-    """Flat key=value lines; blank lines and # comments are ignored."""
-    values: dict[str, object] = {}
+def _rational_list(text: str) -> list[Fraction]:
+    return [_rational_arg(piece) for piece in text.split(",") if piece.strip()]
+
+
+def _read_entries(path: str, what: str, sep: str, shape: str) -> list[tuple[int, str, str]]:
+    """(lineno, left, right) for each line split at its first ``sep``, both sides stripped.
+
+    Blank lines and # comments are skipped; an unreadable file or a line
+    without ``sep`` is a usage error.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as err:
-        raise UsageError(f"cannot read config file {path}: {err}") from None
+        raise UsageError(f"cannot read {what} {path}: {err}") from None
+    entries = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
+        left, found, right = line.partition(sep)
+        if not found:
+            raise UsageError(f"{path}:{lineno}: expected {shape}, got {raw.strip()!r}")
+        entries.append((lineno, left.strip(), right.strip()))
+    return entries
+
+
+def load_config_file(path: str) -> dict[str, object]:
+    """Flat key=value lines; blank lines and # comments are ignored."""
+    values: dict[str, object] = {}
+    for lineno, key, value in _read_entries(path, "config file", "=", "key=value"):
+        key = key.replace("-", "_")
         key = _CONFIG_ALIASES.get(key, key)
-        value = value.strip()
         if key in _CONFIG_INT_KEYS:
             try:
                 values[key] = int(value)
@@ -184,7 +188,7 @@ def cmd_u_table(args: argparse.Namespace) -> int:
     table = u_matrix(params, args.n)
     if args.json:
         doc = {
-            "params": {"lam1": str(params.lam1), "lam2": str(params.lam2), "lam3": str(params.lam3)},
+            "params": sample_dict(params),
             "n": args.n,
             "entries": [
                 {"k": k, "p": p, "value": str(table[k][p])}
@@ -251,7 +255,7 @@ def cmd_star(args: argparse.Namespace) -> int:
 def _weights_for_slots(slots: Sequence[int], text: str | None) -> dict[int, Fraction]:
     if text is None:
         raise UsageError("this invocation needs --weights w1,w2,...")
-    values = [_rational_arg(piece) for piece in text.split(",") if piece.strip()]
+    values = _rational_list(text)
     if len(values) != len(slots):
         raise UsageError(f"expected {len(slots)} weights for slots {tuple(slots)}, got {len(values)}")
     return dict(zip(sorted(slots), values))
@@ -274,24 +278,12 @@ def _default_weight_assignments(
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        with open(args.identity_file, "r", encoding="utf-8") as handle:
-            raw_lines = handle.readlines()
-    except OSError as err:
-        raise UsageError(f"cannot read identity file {args.identity_file}: {err}") from None
-    terms: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(raw_lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        coeff, sep, expr = line.partition("|")
-        if not sep:
-            raise UsageError(f"{args.identity_file}:{lineno}: expected 'coeff | expr'")
-        terms.append((coeff.strip(), expr.strip()))
+    entries = _read_entries(args.identity_file, "identity file", "|", "'coeff | expr'")
+    terms = [(coeff, expr) for _, coeff, expr in entries]
     if not terms:
         raise UsageError(f"{args.identity_file}: no terms found")
     config = resolve_config(args)
-    slots = sorted({slot for _, expr in terms for slot in _expr_slot_set(expr)})
+    slots = sorted({slot for _, expr in terms for slot in expr_slots(parse_bracket(expr))})
     if args.weights is not None:
         assignments = [list(_weights_for_slots(slots, args.weights).values())]
     else:
@@ -305,26 +297,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if merged.status == "pass" else 1
 
 
-def _expr_slot_set(expr_src: str) -> set[int]:
-    return set(expr_slots(parse_bracket(expr_src)))
-
-
-_MODEL_ARITY = {"highest": 1, "lowest": 1, "tensor": 2, "tensor-tv": 2}
+_MODELS = {"highest": Highest, "lowest": Lowest, "tensor": TensorLowest, "tensor-tv": TensorLowestTV}
 
 
 def cmd_verma(args: argparse.Namespace) -> int:
-    pieces = [_rational_arg(piece) for piece in args.weights.split(",") if piece.strip()]
-    arity = _MODEL_ARITY[args.model]
+    cls = _MODELS[args.model]
+    pieces = _rational_list(args.weights)
+    arity = len(fields(cls))
     if len(pieces) != arity:
         raise UsageError(f"model {args.model} needs {arity} weight(s), got {len(pieces)}")
-    if args.model == "highest":
-        model = Highest(pieces[0])
-    elif args.model == "lowest":
-        model = Lowest(pieces[0])
-    elif args.model == "tensor":
-        model = TensorLowest(pieces[0], pieces[1])
-    else:
-        model = TensorLowestTV(pieces[0], pieces[1])
+    model = cls(*pieces)
     p = poly_from_string(args.poly, model.variables)
     _emit(str(act(model, args.gen, p)))
     return 0
@@ -362,16 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("u-table", help="emit the transition matrix U as CSV or JSON")
-    for name in ("l1", "l2", "l3"):
-        p_table.add_argument(f"--{name}", required=True, help=_weight_help(name))
-    p_table.add_argument("--n", type=int, required=True)
+    p_racah = sub.add_parser("racah", help="emit the Racah-value table R as CSV")
+    for table_parser in (p_table, p_racah):
+        for name in ("l1", "l2", "l3"):
+            table_parser.add_argument(f"--{name}", required=True, help=_weight_help(name))
+        table_parser.add_argument("--n", type=int, required=True)
     p_table.add_argument("--json", action="store_true")
     p_table.set_defaults(func=cmd_u_table)
-
-    p_racah = sub.add_parser("racah", help="emit the Racah-value table R as CSV")
-    for name in ("l1", "l2", "l3"):
-        p_racah.add_argument(f"--{name}", required=True, help=_weight_help(name))
-    p_racah.add_argument("--n", type=int, required=True)
     p_racah.set_defaults(func=cmd_racah)
 
     p_bracket = sub.add_parser("bracket", help="bracket two weighted polynomials in z")
@@ -403,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_verma = sub.add_parser("verma", help="apply a module generator to a polynomial")
-    p_verma.add_argument("--model", choices=tuple(_MODEL_ARITY), required=True)
+    p_verma.add_argument("--model", choices=tuple(_MODELS), required=True)
     p_verma.add_argument("--weights", required=True, help="comma-separated model weights")
-    p_verma.add_argument("--gen", choices=("H", "E", "F", "C"), required=True)
+    p_verma.add_argument("--gen", choices=GENERATORS, required=True)
     p_verma.add_argument("--poly", required=True)
     p_verma.set_defaults(func=cmd_verma)
 
@@ -420,22 +399,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exit_.code if isinstance(exit_.code, int) else 2
     try:
         return args.func(args)
-    except (UsageError, PolySyntaxError, BracketSyntaxError) as err:
+    except (UsageError, PolySyntaxError, BracketSyntaxError, DuplicateSlotError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return 1
-    except (
-        InadmissibleParametersError,
-        InadmissibleLocalWeightsError,
-        VanishingDenominatorError,
-        ValueError,
-        KeyError,
-        ZeroDivisionError,
-        ArithmeticError,
-    ) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, KeyError, ArithmeticError) as err:
+        # str() of a KeyError is the repr of its message
+        message = err.args[0] if isinstance(err, KeyError) and err.args else err
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

@@ -59,6 +59,11 @@ def sample_dict(params: ParamTriple) -> dict[str, str]:
     return {"lam1": str(params.lam1), "lam2": str(params.lam2), "lam3": str(params.lam3)}
 
 
+def _grid(triples: Sequence[ParamTriple], bound: int) -> list[tuple[ParamTriple, int, int]]:
+    """Every (triple, n, j) with n <= bound and j <= n, triple-major."""
+    return [(tr, n, j) for tr in triples for n in range(bound + 1) for j in range(n + 1)]
+
+
 def _two_var_on(ell: int, w1: Fraction, w2: Fraction, first: Poly, second: Poly) -> Poly:
     """Homogeneous Jacobi form of degree ell with slots bound to polynomials."""
     return jacobi_two_var(ell, w1, w2).subst({"x": first, "y": second})
@@ -503,7 +508,7 @@ def cmz_reports(triples: Sequence[ParamTriple], max_n: int = 4) -> list[Verifica
         "cmz-sum-vs-closed-special-kappas", samples, per_kappa * len(ASSERTED_KAPPAS), failures
     )
 
-    cases = [(tr, n, p) for tr in triples for n in range(max_n + 1) for p in range(n + 1)]
+    cases = _grid(triples, max_n)
     scales = (Fraction(1), Fraction(1, 2))
     compatible = {
         kappa: [[_deformation_compatible(kappa, s, *case) for s in scales] for case in cases]
@@ -562,21 +567,11 @@ def run_suite(
             out.extend(run_suite(suite, triples, max_n, max_degree, hbar_order))
         return out
     if name == "main":
-        reports = [
-            verify_main_identity(tr, n, k, max_degree)
-            for tr in triples
-            for n in range(max_n + 1)
-            for k in range(n + 1)
-        ]
+        reports = [verify_main_identity(tr, n, k, max_degree) for tr, n, k in _grid(triples, max_n)]
         return [merge_reports("main-recoupling", reports)]
     if name == "reverse":
-        bound = min(max_n, 4)
-        reports = [
-            verify_reverse_identity(tr, n, p, max_degree)
-            for tr in triples
-            for n in range(bound + 1)
-            for p in range(n + 1)
-        ]
+        cases = _grid(triples, min(max_n, 4))
+        reports = [verify_reverse_identity(tr, n, p, max_degree) for tr, n, p in cases]
         return [merge_reports("reverse-recoupling", reports)]
     if name == "classical":
         first = [verify_classical(tr, max_degree=4) for tr in triples]
@@ -589,22 +584,11 @@ def run_suite(
             merge_reports("four-function-first-order", second),
         ]
     if name == "convolution":
-        bound = min(max_n, 4)
-        reports = [
-            verify_convolution(tr, n, k)
-            for tr in triples
-            for n in range(bound + 1)
-            for k in range(n + 1)
-        ]
+        reports = [verify_convolution(tr, n, k) for tr, n, k in _grid(triples, min(max_n, 4))]
         return [merge_reports("jacobi-convolution", reports)]
     if name == "operator":
-        bound = min(max_n, 3)
-        reports = [
-            verify_operator_convolution(tr, n, k, max_degree)
-            for tr in triples
-            for n in range(bound + 1)
-            for k in range(n + 1)
-        ]
+        cases = _grid(triples, min(max_n, 3))
+        reports = [verify_operator_convolution(tr, n, k, max_degree) for tr, n, k in cases]
         return [merge_reports("operator-convolution", reports)]
     if name == "zagier":
         return [zagier_suite(triples, max_n=min(max_n, 3))]

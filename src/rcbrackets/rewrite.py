@@ -29,7 +29,6 @@ from typing import Mapping, Sequence
 
 from .brackets import (
     BracketExpr,
-    DuplicateSlotError,
     Leaf,
     Node,
     expr_slots,

@@ -14,11 +14,11 @@ Casimir C = H^2/4 + H/2 + FE, always computed through the generators):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .hypergeom import jacobi_operator, jacobi_two_var
-from .poly import Poly, UnknownVariableError
+from .poly import Poly, UnknownVariableError, canonical_vars
 from .rationals import RationalLike, as_rational, factorial
 
 
@@ -27,46 +27,37 @@ class NonPolynomialResultError(ValueError):
 
 
 @dataclass(frozen=True)
-class Highest:
+class _Model:
+    """A model's weights, each coerced to a Fraction on construction."""
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            object.__setattr__(self, field.name, as_rational(getattr(self, field.name)))
+
+
+@dataclass(frozen=True)
+class Highest(_Model):
     weight: Fraction
-
-    def __init__(self, weight: RationalLike) -> None:
-        object.__setattr__(self, "weight", as_rational(weight))
-
     variables = ("x",)
 
 
 @dataclass(frozen=True)
-class Lowest:
+class Lowest(_Model):
     weight: Fraction
-
-    def __init__(self, weight: RationalLike) -> None:
-        object.__setattr__(self, "weight", as_rational(weight))
-
     variables = ("x",)
 
 
 @dataclass(frozen=True)
-class TensorLowest:
+class TensorLowest(_Model):
     weight1: Fraction
     weight2: Fraction
-
-    def __init__(self, weight1: RationalLike, weight2: RationalLike) -> None:
-        object.__setattr__(self, "weight1", as_rational(weight1))
-        object.__setattr__(self, "weight2", as_rational(weight2))
-
     variables = ("x", "y")
 
 
 @dataclass(frozen=True)
-class TensorLowestTV:
+class TensorLowestTV(_Model):
     weight1: Fraction
     weight2: Fraction
-
-    def __init__(self, weight1: RationalLike, weight2: RationalLike) -> None:
-        object.__setattr__(self, "weight1", as_rational(weight1))
-        object.__setattr__(self, "weight2", as_rational(weight2))
-
     variables = ("t", "v")
 
 
@@ -76,7 +67,7 @@ GENERATORS = ("H", "E", "F", "C")
 
 
 def _check_domain(model: Model, p: Poly) -> Poly:
-    want = tuple(sorted(model.variables, key=("z", "x", "y", "t", "v").index))
+    want = canonical_vars(model.variables)
     if p.vars == want:
         return p
     if set(p.vars) <= set(want):

@@ -215,6 +215,30 @@ def test_verma_wrong_weight_arity(capsys) -> None:
     assert "needs 2 weight(s)" in err
 
 
+@pytest.mark.parametrize(
+    "model, weights, gen, poly, expected",
+    [
+        ("lowest", "3", "C", "x^2+1", "3/4*x^2 + 3/4\n"),
+        ("tensor", "1,2", "F", "x^2*y", "-2*x^2 - 4*x*y\n"),
+        ("tensor-tv", "1/2,3", "F", "t^2*v", "-11/2*t*v - 5/2*t\n"),
+    ],
+)
+def test_verma_models_golden(capsys, model, weights, gen, poly, expected) -> None:
+    argv = ["verma", "--model", model, "--weights", weights, "--gen", gen, "--poly", poly]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out == expected
+
+
+def test_verma_single_weight_model_rejects_two(capsys) -> None:
+    code, out, err = run_cli(
+        capsys, ["verma", "--model", "highest", "--weights", "1,2", "--gen", "H", "--poly", "x"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "needs 1 weight(s)" in err
+
+
 # -- rewrite and check ---------------------------------------------------------------
 
 
@@ -342,6 +366,45 @@ def test_check_missing_file_exit_2(capsys) -> None:
     code, _, err = run_cli(capsys, ["check", "--identity-file", "/nonexistent/identity.txt"])
     assert code == 2
     assert "cannot read" in err
+
+
+def test_verify_missing_config_exit_2(capsys) -> None:
+    code, out, err = run_cli(capsys, ["verify", "--config", "/nonexistent.cfg"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read config file /nonexistent.cfg: ")
+
+
+def test_check_line_without_bar_exit_2(capsys, tmp_path) -> None:
+    bad = tmp_path / "identity.txt"
+    bad.write_text("oops\n")
+    code, out, err = run_cli(capsys, ["check", "--identity-file", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}:1: expected 'coeff | expr', got 'oops'\n"
+
+
+@pytest.mark.parametrize("command", ["rewrite", "check"])
+def test_repeated_slot_is_syntax_error(capsys, tmp_path, command) -> None:
+    if command == "rewrite":
+        argv = ["rewrite", "--expr", "[f1,f1]_1", "--weights", "1,2"]
+    else:
+        identity = tmp_path / "identity.txt"
+        identity.write_text("1 | [f1,f1]_0\n")
+        argv = ["check", "--identity-file", str(identity)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: slot 1 occurs twice\n"
+
+
+def test_unbound_slot_message_is_unquoted(capsys, tmp_path) -> None:
+    identity = tmp_path / "identity.txt"
+    identity.write_text("l5 | [f1,f2]_0\n")
+    code, out, err = run_cli(capsys, ["check", "--identity-file", str(identity)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: no weight bound for slot 5\n"
 
 
 # -- verify -----------------------------------------------------------------------
