@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .poly import Poly
 from .rationals import RationalLike, as_rational, binom_general
@@ -187,3 +187,80 @@ def eval_bracket_tree(expr: BracketExpr, leaves: Mapping[int, WeightedForm]) -> 
     left = eval_bracket_tree(expr.left, leaves)
     right = eval_bracket_tree(expr.right, leaves)
     return rc_bracket(left, right, expr.order)
+
+
+MonomialEvaluator = Callable[[Sequence[int]], tuple[int, Fraction]]
+
+
+def monomial_evaluator(expr: BracketExpr, weights: Mapping[int, RationalLike]) -> MonomialEvaluator:
+    """Compile ``expr`` at fixed slot weights into a scalar evaluator on monomial leaves.
+
+    The result maps leaf degrees, slot i reading ``degrees[i - 1]``, to
+    ``(d, c)`` such that binding slot i to z^(degrees[i - 1]) evaluates the
+    tree to c z^d.  d is always the sum of the slots' degrees minus
+    ``expr_total_order(expr)``, and c == 0 is the zero form.  Slot weights
+    are bound here, once: a slot without a weight raises
+    :class:`UnboundSlotError`.  Each node keeps the scalars of
+    ``_monomial_bracket`` keyed on its two child degrees.
+    """
+    compiled, _ = _compile(expr, weights)
+    if isinstance(compiled, int):
+        return lambda degrees: (degrees[compiled], Fraction(1))
+    return compiled
+
+
+def _compile(
+    expr: BracketExpr, weights: Mapping[int, RationalLike]
+) -> tuple[Union[int, MonomialEvaluator], Fraction]:
+    """(evaluator, weight) of a subtree; a leaf's evaluator is its degree index.
+
+    A leaf carries coefficient 1, so a node reads a leaf child's degree
+    directly and never multiplies by it.
+    """
+    if isinstance(expr, Leaf):
+        return expr.slot - 1, expr_weight(expr, weights)
+    left, weight1 = _compile(expr.left, weights)
+    right, weight2 = _compile(expr.right, weights)
+    n = expr.order
+    memo: dict[tuple[int, int], tuple[int, Fraction]] = {}
+
+    def scalar(deg1: int, deg2: int) -> tuple[int, Fraction]:
+        value = memo.get((deg1, deg2))
+        if value is None:
+            value = memo[deg1, deg2] = _monomial_bracket(weight1, weight2, n, deg1, deg2)
+        return value
+
+    if isinstance(left, int) and isinstance(right, int):
+
+        def node(degrees: Sequence[int]) -> tuple[int, Fraction]:
+            return scalar(degrees[left], degrees[right])
+
+    elif isinstance(left, int):
+
+        def node(degrees: Sequence[int]) -> tuple[int, Fraction]:
+            deg2, c2 = right(degrees)
+            if not c2:
+                return degrees[left] + deg2 - n, c2
+            deg, value = scalar(degrees[left], deg2)
+            return deg, value * c2
+
+    elif isinstance(right, int):
+
+        def node(degrees: Sequence[int]) -> tuple[int, Fraction]:
+            deg1, c1 = left(degrees)
+            if not c1:
+                return deg1 + degrees[right] - n, c1
+            deg, value = scalar(deg1, degrees[right])
+            return deg, c1 * value
+
+    else:
+
+        def node(degrees: Sequence[int]) -> tuple[int, Fraction]:
+            deg1, c1 = left(degrees)
+            deg2, c2 = right(degrees)
+            if not (c1 and c2):
+                return deg1 + deg2 - n, c1 * c2
+            deg, value = scalar(deg1, deg2)
+            return deg, c1 * c2 * value
+
+    return node, weight1 + weight2 + 2 * n

@@ -76,13 +76,13 @@ def _rational_list(text: str) -> list[Fraction]:
 def _read_entries(path: str, what: str, sep: str, shape: str) -> list[tuple[int, str, str]]:
     """(lineno, left, right) for each line split at its first ``sep``, both sides stripped.
 
-    Blank lines and # comments are skipped; an unreadable file or a line
-    without ``sep`` is a usage error.
+    Blank lines and # comments are skipped; an unreadable or non-UTF-8 file
+    or a line without ``sep`` is a usage error.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read {what} {path}: {err}") from None
     entries = []
     for lineno, raw in enumerate(lines, start=1):

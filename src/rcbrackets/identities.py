@@ -6,12 +6,15 @@ return pass/fail reports; survey suites (``zagier``, parts of ``cmz``)
 return ``report_only`` findings without gating.
 
 The bracket-tree identities (main and reverse recoupling, the classical
-first-order pair and the four-function identity) are term tables: lists of
-(coefficient, BracketExpr) pairs whose sum vanishes.  Their verifiers only
-build tables, and one engine, ``verify_on_monomials``, evaluates every table
-on monomial leaves.  The fixed tables are written in the coefficient and
-bracket languages of ``rcbrackets check`` files, so the rewriter can certify
-the same text.
+first-order pair, the four-function identity and the associativity of the
+Eholzer product) are term tables: lists of (coefficient, BracketExpr) pairs
+whose sum vanishes.  Their verifiers only build tables, and one engine,
+``verify_on_monomials``, evaluates every table on monomial leaves through
+compiled scalar evaluators (``brackets.monomial_evaluator``).  The fixed
+tables are written in the coefficient and bracket languages of ``rcbrackets
+check`` files, so the rewriter can certify the same text.  The star product
+(``star.assoc_defect``) stays an independent route to the Eholzer table,
+cross-checked in the tests.
 """
 
 from __future__ import annotations
@@ -20,14 +23,13 @@ from fractions import Fraction
 from itertools import count, product
 from typing import Sequence
 
-from .brackets import BracketExpr, Leaf, Node, eval_bracket_tree, monomial_form, rc_bracket
+from .brackets import BracketExpr, Leaf, Node, monomial_evaluator
 from .hypergeom import jacobi_two_var
 from .poly import Poly
 from .rationals import RationalLike, as_rational, factorial, pochhammer
 from .report import VerificationReport, merge_reports
 from .rewrite import bind_terms
 from .samples import default_triples
-from .star import assoc_defect
 from .transition import (
     ParamTriple,
     RacahQuery,
@@ -105,25 +107,28 @@ def verify_on_monomials(
     Slot i carries ``weights[i-1]``; each degree tuple in {0..max_degree}^slots
     binds slot i to z^(degree i) once and checks every (failure label, terms)
     pair in ``identities`` as one instance.  A failure records the sample, the
-    label's fields, the degrees and the nonzero residual sum.
+    label's fields, the degrees and the nonzero residual sum.  Every tree is
+    compiled once per call, so the degree loop does scalar arithmetic only.
     """
     weights = [as_rational(w) for w in weights]
     sample = {f"lam{slot}": str(w) for slot, w in enumerate(weights, start=1)}
+    slot_weights = dict(enumerate(weights, start=1))
+    compiled = [
+        (label, [(coeff, monomial_evaluator(expr, slot_weights)) for coeff, expr in terms])
+        for label, terms in identities
+    ]
     failures = []
     instances = 0
     for degs in product(range(max_degree + 1), repeat=len(weights)):
-        leaves = {
-            slot: monomial_form(w, d) for slot, (w, d) in enumerate(zip(weights, degs), start=1)
-        }
-        for label, terms in identities:
-            # summed on the term maps: Poly arithmetic would revalidate every scalar
-            residual: dict[tuple[int, ...], Fraction] = {}
-            for coeff, expr in terms:
-                for exps, c in eval_bracket_tree(expr, leaves).form.terms.items():
-                    residual[exps] = residual.get(exps, 0) + coeff * c
+        for label, terms in compiled:
+            residual: dict[int, Fraction] = {}
+            for coeff, evaluate in terms:
+                degree, c = evaluate(degs)
+                if c:
+                    residual[degree] = residual.get(degree, 0) + coeff * c
             instances += 1
             if any(residual.values()):
-                value = str(Poly(("z",), residual))
+                value = str(Poly(("z",), {(d,): c for d, c in residual.items()}))
                 failures.append({"sample": sample, **label, "degrees": list(degs), "value": value})
     return VerificationReport.checked(identity_id, [sample], instances, failures)
 
@@ -250,24 +255,30 @@ def verify_operator_convolution(
     )
 
 
+def eholzer_terms(order: int) -> Terms:
+    """Associativity defect (f1 * f2) * f3 - f1 * (f2 * f3) of the unit-coefficient
+    star product, truncated at hbar order ``order``, as one term table:
+
+        sum_{m <= order} (sum_k [[f1,f2]_k, f3]_{m-k} - sum_p [f1, [f2,f3]_p]_{m-p}).
+
+    On monomial leaves the hbar^m layer lands on z-degree sum(d) - m, so the
+    table vanishes iff every layer of ``star.assoc_defect`` does.
+    """
+    if not isinstance(order, int) or order < 0:
+        raise ValueError(f"truncation order must be a nonnegative integer, got {order!r}")
+    terms: Terms = []
+    for m in range(order + 1):
+        terms += [(Fraction(1), _left_nest(m, k)) for k in range(m + 1)]
+        terms += [(Fraction(-1), _right_nest(m, p)) for p in range(m + 1)]
+    return terms
+
+
 def verify_eholzer_associativity(
     params: ParamTriple, order: int = 6, max_degree: int = 3
 ) -> VerificationReport:
     """Associativity of the truncated star product on monomial symbols."""
-    failures = []
-    instances = 0
-    for degs in product(range(max_degree + 1), repeat=3):
-        f = monomial_form(params.lam1, degs[0])
-        g = monomial_form(params.lam2, degs[1])
-        h = monomial_form(params.lam3, degs[2])
-        defect = assoc_defect(f, g, h, order)
-        instances += 1
-        if not defect.is_zero():
-            failures.append(
-                {"sample": sample_dict(params), "degrees": list(degs), "defect": repr(defect)}
-            )
-    return VerificationReport.checked(
-        "eholzer-associativity", [sample_dict(params)], instances, failures
+    return verify_on_monomials(
+        "eholzer-associativity", _triple(params), [({}, eholzer_terms(order))], max_degree
     )
 
 
@@ -286,6 +297,9 @@ def solve_u_from_brackets(
     rather than fatal.
     """
     size = n + 1
+    weights = dict(enumerate(_triple(params), start=1))
+    lhs = monomial_evaluator(_left_nest(n, k), weights)
+    rhs = [monomial_evaluator(_right_nest(n, p), weights) for p in range(size)]
     reduced: list[list[Fraction]] = []
     pivots: list[int] = []
 
@@ -312,17 +326,9 @@ def solve_u_from_brackets(
     for total in count(0):
         for i in range(total + 1):
             for j in range(total - i + 1):
+                # every nesting lands on z^(sum(degs) - n): compare the scalars
                 degs = (n + i, n + j, n + total - i - j)
-                f1 = monomial_form(params.lam1, degs[0])
-                f2 = monomial_form(params.lam2, degs[1])
-                f3 = monomial_form(params.lam3, degs[2])
-                out_deg = sum(degs) - n
-                lhs = rc_bracket(rc_bracket(f1, f2, k), f3, n - k).form
-                row = [
-                    rc_bracket(f1, rc_bracket(f2, f3, p), n - p).form.coeff({"z": out_deg})
-                    for p in range(size)
-                ]
-                absorb(row + [lhs.coeff({"z": out_deg})])
+                absorb([evaluate(degs)[1] for evaluate in rhs] + [lhs(degs)[1]])
                 produced += 1
                 if len(reduced) == size:
                     solution = [Fraction(0)] * size
@@ -368,8 +374,8 @@ def _zagier_sum(
     reading: str,
 ) -> Poly:
     l1, l2, l3 = lams
-    m1, m2, m3 = degrees
     s1, s2, s3 = slots
+    weights = dict(enumerate(lams, start=1))
     total = Poly.zero(ZAGIER_VARS)
     for k in range(n + 1):
         scalar = _zagier_pair_scalar(l1, l2, l3, n, k)
@@ -378,12 +384,9 @@ def _zagier_sum(
         geometric = _two_var_on(d_first, l1, l2, s1, s2) * _two_var_on(
             d_second, l1 + l2 + 2 * k, l3, s1 + s2, s3
         )
-        bracket = rc_bracket(
-            rc_bracket(monomial_form(l1, m1), monomial_form(l2, m2), k),
-            monomial_form(l3, m3),
-            n - k,
-        ).form
-        total = total + scalar * (geometric * bracket.lift(ZAGIER_VARS))
+        degree, c = monomial_evaluator(_left_nest(n, k), weights)(degrees)
+        bracket = Poly.monomial(ZAGIER_VARS, {"z": degree}, c)
+        total = total + scalar * (geometric * bracket)
     return total
 
 

@@ -54,11 +54,17 @@ class VerificationReport:
 
 
 def merge_reports(identity_id: str, reports: list[VerificationReport]) -> VerificationReport:
-    """Aggregate same-identity reports over many parameter samples."""
+    """Aggregate same-identity reports over many parameter samples.
+
+    Samples are kept once each, in first-seen order.
+    """
     samples: list[dict[str, str]] = []
+    seen: set[frozenset[tuple[str, str]]] = set()
     for report in reports:
         for sample in report.parameter_samples:
-            if sample not in samples:
+            key = frozenset(sample.items())
+            if key not in seen:
+                seen.add(key)
                 samples.append(sample)
     instances = sum(report.instances_checked for report in reports)
     failures = [entry for report in reports for entry in report.failures]

@@ -14,6 +14,7 @@ from rcbrackets.brackets import (
     expr_total_order,
     expr_weight,
     format_expr,
+    monomial_evaluator,
     monomial_form,
     rc_bracket,
 )
@@ -175,3 +176,65 @@ def test_eval_bracket_tree_missing_leaf():
     expr = Node(Leaf(1), Leaf(2), 0)
     with pytest.raises(UnboundSlotError):
         eval_bracket_tree(expr, {1: monomial_form(1, 1)})
+
+
+# -- compiled monomial evaluator ----------------------------------------------------
+
+signed_weights = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+leaf_degrees = st.lists(st.integers(min_value=0, max_value=4), min_size=5, max_size=5)
+
+
+@st.composite
+def bracket_trees(draw):
+    """Trees on 2-5 distinct slots with orders 0-3; slot i reads degrees[i - 1]."""
+    leaves = draw(st.integers(min_value=2, max_value=5))
+    slots = draw(st.permutations(range(1, leaves + 1)))
+
+    def build(part):
+        if len(part) == 1:
+            return Leaf(part[0])
+        cut = draw(st.integers(min_value=1, max_value=len(part) - 1))
+        return Node(build(part[:cut]), build(part[cut:]), draw(st.integers(0, 3)))
+
+    return build(list(slots))
+
+
+@given(
+    bracket_trees(),
+    st.lists(signed_weights, min_size=5, max_size=5),
+    st.lists(leaf_degrees, min_size=1, max_size=3),
+)
+def test_monomial_evaluator_matches_eval_bracket_tree(expr, ws, degree_tuples):
+    slot_weights = dict(enumerate(ws, start=1))
+    evaluate = monomial_evaluator(expr, slot_weights)
+    slots = expr_slots(expr)
+    for degs in degree_tuples:  # later tuples reuse the node memos of earlier ones
+        degree, c = evaluate(degs)
+        leaves = {slot: monomial_form(slot_weights[slot], degs[slot - 1]) for slot in slots}
+        expected = eval_bracket_tree(expr, leaves).form
+        assert isinstance(c, Fraction)
+        assert degree == sum(degs[slot - 1] for slot in slots) - expr_total_order(expr)
+        if c:
+            assert expected == Poly.monomial(("z",), {"z": degree}, c)
+        else:
+            assert expected.is_zero()
+
+
+def test_monomial_evaluator_degree_below_order_is_zero():
+    evaluate = monomial_evaluator(Node(Leaf(1), Leaf(2), 3), {1: Fraction(1, 2), 2: 1})
+    assert evaluate((1, 1)) == (-1, 0)
+    assert evaluate((2, 0)) == (-1, 0)
+    assert evaluate((2, 1))[1] != 0
+    # a zero inner bracket makes the whole tree zero, at the formal degree
+    outer = Node(Node(Leaf(1), Leaf(2), 2), Leaf(3), 0)
+    assert monomial_evaluator(outer, {1: 1, 2: 2, 3: 3})((1, 0, 5)) == (4, 0)
+
+
+def test_monomial_evaluator_single_leaf():
+    assert monomial_evaluator(Leaf(2), {2: Fraction(7, 3)})((5, 3)) == (3, 1)
+
+
+def test_monomial_evaluator_unbound_slot_at_compile_time():
+    expr = Node(Node(Leaf(1), Leaf(2), 1), Leaf(3), 0)
+    with pytest.raises(UnboundSlotError, match="slot 3"):
+        monomial_evaluator(expr, {1: Fraction(1), 2: Fraction(1, 2)})

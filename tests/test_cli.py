@@ -375,6 +375,26 @@ def test_verify_missing_config_exit_2(capsys) -> None:
     assert err.startswith("error: cannot read config file /nonexistent.cfg: ")
 
 
+def test_verify_non_utf8_config_exit_2(capsys, tmp_path) -> None:
+    binary = tmp_path / "bin.cfg"
+    binary.write_bytes(b"\xff\xfe\n")
+    code, out, err = run_cli(capsys, ["verify", "--config", str(binary)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read config file {binary}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
+def test_check_non_utf8_identity_file_exit_2(capsys, tmp_path) -> None:
+    binary = tmp_path / "identity.txt"
+    binary.write_bytes(b"1 | f1\n\xff\n")
+    code, out, err = run_cli(capsys, ["check", "--identity-file", str(binary)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read identity file {binary}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
 def test_check_line_without_bar_exit_2(capsys, tmp_path) -> None:
     bad = tmp_path / "identity.txt"
     bad.write_text("oops\n")

@@ -6,6 +6,9 @@ from fractions import Fraction
 import pytest
 
 from rcbrackets import identities
+from rcbrackets.brackets import eval_bracket_tree, format_expr, monomial_form
+from rcbrackets.poly import Poly
+from rcbrackets.star import assoc_defect
 from rcbrackets.identities import (
     SUITE_NAMES,
     cmz_reports,
@@ -16,6 +19,7 @@ from rcbrackets.identities import (
     verify_eholzer_associativity,
     verify_four_function,
     verify_main_identity,
+    verify_on_monomials,
     verify_operator_convolution,
     verify_reverse_identity,
     verify_zagier_invariance,
@@ -78,6 +82,60 @@ def test_eholzer_associativity_small() -> None:
     report = verify_eholzer_associativity(GENERIC, order=4, max_degree=1)
     assert report.status == "pass"
     assert report.instances_checked == 8
+
+
+CROSS_TRIPLES = (GENERIC, ONES, ParamTriple(Fraction(3, 5), Fraction(5, 4), Fraction(2, 3)))
+
+
+def _flat_defect(params: ParamTriple, degrees, order: int) -> Poly:
+    """All hbar layers of the star route's associativity defect, summed in z."""
+    forms = (monomial_form(w, d) for w, d in zip((params.lam1, params.lam2, params.lam3), degrees))
+    defect = assoc_defect(*forms, order)
+    return sum((p for layer in defect.coeffs for p in layer.values()), Poly.zero(("z",)))
+
+
+@pytest.mark.parametrize("params", CROSS_TRIPLES, ids=str)
+def test_eholzer_table_agrees_with_star_route(params) -> None:
+    order, max_degree = 3, 2
+    weights = (params.lam1, params.lam2, params.lam3)
+    terms = identities.eholzer_terms(order)
+    full = verify_on_monomials("eholzer", weights, [({}, terms)], max_degree)
+    degree_tuples = [(0, 0, 0), (1, 2, 0), (2, 1, 2), (2, 2, 2)]
+    assert full.failures == []
+    assert all(_flat_defect(params, degs, order).is_zero() for degs in degree_tuples)
+    for dropped in (0, 5, len(terms) - 1):
+        coeff, expr = terms[dropped]
+        broken = terms[:dropped] + terms[dropped + 1 :]
+        report = verify_on_monomials("eholzer", weights, [({}, broken)], max_degree)
+        failing = {tuple(record["degrees"]): record for record in report.failures}
+        assert failing, format_expr(expr)
+        for degs in degree_tuples:
+            leaves = {slot: monomial_form(w, d) for slot, w, d in zip((1, 2, 3), weights, degs)}
+            dropped_value = coeff * eval_bracket_tree(expr, leaves).form
+            expected = _flat_defect(params, degs, order) - dropped_value
+            if expected.is_zero():
+                assert degs not in failing
+            else:
+                record = failing[degs]
+                assert set(record) == {"sample", "degrees", "value"}
+                assert record["value"] == str(expected)
+
+
+def test_eholzer_rejects_negative_order() -> None:
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_eholzer_associativity(GENERIC, order=-1, max_degree=1)
+
+
+def test_eholzer_failure_record_shape(monkeypatch) -> None:
+    terms = identities.eholzer_terms
+    monkeypatch.setattr(identities, "eholzer_terms", lambda order: terms(order)[1:])
+    report = verify_eholzer_associativity(GENERIC, order=2, max_degree=1)
+    assert report.status == "fail"
+    assert report.instances_checked == 8
+    assert len(report.failures) == 8  # the dropped [[f1,f2]_0,f3]_0 is f1 f2 f3
+    for record in report.failures:
+        assert set(record) == {"sample", "degrees", "value"}
+        assert record["sample"] == identities.sample_dict(GENERIC)
 
 
 def test_solved_coefficients_match_formula() -> None:

@@ -69,3 +69,11 @@ def test_merge_reports_with_survey_is_report_only():
     merged = merge_reports("id", [a, b])
     assert merged.status == "report_only"
     assert merged.findings["note"] == [True]
+
+
+def test_merge_reports_keeps_first_seen_order_without_duplicates():
+    a = VerificationReport.checked("id", [{"s": "2"}, {"s": "1"}], 1, [])
+    b = VerificationReport.checked("id", [{"s": "1"}, {"s": "3"}, {"s": "2"}], 1, [])
+    c = VerificationReport.checked("id", [{"s": "3"}, {"s": "4"}], 1, [])
+    merged = merge_reports("id", [a, b, c])
+    assert merged.parameter_samples == [{"s": "2"}, {"s": "1"}, {"s": "3"}, {"s": "4"}]
