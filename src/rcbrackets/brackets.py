@@ -15,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import perm, prod
 from typing import Callable, Mapping, Sequence, Union
 
+from .hypergeom import jacobi_two_var
 from .poly import Poly
 from .rationals import RationalLike, as_rational, binom_general
 
@@ -55,13 +57,6 @@ def bracket_coeff_row(weight1: Fraction, weight2: Fraction, n: int) -> tuple[Fra
     )
 
 
-def _falling(a: int, s: int) -> int:
-    out = 1
-    for i in range(s):
-        out *= a - i
-    return out
-
-
 @lru_cache(maxsize=None)
 def _monomial_bracket(
     weight1: Fraction, weight2: Fraction, n: int, deg1: int, deg2: int
@@ -71,7 +66,7 @@ def _monomial_bracket(
     scalar = Fraction(0)
     for s in range(n + 1):
         if s <= deg1 and n - s <= deg2:
-            scalar += row[s] * _falling(deg1, s) * _falling(deg2, n - s)
+            scalar += row[s] * perm(deg1, s) * perm(deg2, n - s)  # falling factorials
     return deg1 + deg2 - n, scalar
 
 
@@ -79,17 +74,6 @@ def rc_bracket(f: WeightedForm, g: WeightedForm, n: int) -> WeightedForm:
     """The degree-n Rankin-Cohen bracket; result weight f.weight + g.weight + 2n."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"bracket order must be a nonnegative integer, got {n!r}")
-    out_weight = f.weight + g.weight + 2 * n
-    fterms, gterms = f.form.terms, g.form.terms
-    if len(fterms) <= 1 and len(gterms) <= 1:
-        # single-monomial fast path through the cached scalar form
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for (a,), ca in fterms.items():
-            for (b,), cb in gterms.items():
-                deg, scalar = _monomial_bracket(f.weight, g.weight, n, a, b)
-                if scalar:
-                    terms[(deg,)] = ca * cb * scalar
-        return WeightedForm(out_weight, Poly(("z",), terms))
     row = bracket_coeff_row(f.weight, g.weight, n)
     f_derivs = [f.form]
     g_derivs = [g.form]
@@ -100,7 +84,7 @@ def rc_bracket(f: WeightedForm, g: WeightedForm, n: int) -> WeightedForm:
     for s in range(n + 1):
         if row[s]:
             total = total + row[s] * (f_derivs[s] * g_derivs[n - s])
-    return WeightedForm(out_weight, total)
+    return WeightedForm(f.weight + g.weight + 2 * n, total)
 
 
 # -- bracket expression trees ---------------------------------------------------
@@ -187,6 +171,29 @@ def eval_bracket_tree(expr: BracketExpr, leaves: Mapping[int, WeightedForm]) -> 
     left = eval_bracket_tree(expr.left, leaves)
     right = eval_bracket_tree(expr.right, leaves)
     return rc_bracket(left, right, expr.order)
+
+
+def tree_symbol(
+    expr: BracketExpr, weights: Mapping[int, RationalLike], leaves: Mapping[int, Poly]
+) -> tuple[Poly, Poly | None, Fraction]:
+    """(sum of leaf polynomials, symbol, weight) of ``expr``; slot i reads ``leaves[i]``.
+
+    A leaf's symbol is 1, returned as ``None``; that of [A, B]_n is S_A S_B
+    G_n(sum_A, sum_B), G_n = ``jacobi_two_var(n, weight_A, weight_B)``.  With
+    slot i bound to a variable x_i, the tree's value on f_1(x_1)...f_k(x_k) is
+    S(d/dx_1, ..., d/dx_k) applied to that product, then read at every x_i = z.
+    """
+    if isinstance(expr, Leaf):
+        try:
+            total = leaves[expr.slot]
+        except KeyError:
+            raise UnboundSlotError(f"no polynomial bound for slot {expr.slot}") from None
+        return total, None, expr_weight(expr, weights)
+    sum1, symbol1, weight1 = tree_symbol(expr.left, weights, leaves)
+    sum2, symbol2, weight2 = tree_symbol(expr.right, weights, leaves)
+    outer = jacobi_two_var(expr.order, weight1, weight2).subst({"x": sum1, "y": sum2})
+    children = [symbol for symbol in (symbol1, symbol2) if symbol is not None]
+    return sum1 + sum2, prod(children, start=outer), weight1 + weight2 + 2 * expr.order
 
 
 MonomialEvaluator = Callable[[Sequence[int]], tuple[int, Fraction]]

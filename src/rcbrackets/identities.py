@@ -15,15 +15,22 @@ tables are written in the coefficient and bracket languages of ``rcbrackets
 check`` files, so the rewriter can certify the same text.  The star product
 (``star.assoc_defect``) stays an independent route to the Eholzer table,
 cross-checked in the tests.
+
+The main table, ``main_terms``, also runs on symbols (``brackets.tree_symbol``)
+in ``convolution``, and with each outer bracket taken from the raising
+intertwiner on inputs t^m in ``operator``.  Equal symbols are equal
+tri-differential operators, so a convolution pass at (triple, n, k) means the
+main identity holds for every polynomial input at that triple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, product
+from math import prod
 from typing import Sequence
 
-from .brackets import BracketExpr, Leaf, Node, monomial_evaluator
+from .brackets import BracketExpr, Leaf, Node, monomial_evaluator, tree_symbol
 from .hypergeom import jacobi_two_var
 from .poly import Poly
 from .rationals import RationalLike, as_rational, factorial, pochhammer
@@ -52,6 +59,8 @@ SUITE_NAMES = (
 )
 
 GEOMETRIC_VARS = ("z", "x", "y")
+# slots 1, 2, 3 of a symbol read the variables x, y, z
+SYMBOL_LEAVES = {slot: Poly.variable(v, GEOMETRIC_VARS) for slot, v in enumerate("xyz", 1)}
 
 ASSERTED_KAPPAS = (Fraction(1, 2), Fraction(3, 2))
 GENERIC_KAPPAS = (Fraction(5, 7),)
@@ -64,11 +73,6 @@ def sample_dict(params: ParamTriple) -> dict[str, str]:
 def _grid(triples: Sequence[ParamTriple], bound: int) -> list[tuple[ParamTriple, int, int]]:
     """Every (triple, n, j) with n <= bound and j <= n, triple-major."""
     return [(tr, n, j) for tr in triples for n in range(bound + 1) for j in range(n + 1)]
-
-
-def _two_var_on(ell: int, w1: Fraction, w2: Fraction, first: Poly, second: Poly) -> Poly:
-    """Homogeneous Jacobi form of degree ell with slots bound to polynomials."""
-    return jacobi_two_var(ell, w1, w2).subst({"x": first, "y": second})
 
 
 # -- checked identities -----------------------------------------------------------
@@ -145,18 +149,22 @@ def _right_nest(n: int, p: int) -> Node:
     return Node(F1, Node(F2, F3, p), n - p)
 
 
-def verify_main_identity(
-    params: ParamTriple, n: int, k: int, max_degree: int = 3
-) -> VerificationReport:
-    """[[f1,f2]_k, f3]_{n-k} = sum_p U_p [f1, [f2,f3]_p]_{n-p} on monomials."""
+def main_terms(params: ParamTriple, n: int, k: int) -> Terms:
+    """[[f1,f2]_k, f3]_{n-k} - sum_p U_p [f1, [f2,f3]_p]_{n-p} as a term table, U_p != 0."""
     terms = [(Fraction(1), _left_nest(n, k))]
     for p in range(n + 1):
         u = u_coefficient(params, RacahQuery(n, k, p))
         if u:
             terms.append((-u, _right_nest(n, p)))
-    return verify_on_monomials(
-        "main-recoupling", _triple(params), [({"n": n, "k": k}, terms)], max_degree
-    )
+    return terms
+
+
+def verify_main_identity(
+    params: ParamTriple, n: int, k: int, max_degree: int = 3
+) -> VerificationReport:
+    """[[f1,f2]_k, f3]_{n-k} = sum_p U_p [f1, [f2,f3]_p]_{n-p} on monomials."""
+    identity = ({"n": n, "k": k}, main_terms(params, n, k))
+    return verify_on_monomials("main-recoupling", _triple(params), [identity], max_degree)
 
 
 def verify_reverse_identity(
@@ -191,68 +199,52 @@ def verify_four_function(
 
 
 def verify_convolution(params: ParamTriple, n: int, k: int) -> VerificationReport:
-    """Convolution identity between products of homogeneous Jacobi forms in (x, y, z)."""
-    x = Poly.variable("x", GEOMETRIC_VARS)
-    y = Poly.variable("y", GEOMETRIC_VARS)
-    z = Poly.variable("z", GEOMETRIC_VARS)
-    l1, l2, l3 = params.lam1, params.lam2, params.lam3
-    lhs = _two_var_on(n - k, l1 + l2 + 2 * k, l3, x + y, z) * _two_var_on(k, l1, l2, x, y)
-    rhs = Poly.zero(GEOMETRIC_VARS)
-    for p in range(n + 1):
-        u = u_coefficient(params, RacahQuery(n, k, p))
-        if u:
-            rhs = rhs + u * (
-                _two_var_on(n - p, l1, l2 + l3 + 2 * p, x, y + z) * _two_var_on(p, l2, l3, y, z)
-            )
+    """The main table on symbols (slots x, y, z): sum_T c_T S_T = 0 in Poly(z, x, y).
+
+    This is the convolution identity between products of homogeneous Jacobi
+    forms; a failure records the nonzero residual.
+    """
+    weights = dict(enumerate(_triple(params), start=1))
+    residual = Poly.zero(GEOMETRIC_VARS)
+    for coeff, expr in main_terms(params, n, k):
+        residual = residual + coeff * tree_symbol(expr, weights, SYMBOL_LEAVES)[1]
+    sample = sample_dict(params)
     failures = []
-    if lhs != rhs:
-        failures.append(
-            {"sample": sample_dict(params), "n": n, "k": k, "lhs": str(lhs), "rhs": str(rhs)}
-        )
-    return VerificationReport.checked("jacobi-convolution", [sample_dict(params)], 1, failures)
+    if not residual.is_zero():
+        failures.append({"sample": sample, "n": n, "k": k, "value": str(residual)})
+    return VerificationReport.checked("jacobi-convolution", [sample], 1, failures)
 
 
 def verify_operator_convolution(
     params: ParamTriple, n: int, k: int, max_degree: int = 3
 ) -> VerificationReport:
-    """Same convolution at the level of composed raising intertwiners.
+    """The main table through the raising intertwiners, on inputs t^m.
 
-    Both compositions act on a single-variable input t^m; the outer
-    intertwiner's first slot is bound to the sum of the two grouped slots.
+    A term c [A, B]_j acts on t^m as c S_A S_B intertwiner_phi_tilde(j, w_A,
+    w_B, t^m) at (x, y) = (leaf sum of A, leaf sum of B): the outer bracket
+    comes from the verma route.  The child symbols do not depend on m and
+    are computed once.  A failure records the nonzero residual at that m.
     """
-    x = Poly.variable("x", GEOMETRIC_VARS)
-    y = Poly.variable("y", GEOMETRIC_VARS)
-    z = Poly.variable("z", GEOMETRIC_VARS)
-    l1, l2, l3 = params.lam1, params.lam2, params.lam3
-    coeffs = [u_coefficient(params, RacahQuery(n, k, p)) for p in range(n + 1)]
+    weights = dict(enumerate(_triple(params), start=1))
+    outer = []
+    for coeff, expr in main_terms(params, n, k):
+        sum1, symbol1, weight1 = tree_symbol(expr.left, weights, SYMBOL_LEAVES)
+        sum2, symbol2, weight2 = tree_symbol(expr.right, weights, SYMBOL_LEAVES)
+        children = [symbol for symbol in (symbol1, symbol2) if symbol is not None]
+        scale = prod(children, start=Poly.const(GEOMETRIC_VARS, coeff))
+        outer.append((scale, expr.order, weight1, weight2, {"x": sum1, "y": sum2}))
+    sample = sample_dict(params)
+    record = {"sample": sample, "n": n, "k": k}
     failures = []
-    instances = 0
     for m in range(max_degree + 1):
         q = Poly.monomial(("t",), {"t": m})
-        left_inner = intertwiner_phi_tilde(n - k, l1 + l2 + 2 * k, l3, q)
-        lhs = _two_var_on(k, l1, l2, x, y) * left_inner.subst({"x": x + y, "y": z})
-        rhs = Poly.zero(GEOMETRIC_VARS)
-        for p, u in enumerate(coeffs):
-            if u:
-                right_inner = intertwiner_phi_tilde(n - p, l1, l2 + l3 + 2 * p, q)
-                rhs = rhs + u * (
-                    _two_var_on(p, l2, l3, y, z) * right_inner.subst({"x": x, "y": y + z})
-                )
-        instances += 1
-        if lhs != rhs:
-            failures.append(
-                {
-                    "sample": sample_dict(params),
-                    "n": n,
-                    "k": k,
-                    "input_degree": m,
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                }
-            )
-    return VerificationReport.checked(
-        "operator-convolution", [sample_dict(params)], instances, failures
-    )
+        residual = Poly.zero(GEOMETRIC_VARS)
+        for scale, order, weight1, weight2, bindings in outer:
+            image = intertwiner_phi_tilde(order, weight1, weight2, q).subst(bindings)
+            residual = residual + scale * image
+        if not residual.is_zero():
+            failures.append({**record, "input_degree": m, "value": str(residual)})
+    return VerificationReport.checked("operator-convolution", [sample], max_degree + 1, failures)
 
 
 def eholzer_terms(order: int) -> Terms:
@@ -364,6 +356,11 @@ def _zagier_pair_scalar(l1: Fraction, l2: Fraction, l3: Fraction, n: int, k: int
 
 
 ZAGIER_VARS = ("z", "x", "y", "t")
+
+
+def _two_var_on(ell: int, w1: Fraction, w2: Fraction, first: Poly, second: Poly) -> Poly:
+    """Homogeneous Jacobi form of degree ell with slots bound to polynomials."""
+    return jacobi_two_var(ell, w1, w2).subst({"x": first, "y": second})
 
 
 def _zagier_sum(

@@ -69,6 +69,14 @@ class Poly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _trusted(cls, vars: tuple[str, ...], terms: dict[Exponents, Fraction]) -> Poly:
+        """Wrap already-canonical variables and nonzero Fraction terms, unchecked."""
+        out = cls.__new__(cls)
+        out.vars = vars
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, vars: Sequence[str]) -> Poly:
         return cls(vars, {})
 
@@ -116,18 +124,12 @@ class Poly:
                 terms[exps] = acc
             else:
                 terms.pop(exps, None)
-        out = Poly.__new__(Poly)
-        out.vars = self.vars
-        out.terms = terms
-        return out
+        return Poly._trusted(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        out = Poly.__new__(Poly)
-        out.vars = self.vars
-        out.terms = {exps: -coeff for exps, coeff in self.terms.items()}
-        return out
+        return Poly._trusted(self.vars, {exps: -coeff for exps, coeff in self.terms.items()})
 
     def __sub__(self, other: Poly | RationalLike) -> Poly:
         if not isinstance(other, Poly):
@@ -140,10 +142,8 @@ class Poly:
     def __mul__(self, other: Poly | RationalLike) -> Poly:
         if not isinstance(other, Poly):
             scalar = as_rational(other)
-            out = Poly.__new__(Poly)
-            out.vars = self.vars
-            out.terms = {e: c * scalar for e, c in self.terms.items()} if scalar else {}
-            return out
+            terms = {e: c * scalar for e, c in self.terms.items()} if scalar else {}
+            return Poly._trusted(self.vars, terms)
         self._check_same_vars(other)
         terms: dict[Exponents, Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -154,10 +154,7 @@ class Poly:
                     terms[exps] = acc
                 else:
                     terms.pop(exps, None)
-        out = Poly.__new__(Poly)
-        out.vars = self.vars
-        out.terms = terms
-        return out
+        return Poly._trusted(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -219,10 +216,7 @@ class Poly:
                     dropped = exps[:idx] + (e - 1,) + exps[idx + 1 :]
                     nxt[dropped] = nxt.get(dropped, Fraction(0)) + coeff * e
             terms = {e: c for e, c in nxt.items() if c}
-        out = Poly.__new__(Poly)
-        out.vars = self.vars
-        out.terms = dict(terms) if terms is self.terms else terms
-        return out
+        return Poly._trusted(self.vars, dict(terms) if terms is self.terms else terms)
 
     def subst(self, bindings: Mapping[str, Poly]) -> Poly:
         """Substitute polynomials for every variable of ``self``.
@@ -299,10 +293,7 @@ class Poly:
             for pos, e in zip(positions, exps):
                 out_exps[pos] = e
             terms[tuple(out_exps)] = coeff
-        out = Poly.__new__(Poly)
-        out.vars = vars
-        out.terms = terms
-        return out
+        return Poly._trusted(vars, terms)
 
     # -- canonical text -----------------------------------------------------
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import perm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,8 +18,9 @@ from rcbrackets.brackets import (
     monomial_evaluator,
     monomial_form,
     rc_bracket,
+    tree_symbol,
 )
-from rcbrackets.poly import Poly, poly_from_string
+from rcbrackets.poly import VAR_ORDER, Poly, poly_from_string
 from rcbrackets.rationals import binom_general
 
 weights = st.fractions(min_value=Fraction(1, 4), max_value=Fraction(5), max_denominator=6)
@@ -238,3 +240,50 @@ def test_monomial_evaluator_unbound_slot_at_compile_time():
     expr = Node(Node(Leaf(1), Leaf(2), 1), Leaf(3), 0)
     with pytest.raises(UnboundSlotError, match="slot 3"):
         monomial_evaluator(expr, {1: Fraction(1), 2: Fraction(1, 2)})
+
+
+# -- tree symbols ------------------------------------------------------------------
+
+# slot i of a symbol reads the i-th variable of the universe
+SYMBOL_LEAVES = {slot: Poly.variable(name, VAR_ORDER) for slot, name in enumerate(VAR_ORDER, 1)}
+
+
+def _symbol_on_monomials(symbol, degrees):
+    """sum_e S[e] prod_i falling(d_i, e_i): S as a constant-coefficient operator
+    applied to prod_i x_i^(d_i), read at x_i = z; ``None`` is the symbol 1."""
+    if symbol is None:
+        return Fraction(1)
+    total = Fraction(0)
+    for exps, coeff in symbol.terms.items():
+        term = coeff
+        for d, e in zip(degrees, exps):
+            term *= perm(d, e)  # the falling factorial d (d-1) ... (d-e+1)
+        total += term
+    return total
+
+
+@given(bracket_trees(), st.lists(signed_weights, min_size=5, max_size=5), leaf_degrees)
+def test_tree_symbol_acts_as_monomial_evaluator(expr, ws, degs):
+    slot_weights = dict(enumerate(ws, start=1))
+    total, symbol, weight = tree_symbol(expr, slot_weights, SYMBOL_LEAVES)
+    slots = expr_slots(expr)
+    assert weight == expr_weight(expr, slot_weights)
+    assert total == sum((SYMBOL_LEAVES[slot] for slot in slots), Poly.zero(VAR_ORDER))
+    assert symbol.total_degree() in (-1, expr_total_order(expr))
+    assert monomial_evaluator(expr, slot_weights)(degs)[1] == _symbol_on_monomials(symbol, degs)
+
+
+def test_tree_symbol_single_leaf():
+    total, symbol, weight = tree_symbol(Leaf(2), {2: Fraction(7, 3)}, SYMBOL_LEAVES)
+    assert (total, symbol, weight) == (SYMBOL_LEAVES[2], None, Fraction(7, 3))
+    degs = (5, 3, 0, 0, 0)
+    assert monomial_evaluator(Leaf(2), {2: Fraction(7, 3)})(degs) == (3, 1)
+    assert _symbol_on_monomials(symbol, degs) == 1
+
+
+def test_tree_symbol_unbound_slot():
+    expr = Node(Leaf(1), Leaf(3), 1)
+    with pytest.raises(UnboundSlotError, match="slot 3"):
+        tree_symbol(expr, {1: 1, 3: 2}, {1: SYMBOL_LEAVES[1]})
+    with pytest.raises(UnboundSlotError, match="slot 3"):
+        tree_symbol(expr, {1: 1}, SYMBOL_LEAVES)

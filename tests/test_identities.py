@@ -7,6 +7,7 @@ import pytest
 
 from rcbrackets import identities
 from rcbrackets.brackets import eval_bracket_tree, format_expr, monomial_form
+from rcbrackets.hypergeom import jacobi_two_var
 from rcbrackets.poly import Poly
 from rcbrackets.star import assoc_defect
 from rcbrackets.identities import (
@@ -277,3 +278,34 @@ def test_run_suite_single_names() -> None:
 def test_run_suite_unknown_name() -> None:
     with pytest.raises(ValueError):
         run_suite("spectral", [GENERIC])
+
+
+def test_convolution_failure_records_residual(monkeypatch) -> None:
+    n, k, max_degree = 2, 1, 2
+    clean_conv = verify_convolution(GENERIC, n, k)
+    clean_op = verify_operator_convolution(GENERIC, n, k, max_degree)
+    formula = identities.u_coefficient
+    monkeypatch.setattr(
+        identities,
+        "u_coefficient",
+        lambda params, query: formula(params, query) + (1 if query.p == 0 else 0),
+    )
+    # the extra term is -[f1, [f2,f3]_0]_n, whose symbol is G_n(x, y+z) at (l1, l2+l3)
+    x, y, z = (Poly.variable(name, identities.GEOMETRIC_VARS) for name in "xyz")
+    l1, l2, l3 = GENERIC.lam1, GENERIC.lam2, GENERIC.lam3
+    extra = jacobi_two_var(n, l1, l2 + l3).subst({"x": x, "y": y + z})
+
+    conv = verify_convolution(GENERIC, n, k)
+    assert conv.status == "fail"
+    assert conv.instances_checked == clean_conv.instances_checked
+    assert conv.failures == [
+        {"sample": identities.sample_dict(GENERIC), "n": n, "k": k, "value": str(-extra)}
+    ]
+
+    op = verify_operator_convolution(GENERIC, n, k, max_degree)
+    assert op.status == "fail"
+    assert op.instances_checked == clean_op.instances_checked
+    assert [record["input_degree"] for record in op.failures] == list(range(max_degree + 1))
+    for m, record in enumerate(op.failures):
+        assert set(record) == {"sample", "n", "k", "input_degree", "value"}
+        assert record["value"] == str(-(extra * (x + y + z) ** m))

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and every
+module-private top-level name is referenced somewhere in the package."""
 from __future__ import annotations
 
 import ast
@@ -24,3 +25,36 @@ def test_module_uses_every_import(path: Path) -> None:
             bound += [alias.asname or alias.name for alias in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(set(bound) - used) == []
+
+
+PACKAGE_TREES = {
+    path: ast.parse(path.read_text(encoding="utf-8"))
+    for path in Path(rcbrackets.__file__).parent.glob("*.py")
+}
+
+
+def _referenced_names() -> set[str]:
+    """Names the package reads: loaded names, attribute names and imported names."""
+    out: set[str] = set()
+    for tree in PACKAGE_TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name)
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_module_private_names_are_used(path: Path) -> None:
+    defined = []
+    for node in PACKAGE_TREES[path].body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += [target.id for target in targets if isinstance(target, ast.Name)]
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - _referenced_names()) == []
