@@ -98,6 +98,7 @@ from .transition import (
     u_matrix,
     u_reverse,
     u_reverse_matrix,
+    u_row,
 )
 from .verma import (
     Highest,

@@ -18,9 +18,9 @@ from functools import lru_cache
 from math import perm, prod
 from typing import Callable, Mapping, Sequence, Union
 
-from .hypergeom import jacobi_two_var
+from .hypergeom import bracket_coeff_row, jacobi_two_var
 from .poly import Poly
-from .rationals import RationalLike, as_rational, binom_general
+from .rationals import RationalLike, as_rational
 
 
 class WeightedForm:
@@ -46,15 +46,6 @@ class WeightedForm:
 def monomial_form(weight: RationalLike, degree: int, coeff: RationalLike = 1) -> WeightedForm:
     """Convenience: coeff * z^degree at the given weight."""
     return WeightedForm(weight, Poly.monomial(("z",), {"z": degree}, coeff))
-
-
-@lru_cache(maxsize=None)
-def bracket_coeff_row(weight1: Fraction, weight2: Fraction, n: int) -> tuple[Fraction, ...]:
-    """Coefficient of f^(s) g^(n-s) in [f, g]_n, for s = 0..n."""
-    return tuple(
-        (-1) ** s * binom_general(weight1 + n - 1, n - s) * binom_general(weight2 + n - 1, s)
-        for s in range(n + 1)
-    )
 
 
 @lru_cache(maxsize=None)

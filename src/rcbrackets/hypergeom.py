@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
 from .poly import Poly
@@ -120,6 +121,16 @@ def jacobi_poly_hyp(ell: int, alpha: RationalLike, beta: RationalLike) -> Poly:
     return (pochhammer(alpha + 1, ell) / factorial(ell)) * value
 
 
+@lru_cache(maxsize=None)
+def bracket_coeff_row(weight1: Fraction, weight2: Fraction, n: int) -> tuple[Fraction, ...]:
+    """Entry s = 0..n: the coefficient of f^(s) g^(n-s) in the bracket [f, g]_n,
+    and of x^s y^(n-s) in ``jacobi_two_var(n, weight1, weight2)``."""
+    return tuple(
+        (-1) ** s * binom_general(weight1 + n - 1, n - s) * binom_general(weight2 + n - 1, s)
+        for s in range(n + 1)
+    )
+
+
 def jacobi_two_var(ell: int, lam1: RationalLike, lam2: RationalLike) -> Poly:
     """Homogeneous two-variable Jacobi form in (x, y):
 
@@ -128,13 +139,8 @@ def jacobi_two_var(ell: int, lam1: RationalLike, lam2: RationalLike) -> Poly:
     """
     if not isinstance(ell, int) or ell < 0:
         raise ValueError(f"jacobi degree must be a nonnegative integer, got {ell!r}")
-    lam1, lam2 = as_rational(lam1), as_rational(lam2)
-    terms = {}
-    for s in range(ell + 1):
-        coeff = (-1) ** s * binom_general(ell + lam1 - 1, ell - s) * binom_general(ell + lam2 - 1, s)
-        if coeff:
-            terms[(s, ell - s)] = coeff
-    return Poly(("x", "y"), terms)
+    row = bracket_coeff_row(as_rational(lam1), as_rational(lam2), ell)
+    return Poly(("x", "y"), {(s, ell - s): coeff for s, coeff in enumerate(row) if coeff})
 
 
 def jacobi_operator(alpha: RationalLike, beta: RationalLike, p: Poly) -> Poly:

@@ -43,7 +43,7 @@ from .transition import (
     cmz_t_closed,
     cmz_t_sum,
     u_coefficient,
-    u_reverse_matrix,
+    u_row,
 )
 from .verma import intertwiner_phi_tilde
 
@@ -152,11 +152,7 @@ def _right_nest(n: int, p: int) -> Node:
 def main_terms(params: ParamTriple, n: int, k: int) -> Terms:
     """[[f1,f2]_k, f3]_{n-k} - sum_p U_p [f1, [f2,f3]_p]_{n-p} as a term table, U_p != 0."""
     terms = [(Fraction(1), _left_nest(n, k))]
-    for p in range(n + 1):
-        u = u_coefficient(params, RacahQuery(n, k, p))
-        if u:
-            terms.append((-u, _right_nest(n, p)))
-    return terms
+    return terms + [(-u, _right_nest(n, p)) for p, u in enumerate(u_row(params, n, k)) if u]
 
 
 def verify_main_identity(
@@ -171,10 +167,9 @@ def verify_reverse_identity(
     params: ParamTriple, n: int, p: int, max_degree: int = 3
 ) -> VerificationReport:
     """[f1, [f2,f3]_p]_{n-p} = sum_k Utilde_k [[f1,f2]_k, f3]_{n-k} on monomials."""
+    row = u_row(params.swapped_outer(), n, p)
     terms = [(Fraction(1), _right_nest(n, p))]
-    for k, u in enumerate(u_reverse_matrix(params, n)[p]):
-        if u:
-            terms.append((-u, _left_nest(n, k)))
+    terms += [(-u, _left_nest(n, k)) for k, u in enumerate(row) if u]
     return verify_on_monomials(
         "reverse-recoupling", _triple(params), [({"n": n, "p": p}, terms)], max_degree
     )
@@ -277,9 +272,11 @@ def verify_eholzer_associativity(
 # -- independent oracle ------------------------------------------------------------
 
 
-def solve_u_from_brackets(
-    params: ParamTriple, n: int, k: int, max_rows: int = 200
-) -> list[Fraction]:
+# degree triples solve_u_from_brackets evaluates before it reports a stalled row space
+SOLVE_MAX_EVALUATIONS = 200
+
+
+def solve_u_from_brackets(params: ParamTriple, n: int, k: int) -> list[Fraction]:
     """Recover the transition row U_{k, p=0..n} by exact linear algebra alone.
 
     Rows come from evaluating both bracket nestings on monomial triples
@@ -327,7 +324,7 @@ def solve_u_from_brackets(
                     for piv_row, piv_col in zip(reduced, pivots):
                         solution[piv_col] = piv_row[size]
                     return solution
-                if produced >= max_rows:
+                if produced >= SOLVE_MAX_EVALUATIONS:
                     raise ArithmeticError(
                         f"row space stalled at rank {len(reduced)} after {produced} evaluations"
                     )

@@ -31,6 +31,7 @@ from .brackets import (
     BracketExpr,
     Leaf,
     Node,
+    UnboundSlotError,
     expr_slots,
     expr_weight,
     format_expr,
@@ -38,7 +39,7 @@ from .brackets import (
 from .poly import _tokenize_poly
 from .rationals import RationalLike, as_rational, parse_rational
 from .report import VerificationReport
-from .transition import ParamTriple, RacahQuery, u_coefficient, u_reverse
+from .transition import ParamTriple, u_row
 
 class BracketSyntaxError(ValueError):
     """Malformed bracket-expression or coefficient text; carries a position."""
@@ -189,31 +190,23 @@ def _gate(w1: Fraction, w2: Fraction, w3: Fraction, site: BracketExpr) -> ParamT
 
 
 def _expand_left_nest(node: Node, weights: Mapping[int, Fraction]) -> list[tuple[BracketExpr, Fraction]]:
-    # [[a,b]_k, c]_m -> sum_p U_p [a, [b,c]_p]_{n-p}, n = k+m
+    # [[a,b]_k, c]_m -> sum_p U_{k,p} [a, [b,c]_p]_{n-p}, n = k+m
     inner = node.left
     a, b, c = inner.left, inner.right, node.right
     k, n = inner.order, inner.order + node.order
     triple = _gate(expr_weight(a, weights), expr_weight(b, weights), expr_weight(c, weights), node)
-    out = []
-    for p in range(n + 1):
-        u = u_coefficient(triple, RacahQuery(n, k, p))
-        if u:
-            out.append((Node(a, Node(b, c, p), n - p), u))
-    return out
+    row = u_row(triple, n, k)
+    return [(Node(a, Node(b, c, p), n - p), u) for p, u in enumerate(row) if u]
 
 
 def _expand_right_nest(node: Node, weights: Mapping[int, Fraction]) -> list[tuple[BracketExpr, Fraction]]:
-    # [a, [b,c]_p]_q -> sum_k Utilde_k [[a,b]_k, c]_{n-k}, n = p+q
+    # [a, [b,c]_p]_q -> sum_k Utilde_{p,k} [[a,b]_k, c]_{n-k}, n = p+q, Utilde = U swapped
     inner = node.right
     a, b, c = node.left, inner.left, inner.right
     p, n = inner.order, inner.order + node.order
     triple = _gate(expr_weight(a, weights), expr_weight(b, weights), expr_weight(c, weights), node)
-    out = []
-    for k in range(n + 1):
-        u = u_reverse(triple, RacahQuery(n, k, p))
-        if u:
-            out.append((Node(Node(a, b, k), c, n - k), u))
-    return out
+    row = u_row(triple.swapped_outer(), n, p)
+    return [(Node(Node(a, b, k), c, n - k), u) for k, u in enumerate(row) if u]
 
 
 def _flip(node: Node) -> tuple[BracketExpr, Fraction]:
@@ -257,7 +250,7 @@ def to_standard(expr: BracketExpr, weights: Mapping[int, RationalLike]) -> Linea
     weights = {slot: as_rational(w) for slot, w in weights.items()}
     for slot in expr_slots(expr):
         if slot not in weights:
-            raise KeyError(f"no weight bound for slot {slot}")
+            raise UnboundSlotError(f"no weight bound for slot {slot}")
     pending: dict[BracketExpr, Fraction] = {expr: Fraction(1)}
     done: dict[BracketExpr, Fraction] = {}
     while pending:
@@ -351,7 +344,7 @@ def eval_coeff(ast, weights: Mapping[int, Fraction]) -> Fraction:
     if kind == "slot":
         slot = ast[1]
         if slot not in weights:
-            raise KeyError(f"no weight bound for slot {slot}")
+            raise UnboundSlotError(f"no weight bound for slot {slot}")
         return as_rational(weights[slot])
     if kind == "neg":
         return -eval_coeff(ast[1], weights)

@@ -1,10 +1,12 @@
 """Racah-type transition coefficients between iterated-bracket bases.
 
-``u_coefficient`` returns the coefficient U^{l1,l2;k}_{l3;n,p} expressing a
-left-nested double bracket [[f1,f2]_k, f3]_{n-k} in the right-nested basis
-[f1, [f2,f3]_p]_{n-p}; ``u_reverse`` is the inverse family obtained from it
-by the parameter swap (l1, k) <-> (l3, p).  For fixed n the two (n+1)x(n+1)
-matrices are mutually inverse.
+The coefficient U^{l1,l2;k}_{l3;n,p} expresses a left-nested double bracket
+[[f1,f2]_k, f3]_{n-k} in the right-nested basis [f1, [f2,f3]_p]_{n-p}.  U is
+served by rows: ``u_row`` gives U_{k,p} for p = 0..n, the whole expansion of
+one left nest, and ``u_matrix`` stacks the rows.  The reverse family is the
+swap (l1, k) <-> (l3, p): ``u_reverse_matrix`` is ``u_matrix`` of the swapped
+triple, and for fixed n the two (n+1)x(n+1) matrices are mutually inverse.
+``u_coefficient`` and ``u_reverse`` read single entries.
 
 Admissibility gate used throughout (and by the rewriter): none of
 l1, l2, l3, l1+l2, l2+l3, l1+l2+l3 is a nonpositive integer.  Under the
@@ -132,18 +134,23 @@ def u_reverse(params: ParamTriple, query: RacahQuery) -> Fraction:
     return _u_cached(params.lam3, params.lam2, params.lam1, query.n, query.p, query.k)
 
 
+def u_row(params: ParamTriple, n: int, k: int) -> list[Fraction]:
+    """Row k of u_matrix: [U_{k,p} for p = 0..n], with one gate and index check."""
+    _require_admissible(params)
+    RacahQuery(n, k, 0)  # the index checks and messages of a single entry
+    lams = (params.lam1, params.lam2, params.lam3)
+    return [_u_cached(*lams, n, k, p) for p in range(n + 1)]
+
+
 def u_matrix(params: ParamTriple, n: int) -> list[list[Fraction]]:
     """Rows k = 0..n, columns p = 0..n."""
     _require_admissible(params)
-    lams = (params.lam1, params.lam2, params.lam3)
-    return [[_u_cached(*lams, n, k, p) for p in range(n + 1)] for k in range(n + 1)]
+    return [u_row(params, n, k) for k in range(n + 1)]
 
 
 def u_reverse_matrix(params: ParamTriple, n: int) -> list[list[Fraction]]:
     """Rows p = 0..n, columns k = 0..n; the exact inverse of u_matrix."""
-    _require_admissible(params)
-    lams = (params.lam3, params.lam2, params.lam1)
-    return [[_u_cached(*lams, n, p, k) for k in range(n + 1)] for p in range(n + 1)]
+    return u_matrix(params.swapped_outer(), n)
 
 
 def u_generating_poly(params: ParamTriple, n: int, p: int) -> Poly:

@@ -284,11 +284,11 @@ def test_convolution_failure_records_residual(monkeypatch) -> None:
     n, k, max_degree = 2, 1, 2
     clean_conv = verify_convolution(GENERIC, n, k)
     clean_op = verify_operator_convolution(GENERIC, n, k, max_degree)
-    formula = identities.u_coefficient
+    formula = identities.u_row
     monkeypatch.setattr(
         identities,
-        "u_coefficient",
-        lambda params, query: formula(params, query) + (1 if query.p == 0 else 0),
+        "u_row",
+        lambda params, n, k: [u + (1 if p == 0 else 0) for p, u in enumerate(formula(params, n, k))],
     )
     # the extra term is -[f1, [f2,f3]_0]_n, whose symbol is G_n(x, y+z) at (l1, l2+l3)
     x, y, z = (Poly.variable(name, identities.GEOMETRIC_VARS) for name in "xyz")

@@ -12,6 +12,7 @@ from rcbrackets.brackets import (
     DuplicateSlotError,
     Leaf,
     Node,
+    UnboundSlotError,
     WeightedForm,
     eval_bracket_tree,
     expr_slots,
@@ -128,6 +129,13 @@ def test_flip_costs_alternating_sign() -> None:
 def test_missing_weight_is_an_error() -> None:
     with pytest.raises(KeyError):
         to_standard(parse_bracket("[f1,f2]_1"), {1: Fraction(1)})
+
+
+def test_missing_weight_raises_the_unbound_slot_error() -> None:
+    with pytest.raises(UnboundSlotError, match="no weight bound for slot 2"):
+        to_standard(parse_bracket("[f1,f2]_1"), {1: Fraction(1)})
+    with pytest.raises(UnboundSlotError, match="no weight bound for slot 9"):
+        eval_coeff(parse_coeff("l9"), {1: Fraction(1)})
 
 
 def test_inadmissible_local_weights_are_gated() -> None:

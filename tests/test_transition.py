@@ -16,6 +16,7 @@ from rcbrackets.transition import (
     u_matrix,
     u_reverse,
     u_reverse_matrix,
+    u_row,
 )
 
 positive = st.fractions(min_value=Fraction(1, 5), max_value=Fraction(5), max_denominator=5)
@@ -116,6 +117,29 @@ def test_u_reverse_is_outer_swap():
     q = RacahQuery(3, 1, 2)
     swapped = tr.swapped_outer()
     assert u_reverse(tr, q) == u_coefficient(swapped, RacahQuery(3, 2, 1))
+
+
+@given(triples, st.integers(min_value=0, max_value=6))
+def test_rows_match_matrices_and_entries(tr, n):
+    forward, backward = u_matrix(tr, n), u_reverse_matrix(tr, n)
+    for k in range(n + 1):
+        row = u_row(tr, n, k)
+        assert row == forward[k]
+        assert row == [u_coefficient(tr, RacahQuery(n, k, p)) for p in range(n + 1)]
+    for p in range(n + 1):
+        row = u_row(tr.swapped_outer(), n, p)
+        assert row == backward[p]
+        assert row == [u_reverse(tr, RacahQuery(n, k, p)) for k in range(n + 1)]
+
+
+def test_u_row_validates_gate_and_indices():
+    with pytest.raises(InadmissibleParametersError):
+        u_row(ParamTriple(0, 1, 1), 1, 0)
+    tr = ParamTriple(Fraction(1, 2), 1, Fraction(7, 3))
+    with pytest.raises(ValueError, match="need 0 <= k, p <= n"):
+        u_row(tr, 2, 3)
+    with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+        u_row(tr, -1, 0)
 
 
 def test_generating_poly_frozen_all_ones_n1():
