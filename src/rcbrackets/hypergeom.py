@@ -174,8 +174,17 @@ def racah_value(
     R_{p,k} = 4F3(-p, p+lam2+lam3-1, -k, k+lam1+lam2-1;
                   lam2, lam1+lam2+lam3+n-1, -n; 1),  0 <= p, k <= n.
 
-    Symmetric under swapping (p, lam1) with (k, lam3).  The bottom entry -n
-    is harmless because the sum stops at min(p, k) <= n.
+    This is the Racah polynomial R_p(lambda(k); alpha, beta, gamma, delta)
+    with alpha = lam2-1, beta = lam3-1, gamma = -n-1, delta = lam1+lam2+n-1
+    and lambda(k) = k(k+lam1+lam2-1).  Symmetric under swapping (p, lam1)
+    with (k, lam3).  The bottom entry -n is harmless because the sum stops at
+    min(p, k) <= n, and the other bottoms are checked over the used range.
+
+    It is one of three independent routes to the transition coefficients
+    (``transition``): this sum is the single-entry oracle, the production
+    rows come from the three-term recurrence in p (whose divisors the weight
+    gate keeps nonzero for 1 <= p <= n-1), and the columns from the
+    generating polynomial.
     """
     for label, idx in (("p", p), ("k", k), ("n", n)):
         if not isinstance(idx, int) or idx < 0:

@@ -39,10 +39,9 @@ from .rewrite import bind_terms
 from .samples import default_triples
 from .transition import (
     ParamTriple,
-    RacahQuery,
     cmz_t_closed,
     cmz_t_sum,
-    u_coefficient,
+    u_matrix,
     u_row,
 )
 from .verma import intertwiner_phi_tilde
@@ -467,10 +466,10 @@ def _deformation_compatible(
     """
     l1, l2, l3 = (scale * lam for lam in _triple(params))
     left = sum(
-        u_coefficient(params, RacahQuery(n, k, p))
+        row[p]
         * cmz_t_sum(kappa, l1, l2, k)
         * cmz_t_sum(kappa, l1 + l2 + 2 * scale * k, l3, n - k)
-        for k in range(n + 1)
+        for k, row in enumerate(u_matrix(params, n))
     )
     right = cmz_t_sum(kappa, l2, l3, p) * cmz_t_sum(kappa, l1, l2 + l3 + 2 * scale * p, n - p)
     return left == right

@@ -6,12 +6,24 @@ served by rows: ``u_row`` gives U_{k,p} for p = 0..n, the whole expansion of
 one left nest, and ``u_matrix`` stacks the rows.  The reverse family is the
 swap (l1, k) <-> (l3, p): ``u_reverse_matrix`` is ``u_matrix`` of the swapped
 triple, and for fixed n the two (n+1)x(n+1) matrices are mutually inverse.
-``u_coefficient`` and ``u_reverse`` read single entries.
+
+Three independent routes give the same exact entries:
+
+- rows (``u_row``, ``u_matrix``): one cached matrix per (triple, n), built
+  with the three-term recurrence of the Racah polynomials in the degree p
+  (Koekoek-Lesky-Swarttouw, Hypergeometric Orthogonal Polynomials, (9.2.3);
+  Wilson, SIAM J. Math. Anal. 11, 1980), O(n^2) operations per matrix;
+- single entries (``u_coefficient``, ``u_reverse``): one terminating 4F3
+  sum (``hypergeom.racah_value``) per entry, uncached, O(n) each;
+- columns (``u_generating_poly``): a product of two terminating 2F1s.
 
 Admissibility gate used throughout (and by the rewriter): none of
 l1, l2, l3, l1+l2, l2+l3, l1+l2+l3 is a nonpositive integer.  Under the
-gate every denominator Pochhammer below is provably nonzero; the vanishing
-check stays in as a hard error for inadmissible use.
+gate every denominator below is provably nonzero: the Pochhammer factors of
+the column scale, and the recurrence's divisors for 1 <= p <= n-1 (see
+``_racah_steps``); the recurrence is seeded at R_1 because its p = 0 step is
+0/0 at l2+l3 = 1, which the gate admits.  The Pochhammer vanishing check
+stays in as a hard error for inadmissible use.
 """
 
 from __future__ import annotations
@@ -106,10 +118,62 @@ def _column_scale(lam2: Fraction, lam3: Fraction, total: Fraction, n: int, p: in
     )
 
 
+def _racah_steps(
+    lam1: Fraction, lam2: Fraction, lam3: Fraction, n: int
+) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Per degree p = 1..n-1: (1 + C_p/A_p, 1/A_p, C_p/A_p) of the three-term recurrence.
+
+    A_p = (p+l2)(p+l2+l3-1)(p+L+n-1)(p-n) / [(2p+l2+l3-1)(2p+l2+l3)],
+    C_p = p(p+l2+l3+n-1)(p-l1-n)(p+l3-1) / [(2p+l2+l3-2)(2p+l2+l3-1)].
+    For 1 <= p <= n-1 the gate makes every factor of A_p and both
+    denominators nonzero: p+l2 (l2), p+l2+l3-1, 2p+l2+l3-2, 2p+l2+l3-1 and
+    2p+l2+l3 (l2+l3, shifted by an integer >= 0), p+L+n-1 (L, shifted by
+    p+n-1 >= 0) and p-n < 0.  At p = 0 and l2+l3 = 1, which the gate admits,
+    A_0 is 0/0; that is why R_1 is seeded rather than recurred.
+    """
+    total = lam1 + lam2 + lam3
+    steps = []
+    for p in range(1, n):
+        s = 2 * p + lam2 + lam3
+        a = (p + lam2) * (s - p - 1) * (p + total + n - 1) * (p - n) / ((s - 1) * s)
+        c = p * (s - p + n - 1) * (p - lam1 - n) * (p + lam3 - 1) / ((s - 2) * (s - 1))
+        steps.append((1 + c / a, 1 / a, c / a))
+    return steps
+
+
 @lru_cache(maxsize=None)
 def _u_cached(
+    lam1: Fraction, lam2: Fraction, lam3: Fraction, n: int
+) -> tuple[tuple[Fraction, ...], ...]:
+    """The matrix U_{k,p}, rows k = 0..n, built by the Racah recurrence in p.
+
+    U_{k,p} = C(n,k) (l2)_k (l3)_{n-k} * _column_scale(p) * R_p(lambda(k)),
+    with lambda(k) = k(k+l1+l2-1), R_0 = 1,
+    R_1 = 1 - lambda(k)(l2+l3) / (n l2 (L+n-1)) (nonzero denominator: n >= 1,
+    and the gate keeps l2 and L+n-1 off zero), and for 1 <= p <= n-1
+    R_{p+1} = ((A_p + C_p + lambda(k)) R_p - C_p R_{p-1}) / A_p.
+    Everything but lambda(k) and the row weight depends on (triple, n) only.
+    """
+    total = lam1 + lam2 + lam3
+    scales = [_column_scale(lam2, lam3, total, n, p) for p in range(n + 1)]
+    steps = _racah_steps(lam1, lam2, lam3, n)
+    seed = (lam2 + lam3) / (n * lam2 * (total + n - 1)) if n else Fraction(0)
+    rows = []
+    for k in range(n + 1):
+        lam_k = k * (k + lam1 + lam2 - 1)
+        values = [Fraction(1), 1 - lam_k * seed]
+        for shift, inv_a, c_over_a in steps:
+            values.append((shift + lam_k * inv_a) * values[-1] - c_over_a * values[-2])
+        weight = binom_general(Fraction(n), k) * pochhammer(lam2, k) * pochhammer(lam3, n - k)
+        # zip stops at the n+1 scales, so R_1 is dropped at n = 0
+        rows.append(tuple(weight * scale * value for scale, value in zip(scales, values)))
+    return tuple(rows)
+
+
+def _u_entry(
     lam1: Fraction, lam2: Fraction, lam3: Fraction, n: int, k: int, p: int
 ) -> Fraction:
+    """One entry U_{k,p} from its terminating 4F3 sum (the oracle route)."""
     return (
         binom_general(Fraction(n), k)
         * pochhammer(lam2, k)
@@ -122,7 +186,7 @@ def _u_cached(
 def u_coefficient(params: ParamTriple, query: RacahQuery) -> Fraction:
     """U^{l1,l2;k}_{l3;n,p}: left-nested bracket k in the right-nested basis p."""
     _require_admissible(params)
-    return _u_cached(params.lam1, params.lam2, params.lam3, query.n, query.k, query.p)
+    return _u_entry(params.lam1, params.lam2, params.lam3, query.n, query.k, query.p)
 
 
 def u_reverse(params: ParamTriple, query: RacahQuery) -> Fraction:
@@ -131,15 +195,14 @@ def u_reverse(params: ParamTriple, query: RacahQuery) -> Fraction:
     Equals u_coefficient with l1 <-> l3 and k <-> p swapped.
     """
     _require_admissible(params)
-    return _u_cached(params.lam3, params.lam2, params.lam1, query.n, query.p, query.k)
+    return _u_entry(params.lam3, params.lam2, params.lam1, query.n, query.p, query.k)
 
 
 def u_row(params: ParamTriple, n: int, k: int) -> list[Fraction]:
     """Row k of u_matrix: [U_{k,p} for p = 0..n], with one gate and index check."""
     _require_admissible(params)
     RacahQuery(n, k, 0)  # the index checks and messages of a single entry
-    lams = (params.lam1, params.lam2, params.lam3)
-    return [_u_cached(*lams, n, k, p) for p in range(n + 1)]
+    return list(_u_cached(params.lam1, params.lam2, params.lam3, n)[k])
 
 
 def u_matrix(params: ParamTriple, n: int) -> list[list[Fraction]]:

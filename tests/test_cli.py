@@ -156,6 +156,26 @@ def test_table_commands_golden_bytes(capsys, argv, digest) -> None:
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["u-table", "--l1", "13/7", "--l2", "5/11", "--l3", "17/3", "--n", "40", "--json"],
+            "97f1066e91236201762d985009a5f0d1d610dcbbe5342499670b3fe48fa128fd",
+        ),
+        (  # l2 + l3 = 1, where the recurrence is seeded at R_1
+            ["u-table", "--l1=-1/3", "--l2", "1/2", "--l3", "1/2", "--n", "24", "--json"],
+            "51700d51131408fb4ba4528f12393556a25b583da66ef08db8e48f5e9d4522fb",
+        ),
+    ],
+)
+def test_u_table_large_n_golden_bytes(capsys, argv, digest) -> None:
+    # digests of the tables as the per-entry 4F3 route prints them
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # -- pointwise subcommands ------------------------------------------------------------
 
 

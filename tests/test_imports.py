@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and every
-module-private top-level name is referenced somewhere in the package."""
+"""Every module-level import in the package is used by its module, every
+module-private top-level name is referenced somewhere in the package, and only
+``transition`` imports the single-entry U readers."""
 from __future__ import annotations
 
 import ast
@@ -58,3 +59,18 @@ def test_module_private_names_are_used(path: Path) -> None:
             defined += [target.id for target in targets if isinstance(target, ast.Name)]
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert sorted(private - _referenced_names()) == []
+
+
+def test_u_is_read_by_rows_outside_transition() -> None:
+    """Only ``transition`` evaluates single U entries; the rest reads the cached matrix."""
+    single_entry = {"u_coefficient", "u_reverse", "RacahQuery"}
+    for path in MODULES:
+        if path.stem == "transition":
+            continue
+        imported = {
+            alias.name
+            for node in ast.walk(PACKAGE_TREES[path])
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert sorted(single_entry & imported) == [], path.stem

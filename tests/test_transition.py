@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from rcbrackets import transition
 from rcbrackets.poly import poly_from_string
 from rcbrackets.transition import (
     InadmissibleParametersError,
@@ -21,6 +22,12 @@ from rcbrackets.transition import (
 
 positive = st.fractions(min_value=Fraction(1, 5), max_value=Fraction(5), max_denominator=5)
 triples = st.tuples(positive, positive, positive).map(lambda t: ParamTriple(*t))
+signed = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+signed_triples = (
+    st.tuples(signed, signed, signed)
+    .map(lambda t: ParamTriple(*t))
+    .filter(ParamTriple.is_admissible)
+)
 
 
 def test_param_triple_admissibility():
@@ -130,6 +137,45 @@ def test_rows_match_matrices_and_entries(tr, n):
         row = u_row(tr.swapped_outer(), n, p)
         assert row == backward[p]
         assert row == [u_reverse(tr, RacahQuery(n, k, p)) for k in range(n + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_triples, st.integers(min_value=0, max_value=10))
+@example(ParamTriple(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)), 6)
+@example(ParamTriple(Fraction(-1, 2), 1, Fraction(1, 2)), 6)
+@example(ParamTriple(Fraction(3, 5), Fraction(7, 4), Fraction(2, 9)), 0)
+@example(ParamTriple(Fraction(3, 5), Fraction(7, 4), Fraction(2, 9)), 1)
+def test_recurrence_rows_equal_4f3_entries(tr, n):
+    # the examples: l2 + l3 = 1, where the recurrence's p = 0 step is 0/0; l1 + l3 = 0,
+    # which the gate admits; n = 0 and n = 1, where no recurrence step runs
+    for k in range(n + 1):
+        assert u_row(tr, n, k) == [u_coefficient(tr, RacahQuery(n, k, p)) for p in range(n + 1)]
+
+
+@pytest.mark.parametrize(
+    "tr",
+    [
+        ParamTriple(Fraction(13, 7), Fraction(5, 11), Fraction(17, 3)),
+        ParamTriple(Fraction(-1, 3), Fraction(1, 2), Fraction(1, 2)),
+    ],
+)
+def test_matrix_equals_generating_poly_columns_at_n32(tr):
+    n = 32
+    table = u_matrix(tr, n)
+    for p in range(n + 1):
+        poly = u_generating_poly(tr, n, p)
+        assert [row[p] for row in table] == [poly.coeff({"t": k}) for k in range(n + 1)]
+
+
+def test_u_cache_holds_one_matrix_per_triple_and_n():
+    # perfbench's traced mode reads this cache by name
+    cache = transition._u_cached
+    tr = ParamTriple(Fraction(11, 13), Fraction(3, 17), Fraction(19, 5))
+    cache.cache_clear()
+    u_matrix(tr, 8)
+    for k in range(9):
+        u_row(tr, 8, k)
+    assert cache.cache_info().currsize == 1
 
 
 def test_u_row_validates_gate_and_indices():
