@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import perm, prod
+from math import lcm, perm, prod
 from typing import Callable, Mapping, Sequence, Union
 
 from .hypergeom import bracket_coeff_row, jacobi_two_var
@@ -32,7 +32,7 @@ class WeightedForm:
         if form.vars not in ((), ("z",)):
             raise ValueError(f"weighted forms live in the variable z, got {form.vars}")
         self.weight = as_rational(weight)
-        self.form = form.lift(("z",))
+        self.form = form if form.vars == ("z",) else form.lift(("z",))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedForm):
@@ -61,21 +61,80 @@ def _monomial_bracket(
     return deg1 + deg2 - n, scalar
 
 
+# -- the general bracket on integer numerators ----------------------------------
+
+# A z-polynomial as (numerators by degree, one positive denominator): the
+# polynomial is sum_d nums[d] z^d / den.  The zero polynomial is ([], 1).
+IntegerForm = tuple[list[int], int]
+
+
+def _integer_form(form: Poly) -> IntegerForm:
+    """``form`` (over ("z",)) over the lcm of its coefficient denominators."""
+    terms = form.terms
+    if not terms:
+        return [], 1
+    den = lcm(*(c.denominator for c in terms.values()))
+    nums = [0] * (max(exps[0] for exps in terms) + 1)
+    for (d,), c in terms.items():
+        nums[d] = c.numerator * (den // c.denominator)
+    return nums, den
+
+
+def _normalized(nums: Sequence[int], den: int) -> Poly:
+    """The z-polynomial sum_d nums[d] z^d / den, one reduced Fraction per term."""
+    return Poly._trusted(("z",), {(d,): Fraction(v, den) for d, v in enumerate(nums) if v})
+
+
+def _scaled_sum(acc: IntegerForm | None, piece: IntegerForm, scale: RationalLike) -> IntegerForm:
+    """acc + scale * piece over the lcm of the two denominators; acc None is 0."""
+    nums, den = piece
+    nums = [v * scale.numerator for v in nums]
+    den *= scale.denominator
+    if acc is None:
+        return nums, den
+    acc_nums, acc_den = acc
+    common = lcm(acc_den, den)
+    acc_scale, piece_scale = common // acc_den, common // den
+    total = [v * acc_scale for v in acc_nums]
+    total.extend([0] * (len(nums) - len(total)))
+    for d, v in enumerate(nums):
+        total[d] += v * piece_scale
+    return total, common
+
+
+def _bracket_kernel(
+    weight1: Fraction, weight2: Fraction, f: IntegerForm, g: IntegerForm, n: int
+) -> IntegerForm:
+    """[f, g]_n of two integer forms, over the product of the three denominators.
+
+    The coefficient row is scaled by its own lcm, and f^(s) g^(n-s) is an
+    integer convolution of falling-factorial-scaled numerators, so no
+    ``Fraction`` is built here.  The result is not reduced.
+    """
+    (f_nums, f_den), (g_nums, g_den) = f, g
+    row = bracket_coeff_row(weight1, weight2, n)
+    row_den = lcm(*(c.denominator for c in row))
+    out = [0] * (len(f_nums) + len(g_nums) - 1 - n)
+    for s, c in enumerate(row):
+        t = n - s
+        if not c or s >= len(f_nums) or t >= len(g_nums):
+            continue
+        scale = c.numerator * (row_den // c.denominator)
+        f_s = [f_nums[d] * perm(d, s) * scale for d in range(s, len(f_nums))]
+        g_t = [g_nums[d] * perm(d, t) for d in range(t, len(g_nums))]
+        for i, a in enumerate(f_s):
+            if a:
+                for j, b in enumerate(g_t, start=i):
+                    out[j] += a * b
+    return out, row_den * f_den * g_den
+
+
 def rc_bracket(f: WeightedForm, g: WeightedForm, n: int) -> WeightedForm:
     """The degree-n Rankin-Cohen bracket; result weight f.weight + g.weight + 2n."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"bracket order must be a nonnegative integer, got {n!r}")
-    row = bracket_coeff_row(f.weight, g.weight, n)
-    f_derivs = [f.form]
-    g_derivs = [g.form]
-    for _ in range(n):
-        f_derivs.append(f_derivs[-1].diff("z"))
-        g_derivs.append(g_derivs[-1].diff("z"))
-    total = Poly.zero(("z",))
-    for s in range(n + 1):
-        if row[s]:
-            total = total + row[s] * (f_derivs[s] * g_derivs[n - s])
-    return WeightedForm(f.weight + g.weight + 2 * n, total)
+    nums, den = _bracket_kernel(f.weight, g.weight, _integer_form(f.form), _integer_form(g.form), n)
+    return WeightedForm(f.weight + g.weight + 2 * n, _normalized(nums, den))
 
 
 # -- bracket expression trees ---------------------------------------------------

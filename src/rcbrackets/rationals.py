@@ -21,6 +21,8 @@ RationalLike = Union[int, Fraction]
 
 def as_rational(value: RationalLike | str) -> Fraction:
     """Coerce an int, Fraction or ``p/q`` string to an exact rational."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(f"not an exact rational: {value!r}")
     return Fraction(value)

@@ -16,7 +16,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .brackets import WeightedForm, rc_bracket
+from .brackets import (
+    IntegerForm,
+    WeightedForm,
+    _bracket_kernel,
+    _integer_form,
+    _normalized,
+    _scaled_sum,
+)
 from .poly import Poly
 from .rationals import RationalLike, as_rational
 from .transition import cmz_t_sum
@@ -97,28 +104,32 @@ class StarSeries:
 
 
 def star(a: StarSeries, b: StarSeries, kappa: RationalLike | None = None) -> StarSeries:
-    """Truncated star product; kappa = None means unit deformation coefficients."""
+    """Truncated star product; kappa = None means unit deformation coefficients.
+
+    Each slice of both operands goes to integer numerators once.  Every
+    output (order, weight) slice sums its bracket pieces as integer
+    numerators over the lcm of their denominators and is reduced once.
+    """
     a._check_order(b)
+    left = [{w: _integer_form(p) for w, p in layer.items()} for layer in a.coeffs]
+    right = [{w: _integer_form(p) for w, p in layer.items()} for layer in b.coeffs]
     out = StarSeries(a.order)
     for m in range(a.order + 1):
-        layer: dict[Fraction, Poly] = {}
+        sums: dict[Fraction, IntegerForm] = {}
         for i in range(m + 1):
             for j in range(m - i + 1):
                 n = m - i - j
-                for w1, p1 in a.coeffs[i].items():
-                    for w2, p2 in b.coeffs[j].items():
-                        piece = rc_bracket(WeightedForm(w1, p1), WeightedForm(w2, p2), n)
-                        form = piece.form
-                        if kappa is not None:
-                            form = cmz_t_sum(kappa, w1, w2, n) * form
-                        if form.is_zero():
+                for w1, f in left[i].items():
+                    for w2, g in right[j].items():
+                        scale = 1 if kappa is None else cmz_t_sum(kappa, w1, w2, n)
+                        if not scale:
                             continue
-                        acc = layer.get(piece.weight, Poly.zero(("z",))) + form
-                        if acc.is_zero():
-                            layer.pop(piece.weight, None)
-                        else:
-                            layer[piece.weight] = acc
-        out.coeffs[m] = layer
+                        piece = _bracket_kernel(w1, w2, f, g, n)
+                        if not any(piece[0]):
+                            continue
+                        weight = w1 + w2 + 2 * n
+                        sums[weight] = _scaled_sum(sums.get(weight), piece, scale)
+        out.coeffs[m] = {w: _normalized(nums, den) for w, (nums, den) in sums.items() if any(nums)}
     return out
 
 

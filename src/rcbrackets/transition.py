@@ -238,26 +238,33 @@ def u_generating_poly(params: ParamTriple, n: int, p: int) -> Poly:
 # -- CMZ deformation coefficients ------------------------------------------------
 
 
+def _binom_row(x: Fraction, n: int) -> list[Fraction]:
+    """C(x, 0..n) by the ratio C(x, j+1) = C(x, j) (x - j) / (j + 1)."""
+    row = [Fraction(1)]
+    for j in range(n):
+        row.append(row[-1] * (x - j) / (j + 1))
+    return row
+
+
 @lru_cache(maxsize=None)
 def _cmz_sum_cached(kappa: Fraction, lam1: Fraction, lam2: Fraction, n: int) -> Fraction:
-    lead = binom_general(-2 * lam2, n)
+    lead = _binom_row(-2 * lam2, n)[n]
     if not lead:
         raise VanishingDenominatorError(f"leading factor C(-2*l2, {n}) vanishes")
+    shifted = n + lam1 + lam2
+    outer = _binom_row(-2 * lam1, n)
+    inner = _binom_row(2 * (shifted - 1), n)
+    first, second = _binom_row(-lam1, n), _binom_row(-lam1 + kappa - 1, n)
+    third, fourth = _binom_row(shifted - kappa, n), _binom_row(shifted - 1, n)
     total = Fraction(0)
     for r in range(n + 1):
         s = n - r
-        denom = binom_general(-2 * lam1, r) * binom_general(2 * (n + lam1 + lam2 - 1), s)
+        denom = outer[r] * inner[s]
         if not denom:
             raise VanishingDenominatorError(
                 f"denominator C(-2*l1, {r}) * C(2n+2*l1+2*l2-2, {s}) vanishes"
             )
-        total += (
-            binom_general(-lam1, r)
-            * binom_general(-lam1 + kappa - 1, r)
-            * binom_general(n + lam1 + lam2 - kappa, s)
-            * binom_general(n + lam1 + lam2 - 1, s)
-            / denom
-        )
+        total += first[r] * second[r] * third[s] * fourth[s] / denom
     return total / lead
 
 

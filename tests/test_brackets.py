@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import perm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rcbrackets.brackets import (
     DuplicateSlotError,
@@ -10,6 +10,7 @@ from rcbrackets.brackets import (
     Node,
     UnboundSlotError,
     WeightedForm,
+    _monomial_bracket,
     eval_bracket_tree,
     expr_slots,
     expr_total_order,
@@ -36,6 +37,14 @@ def test_weighted_form_lifts_constants():
     f = WeightedForm(2, Poly.const((), 5))
     assert f.form.vars == ("z",)
     assert f.form.coeff({}) == 5
+
+
+def test_weighted_form_keeps_z_forms_and_exact_weights():
+    form = zpoly("z^2 + 1/3")
+    weight = Fraction(5, 2)
+    f = WeightedForm(weight, form)
+    assert f.form is form
+    assert f.weight is weight
 
 
 def test_weighted_form_rejects_other_variables():
@@ -130,6 +139,36 @@ def test_bilinearity(w1, w2, scale, d1, d2, n):
     lhs = rc_bracket(combined, g, n).form
     rhs = rc_bracket(f1, g, n).form * Fraction(scale) + rc_bracket(f2, g, n).form
     assert lhs == rhs
+
+
+# dense z-polynomials with mixed denominators, from the zero polynomial up to degree 5
+dense_polys = st.lists(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12), max_size=6
+).map(lambda cs: Poly(("z",), {(d,): c for d, c in enumerate(cs)}))
+# 0 and negative integers make entries of the bracket's coefficient row vanish
+row_weights = st.one_of(
+    st.integers(min_value=-4, max_value=0).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+
+
+@given(row_weights, row_weights, dense_polys, dense_polys, st.integers(min_value=0, max_value=11))
+@example(Fraction(1, 2), Fraction(7, 3), Poly.zero(("z",)), zpoly("z^2 + 1/3"), 1)
+@example(Fraction(3, 5), Fraction(-2), zpoly("5/6"), zpoly("-3/4"), 0)
+@example(Fraction(0), Fraction(4, 3), zpoly("2/3*z^3 + 1/2"), zpoly("5/7*z^4 - z"), 3)
+@example(Fraction(-3), Fraction(-1), zpoly("z^5 - 1/6*z"), zpoly("3/8*z^5 + 9/5"), 4)
+# n = 6 is above deg f + deg g
+@example(Fraction(5, 3), Fraction(1, 4), zpoly("z^2 + 1/2"), zpoly("z^3 - 2/3"), 6)
+def test_dense_bracket_is_bilinear_sum_of_monomial_brackets(w1, w2, p, q, n):
+    expected = Poly.zero(("z",))
+    for (d1,), c1 in p.terms.items():
+        for (d2,), c2 in q.terms.items():
+            degree, scalar = _monomial_bracket(w1, w2, n, d1, d2)
+            if scalar:
+                expected = expected + Poly.monomial(("z",), {"z": degree}, c1 * c2 * scalar)
+    out = rc_bracket(WeightedForm(w1, p), WeightedForm(w2, q), n)
+    assert out.weight == w1 + w2 + 2 * n
+    assert out.form == expected
 
 
 # -- bracket expression trees -------------------------------------------------------

@@ -187,6 +187,42 @@ def test_bracket_golden(capsys) -> None:
     assert out == "weight: 7/2\nform: -1/2*z\n"
 
 
+DENSE_F = "2/3*z^5 - 5/4*z^4 + 1/6*z^3 + 7*z^2 - 3/5*z + 9/8"
+DENSE_G = "-1/9*z^5 + 2/7*z^4 - 3*z^3 + 5/6*z^2 + 4/3*z - 1/2"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["star", "--N", "6", "--f", f"3/7:{DENSE_F}", "--g", f"5/4:{DENSE_G}"],
+            "91e8583ee6259ee9c71a57c441145a16a8906965ac1e4cf07a7cec051821b571",
+        ),
+        (
+            ["star", "--N", "6", "--f", f"3/7:{DENSE_F}", "--g", f"5/4:{DENSE_G}"]
+            + ["--kappa", "1/2"],
+            "e48f5c77b3c54cc0168aa6d617a7280a01c651bd67241c0b5bb8b3589f9c1d39",
+        ),
+        (
+            ["star", "--N", "6", "--f", f"3/7:{DENSE_F}", "--g", f"5/4:{DENSE_G}"]
+            + ["--kappa", "5/7"],
+            "64883c9fc1bac0fd6507623bc879d031c4548676e40aa30862dc15c46d9b1396",
+        ),
+        (
+            ["bracket", "--l1", "2/5", "--l2", "7/3", "--n", "4"]
+            + ["--f", "5/3*z^6 - 2/9*z^5 + 7/4*z^4 - z^3 + 3/8*z^2 + 11/5*z - 4/7"]
+            + ["--g", "-3/10*z^5 + 8/3*z^4 + 1/2*z^3 - 6/7*z^2 + z + 13/9"],
+            "6bc884830da07fc532bf7cb7f02f1a73965a60135b8e7b9d339b9aa318eee5f8",
+        ),
+    ],
+)
+def test_dense_symbol_golden_bytes(capsys, argv, digest) -> None:
+    # digests of the output of the Fraction-by-Fraction Poly.diff/Poly.__mul__ bracket
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_bracket_rejects_bad_polynomial(capsys) -> None:
     code, _, err = run_cli(
         capsys, ["bracket", "--l1", "1", "--l2", "1", "--n", "1", "--f", "2z", "--g", "z"]

@@ -1,10 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rcbrackets.brackets import WeightedForm, monomial_form
-from rcbrackets.poly import poly_from_string
+from rcbrackets.brackets import WeightedForm, monomial_form, rc_bracket
+from rcbrackets.poly import Poly, poly_from_string
 from rcbrackets.star import StarSeries, TruncationMismatchError, assoc_defect, star
+from rcbrackets.transition import cmz_t_sum
+
+KAPPAS = (None, Fraction(1, 2), Fraction(5, 7))
 
 
 def zform(weight, src):
@@ -95,3 +99,68 @@ def test_star_zero_series():
     zero = f - f
     assert zero.is_zero()
     assert star(f, zero).is_zero()
+
+
+def reference_star(a, b, kappa):
+    """(a * b)_m as the sum of rc_bracket pieces, each times t_n^kappa, added as Poly."""
+    out = StarSeries(a.order)
+    for m in range(a.order + 1):
+        layer = {}
+        for i in range(m + 1):
+            for j in range(m - i + 1):
+                n = m - i - j
+                for w1, p1 in a.coeffs[i].items():
+                    for w2, p2 in b.coeffs[j].items():
+                        piece = rc_bracket(WeightedForm(w1, p1), WeightedForm(w2, p2), n)
+                        scale = 1 if kappa is None else cmz_t_sum(kappa, w1, w2, n)
+                        acc = layer.get(piece.weight, Poly.zero(("z",)))
+                        layer[piece.weight] = acc + piece.form * scale
+        out.coeffs[m] = {w: p for w, p in layer.items() if not p.is_zero()}
+    return out
+
+
+def reference_defect(f, g, h, order, kappa):
+    sf, sg, sh = (StarSeries.inject(x, order) for x in (f, g, h))
+    left = reference_star(reference_star(sf, sg, kappa), sh, kappa)
+    return left - reference_star(sf, reference_star(sg, sh, kappa), kappa)
+
+
+# weights whose sums w1 + w2 + 2n collide across (i, j, n), so pieces share slices
+slice_weights = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(5, 2), Fraction(3)])
+slice_polys = st.lists(
+    st.fractions(min_value=-9, max_value=9, max_denominator=8), max_size=5
+).map(lambda cs: Poly(("z",), {(d,): c for d, c in enumerate(cs)}))
+
+
+@st.composite
+def series(draw, order):
+    layers = draw(
+        st.lists(
+            st.dictionaries(slice_weights, slice_polys, max_size=2),
+            min_size=order + 1,
+            max_size=order + 1,
+        )
+    )
+    return StarSeries(order, layers)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(min_value=0, max_value=3), st.sampled_from(KAPPAS))
+def test_star_layers_equal_sum_of_bracket_pieces(data, order, kappa):
+    a = data.draw(series(order))
+    b = data.draw(series(order))
+    product = star(a, b, kappa)
+    want = reference_star(a, b, kappa)
+    for m in range(order + 1):
+        assert product.coeffs[m] == want.coeffs[m]
+
+
+@pytest.mark.parametrize("kappa", KAPPAS)
+def test_assoc_defect_equals_reference_on_dense_symbols(kappa):
+    f = zform(Fraction(1, 2), "2/3*z^3 - 5/4*z^2 + 1/6*z + 7")
+    g = zform(1, "-1/9*z^3 + 2/7*z^2 - 3*z + 5/6")
+    h = zform(Fraction(7, 3), "4/5*z^2 - 1/2*z + 3/4")
+    defect = assoc_defect(f, g, h, 3, kappa)
+    assert defect == reference_defect(f, g, h, 3, kappa)
+    # generic kappa is not associative at literal weights, so this defect is a real sum
+    assert defect.is_zero() == (kappa != Fraction(5, 7))

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rcbrackets import transition
 from rcbrackets.poly import poly_from_string
+from rcbrackets.rationals import binom_general
 from rcbrackets.transition import (
     InadmissibleParametersError,
     ParamTriple,
@@ -224,6 +225,51 @@ def test_cmz_sum_equals_closed_generic_kappa():
     for lam1, lam2 in ((Fraction(1, 2), 1), (1, 1), (Fraction(7, 3), Fraction(1, 2))):
         for n in range(6):
             assert cmz_t_sum(kappa, lam1, lam2, n) == cmz_t_closed(kappa, lam1, lam2, n)
+
+
+def cmz_binomial_oracle(kappa, lam1, lam2, n):
+    """t_n^kappa(l1, l2) by the binomial-sum formula, one binom_general per factor."""
+    lead = binom_general(-2 * lam2, n)
+    if not lead:
+        raise VanishingDenominatorError(f"leading factor C(-2*l2, {n}) vanishes")
+    total = Fraction(0)
+    for r in range(n + 1):
+        s = n - r
+        denom = binom_general(-2 * lam1, r) * binom_general(2 * (n + lam1 + lam2 - 1), s)
+        if not denom:
+            raise VanishingDenominatorError(
+                f"denominator C(-2*l1, {r}) * C(2n+2*l1+2*l2-2, {s}) vanishes"
+            )
+        total += (
+            binom_general(-lam1, r)
+            * binom_general(-lam1 + kappa - 1, r)
+            * binom_general(n + lam1 + lam2 - kappa, s)
+            * binom_general(n + lam1 + lam2 - 1, s)
+            / denom
+        )
+    return total / lead
+
+
+# half-integers hit every vanishing denominator; the rest are generic
+cmz_args = st.one_of(
+    st.integers(min_value=-8, max_value=8).map(lambda k: Fraction(k, 2)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+
+
+@given(cmz_args, cmz_args, cmz_args, st.integers(min_value=0, max_value=7))
+@example(Fraction(5, 7), Fraction(1), Fraction(-1, 2), 2)  # leading factor vanishes
+@example(Fraction(5, 7), Fraction(-1, 2), Fraction(1), 3)  # C(-2*l1, r) vanishes
+@example(Fraction(5, 7), Fraction(-5, 4), Fraction(1, 4), 3)  # C(2n+2*l1+2*l2-2, s) vanishes
+def test_cmz_sum_matches_binomial_oracle(kappa, lam1, lam2, n):
+    try:
+        want = cmz_binomial_oracle(kappa, lam1, lam2, n)
+    except VanishingDenominatorError as err:
+        with pytest.raises(VanishingDenominatorError) as got:
+            cmz_t_sum(kappa, lam1, lam2, n)
+        assert str(got.value) == str(err)
+    else:
+        assert cmz_t_sum(kappa, lam1, lam2, n) == want
 
 
 def test_cmz_vanishing_denominator_reported():
