@@ -6,19 +6,25 @@ first, together with the ascending slot tuple.  Three elementary moves are
 used:
 
 * left-nest to right-nest expansion through the transition coefficients,
-* the reverse expansion through the inverse family,
-* antisymmetry on a bracket of two leaves ([u, w]_m = (-1)^m [w, u]_m).
+* antisymmetry on a bracket of two leaves ([u, w]_m = (-1)^m [w, u]_m),
+* the adjacent-leaf transposition as one signed row of U at the rotated
+  triple: [a, [b,c]_p]_{n-p} = sum_q (-1)^(n+p+q) U^{(b,c,a)}_{p,q}
+  [b, [a,c]_q]_{n-q}.
 
-An adjacent-leaf transposition is the literal composite (reverse expansion,
-antisymmetry on the now-inner leaf pair, forward expansion).  Each tree is
-rewritten at its first redex in post-order (left subtree, right subtree, then
-the node itself).  Each move strictly decreases the lexicographic metric (leaf
-inversions, sum over internal nodes of (left-subtree leaf count - 1)), so
-rewriting terminates whichever redex is taken; and since the standard combs
-are a basis, every order reaches the same normal form.
+The transposition is a recoupling in its own right: antisymmetry of the
+inner bracket, the reverse family at (a, c, b) and antisymmetry of the outer
+bracket fold into that single row.  Each tree is rewritten at its first redex
+in post-order (left subtree, right subtree, then the node itself).  Each move
+strictly decreases the lexicographic metric (leaf inversions, sum over
+internal nodes of (left-subtree leaf count - 1)); a transposition removes
+exactly one leaf inversion.  So rewriting terminates whichever redex is
+taken, and since the standard combs are a basis, every order reaches the
+same normal form.
 
 Every rewrite site is gated by local admissibility of the weight triple it
-touches; an inadmissible site raises instead of producing wrong output.
+touches; an inadmissible site raises instead of producing wrong output.  A
+transposition site gates both (a, b, c) and (b, c, a), which together test
+a, b, c, a+b, b+c, a+c and the total.
 """
 
 from __future__ import annotations
@@ -199,29 +205,19 @@ def _expand_left_nest(node: Node, weights: Mapping[int, Fraction]) -> list[tuple
     return [(Node(a, Node(b, c, p), n - p), u) for p, u in enumerate(row) if u]
 
 
-def _expand_right_nest(node: Node, weights: Mapping[int, Fraction]) -> list[tuple[BracketExpr, Fraction]]:
-    # [a, [b,c]_p]_q -> sum_k Utilde_{p,k} [[a,b]_k, c]_{n-k}, n = p+q, Utilde = U swapped
-    inner = node.right
-    a, b, c = node.left, inner.left, inner.right
-    p, n = inner.order, inner.order + node.order
-    triple = _gate(expr_weight(a, weights), expr_weight(b, weights), expr_weight(c, weights), node)
-    row = u_row(triple.swapped_outer(), n, p)
-    return [(Node(Node(a, b, k), c, n - k), u) for k, u in enumerate(row) if u]
-
-
 def _flip(node: Node) -> tuple[BracketExpr, Fraction]:
     return Node(node.right, node.left, node.order), Fraction(-1) ** node.order
 
 
 def _transpose_adjacent(node: Node, weights: Mapping[int, Fraction]) -> list[tuple[BracketExpr, Fraction]]:
-    # [fi, [fj, T]_p]_q with i > j, as the literal three-step composite
-    merged: dict[BracketExpr, Fraction] = {}
-    for left_nested, c1 in _expand_right_nest(node, weights):
-        flipped_inner, sign = _flip(left_nested.left)
-        intermediate = Node(flipped_inner, left_nested.right, left_nested.order)
-        for result, c2 in _expand_left_nest(intermediate, weights):
-            _accumulate(merged, result, c1 * sign * c2)
-    return list(merged.items())
+    # [a, [b,c]_p]_{n-p} -> sum_q (-1)^(n+p+q) U^{(b,c,a)}_{p,q} [b, [a,c]_q]_{n-q}
+    inner = node.right
+    a, b, c = node.left, inner.left, inner.right
+    p, n = inner.order, inner.order + node.order
+    wa, wb, wc = expr_weight(a, weights), expr_weight(b, weights), expr_weight(c, weights)
+    _gate(wa, wb, wc, node)
+    row = u_row(_gate(wb, wc, wa, node), n, p)
+    return [(Node(b, Node(a, c, q), n - q), -u if (n + p + q) % 2 else u) for q, u in enumerate(row) if u]
 
 
 def _step(

@@ -23,7 +23,7 @@ from rcbrackets.identities import (
     zagier_suite,
 )
 from rcbrackets.poly import Poly
-from rcbrackets.rewrite import check_identity
+from rcbrackets.rewrite import check_identity, parse_bracket, to_standard
 from rcbrackets.samples import default_triples
 from rcbrackets.transition import (
     ParamTriple,
@@ -296,3 +296,32 @@ def test_criterion_11_report_only_surveys(capsys) -> None:
     if gated.status not in {"pass", "fail"}:
         problems.append(("cmz gated status", gated.status))
     finish(capsys, 11, "report-only surveys complete with findings", started, 60.0, problems)
+
+
+COMB_WEIGHTS = {
+    slot: Fraction(w)
+    for slot, w in enumerate(("1/2", "1", "7/3", "3/5", "5/4", "2/3"), start=1)
+}
+
+
+def test_criterion_12_descending_combs_equal_signed_left_combs(capsys) -> None:
+    started = time.perf_counter()
+    problems = []
+    # the left comb needs only left-nest moves, the descending comb only
+    # transpositions and flips: flipping its D-1 nodes gives the left comb
+    scope = [(leaves, m) for leaves in range(3, 6) for m in range(4)]
+    scope += [(6, m) for m in range(3)]
+    for leaves, m in scope:
+        left = "f1"
+        for slot in range(2, leaves + 1):
+            left = f"[{left},f{slot}]_{m}"
+        descending = "f1"
+        for slot in range(2, leaves + 1):
+            descending = f"[f{slot},{descending}]_{m}"
+        weights = {slot: COMB_WEIGHTS[slot] for slot in range(1, leaves + 1)}
+        sign = (-1) ** ((leaves - 1) * m)
+        left_nf = to_standard(parse_bracket(left), weights)
+        descending_nf = to_standard(parse_bracket(descending), weights)
+        if descending_nf != {term: sign * c for term, c in left_nf.items()}:
+            problems.append((leaves, m))
+    finish(capsys, 12, "descending combs equal signed left combs (D<=5 m<=3, D=6 m<=2)", started, 10.0, problems)

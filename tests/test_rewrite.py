@@ -5,7 +5,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcbrackets.brackets import (
@@ -24,6 +24,7 @@ from rcbrackets.rewrite import (
     BracketSyntaxError,
     InadmissibleLocalWeightsError,
     StandardTerm,
+    _transpose_adjacent,
     check_identity,
     combo_add,
     eval_coeff,
@@ -34,6 +35,13 @@ from rcbrackets.rewrite import (
     standard_tree,
     to_standard,
     tree_to_standard_term,
+)
+from rcbrackets.transition import (
+    ParamTriple,
+    RacahQuery,
+    u_matrix,
+    u_reverse,
+    u_reverse_matrix,
 )
 
 GENERIC_WEIGHTS = {1: Fraction(1, 2), 2: Fraction(1), 3: Fraction(7, 3), 4: Fraction(3, 5)}
@@ -143,6 +151,59 @@ def test_inadmissible_local_weights_are_gated() -> None:
     bad = {1: Fraction(1), 2: Fraction(1), 3: Fraction(-2)}
     with pytest.raises(InadmissibleLocalWeightsError):
         to_standard(tree, bad)
+
+
+@pytest.mark.parametrize(
+    "w1, w2, w3",
+    [
+        (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 3)),  # only a+c = 0
+        (Fraction(-1, 3), Fraction(1, 3), Fraction(1, 2)),  # only a+b = 0
+        (Fraction(-1, 3), Fraction(1, 2), Fraction(1, 3)),  # only b+c = 0
+    ],
+)
+def test_transposition_gates_every_pair_sum(w1: Fraction, w2: Fraction, w3: Fraction) -> None:
+    # [f2,[f1,f3]_1]_1 is one transposition with a = w2, b = w1, c = w3
+    with pytest.raises(InadmissibleLocalWeightsError):
+        to_standard(parse_bracket("[f2,[f1,f3]_1]_1"), {1: w1, 2: w2, 3: w3})
+
+
+signed = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def transposition_sites(draw) -> tuple[Fraction, Fraction, Fraction, int, int, int]:
+    """(a, b, c, n, p, q) with (a, b, c) and (b, c, a) admissible and p, q <= n <= 6."""
+    a, b, c = draw(
+        st.tuples(signed, signed, signed).filter(
+            lambda t: ParamTriple(*t).is_admissible()
+            and ParamTriple(t[1], t[2], t[0]).is_admissible()
+        )
+    )
+    n = draw(st.integers(min_value=0, max_value=6))
+    p = draw(st.integers(min_value=0, max_value=n))
+    q = draw(st.integers(min_value=0, max_value=n))
+    return a, b, c, n, p, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(transposition_sites())
+def test_transposition_is_the_three_step_composite(site) -> None:
+    a, b, c, n, p, q = site
+    # [f2, [f1, f3]_p]_{n-p}: a, b, c sit on slots 2, 1, 3
+    node = Node(Leaf(2), Node(Leaf(1), Leaf(3), p), n - p)
+    pieces = _transpose_adjacent(node, {1: b, 2: a, 3: c})
+    got = {}
+    for tree, coeff in pieces:
+        assert tree == Node(Leaf(1), Node(Leaf(2), Leaf(3), tree.right.order), n - tree.right.order)
+        got[tree.right.order] = coeff
+    # reverse expansion at (a, b, c), flip of [a, b]_k, forward expansion at (b, a, c)
+    reverse = u_reverse_matrix(ParamTriple(a, b, c), n)
+    forward = u_matrix(ParamTriple(b, a, c), n)
+    for r in range(n + 1):
+        composite = sum(reverse[p][k] * (-1) ** k * forward[k][r] for k in range(n + 1))
+        assert got.get(r, 0) == composite
+    # one entry by the 4F3 route: U^{(b,c,a)}_{p,q} is the reverse family at (a, c, b)
+    assert got.get(q, 0) == (-1) ** (n + p + q) * u_reverse(ParamTriple(a, c, b), RacahQuery(n, q, p))
 
 
 def test_rewrite_golden_normal_forms(capsys) -> None:
