@@ -26,7 +26,7 @@ main identity holds for every polynomial input at that triple.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, product
+from itertools import product
 from math import prod
 from typing import Sequence
 
@@ -39,6 +39,7 @@ from .rewrite import bind_terms
 from .samples import default_triples
 from .transition import (
     ParamTriple,
+    check_row,
     cmz_t_closed,
     cmz_t_sum,
     u_matrix,
@@ -271,62 +272,30 @@ def verify_eholzer_associativity(
 # -- independent oracle ------------------------------------------------------------
 
 
-# degree triples solve_u_from_brackets evaluates before it reports a stalled row space
-SOLVE_MAX_EVALUATIONS = 200
-
-
 def solve_u_from_brackets(params: ParamTriple, n: int, k: int) -> list[Fraction]:
-    """Recover the transition row U_{k, p=0..n} by exact linear algebra alone.
+    """Recover the transition row U_{k, p=0..n} from bracket evaluations alone.
 
-    Rows come from evaluating both bracket nestings on monomial triples
-    z^(m1), z^(m2), z^(m3).  Degree triples are enumerated deterministically
-    and a row is kept only when it enlarges the row space, so degenerate
-    degree patterns (e.g. equal degrees at repeated weights) are skipped
-    rather than fatal.
+    At leaf degrees a_j = (n-j, 0, j), j = 0..n, every nesting lands on a
+    constant, and since f2 = 1 has no derivatives the right nest of inner
+    order q, R_q, vanishes there for q > j.  At q = j it is
+    (-1)^(n-j) (l2)_j (l2+l3+2j)_(n-j), which the gate keeps nonzero.  So the
+    n+1 evaluations of the left nest L form a lower-triangular system, solved
+    by forward substitution:
+
+        U_j = (L(a_j) - sum_{q<j} R_q(a_j) U_q) / R_j(a_j).
+
+    The oracle reads no entry of U; it validates like ``u_row``.
     """
-    size = n + 1
+    check_row(params, n, k)
     weights = dict(enumerate(_triple(params), start=1))
     lhs = monomial_evaluator(_left_nest(n, k), weights)
-    rhs = [monomial_evaluator(_right_nest(n, p), weights) for p in range(size)]
-    reduced: list[list[Fraction]] = []
-    pivots: list[int] = []
-
-    def absorb(aug: list[Fraction]) -> None:
-        for piv_row, piv_col in zip(reduced, pivots):
-            if aug[piv_col]:
-                factor = aug[piv_col]
-                aug[:] = [a - factor * b for a, b in zip(aug, piv_row)]
-        col = next((c for c in range(size) if aug[c]), None)
-        if col is None:
-            if aug[size]:
-                raise ArithmeticError("bracket evaluations gave an inconsistent system")
-            return
-        scale = aug[col]
-        aug[:] = [entry / scale for entry in aug]
-        for piv_row in reduced:
-            if piv_row[col]:
-                factor = piv_row[col]
-                piv_row[:] = [a - factor * b for a, b in zip(piv_row, aug)]
-        reduced.append(aug)
-        pivots.append(col)
-
-    produced = 0
-    for total in count(0):
-        for i in range(total + 1):
-            for j in range(total - i + 1):
-                # every nesting lands on z^(sum(degs) - n): compare the scalars
-                degs = (n + i, n + j, n + total - i - j)
-                absorb([evaluate(degs)[1] for evaluate in rhs] + [lhs(degs)[1]])
-                produced += 1
-                if len(reduced) == size:
-                    solution = [Fraction(0)] * size
-                    for piv_row, piv_col in zip(reduced, pivots):
-                        solution[piv_col] = piv_row[size]
-                    return solution
-                if produced >= SOLVE_MAX_EVALUATIONS:
-                    raise ArithmeticError(
-                        f"row space stalled at rank {len(reduced)} after {produced} evaluations"
-                    )
+    rhs = [monomial_evaluator(_right_nest(n, q), weights) for q in range(n + 1)]
+    row: list[Fraction] = []
+    for j in range(n + 1):
+        degs = (n - j, 0, j)
+        known = sum(rhs[q](degs)[1] * u for q, u in enumerate(row))
+        row.append((lhs(degs)[1] - known) / rhs[j](degs)[1])
+    return row
 
 
 # -- survey suites -----------------------------------------------------------------

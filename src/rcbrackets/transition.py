@@ -198,17 +198,26 @@ def u_reverse(params: ParamTriple, query: RacahQuery) -> Fraction:
     return _u_entry(params.lam3, params.lam2, params.lam1, query.n, query.p, query.k)
 
 
+def check_row(params: ParamTriple, n: int, k: int) -> None:
+    """Gate ``params`` and check 0 <= k <= n, with the messages of a single entry.
+
+    Every reader of a row of U (and the bracket-solve oracle) validates here,
+    once; nothing is computed.
+    """
+    _require_admissible(params)
+    RacahQuery(n, k, 0)
+
+
 def u_row(params: ParamTriple, n: int, k: int) -> list[Fraction]:
     """Row k of u_matrix: [U_{k,p} for p = 0..n], with one gate and index check."""
-    _require_admissible(params)
-    RacahQuery(n, k, 0)  # the index checks and messages of a single entry
+    check_row(params, n, k)
     return list(_u_cached(params.lam1, params.lam2, params.lam3, n)[k])
 
 
 def u_matrix(params: ParamTriple, n: int) -> list[list[Fraction]]:
     """Rows k = 0..n, columns p = 0..n."""
-    _require_admissible(params)
-    return [u_row(params, n, k) for k in range(n + 1)]
+    check_row(params, n, 0)
+    return [list(row) for row in _u_cached(params.lam1, params.lam2, params.lam3, n)]
 
 
 def u_reverse_matrix(params: ParamTriple, n: int) -> list[list[Fraction]]:

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from rcbrackets import identities
-from rcbrackets.brackets import eval_bracket_tree, format_expr, monomial_form
+from hypothesis import given, strategies as st
+
+from rcbrackets import identities, transition
+from rcbrackets.brackets import eval_bracket_tree, format_expr, monomial_evaluator, monomial_form
 from rcbrackets.hypergeom import jacobi_two_var
 from rcbrackets.poly import Poly
 from rcbrackets.star import assoc_defect
@@ -26,7 +28,14 @@ from rcbrackets.identities import (
     verify_zagier_invariance,
     zagier_suite,
 )
-from rcbrackets.transition import ParamTriple, RacahQuery, u_coefficient
+from rcbrackets.rationals import pochhammer
+from rcbrackets.transition import (
+    InadmissibleParametersError,
+    ParamTriple,
+    RacahQuery,
+    u_coefficient,
+    u_row,
+)
 
 GENERIC = ParamTriple(Fraction(1, 2), Fraction(1), Fraction(7, 3))
 ONES = ParamTriple(Fraction(1), Fraction(1), Fraction(1))
@@ -140,14 +149,58 @@ def test_eholzer_failure_record_shape(monkeypatch) -> None:
 
 
 def test_solved_coefficients_match_formula() -> None:
-    for params in (GENERIC, ONES):
-        for n in range(4):
+    for params in CROSS_TRIPLES:
+        for n in range(8):
             for k in range(n + 1):
                 solved = solve_u_from_brackets(params, n, k)
                 formula = [
                     u_coefficient(params, RacahQuery(n, k, p)) for p in range(n + 1)
                 ]
                 assert solved == formula
+    with pytest.raises(InadmissibleParametersError):
+        solve_u_from_brackets(ParamTriple(0, 1, 1), 2, 0)
+    with pytest.raises(ValueError, match="need 0 <= k, p <= n, got k=3, p=0, n=2"):
+        solve_u_from_brackets(GENERIC, 2, 3)
+    with pytest.raises(ValueError, match="n must be a nonnegative integer, got -1"):
+        solve_u_from_brackets(GENERIC, -1, 0)
+
+
+def test_solver_reads_no_entry_of_u(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle read the formula it checks")
+
+    expected = u_row(GENERIC, 4, 2)
+    monkeypatch.setattr(transition, "_u_cached", refuse)
+    monkeypatch.setattr(identities, "u_row", refuse)
+    monkeypatch.setattr(identities, "u_matrix", refuse)
+    assert solve_u_from_brackets(GENERIC, 4, 2) == expected
+
+
+signed_weights = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+admissible_triples = (
+    st.tuples(signed_weights, signed_weights, signed_weights)
+    .map(lambda t: ParamTriple(*t))
+    .filter(ParamTriple.is_admissible)
+)
+
+
+@given(admissible_triples, st.integers(min_value=0, max_value=6))
+def test_right_nests_are_triangular_at_solver_degrees(params, n) -> None:
+    """At degrees (n-j, 0, j) the right nest of order q vanishes for q > j,
+    and at q = j equals (-1)^(n-j) (l2)_j (l2+l3+2j)_(n-j)."""
+    l2, l3 = params.lam2, params.lam3
+    weights = dict(enumerate((params.lam1, l2, l3), start=1))
+    for q in range(n + 1):
+        evaluate = monomial_evaluator(identities._right_nest(n, q), weights)
+        for j in range(q + 1):
+            degree, value = evaluate((n - j, 0, j))
+            if j < q:
+                assert value == 0
+            else:
+                assert degree == 0
+                assert value == (-1) ** (n - j) * pochhammer(l2, j) * pochhammer(
+                    l2 + l3 + 2 * j, n - j
+                )
 
 
 def test_zagier_survey_adjudicates_between_readings() -> None:

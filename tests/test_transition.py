@@ -187,6 +187,9 @@ def test_u_row_validates_gate_and_indices():
         u_row(tr, 2, 3)
     with pytest.raises(ValueError, match="n must be a nonnegative integer"):
         u_row(tr, -1, 0)
+    for read in (u_matrix, u_reverse_matrix):
+        with pytest.raises(ValueError, match="n must be a nonnegative integer, got -1"):
+            read(ParamTriple(1, 1, 1), -1)
 
 
 def test_generating_poly_frozen_all_ones_n1():
