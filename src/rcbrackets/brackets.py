@@ -8,6 +8,8 @@ the degree-n bracket of weights (a, b) is
 with plain (unnormalized) derivatives, and the result carries weight
 a + b + 2n.  Bracket expression trees (leaves = numbered function slots,
 nodes = brackets with an order) evaluate bottom-up with that weight rule.
+The bracket and the compiled tree evaluator both run on integer numerators
+over one denominator and build a ``Fraction`` only for what they return.
 """
 
 from __future__ import annotations
@@ -247,6 +249,7 @@ def tree_symbol(
 
 
 MonomialEvaluator = Callable[[Sequence[int]], tuple[int, Fraction]]
+IntegerEvaluator = Callable[[Sequence[int]], tuple[int, int]]
 
 
 def monomial_evaluator(expr: BracketExpr, weights: Mapping[int, RationalLike]) -> MonomialEvaluator:
@@ -257,67 +260,89 @@ def monomial_evaluator(expr: BracketExpr, weights: Mapping[int, RationalLike]) -
     tree to c z^d.  d is always the sum of the slots' degrees minus
     ``expr_total_order(expr)``, and c == 0 is the zero form.  Slot weights
     are bound here, once: a slot without a weight raises
-    :class:`UnboundSlotError`.  Each node keeps the scalars of
-    ``_monomial_bracket`` keyed on its two child degrees.
+    :class:`UnboundSlotError`.  It wraps :func:`integer_evaluator` and
+    builds one ``Fraction`` per evaluation.
     """
-    compiled, _ = _compile(expr, weights)
+    evaluate, den = integer_evaluator(expr, weights)
+
+    def scalar(degrees: Sequence[int]) -> tuple[int, Fraction]:
+        degree, numerator = evaluate(degrees)
+        return degree, Fraction(numerator, den)
+
+    return scalar
+
+
+def integer_evaluator(
+    expr: BracketExpr, weights: Mapping[int, RationalLike]
+) -> tuple[IntegerEvaluator, int]:
+    """``(evaluate, den)``: ``evaluate(degrees)`` is ``(d, v)`` where
+    ``monomial_evaluator`` gives ``(d, v / den)``.
+
+    Each node memoizes ``_monomial_bracket`` on its child degrees times the
+    lcm of its ``bracket_coeff_row``'s denominators, an integer; ``den`` is
+    the product of those lcms, so evaluation multiplies integers only.
+    """
+    compiled, _, den = _compile(expr, weights)
     if isinstance(compiled, int):
-        return lambda degrees: (degrees[compiled], Fraction(1))
-    return compiled
+        return (lambda degrees: (degrees[compiled], 1)), 1
+    return compiled, den
 
 
 def _compile(
     expr: BracketExpr, weights: Mapping[int, RationalLike]
-) -> tuple[Union[int, MonomialEvaluator], Fraction]:
-    """(evaluator, weight) of a subtree; a leaf's evaluator is its degree index.
+) -> tuple[Union[int, IntegerEvaluator], Fraction, int]:
+    """(evaluator, weight, denominator) of a subtree; a leaf's evaluator is its degree index.
 
-    A leaf carries coefficient 1, so a node reads a leaf child's degree
-    directly and never multiplies by it.
+    A leaf carries numerator 1 over denominator 1, so a node reads a leaf
+    child's degree directly and never multiplies by it.
     """
     if isinstance(expr, Leaf):
-        return expr.slot - 1, expr_weight(expr, weights)
-    left, weight1 = _compile(expr.left, weights)
-    right, weight2 = _compile(expr.right, weights)
+        return expr.slot - 1, expr_weight(expr, weights), 1
+    left, weight1, den1 = _compile(expr.left, weights)
+    right, weight2, den2 = _compile(expr.right, weights)
     n = expr.order
-    memo: dict[tuple[int, int], tuple[int, Fraction]] = {}
+    row_den = lcm(*(c.denominator for c in bracket_coeff_row(weight1, weight2, n)))
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def scalar(deg1: int, deg2: int) -> tuple[int, Fraction]:
+    def scalar(deg1: int, deg2: int) -> tuple[int, int]:
         value = memo.get((deg1, deg2))
         if value is None:
-            value = memo[deg1, deg2] = _monomial_bracket(weight1, weight2, n, deg1, deg2)
+            degree, c = _monomial_bracket(weight1, weight2, n, deg1, deg2)
+            # c sums row entries times integers, so its denominator divides row_den
+            value = memo[deg1, deg2] = degree, c.numerator * (row_den // c.denominator)
         return value
 
     if isinstance(left, int) and isinstance(right, int):
 
-        def node(degrees: Sequence[int]) -> tuple[int, Fraction]:
+        def node(degrees: Sequence[int]) -> tuple[int, int]:
             return scalar(degrees[left], degrees[right])
 
     elif isinstance(left, int):
 
-        def node(degrees: Sequence[int]) -> tuple[int, Fraction]:
+        def node(degrees: Sequence[int]) -> tuple[int, int]:
             deg2, c2 = right(degrees)
             if not c2:
-                return degrees[left] + deg2 - n, c2
+                return degrees[left] + deg2 - n, 0
             deg, value = scalar(degrees[left], deg2)
             return deg, value * c2
 
     elif isinstance(right, int):
 
-        def node(degrees: Sequence[int]) -> tuple[int, Fraction]:
+        def node(degrees: Sequence[int]) -> tuple[int, int]:
             deg1, c1 = left(degrees)
             if not c1:
-                return deg1 + degrees[right] - n, c1
+                return deg1 + degrees[right] - n, 0
             deg, value = scalar(deg1, degrees[right])
             return deg, c1 * value
 
     else:
 
-        def node(degrees: Sequence[int]) -> tuple[int, Fraction]:
+        def node(degrees: Sequence[int]) -> tuple[int, int]:
             deg1, c1 = left(degrees)
             deg2, c2 = right(degrees)
             if not (c1 and c2):
-                return deg1 + deg2 - n, c1 * c2
+                return deg1 + deg2 - n, 0
             deg, value = scalar(deg1, deg2)
             return deg, c1 * c2 * value
 
-    return node, weight1 + weight2 + 2 * n
+    return node, weight1 + weight2 + 2 * n, row_den * den1 * den2

@@ -140,7 +140,8 @@ def jacobi_two_var(ell: int, lam1: RationalLike, lam2: RationalLike) -> Poly:
     if not isinstance(ell, int) or ell < 0:
         raise ValueError(f"jacobi degree must be a nonnegative integer, got {ell!r}")
     row = bracket_coeff_row(as_rational(lam1), as_rational(lam2), ell)
-    return Poly(("x", "y"), {(s, ell - s): coeff for s, coeff in enumerate(row) if coeff})
+    # the cached row holds Fractions already: validated once, not per call
+    return Poly._trusted(("x", "y"), {(s, ell - s): coeff for s, coeff in enumerate(row) if coeff})
 
 
 def jacobi_operator(alpha: RationalLike, beta: RationalLike, p: Poly) -> Poly:

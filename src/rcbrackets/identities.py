@@ -10,7 +10,8 @@ first-order pair, the four-function identity and the associativity of the
 Eholzer product) are term tables: lists of (coefficient, BracketExpr) pairs
 whose sum vanishes.  Their verifiers only build tables, and one engine,
 ``verify_on_monomials``, evaluates every table on monomial leaves through
-compiled scalar evaluators (``brackets.monomial_evaluator``).  The fixed
+compiled integer evaluators (``brackets.integer_evaluator``), summing
+integer residuals over one denominator per table.  The fixed
 tables are written in the coefficient and bracket languages of ``rcbrackets
 check`` files, so the rewriter can certify the same text.  The star product
 (``star.assoc_defect``) stays an independent route to the Eholzer table,
@@ -27,10 +28,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 from typing import Sequence
 
-from .brackets import BracketExpr, Leaf, Node, monomial_evaluator, tree_symbol
+from .brackets import BracketExpr, Leaf, Node, integer_evaluator, monomial_evaluator, tree_symbol
 from .hypergeom import jacobi_two_var
 from .poly import Poly
 from .rationals import RationalLike, as_rational, factorial, pochhammer
@@ -112,27 +113,34 @@ def verify_on_monomials(
     binds slot i to z^(degree i) once and checks every (failure label, terms)
     pair in ``identities`` as one instance.  A failure records the sample, the
     label's fields, the degrees and the nonzero residual sum.  Every tree is
-    compiled once per call, so the degree loop does scalar arithmetic only.
+    compiled once per call, and each coefficient over its tree's denominator
+    becomes an integer multiplier over one lcm per table, so the degree loop
+    sums integers; only a failure's residual becomes Fractions.
     """
     weights = [as_rational(w) for w in weights]
     sample = {f"lam{slot}": str(w) for slot, w in enumerate(weights, start=1)}
     slot_weights = dict(enumerate(weights, start=1))
-    compiled = [
-        (label, [(coeff, monomial_evaluator(expr, slot_weights)) for coeff, expr in terms])
-        for label, terms in identities
-    ]
+    compiled = []
+    for label, terms in identities:
+        scaled = []
+        for coeff, expr in terms:
+            evaluate, tree_den = integer_evaluator(expr, slot_weights)
+            scaled.append((as_rational(coeff) / tree_den, evaluate))
+        den = lcm(*(scale.denominator for scale, _ in scaled))
+        multipliers = [(s.numerator * (den // s.denominator), evaluate) for s, evaluate in scaled]
+        compiled.append((label, den, multipliers))
     failures = []
     instances = 0
     for degs in product(range(max_degree + 1), repeat=len(weights)):
-        for label, terms in compiled:
-            residual: dict[int, Fraction] = {}
-            for coeff, evaluate in terms:
-                degree, c = evaluate(degs)
-                if c:
-                    residual[degree] = residual.get(degree, 0) + coeff * c
+        for label, den, terms in compiled:
+            residual: dict[int, int] = {}
+            for multiplier, evaluate in terms:
+                degree, v = evaluate(degs)
+                if v:
+                    residual[degree] = residual.get(degree, 0) + multiplier * v
             instances += 1
             if any(residual.values()):
-                value = str(Poly(("z",), {(d,): c for d, c in residual.items()}))
+                value = str(Poly(("z",), {(d,): Fraction(v, den) for d, v in residual.items()}))
                 failures.append({"sample": sample, **label, "degrees": list(degs), "value": value})
     return VerificationReport.checked(identity_id, [sample], instances, failures)
 

@@ -5,7 +5,10 @@ coefficients, together with an explicit variable tuple drawn from the fixed
 universe ``z < x < y < t < v``.  The variable tuple is always stored in that
 canonical order, exponent tuples are aligned with it positionwise, and zero
 coefficients are never stored, so structural equality of the term maps is
-semantic equality of polynomials.
+semantic equality of polynomials; every stored coefficient is a
+``Fraction``, never a bare ``int``.  Products and substitutions work on
+integer numerators over one denominator per operand and reduce each output
+coefficient once (Knuth, TAOCP vol. 2, section 4.5.1).
 
 Canonical text form: terms in graded-lex order (total degree first, then
 exponents compared positionwise), e.g. ``3/2*x^2*y + 1``.  The zero
@@ -15,6 +18,8 @@ polynomial prints as ``0``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, perm
+from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rationals import RationalLike, as_rational, parse_rational
@@ -22,6 +27,9 @@ from .rationals import RationalLike, as_rational, parse_rational
 VAR_ORDER = ("z", "x", "y", "t", "v")
 
 Exponents = tuple[int, ...]
+
+# Terms over one positive denominator: the coefficient of exps is nums[exps] / den.
+Numerators = tuple[dict[Exponents, int], int]
 
 
 class VarsetMismatchError(ValueError):
@@ -119,11 +127,12 @@ class Poly:
         self._check_same_vars(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = terms.get(exps, Fraction(0)) + coeff
+            acc = terms.get(exps)
+            acc = coeff if acc is None else acc + coeff
             if acc:
                 terms[exps] = acc
             else:
-                terms.pop(exps, None)
+                del terms[exps]
         return Poly._trusted(self.vars, terms)
 
     __radd__ = __add__
@@ -145,16 +154,7 @@ class Poly:
             terms = {e: c * scalar for e, c in self.terms.items()} if scalar else {}
             return Poly._trusted(self.vars, terms)
         self._check_same_vars(other)
-        terms: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(exps, Fraction(0)) + c1 * c2
-                if acc:
-                    terms[exps] = acc
-                else:
-                    terms.pop(exps, None)
-        return Poly._trusted(self.vars, terms)
+        return _reduced(self.vars, _times(_numerators(self.terms), _numerators(other.terms)))
 
     __rmul__ = __mul__
 
@@ -207,16 +207,13 @@ class Poly:
         if not isinstance(order, int) or order < 0:
             raise ValueError(f"derivative order must be a nonnegative integer, got {order!r}")
         idx = self._var_index(name)
-        terms = self.terms
-        for _ in range(order):
-            nxt: dict[Exponents, Fraction] = {}
-            for exps, coeff in terms.items():
-                e = exps[idx]
-                if e:
-                    dropped = exps[:idx] + (e - 1,) + exps[idx + 1 :]
-                    nxt[dropped] = nxt.get(dropped, Fraction(0)) + coeff * e
-            terms = {e: c for e, c in nxt.items() if c}
-        return Poly._trusted(self.vars, dict(terms) if terms is self.terms else terms)
+        # exps -> exps lowered by ``order`` at idx is one-to-one, so no two terms meet
+        terms = {
+            exps[:idx] + (exps[idx] - order,) + exps[idx + 1 :]: coeff * perm(exps[idx], order)
+            for exps, coeff in self.terms.items()
+            if exps[idx] >= order
+        }
+        return Poly._trusted(self.vars, terms)
 
     def subst(self, bindings: Mapping[str, Poly]) -> Poly:
         """Substitute polynomials for every variable of ``self``.
@@ -245,20 +242,26 @@ class Poly:
         if unbound:
             raise UnknownVariableError(f"unbound variables remain after substitution: {unbound}")
 
-        value_powers: dict[str, list[Poly]] = {name: [Poly.const(target, 1)] for name in bindings}
-        out = Poly.zero(target)
+        one = (0,) * len(target)
+        bases = {name: _numerators(value.terms) for name, value in bindings.items()}
+        powers: dict[str, list[Numerators]] = {name: [({one: 1}, 1)] for name in bindings}
+        pieces = []
         for exps, coeff in self.terms.items():
-            piece = Poly.const(target, coeff)
-            for pos, name in enumerate(self.vars):
-                e = exps[pos]
-                if not e:
-                    continue
-                powers = value_powers[name]
-                while len(powers) <= e:
-                    powers.append(powers[-1] * bindings[name])
-                piece = piece * powers[e]
-            out = out + piece
-        return out
+            piece = ({one: coeff.numerator}, coeff.denominator)
+            for name, e in zip(self.vars, exps):
+                if e:
+                    row = powers[name]
+                    while len(row) <= e:
+                        row.append(_times(row[-1], bases[name]))
+                    piece = _times(piece, row[e])
+            pieces.append(piece)
+        den = lcm(*(piece_den for _, piece_den in pieces))
+        total: dict[Exponents, int] = {}
+        for nums, piece_den in pieces:
+            scale = den // piece_den
+            for exps, v in nums.items():
+                total[exps] = total.get(exps, 0) + v * scale
+        return _reduced(target, (total, den))
 
     def eval_at(self, point: Mapping[str, RationalLike]) -> Fraction:
         """Evaluate at a full rational point."""
@@ -329,6 +332,33 @@ class Poly:
 
     def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
         return iter(self.terms.items())
+
+
+# -- integer numerators ---------------------------------------------------------
+
+
+def _numerators(terms: Mapping[Exponents, Fraction]) -> Numerators:
+    """``terms`` as integer numerators over the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {exps: c.numerator * (den // c.denominator) for exps, c in terms.items()}, den
+
+
+def _times(a: Numerators, b: Numerators) -> Numerators:
+    """The product over the product of the denominators, unreduced; a cancelled term stays as 0."""
+    (a_nums, a_den), (b_nums, b_den) = a, b
+    out: dict[Exponents, int] = {}
+    get = out.get
+    for e1, c1 in a_nums.items():
+        for e2, c2 in b_nums.items():
+            exps = tuple(map(add, e1, e2))
+            out[exps] = get(exps, 0) + c1 * c2
+    return out, a_den * b_den
+
+
+def _reduced(vars: tuple[str, ...], value: Numerators) -> Poly:
+    """The polynomial over canonical ``vars``: one reduced Fraction per nonzero numerator."""
+    nums, den = value
+    return Poly._trusted(vars, {exps: Fraction(v, den) for exps, v in nums.items() if v})
 
 
 # -- parsing ------------------------------------------------------------------

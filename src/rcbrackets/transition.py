@@ -247,41 +247,70 @@ def u_generating_poly(params: ParamTriple, n: int, p: int) -> Poly:
 # -- CMZ deformation coefficients ------------------------------------------------
 
 
-def _binom_row(x: Fraction, n: int) -> list[Fraction]:
-    """C(x, 0..n) by the ratio C(x, j+1) = C(x, j) (x - j) / (j + 1)."""
-    row = [Fraction(1)]
-    for j in range(n):
+def _binom_row(x: Fraction, n: int, row: list[Fraction]) -> list[Fraction]:
+    """Extend ``row`` = C(x, 0..m) in place to C(x, 0..n) by the term ratio (x - j) / (j + 1)."""
+    for j in range(len(row) - 1, n):
         row.append(row[-1] * (x - j) / (j + 1))
     return row
 
 
+def _quotient_row(
+    top1: Fraction, top2: Fraction, bottom: Fraction, n: int, row: list[Fraction | None]
+) -> list[Fraction | None]:
+    """Extend ``row`` in place to C(top1, j) C(top2, j) / C(bottom, j) for j = 0..n.
+
+    Built by the term ratio (top1 - j)(top2 - j) / ((j + 1)(bottom - j)).
+    An entry is None where C(bottom, j) vanishes: for every j > bottom when
+    bottom is a nonnegative integer.
+    """
+    for j in range(len(row) - 1, n):
+        prev, gap = row[-1], bottom - j
+        if prev is None or not gap:
+            row.append(None)
+        else:
+            row.append(prev * (top1 - j) * (top2 - j) / ((j + 1) * gap))
+    return row
+
+
 @lru_cache(maxsize=None)
-def _cmz_sum_cached(kappa: Fraction, lam1: Fraction, lam2: Fraction, n: int) -> Fraction:
-    lead = _binom_row(-2 * lam2, n)[n]
+def _cmz_memo(
+    kappa: Fraction, lam1: Fraction, lam2: Fraction
+) -> tuple[dict[int, Fraction], list[Fraction], list[Fraction | None]]:
+    """Per (kappa, l1, l2): t_n by n, and the rows of the sum that do not depend
+    on n, C(-2*l2, .) and C(-l1, .) C(-l1+kappa-1, .) / C(-2*l1, .), grown in
+    place by ``_cmz_sum`` as larger n are asked for."""
+    return {}, [Fraction(1)], [Fraction(1)]
+
+
+def _cmz_sum(kappa: Fraction, lam1: Fraction, lam2: Fraction, n: int) -> Fraction:
+    """t_n = sum_r C(-l1, r) C(-l1+kappa-1, r) C(m-kappa, s) C(m-1, s)
+    / [C(-2*l1, r) C(2m-2, s)] / C(-2*l2, n), with s = n - r, m = n + l1 + l2."""
+    values, lead_row, fixed = _cmz_memo(kappa, lam1, lam2)
+    if n in values:
+        return values[n]
+    lead = _binom_row(-2 * lam2, n, lead_row)[n]
     if not lead:
         raise VanishingDenominatorError(f"leading factor C(-2*l2, {n}) vanishes")
+    fixed = _quotient_row(-lam1, -lam1 + kappa - 1, -2 * lam1, n, fixed)
     shifted = n + lam1 + lam2
-    outer = _binom_row(-2 * lam1, n)
-    inner = _binom_row(2 * (shifted - 1), n)
-    first, second = _binom_row(-lam1, n), _binom_row(-lam1 + kappa - 1, n)
-    third, fourth = _binom_row(shifted - kappa, n), _binom_row(shifted - 1, n)
+    varying = _quotient_row(shifted - kappa, shifted - 1, 2 * (shifted - 1), n, [Fraction(1)])
     total = Fraction(0)
     for r in range(n + 1):
         s = n - r
-        denom = outer[r] * inner[s]
-        if not denom:
+        if fixed[r] is None or varying[s] is None:
             raise VanishingDenominatorError(
                 f"denominator C(-2*l1, {r}) * C(2n+2*l1+2*l2-2, {s}) vanishes"
             )
-        total += first[r] * second[r] * third[s] * fourth[s] / denom
-    return total / lead
+        total += fixed[r] * varying[s]
+    values[n] = total / lead
+    return values[n]
 
 
 def cmz_t_sum(kappa: RationalLike, lam1: RationalLike, lam2: RationalLike, n: int) -> Fraction:
     """Deformation coefficient t_n^kappa(l1, l2), binomial-sum form."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"order must be a nonnegative integer, got {n!r}")
-    return _cmz_sum_cached(as_rational(kappa), as_rational(lam1), as_rational(lam2), n)
+    return _cmz_sum(as_rational(kappa), as_rational(lam1), as_rational(lam2), n)
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rcbrackets.poly import (
     Poly,
@@ -61,6 +61,62 @@ def test_ring_laws(a, b, c):
     assert a * Poly.const(a.vars, 1) == a
     assert a - a == Poly.zero(a.vars)
     assert -(-a) == a
+
+
+def schoolbook_product(a, b):
+    """Term maps multiplied one Fraction product at a time; zero sums dropped at the end."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            exps = tuple(x + y for x, y in zip(e1, e2))
+            out[exps] = out.get(exps, Fraction(0)) + c1 * c2
+    return {exps: c for exps, c in out.items() if c}
+
+
+def schoolbook_subst(p, bindings, target):
+    """Each term's coefficient times its bound powers by schoolbook_product, summed."""
+    out = {}
+    for exps, coeff in p.terms.items():
+        piece = {(0,) * len(target): coeff}
+        for name, e in zip(p.vars, exps):
+            for _ in range(e):
+                piece = schoolbook_product(piece, bindings[name].terms)
+        for key, c in piece.items():
+            out[key] = out.get(key, Fraction(0)) + c
+    return {exps: c for exps, c in out.items() if c}
+
+
+def assert_canonical(p):
+    for c in p.terms.values():
+        assert type(c) is Fraction and c != 0
+
+
+XY = ("x", "y")
+ZT = ("z", "t")
+
+
+@given(polys(), polys(), polys(ZT, max_degree=2, max_terms=3), polys(ZT, max_degree=2, max_terms=3))
+@example(
+    poly_from_string("x + y", XY),
+    poly_from_string("x - y", XY),
+    poly_from_string("t + z", ZT),
+    poly_from_string("t - z", ZT),
+)
+@example(
+    poly_from_string("2*x^2 + 3", XY),
+    poly_from_string("1/2*y - 1/3", XY),
+    poly_from_string("1/6*z", ZT),
+    poly_from_string("6*t + 1/4", ZT),
+)
+def test_integer_core_matches_schoolbook_fractions(a, b, x_value, y_value):
+    product = a * b
+    assert product.terms == schoolbook_product(a.terms, b.terms)
+    bindings = {"x": x_value, "y": y_value}
+    image = a.subst(bindings)
+    assert image.vars == ZT
+    assert image.terms == schoolbook_subst(a, bindings, ZT)
+    for p in (product, image, a + b, a - b, a.diff("x"), a.diff("y", 2), 3 * a, a**2):
+        assert_canonical(p)
 
 
 @given(polys(), st.integers(min_value=0, max_value=3))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,7 @@ from rcbrackets.identities import (
     verify_main_identity,
     verify_on_monomials,
 )
+from rcbrackets.poly import Poly
 from rcbrackets.rewrite import BracketSyntaxError, bind_terms, check_identity, parse_coeff
 from rcbrackets.transition import ParamTriple, RacahQuery, u_coefficient
 
@@ -21,11 +23,11 @@ SLOT_WEIGHTS = {1: GENERIC.lam1, 2: GENERIC.lam2, 3: GENERIC.lam3}
 F1, F2, F3 = Leaf(1), Leaf(2), Leaf(3)
 
 
-def main_table(n: int, k: int, bumped_p: int | None = None) -> list:
-    """LHS minus the U-weighted right nests; ``bumped_p`` gets U_p + 1."""
+def main_table(n: int, k: int, bumped_p: int | None = None, bump: Fraction = Fraction(1)) -> list:
+    """LHS minus the U-weighted right nests; ``bumped_p`` gets U_p + bump."""
     terms = [(Fraction(1), Node(Node(F1, F2, k), F3, n - k))]
     for p in range(n + 1):
-        u = u_coefficient(GENERIC, RacahQuery(n, k, p)) + (1 if p == bumped_p else 0)
+        u = u_coefficient(GENERIC, RacahQuery(n, k, p)) + (bump if p == bumped_p else 0)
         terms.append((-u, Node(F1, Node(F2, F3, p), n - p)))
     return terms
 
@@ -51,6 +53,26 @@ def test_engine_records_off_by_one_coefficient() -> None:
         leaves = {slot: monomial_form(w, d) for slot, w, d in zip((1, 2, 3), WEIGHTS, record["degrees"])}
         expected = -eval_bracket_tree(Node(F1, Node(F2, F3, 0), 2), leaves).form
         assert record["value"] == str(expected)
+
+
+def test_engine_is_exact_over_one_common_denominator() -> None:
+    # a bump far below float resolution must still fail, with the exact residual
+    table = main_table(5, 2, bumped_p=3, bump=Fraction(1, 10**40 + 7))
+    report = verify_on_monomials("main-recoupling", WEIGHTS, [({"n": 5, "k": 2}, table)], 3)
+    assert report.status == "fail"
+    assert report.instances_checked == 64
+    failed = {tuple(record["degrees"]): record["value"] for record in report.failures}
+    for degs in product(range(4), repeat=3):
+        leaves = {slot: monomial_form(w, d) for slot, w, d in zip((1, 2, 3), WEIGHTS, degs)}
+        residual = sum(
+            (coeff * eval_bracket_tree(expr, leaves).form for coeff, expr in table),
+            Poly.zero(("z",)),
+        )
+        if residual.is_zero():
+            assert degs not in failed
+        else:
+            assert failed.pop(degs) == str(residual)
+    assert not failed
 
 
 def test_engine_labels_broken_classical_table() -> None:
