@@ -8,8 +8,12 @@ the degree-n bracket of weights (a, b) is
 with plain (unnormalized) derivatives, and the result carries weight
 a + b + 2n.  Bracket expression trees (leaves = numbered function slots,
 nodes = brackets with an order) evaluate bottom-up with that weight rule.
-The bracket and the compiled tree evaluator both run on integer numerators
-over one denominator and build a ``Fraction`` only for what they return.
+The coefficient row becomes integers in one place, a table per
+(weight1, weight2, n) that scales the row by its lcm and memoizes the
+bracket of two monomials; the general bracket convolves with the scaled
+row, and the compiled tree evaluator reads the memoized values.  Both run
+on integer numerators over one denominator and build a ``Fraction`` only
+for what they return.
 """
 
 from __future__ import annotations
@@ -50,17 +54,31 @@ def monomial_form(weight: RationalLike, degree: int, coeff: RationalLike = 1) ->
     return WeightedForm(weight, Poly.monomial(("z",), {"z": degree}, coeff))
 
 
+MonomialTable = tuple[tuple[tuple[int, int], ...], int, Callable[[int, int], int]]
+
+
 @lru_cache(maxsize=None)
-def _monomial_bracket(
-    weight1: Fraction, weight2: Fraction, n: int, deg1: int, deg2: int
-) -> tuple[int, Fraction]:
-    """Bracket of z^deg1 with z^deg2: returns (result degree, coefficient)."""
-    row = bracket_coeff_row(weight1, weight2, n)
-    scalar = Fraction(0)
-    for s in range(n + 1):
-        if s <= deg1 and n - s <= deg2:
-            scalar += row[s] * perm(deg1, s) * perm(deg2, n - s)  # falling factorials
-    return deg1 + deg2 - n, scalar
+def _monomial_bracket(weight1: Fraction, weight2: Fraction, n: int) -> MonomialTable:
+    """The order-n bracket at weights (weight1, weight2) on integers: ``(row, den, value)``.
+
+    ``row`` holds (s, den * c_s) for each nonzero entry c_s of
+    ``bracket_coeff_row``, ``den`` is the lcm of the entries' denominators,
+    and ``value(d1, d2)``, memoized on (d1, d2), is den times the coefficient
+    of [z^d1, z^d2]_n = sum_s c_s d1^(s) d2^(n-s) z^(d1+d2-n), where
+    d^(s) is the falling factorial (0 for s > d).
+    """
+    coeffs = bracket_coeff_row(weight1, weight2, n)
+    den = lcm(*(c.denominator for c in coeffs))
+    row = tuple((s, c.numerator * (den // c.denominator)) for s, c in enumerate(coeffs) if c)
+    memo: dict[tuple[int, int], int] = {}
+
+    def value(deg1: int, deg2: int) -> int:
+        v = memo.get((deg1, deg2))
+        if v is None:
+            v = memo[deg1, deg2] = sum(c * perm(deg1, s) * perm(deg2, n - s) for s, c in row)
+        return v
+
+    return row, den, value
 
 
 # -- the general bracket on integer numerators ----------------------------------
@@ -109,20 +127,18 @@ def _bracket_kernel(
 ) -> IntegerForm:
     """[f, g]_n of two integer forms, over the product of the three denominators.
 
-    The coefficient row is scaled by its own lcm, and f^(s) g^(n-s) is an
-    integer convolution of falling-factorial-scaled numerators, so no
-    ``Fraction`` is built here.  The result is not reduced.
+    f^(s) g^(n-s) is an integer convolution of falling-factorial-scaled
+    numerators, weighted by the scaled row of :func:`_monomial_bracket`, so
+    no ``Fraction`` is built here.  The result is not reduced.
     """
     (f_nums, f_den), (g_nums, g_den) = f, g
-    row = bracket_coeff_row(weight1, weight2, n)
-    row_den = lcm(*(c.denominator for c in row))
+    row, row_den, _ = _monomial_bracket(weight1, weight2, n)
     out = [0] * (len(f_nums) + len(g_nums) - 1 - n)
-    for s, c in enumerate(row):
+    for s, c in row:
         t = n - s
-        if not c or s >= len(f_nums) or t >= len(g_nums):
+        if s >= len(f_nums) or t >= len(g_nums):
             continue
-        scale = c.numerator * (row_den // c.denominator)
-        f_s = [f_nums[d] * perm(d, s) * scale for d in range(s, len(f_nums))]
+        f_s = [f_nums[d] * perm(d, s) * c for d in range(s, len(f_nums))]
         g_t = [g_nums[d] * perm(d, t) for d in range(t, len(g_nums))]
         for i, a in enumerate(f_s):
             if a:
@@ -278,71 +294,32 @@ def integer_evaluator(
     """``(evaluate, den)``: ``evaluate(degrees)`` is ``(d, v)`` where
     ``monomial_evaluator`` gives ``(d, v / den)``.
 
-    Each node memoizes ``_monomial_bracket`` on its child degrees times the
-    lcm of its ``bracket_coeff_row``'s denominators, an integer; ``den`` is
-    the product of those lcms, so evaluation multiplies integers only.
+    A node of order n at child weights (w1, w2) reads ``value`` of the
+    ``_monomial_bracket`` table for (w1, w2, n), which every tree compiled
+    at those weights shares; ``den`` is the product of the tables' ``den``s,
+    so evaluation multiplies integers only.
     """
-    compiled, _, den = _compile(expr, weights)
-    if isinstance(compiled, int):
-        return (lambda degrees: (degrees[compiled], 1)), 1
-    return compiled, den
+    evaluate, _, den = _compile(expr, weights)
+    return evaluate, den
 
 
 def _compile(
     expr: BracketExpr, weights: Mapping[int, RationalLike]
-) -> tuple[Union[int, IntegerEvaluator], Fraction, int]:
-    """(evaluator, weight, denominator) of a subtree; a leaf's evaluator is its degree index.
-
-    A leaf carries numerator 1 over denominator 1, so a node reads a leaf
-    child's degree directly and never multiplies by it.
-    """
+) -> tuple[IntegerEvaluator, Fraction, int]:
+    """(evaluator, weight, denominator) of a subtree; a leaf is its degree over 1."""
     if isinstance(expr, Leaf):
-        return expr.slot - 1, expr_weight(expr, weights), 1
+        i = expr.slot - 1
+        return (lambda degrees: (degrees[i], 1)), expr_weight(expr, weights), 1
     left, weight1, den1 = _compile(expr.left, weights)
     right, weight2, den2 = _compile(expr.right, weights)
     n = expr.order
-    row_den = lcm(*(c.denominator for c in bracket_coeff_row(weight1, weight2, n)))
-    memo: dict[tuple[int, int], tuple[int, int]] = {}
+    _, row_den, value = _monomial_bracket(weight1, weight2, n)
 
-    def scalar(deg1: int, deg2: int) -> tuple[int, int]:
-        value = memo.get((deg1, deg2))
-        if value is None:
-            degree, c = _monomial_bracket(weight1, weight2, n, deg1, deg2)
-            # c sums row entries times integers, so its denominator divides row_den
-            value = memo[deg1, deg2] = degree, c.numerator * (row_den // c.denominator)
-        return value
-
-    if isinstance(left, int) and isinstance(right, int):
-
-        def node(degrees: Sequence[int]) -> tuple[int, int]:
-            return scalar(degrees[left], degrees[right])
-
-    elif isinstance(left, int):
-
-        def node(degrees: Sequence[int]) -> tuple[int, int]:
-            deg2, c2 = right(degrees)
-            if not c2:
-                return degrees[left] + deg2 - n, 0
-            deg, value = scalar(degrees[left], deg2)
-            return deg, value * c2
-
-    elif isinstance(right, int):
-
-        def node(degrees: Sequence[int]) -> tuple[int, int]:
-            deg1, c1 = left(degrees)
-            if not c1:
-                return deg1 + degrees[right] - n, 0
-            deg, value = scalar(deg1, degrees[right])
-            return deg, c1 * value
-
-    else:
-
-        def node(degrees: Sequence[int]) -> tuple[int, int]:
-            deg1, c1 = left(degrees)
-            deg2, c2 = right(degrees)
-            if not (c1 and c2):
-                return deg1 + deg2 - n, 0
-            deg, value = scalar(deg1, deg2)
-            return deg, c1 * c2 * value
+    def node(degrees: Sequence[int]) -> tuple[int, int]:
+        deg1, c1 = left(degrees)
+        deg2, c2 = right(degrees)
+        if not (c1 and c2):
+            return deg1 + deg2 - n, 0
+        return deg1 + deg2 - n, c1 * c2 * value(deg1, deg2)
 
     return node, weight1 + weight2 + 2 * n, row_den * den1 * den2

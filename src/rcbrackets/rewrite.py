@@ -104,7 +104,11 @@ def parse_bracket(src: str) -> BracketExpr:
             raise BracketSyntaxError("unexpected end of input", pos)
         if src[pos] == "f":
             pos += 1
-            return Leaf(read_int())
+            start = pos
+            slot = read_int()
+            if slot < 1:
+                raise BracketSyntaxError(f"leaf slots are positive integers, got {slot}", start)
+            return Leaf(slot)
         if src[pos] == "[":
             pos += 1
             left = expr()

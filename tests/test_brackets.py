@@ -160,12 +160,13 @@ row_weights = st.one_of(
 # n = 6 is above deg f + deg g
 @example(Fraction(5, 3), Fraction(1, 4), zpoly("z^2 + 1/2"), zpoly("z^3 - 2/3"), 6)
 def test_dense_bracket_is_bilinear_sum_of_monomial_brackets(w1, w2, p, q, n):
+    _, den, value = _monomial_bracket(w1, w2, n)
     expected = Poly.zero(("z",))
     for (d1,), c1 in p.terms.items():
         for (d2,), c2 in q.terms.items():
-            degree, scalar = _monomial_bracket(w1, w2, n, d1, d2)
+            scalar = Fraction(value(d1, d2), den)
             if scalar:
-                expected = expected + Poly.monomial(("z",), {"z": degree}, c1 * c2 * scalar)
+                expected = expected + Poly.monomial(("z",), {"z": d1 + d2 - n}, c1 * c2 * scalar)
     out = rc_bracket(WeightedForm(w1, p), WeightedForm(w2, q), n)
     assert out.weight == w1 + w2 + 2 * n
     assert out.form == expected
@@ -240,6 +241,13 @@ def bracket_trees(draw):
     return build(list(slots))
 
 
+def _mirrored(expr):
+    """``expr`` with the children of every node swapped."""
+    if isinstance(expr, Leaf):
+        return expr
+    return Node(_mirrored(expr.right), _mirrored(expr.left), expr.order)
+
+
 @given(
     bracket_trees(),
     st.lists(signed_weights, min_size=5, max_size=5),
@@ -247,18 +255,22 @@ def bracket_trees(draw):
 )
 def test_monomial_evaluator_matches_eval_bracket_tree(expr, ws, degree_tuples):
     slot_weights = dict(enumerate(ws, start=1))
-    evaluate = monomial_evaluator(expr, slot_weights)
+    # the mirror meets each (w1, w2, n) node of expr as (w2, w1, n) and reads
+    # (d1, d2) as (d2, d1); both trees share the monomial tables
+    trees = [expr, _mirrored(expr)]
+    evaluators = [monomial_evaluator(tree, slot_weights) for tree in trees]
     slots = expr_slots(expr)
-    for degs in degree_tuples:  # later tuples reuse the node memos of earlier ones
-        degree, c = evaluate(degs)
+    for degs in degree_tuples:  # later tuples reuse the table values of earlier ones
         leaves = {slot: monomial_form(slot_weights[slot], degs[slot - 1]) for slot in slots}
-        expected = eval_bracket_tree(expr, leaves).form
-        assert isinstance(c, Fraction)
-        assert degree == sum(degs[slot - 1] for slot in slots) - expr_total_order(expr)
-        if c:
-            assert expected == Poly.monomial(("z",), {"z": degree}, c)
-        else:
-            assert expected.is_zero()
+        for tree, evaluate in zip(trees, evaluators):
+            degree, c = evaluate(degs)
+            expected = eval_bracket_tree(tree, leaves).form
+            assert isinstance(c, Fraction)
+            assert degree == sum(degs[slot - 1] for slot in slots) - expr_total_order(expr)
+            if c:
+                assert expected == Poly.monomial(("z",), {"z": degree}, c)
+            else:
+                assert expected.is_zero()
 
 
 def test_monomial_evaluator_degree_below_order_is_zero():

@@ -474,6 +474,20 @@ def test_repeated_slot_is_syntax_error(capsys, tmp_path, command) -> None:
     assert err == "error: slot 1 occurs twice\n"
 
 
+@pytest.mark.parametrize("command", ["rewrite", "check"])
+def test_slot_zero_is_syntax_error(capsys, tmp_path, command) -> None:
+    if command == "rewrite":
+        argv = ["rewrite", "--expr", "[f0,f2]_1", "--weights", "1,2"]
+    else:
+        identity = tmp_path / "identity.txt"
+        identity.write_text("1 | [f0,f1]_1\n")
+        argv = ["check", "--identity-file", str(identity)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: leaf slots are positive integers, got 0 (at position 2)\n"
+
+
 def test_unbound_slot_message_is_unquoted(capsys, tmp_path) -> None:
     identity = tmp_path / "identity.txt"
     identity.write_text("l5 | [f1,f2]_0\n")

@@ -1,9 +1,11 @@
 """Every module-level import in the package is used by its module, every
-module-private top-level name is referenced somewhere in the package, and only
-``transition`` imports the single-entry U readers."""
+module-private top-level name is referenced somewhere in the package, only
+``transition`` imports the single-entry U readers, and the caches the benchmark
+reads by name exist."""
 from __future__ import annotations
 
 import ast
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -74,3 +76,18 @@ def test_u_is_read_by_rows_outside_transition() -> None:
             for alias in node.names
         }
         assert sorted(single_entry & imported) == [], path.stem
+
+
+
+def test_benchmark_cache_names_exist() -> None:
+    """``perfbench/spans.py`` reads ``cache_info()`` of these caches by name."""
+    for name in (
+        "rationals.factorial",
+        "rationals._pochhammer_cached",
+        "rationals._binom_cached",
+        "brackets._monomial_bracket",
+        "transition._u_cached",
+    ):
+        module, attr = name.split(".")
+        cache = getattr(import_module(f"rcbrackets.{module}"), attr, None)
+        assert hasattr(cache, "cache_info"), name

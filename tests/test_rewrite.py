@@ -73,6 +73,9 @@ def test_parse_errors_carry_positions() -> None:
         ("[f1,f2]1", 7),
         ("[f1,f2]_", 8),
         ("f1 f2", 3),
+        ("f0", 1),
+        ("f00", 1),
+        ("[f1,f0]_1", 5),
     ]
     for src, position in cases:
         with pytest.raises(BracketSyntaxError) as info:
