@@ -11,9 +11,9 @@ nodes = brackets with an order) evaluate bottom-up with that weight rule.
 The coefficient row becomes integers in one place, a table per
 (weight1, weight2, n) that scales the row by its lcm and memoizes the
 bracket of two monomials; the general bracket convolves with the scaled
-row, and the compiled tree evaluator reads the memoized values.  Both run
-on integer numerators over one denominator and build a ``Fraction`` only
-for what they return.
+row, and the compiled tree evaluator fills and reads the memoized values.
+Both run on integer numerators over one denominator and build a
+``Fraction`` only for what they return.
 """
 
 from __future__ import annotations
@@ -54,31 +54,24 @@ def monomial_form(weight: RationalLike, degree: int, coeff: RationalLike = 1) ->
     return WeightedForm(weight, Poly.monomial(("z",), {"z": degree}, coeff))
 
 
-MonomialTable = tuple[tuple[tuple[int, int], ...], int, Callable[[int, int], int]]
+MonomialTable = tuple[tuple[tuple[int, int], ...], int, dict[tuple[int, int], int]]
 
 
 @lru_cache(maxsize=None)
 def _monomial_bracket(weight1: Fraction, weight2: Fraction, n: int) -> MonomialTable:
-    """The order-n bracket at weights (weight1, weight2) on integers: ``(row, den, value)``.
+    """The order-n bracket at weights (weight1, weight2) on integers: ``(row, den, memo)``.
 
     ``row`` holds (s, den * c_s) for each nonzero entry c_s of
-    ``bracket_coeff_row``, ``den`` is the lcm of the entries' denominators,
-    and ``value(d1, d2)``, memoized on (d1, d2), is den times the coefficient
-    of [z^d1, z^d2]_n = sum_s c_s d1^(s) d2^(n-s) z^(d1+d2-n), where
-    d^(s) is the falling factorial (0 for s > d).
+    ``bracket_coeff_row`` and ``den`` is the lcm of the entries'
+    denominators.  ``memo`` starts empty; :func:`_compile` fills
+    ``memo[d1, d2]`` with den times the coefficient of
+    [z^d1, z^d2]_n = sum_s c_s d1^(s) d2^(n-s) z^(d1+d2-n), where d^(s) is
+    the falling factorial (0 for s > d).
     """
     coeffs = bracket_coeff_row(weight1, weight2, n)
     den = lcm(*(c.denominator for c in coeffs))
     row = tuple((s, c.numerator * (den // c.denominator)) for s, c in enumerate(coeffs) if c)
-    memo: dict[tuple[int, int], int] = {}
-
-    def value(deg1: int, deg2: int) -> int:
-        v = memo.get((deg1, deg2))
-        if v is None:
-            v = memo[deg1, deg2] = sum(c * perm(deg1, s) * perm(deg2, n - s) for s, c in row)
-        return v
-
-    return row, den, value
+    return row, den, {}
 
 
 # -- the general bracket on integer numerators ----------------------------------
@@ -294,10 +287,10 @@ def integer_evaluator(
     """``(evaluate, den)``: ``evaluate(degrees)`` is ``(d, v)`` where
     ``monomial_evaluator`` gives ``(d, v / den)``.
 
-    A node of order n at child weights (w1, w2) reads ``value`` of the
-    ``_monomial_bracket`` table for (w1, w2, n), which every tree compiled
-    at those weights shares; ``den`` is the product of the tables' ``den``s,
-    so evaluation multiplies integers only.
+    A node of order n at child weights (w1, w2) reads and fills the memo
+    of the ``_monomial_bracket`` table for (w1, w2, n), which every tree
+    compiled at those weights shares; ``den`` is the product of the
+    tables' ``den``s, so evaluation multiplies integers only.
     """
     evaluate, _, den = _compile(expr, weights)
     return evaluate, den
@@ -313,13 +306,16 @@ def _compile(
     left, weight1, den1 = _compile(expr.left, weights)
     right, weight2, den2 = _compile(expr.right, weights)
     n = expr.order
-    _, row_den, value = _monomial_bracket(weight1, weight2, n)
+    row, row_den, memo = _monomial_bracket(weight1, weight2, n)
 
     def node(degrees: Sequence[int]) -> tuple[int, int]:
         deg1, c1 = left(degrees)
         deg2, c2 = right(degrees)
         if not (c1 and c2):
             return deg1 + deg2 - n, 0
-        return deg1 + deg2 - n, c1 * c2 * value(deg1, deg2)
+        value = memo.get((deg1, deg2))
+        if value is None:
+            value = memo[deg1, deg2] = sum(c * perm(deg1, s) * perm(deg2, n - s) for s, c in row)
+        return deg1 + deg2 - n, c1 * c2 * value
 
     return node, weight1 + weight2 + 2 * n, row_den * den1 * den2

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
-from .brackets import DuplicateSlotError, WeightedForm, expr_slots, rc_bracket
+from .brackets import DuplicateSlotError, UnboundSlotError, WeightedForm, expr_slots, rc_bracket
 from .hypergeom import racah_value
 from .identities import SUITE_NAMES, run_suite, sample_dict
 from .poly import PolySyntaxError, poly_from_string
@@ -405,7 +405,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, ArithmeticError) as err:
+    except (ValueError, UnboundSlotError, ArithmeticError) as err:
         # str() of a KeyError is the repr of its message
         message = err.args[0] if isinstance(err, KeyError) and err.args else err
         print(f"error: {message}", file=sys.stderr)

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, perm
-from operator import add
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import add, mul, neg, sub
+from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from .rationals import RationalLike, as_rational, parse_rational
 
@@ -362,6 +362,9 @@ def _reduced(vars: tuple[str, ...], value: Numerators) -> Poly:
 
 
 # -- parsing ------------------------------------------------------------------
+# One lexer and one precedence parser serve the package's three text
+# languages: polynomials here, and the coefficient and bracket-expression
+# languages of ``rewrite``, which supply their own leaves and builders.
 
 
 class PolySyntaxError(ValueError):
@@ -372,130 +375,145 @@ class PolySyntaxError(ValueError):
         self.position = position
 
 
-_TOKEN_CHARS = set("+-*^()")
+Token = tuple[str, str, int]
+
+_TOKEN_CHARS = set("+-*^()[],_")
 
 
-def _tokenize_poly(
-    src: str, error: type[ValueError] = PolySyntaxError
-) -> list[tuple[str, str, int]]:
-    """Tokens (kind, text, position); ``error(message, position)`` reports bad input."""
-    tokens: list[tuple[str, str, int]] = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_CHARS:
-            if ch == "*" and i + 1 < len(src) and src[i + 1] == "*":
-                tokens.append(("^", "^", i))
-                i += 2
-                continue
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            if j < len(src) and src[j] == "/":
-                k = j + 1
-                while k < len(src) and src[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise error("missing denominator", k)
-                tokens.append(("number", src[i:k], i))
-                i = k
-            else:
-                tokens.append(("number", src[i:j], i))
-                i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(src) and src[j].isalnum():
-                j += 1
-            tokens.append(("name", src[i:j], i))
-            i = j
-            continue
-        raise error(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", len(src)))
-    return tokens
+class Tokens:
+    """A cursor over the tokens (kind, text, position) of ``src``, ending in an
+    ``end`` token; ``error(message, position)`` reports bad input."""
 
-
-class _PolyParser:
-    """Recursive descent over: expr := term (('+'|'-') term)*;
-    term := factor ('*' factor)*; factor := '-' factor | atom ('^' INT)?;
-    atom := NUMBER | NAME | '(' expr ')'."""
-
-    def __init__(self, src: str, vars: tuple[str, ...]) -> None:
-        self.tokens = _tokenize_poly(src)
+    def __init__(self, src: str, error: type[ValueError]) -> None:
+        self.error = error
+        self.items: list[Token] = []
         self.pos = 0
-        self.vars = vars
+        i = 0
+        while i < len(src):
+            ch = src[i]
+            if ch.isspace():
+                i += 1
+            elif ch == "*" and src.startswith("**", i):
+                self.items.append(("^", "^", i))
+                i += 2
+            elif ch in _TOKEN_CHARS:
+                self.items.append((ch, ch, i))
+                i += 1
+            elif ch.isdecimal():  # isdigit would pass '²', which int() rejects
+                j = self._run(src, i, str.isdecimal)
+                if j < len(src) and src[j] == "/":
+                    k = self._run(src, j + 1, str.isdecimal)
+                    if k == j + 1:
+                        raise error("missing denominator", k)
+                    j = k
+                self.items.append(("number", src[i:j], i))
+                i = j
+            elif ch.isalpha():
+                j = self._run(src, i, str.isalnum)
+                self.items.append(("name", src[i:j], i))
+                i = j
+            else:
+                raise error(f"unexpected character {ch!r}", i)
+        self.items.append(("end", "", len(src)))
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+    @staticmethod
+    def _run(src: str, i: int, accept) -> int:
+        while i < len(src) and accept(src[i]):
+            i += 1
+        return i
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
+    def peek(self) -> Token:
+        return self.items[self.pos]
+
+    def advance(self) -> Token:
+        tok = self.items[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
+    def fail(self, expected: str, tok: Token) -> NoReturn:
+        raise self.error(f"expected {expected}, found {tok[1] or 'end of input'!r}", tok[2])
+
+    def expect(self, kind: str) -> Token:
         tok = self.advance()
         if tok[0] != kind:
-            raise PolySyntaxError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2])
+            self.fail(repr(kind), tok)
         return tok
 
-    def parse(self) -> Poly:
-        out = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise PolySyntaxError(f"trailing input {tok[1]!r}", tok[2])
+    def integer(self) -> int:
+        """The next token as a nonnegative integer."""
+        tok = self.advance()
+        if tok[0] != "number" or "/" in tok[1]:
+            self.fail("an integer", tok)
+        return int(tok[1])
+
+    def finish(self, value):
+        """``value`` once every token is read; trailing input is an error."""
+        kind, text, position = self.peek()
+        if kind != "end":
+            raise self.error(f"trailing input {text!r}", position)
+        return value
+
+
+def parse_infix(tokens: Tokens, leaf, ops: Mapping[str, Callable]):
+    """Parse all of ``tokens`` by recursive descent over
+    expr := term (('+'|'-') term)*;  term := factor ('*' factor)*;
+    factor := '-' factor | atom ('^' INT)?;  atom := NUMBER | NAME | '(' expr ')'.
+
+    ``leaf(token)`` builds an atom from a NUMBER or NAME token; ``ops`` maps
+    '+', '-' and '*' to binary builders and 'neg' to the unary minus.  A
+    '^' is an operator only when ``ops`` has a builder for it, which gets
+    the base and the integer exponent; elsewhere it is trailing input.
+    """
+
+    def expr():
+        out = term()
+        while tokens.peek()[0] in ("+", "-"):
+            out = ops[tokens.advance()[0]](out, term())
         return out
 
-    def expr(self) -> Poly:
-        out = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
+    def term():
+        out = factor()
+        while tokens.peek()[0] == "*":
+            tokens.advance()
+            out = ops["*"](out, factor())
         return out
 
-    def term(self) -> Poly:
-        out = self.factor()
-        while self.peek()[0] == "*":
-            self.advance()
-            out = out * self.factor()
+    def factor():
+        if tokens.peek()[0] == "-":
+            tokens.advance()
+            return ops["neg"](factor())
+        out = atom()
+        if "^" in ops and tokens.peek()[0] == "^":
+            tokens.advance()
+            return ops["^"](out, tokens.integer())
         return out
 
-    def factor(self) -> Poly:
-        if self.peek()[0] == "-":
-            self.advance()
-            return -self.factor()
-        out = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            tok = self.expect("number")
-            if "/" in tok[1]:
-                raise PolySyntaxError("exponent must be an integer", tok[2])
-            return out ** int(tok[1])
+    def atom():
+        tok = tokens.advance()
+        if tok[0] in ("number", "name"):
+            return leaf(tok)
+        if tok[0] != "(":
+            tokens.fail("a term", tok)
+        out = expr()
+        tokens.expect(")")
         return out
 
-    def atom(self) -> Poly:
-        kind, text, position = self.advance()
-        if kind == "number":
-            return Poly.const(self.vars, parse_rational(text))
-        if kind == "name":
-            if text not in self.vars:
-                raise PolySyntaxError(f"unknown variable {text!r} (allowed: {self.vars})", position)
-            return Poly.variable(text, self.vars)
-        if kind == "(":
-            out = self.expr()
-            self.expect(")")
-            return out
-        raise PolySyntaxError(f"expected a term, found {text or 'end of input'!r}", position)
+    return tokens.finish(expr())
+
+
+_POLY_OPS = {"+": add, "-": sub, "*": mul, "neg": neg, "^": pow}
 
 
 def poly_from_string(src: str, vars: Sequence[str]) -> Poly:
     """Parse canonical/handwritten polynomial text over the given variables."""
-    return _PolyParser(src, canonical_vars(vars)).parse()
+    vars = canonical_vars(vars)
+
+    def leaf(tok: Token) -> Poly:
+        kind, text, position = tok
+        if kind == "number":
+            return Poly.const(vars, parse_rational(text))
+        if text not in vars:
+            raise PolySyntaxError(f"unknown variable {text!r} (allowed: {vars})", position)
+        return Poly.variable(text, vars)
+
+    return parse_infix(Tokens(src, PolySyntaxError), leaf, _POLY_OPS)

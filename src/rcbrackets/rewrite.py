@@ -29,6 +29,7 @@ a, b, c, a+b, b+c, a+c and the total.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -42,7 +43,7 @@ from .brackets import (
     expr_weight,
     format_expr,
 )
-from .poly import _tokenize_poly
+from .poly import Token, Tokens, parse_infix
 from .rationals import RationalLike, as_rational, parse_rational
 from .report import VerificationReport
 from .transition import ParamTriple, u_row
@@ -78,59 +79,35 @@ LinearCombo = dict[StandardTerm, Fraction]
 
 # -- parsing ---------------------------------------------------------------------
 
+# a leaf is one name token: 'f' and the slot's digits
+_LEAF = re.compile(r"f(\d*)")
+
 
 def parse_bracket(src: str) -> BracketExpr:
     """Parse ``f INT`` / ``[ expr , expr ]_INT`` notation, e.g. [[f1,f2]_1,f3]_0."""
-    pos = 0
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < len(src) and src[pos].isspace():
-            pos += 1
-
-    def read_int() -> int:
-        nonlocal pos
-        start = pos
-        while pos < len(src) and src[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise BracketSyntaxError("expected an integer", start)
-        return int(src[start:pos])
+    tokens = Tokens(src, BracketSyntaxError)
 
     def expr() -> BracketExpr:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(src):
-            raise BracketSyntaxError("unexpected end of input", pos)
-        if src[pos] == "f":
-            pos += 1
-            start = pos
-            slot = read_int()
-            if slot < 1:
-                raise BracketSyntaxError(f"leaf slots are positive integers, got {slot}", start)
-            return Leaf(slot)
-        if src[pos] == "[":
-            pos += 1
+        tok = tokens.advance()
+        kind, text, position = tok
+        if kind == "[":
             left = expr()
-            skip_ws()
-            if pos >= len(src) or src[pos] != ",":
-                raise BracketSyntaxError("expected ','", pos)
-            pos += 1
+            tokens.expect(",")
             right = expr()
-            skip_ws()
-            if pos >= len(src) or src[pos] != "]":
-                raise BracketSyntaxError("expected ']'", pos)
-            pos += 1
-            if pos >= len(src) or src[pos] != "_":
-                raise BracketSyntaxError("expected '_' after ']'", pos)
-            pos += 1
-            return Node(left, right, read_int())
-        raise BracketSyntaxError(f"expected 'f' or '[', found {src[pos]!r}", pos)
+            tokens.expect("]")
+            tokens.expect("_")
+            return Node(left, right, tokens.integer())
+        leaf = _LEAF.match(text) if kind == "name" else None
+        if leaf is None:
+            tokens.fail("'f' or '['", tok)
+        if not leaf[1] or leaf.end() < len(text):
+            raise BracketSyntaxError(f"expected a leaf fN, found {text!r}", position + leaf.end())
+        slot = int(leaf[1])
+        if slot < 1:
+            raise BracketSyntaxError(f"leaf slots are positive integers, got {slot}", position + 1)
+        return Leaf(slot)
 
-    out = expr()
-    skip_ws()
-    if pos != len(src):
-        raise BracketSyntaxError(f"trailing input {src[pos]!r}", pos)
+    out = tokens.finish(expr())
     expr_slots(out)  # raises DuplicateSlotError on repeated slots
     return out
 
@@ -284,57 +261,22 @@ def format_combo(combo: LinearCombo) -> str:
 # -- coefficient mini-language -------------------------------------------------------
 
 
+def _coeff_leaf(tok: Token):
+    kind, text, position = tok
+    if kind == "number":
+        return ("num", parse_rational(text))
+    if text[0] != "l" or not text[1:].isdecimal():
+        raise BracketSyntaxError(f"expected a slot weight lN, found {text!r}", position)
+    return ("slot", int(text[1:]))
+
+
+# the AST: ("num", q), ("slot", n), ("neg", a) and (op, a, b) for op in + - *
+_COEFF_OPS = {op: (lambda *args, op=op: (op, *args)) for op in ("+", "-", "*", "neg")}
+
+
 def parse_coeff(src: str):
     """Parse the coefficient language: RATIONAL | l INT | + - * | parens."""
-    tokens = _tokenize_poly(src, BracketSyntaxError)
-    pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def advance():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def expr():
-        node = term()
-        while peek()[0] in ("+", "-"):
-            op = advance()[0]
-            node = (op, node, term())
-        return node
-
-    def term():
-        node = factor()
-        while peek()[0] == "*":
-            advance()
-            node = ("*", node, factor())
-        return node
-
-    def factor():
-        kind, text, position = advance()
-        if kind == "-":
-            return ("neg", factor())
-        if kind == "number":
-            return ("num", parse_rational(text))
-        if kind == "name":
-            if text[0] != "l" or not text[1:].isdecimal():
-                raise BracketSyntaxError(f"expected a slot weight lN, found {text!r}", position)
-            return ("slot", int(text[1:]))
-        if kind == "(":
-            node = expr()
-            closing = advance()
-            if closing[0] != ")":
-                raise BracketSyntaxError("expected ')'", closing[2])
-            return node
-        raise BracketSyntaxError(f"expected a coefficient, found {text or 'end of input'!r}", position)
-
-    out = expr()
-    tok = peek()
-    if tok[0] != "end":
-        raise BracketSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    return out
+    return parse_infix(Tokens(src, BracketSyntaxError), _coeff_leaf, _COEFF_OPS)
 
 
 def eval_coeff(ast, weights: Mapping[int, Fraction]) -> Fraction:

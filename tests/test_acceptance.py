@@ -11,10 +11,12 @@ default (27 grid triples plus 20 seeded admissible triples, seed 42).
 """
 from __future__ import annotations
 
+import hashlib
 import time
 from fractions import Fraction
 
 from rcbrackets.brackets import WeightedForm, rc_bracket
+from rcbrackets.cli import main
 from rcbrackets.hypergeom import jacobi_poly
 from rcbrackets.identities import (
     cmz_reports,
@@ -325,3 +327,20 @@ def test_criterion_12_descending_combs_equal_signed_left_combs(capsys) -> None:
         if descending_nf != {term: sign * c for term, c in left_nf.items()}:
             problems.append((leaves, m))
     finish(capsys, 12, "descending combs equal signed left combs (D<=5 m<=3, D=6 m<=2)", started, 10.0, problems)
+
+
+# sha256 of the default `verify --suite all --output json` stdout; every
+# change must keep these bytes unless it records a new checksum on purpose
+DEFAULT_VERIFY_SHA256 = "888e45ddee00cbb672234d1f9b9447c93b9a38e0900e6358703e9ccdffa84d70"
+
+
+def test_criterion_13_default_verify_output_is_byte_identical(capsys) -> None:
+    started = time.perf_counter()
+    problems = []
+    code = main(["verify", "--suite", "all", "--output", "json"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    if code != 0:
+        problems.append(f"exit code {code}")
+    if digest != DEFAULT_VERIFY_SHA256:
+        problems.append(f"sha256 {digest}")
+    finish(capsys, 13, "default verify --suite all JSON is byte-identical", started, 60.0, problems)

@@ -10,12 +10,12 @@ from rcbrackets.brackets import (
     Node,
     UnboundSlotError,
     WeightedForm,
-    _monomial_bracket,
     eval_bracket_tree,
     expr_slots,
     expr_total_order,
     expr_weight,
     format_expr,
+    integer_evaluator,
     monomial_evaluator,
     monomial_form,
     rc_bracket,
@@ -160,11 +160,13 @@ row_weights = st.one_of(
 # n = 6 is above deg f + deg g
 @example(Fraction(5, 3), Fraction(1, 4), zpoly("z^2 + 1/2"), zpoly("z^3 - 2/3"), 6)
 def test_dense_bracket_is_bilinear_sum_of_monomial_brackets(w1, w2, p, q, n):
-    _, den, value = _monomial_bracket(w1, w2, n)
+    evaluate, den = integer_evaluator(Node(Leaf(1), Leaf(2), n), {1: w1, 2: w2})
     expected = Poly.zero(("z",))
     for (d1,), c1 in p.terms.items():
         for (d2,), c2 in q.terms.items():
-            scalar = Fraction(value(d1, d2), den)
+            degree, value = evaluate((d1, d2))
+            assert degree == d1 + d2 - n
+            scalar = Fraction(value, den)
             if scalar:
                 expected = expected + Poly.monomial(("z",), {"z": d1 + d2 - n}, c1 * c2 * scalar)
     out = rc_bracket(WeightedForm(w1, p), WeightedForm(w2, q), n)

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from rcbrackets import cli
 from rcbrackets.cli import RunConfig, UsageError, load_config_file, main
 
 WEIGHTED_IDENTITY = """\
@@ -495,6 +496,16 @@ def test_unbound_slot_message_is_unquoted(capsys, tmp_path) -> None:
     assert code == 1
     assert out == ""
     assert err == "error: no weight bound for slot 5\n"
+
+
+def test_stray_key_error_propagates(monkeypatch) -> None:
+    # only UnboundSlotError is a domain error; any other KeyError is a bug
+    def broken(args):
+        raise KeyError("stray")
+
+    monkeypatch.setattr(cli, "cmd_u_table", broken)
+    with pytest.raises(KeyError, match="stray"):
+        main(["u-table", "--l1", "1", "--l2", "1", "--l3", "1", "--n", "1"])
 
 
 # -- verify -----------------------------------------------------------------------

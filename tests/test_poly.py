@@ -219,6 +219,9 @@ def test_parser_error_carries_position():
     with pytest.raises(PolySyntaxError) as err:
         poly_from_string("x + * y", ("x", "y"))
     assert err.value.position == 4
+    with pytest.raises(PolySyntaxError) as err:
+        poly_from_string("x^²", ("x",))
+    assert err.value.position == 2
 
 
 def test_parser_missing_denominator_position():

@@ -19,7 +19,7 @@ from rcbrackets.brackets import (
     format_expr,
 )
 from rcbrackets.cli import main
-from rcbrackets.poly import Poly
+from rcbrackets.poly import Poly, PolySyntaxError, poly_from_string
 from rcbrackets.rewrite import (
     BracketSyntaxError,
     InadmissibleLocalWeightsError,
@@ -62,6 +62,7 @@ def test_parse_round_trip() -> None:
 
 def test_parse_tolerates_whitespace() -> None:
     assert format_expr(parse_bracket(" [ f1 , [ f2 , f3 ]_2 ]_1 ")) == "[f1,[f2,f3]_2]_1"
+    assert format_expr(parse_bracket("\t[ f1 , [ f2 , f3 ] _ 2 ] _\n1 ")) == "[f1,[f2,f3]_2]_1"
 
 
 def test_parse_errors_carry_positions() -> None:
@@ -76,11 +77,18 @@ def test_parse_errors_carry_positions() -> None:
         ("f0", 1),
         ("f00", 1),
         ("[f1,f0]_1", 5),
+        ("[f1,f2]_1/2", 8),
+        ("f1x", 2),
+        ("[f1,f2]_²", 8),
     ]
     for src, position in cases:
         with pytest.raises(BracketSyntaxError) as info:
             parse_bracket(src)
         assert info.value.position == position
+    # the bracket tokens are not polynomial syntax
+    with pytest.raises(PolySyntaxError) as info:
+        poly_from_string("z_1", ("z",))
+    assert info.value.position == 1
 
 
 def test_parse_rejects_duplicate_slots() -> None:
@@ -297,13 +305,14 @@ def test_coeff_language_values() -> None:
         ("l1*(2-l3)+1/2", Fraction(7, 2)),
         ("(l1+l3)*(l1-l3)", Fraction(15, 4)),
         ("--2", Fraction(2)),
+        ("-(l1*-(2-l3))*3", Fraction(9)),
     ]
     for src, expected in cases:
         assert eval_coeff(parse_coeff(src), weights) == expected
 
 
 def test_coeff_language_errors() -> None:
-    for src, position in [("l", 0), ("2 +", 3), ("(1", 2), ("1 ? 2", 2), ("3/", 2)]:
+    for src, position in [("l", 0), ("2 +", 3), ("(1", 2), ("1 ? 2", 2), ("3/", 2), ("²", 0)]:
         with pytest.raises(BracketSyntaxError) as info:
             parse_coeff(src)
         assert info.value.position == position
