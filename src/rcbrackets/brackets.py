@@ -13,19 +13,20 @@ The coefficient row becomes integers in one place, a table per
 bracket of two monomials; the general bracket convolves with the scaled
 row, and the compiled tree evaluator fills and reads the memoized values.
 Both run on integer numerators over one denominator and build a
-``Fraction`` only for what they return.
+``Fraction`` only for what they return; the general bracket takes and
+returns ``poly.Numerators``, the format ``star`` sums its pieces in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, perm, prod
 from typing import Callable, Mapping, Sequence, Union
 
 from .hypergeom import bracket_coeff_row, jacobi_two_var
-from .poly import Poly
+from .poly import Numerators, Poly, _numerators, _reduced
 from .rationals import RationalLike, as_rational
 
 
@@ -76,49 +77,11 @@ def _monomial_bracket(weight1: Fraction, weight2: Fraction, n: int) -> MonomialT
 
 # -- the general bracket on integer numerators ----------------------------------
 
-# A z-polynomial as (numerators by degree, one positive denominator): the
-# polynomial is sum_d nums[d] z^d / den.  The zero polynomial is ([], 1).
-IntegerForm = tuple[list[int], int]
-
-
-def _integer_form(form: Poly) -> IntegerForm:
-    """``form`` (over ("z",)) over the lcm of its coefficient denominators."""
-    terms = form.terms
-    if not terms:
-        return [], 1
-    den = lcm(*(c.denominator for c in terms.values()))
-    nums = [0] * (max(exps[0] for exps in terms) + 1)
-    for (d,), c in terms.items():
-        nums[d] = c.numerator * (den // c.denominator)
-    return nums, den
-
-
-def _normalized(nums: Sequence[int], den: int) -> Poly:
-    """The z-polynomial sum_d nums[d] z^d / den, one reduced Fraction per term."""
-    return Poly._trusted(("z",), {(d,): Fraction(v, den) for d, v in enumerate(nums) if v})
-
-
-def _scaled_sum(acc: IntegerForm | None, piece: IntegerForm, scale: RationalLike) -> IntegerForm:
-    """acc + scale * piece over the lcm of the two denominators; acc None is 0."""
-    nums, den = piece
-    nums = [v * scale.numerator for v in nums]
-    den *= scale.denominator
-    if acc is None:
-        return nums, den
-    acc_nums, acc_den = acc
-    common = lcm(acc_den, den)
-    acc_scale, piece_scale = common // acc_den, common // den
-    total = [v * acc_scale for v in acc_nums]
-    total.extend([0] * (len(nums) - len(total)))
-    for d, v in enumerate(nums):
-        total[d] += v * piece_scale
-    return total, common
-
 
 def _bracket_kernel(
-    weight1: Fraction, weight2: Fraction, f: IntegerForm, g: IntegerForm, n: int
-) -> IntegerForm:
-    """[f, g]_n of two integer forms, over the product of the three denominators.
+    weight1: Fraction, weight2: Fraction, f: Numerators, g: Numerators, n: int
+) -> Numerators:
+    """[f, g]_n of two z-polynomials over ("z",), over the product of the three denominators.
 
     f^(s) g^(n-s) is an integer convolution of falling-factorial-scaled
     numerators, weighted by the scaled row of :func:`_monomial_bracket`, so
@@ -126,26 +89,25 @@ def _bracket_kernel(
     """
     (f_nums, f_den), (g_nums, g_den) = f, g
     row, row_den, _ = _monomial_bracket(weight1, weight2, n)
-    out = [0] * (len(f_nums) + len(g_nums) - 1 - n)
+    out = [0] * (max(f_nums, default=(0,))[0] + max(g_nums, default=(0,))[0] + 1 - n)
     for s, c in row:
         t = n - s
-        if s >= len(f_nums) or t >= len(g_nums):
-            continue
-        f_s = [f_nums[d] * perm(d, s) * c for d in range(s, len(f_nums))]
-        g_t = [g_nums[d] * perm(d, t) for d in range(t, len(g_nums))]
-        for i, a in enumerate(f_s):
-            if a:
-                for j, b in enumerate(g_t, start=i):
-                    out[j] += a * b
-    return out, row_den * f_den * g_den
+        f_s = [(d - s, v * perm(d, s) * c) for (d,), v in f_nums.items() if d >= s]
+        g_t = [(d - t, v * perm(d, t)) for (d,), v in g_nums.items() if d >= t]
+        for i, a in f_s:
+            for j, b in g_t:
+                out[i + j] += a * b
+    return {(d,): v for d, v in enumerate(out) if v}, row_den * f_den * g_den
 
 
 def rc_bracket(f: WeightedForm, g: WeightedForm, n: int) -> WeightedForm:
     """The degree-n Rankin-Cohen bracket; result weight f.weight + g.weight + 2n."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"bracket order must be a nonnegative integer, got {n!r}")
-    nums, den = _bracket_kernel(f.weight, g.weight, _integer_form(f.form), _integer_form(g.form), n)
-    return WeightedForm(f.weight + g.weight + 2 * n, _normalized(nums, den))
+    value = _bracket_kernel(
+        f.weight, g.weight, _numerators(f.form.terms), _numerators(g.form.terms), n
+    )
+    return WeightedForm(f.weight + g.weight + 2 * n, _reduced(("z",), value))
 
 
 # -- bracket expression trees ---------------------------------------------------
@@ -160,15 +122,23 @@ class Leaf:
             raise ValueError(f"leaf slots are positive integers, got {self.slot!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     left: BracketExpr
     right: BracketExpr
     order: int
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.order, int) or self.order < 0:
             raise ValueError(f"bracket order must be a nonnegative integer, got {self.order!r}")
+
+    def __hash__(self) -> int:
+        # computed on first use and kept, so a tree is walked once; an over-deep
+        # tree still raises RecursionError here, which the CLI reports
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.left, self.right, self.order)))
+        return self._hash
 
 
 BracketExpr = Union[Leaf, Node]

@@ -8,7 +8,9 @@ coefficients are never stored, so structural equality of the term maps is
 semantic equality of polynomials; every stored coefficient is a
 ``Fraction``, never a bare ``int``.  Products and substitutions work on
 integer numerators over one denominator per operand and reduce each output
-coefficient once (Knuth, TAOCP vol. 2, section 4.5.1).
+coefficient once (Knuth, TAOCP vol. 2, section 4.5.1).  That format,
+``Numerators``, is the package's only one: the bracket kernel and the star
+product take, sum and reduce polynomials with the same helpers.
 
 Canonical text form: terms in graded-lex order (total degree first, then
 exponents compared positionwise), e.g. ``3/2*x^2*y + 1``.  The zero
@@ -179,6 +181,9 @@ class Poly:
         return not self.terms
 
     def coeff(self, powers: Mapping[str, int]) -> Fraction:
+        for name in powers:
+            if name not in self.vars:
+                raise UnknownVariableError(f"{name!r} not among {self.vars}")
         exps = tuple(powers.get(w, 0) for w in self.vars)
         return self.terms.get(exps, Fraction(0))
 
@@ -255,13 +260,7 @@ class Poly:
                         row.append(_times(row[-1], bases[name]))
                     piece = _times(piece, row[e])
             pieces.append(piece)
-        den = lcm(*(piece_den for _, piece_den in pieces))
-        total: dict[Exponents, int] = {}
-        for nums, piece_den in pieces:
-            scale = den // piece_den
-            for exps, v in nums.items():
-                total[exps] = total.get(exps, 0) + v * scale
-        return _reduced(target, (total, den))
+        return _reduced(target, _sum(pieces))
 
     def eval_at(self, point: Mapping[str, RationalLike]) -> Fraction:
         """Evaluate at a full rational point."""
@@ -353,6 +352,17 @@ def _times(a: Numerators, b: Numerators) -> Numerators:
             exps = tuple(map(add, e1, e2))
             out[exps] = get(exps, 0) + c1 * c2
     return out, a_den * b_den
+
+
+def _sum(pieces: Sequence[Numerators]) -> Numerators:
+    """The sum over the lcm of the pieces' denominators, unreduced; no pieces sum to ({}, 1)."""
+    den = lcm(*(piece_den for _, piece_den in pieces))
+    total: dict[Exponents, int] = {}
+    for nums, piece_den in pieces:
+        scale = den // piece_den
+        for exps, v in nums.items():
+            total[exps] = total.get(exps, 0) + v * scale
+    return total, den
 
 
 def _reduced(vars: tuple[str, ...], value: Numerators) -> Poly:

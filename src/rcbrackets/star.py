@@ -8,7 +8,9 @@ through Rankin-Cohen brackets,
     (a * b)_m = sum_{i+j+n=m} [a_i, b_j]_n,
 
 optionally rescaling the degree-n bracket of weights (w1, w2) by the
-deformation coefficient t_n^kappa(w1, w2).
+deformation coefficient t_n^kappa(w1, w2).  The brackets come from the
+integer kernel of ``brackets`` as ``poly.Numerators`` and are summed and
+reduced with ``poly``'s own helpers.
 """
 
 from __future__ import annotations
@@ -16,15 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .brackets import (
-    IntegerForm,
-    WeightedForm,
-    _bracket_kernel,
-    _integer_form,
-    _normalized,
-    _scaled_sum,
-)
-from .poly import Poly
+from .brackets import WeightedForm, _bracket_kernel
+from .poly import Numerators, Poly, _numerators, _reduced, _sum
 from .rationals import RationalLike, as_rational
 from .transition import cmz_t_sum
 
@@ -107,15 +102,15 @@ def star(a: StarSeries, b: StarSeries, kappa: RationalLike | None = None) -> Sta
     """Truncated star product; kappa = None means unit deformation coefficients.
 
     Each slice of both operands goes to integer numerators once.  Every
-    output (order, weight) slice sums its bracket pieces as integer
-    numerators over the lcm of their denominators and is reduced once.
+    output (order, weight) slice sums its bracket pieces, each scaled by
+    t_n^kappa when kappa is given, over one denominator and is reduced once.
     """
     a._check_order(b)
-    left = [{w: _integer_form(p) for w, p in layer.items()} for layer in a.coeffs]
-    right = [{w: _integer_form(p) for w, p in layer.items()} for layer in b.coeffs]
+    left = [{w: _numerators(p.terms) for w, p in layer.items()} for layer in a.coeffs]
+    right = [{w: _numerators(p.terms) for w, p in layer.items()} for layer in b.coeffs]
     out = StarSeries(a.order)
     for m in range(a.order + 1):
-        sums: dict[Fraction, IntegerForm] = {}
+        pieces: dict[Fraction, list[Numerators]] = {}
         for i in range(m + 1):
             for j in range(m - i + 1):
                 n = m - i - j
@@ -124,12 +119,13 @@ def star(a: StarSeries, b: StarSeries, kappa: RationalLike | None = None) -> Sta
                         scale = 1 if kappa is None else cmz_t_sum(kappa, w1, w2, n)
                         if not scale:
                             continue
-                        piece = _bracket_kernel(w1, w2, f, g, n)
-                        if not any(piece[0]):
-                            continue
-                        weight = w1 + w2 + 2 * n
-                        sums[weight] = _scaled_sum(sums.get(weight), piece, scale)
-        out.coeffs[m] = {w: _normalized(nums, den) for w, (nums, den) in sums.items() if any(nums)}
+                        nums, den = _bracket_kernel(w1, w2, f, g, n)
+                        if scale != 1:
+                            nums = {e: v * scale.numerator for e, v in nums.items()}
+                            den *= scale.denominator
+                        pieces.setdefault(w1 + w2 + 2 * n, []).append((nums, den))
+        layer = {w: _reduced(("z",), _sum(group)) for w, group in pieces.items()}
+        out.coeffs[m] = {w: p for w, p in layer.items() if not p.is_zero()}
     return out
 
 

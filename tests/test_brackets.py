@@ -157,6 +157,8 @@ row_weights = st.one_of(
 @example(Fraction(3, 5), Fraction(-2), zpoly("5/6"), zpoly("-3/4"), 0)
 @example(Fraction(0), Fraction(4, 3), zpoly("2/3*z^3 + 1/2"), zpoly("5/7*z^4 - z"), 3)
 @example(Fraction(-3), Fraction(-1), zpoly("z^5 - 1/6*z"), zpoly("3/8*z^5 + 9/5"), 4)
+# gapped f: its constant term survives only s = 0, which g^(3) kills; z^5 keeps s = 1..3
+@example(Fraction(1, 2), Fraction(4, 3), zpoly("z^5 + 1/3"), zpoly("z^2 - 1/2"), 3)
 # n = 6 is above deg f + deg g
 @example(Fraction(5, 3), Fraction(1, 4), zpoly("z^2 + 1/2"), zpoly("z^3 - 2/3"), 6)
 def test_dense_bracket_is_bilinear_sum_of_monomial_brackets(w1, w2, p, q, n):

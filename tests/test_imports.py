@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by its module, every
 module-private top-level name is referenced somewhere in the package, only
-``transition`` imports the single-entry U readers, and the caches the benchmark
-reads by name exist."""
+``transition`` imports the single-entry U readers, the only private names one
+module imports from another are ``poly``'s integer-numerator helpers and the
+bracket kernel, and the caches the benchmark reads by name exist."""
 from __future__ import annotations
 
 import ast
@@ -77,6 +78,20 @@ def test_u_is_read_by_rows_outside_transition() -> None:
         }
         assert sorted(single_entry & imported) == [], path.stem
 
+
+def test_private_imports_are_the_one_integer_format() -> None:
+    """``poly.Numerators`` is the package's one integer-numerator format, so a
+    second polynomial format or converter shared across modules fails here."""
+    allowed = {"poly._numerators", "poly._reduced", "poly._sum", "brackets._bracket_kernel"}
+    for path, tree in PACKAGE_TREES.items():
+        imported = {
+            f"{node.module.removeprefix('rcbrackets.')}.{alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module and node.module != "__future__"
+            for alias in node.names
+            if alias.name.startswith("_")
+        }
+        assert sorted(imported - allowed) == [], path.stem
 
 
 def test_benchmark_cache_names_exist() -> None:

@@ -8,6 +8,9 @@ from rcbrackets.poly import (
     PolySyntaxError,
     UnknownVariableError,
     VarsetMismatchError,
+    _numerators,
+    _reduced,
+    _sum,
     canonical_vars,
     poly_from_string,
 )
@@ -43,6 +46,11 @@ def test_constructors():
     assert m.coeff({"x": 2, "y": 1}) == Fraction(3, 2)
     assert m.total_degree() == 3
     assert m.degree_in("x") == 2
+    square = poly_from_string("z^2 + 5", ("z",))
+    assert square.coeff({"z": 0}) == 5
+    for name in ("x", "q"):
+        with pytest.raises(UnknownVariableError):
+            square.coeff({name: 1})
 
 
 def test_zero_coefficients_dropped():
@@ -115,6 +123,9 @@ def test_integer_core_matches_schoolbook_fractions(a, b, x_value, y_value):
     image = a.subst(bindings)
     assert image.vars == ZT
     assert image.terms == schoolbook_subst(a, bindings, ZT)
+    pieces = [_numerators(a.terms), _numerators({}), _numerators(b.terms)]
+    assert _reduced(a.vars, _sum(pieces)) == a + b
+    assert _reduced(a.vars, _sum([])) == Poly.zero(a.vars)
     for p in (product, image, a + b, a - b, a.diff("x"), a.diff("y", 2), 3 * a, a**2):
         assert_canonical(p)
 

@@ -119,6 +119,17 @@ def reference_star(a, b, kappa):
     return out
 
 
+def test_cancelled_slice_is_dropped():
+    # [z, 1]_1 = -1 at weights (1/2, 1) and [1, 1]_0 = 1 at weights (5/2, 1) meet at 7/2
+    z, one = poly_from_string("z", ("z",)), poly_from_string("1", ("z",))
+    a = StarSeries(1, [{Fraction(1, 2): z}, {Fraction(5, 2): one}])
+    b = StarSeries(1, [{Fraction(1): one}])
+    assert rc_bracket(WeightedForm(Fraction(1, 2), z), WeightedForm(1, one), 1).form == -one
+    product = star(a, b)
+    assert product.coeffs == [{Fraction(3, 2): z}, {}]
+    assert product == reference_star(a, b, None)
+
+
 def reference_defect(f, g, h, order, kappa):
     sf, sg, sh = (StarSeries.inject(x, order) for x in (f, g, h))
     left = reference_star(reference_star(sf, sg, kappa), sh, kappa)
