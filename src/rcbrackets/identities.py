@@ -22,6 +22,13 @@ in ``convolution``, and with each outer bracket taken from the raising
 intertwiner on inputs t^m in ``operator``.  Equal symbols are equal
 tri-differential operators, so a convolution pass at (triple, n, k) means the
 main identity holds for every polynomial input at that triple.
+
+The ``operator`` and ``zagier`` suites keep their polynomials as
+``poly.Numerators`` from the first product to the final test: ``operator``
+tests each residual for zero on integers and reduces only a failure's, and
+``zagier`` reduces each (reading, permutation) sum once before comparing.
+``cmz`` reads each U matrix once per (triple, n); its binomial sum
+(``transition.cmz_t_sum``) builds one ``Fraction`` per t_n.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from typing import Sequence
 
 from .brackets import BracketExpr, Leaf, Node, integer_evaluator, monomial_evaluator, tree_symbol
 from .hypergeom import jacobi_two_var
-from .poly import Poly
+from .poly import Poly, _numerators, _reduced, _substituted, _sum, _times
 from .rationals import RationalLike, as_rational, factorial, pochhammer
 from .report import VerificationReport, merge_reports
 from .rewrite import bind_terms
@@ -226,7 +233,8 @@ def verify_operator_convolution(
     A term c [A, B]_j acts on t^m as c S_A S_B intertwiner_phi_tilde(j, w_A,
     w_B, t^m) at (x, y) = (leaf sum of A, leaf sum of B): the outer bracket
     comes from the verma route.  The child symbols do not depend on m and
-    are computed once.  A failure records the nonzero residual at that m.
+    are computed once, as integer numerators; each residual is summed and
+    tested on integers, and only a failure's residual becomes Fractions.
     """
     weights = dict(enumerate(_triple(params), start=1))
     outer = []
@@ -234,19 +242,22 @@ def verify_operator_convolution(
         sum1, symbol1, weight1 = tree_symbol(expr.left, weights, SYMBOL_LEAVES)
         sum2, symbol2, weight2 = tree_symbol(expr.right, weights, SYMBOL_LEAVES)
         children = [symbol for symbol in (symbol1, symbol2) if symbol is not None]
-        scale = prod(children, start=Poly.const(GEOMETRIC_VARS, coeff))
+        scale = _numerators(prod(children, start=Poly.const(GEOMETRIC_VARS, coeff)).terms)
         outer.append((scale, expr.order, weight1, weight2, {"x": sum1, "y": sum2}))
     sample = sample_dict(params)
     record = {"sample": sample, "n": n, "k": k}
     failures = []
     for m in range(max_degree + 1):
         q = Poly.monomial(("t",), {"t": m})
-        residual = Poly.zero(GEOMETRIC_VARS)
-        for scale, order, weight1, weight2, bindings in outer:
-            image = intertwiner_phi_tilde(order, weight1, weight2, q).subst(bindings)
-            residual = residual + scale * image
-        if not residual.is_zero():
-            failures.append({**record, "input_degree": m, "value": str(residual)})
+        residual = _sum(
+            [
+                _times(scale, _substituted(intertwiner_phi_tilde(order, w1, w2, q), bindings))
+                for scale, order, w1, w2, bindings in outer
+            ]
+        )
+        if any(residual[0].values()):
+            value = str(_reduced(GEOMETRIC_VARS, residual))
+            failures.append({**record, "input_degree": m, "value": value})
     return VerificationReport.checked("operator-convolution", [sample], max_degree + 1, failures)
 
 
@@ -331,11 +342,6 @@ def _zagier_pair_scalar(l1: Fraction, l2: Fraction, l3: Fraction, n: int, k: int
 ZAGIER_VARS = ("z", "x", "y", "t")
 
 
-def _two_var_on(ell: int, w1: Fraction, w2: Fraction, first: Poly, second: Poly) -> Poly:
-    """Homogeneous Jacobi form of degree ell with slots bound to polynomials."""
-    return jacobi_two_var(ell, w1, w2).subst({"x": first, "y": second})
-
-
 def _zagier_sum(
     lams: tuple[Fraction, Fraction, Fraction],
     degrees: tuple[int, int, int],
@@ -343,21 +349,26 @@ def _zagier_sum(
     n: int,
     reading: str,
 ) -> Poly:
+    """sum_k scalar_k G_first(s1, s2) G_second(s1 + s2, s3) [[f1,f2]_k, f3]_{n-k},
+    the bracket read at monomials of ``degrees``; every piece stays integer
+    numerators until the one reduction of the sum."""
     l1, l2, l3 = lams
     s1, s2, s3 = slots
+    s12 = s1 + s2
     weights = dict(enumerate(lams, start=1))
-    total = Poly.zero(ZAGIER_VARS)
+    pieces = []
     for k in range(n + 1):
         scalar = _zagier_pair_scalar(l1, l2, l3, n, k)
         d_first = k if reading == "corrected" else n
         d_second = n - k if reading == "corrected" else n
-        geometric = _two_var_on(d_first, l1, l2, s1, s2) * _two_var_on(
-            d_second, l1 + l2 + 2 * k, l3, s1 + s2, s3
-        )
-        degree, c = monomial_evaluator(_left_nest(n, k), weights)(degrees)
-        bracket = Poly.monomial(ZAGIER_VARS, {"z": degree}, c)
-        total = total + scalar * (geometric * bracket)
-    return total
+        first = _substituted(jacobi_two_var(d_first, l1, l2), {"x": s1, "y": s2})
+        second = _substituted(jacobi_two_var(d_second, l1 + l2 + 2 * k, l3), {"x": s12, "y": s3})
+        evaluate, den = integer_evaluator(_left_nest(n, k), weights)
+        degree, v = evaluate(degrees)
+        # scalar * v / den * z^degree; z leads ZAGIER_VARS
+        bracket = ({(degree, 0, 0, 0): scalar.numerator * v}, scalar.denominator * den)
+        pieces.append(_times(_times(first, second), bracket))
+    return _reduced(ZAGIER_VARS, _sum(pieces))
 
 
 def verify_zagier_invariance(params: ParamTriple, n: int) -> VerificationReport:
@@ -434,19 +445,21 @@ def zagier_suite(triples: Sequence[ParamTriple], max_n: int = 3) -> Verification
 
 
 def _deformation_compatible(
-    kappa: Fraction, scale: Fraction, params: ParamTriple, n: int, p: int
+    kappa: Fraction, scale: Fraction, params: ParamTriple, p: int, column: Sequence[Fraction]
 ) -> bool:
     """Coefficient identity equivalent to associativity of the deformed product,
     with the deformation coefficients taken at the weights times ``scale``:
 
-    sum_k U_{k,p} t_k(l1, l2) t_{n-k}(l1+l2+2k, l3) = t_p(l2, l3) t_{n-p}(l1, l2+l3+2p).
+    sum_k U_{k,p} t_k(l1, l2) t_{n-k}(l1+l2+2k, l3) = t_p(l2, l3) t_{n-p}(l1, l2+l3+2p),
+    where ``column`` is U_{k,p} for k = 0..n.
     """
+    n = len(column) - 1
     l1, l2, l3 = (scale * lam for lam in _triple(params))
     left = sum(
-        row[p]
+        u
         * cmz_t_sum(kappa, l1, l2, k)
         * cmz_t_sum(kappa, l1 + l2 + 2 * scale * k, l3, n - k)
-        for k, row in enumerate(u_matrix(params, n))
+        for k, u in enumerate(column)
     )
     right = cmz_t_sum(kappa, l2, l3, p) * cmz_t_sum(kappa, l1, l2 + l3 + 2 * scale * p, n - p)
     return left == right
@@ -482,9 +495,14 @@ def cmz_reports(triples: Sequence[ParamTriple], max_n: int = 4) -> list[Verifica
     )
 
     cases = _grid(triples, max_n)
+    matrices = {(tr, n): u_matrix(tr, n) for tr in triples for n in range(max_n + 1)}
+    columns = [[row[p] for row in matrices[tr, n]] for tr, n, p in cases]
     scales = (Fraction(1), Fraction(1, 2))
     compatible = {
-        kappa: [[_deformation_compatible(kappa, s, *case) for s in scales] for case in cases]
+        kappa: [
+            [_deformation_compatible(kappa, s, tr, p, column) for s in scales]
+            for (tr, _, p), column in zip(cases, columns)
+        ]
         for kappa in kappas
     }
     racah_mismatches = [

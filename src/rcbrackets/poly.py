@@ -9,8 +9,9 @@ semantic equality of polynomials; every stored coefficient is a
 ``Fraction``, never a bare ``int``.  Products and substitutions work on
 integer numerators over one denominator per operand and reduce each output
 coefficient once (Knuth, TAOCP vol. 2, section 4.5.1).  That format,
-``Numerators``, is the package's only one: the bracket kernel and the star
-product take, sum and reduce polynomials with the same helpers.
+``Numerators``, is the package's only one: the bracket kernel, the star
+product and the ``operator`` and ``zagier`` suites take, multiply, sum,
+substitute into and reduce polynomials with the same helpers.
 
 Canonical text form: terms in graded-lex order (total degree first, then
 exponents compared positionwise), e.g. ``3/2*x^2*y + 1``.  The zero
@@ -227,40 +228,8 @@ class Poly:
         variable tuple of the result.  Every variable actually occurring in
         ``self`` must be bound; a leftover unbound variable is an error.
         """
-        if not bindings:
-            raise UnknownVariableError("substitution needs at least one binding")
-        values = list(bindings.values())
-        target = values[0].vars
-        for value in values[1:]:
-            if value.vars != target:
-                raise VarsetMismatchError(
-                    f"substitution values over mixed variable tuples: {target} vs {value.vars}"
-                )
-        for name in bindings:
-            if name not in self.vars:
-                raise UnknownVariableError(f"binding for {name!r} not among {self.vars}")
-        unbound = [
-            name
-            for pos, name in enumerate(self.vars)
-            if name not in bindings and any(exps[pos] for exps in self.terms)
-        ]
-        if unbound:
-            raise UnknownVariableError(f"unbound variables remain after substitution: {unbound}")
-
-        one = (0,) * len(target)
-        bases = {name: _numerators(value.terms) for name, value in bindings.items()}
-        powers: dict[str, list[Numerators]] = {name: [({one: 1}, 1)] for name in bindings}
-        pieces = []
-        for exps, coeff in self.terms.items():
-            piece = ({one: coeff.numerator}, coeff.denominator)
-            for name, e in zip(self.vars, exps):
-                if e:
-                    row = powers[name]
-                    while len(row) <= e:
-                        row.append(_times(row[-1], bases[name]))
-                    piece = _times(piece, row[e])
-            pieces.append(piece)
-        return _reduced(target, _sum(pieces))
+        value = _substituted(self, bindings)
+        return _reduced(next(iter(bindings.values())).vars, value)
 
     def eval_at(self, point: Mapping[str, RationalLike]) -> Fraction:
         """Evaluate at a full rational point."""
@@ -363,6 +332,45 @@ def _sum(pieces: Sequence[Numerators]) -> Numerators:
         for exps, v in nums.items():
             total[exps] = total.get(exps, 0) + v * scale
     return total, den
+
+
+def _substituted(poly: Poly, bindings: Mapping[str, Poly]) -> Numerators:
+    """``poly.subst(bindings)`` before its one reduction: the same checks and
+    the same loop, over the lcm of the pieces' denominators."""
+    if not bindings:
+        raise UnknownVariableError("substitution needs at least one binding")
+    values = list(bindings.values())
+    target = values[0].vars
+    for value in values[1:]:
+        if value.vars != target:
+            raise VarsetMismatchError(
+                f"substitution values over mixed variable tuples: {target} vs {value.vars}"
+            )
+    for name in bindings:
+        if name not in poly.vars:
+            raise UnknownVariableError(f"binding for {name!r} not among {poly.vars}")
+    unbound = [
+        name
+        for pos, name in enumerate(poly.vars)
+        if name not in bindings and any(exps[pos] for exps in poly.terms)
+    ]
+    if unbound:
+        raise UnknownVariableError(f"unbound variables remain after substitution: {unbound}")
+
+    one = (0,) * len(target)
+    bases = {name: _numerators(value.terms) for name, value in bindings.items()}
+    powers: dict[str, list[Numerators]] = {name: [({one: 1}, 1)] for name in bindings}
+    pieces = []
+    for exps, coeff in poly.terms.items():
+        piece = ({one: coeff.numerator}, coeff.denominator)
+        for name, e in zip(poly.vars, exps):
+            if e:
+                row = powers[name]
+                while len(row) <= e:
+                    row.append(_times(row[-1], bases[name]))
+                piece = _times(piece, row[e])
+        pieces.append(piece)
+    return _sum(pieces)
 
 
 def _reduced(vars: tuple[str, ...], value: Numerators) -> Poly:

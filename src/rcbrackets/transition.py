@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .hypergeom import HypSpec, hyp_terminating_poly, racah_value
 from .poly import Poly
@@ -284,7 +285,14 @@ def _cmz_memo(
 
 def _cmz_sum(kappa: Fraction, lam1: Fraction, lam2: Fraction, n: int) -> Fraction:
     """t_n = sum_r C(-l1, r) C(-l1+kappa-1, r) C(m-kappa, s) C(m-1, s)
-    / [C(-2*l1, r) C(2m-2, s)] / C(-2*l2, n), with s = n - r, m = n + l1 + l2."""
+    / [C(-2*l1, r) C(2m-2, s)] / C(-2*l2, n), with s = n - r, m = n + l1 + l2.
+
+    The row C(m-kappa, s) C(m-1, s) / C(2m-2, s) is integer prefix products:
+    with d = lcm(den m, den kappa) and (a, b, c) = d (m-kappa, m-1, 2m-2),
+    step j multiplies by (a - jd)(b - jd) / (d (j+1)(c - jd)).  The sum runs
+    on integers over one common denominator, so no Fraction is built per
+    term: t_n is built once.
+    """
     values, lead_row, fixed = _cmz_memo(kappa, lam1, lam2)
     if n in values:
         return values[n]
@@ -293,16 +301,30 @@ def _cmz_sum(kappa: Fraction, lam1: Fraction, lam2: Fraction, n: int) -> Fractio
         raise VanishingDenominatorError(f"leading factor C(-2*l2, {n}) vanishes")
     fixed = _quotient_row(-lam1, -lam1 + kappa - 1, -2 * lam1, n, fixed)
     shifted = n + lam1 + lam2
-    varying = _quotient_row(shifted - kappa, shifted - 1, 2 * (shifted - 1), n, [Fraction(1)])
-    total = Fraction(0)
+    d = lcm(shifted.denominator, kappa.denominator)
+    b = (shifted.numerator - shifted.denominator) * (d // shifted.denominator)
+    a = b + d - kappa.numerator * (d // kappa.denominator)
+    c = 2 * b
+    # heads[s]: the numerator steps j < s; tails[r]: the denominator steps j >= n - r,
+    # so heads[n-r] * tails[r] is the row at s = n - r over the common tails[n]
+    heads, tails = [1], [1]
+    for j in range(n):
+        heads.append(heads[-1] * (a - j * d) * (b - j * d))
+    for j in reversed(range(n)):
+        tails.append(tails[-1] * d * (j + 1) * (c - j * d))
+    row_den = 1
     for r in range(n + 1):
-        s = n - r
-        if fixed[r] is None or varying[s] is None:
+        if fixed[r] is None or not tails[n]:
+            # C(2m-2, s) vanishes from some s on, so s = n at r = 0 is the first to fail
             raise VanishingDenominatorError(
-                f"denominator C(-2*l1, {r}) * C(2n+2*l1+2*l2-2, {s}) vanishes"
+                f"denominator C(-2*l1, {r}) * C(2n+2*l1+2*l2-2, {n - r}) vanishes"
             )
-        total += fixed[r] * varying[s]
-    values[n] = total / lead
+        row_den = lcm(row_den, fixed[r].denominator)
+    total = sum(
+        fixed[r].numerator * (row_den // fixed[r].denominator) * heads[n - r] * tails[r]
+        for r in range(n + 1)
+    )
+    values[n] = Fraction(total * lead.denominator, row_den * tails[n] * lead.numerator)
     return values[n]
 
 

@@ -168,6 +168,9 @@ def psi_map(p: Poly) -> Poly:
     return p.subst({"x": half * (t * (one - v)), "y": half * (t * (one + v))})
 
 
+_X_PLUS_Y = Poly.variable("x", ("x", "y")) + Poly.variable("y", ("x", "y"))
+
+
 def intertwiner_phi_tilde(ell: int, lam1: RationalLike, lam2: RationalLike, q: Poly) -> Poly:
     """Raising intertwiner into the tensor model: q(u) -> G_ell(x, y) q(x + y),
 
@@ -177,10 +180,9 @@ def intertwiner_phi_tilde(ell: int, lam1: RationalLike, lam2: RationalLike, q: P
     if len(q.vars) > 1:
         raise UnknownVariableError(f"intertwiner input must be single-variable, got {q.vars}")
     geometric = jacobi_two_var(ell, lam1, lam2)
-    xy = Poly.variable("x", ("x", "y")) + Poly.variable("y", ("x", "y"))
     if not q.vars:
         q = q.lift(("t",))
-    return geometric * q.subst({q.vars[0]: xy})
+    return geometric * q.subst({q.vars[0]: _X_PLUS_Y})
 
 
 def adjoint_phi_tilde(ell: int, lam1: RationalLike, lam2: RationalLike, p: Poly) -> Poly:

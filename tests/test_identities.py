@@ -8,10 +8,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rcbrackets import identities, transition
-from rcbrackets.brackets import eval_bracket_tree, format_expr, monomial_evaluator, monomial_form
+from rcbrackets.brackets import (
+    eval_bracket_tree,
+    format_expr,
+    monomial_evaluator,
+    monomial_form,
+    tree_symbol,
+)
 from rcbrackets.hypergeom import jacobi_two_var
 from rcbrackets.poly import Poly
 from rcbrackets.star import assoc_defect
+from rcbrackets.verma import intertwiner_phi_tilde
 from rcbrackets.identities import (
     SUITE_NAMES,
     cmz_reports,
@@ -362,3 +369,84 @@ def test_convolution_failure_records_residual(monkeypatch) -> None:
     for m, record in enumerate(op.failures):
         assert set(record) == {"sample", "n", "k", "input_degree", "value"}
         assert record["value"] == str(-(extra * (x + y + z) ** m))
+
+
+def _operator_residuals_by_poly(params, n, k, max_degree):
+    """verify_operator_convolution's residual at each input degree, by public
+    ``Poly`` arithmetic: ``.subst(bindings)``, then ``scale * image``, then ``+``."""
+    weights = dict(enumerate((params.lam1, params.lam2, params.lam3), start=1))
+    leaves = identities.SYMBOL_LEAVES
+    residuals = []
+    for m in range(max_degree + 1):
+        q = Poly.monomial(("t",), {"t": m})
+        residual = Poly.zero(identities.GEOMETRIC_VARS)
+        for coeff, expr in identities.main_terms(params, n, k):
+            sum1, symbol1, weight1 = tree_symbol(expr.left, weights, leaves)
+            sum2, symbol2, weight2 = tree_symbol(expr.right, weights, leaves)
+            scale = Poly.const(identities.GEOMETRIC_VARS, coeff)
+            for symbol in (symbol1, symbol2):
+                if symbol is not None:
+                    scale = scale * symbol
+            image = intertwiner_phi_tilde(expr.order, weight1, weight2, q)
+            residual = residual + scale * image.subst({"x": sum1, "y": sum2})
+        residuals.append(residual)
+    return residuals
+
+
+def test_operator_failure_records_match_poly_chain(monkeypatch) -> None:
+    broken, n, k, max_degree = CROSS_TRIPLES[2], 3, 1, 3
+    formula = identities.u_row
+
+    def off_by_a_thousandth(params, n_, k_):
+        row = formula(params, n_, k_)
+        if (params, n_, k_) == (broken, n, k):
+            row[2] += Fraction(1, 1000)
+        return row
+
+    monkeypatch.setattr(identities, "u_row", off_by_a_thousandth)
+    residuals = _operator_residuals_by_poly(broken, n, k, max_degree)
+    assert not any(residual.is_zero() for residual in residuals)
+    report = verify_operator_convolution(broken, n, k, max_degree)
+    assert report.status == "fail"
+    assert report.failures == [
+        {
+            "sample": identities.sample_dict(broken),
+            "n": n,
+            "k": k,
+            "input_degree": m,
+            "value": str(residual),
+        }
+        for m, residual in enumerate(residuals)
+    ]
+    for params, n_, k_ in ((GENERIC, n, k), (broken, n, 2), (broken, 2, k)):
+        assert verify_operator_convolution(params, n_, k_, max_degree).failures == []
+
+
+def _zagier_sum_by_poly(lams, degrees, slots, n, reading):
+    """``identities._zagier_sum`` by public ``Poly`` arithmetic, one reduction per step."""
+    l1, l2, l3 = lams
+    s1, s2, s3 = slots
+    weights = dict(enumerate(lams, start=1))
+    total = Poly.zero(identities.ZAGIER_VARS)
+    for k in range(n + 1):
+        scalar = identities._zagier_pair_scalar(l1, l2, l3, n, k)
+        d_first, d_second = (k, n - k) if reading == "corrected" else (n, n)
+        first = jacobi_two_var(d_first, l1, l2).subst({"x": s1, "y": s2})
+        second = jacobi_two_var(d_second, l1 + l2 + 2 * k, l3).subst({"x": s1 + s2, "y": s3})
+        degree, c = monomial_evaluator(identities._left_nest(n, k), weights)(degrees)
+        bracket = Poly.monomial(identities.ZAGIER_VARS, {"z": degree}, c)
+        total = total + scalar * (first * second * bracket)
+    return total
+
+
+@pytest.mark.parametrize("params", CROSS_TRIPLES, ids=str)
+def test_zagier_sum_matches_poly_route(params) -> None:
+    lams = (params.lam1, params.lam2, params.lam3)
+    slots = tuple(Poly.variable(name, identities.ZAGIER_VARS) for name in ("x", "y", "t"))
+    for n in range(4):
+        degrees = (n + 1, n + 2, n + 3)
+        for perm in ((0, 1, 2), (1, 2, 0), (1, 0, 2)):
+            args = [tuple(seq[i] for i in perm) for seq in (lams, degrees, slots)]
+            for reading in ("corrected", "printed"):
+                want = _zagier_sum_by_poly(*args, n, reading)
+                assert identities._zagier_sum(*args, n, reading) == want

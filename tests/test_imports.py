@@ -82,7 +82,14 @@ def test_u_is_read_by_rows_outside_transition() -> None:
 def test_private_imports_are_the_one_integer_format() -> None:
     """``poly.Numerators`` is the package's one integer-numerator format, so a
     second polynomial format or converter shared across modules fails here."""
-    allowed = {"poly._numerators", "poly._reduced", "poly._sum", "brackets._bracket_kernel"}
+    allowed = {
+        "poly._numerators",
+        "poly._reduced",
+        "poly._substituted",
+        "poly._sum",
+        "poly._times",
+        "brackets._bracket_kernel",
+    }
     for path, tree in PACKAGE_TREES.items():
         imported = {
             f"{node.module.removeprefix('rcbrackets.')}.{alias.name}"

@@ -285,3 +285,30 @@ def test_cmz_closed_rejects_pole():
     # n + lam1 + lam2 - 3/2 = 0 at j = 1 kills the denominator
     with pytest.raises(VanishingDenominatorError):
         cmz_t_closed(Fraction(5, 7), Fraction(-1, 4), Fraction(-1, 4), 2)
+
+
+# weights and kappa on a few small denominators, so m = n + l1 + l2 and kappa
+# often have different denominators and 2m - 2 often lands on an integer
+small_denominators = st.builds(
+    Fraction, st.integers(min_value=-24, max_value=24), st.sampled_from((1, 2, 3, 4, 6))
+)
+
+
+@given(small_denominators, small_denominators, small_denominators, st.integers(0, 6))
+def test_cmz_integer_sum_matches_binomial_terms(kappa, lam1, lam2, n):
+    """The integer prefix-product sum equals the documented binomial sum, term by term."""
+    try:
+        want = cmz_binomial_oracle(kappa, lam1, lam2, n)
+    except VanishingDenominatorError as err:
+        with pytest.raises(VanishingDenominatorError) as got:
+            cmz_t_sum(kappa, lam1, lam2, n)
+        assert str(got.value) == str(err)
+    else:
+        assert cmz_t_sum(kappa, lam1, lam2, n) == want
+
+
+def test_cmz_varying_row_vanishing_message():
+    # m = 3/2, so C(2m-2, s) = C(1, s) vanishes from s = 2 on: r = 0 is the first to fail
+    with pytest.raises(VanishingDenominatorError) as got:
+        cmz_t_sum(Fraction(5, 7), Fraction(-11, 6), Fraction(1, 3), 3)
+    assert str(got.value) == "denominator C(-2*l1, 0) * C(2n+2*l1+2*l2-2, 3) vanishes"
