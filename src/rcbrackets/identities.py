@@ -26,8 +26,10 @@ main identity holds for every polynomial input at that triple.
 The ``operator`` and ``zagier`` suites keep their polynomials as
 ``poly.Numerators`` from the first product to the final test: ``operator``
 tests each residual for zero on integers and reduces only a failure's, and
-``zagier`` reduces each (reading, permutation) sum once before comparing.
-``cmz`` reads each U matrix once per (triple, n); its binomial sum
+``zagier`` builds both readings in one pass per permutation and reduces each
+(reading, permutation) sum once before comparing.  ``cmz`` reads each U
+matrix once per (triple, n) and the left side of its compatibility identity
+once per (kappa, scale, triple, n); its binomial sum
 (``transition.cmz_t_sum``) builds one ``Fraction`` per t_n.
 """
 
@@ -342,33 +344,34 @@ def _zagier_pair_scalar(l1: Fraction, l2: Fraction, l3: Fraction, n: int, k: int
 ZAGIER_VARS = ("z", "x", "y", "t")
 
 
-def _zagier_sum(
+def _zagier_sums(
     lams: tuple[Fraction, Fraction, Fraction],
     degrees: tuple[int, int, int],
     slots: tuple[Poly, Poly, Poly],
     n: int,
-    reading: str,
-) -> Poly:
-    """sum_k scalar_k G_first(s1, s2) G_second(s1 + s2, s3) [[f1,f2]_k, f3]_{n-k},
-    the bracket read at monomials of ``degrees``; every piece stays integer
-    numerators until the one reduction of the sum."""
+) -> dict[str, Poly]:
+    """Per reading, sum_k scalar_k G_first(s1,s2) G_second(s1+s2,s3) [[f1,f2]_k,f3]_{n-k},
+    the bracket read at monomials of ``degrees``.  The scalar and the bracket
+    are computed once per k for both readings; every piece stays integer
+    numerators until the one reduction of each sum."""
     l1, l2, l3 = lams
     s1, s2, s3 = slots
     s12 = s1 + s2
     weights = dict(enumerate(lams, start=1))
-    pieces = []
+    pieces: dict[str, list] = {"corrected": [], "printed": []}
     for k in range(n + 1):
         scalar = _zagier_pair_scalar(l1, l2, l3, n, k)
-        d_first = k if reading == "corrected" else n
-        d_second = n - k if reading == "corrected" else n
-        first = _substituted(jacobi_two_var(d_first, l1, l2), {"x": s1, "y": s2})
-        second = _substituted(jacobi_two_var(d_second, l1 + l2 + 2 * k, l3), {"x": s12, "y": s3})
         evaluate, den = integer_evaluator(_left_nest(n, k), weights)
         degree, v = evaluate(degrees)
         # scalar * v / den * z^degree; z leads ZAGIER_VARS
         bracket = ({(degree, 0, 0, 0): scalar.numerator * v}, scalar.denominator * den)
-        pieces.append(_times(_times(first, second), bracket))
-    return _reduced(ZAGIER_VARS, _sum(pieces))
+        for reading, d_first, d_second in (("corrected", k, n - k), ("printed", n, n)):
+            first = _substituted(jacobi_two_var(d_first, l1, l2), {"x": s1, "y": s2})
+            second = _substituted(
+                jacobi_two_var(d_second, l1 + l2 + 2 * k, l3), {"x": s12, "y": s3}
+            )
+            pieces[reading].append(_times(_times(first, second), bracket))
+    return {reading: _reduced(ZAGIER_VARS, _sum(group)) for reading, group in pieces.items()}
 
 
 def verify_zagier_invariance(params: ParamTriple, n: int) -> VerificationReport:
@@ -397,20 +400,19 @@ def verify_zagier_invariance(params: ParamTriple, n: int) -> VerificationReport:
     slots = tuple(Poly.variable(name, ZAGIER_VARS) for name in ("x", "y", "t"))
     perms = {"identity": (0, 1, 2), "cycle": (1, 2, 0), "swap": (1, 0, 2)}
     findings: dict[str, object] = {"sample": sample, "n": n}
+    sums = {
+        name: _zagier_sums(
+            tuple(lams[i] for i in perm),
+            tuple(degrees[i] for i in perm),
+            tuple(slots[i] for i in perm),
+            n,
+        )
+        for name, perm in perms.items()
+    }
     for reading in ("corrected", "printed"):
-        sums = {
-            name: _zagier_sum(
-                tuple(lams[i] for i in perm),
-                tuple(degrees[i] for i in perm),
-                tuple(slots[i] for i in perm),
-                n,
-                reading,
-            )
-            for name, perm in perms.items()
-        }
         findings[reading] = {
-            "cycle_invariant": sums["identity"] == sums["cycle"],
-            "swap_invariant": sums["identity"] == sums["swap"],
+            "cycle_invariant": sums["identity"][reading] == sums["cycle"][reading],
+            "swap_invariant": sums["identity"][reading] == sums["swap"][reading],
         }
     return VerificationReport.survey("zagier-invariance", [sample], 4, findings)
 
@@ -445,24 +447,27 @@ def zagier_suite(triples: Sequence[ParamTriple], max_n: int = 3) -> Verification
 
 
 def _deformation_compatible(
-    kappa: Fraction, scale: Fraction, params: ParamTriple, p: int, column: Sequence[Fraction]
-) -> bool:
+    kappa: Fraction, scale: Fraction, params: ParamTriple, matrix: Sequence[Sequence[Fraction]]
+) -> list[bool]:
     """Coefficient identity equivalent to associativity of the deformed product,
-    with the deformation coefficients taken at the weights times ``scale``:
+    with the deformation coefficients taken at the weights times ``scale``, one
+    bool per p = 0..n:
 
     sum_k U_{k,p} t_k(l1, l2) t_{n-k}(l1+l2+2k, l3) = t_p(l2, l3) t_{n-p}(l1, l2+l3+2p),
-    where ``column`` is U_{k,p} for k = 0..n.
+    where ``matrix`` is U.  The factor t_k t_{n-k} of U_{k,p} does not depend
+    on p, so it is read once per k.
     """
-    n = len(column) - 1
+    n = len(matrix) - 1
     l1, l2, l3 = (scale * lam for lam in _triple(params))
-    left = sum(
-        u
-        * cmz_t_sum(kappa, l1, l2, k)
-        * cmz_t_sum(kappa, l1 + l2 + 2 * scale * k, l3, n - k)
-        for k, u in enumerate(column)
-    )
-    right = cmz_t_sum(kappa, l2, l3, p) * cmz_t_sum(kappa, l1, l2 + l3 + 2 * scale * p, n - p)
-    return left == right
+    left = [
+        cmz_t_sum(kappa, l1, l2, k) * cmz_t_sum(kappa, l1 + l2 + 2 * scale * k, l3, n - k)
+        for k in range(n + 1)
+    ]
+    return [
+        sum(row[p] * v for row, v in zip(matrix, left))
+        == cmz_t_sum(kappa, l2, l3, p) * cmz_t_sum(kappa, l1, l2 + l3 + 2 * scale * p, n - p)
+        for p in range(n + 1)
+    ]
 
 
 def cmz_reports(triples: Sequence[ParamTriple], max_n: int = 4) -> list[VerificationReport]:
@@ -496,12 +501,13 @@ def cmz_reports(triples: Sequence[ParamTriple], max_n: int = 4) -> list[Verifica
 
     cases = _grid(triples, max_n)
     matrices = {(tr, n): u_matrix(tr, n) for tr in triples for n in range(max_n + 1)}
-    columns = [[row[p] for row in matrices[tr, n]] for tr, n, p in cases]
     scales = (Fraction(1), Fraction(1, 2))
+    # one (literal, half-weight) pair per case, in the (triple, n, p) order of ``cases``
     compatible = {
         kappa: [
-            [_deformation_compatible(kappa, s, tr, p, column) for s in scales]
-            for (tr, _, p), column in zip(cases, columns)
+            pair
+            for (tr, _), matrix in matrices.items()
+            for pair in zip(*(_deformation_compatible(kappa, s, tr, matrix) for s in scales))
         ]
         for kappa in kappas
     }

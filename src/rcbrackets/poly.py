@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, perm
 from operator import add, mul, neg, sub
-from typing import Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Mapping, NoReturn, Sequence
 
 from .rationals import RationalLike, as_rational, parse_rational
 
@@ -297,9 +297,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({'*'.join(self.vars) or '-'}: {self})"
-
-    def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
-        return iter(self.terms.items())
 
 
 # -- integer numerators ---------------------------------------------------------

@@ -24,6 +24,11 @@ the column scale, and the recurrence's divisors for 1 <= p <= n-1 (see
 ``_racah_steps``); the recurrence is seeded at R_1 because its p = 0 step is
 0/0 at l2+l3 = 1, which the gate admits.  The Pochhammer vanishing check
 stays in as a hard error for inadmissible use.
+
+The Cohen-Manin-Zagier deformation coefficients t_n^kappa(l1, l2) have two
+routes as well: the binomial sum (``cmz_t_sum``, integer ratio rows over one
+denominator, one cached Fraction per t_n) and the closed form as a
+terminating 4F3 (``cmz_t_closed``, evaluated by ``hypergeom``).
 """
 
 from __future__ import annotations
@@ -33,15 +38,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .hypergeom import HypSpec, hyp_terminating_poly, racah_value
-from .poly import Poly
-from .rationals import (
-    RationalLike,
-    as_rational,
-    binom_general,
-    is_nonpositive_integer,
-    pochhammer,
+from .hypergeom import (
+    BottomPoleError, HypSpec, hyp_terminating_at_one, hyp_terminating_poly, racah_value
 )
+from .poly import Poly
+from .rationals import RationalLike, as_rational, binom_general, is_nonpositive_integer, pochhammer
 
 
 class InadmissibleParametersError(ValueError):
@@ -248,84 +249,47 @@ def u_generating_poly(params: ParamTriple, n: int, p: int) -> Poly:
 # -- CMZ deformation coefficients ------------------------------------------------
 
 
-def _binom_row(x: Fraction, n: int, row: list[Fraction]) -> list[Fraction]:
-    """Extend ``row`` = C(x, 0..m) in place to C(x, 0..n) by the term ratio (x - j) / (j + 1)."""
-    for j in range(len(row) - 1, n):
-        row.append(row[-1] * (x - j) / (j + 1))
-    return row
+def _ratio_products(x: int, y: int, z: int, d: int, n: int) -> tuple[list[int], list[int]]:
+    """Integer rows for C(x/d, j) C(y/d, j) / C(z/d, j), j = 0..n, over one denominator.
 
-
-def _quotient_row(
-    top1: Fraction, top2: Fraction, bottom: Fraction, n: int, row: list[Fraction | None]
-) -> list[Fraction | None]:
-    """Extend ``row`` in place to C(top1, j) C(top2, j) / C(bottom, j) for j = 0..n.
-
-    Built by the term ratio (top1 - j)(top2 - j) / ((j + 1)(bottom - j)).
-    An entry is None where C(bottom, j) vanishes: for every j > bottom when
-    bottom is a nonnegative integer.
+    heads[j] is the product of (x - i d)(y - i d) over i < j, and tails[j] the
+    product of d (i+1)(z - i d) over n - j <= i < n, so the quotient at j is
+    heads[j] * tails[n-j] / tails[n].  tails[n] is 0 exactly when some
+    C(z/d, j) with j <= n vanishes.
     """
-    for j in range(len(row) - 1, n):
-        prev, gap = row[-1], bottom - j
-        if prev is None or not gap:
-            row.append(None)
-        else:
-            row.append(prev * (top1 - j) * (top2 - j) / ((j + 1) * gap))
-    return row
+    heads, tails = [1], [1]
+    for i in range(n):
+        heads.append(heads[-1] * (x - i * d) * (y - i * d))
+    for i in reversed(range(n)):
+        tails.append(tails[-1] * d * (i + 1) * (z - i * d))
+    return heads, tails
 
 
 @lru_cache(maxsize=None)
-def _cmz_memo(
-    kappa: Fraction, lam1: Fraction, lam2: Fraction
-) -> tuple[dict[int, Fraction], list[Fraction], list[Fraction | None]]:
-    """Per (kappa, l1, l2): t_n by n, and the rows of the sum that do not depend
-    on n, C(-2*l2, .) and C(-l1, .) C(-l1+kappa-1, .) / C(-2*l1, .), grown in
-    place by ``_cmz_sum`` as larger n are asked for."""
-    return {}, [Fraction(1)], [Fraction(1)]
-
-
 def _cmz_sum(kappa: Fraction, lam1: Fraction, lam2: Fraction, n: int) -> Fraction:
     """t_n = sum_r C(-l1, r) C(-l1+kappa-1, r) C(m-kappa, s) C(m-1, s)
     / [C(-2*l1, r) C(2m-2, s)] / C(-2*l2, n), with s = n - r, m = n + l1 + l2.
 
-    The row C(m-kappa, s) C(m-1, s) / C(2m-2, s) is integer prefix products:
-    with d = lcm(den m, den kappa) and (a, b, c) = d (m-kappa, m-1, 2m-2),
-    step j multiplies by (a - jd)(b - jd) / (d (j+1)(c - jd)).  The sum runs
-    on integers over one common denominator, so no Fraction is built per
-    term: t_n is built once.
+    Both quotient rows come from ``_ratio_products`` on the weights scaled to
+    integers by d = lcm of the three denominators, so the sum runs on
+    integers over one common denominator and t_n is the one Fraction built.
     """
-    values, lead_row, fixed = _cmz_memo(kappa, lam1, lam2)
-    if n in values:
-        return values[n]
-    lead = _binom_row(-2 * lam2, n, lead_row)[n]
+    lead = binom_general(-2 * lam2, n)
     if not lead:
         raise VanishingDenominatorError(f"leading factor C(-2*l2, {n}) vanishes")
-    fixed = _quotient_row(-lam1, -lam1 + kappa - 1, -2 * lam1, n, fixed)
-    shifted = n + lam1 + lam2
-    d = lcm(shifted.denominator, kappa.denominator)
-    b = (shifted.numerator - shifted.denominator) * (d // shifted.denominator)
-    a = b + d - kappa.numerator * (d // kappa.denominator)
-    c = 2 * b
-    # heads[s]: the numerator steps j < s; tails[r]: the denominator steps j >= n - r,
-    # so heads[n-r] * tails[r] is the row at s = n - r over the common tails[n]
-    heads, tails = [1], [1]
-    for j in range(n):
-        heads.append(heads[-1] * (a - j * d) * (b - j * d))
-    for j in reversed(range(n)):
-        tails.append(tails[-1] * d * (j + 1) * (c - j * d))
-    row_den = 1
-    for r in range(n + 1):
-        if fixed[r] is None or not tails[n]:
-            # C(2m-2, s) vanishes from some s on, so s = n at r = 0 is the first to fail
-            raise VanishingDenominatorError(
-                f"denominator C(-2*l1, {r}) * C(2n+2*l1+2*l2-2, {n - r}) vanishes"
-            )
-        row_den = lcm(row_den, fixed[r].denominator)
-    total = sum(
-        fixed[r].numerator * (row_den // fixed[r].denominator) * heads[n - r] * tails[r]
-        for r in range(n + 1)
-    )
-    values[n] = Fraction(total * lead.denominator, row_den * tails[n] * lead.numerator)
-    return values[n]
+    d = lcm(kappa.denominator, lam1.denominator, lam2.denominator)
+    k, a, b = (value.numerator * (d // value.denominator) for value in (kappa, lam1, lam2))
+    md = n * d + a + b
+    f_heads, f_tails = _ratio_products(-a, k - a - d, -2 * a, d, n)
+    g_heads, g_tails = _ratio_products(md - k, md - d, 2 * (md - d), d, n)
+    if not (f_tails[n] and g_tails[n]):
+        # C(2m-2, s) fails first at s = n (r = 0); C(-2*l1, r) fails from r = 1 - 2*l1 on
+        r = 0 if not g_tails[n] else 1 - 2 * a // d
+        raise VanishingDenominatorError(
+            f"denominator C(-2*l1, {r}) * C(2n+2*l1+2*l2-2, {n - r}) vanishes"
+        )
+    total = sum(f_heads[r] * f_tails[n - r] * g_heads[n - r] * g_tails[r] for r in range(n + 1))
+    return Fraction(total * lead.denominator, f_tails[n] * g_tails[n] * lead.numerator)
 
 
 def cmz_t_sum(kappa: RationalLike, lam1: RationalLike, lam2: RationalLike, n: int) -> Fraction:
@@ -335,32 +299,27 @@ def cmz_t_sum(kappa: RationalLike, lam1: RationalLike, lam2: RationalLike, n: in
     return _cmz_sum(as_rational(kappa), as_rational(lam1), as_rational(lam2), n)
 
 
-@lru_cache(maxsize=None)
-def _cmz_closed_cached(kappa: Fraction, lam1: Fraction, lam2: Fraction, n: int) -> Fraction:
-    half = Fraction(1, 2)
-    total = Fraction(0)
-    for j in range(n // 2 + 1):
-        denom = (
-            binom_general(-lam1 - half, j)
-            * binom_general(-lam2 - half, j)
-            * binom_general(n + lam1 + lam2 - Fraction(3, 2), j)
-        )
-        if not denom:
-            raise VanishingDenominatorError(
-                f"denominator C(-l1-1/2,{j}) C(-l2-1/2,{j}) C(n+l1+l2-3/2,{j}) vanishes"
-            )
-        total += (
-            binom_general(Fraction(n), 2 * j)
-            * binom_general(-half, j)
-            * binom_general(kappa - Fraction(3, 2), j)
-            * binom_general(half - kappa, j)
-            / denom
-        )
-    return Fraction(-1, 4) ** n * total
-
-
 def cmz_t_closed(kappa: RationalLike, lam1: RationalLike, lam2: RationalLike, n: int) -> Fraction:
-    """Deformation coefficient t_n^kappa(l1, l2), closed hypergeometric-style form."""
+    """Deformation coefficient t_n^kappa(l1, l2), closed form (Cohen-Manin-Zagier):
+
+    (-1/4)^n 4F3(-n/2, (1-n)/2, 3/2-kappa, kappa-1/2; l1+1/2, l2+1/2, 3/2-n-l1-l2; 1).
+
+    Term j is C(n, 2j) C(-1/2, j) C(kappa-3/2, j) C(1/2-kappa, j)
+    / [C(-l1-1/2, j) C(-l2-1/2, j) C(n+l1+l2-3/2, j)], since
+    C(n, 2j) = (-n/2)_j ((1-n)/2)_j / ((1/2)_j j!) and C(x, j) = (-1)^j (-x)_j / j!.
+    The bottoms are checked for every j <= n//2 even when kappa = 1/2 or 3/2
+    stops the series at j = 0.
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"order must be a nonnegative integer, got {n!r}")
-    return _cmz_closed_cached(as_rational(kappa), as_rational(lam1), as_rational(lam2), n)
+    kappa, lam1, lam2 = as_rational(kappa), as_rational(lam1), as_rational(lam2)
+    half = Fraction(1, 2)
+    spec = HypSpec(
+        (Fraction(-n, 2), Fraction(1 - n, 2), 1 + half - kappa, kappa - half),
+        (lam1 + half, lam2 + half, 1 + half - n - lam1 - lam2),
+    )
+    try:
+        spec.check_bottom(n // 2)
+        return Fraction(-1, 4) ** n * hyp_terminating_at_one(spec)
+    except BottomPoleError as err:
+        raise VanishingDenominatorError(str(err)) from None

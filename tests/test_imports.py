@@ -2,7 +2,8 @@
 module-private top-level name is referenced somewhere in the package, only
 ``transition`` imports the single-entry U readers, the only private names one
 module imports from another are ``poly``'s integer-numerator helpers and the
-bracket kernel, and the caches the benchmark reads by name exist."""
+bracket kernel, the caches the benchmark reads by name exist, and the
+package's ``lru_cache``s are exactly the known ones."""
 from __future__ import annotations
 
 import ast
@@ -113,3 +114,23 @@ def test_benchmark_cache_names_exist() -> None:
         module, attr = name.split(".")
         cache = getattr(import_module(f"rcbrackets.{module}"), attr, None)
         assert hasattr(cache, "cache_info"), name
+
+
+def test_package_caches_are_known() -> None:
+    """Every cache is unbounded, so a new one has to be added here on purpose."""
+    cached = {
+        f"{path.stem}.{node.name}"
+        for path, tree in PACKAGE_TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any("cache" in ast.unparse(deco) for deco in node.decorator_list)
+    }
+    assert cached == {
+        "rationals.factorial",
+        "rationals._pochhammer_cached",
+        "rationals._binom_cached",
+        "hypergeom.bracket_coeff_row",
+        "brackets._monomial_bracket",
+        "transition._u_cached",
+        "transition._cmz_sum",
+    }

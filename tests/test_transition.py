@@ -312,3 +312,32 @@ def test_cmz_varying_row_vanishing_message():
     with pytest.raises(VanishingDenominatorError) as got:
         cmz_t_sum(Fraction(5, 7), Fraction(-11, 6), Fraction(1, 3), 3)
     assert str(got.value) == "denominator C(-2*l1, 0) * C(2n+2*l1+2*l2-2, 3) vanishes"
+
+
+def closed_form_has_pole(lam1, lam2, n):
+    """Some C(-l1-1/2, j) C(-l2-1/2, j) C(n+l1+l2-3/2, j) with j <= n//2 vanishes."""
+    half = Fraction(1, 2)
+    return any(
+        not binom_general(-lam1 - half, j)
+        * binom_general(-lam2 - half, j)
+        * binom_general(n + lam1 + lam2 - 3 * half, j)
+        for j in range(n // 2 + 1)
+    )
+
+
+@given(small_denominators, small_denominators, small_denominators, st.integers(0, 7))
+@example(Fraction(1, 2), Fraction(-3, 2), Fraction(1), 4)  # pole past kappa's termination
+@example(Fraction(5, 7), Fraction(-1, 4), Fraction(-1, 4), 2)  # C(n+l1+l2-3/2, 1) vanishes
+def test_cmz_sum_and_closed_forms_agree(kappa, lam1, lam2, n):
+    """The closed form raises exactly at its binomial-form poles, and wherever
+    neither form raises the binomial sum equals the terminating 4F3."""
+    if closed_form_has_pole(lam1, lam2, n):
+        with pytest.raises(VanishingDenominatorError):
+            cmz_t_closed(kappa, lam1, lam2, n)
+        return
+    closed = cmz_t_closed(kappa, lam1, lam2, n)
+    try:
+        total = cmz_t_sum(kappa, lam1, lam2, n)
+    except VanishingDenominatorError:
+        return
+    assert total == closed
