@@ -183,9 +183,10 @@ def racah_value(
 
     It is one of three independent routes to the transition coefficients
     (``transition``): this sum is the single-entry oracle, the production
-    rows come from the three-term recurrence in p (whose divisors the weight
-    gate keeps nonzero for 1 <= p <= n-1), and the columns from the
-    generating polynomial.
+    rows come from the three-term recurrence in p, run fraction-free on the
+    weights scaled to integers (its divisors, which the weight gate keeps
+    nonzero for 1 <= p <= n-1, are collected into one denominator per
+    entry), and the columns from the generating polynomial.
     """
     for label, idx in (("p", p), ("k", k), ("n", n)):
         if not isinstance(idx, int) or idx < 0:

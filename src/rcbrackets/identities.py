@@ -42,7 +42,7 @@ from typing import Sequence
 
 from .brackets import BracketExpr, Leaf, Node, integer_evaluator, monomial_evaluator, tree_symbol
 from .hypergeom import jacobi_two_var
-from .poly import Poly, _numerators, _reduced, _substituted, _sum, _times
+from .poly import Numerators, Poly, _numerators, _reduced, _substituted, _sum, _times
 from .rationals import RationalLike, as_rational, factorial, pochhammer
 from .report import VerificationReport, merge_reports
 from .rewrite import bind_terms
@@ -228,7 +228,12 @@ def verify_convolution(params: ParamTriple, n: int, k: int) -> VerificationRepor
 
 
 def verify_operator_convolution(
-    params: ParamTriple, n: int, k: int, max_degree: int = 3
+    params: ParamTriple,
+    n: int,
+    k: int,
+    max_degree: int = 3,
+    *,
+    images: dict[tuple[BracketExpr, Fraction, Fraction, int], Numerators] | None = None,
 ) -> VerificationReport:
     """The main table through the raising intertwiners, on inputs t^m.
 
@@ -237,7 +242,12 @@ def verify_operator_convolution(
     comes from the verma route.  The child symbols do not depend on m and
     are computed once, as integer numerators; each residual is summed and
     tested on integers, and only a failure's residual becomes Fractions.
+    The substituted image of each (term, w_A, w_B, m) is built once in
+    ``images`` (the term's slots fix the leaf sums); a suite run passes one
+    dict to all of its reports.
     """
+    if images is None:
+        images = {}
     weights = dict(enumerate(_triple(params), start=1))
     outer = []
     for coeff, expr in main_terms(params, n, k):
@@ -245,18 +255,19 @@ def verify_operator_convolution(
         sum2, symbol2, weight2 = tree_symbol(expr.right, weights, SYMBOL_LEAVES)
         children = [symbol for symbol in (symbol1, symbol2) if symbol is not None]
         scale = _numerators(prod(children, start=Poly.const(GEOMETRIC_VARS, coeff)).terms)
-        outer.append((scale, expr.order, weight1, weight2, {"x": sum1, "y": sum2}))
+        outer.append((scale, expr, weight1, weight2, {"x": sum1, "y": sum2}))
     sample = sample_dict(params)
     record = {"sample": sample, "n": n, "k": k}
     failures = []
     for m in range(max_degree + 1):
         q = Poly.monomial(("t",), {"t": m})
-        residual = _sum(
-            [
-                _times(scale, _substituted(intertwiner_phi_tilde(order, w1, w2, q), bindings))
-                for scale, order, w1, w2, bindings in outer
-            ]
-        )
+        pieces = []
+        for scale, expr, w1, w2, bindings in outer:
+            key = (expr, w1, w2, m)
+            if key not in images:
+                images[key] = _substituted(intertwiner_phi_tilde(expr.order, w1, w2, q), bindings)
+            pieces.append(_times(scale, images[key]))
+        residual = _sum(pieces)
         if any(residual[0].values()):
             value = str(_reduced(GEOMETRIC_VARS, residual))
             failures.append({**record, "input_degree": m, "value": value})
@@ -585,7 +596,10 @@ def run_suite(
         return [merge_reports("jacobi-convolution", reports)]
     if name == "operator":
         cases = _grid(triples, min(max_n, 3))
-        reports = [verify_operator_convolution(tr, n, k, max_degree) for tr, n, k in cases]
+        images: dict = {}
+        reports = [
+            verify_operator_convolution(tr, n, k, max_degree, images=images) for tr, n, k in cases
+        ]
         return [merge_reports("operator-convolution", reports)]
     if name == "zagier":
         return [zagier_suite(triples, max_n=min(max_n, 3))]

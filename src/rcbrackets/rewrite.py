@@ -22,9 +22,10 @@ taken, and since the standard combs are a basis, every order reaches the
 same normal form.
 
 Every rewrite site is gated by local admissibility of the weight triple it
-touches; an inadmissible site raises instead of producing wrong output.  A
-transposition site gates both (a, b, c) and (b, c, a), which together test
-a, b, c, a+b, b+c, a+c and the total.
+touches; an inadmissible site raises instead of producing wrong output.  The
+triple a row of U is read at is gated once, by ``u_row``, and its failure is
+re-raised naming the site.  A transposition site also gates (a, b, c), so
+that with the row's (b, c, a) it tests a, b, c, a+b, b+c, a+c and the total.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .brackets import (
 from .poly import Token, Tokens, parse_infix
 from .rationals import RationalLike, as_rational, parse_rational
 from .report import VerificationReport
-from .transition import ParamTriple, u_row
+from .transition import InadmissibleParametersError, ParamTriple, u_row
 
 class BracketSyntaxError(ValueError):
     """Malformed bracket-expression or coefficient text; carries a position."""
@@ -166,14 +167,19 @@ def _accumulate(combo: dict, key, coeff: Fraction) -> None:
 # -- moves --------------------------------------------------------------------------
 
 
-def _gate(w1: Fraction, w2: Fraction, w3: Fraction, site: BracketExpr) -> ParamTriple:
-    triple = ParamTriple(w1, w2, w3)
-    if not triple.is_admissible():
-        raise InadmissibleLocalWeightsError(
-            f"rewrite site {format_expr(site)} has inadmissible weights "
-            f"({w1}, {w2}, {w3})"
-        )
-    return triple
+def _site_error(site: BracketExpr, triple: ParamTriple) -> InadmissibleLocalWeightsError:
+    return InadmissibleLocalWeightsError(
+        f"rewrite site {format_expr(site)} has inadmissible weights "
+        f"({triple.lam1}, {triple.lam2}, {triple.lam3})"
+    )
+
+
+def _site_row(triple: ParamTriple, n: int, k: int, site: BracketExpr) -> list[Fraction]:
+    """Row k of U at ``triple``; ``u_row`` gates it once, and a failure names the site."""
+    try:
+        return u_row(triple, n, k)
+    except InadmissibleParametersError:
+        raise _site_error(site, triple) from None
 
 
 def _expand_left_nest(node: Node, weights: Mapping[int, Fraction]) -> list[tuple[BracketExpr, Fraction]]:
@@ -181,8 +187,8 @@ def _expand_left_nest(node: Node, weights: Mapping[int, Fraction]) -> list[tuple
     inner = node.left
     a, b, c = inner.left, inner.right, node.right
     k, n = inner.order, inner.order + node.order
-    triple = _gate(expr_weight(a, weights), expr_weight(b, weights), expr_weight(c, weights), node)
-    row = u_row(triple, n, k)
+    triple = ParamTriple(expr_weight(a, weights), expr_weight(b, weights), expr_weight(c, weights))
+    row = _site_row(triple, n, k, node)
     return [(Node(a, Node(b, c, p), n - p), u) for p, u in enumerate(row) if u]
 
 
@@ -196,8 +202,10 @@ def _transpose_adjacent(node: Node, weights: Mapping[int, Fraction]) -> list[tup
     a, b, c = node.left, inner.left, inner.right
     p, n = inner.order, inner.order + node.order
     wa, wb, wc = expr_weight(a, weights), expr_weight(b, weights), expr_weight(c, weights)
-    _gate(wa, wb, wc, node)
-    row = u_row(_gate(wb, wc, wa, node), n, p)
+    unrotated = ParamTriple(wa, wb, wc)
+    if not unrotated.is_admissible():
+        raise _site_error(node, unrotated)
+    row = _site_row(ParamTriple(wb, wc, wa), n, p, node)
     return [(Node(b, Node(a, c, q), n - q), -u if (n + p + q) % 2 else u) for q, u in enumerate(row) if u]
 
 

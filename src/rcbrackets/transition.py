@@ -12,7 +12,8 @@ Three independent routes give the same exact entries:
 - rows (``u_row``, ``u_matrix``): one cached matrix per (triple, n), built
   with the three-term recurrence of the Racah polynomials in the degree p
   (Koekoek-Lesky-Swarttouw, Hypergeometric Orthogonal Polynomials, (9.2.3);
-  Wilson, SIAM J. Math. Anal. 11, 1980), O(n^2) operations per matrix;
+  Wilson, SIAM J. Math. Anal. 11, 1980), O(n^2) integer operations per
+  matrix on the weights scaled to integers, and one Fraction per entry;
 - single entries (``u_coefficient``, ``u_reverse``): one terminating 4F3
   sum (``hypergeom.racah_value``) per entry, uncached, O(n) each;
 - columns (``u_generating_poly``): a product of two terminating 2F1s.
@@ -21,7 +22,7 @@ Admissibility gate used throughout (and by the rewriter): none of
 l1, l2, l3, l1+l2, l2+l3, l1+l2+l3 is a nonpositive integer.  Under the
 gate every denominator below is provably nonzero: the Pochhammer factors of
 the column scale, and the recurrence's divisors for 1 <= p <= n-1 (see
-``_racah_steps``); the recurrence is seeded at R_1 because its p = 0 step is
+``_u_cached``); the recurrence is seeded at R_1 because its p = 0 step is
 0/0 at l2+l3 = 1, which the gate admits.  The Pochhammer vanishing check
 stays in as a hard error for inadmissible use.
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, gcd, lcm
 
 from .hypergeom import (
     BottomPoleError, HypSpec, hyp_terminating_at_one, hyp_terminating_poly, racah_value
@@ -105,7 +106,7 @@ def _require_admissible(params: ParamTriple) -> None:
         )
 
 
-def _nonzero(value: Fraction, what: str) -> Fraction:
+def _nonzero(value: Fraction | int, what: str) -> Fraction | int:
     if not value:
         raise VanishingDenominatorError(f"denominator factor {what} vanishes")
     return value
@@ -120,26 +121,38 @@ def _column_scale(lam2: Fraction, lam3: Fraction, total: Fraction, n: int, p: in
     )
 
 
-def _racah_steps(
-    lam1: Fraction, lam2: Fraction, lam3: Fraction, n: int
-) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Per degree p = 1..n-1: (1 + C_p/A_p, 1/A_p, C_p/A_p) of the three-term recurrence.
+def _common_scale(*values: Fraction) -> tuple[int, list[int]]:
+    """(d, [d * value, ...]) with d the lcm of the denominators, so every entry is an integer."""
+    d = lcm(*(value.denominator for value in values))
+    return d, [value.numerator * (d // value.denominator) for value in values]
 
-    A_p = (p+l2)(p+l2+l3-1)(p+L+n-1)(p-n) / [(2p+l2+l3-1)(2p+l2+l3)],
-    C_p = p(p+l2+l3+n-1)(p-l1-n)(p+l3-1) / [(2p+l2+l3-2)(2p+l2+l3-1)].
-    For 1 <= p <= n-1 the gate makes every factor of A_p and both
-    denominators nonzero: p+l2 (l2), p+l2+l3-1, 2p+l2+l3-2, 2p+l2+l3-1 and
-    2p+l2+l3 (l2+l3, shifted by an integer >= 0), p+L+n-1 (L, shifted by
-    p+n-1 >= 0) and p-n < 0.  At p = 0 and l2+l3 = 1, which the gate admits,
-    A_0 is 0/0; that is why R_1 is seeded rather than recurred.
+
+def _rising(x: int, d: int, m: int) -> int:
+    """d^m (x/d)_m = x (x + d) ... (x + (m-1) d)."""
+    out = 1
+    for i in range(m):
+        out *= x + i * d
+    return out
+
+
+def _racah_steps(l1: int, l2: int, l3: int, d: int, n: int) -> list[tuple[int, int, int]]:
+    """Per degree p = 1..n-1: the integers (alpha_p, gamma_p, M_p) of the
+    three-term recurrence at the weights lam_i = l_i / d.
+
+    With s = 2pd + l2 + l3 = d (2p + lam2 + lam3) and t = l1 + l2 + l3,
+    A_p = (p+lam2)(p+lam2+lam3-1)(p+L+n-1)(p-n) / [(2p+lam2+lam3-1)(2p+lam2+lam3)]
+    and C_p = p(p+lam2+lam3+n-1)(p-lam1-n)(p+lam3-1) / [(2p+lam2+lam3-2)(2p+lam2+lam3-1)]
+    are a_p / (d (s-d) s) and c_p / (d (s-2d)(s-d)) with
+    a_p = (pd+l2)(s-pd-d)(pd+t+(n-1)d)(p-n) and c_p = p(s-pd+(n-1)d)(pd-l1-nd)(pd+l3-d).
+    Times d M_p, M_p = (s-2d)(s-d)s, they are alpha_p = a_p (s-2d) and gamma_p = c_p s.
     """
-    total = lam1 + lam2 + lam3
+    t = l1 + l2 + l3
     steps = []
     for p in range(1, n):
-        s = 2 * p + lam2 + lam3
-        a = (p + lam2) * (s - p - 1) * (p + total + n - 1) * (p - n) / ((s - 1) * s)
-        c = p * (s - p + n - 1) * (p - lam1 - n) * (p + lam3 - 1) / ((s - 2) * (s - 1))
-        steps.append((1 + c / a, 1 / a, c / a))
+        s = 2 * p * d + l2 + l3
+        a = (p * d + l2) * (s - p * d - d) * (p * d + t + (n - 1) * d) * (p - n)
+        c = p * (s - p * d + (n - 1) * d) * (p * d - l1 - n * d) * (p * d + l3 - d)
+        steps.append((a * (s - 2 * d), c * s, (s - 2 * d) * (s - d) * s))
     return steps
 
 
@@ -149,26 +162,73 @@ def _u_cached(
 ) -> tuple[tuple[Fraction, ...], ...]:
     """The matrix U_{k,p}, rows k = 0..n, built by the Racah recurrence in p.
 
-    U_{k,p} = C(n,k) (l2)_k (l3)_{n-k} * _column_scale(p) * R_p(lambda(k)),
-    with lambda(k) = k(k+l1+l2-1), R_0 = 1,
-    R_1 = 1 - lambda(k)(l2+l3) / (n l2 (L+n-1)) (nonzero denominator: n >= 1,
-    and the gate keeps l2 and L+n-1 off zero), and for 1 <= p <= n-1
+    U_{k,p} = C(n,k) (lam2)_k (lam3)_{n-k} * _column_scale(p) * R_p(lambda(k)),
+    with lambda(k) = k(k+lam1+lam2-1), R_0 = 1,
+    R_1 = 1 - lambda(k)(lam2+lam3) / (n lam2 (L+n-1)) and for 1 <= p <= n-1
     R_{p+1} = ((A_p + C_p + lambda(k)) R_p - C_p R_{p-1}) / A_p.
-    Everything but lambda(k) and the row weight depends on (triple, n) only.
+
+    It runs fraction-free on the weights scaled to integers, l_i = d lam_i
+    with d the lcm of their denominators (``_common_scale``), t = l1+l2+l3.
+    With alpha_p, gamma_p and M_p from ``_racah_steps``,
+    Lambda_k = d lambda(k) = k(kd+l1+l2-d) and Q = n l2 (t+(n-1)d),
+    R_p = N_p / (Q alpha_1 ... alpha_{p-1}), where N_0 = Q,
+    N_1 = Q - Lambda_k (l2+l3) and
+    N_{p+1} = beta_p(k) N_p - gamma_p alpha_{p-1} N_{p-1},
+    beta_p(k) = alpha_p + gamma_p + Lambda_k M_p,
+    with the alpha_{p-1} factor left out at p = 1.  Over rising products
+    (x/d)_m = ``_rising(x, d, m)`` / d^m, the column scale is
+    ``_rising(t+(n-1)d, d, p)`` d^n over those of (l3)_p, (l2+l3+p-1)_p and
+    (l2+l3+2p)_{n-p}, and the row weight C(n,k) ``_rising(l2, d, k)``
+    ``_rising(l3, d, n-k)`` / d^n, so d^n cancels and each entry is one
+    Fraction of integers.
+
+    The gate keeps every divisor nonzero: Q (n >= 1, and lam2, L+n-1 are off
+    zero), and for 1 <= p <= n-1 every factor of alpha_p: p+lam2 (lam2),
+    p+lam2+lam3-1 and 2p+lam2+lam3-2 (lam2+lam3, shifted by an integer >= 0),
+    p+L+n-1 (L, shifted by p+n-1 >= 0) and p-n < 0.  At p = 0 and
+    lam2+lam3 = 1, which the gate admits, A_0 is 0/0; that is why R_1 is
+    seeded rather than recurred.
     """
-    total = lam1 + lam2 + lam3
-    scales = [_column_scale(lam2, lam3, total, n, p) for p in range(n + 1)]
-    steps = _racah_steps(lam1, lam2, lam3, n)
-    seed = (lam2 + lam3) / (n * lam2 * (total + n - 1)) if n else Fraction(0)
+    d, (l1, l2, l3) = _common_scale(lam1, lam2, lam3)
+    t, l23 = l1 + l2 + l3, l2 + l3
+    q = n * l2 * (t + (n - 1) * d) if n else 1
+    steps = _racah_steps(l1, l2, l3, d, n)
+    alphas = [alpha for alpha, _, _ in steps]
+    scales = [
+        (
+            _rising(t + (n - 1) * d, d, p),
+            _nonzero(_rising(l3, d, p), f"(l3)_{p}")
+            * _nonzero(_rising(l23 + (p - 1) * d, d, p), f"(l2+l3+p-1)_{p}")
+            * _nonzero(_rising(l23 + 2 * p * d, d, n - p), f"(l2+l3+2p)_{n - p}"),
+        )
+        for p in range(n + 1)
+    ]
+    # every column is checked before any reduction, so a vanishing factor always
+    # raises VanishingDenominatorError, as from _column_scale
+    columns = []
+    below = q  # Q alpha_1 ... alpha_{p-1}
+    for p, (num, den) in enumerate(scales):
+        den *= below
+        g = gcd(num, den)
+        columns.append((num // g, den // g))
+        if 1 <= p < n:
+            below *= alphas[p - 1]
+    # beta_p(k) = shift + Lambda_k * mult; back = gamma_p alpha_{p-1}
+    recur = [
+        (alpha + gamma, mult, gamma * back)
+        for (alpha, gamma, mult), back in zip(steps, [1] + alphas)
+    ]
     rows = []
     for k in range(n + 1):
-        lam_k = k * (k + lam1 + lam2 - 1)
-        values = [Fraction(1), 1 - lam_k * seed]
-        for shift, inv_a, c_over_a in steps:
-            values.append((shift + lam_k * inv_a) * values[-1] - c_over_a * values[-2])
-        weight = binom_general(Fraction(n), k) * pochhammer(lam2, k) * pochhammer(lam3, n - k)
-        # zip stops at the n+1 scales, so R_1 is dropped at n = 0
-        rows.append(tuple(weight * scale * value for scale, value in zip(scales, values)))
+        lam_k = k * (k * d + l1 + l2 - d)
+        values = [q, q - lam_k * l23]
+        for shift, mult, back in recur:
+            values.append((shift + lam_k * mult) * values[-1] - back * values[-2])
+        weight = comb(n, k) * _rising(l2, d, k) * _rising(l3, d, n - k)
+        # zip stops at the n+1 columns, so N_1 is dropped at n = 0
+        rows.append(
+            tuple(Fraction(weight * num * value, den) for (num, den), value in zip(columns, values))
+        )
     return tuple(rows)
 
 
@@ -277,8 +337,7 @@ def _cmz_sum(kappa: Fraction, lam1: Fraction, lam2: Fraction, n: int) -> Fractio
     lead = binom_general(-2 * lam2, n)
     if not lead:
         raise VanishingDenominatorError(f"leading factor C(-2*l2, {n}) vanishes")
-    d = lcm(kappa.denominator, lam1.denominator, lam2.denominator)
-    k, a, b = (value.numerator * (d // value.denominator) for value in (kappa, lam1, lam2))
+    d, (k, a, b) = _common_scale(kappa, lam1, lam2)
     md = n * d + a + b
     f_heads, f_tails = _ratio_products(-a, k - a - d, -2 * a, d, n)
     g_heads, g_tails = _ratio_products(md - k, md - d, 2 * (md - d), d, n)

@@ -168,6 +168,14 @@ def test_table_commands_golden_bytes(capsys, argv, digest) -> None:
             ["u-table", "--l1=-1/3", "--l2", "1/2", "--l3", "1/2", "--n", "24", "--json"],
             "51700d51131408fb4ba4528f12393556a25b583da66ef08db8e48f5e9d4522fb",
         ),
+        (  # three distinct weight denominators, so the integer scale d is their lcm
+            ["u-table", "--l1", "3/5", "--l2", "7/4", "--l3", "2/9", "--n", "48", "--json"],
+            "bb1e21f77deae9a3beca2dd14c3d83e057b22f34305bfd510f0333d9db68036b",
+        ),
+        (
+            ["u-table", "--l1", "3/5", "--l2", "7/4", "--l3", "2/9", "--n", "48"],
+            "ed41303496a9e63ee95c13c8907c554c54124320b0c25b4dd7cae0c5ac67e38c",
+        ),
     ],
 )
 def test_u_table_large_n_golden_bytes(capsys, argv, digest) -> None:

@@ -178,6 +178,32 @@ def test_transposition_gates_every_pair_sum(w1: Fraction, w2: Fraction, w3: Frac
         to_standard(parse_bracket("[f2,[f1,f3]_1]_1"), {1: w1, 2: w2, 3: w3})
 
 
+@pytest.mark.parametrize(
+    "src, weights, message",
+    [
+        (  # left nest: the row's own triple has total 0
+            "[f3,[[f1,f2]_2,f4]_1]_0",
+            (Fraction(1, 2), Fraction(-1, 2), 1, 2),
+            "rewrite site [[f1,f2]_2,f4]_1 has inadmissible weights (1/2, -1/2, 2)",
+        ),
+        (  # transposition: (a, b, c) passes, the row's (b, c, a) has c + a = 0
+            "[f2,[f1,f3]_1]_1",
+            (Fraction(1, 2), Fraction(1, 3), Fraction(-1, 3)),
+            "rewrite site [f2,[f1,f3]_1]_1 has inadmissible weights (1/2, -1/3, 1/3)",
+        ),
+        (  # transposition: (a, b, c) itself has a + b = 0
+            "[f2,[f1,f3]_1]_1",
+            (Fraction(-1, 3), Fraction(1, 3), Fraction(1, 2)),
+            "rewrite site [f2,[f1,f3]_1]_1 has inadmissible weights (1/3, -1/3, 1/2)",
+        ),
+    ],
+)
+def test_inadmissible_site_messages(src: str, weights: tuple, message: str) -> None:
+    with pytest.raises(InadmissibleLocalWeightsError) as got:
+        to_standard(parse_bracket(src), dict(enumerate(weights, start=1)))
+    assert str(got.value) == message
+
+
 signed = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 

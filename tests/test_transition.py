@@ -146,9 +146,12 @@ def test_rows_match_matrices_and_entries(tr, n):
 @example(ParamTriple(Fraction(-1, 2), 1, Fraction(1, 2)), 6)
 @example(ParamTriple(Fraction(3, 5), Fraction(7, 4), Fraction(2, 9)), 0)
 @example(ParamTriple(Fraction(3, 5), Fraction(7, 4), Fraction(2, 9)), 1)
+@example(ParamTriple(Fraction(-5, 6), Fraction(7, 4), Fraction(2, 9)), 2)
+@example(ParamTriple(Fraction(3, 5), Fraction(-7, 4), Fraction(5, 6)), 10)
 def test_recurrence_rows_equal_4f3_entries(tr, n):
     # the examples: l2 + l3 = 1, where the recurrence's p = 0 step is 0/0; l1 + l3 = 0,
-    # which the gate admits; n = 0 and n = 1, where no recurrence step runs
+    # which the gate admits; n = 0 and n = 1, where no recurrence step runs; mixed
+    # weight denominators (d = lcm > each), at n = 2 (one step) and n = 10
     for k in range(n + 1):
         assert u_row(tr, n, k) == [u_coefficient(tr, RacahQuery(n, k, p)) for p in range(n + 1)]
 
