@@ -187,16 +187,15 @@ def cmd_u_table(args: argparse.Namespace) -> int:
     params = _parse_table_args(args)
     table = u_matrix(params, args.n)
     if args.json:
-        doc = {
-            "params": sample_dict(params),
-            "n": args.n,
-            "entries": [
-                {"k": k, "p": p, "value": str(table[k][p])}
-                for k in range(args.n + 1)
-                for p in range(args.n + 1)
-            ],
-        }
-        _emit(json.dumps(doc, indent=2, sort_keys=True))
+        # the bytes of json.dumps(doc, indent=2, sort_keys=True), written directly:
+        # str(Fraction) is digits, '-' and '/', so no value needs escaping
+        entries = ",\n".join(
+            f'    {{\n      "k": {k},\n      "p": {p},\n      "value": "{value}"\n    }}'
+            for k, row in enumerate(table)
+            for p, value in enumerate(row)
+        )
+        header = json.dumps(sample_dict(params), indent=2, sort_keys=True).replace("\n", "\n  ")
+        _emit(f'{{\n  "entries": [\n{entries}\n  ],\n  "n": {args.n},\n  "params": {header}\n}}')
         return 0
     lines = ["k\\p," + ",".join(str(p) for p in range(args.n + 1))]
     for k in range(args.n + 1):

@@ -183,10 +183,11 @@ def racah_value(
 
     It is one of three independent routes to the transition coefficients
     (``transition``): this sum is the single-entry oracle, the production
-    rows come from the three-term recurrence in p, run fraction-free on the
-    weights scaled to integers (its divisors, which the weight gate keeps
-    nonzero for 1 <= p <= n-1, are collected into one denominator per
-    entry), and the columns from the generating polynomial.
+    rows come from the three-term recurrence in p, run on the integers
+    d^{2p} (lam2)_p (lam1+lam2+lam3+n-1)_p (-n)_p R_{p,k} (d the lcm of the
+    weights' denominators) with one exact division per step, whose divisor
+    the weight gate keeps nonzero for 1 <= p <= n-1, and the columns from
+    the generating polynomial.
     """
     for label, idx in (("p", p), ("k", k), ("n", n)):
         if not isinstance(idx, int) or idx < 0:

@@ -12,8 +12,9 @@ Three independent routes give the same exact entries:
 - rows (``u_row``, ``u_matrix``): one cached matrix per (triple, n), built
   with the three-term recurrence of the Racah polynomials in the degree p
   (Koekoek-Lesky-Swarttouw, Hypergeometric Orthogonal Polynomials, (9.2.3);
-  Wilson, SIAM J. Math. Anal. 11, 1980), O(n^2) integer operations per
-  matrix on the weights scaled to integers, and one Fraction per entry;
+  Wilson, SIAM J. Math. Anal. 11, 1980), run on integers with one exact
+  division per step, O(n^2) integer operations per matrix, and one
+  Fraction per entry;
 - single entries (``u_coefficient``, ``u_reverse``): one terminating 4F3
   sum (``hypergeom.racah_value``) per entry, uncached, O(n) each;
 - columns (``u_generating_poly``): a product of two terminating 2F1s.
@@ -21,10 +22,11 @@ Three independent routes give the same exact entries:
 Admissibility gate used throughout (and by the rewriter): none of
 l1, l2, l3, l1+l2, l2+l3, l1+l2+l3 is a nonpositive integer.  Under the
 gate every denominator below is provably nonzero: the Pochhammer factors of
-the column scale, and the recurrence's divisors for 1 <= p <= n-1 (see
-``_u_cached``); the recurrence is seeded at R_1 because its p = 0 step is
-0/0 at l2+l3 = 1, which the gate admits.  The Pochhammer vanishing check
-stays in as a hard error for inadmissible use.
+the column scale, and the recurrence's exact divisors
+(2p+l2+l3-2)(p+l2+l3-1) for 1 <= p <= n-1 (see ``_u_cached``).  The
+recurrence is seeded at p = 1 because its p = 0 divisor (l2+l3-2)(l2+l3-1)
+vanishes at l2+l3 in {1, 2}, which the gate admits.  The Pochhammer
+vanishing check stays in as a hard error for inadmissible use.
 
 The Cohen-Manin-Zagier deformation coefficients t_n^kappa(l1, l2) have two
 routes as well: the binomial sum (``cmz_t_sum``, integer ratio rows over one
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from .hypergeom import (
     BottomPoleError, HypSpec, hyp_terminating_at_one, hyp_terminating_poly, racah_value
@@ -135,27 +137,6 @@ def _rising(x: int, d: int, m: int) -> int:
     return out
 
 
-def _racah_steps(l1: int, l2: int, l3: int, d: int, n: int) -> list[tuple[int, int, int]]:
-    """Per degree p = 1..n-1: the integers (alpha_p, gamma_p, M_p) of the
-    three-term recurrence at the weights lam_i = l_i / d.
-
-    With s = 2pd + l2 + l3 = d (2p + lam2 + lam3) and t = l1 + l2 + l3,
-    A_p = (p+lam2)(p+lam2+lam3-1)(p+L+n-1)(p-n) / [(2p+lam2+lam3-1)(2p+lam2+lam3)]
-    and C_p = p(p+lam2+lam3+n-1)(p-lam1-n)(p+lam3-1) / [(2p+lam2+lam3-2)(2p+lam2+lam3-1)]
-    are a_p / (d (s-d) s) and c_p / (d (s-2d)(s-d)) with
-    a_p = (pd+l2)(s-pd-d)(pd+t+(n-1)d)(p-n) and c_p = p(s-pd+(n-1)d)(pd-l1-nd)(pd+l3-d).
-    Times d M_p, M_p = (s-2d)(s-d)s, they are alpha_p = a_p (s-2d) and gamma_p = c_p s.
-    """
-    t = l1 + l2 + l3
-    steps = []
-    for p in range(1, n):
-        s = 2 * p * d + l2 + l3
-        a = (p * d + l2) * (s - p * d - d) * (p * d + t + (n - 1) * d) * (p - n)
-        c = p * (s - p * d + (n - 1) * d) * (p * d - l1 - n * d) * (p * d + l3 - d)
-        steps.append((a * (s - 2 * d), c * s, (s - 2 * d) * (s - d) * s))
-    return steps
-
-
 @lru_cache(maxsize=None)
 def _u_cached(
     lam1: Fraction, lam2: Fraction, lam3: Fraction, n: int
@@ -165,70 +146,63 @@ def _u_cached(
     U_{k,p} = C(n,k) (lam2)_k (lam3)_{n-k} * _column_scale(p) * R_p(lambda(k)),
     with lambda(k) = k(k+lam1+lam2-1), R_0 = 1,
     R_1 = 1 - lambda(k)(lam2+lam3) / (n lam2 (L+n-1)) and for 1 <= p <= n-1
-    R_{p+1} = ((A_p + C_p + lambda(k)) R_p - C_p R_{p-1}) / A_p.
+    R_{p+1} = ((A_p + C_p + lambda(k)) R_p - C_p R_{p-1}) / A_p, where
+    A_p = (p+lam2)(p+lam2+lam3-1)(p+L+n-1)(p-n) / [(2p+lam2+lam3-1)(2p+lam2+lam3)],
+    C_p = p(p+lam2+lam3+n-1)(p-lam1-n)(p+lam3-1) / [(2p+lam2+lam3-2)(2p+lam2+lam3-1)].
 
-    It runs fraction-free on the weights scaled to integers, l_i = d lam_i
-    with d the lcm of their denominators (``_common_scale``), t = l1+l2+l3.
-    With alpha_p, gamma_p and M_p from ``_racah_steps``,
-    Lambda_k = d lambda(k) = k(kd+l1+l2-d) and Q = n l2 (t+(n-1)d),
-    R_p = N_p / (Q alpha_1 ... alpha_{p-1}), where N_0 = Q,
-    N_1 = Q - Lambda_k (l2+l3) and
-    N_{p+1} = beta_p(k) N_p - gamma_p alpha_{p-1} N_{p-1},
-    beta_p(k) = alpha_p + gamma_p + Lambda_k M_p,
-    with the alpha_{p-1} factor left out at p = 1.  Over rising products
-    (x/d)_m = ``_rising(x, d, m)`` / d^m, the column scale is
-    ``_rising(t+(n-1)d, d, p)`` d^n over those of (l3)_p, (l2+l3+p-1)_p and
-    (l2+l3+2p)_{n-p}, and the row weight C(n,k) ``_rising(l2, d, k)``
-    ``_rising(l3, d, n-k)`` / d^n, so d^n cancels and each entry is one
-    Fraction of integers.
+    It runs on integers of their true size.  Scale the weights by d = lcm of
+    their denominators (``_common_scale``): l_i = d lam_i, s = l2+l3,
+    T = l1+l2+l3+(n-1)d (``top``), Lambda_k = d lambda(k) = k(kd+l1+l2-d), and
+    rho(x, m) = ``_rising(x, d, m)`` = d^m (x/d)_m.  The recurrence runs on
+    P_p = d^{2p} (lam2)_p (L+n-1)_p (-n)_p R_p = rho(l2, p) rho(T, p) (-n)_p R_p,
+    R_p times the Pochhammers of the 4F3's lower parameters, which is an
+    integer term by term of the 4F3.  Put h_p = (pd+l2)(pd+T)(p-n), so that
+    P_{p+1} / R_{p+1} = h_p P_p / R_p, and b_i = 2pd+s-(2-i)d.  Times
+    d b_0 b_1 b_2, A_p, C_p and lambda(k) are h_p e_p, g_p and Lambda_k M_p
+    with e_p = b_0 (pd+s-d), g_p = b_2 p(pd+s+(n-1)d)(pd-l1-nd)(pd+l3-d) and
+    M_p = b_0 b_1 b_2.  So P_0 = 1, P_1 = Lambda_k s + h_0 and
+    P_{p+1} = ((h_p e_p + g_p + Lambda_k M_p) P_p - g_p h_{p-1} P_{p-1}) / e_p,
+    a division that is exact, since the quotient is the integer P_{p+1}
+    (Bareiss, Math. Comp. 22, 1968).  (L+n-1)_p cancels against the column
+    scale's numerator, and d^n against the row weight's, so
+    U_{k,p} = C(n,k) rho(l2, k) rho(l3, n-k) P_p
+    / [rho(l3, p) rho(s+(p-1)d, p) rho(s+2pd, n-p) rho(l2, p) (-n)_p],
+    one Fraction per entry.
 
-    The gate keeps every divisor nonzero: Q (n >= 1, and lam2, L+n-1 are off
-    zero), and for 1 <= p <= n-1 every factor of alpha_p: p+lam2 (lam2),
-    p+lam2+lam3-1 and 2p+lam2+lam3-2 (lam2+lam3, shifted by an integer >= 0),
-    p+L+n-1 (L, shifted by p+n-1 >= 0) and p-n < 0.  At p = 0 and
-    lam2+lam3 = 1, which the gate admits, A_0 is 0/0; that is why R_1 is
-    seeded rather than recurred.
+    The gate keeps every divisor nonzero: e_p = d^2 (2p+lam2+lam3-2)(p+lam2+lam3-1)
+    for 1 <= p <= n-1 (lam2+lam3 shifted by an integer >= 0), the column
+    factors, rho(l2, p) (lam2) and (-n)_p for p <= n.  At p = 0, e_0 vanishes
+    at lam2+lam3 in {1, 2}, which the gate admits; that is why P_1 is seeded
+    rather than recurred.
     """
     d, (l1, l2, l3) = _common_scale(lam1, lam2, lam3)
-    t, l23 = l1 + l2 + l3, l2 + l3
-    q = n * l2 * (t + (n - 1) * d) if n else 1
-    steps = _racah_steps(l1, l2, l3, d, n)
-    alphas = [alpha for alpha, _, _ in steps]
-    scales = [
-        (
-            _rising(t + (n - 1) * d, d, p),
-            _nonzero(_rising(l3, d, p), f"(l3)_{p}")
-            * _nonzero(_rising(l23 + (p - 1) * d, d, p), f"(l2+l3+p-1)_{p}")
-            * _nonzero(_rising(l23 + 2 * p * d, d, n - p), f"(l2+l3+2p)_{n - p}"),
-        )
+    s, top = l2 + l3, l1 + l2 + l3 + (n - 1) * d
+    # every column is checked before the first row, so a vanishing factor always
+    # raises VanishingDenominatorError, as from _column_scale
+    dens = [
+        _nonzero(_rising(l3, d, p), f"(l3)_{p}")
+        * _nonzero(_rising(s + (p - 1) * d, d, p), f"(l2+l3+p-1)_{p}")
+        * _nonzero(_rising(s + 2 * p * d, d, n - p), f"(l2+l3+2p)_{n - p}")
+        * _rising(l2, d, p)
+        * _rising(-n, 1, p)
         for p in range(n + 1)
     ]
-    # every column is checked before any reduction, so a vanishing factor always
-    # raises VanishingDenominatorError, as from _column_scale
-    columns = []
-    below = q  # Q alpha_1 ... alpha_{p-1}
-    for p, (num, den) in enumerate(scales):
-        den *= below
-        g = gcd(num, den)
-        columns.append((num // g, den // g))
-        if 1 <= p < n:
-            below *= alphas[p - 1]
-    # beta_p(k) = shift + Lambda_k * mult; back = gamma_p alpha_{p-1}
-    recur = [
-        (alpha + gamma, mult, gamma * back)
-        for (alpha, gamma, mult), back in zip(steps, [1] + alphas)
-    ]
+    h = [(p * d + l2) * (p * d + top) * (p - n) for p in range(n)]
+    # step p = 1..n-1: P_{p+1} = ((shift + Lambda_k * mult) P_p - back P_{p-1}) // div
+    steps = []
+    for p in range(1, n):
+        b0, b1, b2 = (2 * p * d + s - i * d for i in (2, 1, 0))
+        div = b0 * (p * d + s - d)
+        g = b2 * p * (p * d + s + (n - 1) * d) * (p * d - l1 - n * d) * (p * d + l3 - d)
+        steps.append((h[p] * div + g, b0 * b1 * b2, g * h[p - 1], div))
     rows = []
     for k in range(n + 1):
         lam_k = k * (k * d + l1 + l2 - d)
-        values = [q, q - lam_k * l23]
-        for shift, mult, back in recur:
-            values.append((shift + lam_k * mult) * values[-1] - back * values[-2])
+        values = [1, lam_k * s + h[0]] if n else [1]
+        for shift, mult, back, div in steps:
+            values.append(((shift + lam_k * mult) * values[-1] - back * values[-2]) // div)
         weight = comb(n, k) * _rising(l2, d, k) * _rising(l3, d, n - k)
-        # zip stops at the n+1 columns, so N_1 is dropped at n = 0
-        rows.append(
-            tuple(Fraction(weight * num * value, den) for (num, den), value in zip(columns, values))
-        )
+        rows.append(tuple(Fraction(weight * value, den) for value, den in zip(values, dens)))
     return tuple(rows)
 
 

@@ -10,6 +10,8 @@ import pytest
 
 from rcbrackets import cli
 from rcbrackets.cli import RunConfig, UsageError, load_config_file, main
+from rcbrackets.identities import sample_dict
+from rcbrackets.transition import ParamTriple, u_matrix
 
 WEIGHTED_IDENTITY = """\
 # weighted first-order identity
@@ -183,6 +185,30 @@ def test_u_table_large_n_golden_bytes(capsys, argv, digest) -> None:
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize(
+    "weights",
+    [
+        ("--l1=-1/3", "--l2=1/2", "--l3=1/2"),  # a negative weight, and l2 + l3 = 1
+        ("--l1=2", "--l2=1000003/999983", "--l3=-7/1000033"),  # large denominators
+    ],
+)
+def test_u_table_json_bytes_equal_json_dumps(capsys, weights, n) -> None:
+    """``u-table --json`` writes its entries directly; json.dumps is the oracle here."""
+    code, out, _ = run_cli(capsys, ["u-table", *weights, "--n", str(n), "--json"])
+    assert code == 0
+    params = ParamTriple(*(w.partition("=")[2] for w in weights))
+    table = u_matrix(params, n)
+    doc = {
+        "params": sample_dict(params),
+        "n": n,
+        "entries": [
+            {"k": k, "p": p, "value": str(table[k][p])} for k in range(n + 1) for p in range(n + 1)
+        ],
+    }
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # -- pointwise subcommands ------------------------------------------------------------

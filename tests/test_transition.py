@@ -156,6 +156,36 @@ def test_recurrence_rows_equal_4f3_entries(tr, n):
         assert u_row(tr, n, k) == [u_coefficient(tr, RacahQuery(n, k, p)) for p in range(n + 1)]
 
 
+wide = st.fractions(min_value=-6, max_value=6, max_denominator=13)
+wide_triples = (
+    st.tuples(wide, wide, wide).map(lambda t: ParamTriple(*t)).filter(ParamTriple.is_admissible)
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_triples, st.integers(min_value=0, max_value=8))
+@example(ParamTriple(Fraction(5, 3), Fraction(1, 3), Fraction(2, 3)), 5)
+@example(ParamTriple(Fraction(-7, 2), Fraction(3, 4), Fraction(1, 4)), 2)
+@example(ParamTriple(Fraction(-1, 2), Fraction(3, 4), Fraction(5, 4)), 5)
+@example(ParamTriple(Fraction(2, 7), Fraction(-3, 2), Fraction(7, 2)), 2)
+@example(ParamTriple(Fraction(-5, 6), Fraction(7, 4), Fraction(2, 9)), 0)
+@example(ParamTriple(Fraction(-5, 6), Fraction(7, 4), Fraction(2, 9)), 1)
+def test_integer_recurrence_equals_4f3_oracle(tr, n):
+    # the examples: l2 + l3 = 1 and l2 + l3 = 2, where the p = 0 divisor vanishes, each
+    # at n = 5 and at n = 2 (one exact division); n = 0 and n = 1, where none runs
+    lams = (tr.lam1, tr.lam2, tr.lam3)
+    for k in range(n + 1):
+        assert u_row(tr, n, k) == [transition._u_entry(*lams, n, k, p) for p in range(n + 1)]
+
+
+def test_integer_recurrence_columns_sum_to_one_at_n48():
+    tr, n = ParamTriple(Fraction(13, 7), Fraction(5, 11), Fraction(17, 3)), 48
+    table = u_matrix(tr, n)
+    assert all(sum(row[p] for row in table) == 1 for p in range(n + 1))
+    for k, p in ((0, 48), (17, 31), (48, 0), (48, 48), (24, 24)):
+        assert table[k][p] == transition._u_entry(tr.lam1, tr.lam2, tr.lam3, n, k, p)
+
+
 @pytest.mark.parametrize(
     "tr",
     [
