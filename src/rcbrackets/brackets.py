@@ -8,13 +8,18 @@ the degree-n bracket of weights (a, b) is
 with plain (unnormalized) derivatives, and the result carries weight
 a + b + 2n.  Bracket expression trees (leaves = numbered function slots,
 nodes = brackets with an order) evaluate bottom-up with that weight rule.
-The coefficient row becomes integers in one place, a table per
-(weight1, weight2, n) that scales the row by its lcm and memoizes the
-bracket of two monomials; the general bracket convolves with the scaled
-row, and the compiled tree evaluator fills and reads the memoized values.
-Both run on integer numerators over one denominator and build a
-``Fraction`` only for what they return; the general bracket takes and
-returns ``poly.Numerators``, the format ``star`` sums its pieces in.
+The coefficient row is integers from the start: ``bracket_coeff_row``
+gives it over the lcm of its denominators, and a table per
+(weight1, weight2, n) keeps its nonzero entries and memoizes the bracket of
+two monomials for the compiled tree evaluator.  The general bracket is one
+kernel that takes and returns ``poly.Numerators``, the format ``star`` sums
+its pieces in, and serves every order of a range at once: it reads the
+derivatives of both polynomials as big integers at X = 2^W (Kronecker
+substitution), multiplies them with Python's integer product and reads the
+result's signed base-2^W digits back.  W is one bit wider than the largest
+bound, over the orders, on an output coefficient: the sum over the row of
+|c_s| times the absolute coefficient sums of f^(s) and g^(n-s).  Both paths
+build a ``Fraction`` only for what they return.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, perm, prod
+from math import perm, prod
 from typing import Callable, Mapping, Sequence, Union
 
 from .hypergeom import bracket_coeff_row, jacobi_two_var
@@ -62,51 +67,92 @@ MonomialTable = tuple[tuple[tuple[int, int], ...], int, dict[tuple[int, int], in
 def _monomial_bracket(weight1: Fraction, weight2: Fraction, n: int) -> MonomialTable:
     """The order-n bracket at weights (weight1, weight2) on integers: ``(row, den, memo)``.
 
-    ``row`` holds (s, den * c_s) for each nonzero entry c_s of
-    ``bracket_coeff_row`` and ``den`` is the lcm of the entries'
-    denominators.  ``memo`` starts empty; :func:`_compile` fills
-    ``memo[d1, d2]`` with den times the coefficient of
+    ``row`` holds (s, den * c_s) for each nonzero entry c_s of the integer
+    row of ``bracket_coeff_row``, and ``den`` is that row's ``den``, the lcm
+    of the reduced denominators of the c_s.  ``memo`` starts empty;
+    :func:`_compile` fills ``memo[d1, d2]`` with den times the coefficient of
     [z^d1, z^d2]_n = sum_s c_s d1^(s) d2^(n-s) z^(d1+d2-n), where d^(s) is
     the falling factorial (0 for s > d).
     """
-    coeffs = bracket_coeff_row(weight1, weight2, n)
-    den = lcm(*(c.denominator for c in coeffs))
-    row = tuple((s, c.numerator * (den // c.denominator)) for s, c in enumerate(coeffs) if c)
-    return row, den, {}
+    row, den = bracket_coeff_row(weight1, weight2, n)
+    return tuple((s, c) for s, c in enumerate(row) if c), den, {}
 
 
 # -- the general bracket on integer numerators ----------------------------------
 
 
-def _bracket_kernel(
-    weight1: Fraction, weight2: Fraction, f: Numerators, g: Numerators, n: int
-) -> Numerators:
-    """[f, g]_n of two z-polynomials over ("z",), over the product of the three denominators.
+def _derivatives(nums: dict[tuple[int, ...], int], top: int) -> list[list[int]]:
+    """Dense coefficient lists of the numerators' derivatives of order 0..top,
+    lowest degree first; a derivative of order above the degree is empty."""
+    coeffs = [0] * (max(nums, default=(-1,))[0] + 1)
+    for (d,), v in nums.items():
+        coeffs[d] = v
+    out = [coeffs]
+    for _ in range(min(top, len(coeffs) - 1)):
+        coeffs = [d * v for d, v in enumerate(coeffs) if d]
+        out.append(coeffs)
+    return out
 
-    f^(s) g^(n-s) is an integer convolution of falling-factorial-scaled
-    numerators, weighted by the scaled row of :func:`_monomial_bracket`, so
-    no ``Fraction`` is built here.  The result is not reduced.
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """sum_k coeffs[k] 2^(width k): the coefficient list read at X = 2^width."""
+    out = 0
+    for v in reversed(coeffs):
+        out = (out << width) + v
+    return out
+
+
+def _bracket_kernel(
+    weight1: Fraction, weight2: Fraction, f: Numerators, g: Numerators, orders: range
+) -> list[Numerators]:
+    """[f, g]_n of two z-polynomials over ("z",) for every n in ``orders``, each
+    over the product of its row's ``den`` and the two input denominators.
+
+    Kronecker substitution: F_s = f^(s) and G_t = g^(t) are read at X = 2^W,
+    once for all orders, so [f, g]_n is the integer sum_s c_s F_s G_{n-s}
+    (c_s the scaled row of :func:`_monomial_bracket`), whose base-2^W digits
+    are the wanted coefficients.  Every coefficient of that sum is at most
+    sum_s |c_s| |F_s|_1 |G_{n-s}|_1 in absolute value (|.|_1 the sum of the
+    absolute coefficients), and W is one bit wider than the largest such
+    bound over ``orders``, so each coefficient is a signed digit below
+    2^(W-1) and is read back exactly.  No ``Fraction`` is built and the
+    results are not reduced.
     """
     (f_nums, f_den), (g_nums, g_den) = f, g
-    row, row_den, _ = _monomial_bracket(weight1, weight2, n)
-    out = [0] * (max(f_nums, default=(0,))[0] + max(g_nums, default=(0,))[0] + 1 - n)
-    for s, c in row:
-        t = n - s
-        f_s = [(d - s, v * perm(d, s) * c) for (d,), v in f_nums.items() if d >= s]
-        g_t = [(d - t, v * perm(d, t)) for (d,), v in g_nums.items() if d >= t]
-        for i, a in f_s:
-            for j, b in g_t:
-                out[i + j] += a * b
-    return {(d,): v for d, v in enumerate(out) if v}, row_den * f_den * g_den
+    top = max(orders, default=0)
+    f_ders, g_ders = _derivatives(f_nums, top), _derivatives(g_nums, top)
+    f_norms = [sum(map(abs, coeffs)) for coeffs in f_ders]
+    g_norms = [sum(map(abs, coeffs)) for coeffs in g_ders]
+    tables = []
+    width = 1
+    for n in orders:
+        row, den, _ = _monomial_bracket(weight1, weight2, n)
+        # the terms (c_s, s, n - s) whose derivatives are both nonzero
+        terms = [(c, s, n - s) for s, c in row if s < len(f_ders) and n - s < len(g_ders)]
+        bound = sum(abs(c) * f_norms[s] * g_norms[t] for c, s, t in terms)
+        width = max(width, bound.bit_length() + 1)
+        tables.append((terms, den * f_den * g_den))
+    f_packed = [_pack(coeffs, width) for coeffs in f_ders]
+    g_packed = [_pack(coeffs, width) for coeffs in g_ders]
+    # f g has ``size`` coefficients and [f, g]_n the lowest size - n of them;
+    # adding half to every digit makes them all nonnegative, so none borrows
+    size = len(f_ders[0]) + len(g_ders[0]) - 1 if f_nums and g_nums else 0
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    offset = half * ((1 << (width * size)) - 1) // mask
+    out = []
+    for n, (terms, den) in zip(orders, tables):
+        value = sum(c * f_packed[s] * g_packed[t] for c, s, t in terms) + offset
+        digits = (((value >> (width * k)) & mask) - half for k in range(size - n))
+        out.append(({(k,): v for k, v in enumerate(digits) if v}, den))
+    return out
 
 
 def rc_bracket(f: WeightedForm, g: WeightedForm, n: int) -> WeightedForm:
     """The degree-n Rankin-Cohen bracket; result weight f.weight + g.weight + 2n."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"bracket order must be a nonnegative integer, got {n!r}")
-    value = _bracket_kernel(
-        f.weight, g.weight, _numerators(f.form.terms), _numerators(g.form.terms), n
-    )
+    f_nums, g_nums = _numerators(f.form.terms), _numerators(g.form.terms)
+    (value,) = _bracket_kernel(f.weight, g.weight, f_nums, g_nums, range(n, n + 1))
     return WeightedForm(f.weight + g.weight + 2 * n, _reduced(("z",), value))
 
 

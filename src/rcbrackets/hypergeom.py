@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import comb, gcd, lcm, prod
 
 from .poly import Poly
 from .rationals import (
@@ -122,13 +122,32 @@ def jacobi_poly_hyp(ell: int, alpha: RationalLike, beta: RationalLike) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def bracket_coeff_row(weight1: Fraction, weight2: Fraction, n: int) -> tuple[Fraction, ...]:
-    """Entry s = 0..n: the coefficient of f^(s) g^(n-s) in the bracket [f, g]_n,
-    and of x^s y^(n-s) in ``jacobi_two_var(n, weight1, weight2)``."""
-    return tuple(
-        (-1) ** s * binom_general(weight1 + n - 1, n - s) * binom_general(weight2 + n - 1, s)
-        for s in range(n + 1)
-    )
+def bracket_coeff_row(weight1: Fraction, weight2: Fraction, n: int) -> tuple[tuple[int, ...], int]:
+    """``(row, den)``: row[s] / den, s = 0..n, is the coefficient of f^(s) g^(n-s)
+    in the bracket [f, g]_n and of x^s y^(n-s) in ``jacobi_two_var(n, weight1, weight2)``.
+
+    The coefficient is c_s = (-1)^s C(weight1+n-1, n-s) C(weight2+n-1, s).  With
+    d the lcm of the weights' denominators, A = d weight1 and B = d weight2,
+    C(x, k) = (x-k+1)_k / k! gives the integers
+    c_s d^n n! = (-1)^s C(n, s) prod_{i=s}^{n-1} (A + i d) prod_{i=n-s}^{n-1} (B + i d);
+    dividing them and d^n n! by one gcd leaves ``den``, the lcm of the reduced
+    denominators of the c_s (1 for a zero row).
+    """
+    d = lcm(weight1.denominator, weight2.denominator)
+
+    def tail(x: int) -> list[int]:
+        """[prod_{i=s}^{n-1} (x + i d) for s = 0..n]; entry n is the empty product 1."""
+        out = [1]
+        for i in reversed(range(n)):
+            out.append(out[-1] * (x + i * d))
+        return out[::-1]
+
+    heads = tail(weight1.numerator * (d // weight1.denominator))
+    tails = tail(weight2.numerator * (d // weight2.denominator))
+    row = [(-1) ** s * comb(n, s) * heads[s] * tails[n - s] for s in range(n + 1)]
+    full = d**n * prod(range(1, n + 1))
+    common = gcd(full, *row)
+    return tuple(v // common for v in row), full // common
 
 
 def jacobi_two_var(ell: int, lam1: RationalLike, lam2: RationalLike) -> Poly:
@@ -139,9 +158,10 @@ def jacobi_two_var(ell: int, lam1: RationalLike, lam2: RationalLike) -> Poly:
     """
     if not isinstance(ell, int) or ell < 0:
         raise ValueError(f"jacobi degree must be a nonnegative integer, got {ell!r}")
-    row = bracket_coeff_row(as_rational(lam1), as_rational(lam2), ell)
-    # the cached row holds Fractions already: validated once, not per call
-    return Poly._trusted(("x", "y"), {(s, ell - s): coeff for s, coeff in enumerate(row) if coeff})
+    row, den = bracket_coeff_row(as_rational(lam1), as_rational(lam2), ell)
+    # one reduced Fraction per nonzero entry of the cached integer row
+    terms = {(s, ell - s): Fraction(v, den) for s, v in enumerate(row) if v}
+    return Poly._trusted(("x", "y"), terms)
 
 
 def jacobi_operator(alpha: RationalLike, beta: RationalLike, p: Poly) -> Poly:

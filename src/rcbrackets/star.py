@@ -9,8 +9,9 @@ through Rankin-Cohen brackets,
 
 optionally rescaling the degree-n bracket of weights (w1, w2) by the
 deformation coefficient t_n^kappa(w1, w2).  The brackets come from the
-integer kernel of ``brackets`` as ``poly.Numerators`` and are summed and
-reduced with ``poly``'s own helpers.
+integer kernel of ``brackets`` as ``poly.Numerators``, one kernel call per
+pair of operand slices for all the orders that pair reaches, and are summed
+and reduced with ``poly``'s own helpers.
 """
 
 from __future__ import annotations
@@ -101,30 +102,34 @@ class StarSeries:
 def star(a: StarSeries, b: StarSeries, kappa: RationalLike | None = None) -> StarSeries:
     """Truncated star product; kappa = None means unit deformation coefficients.
 
-    Each slice of both operands goes to integer numerators once.  Every
-    output (order, weight) slice sums its bracket pieces, each scaled by
-    t_n^kappa when kappa is given, over one denominator and is reduced once.
+    Each slice of both operands goes to integer numerators once, and each
+    pair of slices (a_i at weight w1, b_j at weight w2) goes through the
+    bracket kernel once, for every order n <= order - i - j.  Every output
+    (order, weight) slice sums its bracket pieces, each scaled by t_n^kappa
+    when kappa is given, over one denominator and is reduced once.
     """
     a._check_order(b)
+    if kappa is not None:
+        kappa = as_rational(kappa)
     left = [{w: _numerators(p.terms) for w, p in layer.items()} for layer in a.coeffs]
     right = [{w: _numerators(p.terms) for w, p in layer.items()} for layer in b.coeffs]
-    out = StarSeries(a.order)
-    for m in range(a.order + 1):
-        pieces: dict[Fraction, list[Numerators]] = {}
-        for i in range(m + 1):
-            for j in range(m - i + 1):
-                n = m - i - j
-                for w1, f in left[i].items():
-                    for w2, g in right[j].items():
+    pieces: list[dict[Fraction, list[Numerators]]] = [{} for _ in range(a.order + 1)]
+    for i, layer1 in enumerate(left):
+        for j, layer2 in enumerate(right[: a.order + 1 - i]):
+            orders = range(a.order + 1 - i - j)
+            for w1, f in layer1.items():
+                for w2, g in layer2.items():
+                    for n, (nums, den) in zip(orders, _bracket_kernel(w1, w2, f, g, orders)):
                         scale = 1 if kappa is None else cmz_t_sum(kappa, w1, w2, n)
                         if not scale:
                             continue
-                        nums, den = _bracket_kernel(w1, w2, f, g, n)
                         if scale != 1:
                             nums = {e: v * scale.numerator for e, v in nums.items()}
                             den *= scale.denominator
-                        pieces.setdefault(w1 + w2 + 2 * n, []).append((nums, den))
-        layer = {w: _reduced(("z",), _sum(group)) for w, group in pieces.items()}
+                        pieces[i + j + n].setdefault(w1 + w2 + 2 * n, []).append((nums, den))
+    out = StarSeries(a.order)
+    for m, groups in enumerate(pieces):
+        layer = {w: _reduced(("z",), _sum(group)) for w, group in groups.items()}
         out.coeffs[m] = {w: p for w, p in layer.items() if not p.is_zero()}
     return out
 

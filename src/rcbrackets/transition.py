@@ -29,8 +29,8 @@ vanishes at l2+l3 in {1, 2}, which the gate admits.  The Pochhammer
 vanishing check stays in as a hard error for inadmissible use.
 
 The Cohen-Manin-Zagier deformation coefficients t_n^kappa(l1, l2) have two
-routes as well: the binomial sum (``cmz_t_sum``, integer ratio rows over one
-denominator, one cached Fraction per t_n) and the closed form as a
+routes as well: the binomial sum (``cmz_t_sum``, integer ratio rows and an
+integer lead over one denominator, one cached Fraction per t_n) and the closed form as a
 terminating 4F3 (``cmz_t_closed``, evaluated by ``hypergeom``).
 """
 
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 from .hypergeom import (
     BottomPoleError, HypSpec, hyp_terminating_at_one, hyp_terminating_poly, racah_value
@@ -299,19 +299,26 @@ def _ratio_products(x: int, y: int, z: int, d: int, n: int) -> tuple[list[int], 
     return heads, tails
 
 
+def _scaled_binom(x: int, d: int, n: int) -> int:
+    """d^n n! C(x/d, n) = x (x - d) ... (x - (n-1) d), from C(y, n) = (y-n+1)_n / n!."""
+    return _rising(x - (n - 1) * d, d, n)
+
+
 @lru_cache(maxsize=None)
 def _cmz_sum(kappa: Fraction, lam1: Fraction, lam2: Fraction, n: int) -> Fraction:
     """t_n = sum_r C(-l1, r) C(-l1+kappa-1, r) C(m-kappa, s) C(m-1, s)
     / [C(-2*l1, r) C(2m-2, s)] / C(-2*l2, n), with s = n - r, m = n + l1 + l2.
 
     Both quotient rows come from ``_ratio_products`` on the weights scaled to
-    integers by d = lcm of the three denominators, so the sum runs on
-    integers over one common denominator and t_n is the one Fraction built.
+    integers by d = lcm of the three denominators, and so does the lead
+    C(-2*l2, n), as ``_scaled_binom(-2*d*l2, d, n)`` over d^n n!, so the sum
+    runs on integers over one common denominator and t_n is the one
+    Fraction built.
     """
-    lead = binom_general(-2 * lam2, n)
+    d, (k, a, b) = _common_scale(kappa, lam1, lam2)
+    lead = _scaled_binom(-2 * b, d, n)
     if not lead:
         raise VanishingDenominatorError(f"leading factor C(-2*l2, {n}) vanishes")
-    d, (k, a, b) = _common_scale(kappa, lam1, lam2)
     md = n * d + a + b
     f_heads, f_tails = _ratio_products(-a, k - a - d, -2 * a, d, n)
     g_heads, g_tails = _ratio_products(md - k, md - d, 2 * (md - d), d, n)
@@ -322,7 +329,7 @@ def _cmz_sum(kappa: Fraction, lam1: Fraction, lam2: Fraction, n: int) -> Fractio
             f"denominator C(-2*l1, {r}) * C(2n+2*l1+2*l2-2, {n - r}) vanishes"
         )
     total = sum(f_heads[r] * f_tails[n - r] * g_heads[n - r] * g_tails[r] for r in range(n + 1))
-    return Fraction(total * lead.denominator, f_tails[n] * g_tails[n] * lead.numerator)
+    return Fraction(total * d**n * factorial(n), f_tails[n] * g_tails[n] * lead)
 
 
 def cmz_t_sum(kappa: RationalLike, lam1: RationalLike, lam2: RationalLike, n: int) -> Fraction:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import perm
+from math import lcm, perm
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -10,6 +10,8 @@ from rcbrackets.brackets import (
     Node,
     UnboundSlotError,
     WeightedForm,
+    _bracket_kernel,
+    _monomial_bracket,
     eval_bracket_tree,
     expr_slots,
     expr_total_order,
@@ -21,6 +23,7 @@ from rcbrackets.brackets import (
     rc_bracket,
     tree_symbol,
 )
+from rcbrackets.hypergeom import bracket_coeff_row
 from rcbrackets.poly import VAR_ORDER, Poly, poly_from_string
 from rcbrackets.rationals import binom_general
 
@@ -174,6 +177,66 @@ def test_dense_bracket_is_bilinear_sum_of_monomial_brackets(w1, w2, p, q, n):
     out = rc_bracket(WeightedForm(w1, p), WeightedForm(w2, q), n)
     assert out.weight == w1 + w2 + 2 * n
     assert out.form == expected
+
+
+@given(row_weights, row_weights, st.integers(min_value=0, max_value=12))
+def test_integer_bracket_row_equals_binomial_formula(w1, w2, n):
+    want = [
+        (-1) ** s * binom_general(w1 + n - 1, n - s) * binom_general(w2 + n - 1, s)
+        for s in range(n + 1)
+    ]
+    row, den = bracket_coeff_row(w1, w2, n)
+    assert [Fraction(v, den) for v in row] == want
+    table_row, table_den, _ = _monomial_bracket(w1, w2, n)
+    assert den == table_den == lcm(*(c.denominator for c in want))
+    assert table_row == tuple((s, c * den) for s, c in enumerate(want) if c)
+
+
+def schoolbook_bracket(w1, w2, f, g, n):
+    """[f, g]_n on integer numerators, term by term: sum_s row[s] f^(s) g^(n-s)."""
+    (f_nums, f_den), (g_nums, g_den) = f, g
+    row, row_den = bracket_coeff_row(w1, w2, n)
+    out = {}
+    for s, c in enumerate(row):
+        for (d1,), v1 in f_nums.items():
+            for (d2,), v2 in g_nums.items():
+                term = c * v1 * perm(d1, s) * v2 * perm(d2, n - s)
+                if term:
+                    out[d1 + d2 - n,] = out.get((d1 + d2 - n,), 0) + term
+    return {e: v for e, v in out.items() if v}, row_den * f_den * g_den
+
+
+# gapped z-polynomials on integer numerators, signed up to 10^40, from zero up to degree 9
+kernel_polys = st.tuples(
+    st.dictionaries(
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=-(10**40), max_value=10**40),
+        max_size=6,
+    ).map(lambda terms: {(d,): v for d, v in terms.items()}),
+    st.integers(min_value=1, max_value=10**6),
+)
+kernel_orders = st.builds(
+    lambda start, count: range(start, start + count),
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=0, max_value=6),
+)
+ALTERNATING = ({(d,): (-1) ** d * (10**40 + d) for d in range(10)}, 7)
+
+
+@given(row_weights, row_weights, kernel_polys, kernel_polys, kernel_orders)
+# the output's coefficients alternate in sign, so reading its digits borrows at every step
+@example(Fraction(1, 2), Fraction(7, 3), ALTERNATING, ({(0,): 3, (1,): 1}, 1), range(0, 4))
+@example(Fraction(-3, 4), Fraction(5, 2), ({(3,): 1}, 1), ALTERNATING, range(2, 9))
+# a single product: the coefficient is the bound itself
+@example(Fraction(1), Fraction(1), ({(0,): 3}, 1), ({(0,): 1}, 1), range(0, 1))
+@example(Fraction(1), Fraction(1), ({(2,): -(10**40)}, 3), ({(1,): 10**40}, 1), range(0, 4))
+# zero polynomial; gapped f; every order above deg f + deg g
+@example(Fraction(1, 2), Fraction(4, 3), ({}, 1), ({(2,): 5, (0,): -1}, 2), range(0, 3))
+@example(Fraction(0), Fraction(-2), ({(9,): 2, (0,): -3}, 5), ({(4,): -7}, 1), range(3, 9))
+@example(Fraction(5, 3), Fraction(1, 4), ({(2,): 1, (0,): 1}, 1), ({(1,): -1}, 1), range(4, 8))
+def test_kernel_equals_schoolbook_convolution_per_order(w1, w2, f, g, orders):
+    got = _bracket_kernel(w1, w2, f, g, orders)
+    assert got == [schoolbook_bracket(w1, w2, f, g, n) for n in orders]
 
 
 # -- bracket expression trees -------------------------------------------------------

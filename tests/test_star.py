@@ -101,6 +101,14 @@ def test_star_zero_series():
     assert star(f, zero).is_zero()
 
 
+@pytest.mark.parametrize("empty", [True, False])
+def test_star_coerces_kappa_even_for_empty_operands(empty):
+    a = StarSeries(2) if empty else StarSeries.inject(zform(1, "z^2 + 1"), 2)
+    with pytest.raises(TypeError) as got:
+        star(a, a, 0.5)
+    assert str(got.value) == "not an exact rational: 0.5"
+
+
 def reference_star(a, b, kappa):
     """(a * b)_m as the sum of rc_bracket pieces, each times t_n^kappa, added as Poly."""
     out = StarSeries(a.order)

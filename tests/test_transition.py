@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -310,8 +311,20 @@ def test_cmz_sum_matches_binomial_oracle(kappa, lam1, lam2, n):
 
 def test_cmz_vanishing_denominator_reported():
     # binom(-2*lam2, n) = 0 when -2*lam2 is a nonnegative integer < n
-    with pytest.raises(VanishingDenominatorError):
+    with pytest.raises(VanishingDenominatorError) as got:
         cmz_t_sum(Fraction(5, 7), 1, Fraction(-1, 2), 2)
+    assert str(got.value) == "leading factor C(-2*l2, 2) vanishes"
+
+
+@given(cmz_args, st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=12))
+@example(Fraction(-1, 2), 1, 2)  # C(1, 2) = 0
+@example(Fraction(0), 3, 4)
+@example(Fraction(-3), 1, 7)
+def test_cmz_integer_lead_equals_binomial(lam2, scale, n):
+    """The lead C(-2*l2, n) of ``_cmz_sum`` on integers, with d any multiple of l2's denominator."""
+    d = lam2.denominator * scale
+    lead = transition._scaled_binom(-2 * lam2.numerator * scale, d, n)
+    assert lead == binom_general(-2 * lam2, n) * d**n * factorial(n)
 
 
 def test_cmz_closed_rejects_pole():
