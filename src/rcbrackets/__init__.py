@@ -52,6 +52,8 @@ from .identities import (
     zagier_suite,
 )
 from .poly import (
+    MAX_NESTING,
+    NestingTooDeepError,
     Poly,
     PolySyntaxError,
     UnknownVariableError,

@@ -180,8 +180,8 @@ class Node:
             raise ValueError(f"bracket order must be a nonnegative integer, got {self.order!r}")
 
     def __hash__(self) -> int:
-        # computed on first use and kept, so a tree is walked once; an over-deep
-        # tree still raises RecursionError here, which the CLI reports
+        # computed on first use and kept, so a tree is walked once; a tree
+        # nested past the interpreter's recursion limit raises RecursionError
         if self._hash is None:
             object.__setattr__(self, "_hash", hash((self.left, self.right, self.order)))
         return self._hash

@@ -390,6 +390,19 @@ class PolySyntaxError(ValueError):
         self.position = position
 
 
+# The deepest '['/'(' nesting any text language accepts; bracket expressions
+# and parenthesized infix text share it, and ``rewrite.to_standard`` applies
+# it to trees built through the API.
+MAX_NESTING = 200
+
+
+class NestingTooDeepError(ValueError):
+    """Input nested deeper than ``MAX_NESTING`` brackets or parentheses."""
+
+    def __init__(self) -> None:
+        super().__init__("input nested too deeply")
+
+
 Token = tuple[str, str, int]
 
 _TOKEN_CHARS = set("+-*^()[],_")
@@ -397,13 +410,15 @@ _TOKEN_CHARS = set("+-*^()[],_")
 
 class Tokens:
     """A cursor over the tokens (kind, text, position) of ``src``, ending in an
-    ``end`` token; ``error(message, position)`` reports bad input."""
+    ``end`` token; ``error(message, position)`` reports bad input, and
+    '['/'(' nesting deeper than ``MAX_NESTING`` raises
+    :class:`NestingTooDeepError`."""
 
     def __init__(self, src: str, error: type[ValueError]) -> None:
         self.error = error
         self.items: list[Token] = []
         self.pos = 0
-        i = 0
+        i = depth = 0
         while i < len(src):
             ch = src[i]
             if ch.isspace():
@@ -412,6 +427,12 @@ class Tokens:
                 self.items.append(("^", "^", i))
                 i += 2
             elif ch in _TOKEN_CHARS:
+                if ch in "[(":
+                    depth += 1
+                    if depth > MAX_NESTING:
+                        raise NestingTooDeepError
+                elif ch in "])":
+                    depth -= 1
                 self.items.append((ch, ch, i))
                 i += 1
             elif ch.isdecimal():  # isdigit would pass '²', which int() rejects

@@ -23,9 +23,18 @@ same normal form.
 
 Every rewrite site is gated by local admissibility of the weight triple it
 touches; an inadmissible site raises instead of producing wrong output.  The
-triple a row of U is read at is gated once, by ``u_row``, and its failure is
+triple a row of U is read at is gated by ``u_row``, and its failure is
 re-raised naming the site.  A transposition site also gates (a, b, c), so
 that with the row's (b, c, a) it tests a, b, c, a+b, b+c, a+c and the total.
+
+``to_standard`` runs on integers.  The slot weights are scaled once by d, the
+lcm of their denominators.  A tree is then a nested tuple
+(left, right, order, d * weight), a leaf (None, slot, 0, d * weight), so trees
+hash and compare as tuples and a site reads its weights off its subtrees.  A
+coefficient is a reduced pair (num, den) of integers: a move multiplies both
+parts, each accumulation reduces once by a gcd, and one ``Fraction`` is built
+per output term.  Each (scaled site triple, n, k) is gated and its row read
+once per call.  Input nested deeper than ``poly.MAX_NESTING`` is refused.
 """
 
 from __future__ import annotations
@@ -33,18 +42,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .brackets import (
-    BracketExpr,
-    Leaf,
-    Node,
-    UnboundSlotError,
-    expr_slots,
-    expr_weight,
-    format_expr,
-)
-from .poly import Token, Tokens, parse_infix
+from .brackets import BracketExpr, Leaf, Node, UnboundSlotError, expr_slots, format_expr
+from .poly import MAX_NESTING, NestingTooDeepError, Token, Tokens, parse_infix
 from .rationals import RationalLike, as_rational, parse_rational
 from .report import VerificationReport
 from .transition import InadmissibleParametersError, ParamTriple, u_row
@@ -164,7 +166,33 @@ def _accumulate(combo: dict, key, coeff: Fraction) -> None:
         combo.pop(key, None)
 
 
-# -- moves --------------------------------------------------------------------------
+# -- the rewriter on integer tuple trees ----------------------------------------------
+
+# (left, right, order, d * weight), or (None, slot, 0, d * weight) for a leaf
+Tree = tuple
+
+
+def _check_nesting(expr: BracketExpr, depth: int = 0) -> None:
+    if isinstance(expr, Node):
+        if depth == MAX_NESTING:
+            raise NestingTooDeepError
+        _check_nesting(expr.left, depth + 1)
+        _check_nesting(expr.right, depth + 1)
+
+
+def _tuple_tree(expr: BracketExpr, scaled: Mapping[int, int], d: int) -> Tree:
+    if isinstance(expr, Leaf):
+        return (None, expr.slot, 0, scaled[expr.slot])
+    left = _tuple_tree(expr.left, scaled, d)
+    right = _tuple_tree(expr.right, scaled, d)
+    return (left, right, expr.order, left[3] + right[3] + 2 * d * expr.order)
+
+
+def _node(tree: Tree) -> BracketExpr:
+    left, right, order, _ = tree
+    if left is None:
+        return Leaf(right)
+    return Node(_node(left), _node(right), order)
 
 
 def _site_error(site: BracketExpr, triple: ParamTriple) -> InadmissibleLocalWeightsError:
@@ -174,80 +202,122 @@ def _site_error(site: BracketExpr, triple: ParamTriple) -> InadmissibleLocalWeig
     )
 
 
-def _site_row(triple: ParamTriple, n: int, k: int, site: BracketExpr) -> list[Fraction]:
-    """Row k of U at ``triple``; ``u_row`` gates it once, and a failure names the site."""
-    try:
-        return u_row(triple, n, k)
-    except InadmissibleParametersError:
-        raise _site_error(site, triple) from None
+def _row(rows: dict, d: int, site: Tree, key: tuple) -> list[Fraction]:
+    """Row k of U for ``key`` = (a, b, c, n, k, swap): at (a, b, c) / d, or for a
+    transposition (swap) at (b, c, a) / d after gating (a, b, c) / d too.
+
+    Each key is gated once per call, by ``u_row``, and a failure names the site.
+    """
+    row = rows.get(key)
+    if row is None:
+        a, b, c, n, k, swap = key
+        triple = ParamTriple(Fraction(a, d), Fraction(b, d), Fraction(c, d))
+        if swap:
+            if not triple.is_admissible():
+                raise _site_error(_node(site), triple)
+            triple = ParamTriple(triple.lam2, triple.lam3, triple.lam1)
+        try:
+            row = rows[key] = u_row(triple, n, k)
+        except InadmissibleParametersError:
+            raise _site_error(_node(site), triple) from None
+    return row
 
 
-def _expand_left_nest(node: Node, weights: Mapping[int, Fraction]) -> list[tuple[BracketExpr, Fraction]]:
-    # [[a,b]_k, c]_m -> sum_p U_{k,p} [a, [b,c]_p]_{n-p}, n = k+m
-    inner = node.left
-    a, b, c = inner.left, inner.right, node.right
-    k, n = inner.order, inner.order + node.order
-    triple = ParamTriple(expr_weight(a, weights), expr_weight(b, weights), expr_weight(c, weights))
-    row = _site_row(triple, n, k, node)
-    return [(Node(a, Node(b, c, p), n - p), u) for p, u in enumerate(row) if u]
-
-
-def _flip(node: Node) -> tuple[BracketExpr, Fraction]:
-    return Node(node.right, node.left, node.order), Fraction(-1) ** node.order
-
-
-def _transpose_adjacent(node: Node, weights: Mapping[int, Fraction]) -> list[tuple[BracketExpr, Fraction]]:
-    # [a, [b,c]_p]_{n-p} -> sum_q (-1)^(n+p+q) U^{(b,c,a)}_{p,q} [b, [a,c]_q]_{n-q}
-    inner = node.right
-    a, b, c = node.left, inner.left, inner.right
-    p, n = inner.order, inner.order + node.order
-    wa, wb, wc = expr_weight(a, weights), expr_weight(b, weights), expr_weight(c, weights)
-    unrotated = ParamTriple(wa, wb, wc)
-    if not unrotated.is_admissible():
-        raise _site_error(node, unrotated)
-    row = _site_row(ParamTriple(wb, wc, wa), n, p, node)
-    return [(Node(b, Node(a, c, q), n - q), -u if (n + p + q) % 2 else u) for q, u in enumerate(row) if u]
-
-
-def _step(
-    node: BracketExpr, weights: Mapping[int, Fraction]
-) -> list[tuple[BracketExpr, Fraction]] | None:
-    """One move at the first redex in post-order, rebuilt up to node; None when standard."""
-    if isinstance(node, Leaf):
-        return None
-    pieces = _step(node.left, weights)
-    if pieces is not None:
-        return [(Node(sub, node.right, node.order), c) for sub, c in pieces]
-    pieces = _step(node.right, weights)
-    if pieces is not None:
-        return [(Node(node.left, sub, node.order), c) for sub, c in pieces]
-    if isinstance(node.left, Node):
-        return _expand_left_nest(node, weights)
-    if isinstance(node.right, Leaf):
-        return [_flip(node)] if node.left.slot > node.right.slot else None
-    if node.left.slot > node.right.left.slot:
-        return _transpose_adjacent(node, weights)
+def _step(tree: Tree, rows: dict, d: int) -> list[tuple[Tree, int, int]] | None:
+    """One move at the first redex in post-order, rebuilt up to ``tree`` (a node)
+    as (tree, num, den) pieces; None when ``tree`` is standard."""
+    left, right, order, weight = tree
+    if left[0] is not None:
+        pieces = _step(left, rows, d)
+        if pieces is not None:
+            return [((sub, right, order, weight), num, den) for sub, num, den in pieces]
+    if right[0] is not None:
+        pieces = _step(right, rows, d)
+        if pieces is not None:
+            return [((left, sub, order, weight), num, den) for sub, num, den in pieces]
+        if left[0] is None and left[1] > right[0][1]:
+            # [a, [b,c]_p]_{n-p} -> sum_q (-1)^(n+p+q) U^{(b,c,a)}_{p,q} [b, [a,c]_q]_{n-q}
+            b, c, p = right[0], right[1], right[2]
+            n = p + order
+            row = _row(rows, d, tree, (left[3], b[3], c[3], n, p, True))
+            ac = left[3] + c[3]
+            return [
+                (
+                    (b, (left, c, q, ac + 2 * d * q), n - q, weight),
+                    -u.numerator if (n + p + q) % 2 else u.numerator,
+                    u.denominator,
+                )
+                for q, u in enumerate(row)
+                if u
+            ]
+    if left[0] is not None:
+        # [[a,b]_k, c]_m -> sum_p U_{k,p} [a, [b,c]_p]_{n-p}, n = k+m
+        a, b, k = left[0], left[1], left[2]
+        n = k + order
+        row = _row(rows, d, tree, (a[3], b[3], right[3], n, k, False))
+        bc = b[3] + right[3]
+        return [
+            ((a, (b, right, p, bc + 2 * d * p), n - p, weight), u.numerator, u.denominator)
+            for p, u in enumerate(row)
+            if u
+        ]
+    if right[0] is None and left[1] > right[1]:
+        # [u, w]_m -> (-1)^m [w, u]_m
+        return [((right, left, order, weight), -1 if order % 2 else 1, 1)]
     return None
 
 
-def to_standard(expr: BracketExpr, weights: Mapping[int, RationalLike]) -> LinearCombo:
-    """Rewrite into the standard basis; exact coefficients, deterministic order."""
-    weights = {slot: as_rational(w) for slot, w in weights.items()}
-    for slot in expr_slots(expr):
-        if slot not in weights:
-            raise UnboundSlotError(f"no weight bound for slot {slot}")
-    pending: dict[BracketExpr, Fraction] = {expr: Fraction(1)}
-    done: dict[BracketExpr, Fraction] = {}
+def _add_pair(combo: dict, key: Tree, num: int, den: int) -> None:
+    """Add num/den to combo[key] as a reduced pair, dropping the entry when it cancels."""
+    old = combo.get(key)
+    if old is not None:
+        old_num, old_den = old
+        if old_den == den:
+            num += old_num
+        else:
+            num = num * old_den + old_num * den
+            den *= old_den
+    if num:
+        g = gcd(num, den)
+        combo[key] = (num // g, den // g)
+    else:
+        del combo[key]
+
+
+def _normal_form(root: Tree, d: int) -> dict[Tree, tuple[int, int]]:
+    """The standard trees ``root`` rewrites to, with their coefficients; the
+    rows read and the work list are dropped on return."""
+    rows: dict = {}
+    pending = {root: (1, 1)}
+    done: dict[Tree, tuple[int, int]] = {}
     while pending:
         tree = next(iter(pending))
-        coeff = pending.pop(tree)
-        pieces = _step(tree, weights)
+        num, den = pending.pop(tree)
+        pieces = None if tree[0] is None else _step(tree, rows, d)
         if pieces is None:
-            _accumulate(done, tree, coeff)
+            _add_pair(done, tree, num, den)
             continue
-        for piece, c in pieces:
-            _accumulate(pending, piece, coeff * c)
-    return {tree_to_standard_term(tree): c for tree, c in done.items()}
+        for piece, piece_num, piece_den in pieces:
+            _add_pair(pending, piece, num * piece_num, den * piece_den)
+    return done
+
+
+def to_standard(expr: BracketExpr, weights: Mapping[int, RationalLike]) -> LinearCombo:
+    """Rewrite into the standard basis; exact coefficients, deterministic order.
+
+    Trees nested deeper than ``MAX_NESTING`` raise :class:`NestingTooDeepError`.
+    """
+    _check_nesting(expr)
+    weights = {slot: as_rational(w) for slot, w in weights.items()}
+    slots = expr_slots(expr)
+    for slot in slots:
+        if slot not in weights:
+            raise UnboundSlotError(f"no weight bound for slot {slot}")
+    d = lcm(*(weights[slot].denominator for slot in slots))
+    scaled = {slot: weights[slot].numerator * (d // weights[slot].denominator) for slot in slots}
+    done = _normal_form(_tuple_tree(expr, scaled, d), d)
+    # popped as read, so that no coefficient is held twice
+    return {tree_to_standard_term(_node(tree)): Fraction(*done.pop(tree)) for tree in list(done)}
 
 
 def combo_add(accum: LinearCombo, incoming: LinearCombo, scale: Fraction) -> None:

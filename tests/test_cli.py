@@ -11,6 +11,7 @@ import pytest
 from rcbrackets import cli
 from rcbrackets.cli import RunConfig, UsageError, load_config_file, main
 from rcbrackets.identities import sample_dict
+from rcbrackets.poly import MAX_NESTING
 from rcbrackets.transition import ParamTriple, u_matrix
 
 WEIGHTED_IDENTITY = """\
@@ -451,6 +452,36 @@ def test_over_deep_input_is_one_line_error(capsys, argv) -> None:
     assert code == 1
     assert out == ""
     assert err == "error: input nested too deeply\n"
+
+
+def _right_comb_argv(depth: int) -> list[str]:
+    """``rewrite`` of the standard right comb [f1,[f2,...,[f_d,f_{d+1}]_0...]_0]_0."""
+    expr = f"f{depth + 1}"
+    for slot in range(depth, 0, -1):
+        expr = f"[f{slot},{expr}]_0"
+    return ["rewrite", "--expr", expr, "--weights", ",".join(["1"] * (depth + 1))]
+
+
+def test_nesting_bound_admits_its_own_depth(capsys) -> None:
+    # a standard right comb at the bound is its own normal form
+    argv = _right_comb_argv(MAX_NESTING)
+    assert run_cli(capsys, argv) == (0, "1  (" + ",".join(["0"] * MAX_NESTING) + ")\n", "")
+    parens = "(" * MAX_NESTING + "z" + ")" * MAX_NESTING
+    argv = ["bracket", "--l1", "1", "--l2", "1", "--n", "0", "--f", parens, "--g", "z"]
+    assert run_cli(capsys, argv) == (0, "weight: 2\nform: z^2\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _right_comb_argv(MAX_NESTING + 1),
+        ["bracket", "--l1", "1", "--l2", "1", "--n", "1",
+         "--f", "(" * (MAX_NESTING + 1) + "z" + ")" * (MAX_NESTING + 1), "--g", "z"],
+    ],
+    ids=["rewrite-201", "bracket-parens-201"],
+)
+def test_nesting_bound_refuses_one_more_level(capsys, argv) -> None:
+    assert run_cli(capsys, argv) == (1, "", "error: input nested too deeply\n")
 
 
 def test_check_missing_file_exit_2(capsys) -> None:

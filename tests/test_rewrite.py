@@ -19,12 +19,17 @@ from rcbrackets.brackets import (
     format_expr,
 )
 from rcbrackets.cli import main
-from rcbrackets.poly import Poly, PolySyntaxError, poly_from_string
+from rcbrackets.poly import (
+    MAX_NESTING,
+    NestingTooDeepError,
+    Poly,
+    PolySyntaxError,
+    poly_from_string,
+)
 from rcbrackets.rewrite import (
     BracketSyntaxError,
     InadmissibleLocalWeightsError,
     StandardTerm,
-    _transpose_adjacent,
     check_identity,
     combo_add,
     eval_coeff,
@@ -226,13 +231,13 @@ def transposition_sites(draw) -> tuple[Fraction, Fraction, Fraction, int, int, i
 @given(transposition_sites())
 def test_transposition_is_the_three_step_composite(site) -> None:
     a, b, c, n, p, q = site
-    # [f2, [f1, f3]_p]_{n-p}: a, b, c sit on slots 2, 1, 3
+    # [f2, [f1, f3]_p]_{n-p}: a, b, c sit on slots 2, 1, 3; each piece
+    # [f1, [f2, f3]_q]_{n-q} is standard, so the normal form is the row itself
     node = Node(Leaf(2), Node(Leaf(1), Leaf(3), p), n - p)
-    pieces = _transpose_adjacent(node, {1: b, 2: a, 3: c})
     got = {}
-    for tree, coeff in pieces:
-        assert tree == Node(Leaf(1), Node(Leaf(2), Leaf(3), tree.right.order), n - tree.right.order)
-        got[tree.right.order] = coeff
+    for term, coeff in to_standard(node, {1: b, 2: a, 3: c}).items():
+        assert term.slots == (1, 2, 3) and sum(term.orders) == n
+        got[term.orders[0]] = coeff
     # reverse expansion at (a, b, c), flip of [a, b]_k, forward expansion at (b, a, c)
     reverse = u_reverse_matrix(ParamTriple(a, b, c), n)
     forward = u_matrix(ParamTriple(b, a, c), n)
@@ -299,6 +304,63 @@ def test_rewrite_preserves_semantics_small(tree: Node) -> None:
     for term, coeff in combo.items():
         total = total + coeff * eval_bracket_tree(standard_tree(term), leaves).form
     assert total == direct.form
+
+
+def _gate_free(weights: tuple[Fraction, ...]) -> bool:
+    """No nonempty sum of the weights is a nonpositive integer.
+
+    Every value a rewrite site gates is such a sum plus twice a nonnegative
+    integer (the orders inside the subtrees), so then every gate passes."""
+    sums = {Fraction(0)}
+    for w in weights:
+        new = {total + w for total in sums}
+        if any(total.denominator == 1 and total <= 0 for total in new):
+            return False
+        sums |= new
+    return True
+
+
+@st.composite
+def signed_weighted_trees(draw) -> tuple[Node, dict[int, Fraction]]:
+    """A ``small_trees`` shape with signed slot weights (denominators up to 6)
+    that pass every site gate."""
+    tree = draw(small_trees())
+    count = len(expr_slots(tree))
+    weights = draw(st.tuples(*[signed] * count).filter(_gate_free))
+    return tree, dict(enumerate(weights, start=1))
+
+
+@settings(deadline=None)
+@given(signed_weighted_trees())
+def test_rewrite_preserves_semantics_at_signed_weights(case) -> None:
+    tree, weights = case
+    combo = to_standard(tree, weights)
+    assert all(combo.values())
+    leaves = {slot: monomial(weights[slot], slot + 1) for slot in expr_slots(tree)}
+    direct = eval_bracket_tree(tree, leaves)
+    total = Poly.zero(("z",))
+    for term, coeff in combo.items():
+        total = total + coeff * eval_bracket_tree(standard_tree(term), leaves).form
+    assert total == direct.form
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 600])
+def test_over_deep_tree_is_refused_at_entry(depth: int) -> None:
+    tree = Leaf(1)
+    for slot in range(2, depth + 2):
+        tree = Node(tree, Leaf(slot), 0)
+    with pytest.raises(NestingTooDeepError, match="^input nested too deeply$"):
+        to_standard(tree, {slot: 1 for slot in range(1, depth + 2)})
+
+
+def test_tree_at_the_nesting_bound_is_admitted() -> None:
+    # a standard right comb is its own normal form
+    comb = Leaf(MAX_NESTING + 1)
+    for slot in range(MAX_NESTING, 0, -1):
+        comb = Node(Leaf(slot), comb, 1)
+    term = StandardTerm((1,) * MAX_NESTING, tuple(range(1, MAX_NESTING + 2)))
+    weights = {slot: Fraction(1, 2) for slot in range(1, MAX_NESTING + 2)}
+    assert to_standard(comb, weights) == {term: 1}
 
 
 # -- combos -------------------------------------------------------------------------
