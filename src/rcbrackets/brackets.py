@@ -11,7 +11,11 @@ nodes = brackets with an order) evaluate bottom-up with that weight rule.
 The coefficient row is integers from the start: ``bracket_coeff_row``
 gives it over the lcm of its denominators, and a table per
 (weight1, weight2, n) keeps its nonzero entries and memoizes the bracket of
-two monomials for the compiled tree evaluator.  The general bracket is one
+two monomials.  Trees on monomial leaves are evaluated by one grid
+tabulator, ``tabulate_trees``: at fixed slot weights it evaluates a list of
+trees on a whole list of leaf-degree tuples, one pass per distinct subtree,
+reading and filling those memos; ``integer_evaluator`` and
+``monomial_evaluator`` are its grid of one tuple.  The general bracket is one
 kernel that takes and returns ``poly.Numerators``, the format ``star`` sums
 its pieces in, and serves every order of a range at once: it reads the
 derivatives of both polynomials as big integers at X = 2^W (Kronecker
@@ -70,7 +74,7 @@ def _monomial_bracket(weight1: Fraction, weight2: Fraction, n: int) -> MonomialT
     ``row`` holds (s, den * c_s) for each nonzero entry c_s of the integer
     row of ``bracket_coeff_row``, and ``den`` is that row's ``den``, the lcm
     of the reduced denominators of the c_s.  ``memo`` starts empty;
-    :func:`_compile` fills ``memo[d1, d2]`` with den times the coefficient of
+    :func:`tabulate_trees` fills ``memo[d1, d2]`` with den times the coefficient of
     [z^d1, z^d2]_n = sum_s c_s d1^(s) d2^(n-s) z^(d1+d2-n), where d^(s) is
     the falling factorial (0 for s > d).
     """
@@ -275,16 +279,90 @@ def tree_symbol(
 
 MonomialEvaluator = Callable[[Sequence[int]], tuple[int, Fraction]]
 IntegerEvaluator = Callable[[Sequence[int]], tuple[int, int]]
+Tabulation = tuple[list[tuple[int, int]], int]
+# a subtree's values on the grid, its weight and its denominator
+_Table = tuple[list[tuple[int, int]], Fraction, int]
+
+
+def tabulate_trees(
+    exprs: Sequence[BracketExpr],
+    weights: Mapping[int, RationalLike],
+    grid: Sequence[Sequence[int]],
+) -> list[Tabulation]:
+    """Every tree of ``exprs`` at fixed slot weights, on every leaf-degree tuple of ``grid``.
+
+    Entry j is ``(values, den)`` with ``values[i] = (d, v)`` such that binding
+    slot s to z^(grid[i][s - 1]) evaluates ``exprs[j]`` to (v / den) z^d.  d
+    is always the sum of the slots' degrees minus ``expr_total_order``, and
+    v == 0 is the zero form.  Each distinct subtree is tabulated in one pass
+    over the whole grid, and subtrees that several trees share (equal as
+    values) once, in a dict local to the call.  A node of order n at child
+    weights (w1, w2) reads and fills the memo of the ``_monomial_bracket``
+    table for (w1, w2, n), which every tree at those weights shares; a tree's
+    ``den`` is the product of its nodes' table ``den``s, so tabulation
+    multiplies integers only.  Slot weights are read even for an empty grid:
+    a slot without one raises :class:`UnboundSlotError`.
+    """
+    tables: dict[BracketExpr, _Table] = {}
+    return [_tabulate(expr, weights, grid, tables)[::2] for expr in exprs]
+
+
+def _tabulate(
+    expr: BracketExpr,
+    weights: Mapping[int, RationalLike],
+    grid: Sequence[Sequence[int]],
+    tables: dict[BracketExpr, _Table],
+) -> _Table:
+    """(values, weight, den) of ``expr`` on ``grid``, read from or added to ``tables``."""
+    out = tables.get(expr)
+    if out is not None:
+        return out
+    if isinstance(expr, Leaf):
+        i = expr.slot - 1
+        out = [(degrees[i], 1) for degrees in grid], expr_weight(expr, weights), 1
+    else:
+        left, weight1, den1 = _tabulate(expr.left, weights, grid, tables)
+        right, weight2, den2 = _tabulate(expr.right, weights, grid, tables)
+        n = expr.order
+        row, row_den, memo = _monomial_bracket(weight1, weight2, n)
+        values = []
+        for (deg1, c1), (deg2, c2) in zip(left, right):
+            if not (c1 and c2):
+                values.append((deg1 + deg2 - n, 0))
+                continue
+            value = memo.get((deg1, deg2))
+            if value is None:
+                value = sum(c * perm(deg1, s) * perm(deg2, n - s) for s, c in row)
+                memo[deg1, deg2] = value
+            values.append((deg1 + deg2 - n, c1 * c2 * value))
+        out = values, weight1 + weight2 + 2 * n, row_den * den1 * den2
+    tables[expr] = out
+    return out
+
+
+def integer_evaluator(
+    expr: BracketExpr, weights: Mapping[int, RationalLike]
+) -> tuple[IntegerEvaluator, int]:
+    """``(evaluate, den)``: ``evaluate(degrees)`` is ``(d, v)`` where
+    ``monomial_evaluator`` gives ``(d, v / den)``; :func:`tabulate_trees` on a
+    grid of one tuple.  Slot weights are checked here, once."""
+    ((_, den),) = tabulate_trees([expr], weights, ())
+
+    def evaluate(degrees: Sequence[int]) -> tuple[int, int]:
+        ((values, _),) = tabulate_trees([expr], weights, (degrees,))
+        return values[0]
+
+    return evaluate, den
 
 
 def monomial_evaluator(expr: BracketExpr, weights: Mapping[int, RationalLike]) -> MonomialEvaluator:
-    """Compile ``expr`` at fixed slot weights into a scalar evaluator on monomial leaves.
+    """A scalar evaluator of ``expr`` at fixed slot weights on monomial leaves.
 
     The result maps leaf degrees, slot i reading ``degrees[i - 1]``, to
     ``(d, c)`` such that binding slot i to z^(degrees[i - 1]) evaluates the
     tree to c z^d.  d is always the sum of the slots' degrees minus
     ``expr_total_order(expr)``, and c == 0 is the zero form.  Slot weights
-    are bound here, once: a slot without a weight raises
+    are checked here, once: a slot without a weight raises
     :class:`UnboundSlotError`.  It wraps :func:`integer_evaluator` and
     builds one ``Fraction`` per evaluation.
     """
@@ -295,43 +373,3 @@ def monomial_evaluator(expr: BracketExpr, weights: Mapping[int, RationalLike]) -
         return degree, Fraction(numerator, den)
 
     return scalar
-
-
-def integer_evaluator(
-    expr: BracketExpr, weights: Mapping[int, RationalLike]
-) -> tuple[IntegerEvaluator, int]:
-    """``(evaluate, den)``: ``evaluate(degrees)`` is ``(d, v)`` where
-    ``monomial_evaluator`` gives ``(d, v / den)``.
-
-    A node of order n at child weights (w1, w2) reads and fills the memo
-    of the ``_monomial_bracket`` table for (w1, w2, n), which every tree
-    compiled at those weights shares; ``den`` is the product of the
-    tables' ``den``s, so evaluation multiplies integers only.
-    """
-    evaluate, _, den = _compile(expr, weights)
-    return evaluate, den
-
-
-def _compile(
-    expr: BracketExpr, weights: Mapping[int, RationalLike]
-) -> tuple[IntegerEvaluator, Fraction, int]:
-    """(evaluator, weight, denominator) of a subtree; a leaf is its degree over 1."""
-    if isinstance(expr, Leaf):
-        i = expr.slot - 1
-        return (lambda degrees: (degrees[i], 1)), expr_weight(expr, weights), 1
-    left, weight1, den1 = _compile(expr.left, weights)
-    right, weight2, den2 = _compile(expr.right, weights)
-    n = expr.order
-    row, row_den, memo = _monomial_bracket(weight1, weight2, n)
-
-    def node(degrees: Sequence[int]) -> tuple[int, int]:
-        deg1, c1 = left(degrees)
-        deg2, c2 = right(degrees)
-        if not (c1 and c2):
-            return deg1 + deg2 - n, 0
-        value = memo.get((deg1, deg2))
-        if value is None:
-            value = memo[deg1, deg2] = sum(c * perm(deg1, s) * perm(deg2, n - s) for s, c in row)
-        return deg1 + deg2 - n, c1 * c2 * value
-
-    return node, weight1 + weight2 + 2 * n, row_den * den1 * den2

@@ -9,11 +9,22 @@ The bracket-tree identities (main and reverse recoupling, the classical
 first-order pair, the four-function identity and the associativity of the
 Eholzer product) are term tables: lists of (coefficient, BracketExpr) pairs
 whose sum vanishes.  Their verifiers only build tables, and one engine,
-``verify_on_monomials``, evaluates every table on monomial leaves through
-compiled integer evaluators (``brackets.integer_evaluator``), summing
-integer residuals over one denominator per table.  The fixed
-tables are written in the coefficient and bracket languages of ``rcbrackets
-check`` files, so the rewriter can certify the same text.  The star product
+``verify_on_monomials``, evaluates every table on monomial leaves: each
+distinct tree, and each subtree trees share, is tabulated once on the whole
+degree grid (``brackets.tabulate_trees``), and the integer residuals are
+summed over one denominator per table.  The fixed tables are written in the
+coefficient and bracket languages of ``rcbrackets check`` files, so the
+rewriter can certify the same text.
+
+For each triple and n, the main identity is the matrix identity L = U R:
+row k of U takes the n+1 right nests R_p to the left nest L_k.  The suites
+check it as one block per (triple, n): ``main`` and ``reverse`` tabulate
+the block's 2(n+1) nests once for all of its rows, ``convolution`` builds
+each nest's symbol once, and ``operator`` builds each nest's piece once
+per input.  The public one-row verifiers (``verify_main_identity`` and the
+like) are the one-row case of the same block code, and every block reads U
+through ``u_row``.  Block tables are local to the block; only ``operator``'s
+substituted intertwiner images are kept for the whole suite run.  The star product
 (``star.assoc_defect``) stays an independent route to the Eholzer table,
 cross-checked in the tests.
 
@@ -38,9 +49,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .brackets import BracketExpr, Leaf, Node, integer_evaluator, monomial_evaluator, tree_symbol
+from .brackets import BracketExpr, Leaf, Node, tabulate_trees, tree_symbol
 from .hypergeom import jacobi_two_var
 from .poly import Numerators, Poly, _numerators, _reduced, _substituted, _sum, _times
 from .rationals import RationalLike, as_rational, factorial, pochhammer
@@ -71,6 +82,8 @@ SUITE_NAMES = (
 GEOMETRIC_VARS = ("z", "x", "y")
 # slots 1, 2, 3 of a symbol read the variables x, y, z
 SYMBOL_LEAVES = {slot: Poly.variable(v, GEOMETRIC_VARS) for slot, v in enumerate("xyz", 1)}
+# the exponents of a constant over GEOMETRIC_VARS
+_ORIGIN = (0,) * len(GEOMETRIC_VARS)
 
 ASSERTED_KAPPAS = (Fraction(1, 2), Fraction(3, 2))
 GENERIC_KAPPAS = (Fraction(5, 7),)
@@ -83,6 +96,22 @@ def sample_dict(params: ParamTriple) -> dict[str, str]:
 def _grid(triples: Sequence[ParamTriple], bound: int) -> list[tuple[ParamTriple, int, int]]:
     """Every (triple, n, j) with n <= bound and j <= n, triple-major."""
     return [(tr, n, j) for tr in triples for n in range(bound + 1) for j in range(n + 1)]
+
+
+def _blocks(
+    block: Callable[..., list[VerificationReport]],
+    triples: Sequence[ParamTriple],
+    bound: int,
+    *args: object,
+) -> list[VerificationReport]:
+    """``block(triple, n, range(n + 1), *args)`` for every triple and n <= bound:
+    one report per case of ``_grid(triples, bound)``, in its order."""
+    return [
+        report
+        for tr in triples
+        for n in range(bound + 1)
+        for report in block(tr, n, range(n + 1), *args)
+    ]
 
 
 # -- checked identities -----------------------------------------------------------
@@ -120,38 +149,56 @@ def verify_on_monomials(
 
     Slot i carries ``weights[i-1]``; each degree tuple in {0..max_degree}^slots
     binds slot i to z^(degree i) once and checks every (failure label, terms)
-    pair in ``identities`` as one instance.  A failure records the sample, the
-    label's fields, the degrees and the nonzero residual sum.  Every tree is
-    compiled once per call, and each coefficient over its tree's denominator
-    becomes an integer multiplier over one lcm per table, so the degree loop
-    sums integers; only a failure's residual becomes Fractions.
+    pair in ``identities`` as one instance, so failures are degree-major
+    across the tables.  A failure records the sample, the label's fields, the
+    degrees and the nonzero residual sum.  This is the one-row case of
+    :func:`_monomial_reports`.
+    """
+    return _monomial_reports(identity_id, weights, [identities], max_degree)[0]
+
+
+def _monomial_reports(
+    identity_id: str,
+    weights: Sequence[RationalLike],
+    rows: Sequence[Sequence[tuple[dict[str, object], Terms]]],
+    max_degree: int,
+) -> list[VerificationReport]:
+    """``verify_on_monomials`` of each row of ``rows``, one report per row, as one block.
+
+    Every tree of every row is tabulated once on the whole degree grid
+    (``brackets.tabulate_trees``), so trees and subtrees that several rows
+    or tables share are evaluated once.  Each coefficient over its tree's
+    denominator becomes an integer multiplier over one lcm per table, so the
+    residuals are integer sums; only a failure's residual becomes Fractions.
     """
     weights = [as_rational(w) for w in weights]
     sample = {f"lam{slot}": str(w) for slot, w in enumerate(weights, start=1)}
-    slot_weights = dict(enumerate(weights, start=1))
-    compiled = []
-    for label, terms in identities:
-        scaled = []
-        for coeff, expr in terms:
-            evaluate, tree_den = integer_evaluator(expr, slot_weights)
-            scaled.append((as_rational(coeff) / tree_den, evaluate))
-        den = lcm(*(scale.denominator for scale, _ in scaled))
-        multipliers = [(s.numerator * (den // s.denominator), evaluate) for s, evaluate in scaled]
-        compiled.append((label, den, multipliers))
-    failures = []
-    instances = 0
-    for degs in product(range(max_degree + 1), repeat=len(weights)):
-        for label, den, terms in compiled:
-            residual: dict[int, int] = {}
-            for multiplier, evaluate in terms:
-                degree, v = evaluate(degs)
-                if v:
-                    residual[degree] = residual.get(degree, 0) + multiplier * v
-            instances += 1
-            if any(residual.values()):
-                value = str(Poly(("z",), {(d,): Fraction(v, den) for d, v in residual.items()}))
-                failures.append({"sample": sample, **label, "degrees": list(degs), "value": value})
-    return VerificationReport.checked(identity_id, [sample], instances, failures)
+    grid = list(product(range(max_degree + 1), repeat=len(weights)))
+    trees = list(dict.fromkeys(expr for row in rows for _, terms in row for _, expr in terms))
+    tables = dict(zip(trees, tabulate_trees(trees, dict(enumerate(weights, start=1)), grid)))
+    reports = []
+    for row in rows:
+        compiled = []
+        for label, terms in row:
+            scaled = [(as_rational(c) / tables[expr][1], tables[expr][0]) for c, expr in terms]
+            den = lcm(*(scale.denominator for scale, _ in scaled))
+            multipliers = [(s.numerator * (den // s.denominator), values) for s, values in scaled]
+            compiled.append((label, den, multipliers))
+        failures = []
+        for i, degs in enumerate(grid):
+            for label, den, terms in compiled:
+                residual: dict[int, int] = {}
+                for multiplier, values in terms:
+                    degree, v = values[i]
+                    if v:
+                        residual[degree] = residual.get(degree, 0) + multiplier * v
+                if any(residual.values()):
+                    value = Poly(("z",), {(d,): Fraction(v, den) for d, v in residual.items()})
+                    record = {"sample": sample, **label, "degrees": list(degs), "value": str(value)}
+                    failures.append(record)
+        instances = len(grid) * len(row)
+        reports.append(VerificationReport.checked(identity_id, [sample], instances, failures))
+    return reports
 
 
 def _triple(params: ParamTriple) -> tuple[Fraction, Fraction, Fraction]:
@@ -172,24 +219,42 @@ def main_terms(params: ParamTriple, n: int, k: int) -> Terms:
     return terms + [(-u, _right_nest(n, p)) for p, u in enumerate(u_row(params, n, k)) if u]
 
 
+def reverse_terms(params: ParamTriple, n: int, p: int) -> Terms:
+    """[f1, [f2,f3]_p]_{n-p} - sum_k Utilde_k [[f1,f2]_k, f3]_{n-k} as a term table,
+    Utilde the U row at the outer-swapped triple, Utilde_k != 0."""
+    terms = [(Fraction(1), _right_nest(n, p))]
+    row = u_row(params.swapped_outer(), n, p)
+    return terms + [(-u, _left_nest(n, k)) for k, u in enumerate(row) if u]
+
+
+def _main_block(
+    params: ParamTriple, n: int, ks: Sequence[int], max_degree: int
+) -> list[VerificationReport]:
+    """The main identity at (params, n) for each row k of ``ks``: L = U R as one block."""
+    rows = [[({"n": n, "k": k}, main_terms(params, n, k))] for k in ks]
+    return _monomial_reports("main-recoupling", _triple(params), rows, max_degree)
+
+
+def _reverse_block(
+    params: ParamTriple, n: int, ps: Sequence[int], max_degree: int
+) -> list[VerificationReport]:
+    """The reverse identity at (params, n) for each row p of ``ps``, as one block."""
+    rows = [[({"n": n, "p": p}, reverse_terms(params, n, p))] for p in ps]
+    return _monomial_reports("reverse-recoupling", _triple(params), rows, max_degree)
+
+
 def verify_main_identity(
     params: ParamTriple, n: int, k: int, max_degree: int = 3
 ) -> VerificationReport:
     """[[f1,f2]_k, f3]_{n-k} = sum_p U_p [f1, [f2,f3]_p]_{n-p} on monomials."""
-    identity = ({"n": n, "k": k}, main_terms(params, n, k))
-    return verify_on_monomials("main-recoupling", _triple(params), [identity], max_degree)
+    return _main_block(params, n, [k], max_degree)[0]
 
 
 def verify_reverse_identity(
     params: ParamTriple, n: int, p: int, max_degree: int = 3
 ) -> VerificationReport:
     """[f1, [f2,f3]_p]_{n-p} = sum_k Utilde_k [[f1,f2]_k, f3]_{n-k} on monomials."""
-    row = u_row(params.swapped_outer(), n, p)
-    terms = [(Fraction(1), _right_nest(n, p))]
-    terms += [(-u, _left_nest(n, k)) for k, u in enumerate(row) if u]
-    return verify_on_monomials(
-        "reverse-recoupling", _triple(params), [({"n": n, "p": p}, terms)], max_degree
-    )
+    return _reverse_block(params, n, [p], max_degree)[0]
 
 
 def verify_classical(params: ParamTriple, max_degree: int = 4) -> VerificationReport:
@@ -216,62 +281,106 @@ def verify_convolution(params: ParamTriple, n: int, k: int) -> VerificationRepor
     This is the convolution identity between products of homogeneous Jacobi
     forms; a failure records the nonzero residual.
     """
+    return _convolution_block(params, n, [k])[0]
+
+
+def _convolution_block(params: ParamTriple, n: int, ks: Sequence[int]) -> list[VerificationReport]:
+    """``verify_convolution`` at (params, n) for each row k of ``ks``; the symbol
+    of each tree of the block is built once."""
     weights = dict(enumerate(_triple(params), start=1))
-    residual = Poly.zero(GEOMETRIC_VARS)
-    for coeff, expr in main_terms(params, n, k):
-        residual = residual + coeff * tree_symbol(expr, weights, SYMBOL_LEAVES)[1]
     sample = sample_dict(params)
-    failures = []
-    if not residual.is_zero():
-        failures.append({"sample": sample, "n": n, "k": k, "value": str(residual)})
-    return VerificationReport.checked("jacobi-convolution", [sample], 1, failures)
+    symbols: dict[BracketExpr, Poly] = {}
+    reports = []
+    for k in ks:
+        residual = Poly.zero(GEOMETRIC_VARS)
+        for coeff, expr in main_terms(params, n, k):
+            if expr not in symbols:
+                symbols[expr] = tree_symbol(expr, weights, SYMBOL_LEAVES)[1]
+            residual = residual + coeff * symbols[expr]
+        failures = []
+        if not residual.is_zero():
+            failures.append({"sample": sample, "n": n, "k": k, "value": str(residual)})
+        reports.append(VerificationReport.checked("jacobi-convolution", [sample], 1, failures))
+    return reports
 
 
 def verify_operator_convolution(
-    params: ParamTriple,
-    n: int,
-    k: int,
-    max_degree: int = 3,
-    *,
-    images: dict[tuple[BracketExpr, Fraction, Fraction, int], Numerators] | None = None,
+    params: ParamTriple, n: int, k: int, max_degree: int = 3
 ) -> VerificationReport:
     """The main table through the raising intertwiners, on inputs t^m.
 
     A term c [A, B]_j acts on t^m as c S_A S_B intertwiner_phi_tilde(j, w_A,
     w_B, t^m) at (x, y) = (leaf sum of A, leaf sum of B): the outer bracket
-    comes from the verma route.  The child symbols do not depend on m and
-    are computed once, as integer numerators; each residual is summed and
-    tested on integers, and only a failure's residual becomes Fractions.
-    The substituted image of each (term, w_A, w_B, m) is built once in
-    ``images`` (the term's slots fix the leaf sums); a suite run passes one
-    dict to all of its reports.
+    comes from the verma route.  Each residual is summed and tested on
+    integers, and only a failure's residual becomes Fractions.
     """
-    if images is None:
-        images = {}
+    return _operator_block(params, n, [k], max_degree, {})[0]
+
+
+def _operator_block(
+    params: ParamTriple,
+    n: int,
+    ks: Sequence[int],
+    max_degree: int,
+    images: dict[tuple[Node, Fraction, Fraction, int], Numerators],
+) -> list[VerificationReport]:
+    """``verify_operator_convolution`` at (params, n) for each row k of ``ks``.
+
+    The piece S_A S_B image(t^m) of each tree [A, B]_j of the block is built
+    once per input degree m, as integer numerators; row k's residual is then
+    the sum of its pieces scaled by the table's coefficients.  The substituted
+    images are kept in ``images``, which a suite run shares across its blocks.
+    """
     weights = dict(enumerate(_triple(params), start=1))
-    outer = []
-    for coeff, expr in main_terms(params, n, k):
-        sum1, symbol1, weight1 = tree_symbol(expr.left, weights, SYMBOL_LEAVES)
-        sum2, symbol2, weight2 = tree_symbol(expr.right, weights, SYMBOL_LEAVES)
-        children = [symbol for symbol in (symbol1, symbol2) if symbol is not None]
-        scale = _numerators(prod(children, start=Poly.const(GEOMETRIC_VARS, coeff)).terms)
-        outer.append((scale, expr, weight1, weight2, {"x": sum1, "y": sum2}))
+    inputs = [Poly.monomial(("t",), {"t": m}) for m in range(max_degree + 1)]
     sample = sample_dict(params)
-    record = {"sample": sample, "n": n, "k": k}
-    failures = []
-    for m in range(max_degree + 1):
-        q = Poly.monomial(("t",), {"t": m})
-        pieces = []
-        for scale, expr, w1, w2, bindings in outer:
-            key = (expr, w1, w2, m)
-            if key not in images:
-                images[key] = _substituted(intertwiner_phi_tilde(expr.order, w1, w2, q), bindings)
-            pieces.append(_times(scale, images[key]))
-        residual = _sum(pieces)
-        if any(residual[0].values()):
-            value = str(_reduced(GEOMETRIC_VARS, residual))
-            failures.append({**record, "input_degree": m, "value": value})
-    return VerificationReport.checked("operator-convolution", [sample], max_degree + 1, failures)
+    pieces: dict[BracketExpr, list[Numerators]] = {}
+    reports = []
+    for k in ks:
+        terms = main_terms(params, n, k)
+        for _, expr in terms:
+            if expr not in pieces:
+                pieces[expr] = _operator_pieces(expr, weights, inputs, images)
+        record = {"sample": sample, "n": n, "k": k}
+        failures = []
+        for m in range(max_degree + 1):
+            scaled = [_times(({_ORIGIN: c.numerator}, c.denominator), pieces[e][m]) for c, e in terms]
+            residual = _sum(scaled)
+            if any(residual[0].values()):
+                value = str(_reduced(GEOMETRIC_VARS, residual))
+                failures.append({**record, "input_degree": m, "value": value})
+        reports.append(
+            VerificationReport.checked("operator-convolution", [sample], max_degree + 1, failures)
+        )
+    return reports
+
+
+def _operator_pieces(
+    expr: Node,
+    weights: dict[int, Fraction],
+    inputs: Sequence[Poly],
+    images: dict[tuple[Node, Fraction, Fraction, int], Numerators],
+) -> list[Numerators]:
+    """S_A S_B intertwiner_phi_tilde(j, w_A, w_B, q) at (x, y) = (leaf sum of A,
+    leaf sum of B), for ``expr`` = [A, B]_j and each q of ``inputs``.
+
+    The substituted image of each (expr, w_A, w_B, m) is read from or added to
+    ``images``: the tree's slots fix the leaf sums, so permuted weight triples
+    that meet the same child weights share it.
+    """
+    sum1, symbol1, weight1 = tree_symbol(expr.left, weights, SYMBOL_LEAVES)
+    sum2, symbol2, weight2 = tree_symbol(expr.right, weights, SYMBOL_LEAVES)
+    children = [symbol for symbol in (symbol1, symbol2) if symbol is not None]
+    scale = _numerators(prod(children, start=Poly.const(GEOMETRIC_VARS, 1)).terms)
+    bindings = {"x": sum1, "y": sum2}
+    pieces = []
+    for m, q in enumerate(inputs):
+        key = (expr, weight1, weight2, m)
+        if key not in images:
+            image = intertwiner_phi_tilde(expr.order, weight1, weight2, q)
+            images[key] = _substituted(image, bindings)
+        pieces.append(_times(scale, images[key]))
+    return pieces
 
 
 def eholzer_terms(order: int) -> Terms:
@@ -320,13 +429,18 @@ def solve_u_from_brackets(params: ParamTriple, n: int, k: int) -> list[Fraction]
     """
     check_row(params, n, k)
     weights = dict(enumerate(_triple(params), start=1))
-    lhs = monomial_evaluator(_left_nest(n, k), weights)
-    rhs = [monomial_evaluator(_right_nest(n, q), weights) for q in range(n + 1)]
+    trees = [_left_nest(n, k)] + [_right_nest(n, q) for q in range(n + 1)]
+    grid = [(n - j, 0, j) for j in range(n + 1)]
+    # tables[t][j]: tree t at a_j, with L first and R_q at t = q + 1
+    tables = [
+        [Fraction(v, den) for _, v in values]
+        for values, den in tabulate_trees(trees, weights, grid)
+    ]
+    lhs, rhs = tables[0], tables[1:]
     row: list[Fraction] = []
     for j in range(n + 1):
-        degs = (n - j, 0, j)
-        known = sum(rhs[q](degs)[1] * u for q, u in enumerate(row))
-        row.append((lhs(degs)[1] - known) / rhs[j](degs)[1])
+        known = sum(rhs[q][j] * u for q, u in enumerate(row))
+        row.append((lhs[j] - known) / rhs[j][j])
     return row
 
 
@@ -363,21 +477,26 @@ def _zagier_sums(
 ) -> dict[str, Poly]:
     """Per reading, sum_k scalar_k G_first(s1,s2) G_second(s1+s2,s3) [[f1,f2]_k,f3]_{n-k},
     the bracket read at monomials of ``degrees``.  The scalar and the bracket
-    are computed once per k for both readings; every piece stays integer
-    numerators until the one reduction of each sum."""
+    are computed once per k for both readings, the brackets of all k on one
+    grid of one tuple, and the printed reading's first factor, which does not
+    depend on k, once per call; every piece stays integer numerators until
+    the one reduction of each sum."""
     l1, l2, l3 = lams
     s1, s2, s3 = slots
     s12 = s1 + s2
     weights = dict(enumerate(lams, start=1))
+    nests = [_left_nest(n, k) for k in range(n + 1)]
+    printed_first = _substituted(jacobi_two_var(n, l1, l2), {"x": s1, "y": s2})
     pieces: dict[str, list] = {"corrected": [], "printed": []}
-    for k in range(n + 1):
+    for k, (((degree, v),), den) in enumerate(tabulate_trees(nests, weights, [degrees])):
         scalar = _zagier_pair_scalar(l1, l2, l3, n, k)
-        evaluate, den = integer_evaluator(_left_nest(n, k), weights)
-        degree, v = evaluate(degrees)
         # scalar * v / den * z^degree; z leads ZAGIER_VARS
         bracket = ({(degree, 0, 0, 0): scalar.numerator * v}, scalar.denominator * den)
-        for reading, d_first, d_second in (("corrected", k, n - k), ("printed", n, n)):
-            first = _substituted(jacobi_two_var(d_first, l1, l2), {"x": s1, "y": s2})
+        corrected_first = _substituted(jacobi_two_var(k, l1, l2), {"x": s1, "y": s2})
+        for reading, first, d_second in (
+            ("corrected", corrected_first, n - k),
+            ("printed", printed_first, n),
+        ):
             second = _substituted(
                 jacobi_two_var(d_second, l1 + l2 + 2 * k, l3), {"x": s12, "y": s3}
             )
@@ -575,11 +694,10 @@ def run_suite(
             out.extend(run_suite(suite, triples, max_n, max_degree, hbar_order))
         return out
     if name == "main":
-        reports = [verify_main_identity(tr, n, k, max_degree) for tr, n, k in _grid(triples, max_n)]
+        reports = _blocks(_main_block, triples, max_n, max_degree)
         return [merge_reports("main-recoupling", reports)]
     if name == "reverse":
-        cases = _grid(triples, min(max_n, 4))
-        reports = [verify_reverse_identity(tr, n, p, max_degree) for tr, n, p in cases]
+        reports = _blocks(_reverse_block, triples, min(max_n, 4), max_degree)
         return [merge_reports("reverse-recoupling", reports)]
     if name == "classical":
         first = [verify_classical(tr, max_degree=4) for tr in triples]
@@ -592,14 +710,10 @@ def run_suite(
             merge_reports("four-function-first-order", second),
         ]
     if name == "convolution":
-        reports = [verify_convolution(tr, n, k) for tr, n, k in _grid(triples, min(max_n, 4))]
+        reports = _blocks(_convolution_block, triples, min(max_n, 4))
         return [merge_reports("jacobi-convolution", reports)]
     if name == "operator":
-        cases = _grid(triples, min(max_n, 3))
-        images: dict = {}
-        reports = [
-            verify_operator_convolution(tr, n, k, max_degree, images=images) for tr, n, k in cases
-        ]
+        reports = _blocks(_operator_block, triples, min(max_n, 3), max_degree, {})
         return [merge_reports("operator-convolution", reports)]
     if name == "zagier":
         return [zagier_suite(triples, max_n=min(max_n, 3))]

@@ -515,13 +515,18 @@ def parse_infix(tokens: Tokens, leaf, ops: Mapping[str, Callable]):
         return out
 
     def factor():
-        if tokens.peek()[0] == "-":
+        # a run of unary minus signs is read in a loop, not by recursion,
+        # so its length is bounded by nothing but the input
+        signs = 0
+        while tokens.peek()[0] == "-":
             tokens.advance()
-            return ops["neg"](factor())
+            signs += 1
         out = atom()
         if "^" in ops and tokens.peek()[0] == "^":
             tokens.advance()
-            return ops["^"](out, tokens.integer())
+            out = ops["^"](out, tokens.integer())
+        for _ in range(signs):
+            out = ops["neg"](out)
         return out
 
     def atom():

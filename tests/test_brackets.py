@@ -21,6 +21,7 @@ from rcbrackets.brackets import (
     monomial_evaluator,
     monomial_form,
     rc_bracket,
+    tabulate_trees,
     tree_symbol,
 )
 from rcbrackets.hypergeom import bracket_coeff_row
@@ -338,6 +339,58 @@ def test_monomial_evaluator_matches_eval_bracket_tree(expr, ws, degree_tuples):
                 assert expected == Poly.monomial(("z",), {"z": degree}, c)
             else:
                 assert expected.is_zero()
+
+
+def _subtrees(expr):
+    """Every subtree of ``expr``, children before their parent."""
+    if isinstance(expr, Leaf):
+        return [expr]
+    return _subtrees(expr.left) + _subtrees(expr.right) + [expr]
+
+
+@given(
+    bracket_trees(),
+    st.integers(0, 3),
+    st.lists(signed_weights, min_size=5, max_size=5),
+    st.lists(leaf_degrees, min_size=1, max_size=5),
+)
+def test_tabulated_trees_equal_eval_bracket_tree(expr, order, ws, grid):
+    slot_weights = dict(enumerate(ws, start=1))
+    # the trees share subtrees: every subtree of expr, the mirror (which shares
+    # its leaves), expr's children under another order and expr's left child
+    # at expr's order beside the mirrored right child
+    trees = _subtrees(expr) + [
+        _mirrored(expr),
+        Node(expr.left, expr.right, order),
+        Node(expr.left, _mirrored(expr.right), expr.order),
+    ]
+    # the zero tuple has degree 0, below the total order of every tree with a
+    # nonzero order, so those trees are zero there
+    grid = grid + [[0] * 5]
+    tables = tabulate_trees(trees, slot_weights, grid)
+    assert len(tables) == len(trees)
+    for tree, (values, den) in zip(trees, tables):
+        slots = expr_slots(tree)
+        assert len(values) == len(grid)
+        assert den == integer_evaluator(tree, slot_weights)[1]
+        for degs, (degree, v) in zip(grid, values):
+            leaves = {slot: monomial_form(slot_weights[slot], degs[slot - 1]) for slot in slots}
+            expected = eval_bracket_tree(tree, leaves).form
+            assert degree == sum(degs[slot - 1] for slot in slots) - expr_total_order(tree)
+            if v:
+                assert expected == Poly.monomial(("z",), {"z": degree}, Fraction(v, den))
+            else:
+                assert expected.is_zero()
+        if expr_total_order(tree):
+            assert values[-1] == (-expr_total_order(tree), 0)
+
+
+def test_tabulate_trees_checks_weights_on_an_empty_grid():
+    expr = Node(Node(Leaf(1), Leaf(2), 1), Leaf(3), 0)
+    with pytest.raises(UnboundSlotError, match="slot 3"):
+        tabulate_trees([expr], {1: Fraction(1), 2: Fraction(1, 2)}, [])
+    weights = {1: 1, 2: 2, 3: 3}
+    assert tabulate_trees([expr], weights, []) == [([], integer_evaluator(expr, weights)[1])]
 
 
 def test_monomial_evaluator_degree_below_order_is_zero():

@@ -454,6 +454,15 @@ def test_over_deep_input_is_one_line_error(capsys, argv) -> None:
     assert err == "error: input nested too deeply\n"
 
 
+@pytest.mark.parametrize("signs, plain", [(1000, "z"), (1001, "-z")])
+def test_unary_minus_run_is_read_in_a_loop(capsys, signs, plain) -> None:
+    # far past the interpreter's recursion limit; each sign negates once
+    argv = ["bracket", "--l1", "1", "--l2", "1", "--n", "1", "--g", "z^2"]
+    want = run_cli(capsys, argv + [f"--f={plain}"])
+    assert want[0] == 0
+    assert run_cli(capsys, argv + ["--f=" + "-" * signs + "z"]) == want
+
+
 def _right_comb_argv(depth: int) -> list[str]:
     """``rewrite`` of the standard right comb [f1,[f2,...,[f_d,f_{d+1}]_0...]_0]_0."""
     expr = f"f{depth + 1}"

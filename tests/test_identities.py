@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,8 @@ from hypothesis import given, strategies as st
 
 from rcbrackets import identities, transition
 from rcbrackets.brackets import (
+    Leaf,
+    Node,
     eval_bracket_tree,
     format_expr,
     monomial_evaluator,
@@ -36,6 +39,7 @@ from rcbrackets.identities import (
     zagier_suite,
 )
 from rcbrackets.rationals import pochhammer
+from rcbrackets.report import merge_reports
 from rcbrackets.transition import (
     InadmissibleParametersError,
     ParamTriple,
@@ -450,3 +454,69 @@ def test_zagier_sum_matches_poly_route(params) -> None:
             for reading in ("corrected", "printed"):
                 want = _zagier_sum_by_poly(*args, n, reading)
                 assert identities._zagier_sums(*args, n)[reading] == want
+
+
+# -- blocks: one (triple, n) at a time, every row of it ------------------------------
+
+BLOCK_TRIPLES = (GENERIC, CROSS_TRIPLES[2])
+BLOCK_DEGREE = 2
+# suite -> (merged report id, the public one-row verifier at (triple, n, row))
+PER_ROW = {
+    "main": ("main-recoupling", lambda tr, n, k: verify_main_identity(tr, n, k, BLOCK_DEGREE)),
+    "reverse": (
+        "reverse-recoupling",
+        lambda tr, n, p: verify_reverse_identity(tr, n, p, BLOCK_DEGREE),
+    ),
+    "convolution": ("jacobi-convolution", verify_convolution),
+    "operator": (
+        "operator-convolution",
+        lambda tr, n, k: verify_operator_convolution(tr, n, k, BLOCK_DEGREE),
+    ),
+}
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["clean", "perturbed"])
+@pytest.mark.parametrize("suite", sorted(PER_ROW))
+def test_blocks_equal_per_row_verifiers(monkeypatch, suite, perturbed) -> None:
+    if perturbed:
+        formula = identities.u_row
+
+        def nudged(params, n, k):
+            row = formula(params, n, k)
+            if (n, k) == (2, 1):
+                row[0] += Fraction(1, 1000)
+            return row
+
+        monkeypatch.setattr(identities, "u_row", nudged)
+    identity_id, verify_row = PER_ROW[suite]
+    (block,) = run_suite(suite, BLOCK_TRIPLES, max_n=3, max_degree=BLOCK_DEGREE)
+    rows = [verify_row(tr, n, j) for tr in BLOCK_TRIPLES for n in range(4) for j in range(n + 1)]
+    assert block.to_dict() == merge_reports(identity_id, rows).to_dict()
+    assert block.instances_checked == sum(row.instances_checked for row in rows)
+    # the nudge reaches every suite, and only its rows, (n, k) or (n, p) = (2, 1), fail
+    failing = [row for row in rows if row.failures]
+    assert bool(failing) == perturbed
+    for row in failing:
+        rows_hit = {(record["n"], record.get("k", record.get("p"))) for record in row.failures}
+        assert rows_hit == {(2, 1)}
+
+
+def test_failures_are_degree_major_across_tables() -> None:
+    # at unit weights [z^a, z^b]_0 = z^(a+b) and [z^a, z^b]_1 = (b - a) z^(a+b-1),
+    # so table a fails on every tuple and table b off the diagonal
+    weights = (Fraction(1), Fraction(1))
+    tables = [
+        ({"table": name}, [(Fraction(1), Node(Leaf(1), Leaf(2), j))])
+        for name, j in (("a", 0), ("b", 1))
+    ]
+    report = verify_on_monomials("two-tables", weights, tables, 2)
+    expected = []
+    for degrees in product(range(3), repeat=2):
+        leaves = {slot: monomial_form(1, d) for slot, d in enumerate(degrees, start=1)}
+        for label, ((_, expr),) in tables:
+            value = eval_bracket_tree(expr, leaves).form
+            if not value.is_zero():
+                expected.append((list(degrees), label["table"], str(value)))
+    assert [(r["degrees"], r["table"], r["value"]) for r in report.failures] == expected
+    assert {name for _, name, _ in expected} == {"a", "b"}
+    assert report.instances_checked == 2 * 9
