@@ -48,8 +48,6 @@ from .identities import (
     verify_on_monomials,
     verify_operator_convolution,
     verify_reverse_identity,
-    verify_zagier_invariance,
-    zagier_suite,
 )
 from .poly import (
     MAX_NESTING,
@@ -115,5 +113,6 @@ from .verma import (
     intertwiner_phi_tilde,
     psi_map,
 )
+from .zagier import verify_zagier_invariance, zagier_suite
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,7 +15,11 @@ two monomials.  Trees on monomial leaves are evaluated by one grid
 tabulator, ``tabulate_trees``: at fixed slot weights it evaluates a list of
 trees on a whole list of leaf-degree tuples, one pass per distinct subtree,
 reading and filling those memos; ``integer_evaluator`` and
-``monomial_evaluator`` are its grid of one tuple.  The general bracket is one
+``monomial_evaluator`` are its grid of one tuple.  A tree of total order N
+on D slots is the constant-coefficient operator sum_{|j|=N} s_j prod f_i^(j_i),
+so on leaves z^(a_i) with sum a_i = N it is s_a prod a_i!, and
+``tabulate_on_slice`` reads its symbol, the polynomial ``tree_symbol``
+builds from Jacobi forms, off that simplex slice.  The general bracket is one
 kernel that takes and returns ``poly.Numerators``, the format ``star`` sums
 its pieces in, and serves every order of a range at once: it reads the
 derivatives of both polynomials as big integers at X = 2^W (Kronecker
@@ -31,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import perm, prod
+from math import factorial, perm, prod
 from typing import Callable, Mapping, Sequence, Union
 
 from .hypergeom import bracket_coeff_row, jacobi_two_var
@@ -76,7 +80,8 @@ def _monomial_bracket(weight1: Fraction, weight2: Fraction, n: int) -> MonomialT
     of the reduced denominators of the c_s.  ``memo`` starts empty;
     :func:`tabulate_trees` fills ``memo[d1, d2]`` with den times the coefficient of
     [z^d1, z^d2]_n = sum_s c_s d1^(s) d2^(n-s) z^(d1+d2-n), where d^(s) is
-    the falling factorial (0 for s > d).
+    the falling factorial (0 for s > d), so it sums only the s with
+    n - d2 <= s <= d1.
     """
     row, den = bracket_coeff_row(weight1, weight2, n)
     return tuple((s, c) for s, c in enumerate(row) if c), den, {}
@@ -325,6 +330,9 @@ def _tabulate(
         right, weight2, den2 = _tabulate(expr.right, weights, grid, tables)
         n = expr.order
         row, row_den, memo = _monomial_bracket(weight1, weight2, n)
+        coeffs = [0] * (n + 1)
+        for s, c in row:
+            coeffs[s] = c
         values = []
         for (deg1, c1), (deg2, c2) in zip(left, right):
             if not (c1 and c2):
@@ -332,12 +340,56 @@ def _tabulate(
                 continue
             value = memo.get((deg1, deg2))
             if value is None:
-                value = sum(c * perm(deg1, s) * perm(deg2, n - s) for s, c in row)
+                # only n - deg2 <= s <= deg1 gives nonzero falling factorials
+                value = 0
+                for s in range(n - deg2 if deg2 < n else 0, (deg1 if deg1 < n else n) + 1):
+                    value += coeffs[s] * perm(deg1, s) * perm(deg2, n - s)
                 memo[deg1, deg2] = value
             values.append((deg1 + deg2 - n, c1 * c2 * value))
         out = values, weight1 + weight2 + 2 * n, row_den * den1 * den2
     tables[expr] = out
     return out
+
+
+def simplex_slice(slots: int, order: int) -> list[tuple[int, ...]]:
+    """The C(order+slots-1, slots-1) tuples a of nonnegative integers with
+    ``slots`` entries and sum(a) = ``order``, in lexicographic order."""
+    if slots == 0:
+        return [()] if order == 0 else []
+    return [
+        (first, *rest)
+        for first in range(order + 1)
+        for rest in simplex_slice(slots - 1, order - first)
+    ]
+
+
+def tabulate_on_slice(
+    trees: Sequence[BracketExpr],
+    weights: Mapping[int, RationalLike],
+    order: int,
+    head: Sequence[Sequence[int]] = (),
+) -> tuple[list[Tabulation], list[tuple[int, ...]], list[int]]:
+    """``(tables, slice, factorials)``: ``trees`` tabulated on the simplex slice.
+
+    Every tree must have the slots 1..D of ``weights`` (D of them) and total
+    order ``order``.  ``slice`` is ``simplex_slice(D, order)`` and
+    ``factorials[i]`` is prod_j slice[i][j]!.  Each tree is the operator
+    sum_{|j|=order} s_j prod f_j^(j_j), so on z^(a_j) with a = slice[i] it is
+    the constant s_a prod a_j!: with ``(values, den)`` its table,
+    s_a = values[len(head) + i][1] / (den factorials[i]).  The tuples of
+    ``head`` are tabulated first, in the same :func:`tabulate_trees`
+    pass, so ``values[:len(head)]`` are the trees at them.
+    """
+    slots = len(weights)
+    for tree in trees:
+        if sorted(expr_slots(tree)) != list(range(1, slots + 1)):
+            raise ValueError(f"a slice tree needs the slots 1..{slots}, got {expr_slots(tree)}")
+        if expr_total_order(tree) != order:
+            total = expr_total_order(tree)
+            raise ValueError(f"a slice tree needs total order {order}, got {total}")
+    grid = simplex_slice(slots, order)
+    tables = tabulate_trees(trees, weights, [*head, *grid])
+    return tables, grid, [prod(map(factorial, a)) for a in grid]
 
 
 def integer_evaluator(

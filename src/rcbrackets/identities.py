@@ -18,27 +18,29 @@ rewriter can certify the same text.
 
 For each triple and n, the main identity is the matrix identity L = U R:
 row k of U takes the n+1 right nests R_p to the left nest L_k.  The suites
-check it as one block per (triple, n): ``main`` and ``reverse`` tabulate
-the block's 2(n+1) nests once for all of its rows, ``convolution`` builds
-each nest's symbol once, and ``operator`` builds each nest's piece once
-per input.  The public one-row verifiers (``verify_main_identity`` and the
-like) are the one-row case of the same block code, and every block reads U
-through ``u_row``.  Block tables are local to the block; only ``operator``'s
-substituted intertwiner images are kept for the whole suite run.  The star product
+check it as one block per (triple, n): ``main``, ``reverse`` and
+``convolution`` tabulate the block's 2(n+1) nests once for all of its rows,
+and ``operator`` builds each nest's piece once per input.  The public
+one-row verifiers (``verify_main_identity`` and the like) are the one-row
+case of the same block code, and every block reads U through ``u_row``.
+Block tables are local to the block; only ``operator``'s substituted
+intertwiner images are kept for the whole suite run.  The star product
 (``star.assoc_defect``) stays an independent route to the Eholzer table,
 cross-checked in the tests.
 
-The main table, ``main_terms``, also runs on symbols (``brackets.tree_symbol``)
-in ``convolution``, and with each outer bracket taken from the raising
-intertwiner on inputs t^m in ``operator``.  Equal symbols are equal
-tri-differential operators, so a convolution pass at (triple, n, k) means the
-main identity holds for every polynomial input at that triple.
+A tree's values on the simplex slice (``brackets.tabulate_on_slice``) are
+its symbol.  ``convolution`` checks the main table there, so a pass at
+(triple, n, k) means the main identity holds for every polynomial input at
+that triple, and a failure records the residual symbol.
+``brackets.tree_symbol`` builds the same symbols by substituting Jacobi
+forms; the tests check the slice against it, and ``operator`` reads its
+child symbols from it, with each outer bracket taken from the raising
+intertwiner on inputs t^m.
 
-The ``operator`` and ``zagier`` suites keep their polynomials as
-``poly.Numerators`` from the first product to the final test: ``operator``
-tests each residual for zero on integers and reduces only a failure's, and
-``zagier`` builds both readings in one pass per permutation and reduces each
-(reading, permutation) sum once before comparing.  ``cmz`` reads each U
+The ``operator`` suite keeps its polynomials as ``poly.Numerators`` from
+the first product to the final test: it tests each residual for zero on
+integers and reduces only a failure's.  The ``zagier`` survey lives in its
+own module, ``zagier``, and ``run_suite`` runs it.  ``cmz`` reads each U
 matrix once per (triple, n) and the left side of its compatibility identity
 once per (kappa, scale, triple, n); its binomial sum
 (``transition.cmz_t_sum``) builds one ``Fraction`` per t_n.
@@ -49,15 +51,22 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .brackets import BracketExpr, Leaf, Node, tabulate_trees, tree_symbol
-from .hypergeom import jacobi_two_var
+from .brackets import (
+    BracketExpr,
+    Leaf,
+    Node,
+    Tabulation,
+    tabulate_on_slice,
+    tabulate_trees,
+    tree_symbol,
+)
 from .poly import Numerators, Poly, _numerators, _reduced, _substituted, _sum, _times
-from .rationals import RationalLike, as_rational, factorial, pochhammer
+from .rationals import RationalLike, as_rational
 from .report import VerificationReport, merge_reports
 from .rewrite import bind_terms
-from .samples import default_triples
+from .samples import default_triples, sample_dict
 from .transition import (
     ParamTriple,
     check_row,
@@ -67,6 +76,7 @@ from .transition import (
     u_row,
 )
 from .verma import intertwiner_phi_tilde
+from .zagier import zagier_suite
 
 SUITE_NAMES = (
     "main",
@@ -87,10 +97,6 @@ _ORIGIN = (0,) * len(GEOMETRIC_VARS)
 
 ASSERTED_KAPPAS = (Fraction(1, 2), Fraction(3, 2))
 GENERIC_KAPPAS = (Fraction(5, 7),)
-
-
-def sample_dict(params: ParamTriple) -> dict[str, str]:
-    return {"lam1": str(params.lam1), "lam2": str(params.lam2), "lam3": str(params.lam3)}
 
 
 def _grid(triples: Sequence[ParamTriple], bound: int) -> list[tuple[ParamTriple, int, int]]:
@@ -178,12 +184,7 @@ def _monomial_reports(
     tables = dict(zip(trees, tabulate_trees(trees, dict(enumerate(weights, start=1)), grid)))
     reports = []
     for row in rows:
-        compiled = []
-        for label, terms in row:
-            scaled = [(as_rational(c) / tables[expr][1], tables[expr][0]) for c, expr in terms]
-            den = lcm(*(scale.denominator for scale, _ in scaled))
-            multipliers = [(s.numerator * (den // s.denominator), values) for s, values in scaled]
-            compiled.append((label, den, multipliers))
+        compiled = [(label, *_integer_terms(terms, tables)) for label, terms in row]
         failures = []
         for i, degs in enumerate(grid):
             for label, den, terms in compiled:
@@ -199,6 +200,17 @@ def _monomial_reports(
         instances = len(grid) * len(row)
         reports.append(VerificationReport.checked(identity_id, [sample], instances, failures))
     return reports
+
+
+def _integer_terms(
+    terms: Terms, tables: Mapping[BracketExpr, Tabulation]
+) -> tuple[int, list[tuple[int, list[tuple[int, int]]]]]:
+    """``(den, [(multiplier, values), ...])``: each coefficient of ``terms`` over
+    its tree's table denominator, as an integer multiplier over one lcm ``den``,
+    beside the tree's tabulated values."""
+    scaled = [(as_rational(c) / tables[expr][1], tables[expr][0]) for c, expr in terms]
+    den = lcm(*(scale.denominator for scale, _ in scaled))
+    return den, [(s.numerator * (den // s.denominator), values) for s, values in scaled]
 
 
 def _triple(params: ParamTriple) -> tuple[Fraction, Fraction, Fraction]:
@@ -279,27 +291,41 @@ def verify_convolution(params: ParamTriple, n: int, k: int) -> VerificationRepor
     """The main table on symbols (slots x, y, z): sum_T c_T S_T = 0 in Poly(z, x, y).
 
     This is the convolution identity between products of homogeneous Jacobi
-    forms; a failure records the nonzero residual.
+    forms, checked on the simplex slice |a| = n; a failure records the
+    nonzero residual symbol.
     """
     return _convolution_block(params, n, [k])[0]
 
 
 def _convolution_block(params: ParamTriple, n: int, ks: Sequence[int]) -> list[VerificationReport]:
-    """``verify_convolution`` at (params, n) for each row k of ``ks``; the symbol
-    of each tree of the block is built once."""
+    """``verify_convolution`` at (params, n) for each row k of ``ks``.
+
+    The block's 2(n+1) nests are tabulated once on the slice |a| = n
+    (:func:`tabulate_on_slice`), and row k passes iff its integer residual
+    sum_T c_T value_T(a) is 0 at every tuple a.  A failure's value is the
+    residual symbol: its coefficient of x^a1 y^a2 z^a3 is
+    residual(a) / (den prod a_i!).
+    """
     weights = dict(enumerate(_triple(params), start=1))
     sample = sample_dict(params)
-    symbols: dict[BracketExpr, Poly] = {}
+    rows = [main_terms(params, n, k) for k in ks]
+    trees = list(dict.fromkeys(expr for terms in rows for _, expr in terms))
+    tables, grid, factorials = tabulate_on_slice(trees, weights, n)
+    by_tree = dict(zip(trees, tables))
     reports = []
-    for k in ks:
-        residual = Poly.zero(GEOMETRIC_VARS)
-        for coeff, expr in main_terms(params, n, k):
-            if expr not in symbols:
-                symbols[expr] = tree_symbol(expr, weights, SYMBOL_LEAVES)[1]
-            residual = residual + coeff * symbols[expr]
+    for k, terms in zip(ks, rows):
+        den, multipliers = _integer_terms(terms, by_tree)
+        residuals = [sum(m * values[i][1] for m, values in multipliers) for i in range(len(grid))]
         failures = []
-        if not residual.is_zero():
-            failures.append({"sample": sample, "n": n, "k": k, "value": str(residual)})
+        if any(residuals):
+            # slots 1, 2, 3 read x, y, z (SYMBOL_LEAVES), and z leads GEOMETRIC_VARS
+            symbol = {
+                (a3, a1, a2): Fraction(r, den * f)
+                for (a1, a2, a3), r, f in zip(grid, residuals, factorials)
+                if r
+            }
+            value = str(Poly._trusted(GEOMETRIC_VARS, symbol))
+            failures.append({"sample": sample, "n": n, "k": k, "value": value})
         reports.append(VerificationReport.checked("jacobi-convolution", [sample], 1, failures))
     return reports
 
@@ -445,135 +471,6 @@ def solve_u_from_brackets(params: ParamTriple, n: int, k: int) -> list[Fraction]
 
 
 # -- survey suites -----------------------------------------------------------------
-
-
-def _zagier_pair_scalar(l1: Fraction, l2: Fraction, l3: Fraction, n: int, k: int) -> Fraction:
-    # Gamma-ratio content of c_k(l1,l2) c_{n-k}(l1+l2+2k,l3) reduced to
-    # Pochhammers, with the k-independent symmetric Gamma factor dropped.
-    numerator = (
-        (2 * k + l1 + l2 - 1)
-        * (2 * n + l1 + l2 + l3 - 1)
-        * factorial(k)
-        * factorial(n - k)
-        * pochhammer(l1 + l2 + l3 - 1, n + k)
-    )
-    denominator = (
-        pochhammer(l1, k)
-        * pochhammer(l2, k)
-        * pochhammer(l3, n - k)
-        * pochhammer(k + l1 + l2 - 1, n + 1)
-    )
-    return numerator / denominator
-
-
-ZAGIER_VARS = ("z", "x", "y", "t")
-
-
-def _zagier_sums(
-    lams: tuple[Fraction, Fraction, Fraction],
-    degrees: tuple[int, int, int],
-    slots: tuple[Poly, Poly, Poly],
-    n: int,
-) -> dict[str, Poly]:
-    """Per reading, sum_k scalar_k G_first(s1,s2) G_second(s1+s2,s3) [[f1,f2]_k,f3]_{n-k},
-    the bracket read at monomials of ``degrees``.  The scalar and the bracket
-    are computed once per k for both readings, the brackets of all k on one
-    grid of one tuple, and the printed reading's first factor, which does not
-    depend on k, once per call; every piece stays integer numerators until
-    the one reduction of each sum."""
-    l1, l2, l3 = lams
-    s1, s2, s3 = slots
-    s12 = s1 + s2
-    weights = dict(enumerate(lams, start=1))
-    nests = [_left_nest(n, k) for k in range(n + 1)]
-    printed_first = _substituted(jacobi_two_var(n, l1, l2), {"x": s1, "y": s2})
-    pieces: dict[str, list] = {"corrected": [], "printed": []}
-    for k, (((degree, v),), den) in enumerate(tabulate_trees(nests, weights, [degrees])):
-        scalar = _zagier_pair_scalar(l1, l2, l3, n, k)
-        # scalar * v / den * z^degree; z leads ZAGIER_VARS
-        bracket = ({(degree, 0, 0, 0): scalar.numerator * v}, scalar.denominator * den)
-        corrected_first = _substituted(jacobi_two_var(k, l1, l2), {"x": s1, "y": s2})
-        for reading, first, d_second in (
-            ("corrected", corrected_first, n - k),
-            ("printed", printed_first, n),
-        ):
-            second = _substituted(
-                jacobi_two_var(d_second, l1 + l2 + 2 * k, l3), {"x": s12, "y": s3}
-            )
-            pieces[reading].append(_times(_times(first, second), bracket))
-    return {reading: _reduced(ZAGIER_VARS, _sum(group)) for reading, group in pieces.items()}
-
-
-def verify_zagier_invariance(params: ParamTriple, n: int) -> VerificationReport:
-    """Survey: permutation invariance of the paired-bracket combination.
-
-    Two readings of the geometric factor are compared (degrees (k, n-k)
-    versus degree n in both slots); findings are recorded without gating.
-    Samples with a pairwise weight sum equal to 1 are skipped because the
-    scalar normalization divides by a Pochhammer that vanishes there.
-    """
-    sample = sample_dict(params)
-    pair_sums = (
-        params.lam1 + params.lam2,
-        params.lam2 + params.lam3,
-        params.lam1 + params.lam3,
-    )
-    if any(value == 1 for value in pair_sums):
-        return VerificationReport.survey(
-            "zagier-invariance",
-            [sample],
-            0,
-            {"sample": sample, "n": n, "skipped": "pairwise weight sum equals 1"},
-        )
-    lams = (params.lam1, params.lam2, params.lam3)
-    degrees = (n + 1, n + 2, n + 3)
-    slots = tuple(Poly.variable(name, ZAGIER_VARS) for name in ("x", "y", "t"))
-    perms = {"identity": (0, 1, 2), "cycle": (1, 2, 0), "swap": (1, 0, 2)}
-    findings: dict[str, object] = {"sample": sample, "n": n}
-    sums = {
-        name: _zagier_sums(
-            tuple(lams[i] for i in perm),
-            tuple(degrees[i] for i in perm),
-            tuple(slots[i] for i in perm),
-            n,
-        )
-        for name, perm in perms.items()
-    }
-    for reading in ("corrected", "printed"):
-        findings[reading] = {
-            "cycle_invariant": sums["identity"][reading] == sums["cycle"][reading],
-            "swap_invariant": sums["identity"][reading] == sums["swap"][reading],
-        }
-    return VerificationReport.survey("zagier-invariance", [sample], 4, findings)
-
-
-def zagier_suite(triples: Sequence[ParamTriple], max_n: int = 3) -> VerificationReport:
-    """Aggregate the invariance survey with per-reading summary flags."""
-    reports = [
-        verify_zagier_invariance(tr, n) for tr in triples for n in range(max_n + 1)
-    ]
-    entries = [report.findings for report in reports]
-    checked = [entry for entry in entries if "skipped" not in entry]
-
-    def broken(entry: dict, reading: str) -> bool:
-        return not (entry[reading]["cycle_invariant"] and entry[reading]["swap_invariant"])
-
-    corrected_violations = [e for e in checked if broken(e, "corrected")]
-    printed_violations = [e for e in checked if broken(e, "printed")]
-    findings = {
-        "instances": len(checked),
-        "skipped": [entry for entry in entries if "skipped" in entry],
-        "corrected_invariant_all": not corrected_violations,
-        "printed_invariant_all": not printed_violations,
-        "corrected_violation_count": len(corrected_violations),
-        "printed_violation_count": len(printed_violations),
-        "corrected_violation_examples": corrected_violations[:5],
-        "printed_violation_examples": printed_violations[:5],
-    }
-    merged = merge_reports("zagier-invariance", reports)
-    return VerificationReport.survey(
-        "zagier-invariance", merged.parameter_samples, merged.instances_checked, findings
-    )
 
 
 def _deformation_compatible(

@@ -5,6 +5,11 @@ stored reduced with a positive denominator, and ``str()`` renders them as
 ``p/q`` (or just ``p`` for integers), which is exactly the wire format used
 by the CLI and the JSON reports.  No floating point is allowed anywhere in
 a computation path; ``as_rational`` rejects floats outright.
+
+Integer routes scale their rational weights to integers once:
+``common_scale`` gives the lcm d of the denominators and the scaled values,
+and ``rising`` gives d^m (x/d)_m, a Pochhammer symbol of a scaled value, as
+an integer.
 """
 
 from __future__ import annotations
@@ -82,3 +87,17 @@ def binom_general(x: RationalLike, k: int) -> Fraction:
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"binom_general needs a nonnegative integer k, got {k!r}")
     return _binom_cached(as_rational(x), k)
+
+
+def common_scale(*values: Fraction) -> tuple[int, list[int]]:
+    """(d, [d * value, ...]) with d the lcm of the denominators, so every entry is an integer."""
+    d = math.lcm(*(value.denominator for value in values))
+    return d, [value.numerator * (d // value.denominator) for value in values]
+
+
+def rising(x: int, d: int, m: int) -> int:
+    """d^m (x/d)_m = x (x + d) ... (x + (m-1) d)."""
+    out = 1
+    for i in range(m):
+        out *= x + i * d
+    return out

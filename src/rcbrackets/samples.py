@@ -1,4 +1,5 @@
-"""Deterministic weight-sample generation for the verification suites."""
+"""Deterministic weight-sample generation for the verification suites, and the
+``sample`` field their reports record for a weight triple."""
 
 from __future__ import annotations
 
@@ -36,3 +37,8 @@ def seeded_triples(seed: int, count: int) -> list[ParamTriple]:
 def default_triples(seed: int = 42, count: int = 20) -> list[ParamTriple]:
     """Fixed grid plus seeded draws; every entry passes the admissibility gate."""
     return base_triples() + seeded_triples(seed, count)
+
+
+def sample_dict(params: ParamTriple) -> dict[str, str]:
+    """The triple as the ``sample`` field of a report: {"lam1": "p/q", ...}."""
+    return {"lam1": str(params.lam1), "lam2": str(params.lam2), "lam3": str(params.lam3)}

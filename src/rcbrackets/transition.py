@@ -39,13 +39,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 from .hypergeom import (
     BottomPoleError, HypSpec, hyp_terminating_at_one, hyp_terminating_poly, racah_value
 )
 from .poly import Poly
-from .rationals import RationalLike, as_rational, binom_general, is_nonpositive_integer, pochhammer
+from .rationals import (
+    RationalLike,
+    as_rational,
+    binom_general,
+    common_scale,
+    is_nonpositive_integer,
+    pochhammer,
+    rising,
+)
 
 
 class InadmissibleParametersError(ValueError):
@@ -123,20 +131,6 @@ def _column_scale(lam2: Fraction, lam3: Fraction, total: Fraction, n: int, p: in
     )
 
 
-def _common_scale(*values: Fraction) -> tuple[int, list[int]]:
-    """(d, [d * value, ...]) with d the lcm of the denominators, so every entry is an integer."""
-    d = lcm(*(value.denominator for value in values))
-    return d, [value.numerator * (d // value.denominator) for value in values]
-
-
-def _rising(x: int, d: int, m: int) -> int:
-    """d^m (x/d)_m = x (x + d) ... (x + (m-1) d)."""
-    out = 1
-    for i in range(m):
-        out *= x + i * d
-    return out
-
-
 @lru_cache(maxsize=None)
 def _u_cached(
     lam1: Fraction, lam2: Fraction, lam3: Fraction, n: int
@@ -151,9 +145,9 @@ def _u_cached(
     C_p = p(p+lam2+lam3+n-1)(p-lam1-n)(p+lam3-1) / [(2p+lam2+lam3-2)(2p+lam2+lam3-1)].
 
     It runs on integers of their true size.  Scale the weights by d = lcm of
-    their denominators (``_common_scale``): l_i = d lam_i, s = l2+l3,
+    their denominators (``common_scale``): l_i = d lam_i, s = l2+l3,
     T = l1+l2+l3+(n-1)d (``top``), Lambda_k = d lambda(k) = k(kd+l1+l2-d), and
-    rho(x, m) = ``_rising(x, d, m)`` = d^m (x/d)_m.  The recurrence runs on
+    rho(x, m) = ``rising(x, d, m)`` = d^m (x/d)_m.  The recurrence runs on
     P_p = d^{2p} (lam2)_p (L+n-1)_p (-n)_p R_p = rho(l2, p) rho(T, p) (-n)_p R_p,
     R_p times the Pochhammers of the 4F3's lower parameters, which is an
     integer term by term of the 4F3.  Put h_p = (pd+l2)(pd+T)(p-n), so that
@@ -175,16 +169,16 @@ def _u_cached(
     at lam2+lam3 in {1, 2}, which the gate admits; that is why P_1 is seeded
     rather than recurred.
     """
-    d, (l1, l2, l3) = _common_scale(lam1, lam2, lam3)
+    d, (l1, l2, l3) = common_scale(lam1, lam2, lam3)
     s, top = l2 + l3, l1 + l2 + l3 + (n - 1) * d
     # every column is checked before the first row, so a vanishing factor always
     # raises VanishingDenominatorError, as from _column_scale
     dens = [
-        _nonzero(_rising(l3, d, p), f"(l3)_{p}")
-        * _nonzero(_rising(s + (p - 1) * d, d, p), f"(l2+l3+p-1)_{p}")
-        * _nonzero(_rising(s + 2 * p * d, d, n - p), f"(l2+l3+2p)_{n - p}")
-        * _rising(l2, d, p)
-        * _rising(-n, 1, p)
+        _nonzero(rising(l3, d, p), f"(l3)_{p}")
+        * _nonzero(rising(s + (p - 1) * d, d, p), f"(l2+l3+p-1)_{p}")
+        * _nonzero(rising(s + 2 * p * d, d, n - p), f"(l2+l3+2p)_{n - p}")
+        * rising(l2, d, p)
+        * rising(-n, 1, p)
         for p in range(n + 1)
     ]
     h = [(p * d + l2) * (p * d + top) * (p - n) for p in range(n)]
@@ -201,7 +195,7 @@ def _u_cached(
         values = [1, lam_k * s + h[0]] if n else [1]
         for shift, mult, back, div in steps:
             values.append(((shift + lam_k * mult) * values[-1] - back * values[-2]) // div)
-        weight = comb(n, k) * _rising(l2, d, k) * _rising(l3, d, n - k)
+        weight = comb(n, k) * rising(l2, d, k) * rising(l3, d, n - k)
         rows.append(tuple(Fraction(weight * value, den) for value, den in zip(values, dens)))
     return tuple(rows)
 
@@ -301,7 +295,7 @@ def _ratio_products(x: int, y: int, z: int, d: int, n: int) -> tuple[list[int], 
 
 def _scaled_binom(x: int, d: int, n: int) -> int:
     """d^n n! C(x/d, n) = x (x - d) ... (x - (n-1) d), from C(y, n) = (y-n+1)_n / n!."""
-    return _rising(x - (n - 1) * d, d, n)
+    return rising(x - (n - 1) * d, d, n)
 
 
 @lru_cache(maxsize=None)
@@ -315,7 +309,7 @@ def _cmz_sum(kappa: Fraction, lam1: Fraction, lam2: Fraction, n: int) -> Fractio
     runs on integers over one common denominator and t_n is the one
     Fraction built.
     """
-    d, (k, a, b) = _common_scale(kappa, lam1, lam2)
+    d, (k, a, b) = common_scale(kappa, lam1, lam2)
     lead = _scaled_binom(-2 * b, d, n)
     if not lead:
         raise VanishingDenominatorError(f"leading factor C(-2*l2, {n}) vanishes")

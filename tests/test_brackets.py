@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import lcm, perm
+from itertools import product
+from math import comb, factorial, lcm, perm, prod
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -21,6 +22,8 @@ from rcbrackets.brackets import (
     monomial_evaluator,
     monomial_form,
     rc_bracket,
+    simplex_slice,
+    tabulate_on_slice,
     tabulate_trees,
     tree_symbol,
 )
@@ -458,3 +461,91 @@ def test_tree_symbol_unbound_slot():
         tree_symbol(expr, {1: 1, 3: 2}, {1: SYMBOL_LEAVES[1]})
     with pytest.raises(UnboundSlotError, match="slot 3"):
         tree_symbol(expr, {1: 1}, SYMBOL_LEAVES)
+
+
+# a row with zeros, (d1, d2) below n in either slot, and pairs with no live s at all
+@example(Fraction(-2), Fraction(1, 2), 4, [(0, 0), (1, 2), (3, 0), (0, 5), (2, 2)])
+@example(Fraction(1, 3), Fraction(5, 2), 3, [(0, 1), (1, 0), (3, 0), (0, 3), (1, 1)])
+@given(
+    row_weights,
+    row_weights,
+    st.integers(min_value=0, max_value=6),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=8),
+)
+def test_memo_entries_equal_the_full_row_sum(w1, w2, n, grid):
+    ((values, den),) = tabulate_trees([Node(Leaf(1), Leaf(2), n)], {1: w1, 2: w2}, grid)
+    row, table_den, memo = _monomial_bracket(w1, w2, n)
+    assert den == table_den
+    for d1, d2 in grid:
+        assert (d1, d2) in memo
+    # every entry, including those earlier calls filled, sums over s = 0..n
+    for (d1, d2), value in memo.items():
+        assert value == sum(c * perm(d1, s) * perm(d2, n - s) for s, c in row)
+    assert values == [(d1 + d2 - n, memo[d1, d2]) for d1, d2 in grid]
+
+
+# -- the simplex slice ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("slots", range(4))
+def test_simplex_slice_is_every_tuple_of_the_order(slots) -> None:
+    for order in range(5):
+        grid = simplex_slice(slots, order)
+        want = [a for a in product(range(order + 1), repeat=slots) if sum(a) == order]
+        assert grid == want
+        assert len(grid) == (comb(order + slots - 1, slots - 1) if slots else int(order == 0))
+
+
+@st.composite
+def slice_trees(draw):
+    """Trees on the slots 1..D, D <= 3, in any leaf order, of total order <= 4."""
+    slots = draw(st.permutations(range(1, draw(st.integers(1, 3)) + 1)))
+    budget = [draw(st.integers(0, 4))]
+
+    def build(part):
+        if len(part) == 1:
+            return Leaf(part[0])
+        cut = draw(st.integers(min_value=1, max_value=len(part) - 1))
+        left, right = build(part[:cut]), build(part[cut:])
+        order = draw(st.integers(0, budget[0]))
+        budget[0] -= order
+        return Node(left, right, order)
+
+    return build(list(slots))
+
+
+slice_weights = st.fractions(min_value=Fraction(1, 7), max_value=Fraction(6), max_denominator=7)
+SLICE_VARS = ("x", "y", "t")
+
+
+@given(slice_trees(), st.lists(slice_weights, min_size=3, max_size=3))
+def test_slice_values_are_tree_symbol_coefficients(tree, ws) -> None:
+    """On a = slice[i], the tree is s_a prod a_i!, s_a the coefficient of
+    x^a1 y^a2 t^a3 in ``tree_symbol``; the slice covers the whole symbol."""
+    slots = len(expr_slots(tree))
+    weights = dict(enumerate(ws[:slots], start=1))
+    order = expr_total_order(tree)
+    (((values, den),), grid, factorials) = tabulate_on_slice([tree], weights, order)
+    leaves = {slot: Poly.variable(SLICE_VARS[slot - 1], SLICE_VARS) for slot in weights}
+    symbol = tree_symbol(tree, weights, leaves)[1] or Poly.const(SLICE_VARS, 1)
+    assert factorials == [prod(map(factorial, a)) for a in grid]
+    read = Poly.zero(SLICE_VARS)
+    for a, (degree, v), f in zip(grid, values, factorials):
+        assert degree == 0
+        s_a = symbol.coeff({name: e for name, e in zip(SLICE_VARS, a)})
+        assert Fraction(v, den) == s_a * f
+        read = read + Poly.monomial(SLICE_VARS, dict(zip(SLICE_VARS, a)), s_a)
+    assert read == symbol
+
+
+def test_tabulate_on_slice_reads_head_first_and_checks_its_trees() -> None:
+    weights = {1: Fraction(1, 2), 2: Fraction(7, 3)}
+    tree = Node(Leaf(2), Leaf(1), 2)
+    ((values, den),), grid, _ = tabulate_on_slice([tree], weights, 2, head=[(3, 4)])
+    assert grid == [(0, 2), (1, 1), (2, 0)]
+    assert Fraction(values[0][1], den) == monomial_evaluator(tree, weights)((3, 4))[1]
+    assert len(values) == 1 + len(grid)
+    with pytest.raises(ValueError, match="total order 3"):
+        tabulate_on_slice([tree], weights, 3)
+    with pytest.raises(ValueError, match="slots 1..3"):
+        tabulate_on_slice([tree], {**weights, 3: Fraction(1)}, 2)

@@ -3,12 +3,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
 from hypothesis import given, strategies as st
 
-from rcbrackets import identities, transition
+from rcbrackets import identities, transition, zagier
 from rcbrackets.brackets import (
     Leaf,
     Node,
@@ -35,10 +36,8 @@ from rcbrackets.identities import (
     verify_on_monomials,
     verify_operator_convolution,
     verify_reverse_identity,
-    verify_zagier_invariance,
-    zagier_suite,
 )
-from rcbrackets.rationals import pochhammer
+from rcbrackets.rationals import factorial, pochhammer
 from rcbrackets.report import merge_reports
 from rcbrackets.transition import (
     InadmissibleParametersError,
@@ -47,6 +46,7 @@ from rcbrackets.transition import (
     u_coefficient,
     u_row,
 )
+from rcbrackets.zagier import verify_zagier_invariance, zagier_suite
 
 GENERIC = ParamTriple(Fraction(1, 2), Fraction(1), Fraction(7, 3))
 ONES = ParamTriple(Fraction(1), Fraction(1), Fraction(1))
@@ -426,19 +426,38 @@ def test_operator_failure_records_match_poly_chain(monkeypatch) -> None:
         assert verify_operator_convolution(params, n_, k_, max_degree).failures == []
 
 
+def _zagier_scalar(l1, l2, l3, n, k):
+    """The pair scalar of ``zagier._zagier_pair_scalar``'s docstring, as one
+    Fraction from public ``pochhammer`` and ``factorial``."""
+    numerator = (
+        (2 * k + l1 + l2 - 1)
+        * (2 * n + l1 + l2 + l3 - 1)
+        * factorial(k)
+        * factorial(n - k)
+        * pochhammer(l1 + l2 + l3 - 1, n + k)
+    )
+    denominator = (
+        pochhammer(l1, k)
+        * pochhammer(l2, k)
+        * pochhammer(l3, n - k)
+        * pochhammer(k + l1 + l2 - 1, n + 1)
+    )
+    return numerator / denominator
+
+
 def _zagier_sum_by_poly(lams, degrees, slots, n, reading):
-    """``identities._zagier_sum`` by public ``Poly`` arithmetic, one reduction per step."""
+    """``zagier._zagier_sums`` by public ``Poly`` arithmetic, one reduction per step."""
     l1, l2, l3 = lams
     s1, s2, s3 = slots
     weights = dict(enumerate(lams, start=1))
-    total = Poly.zero(identities.ZAGIER_VARS)
+    total = Poly.zero(zagier.ZAGIER_VARS)
     for k in range(n + 1):
-        scalar = identities._zagier_pair_scalar(l1, l2, l3, n, k)
+        scalar = _zagier_scalar(l1, l2, l3, n, k)
         d_first, d_second = (k, n - k) if reading == "corrected" else (n, n)
         first = jacobi_two_var(d_first, l1, l2).subst({"x": s1, "y": s2})
         second = jacobi_two_var(d_second, l1 + l2 + 2 * k, l3).subst({"x": s1 + s2, "y": s3})
         degree, c = monomial_evaluator(identities._left_nest(n, k), weights)(degrees)
-        bracket = Poly.monomial(identities.ZAGIER_VARS, {"z": degree}, c)
+        bracket = Poly.monomial(zagier.ZAGIER_VARS, {"z": degree}, c)
         total = total + scalar * (first * second * bracket)
     return total
 
@@ -446,14 +465,46 @@ def _zagier_sum_by_poly(lams, degrees, slots, n, reading):
 @pytest.mark.parametrize("params", CROSS_TRIPLES, ids=str)
 def test_zagier_sum_matches_poly_route(params) -> None:
     lams = (params.lam1, params.lam2, params.lam3)
-    slots = tuple(Poly.variable(name, identities.ZAGIER_VARS) for name in ("x", "y", "t"))
+    slots = tuple(Poly.variable(name, zagier.ZAGIER_VARS) for name in ("x", "y", "t"))
     for n in range(4):
         degrees = (n + 1, n + 2, n + 3)
         for perm in ((0, 1, 2), (1, 2, 0), (1, 0, 2)):
             args = [tuple(seq[i] for i in perm) for seq in (lams, degrees, slots)]
             for reading in ("corrected", "printed"):
                 want = _zagier_sum_by_poly(*args, n, reading)
-                assert identities._zagier_sums(*args, n)[reading] == want
+                assert zagier._zagier_sums(*args, n)[reading] == want
+
+
+@pytest.mark.parametrize(
+    "lams",
+    [
+        (Fraction(1, 2), Fraction(1), Fraction(7, 3)),
+        (Fraction(3, 4), Fraction(5, 6), Fraction(2, 5)),
+        (Fraction(-1, 3), Fraction(9, 2), Fraction(5, 7)),
+        (Fraction(4), Fraction(1, 9), Fraction(11, 6)),
+    ],
+    ids=str,
+)
+def test_zagier_pair_scalar_is_the_pochhammer_ratio(lams) -> None:
+    assert lcm(*(lam.denominator for lam in lams)) > 1
+    for n in range(6):
+        for k in range(n + 1):
+            num, den = zagier._zagier_pair_scalar(*lams, n, k)
+            assert isinstance(num, int) and isinstance(den, int)
+            assert Fraction(num, den) == _zagier_scalar(*lams, n, k)
+
+
+def test_zagier_pair_scalar_raises_where_the_ratio_divides_by_zero() -> None:
+    # (l1)_k vanishes for l1 = -1, k >= 2; (k+l1+l2-1)_{n+1} at l1+l2 = 1
+    cases = (
+        ((Fraction(-1), Fraction(1, 2), Fraction(2)), 2, 2),
+        ((Fraction(1, 3), Fraction(2, 3), Fraction(2)), 1, 0),
+    )
+    for lams, n, k in cases:
+        with pytest.raises(ZeroDivisionError):
+            _zagier_scalar(*lams, n, k)
+        with pytest.raises(ZeroDivisionError):
+            zagier._zagier_pair_scalar(*lams, n, k)
 
 
 # -- blocks: one (triple, n) at a time, every row of it ------------------------------
@@ -520,3 +571,40 @@ def test_failures_are_degree_major_across_tables() -> None:
     assert [(r["degrees"], r["table"], r["value"]) for r in report.failures] == expected
     assert {name for _, name, _ in expected} == {"a", "b"}
     assert report.instances_checked == 2 * 9
+
+
+CONVOLUTION_TRIPLES = (GENERIC, CROSS_TRIPLES[2])
+
+
+def _convolution_residual(params, n, k):
+    """sum_T c_T S_T of the main table, with every S_T from ``tree_symbol``."""
+    weights = dict(enumerate((params.lam1, params.lam2, params.lam3), start=1))
+    residual = Poly.zero(identities.GEOMETRIC_VARS)
+    for coeff, expr in identities.main_terms(params, n, k):
+        residual = residual + coeff * tree_symbol(expr, weights, identities.SYMBOL_LEAVES)[1]
+    return residual
+
+
+def test_convolution_failures_are_the_tree_symbol_residual(monkeypatch) -> None:
+    cases = [(tr, n, k) for tr in CONVOLUTION_TRIPLES for n in range(5) for k in range(n + 1)]
+    for params, n, k in cases:
+        assert verify_convolution(params, n, k).failures == []
+    formula = identities.u_row
+
+    def nudged(params, n, k):
+        # one entry of every row at n >= 1, a different column per row
+        row = formula(params, n, k)
+        if n >= 1:
+            row[(n + k) % (n + 1)] += Fraction(1, 1000)
+        return row
+
+    monkeypatch.setattr(identities, "u_row", nudged)
+    for params, n, k in cases:
+        report = verify_convolution(params, n, k)
+        if n == 0:
+            assert report.failures == []
+            continue
+        residual = _convolution_residual(params, n, k)
+        assert not residual.is_zero()
+        record = {"sample": identities.sample_dict(params), "n": n, "k": k, "value": str(residual)}
+        assert report.failures == [record]
