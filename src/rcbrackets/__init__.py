@@ -92,6 +92,7 @@ from .transition import (
     RacahQuery,
     VanishingDenominatorError,
     cmz_t_closed,
+    cmz_t_pair,
     cmz_t_sum,
     u_coefficient,
     u_generating_poly,

@@ -29,9 +29,11 @@ vanishes at l2+l3 in {1, 2}, which the gate admits.  The Pochhammer
 vanishing check stays in as a hard error for inadmissible use.
 
 The Cohen-Manin-Zagier deformation coefficients t_n^kappa(l1, l2) have two
-routes as well: the binomial sum (``cmz_t_sum``, integer ratio rows and an
-integer lead over one denominator, one cached Fraction per t_n) and the closed form as a
-terminating 4F3 (``cmz_t_closed``, evaluated by ``hypergeom``).
+routes as well: the binomial sum, run on the weights scaled to integers by
+one common d (integer ratio rows and an integer lead over one denominator,
+one cached reduced integer pair per t_n, ``cmz_t_pair``, which ``cmz_t_sum``
+turns into one Fraction) and the closed form as a terminating 4F3
+(``cmz_t_closed``, evaluated by ``hypergeom``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from .hypergeom import (
     BottomPoleError, HypSpec, hyp_terminating_at_one, hyp_terminating_poly, racah_value
@@ -299,17 +301,17 @@ def _scaled_binom(x: int, d: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _cmz_sum(kappa: Fraction, lam1: Fraction, lam2: Fraction, n: int) -> Fraction:
-    """t_n = sum_r C(-l1, r) C(-l1+kappa-1, r) C(m-kappa, s) C(m-1, s)
+def _cmz_sum(k: int, a: int, b: int, d: int, n: int) -> tuple[int, int]:
+    """t_n at kappa = k/d, l1 = a/d, l2 = b/d as a reduced pair (num, den), den > 0:
+    t_n = sum_r C(-l1, r) C(-l1+kappa-1, r) C(m-kappa, s) C(m-1, s)
     / [C(-2*l1, r) C(2m-2, s)] / C(-2*l2, n), with s = n - r, m = n + l1 + l2.
 
-    Both quotient rows come from ``_ratio_products`` on the weights scaled to
-    integers by d = lcm of the three denominators, and so does the lead
-    C(-2*l2, n), as ``_scaled_binom(-2*d*l2, d, n)`` over d^n n!, so the sum
-    runs on integers over one common denominator and t_n is the one
-    Fraction built.
+    Both quotient rows come from ``_ratio_products`` on the d-scaled
+    integers, and so does the lead C(-2*l2, n), as ``_scaled_binom(-2*b, d, n)``
+    over d^n n!, so the sum runs on integers over one common denominator and
+    is reduced by one gcd.  Any common scale d > 0 of the three gives the
+    same pair.
     """
-    d, (k, a, b) = common_scale(kappa, lam1, lam2)
     lead = _scaled_binom(-2 * b, d, n)
     if not lead:
         raise VanishingDenominatorError(f"leading factor C(-2*l2, {n}) vanishes")
@@ -323,14 +325,33 @@ def _cmz_sum(kappa: Fraction, lam1: Fraction, lam2: Fraction, n: int) -> Fractio
             f"denominator C(-2*l1, {r}) * C(2n+2*l1+2*l2-2, {n - r}) vanishes"
         )
     total = sum(f_heads[r] * f_tails[n - r] * g_heads[n - r] * g_tails[r] for r in range(n + 1))
-    return Fraction(total * d**n * factorial(n), f_tails[n] * g_tails[n] * lead)
+    num, den = total * d**n * factorial(n), f_tails[n] * g_tails[n] * lead
+    divisor = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // divisor, den // divisor
+
+
+def _check_order(n: int) -> None:
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"order must be a nonnegative integer, got {n!r}")
+
+
+def cmz_t_pair(k: int, a: int, b: int, d: int, n: int) -> tuple[int, int]:
+    """t_n^kappa(l1, l2) as a reduced integer pair (num, den) with den > 0, on
+    the weights scaled by one integer d > 0: kappa = k/d, l1 = a/d, l2 = b/d.
+
+    d may be any common scale of the three, such as the lcm of the
+    denominators of every weight of a star product; the pair does not
+    depend on it.
+    """
+    _check_order(n)
+    return _cmz_sum(k, a, b, d, n)
 
 
 def cmz_t_sum(kappa: RationalLike, lam1: RationalLike, lam2: RationalLike, n: int) -> Fraction:
     """Deformation coefficient t_n^kappa(l1, l2), binomial-sum form."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {n!r}")
-    return _cmz_sum(as_rational(kappa), as_rational(lam1), as_rational(lam2), n)
+    _check_order(n)
+    d, (k, a, b) = common_scale(as_rational(kappa), as_rational(lam1), as_rational(lam2))
+    return Fraction(*_cmz_sum(k, a, b, d, n))
 
 
 def cmz_t_closed(kappa: RationalLike, lam1: RationalLike, lam2: RationalLike, n: int) -> Fraction:
@@ -344,8 +365,7 @@ def cmz_t_closed(kappa: RationalLike, lam1: RationalLike, lam2: RationalLike, n:
     The bottoms are checked for every j <= n//2 even when kappa = 1/2 or 3/2
     stops the series at j = 0.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {n!r}")
+    _check_order(n)
     kappa, lam1, lam2 = as_rational(kappa), as_rational(lam1), as_rational(lam2)
     half = Fraction(1, 2)
     spec = HypSpec(

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from rcbrackets.brackets import WeightedForm, monomial_form, rc_bracket
 from rcbrackets.poly import Poly, poly_from_string
 from rcbrackets.star import StarSeries, TruncationMismatchError, assoc_defect, star
-from rcbrackets.transition import cmz_t_sum
+from rcbrackets.transition import VanishingDenominatorError, cmz_t_sum
 
 KAPPAS = (None, Fraction(1, 2), Fraction(5, 7))
 
@@ -183,3 +183,51 @@ def test_assoc_defect_equals_reference_on_dense_symbols(kappa):
     assert defect == reference_defect(f, g, h, 3, kappa)
     # generic kappa is not associative at literal weights, so this defect is a real sum
     assert defect.is_zero() == (kappa != Fraction(5, 7))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.tuples(slice_weights, slice_polys), min_size=3, max_size=3),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(KAPPAS),
+)
+def test_assoc_defect_equals_reference_on_random_symbols(symbols, order, kappa):
+    """The integer defect, with its inner products kept as numerators and
+    lhs - rhs as one sum per slice, equals the Poly-level reference."""
+    f, g, h = (WeightedForm(w, p) for w, p in symbols)
+    defect = assoc_defect(f, g, h, order, kappa)
+    assert defect == reference_defect(f, g, h, order, kappa)
+    assert not any(p.is_zero() for layer in defect.coeffs for p in layer.values())
+
+
+DEFECT_FORMS = (zform(1, "z^2 + 1"), zform(Fraction(1, 3), "z"), zform(2, "3*z - 1"))
+
+
+def test_assoc_defect_rejects_float_kappa():
+    with pytest.raises(TypeError) as got:
+        assoc_defect(*DEFECT_FORMS, 2, 0.5)
+    assert str(got.value) == "not an exact rational: 0.5"
+
+
+@pytest.mark.parametrize("order", [-1, 1.5, "2"])
+def test_assoc_defect_rejects_bad_order(order):
+    with pytest.raises(ValueError) as got:
+        assoc_defect(*DEFECT_FORMS, order)
+    assert str(got.value) == f"truncation order must be a nonnegative integer, got {order!r}"
+
+
+@pytest.mark.parametrize(
+    "w1, w2, order",
+    [
+        (1, Fraction(-1, 2), 2),  # leading factor C(-2*l2, 2) vanishes
+        (Fraction(-11, 6), Fraction(1, 3), 3),  # C(2m-2, s) vanishes from s = 2 on
+    ],
+)
+def test_assoc_defect_reports_vanishing_t_n_as_cmz_t_sum(w1, w2, order):
+    kappa = Fraction(5, 7)
+    with pytest.raises(VanishingDenominatorError) as want:
+        cmz_t_sum(kappa, w1, w2, order)
+    f, g, h = zform(w1, "z^3 + 2"), zform(w2, "z^2 - z"), zform(1, "z")
+    with pytest.raises(VanishingDenominatorError) as got:
+        assoc_defect(f, g, h, order, kappa)
+    assert str(got.value) == str(want.value)

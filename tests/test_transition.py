@@ -1,18 +1,19 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rcbrackets import transition
 from rcbrackets.poly import poly_from_string
-from rcbrackets.rationals import binom_general
+from rcbrackets.rationals import binom_general, common_scale
 from rcbrackets.transition import (
     InadmissibleParametersError,
     ParamTriple,
     RacahQuery,
     VanishingDenominatorError,
     cmz_t_closed,
+    cmz_t_pair,
     cmz_t_sum,
     u_coefficient,
     u_generating_poly,
@@ -325,6 +326,35 @@ def test_cmz_integer_lead_equals_binomial(lam2, scale, n):
     d = lam2.denominator * scale
     lead = transition._scaled_binom(-2 * lam2.numerator * scale, d, n)
     assert lead == binom_general(-2 * lam2, n) * d**n * factorial(n)
+
+
+@given(cmz_args, cmz_args, cmz_args, st.integers(min_value=1, max_value=6), st.integers(0, 7))
+@example(Fraction(5, 7), Fraction(1), Fraction(-1, 2), 2, 2)  # leading factor vanishes
+@example(Fraction(5, 7), Fraction(-1, 2), Fraction(1), 3, 3)  # C(-2*l1, r) vanishes
+@example(Fraction(-3, 2), Fraction(-7, 3), Fraction(5, 6), 4, 5)  # signed, off the gate
+def test_cmz_pair_is_reduced_and_free_of_the_scale(kappa, lam1, lam2, scale, n):
+    """``cmz_t_pair`` on the weights scaled by any multiple of their lcm is
+    ``cmz_t_sum``'s Fraction as a reduced pair with a positive denominator,
+    and raises its errors with the same messages."""
+    d, (k, a, b) = common_scale(kappa, lam1, lam2)
+    args = (k * scale, a * scale, b * scale, d * scale, n)
+    try:
+        want = cmz_t_sum(kappa, lam1, lam2, n)
+    except VanishingDenominatorError as err:
+        with pytest.raises(VanishingDenominatorError) as got:
+            cmz_t_pair(*args)
+        assert str(got.value) == str(err)
+        return
+    num, den = cmz_t_pair(*args)
+    assert den > 0 and gcd(num, den) == 1
+    assert (num, den) == (want.numerator, want.denominator)
+    assert cmz_t_pair(k, a, b, d, n) == (num, den)
+
+
+def test_cmz_pair_rejects_bad_order():
+    with pytest.raises(ValueError) as got:
+        cmz_t_pair(1, 1, 1, 2, -1)
+    assert str(got.value) == "order must be a nonnegative integer, got -1"
 
 
 def test_cmz_closed_rejects_pole():
