@@ -18,52 +18,42 @@ rewriter can certify the same text.
 
 For each triple and n, the main identity is the matrix identity L = U R:
 row k of U takes the n+1 right nests R_p to the left nest L_k.  The suites
-check it as one block per (triple, n): ``main``, ``reverse`` and
-``convolution`` tabulate the block's 2(n+1) nests once for all of its rows,
-and ``operator`` builds each nest's piece once per input.  The public
-one-row verifiers (``verify_main_identity`` and the like) are the one-row
-case of the same block code, and every block reads U through ``u_row``.
-Block tables are local to the block; only ``operator``'s substituted
-intertwiner images are kept for the whole suite run.  The star product
-(``star.assoc_defect``) stays an independent route to the Eholzer table,
-cross-checked in the tests.
+check it as one block per (triple, n), which tabulates the block's 2(n+1)
+nests once for all of its rows: ``main`` and ``reverse`` on the degree grid,
+``convolution`` and ``operator`` on the simplex slice.  The public one-row
+verifiers (``verify_main_identity`` and the like) are the one-row case of
+the same block code, and every block reads U through ``u_row``.  Block
+tables are local to the block.  The star product (``star.assoc_defect``)
+stays an independent route to the Eholzer table, cross-checked in the tests.
 
 A tree's values on the simplex slice (``brackets.tabulate_on_slice``) are
 its symbol.  ``convolution`` checks the main table there, so a pass at
 (triple, n, k) means the main identity holds for every polynomial input at
-that triple, and a failure records the residual symbol.
-``brackets.tree_symbol`` builds the same symbols by substituting Jacobi
-forms; the tests check the slice against it, and ``operator`` reads its
-child symbols from it, with each outer bracket taken from the raising
-intertwiner on inputs t^m.
+that triple, and a failure records the residual symbol.  ``operator`` reads
+the same slice residual: a tree with symbol S_T maps t^m to S_T (x+y+z)^m,
+so row k's residual on t^m is the ``convolution`` residual symbol times
+(x+y+z)^m, and its pass at n <= 3 is the same fact as ``convolution``'s at
+that (triple, n, k).  ``brackets.tree_symbol`` (Jacobi substitutions) and
+``verma.intertwiner_phi_tilde`` (the raising intertwiner) stay the tests'
+reference routes for both suites' records; this module does not call them.
 
-The ``operator`` suite keeps its polynomials as ``poly.Numerators`` from
-the first product to the final test: it tests each residual for zero on
-integers and reduces only a failure's.  The ``zagier`` survey lives in its
-own module, ``zagier``, and ``run_suite`` runs it.  ``cmz`` reads each U
-matrix once per (triple, n) and the left side of its compatibility identity
-once per (kappa, scale, triple, n); its binomial sum
-(``transition.cmz_t_sum``) builds one ``Fraction`` per t_n.
+The ``zagier`` survey lives in its own module, ``zagier``, and ``run_suite``
+runs it.  ``cmz`` reads each U matrix once per (triple, n) and the left side
+of its compatibility identity once per (kappa, scale, triple, n), with every
+t_n a ``transition.cmz_t_pair`` integer pair over one common scale, so the
+identity is compared on integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import lcm
 from typing import Callable, Mapping, Sequence
 
-from .brackets import (
-    BracketExpr,
-    Leaf,
-    Node,
-    Tabulation,
-    tabulate_on_slice,
-    tabulate_trees,
-    tree_symbol,
-)
-from .poly import Numerators, Poly, _numerators, _reduced, _substituted, _sum, _times
-from .rationals import RationalLike, as_rational
+from .brackets import BracketExpr, Leaf, Node, Tabulation, tabulate_on_slice, tabulate_trees
+from .poly import Poly
+from .rationals import RationalLike, as_rational, common_scale
 from .report import VerificationReport, merge_reports
 from .rewrite import bind_terms
 from .samples import default_triples, sample_dict
@@ -71,11 +61,11 @@ from .transition import (
     ParamTriple,
     check_row,
     cmz_t_closed,
+    cmz_t_pair,
     cmz_t_sum,
     u_matrix,
     u_row,
 )
-from .verma import intertwiner_phi_tilde
 from .zagier import zagier_suite
 
 SUITE_NAMES = (
@@ -92,8 +82,6 @@ SUITE_NAMES = (
 GEOMETRIC_VARS = ("z", "x", "y")
 # slots 1, 2, 3 of a symbol read the variables x, y, z
 SYMBOL_LEAVES = {slot: Poly.variable(v, GEOMETRIC_VARS) for slot, v in enumerate("xyz", 1)}
-# the exponents of a constant over GEOMETRIC_VARS
-_ORIGIN = (0,) * len(GEOMETRIC_VARS)
 
 ASSERTED_KAPPAS = (Fraction(1, 2), Fraction(3, 2))
 GENERIC_KAPPAS = (Fraction(5, 7),)
@@ -297,35 +285,42 @@ def verify_convolution(params: ParamTriple, n: int, k: int) -> VerificationRepor
     return _convolution_block(params, n, [k])[0]
 
 
-def _convolution_block(params: ParamTriple, n: int, ks: Sequence[int]) -> list[VerificationReport]:
-    """``verify_convolution`` at (params, n) for each row k of ``ks``.
+def _slice_residuals(params: ParamTriple, n: int, ks: Sequence[int]) -> list[Poly]:
+    """The residual symbol sum_T c_T S_T of the main table at (params, n), for
+    each row k of ``ks``.
 
     The block's 2(n+1) nests are tabulated once on the slice |a| = n
-    (:func:`tabulate_on_slice`), and row k passes iff its integer residual
-    sum_T c_T value_T(a) is 0 at every tuple a.  A failure's value is the
-    residual symbol: its coefficient of x^a1 y^a2 z^a3 is
-    residual(a) / (den prod a_i!).
+    (:func:`tabulate_on_slice`), and row k's residual sum_T c_T value_T(a) is
+    an integer at every tuple a.  Only a nonzero one becomes Fractions: the
+    symbol's coefficient of x^a1 y^a2 z^a3 is residual(a) / (den prod a_i!).
     """
     weights = dict(enumerate(_triple(params), start=1))
-    sample = sample_dict(params)
     rows = [main_terms(params, n, k) for k in ks]
     trees = list(dict.fromkeys(expr for terms in rows for _, expr in terms))
     tables, grid, factorials = tabulate_on_slice(trees, weights, n)
     by_tree = dict(zip(trees, tables))
-    reports = []
-    for k, terms in zip(ks, rows):
+    symbols = []
+    for terms in rows:
         den, multipliers = _integer_terms(terms, by_tree)
         residuals = [sum(m * values[i][1] for m, values in multipliers) for i in range(len(grid))]
-        failures = []
-        if any(residuals):
-            # slots 1, 2, 3 read x, y, z (SYMBOL_LEAVES), and z leads GEOMETRIC_VARS
-            symbol = {
-                (a3, a1, a2): Fraction(r, den * f)
-                for (a1, a2, a3), r, f in zip(grid, residuals, factorials)
-                if r
-            }
-            value = str(Poly._trusted(GEOMETRIC_VARS, symbol))
-            failures.append({"sample": sample, "n": n, "k": k, "value": value})
+        # slots 1, 2, 3 read x, y, z (SYMBOL_LEAVES), and z leads GEOMETRIC_VARS
+        symbol = {
+            (a3, a1, a2): Fraction(r, den * f)
+            for (a1, a2, a3), r, f in zip(grid, residuals, factorials)
+            if r
+        }
+        symbols.append(Poly._trusted(GEOMETRIC_VARS, symbol))
+    return symbols
+
+
+def _convolution_block(params: ParamTriple, n: int, ks: Sequence[int]) -> list[VerificationReport]:
+    """``verify_convolution`` at (params, n) for each row k of ``ks``: row k
+    passes iff its slice residual (:func:`_slice_residuals`) is 0."""
+    sample = sample_dict(params)
+    reports = []
+    for k, symbol in zip(ks, _slice_residuals(params, n, ks)):
+        record = {"sample": sample, "n": n, "k": k}
+        failures = [] if symbol.is_zero() else [{**record, "value": str(symbol)}]
         reports.append(VerificationReport.checked("jacobi-convolution", [sample], 1, failures))
     return reports
 
@@ -333,80 +328,35 @@ def _convolution_block(params: ParamTriple, n: int, ks: Sequence[int]) -> list[V
 def verify_operator_convolution(
     params: ParamTriple, n: int, k: int, max_degree: int = 3
 ) -> VerificationReport:
-    """The main table through the raising intertwiners, on inputs t^m.
+    """The main table as an operator on inputs t^m, m <= ``max_degree``.
 
-    A term c [A, B]_j acts on t^m as c S_A S_B intertwiner_phi_tilde(j, w_A,
-    w_B, t^m) at (x, y) = (leaf sum of A, leaf sum of B): the outer bracket
-    comes from the verma route.  Each residual is summed and tested on
-    integers, and only a failure's residual becomes Fractions.
+    A tree T with symbol S_T maps t^m (in every slot) to S_T (x+y+z)^m, so
+    row k's residual on t^m is its ``convolution`` residual symbol times
+    (x+y+z)^m: one instance per m, each a pass iff that symbol is 0.
     """
-    return _operator_block(params, n, [k], max_degree, {})[0]
+    return _operator_block(params, n, [k], max_degree)[0]
 
 
 def _operator_block(
-    params: ParamTriple,
-    n: int,
-    ks: Sequence[int],
-    max_degree: int,
-    images: dict[tuple[Node, Fraction, Fraction, int], Numerators],
+    params: ParamTriple, n: int, ks: Sequence[int], max_degree: int
 ) -> list[VerificationReport]:
-    """``verify_operator_convolution`` at (params, n) for each row k of ``ks``.
-
-    The piece S_A S_B image(t^m) of each tree [A, B]_j of the block is built
-    once per input degree m, as integer numerators; row k's residual is then
-    the sum of its pieces scaled by the table's coefficients.  The substituted
-    images are kept in ``images``, which a suite run shares across its blocks.
-    """
-    weights = dict(enumerate(_triple(params), start=1))
-    inputs = [Poly.monomial(("t",), {"t": m}) for m in range(max_degree + 1)]
+    """``verify_operator_convolution`` at (params, n) for each row k of ``ks``,
+    read off the block's slice residuals (:func:`_slice_residuals`).  Only a
+    failing row multiplies its residual symbol by (x+y+z)^m, for the records."""
     sample = sample_dict(params)
-    pieces: dict[BracketExpr, list[Numerators]] = {}
+    leaf_sum = sum(SYMBOL_LEAVES.values(), Poly.zero(GEOMETRIC_VARS))
     reports = []
-    for k in ks:
-        terms = main_terms(params, n, k)
-        for _, expr in terms:
-            if expr not in pieces:
-                pieces[expr] = _operator_pieces(expr, weights, inputs, images)
+    for k, symbol in zip(ks, _slice_residuals(params, n, ks)):
         record = {"sample": sample, "n": n, "k": k}
-        failures = []
-        for m in range(max_degree + 1):
-            scaled = [_times(({_ORIGIN: c.numerator}, c.denominator), pieces[e][m]) for c, e in terms]
-            residual = _sum(scaled)
-            if any(residual[0].values()):
-                value = str(_reduced(GEOMETRIC_VARS, residual))
-                failures.append({**record, "input_degree": m, "value": value})
+        failures = [
+            {**record, "input_degree": m, "value": str(symbol * leaf_sum**m)}
+            for m in range(max_degree + 1)
+            if not symbol.is_zero()
+        ]
         reports.append(
             VerificationReport.checked("operator-convolution", [sample], max_degree + 1, failures)
         )
     return reports
-
-
-def _operator_pieces(
-    expr: Node,
-    weights: dict[int, Fraction],
-    inputs: Sequence[Poly],
-    images: dict[tuple[Node, Fraction, Fraction, int], Numerators],
-) -> list[Numerators]:
-    """S_A S_B intertwiner_phi_tilde(j, w_A, w_B, q) at (x, y) = (leaf sum of A,
-    leaf sum of B), for ``expr`` = [A, B]_j and each q of ``inputs``.
-
-    The substituted image of each (expr, w_A, w_B, m) is read from or added to
-    ``images``: the tree's slots fix the leaf sums, so permuted weight triples
-    that meet the same child weights share it.
-    """
-    sum1, symbol1, weight1 = tree_symbol(expr.left, weights, SYMBOL_LEAVES)
-    sum2, symbol2, weight2 = tree_symbol(expr.right, weights, SYMBOL_LEAVES)
-    children = [symbol for symbol in (symbol1, symbol2) if symbol is not None]
-    scale = _numerators(prod(children, start=Poly.const(GEOMETRIC_VARS, 1)).terms)
-    bindings = {"x": sum1, "y": sum2}
-    pieces = []
-    for m, q in enumerate(inputs):
-        key = (expr, weight1, weight2, m)
-        if key not in images:
-            image = intertwiner_phi_tilde(expr.order, weight1, weight2, q)
-            images[key] = _substituted(image, bindings)
-        pieces.append(_times(scale, images[key]))
-    return pieces
 
 
 def eholzer_terms(order: int) -> Terms:
@@ -481,20 +431,29 @@ def _deformation_compatible(
     bool per p = 0..n:
 
     sum_k U_{k,p} t_k(l1, l2) t_{n-k}(l1+l2+2k, l3) = t_p(l2, l3) t_{n-p}(l1, l2+l3+2p),
-    where ``matrix`` is U.  The factor t_k t_{n-k} of U_{k,p} does not depend
-    on p, so it is read once per k.
+    where ``matrix`` is U and every shift 2j is scaled too.  Kappa, ``scale``
+    and the scaled weights share one common scale d, so each t_n is a
+    ``cmz_t_pair`` integer pair, and both sides are compared on integers.  The
+    factor t_k t_{n-k} of U_{k,p} does not depend on p, so it is read once per k.
     """
     n = len(matrix) - 1
-    l1, l2, l3 = (scale * lam for lam in _triple(params))
+    # kappa = k/d, scale = s/d and the scaled weights a/d, b/d, c/d
+    d, (k, s, a, b, c) = common_scale(kappa, scale, *(scale * lam for lam in _triple(params)))
     left = [
-        cmz_t_sum(kappa, l1, l2, k) * cmz_t_sum(kappa, l1 + l2 + 2 * scale * k, l3, n - k)
-        for k in range(n + 1)
+        (cmz_t_pair(k, a, b, d, j), cmz_t_pair(k, a + b + 2 * s * j, c, d, n - j))
+        for j in range(n + 1)
     ]
-    return [
-        sum(row[p] * v for row, v in zip(matrix, left))
-        == cmz_t_sum(kappa, l2, l3, p) * cmz_t_sum(kappa, l1, l2 + l3 + 2 * scale * p, n - p)
-        for p in range(n + 1)
-    ]
+    den = lcm(*(v1 * v2 for (_, v1), (_, v2) in left))
+    left = [u1 * u2 * (den // (v1 * v2)) for (u1, v1), (u2, v2) in left]
+    out = []
+    for p in range(n + 1):
+        column = [row[p] for row in matrix]
+        column_den = lcm(*(u.denominator for u in column))
+        total = sum(u.numerator * (column_den // u.denominator) * v for u, v in zip(column, left))
+        u1, v1 = cmz_t_pair(k, b, c, d, p)
+        u2, v2 = cmz_t_pair(k, a, b + c + 2 * s * p, d, n - p)
+        out.append(total * v1 * v2 == u1 * u2 * den * column_den)
+    return out
 
 
 def cmz_reports(triples: Sequence[ParamTriple], max_n: int = 4) -> list[VerificationReport]:
@@ -610,7 +569,7 @@ def run_suite(
         reports = _blocks(_convolution_block, triples, min(max_n, 4))
         return [merge_reports("jacobi-convolution", reports)]
     if name == "operator":
-        reports = _blocks(_operator_block, triples, min(max_n, 3), max_degree, {})
+        reports = _blocks(_operator_block, triples, min(max_n, 3), max_degree)
         return [merge_reports("operator-convolution", reports)]
     if name == "zagier":
         return [zagier_suite(triples, max_n=min(max_n, 3))]

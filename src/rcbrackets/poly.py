@@ -10,8 +10,8 @@ semantic equality of polynomials; every stored coefficient is a
 integer numerators over one denominator per operand and reduce each output
 coefficient once (Knuth, TAOCP vol. 2, section 4.5.1).  That format,
 ``Numerators``, is the package's only one: the bracket kernel, the star
-product and the ``operator`` and ``zagier`` suites take, multiply, sum,
-substitute into and reduce polynomials with the same helpers.
+product and the ``zagier`` survey take, multiply, sum, substitute into and
+reduce polynomials with the same helpers.
 
 Canonical text form: terms in graded-lex order (total degree first, then
 exponents compared positionwise), e.g. ``3/2*x^2*y + 1``.  The zero

@@ -298,6 +298,48 @@ def test_cmz_mismatch_split_by_kappa(monkeypatch) -> None:
     assert survey.instances_checked == clean_survey.instances_checked
 
 
+# odd denominators only, so that scale 1/2 gives the scaled weights a new common scale
+ODD_DENOMINATORS = ParamTriple(Fraction(1, 3), Fraction(5, 7), Fraction(9, 5))
+
+
+def _compatible_by_fractions(kappa, scale, params, matrix):
+    """``_deformation_compatible``'s bools, one ``Fraction`` t_n at a time from
+    public ``cmz_t_sum``."""
+    n = len(matrix) - 1
+    l1, l2, l3 = (scale * lam for lam in (params.lam1, params.lam2, params.lam3))
+
+    def t(lam1, lam2, order):
+        return transition.cmz_t_sum(kappa, lam1, lam2, order)
+
+    left = [t(l1, l2, k) * t(l1 + l2 + 2 * scale * k, l3, n - k) for k in range(n + 1)]
+    return [
+        sum(matrix[k][p] * left[k] for k in range(n + 1))
+        == t(l2, l3, p) * t(l1, l2 + l3 + 2 * scale * p, n - p)
+        for p in range(n + 1)
+    ]
+
+
+@pytest.mark.parametrize("params", CROSS_TRIPLES + (ODD_DENOMINATORS,), ids=str)
+def test_deformation_compatible_equals_fraction_reference(params) -> None:
+    for kappa, scale, n in product(
+        identities.ASSERTED_KAPPAS + identities.GENERIC_KAPPAS,
+        (Fraction(1), Fraction(1, 2)),
+        range(5),
+    ):
+        matrix = transition.u_matrix(params, n)
+        clean = identities._deformation_compatible(kappa, scale, params, matrix)
+        assert clean == _compatible_by_fractions(kappa, scale, params, matrix)
+        k, p = n // 2, (n + 1) // 2
+        nudged = [list(row) for row in matrix]
+        nudged[k][p] += Fraction(1, 1000)
+        bools = identities._deformation_compatible(kappa, scale, params, nudged)
+        assert bools == _compatible_by_fractions(kappa, scale, params, nudged)
+        if kappa in identities.ASSERTED_KAPPAS:
+            # t_n = (-1/4)^n here, so the identity holds and the nudge breaks column p only
+            assert clean == [True] * (n + 1)
+            assert bools == [q != p for q in range(n + 1)]
+
+
 def test_run_suite_dispatch_and_order() -> None:
     reports = run_suite("all", [GENERIC], max_n=2, max_degree=1, hbar_order=2)
     ids = [report.identity_id for report in reports]

@@ -109,6 +109,9 @@ def test_standard_term_validation() -> None:
         StandardTerm(orders=(1,), slots=(1,))
     with pytest.raises(ValueError):
         StandardTerm(orders=(1,), slots=(2, 1))
+    for slots in ((2, 2), (1, 3, 3, 4)):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            StandardTerm(orders=(0,) * (len(slots) - 1), slots=slots)
 
 
 def test_standard_tree_round_trip() -> None:
@@ -344,11 +347,24 @@ def test_rewrite_preserves_semantics_at_signed_weights(case) -> None:
     assert total == direct.form
 
 
-@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 600])
-def test_over_deep_tree_is_refused_at_entry(depth: int) -> None:
-    tree = Leaf(1)
-    for slot in range(2, depth + 2):
-        tree = Node(tree, Leaf(slot), 0)
+@pytest.mark.parametrize(
+    "spine, depth",
+    [
+        pytest.param(spine, depth, id=str(depth) if spine == "left" else f"right-{depth}")
+        for spine in ("left", "right")
+        for depth in (MAX_NESTING + 1, 600)
+    ],
+)
+def test_over_deep_tree_is_refused_at_entry(spine: str, depth: int) -> None:
+    # a left comb, or a standard right comb that would be its own normal form
+    if spine == "left":
+        tree = Leaf(1)
+        for slot in range(2, depth + 2):
+            tree = Node(tree, Leaf(slot), 0)
+    else:
+        tree = Leaf(depth + 1)
+        for slot in range(depth, 0, -1):
+            tree = Node(Leaf(slot), tree, 0)
     with pytest.raises(NestingTooDeepError, match="^input nested too deeply$"):
         to_standard(tree, {slot: 1 for slot in range(1, depth + 2)})
 
