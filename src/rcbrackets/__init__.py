@@ -91,6 +91,7 @@ from .transition import (
     ParamTriple,
     RacahQuery,
     VanishingDenominatorError,
+    admissible_scaled,
     cmz_t_closed,
     cmz_t_pair,
     cmz_t_sum,
@@ -100,6 +101,7 @@ from .transition import (
     u_reverse,
     u_reverse_matrix,
     u_row,
+    u_row_scaled,
 )
 from .verma import (
     Highest,

@@ -23,7 +23,7 @@ same normal form.
 
 Every rewrite site is gated by local admissibility of the weight triple it
 touches; an inadmissible site raises instead of producing wrong output.  The
-triple a row of U is read at is gated by ``u_row``, and its failure is
+triple a row of U is read at is gated by ``u_row_scaled``, and its failure is
 re-raised naming the site.  A transposition site also gates (a, b, c), so
 that with the row's (b, c, a) it tests a, b, c, a+b, b+c, a+c and the total.
 
@@ -33,8 +33,12 @@ lcm of their denominators.  A tree is then a nested tuple
 hash and compare as tuples and a site reads its weights off its subtrees.  A
 coefficient is a reduced pair (num, den) of integers: a move multiplies both
 parts, each accumulation reduces once by a gcd, and one ``Fraction`` is built
-per output term.  Each (scaled site triple, n, k) is gated and its row read
-once per call.  Input nested deeper than ``poly.MAX_NESTING`` is refused.
+per output term, whose ``StandardTerm`` is read down the tree's right spine.
+Each (scaled site triple, n, k) is gated on the integers
+(``transition.admissible_scaled``) and its row read by ``u_row_scaled`` once
+per call, with no ``Fraction`` per row; a failing site alone builds its
+rational triple, for the message.  Input nested deeper than
+``poly.MAX_NESTING`` is refused.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .brackets import BracketExpr, Leaf, Node, UnboundSlotError, expr_slots, for
 from .poly import MAX_NESTING, NestingTooDeepError, Token, Tokens, parse_infix
 from .rationals import RationalLike, as_rational, parse_rational
 from .report import VerificationReport
-from .transition import InadmissibleParametersError, ParamTriple, u_row
+from .transition import InadmissibleParametersError, ParamTriple, admissible_scaled, u_row_scaled
 
 class BracketSyntaxError(ValueError):
     """Malformed bracket-expression or coefficient text; carries a position."""
@@ -188,6 +192,17 @@ def _tuple_tree(expr: BracketExpr, scaled: Mapping[int, int], d: int) -> Tree:
     return (left, right, expr.order, left[3] + right[3] + 2 * d * expr.order)
 
 
+def _standard_term(tree: Tree) -> StandardTerm:
+    """The term of a standard tree, read down its right spine."""
+    slots, orders = [], []
+    while tree[0] is not None:
+        left, tree, order, _ = tree
+        slots.append(left[1])
+        orders.append(order)
+    slots.append(tree[1])
+    return StandardTerm(tuple(reversed(orders)), tuple(slots))
+
+
 def _node(tree: Tree) -> BracketExpr:
     left, right, order, _ = tree
     if left is None:
@@ -195,31 +210,32 @@ def _node(tree: Tree) -> BracketExpr:
     return Node(_node(left), _node(right), order)
 
 
-def _site_error(site: BracketExpr, triple: ParamTriple) -> InadmissibleLocalWeightsError:
+def _site_error(site: Tree, a: int, b: int, c: int, d: int) -> InadmissibleLocalWeightsError:
+    triple = ParamTriple(Fraction(a, d), Fraction(b, d), Fraction(c, d))
     return InadmissibleLocalWeightsError(
-        f"rewrite site {format_expr(site)} has inadmissible weights "
+        f"rewrite site {format_expr(_node(site))} has inadmissible weights "
         f"({triple.lam1}, {triple.lam2}, {triple.lam3})"
     )
 
 
-def _row(rows: dict, d: int, site: Tree, key: tuple) -> list[Fraction]:
+def _row(rows: dict, d: int, site: Tree, key: tuple) -> tuple[Fraction, ...]:
     """Row k of U for ``key`` = (a, b, c, n, k, swap): at (a, b, c) / d, or for a
     transposition (swap) at (b, c, a) / d after gating (a, b, c) / d too.
 
-    Each key is gated once per call, by ``u_row``, and a failure names the site.
+    Each key is gated on integers once per call, by ``u_row_scaled``, and a
+    failure names the site.
     """
     row = rows.get(key)
     if row is None:
         a, b, c, n, k, swap = key
-        triple = ParamTriple(Fraction(a, d), Fraction(b, d), Fraction(c, d))
         if swap:
-            if not triple.is_admissible():
-                raise _site_error(_node(site), triple)
-            triple = ParamTriple(triple.lam2, triple.lam3, triple.lam1)
+            if not admissible_scaled(a, b, c, d):
+                raise _site_error(site, a, b, c, d)
+            a, b, c = b, c, a
         try:
-            row = rows[key] = u_row(triple, n, k)
+            row = rows[key] = u_row_scaled(a, b, c, d, n, k)
         except InadmissibleParametersError:
-            raise _site_error(_node(site), triple) from None
+            raise _site_error(site, a, b, c, d) from None
     return row
 
 
@@ -317,7 +333,7 @@ def to_standard(expr: BracketExpr, weights: Mapping[int, RationalLike]) -> Linea
     scaled = {slot: weights[slot].numerator * (d // weights[slot].denominator) for slot in slots}
     done = _normal_form(_tuple_tree(expr, scaled, d), d)
     # popped as read, so that no coefficient is held twice
-    return {tree_to_standard_term(_node(tree)): Fraction(*done.pop(tree)) for tree in list(done)}
+    return {_standard_term(tree): Fraction(*done.pop(tree)) for tree in list(done)}
 
 
 def combo_add(accum: LinearCombo, incoming: LinearCombo, scale: Fraction) -> None:

@@ -20,7 +20,11 @@ Three independent routes give the same exact entries:
 - columns (``u_generating_poly``): a product of two terminating 2F1s.
 
 Admissibility gate used throughout (and by the rewriter): none of
-l1, l2, l3, l1+l2, l2+l3, l1+l2+l3 is a nonpositive integer.  Under the
+l1, l2, l3, l1+l2, l2+l3, l1+l2+l3 is a nonpositive integer.  It is written
+once, on the weights scaled by an integer d > 0 (``admissible_scaled``: no
+scaled sum is <= 0 and divisible by d), and ``ParamTriple.is_admissible``
+scales by the lcm of the denominators to call it; ``u_row_scaled`` gates and
+reads a row on such integers with no ``Fraction`` built.  Under the
 gate every denominator below is provably nonzero: the Pochhammer factors of
 the column scale, and the recurrence's exact divisors
 (2p+l2+l3-2)(p+l2+l3-1) for 1 <= p <= n-1 (see ``_u_cached``).  The
@@ -52,7 +56,6 @@ from .rationals import (
     as_rational,
     binom_general,
     common_scale,
-    is_nonpositive_integer,
     pochhammer,
     rising,
 )
@@ -64,6 +67,14 @@ class InadmissibleParametersError(ValueError):
 
 class VanishingDenominatorError(ZeroDivisionError):
     """A denominator Pochhammer is zero (possible only off the gate)."""
+
+
+def admissible_scaled(l1: int, l2: int, l3: int, d: int) -> bool:
+    """The gate at (l1, l2, l3) / d, for an integer d > 0: no l_i, l1+l2, l2+l3
+    or l1+l2+l3 is <= 0 and divisible by d (a nonpositive integer once divided)."""
+    return not any(
+        x <= 0 and not x % d for x in (l1, l2, l3, l1 + l2, l2 + l3, l1 + l2 + l3)
+    )
 
 
 @dataclass(frozen=True)
@@ -81,16 +92,13 @@ class ParamTriple:
     def total(self) -> Fraction:
         return self.lam1 + self.lam2 + self.lam3
 
+    def scaled(self) -> tuple[int, int, int, int]:
+        """(l1, l2, l3, d): the weights times d, the lcm of their denominators."""
+        d, (l1, l2, l3) = common_scale(self.lam1, self.lam2, self.lam3)
+        return l1, l2, l3, d
+
     def is_admissible(self) -> bool:
-        values = (
-            self.lam1,
-            self.lam2,
-            self.lam3,
-            self.lam1 + self.lam2,
-            self.lam2 + self.lam3,
-            self.total,
-        )
-        return not any(is_nonpositive_integer(value) for value in values)
+        return admissible_scaled(*self.scaled())
 
     def swapped_outer(self) -> ParamTriple:
         return ParamTriple(self.lam3, self.lam2, self.lam1)
@@ -134,10 +142,10 @@ def _column_scale(lam2: Fraction, lam3: Fraction, total: Fraction, n: int, p: in
 
 
 @lru_cache(maxsize=None)
-def _u_cached(
-    lam1: Fraction, lam2: Fraction, lam3: Fraction, n: int
-) -> tuple[tuple[Fraction, ...], ...]:
-    """The matrix U_{k,p}, rows k = 0..n, built by the Racah recurrence in p.
+def _u_cached(d: int, l1: int, l2: int, l3: int, n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The matrix U_{k,p} at lam_i = l_i / d, rows k = 0..n, built by the Racah
+    recurrence in p.  The key is canonical, gcd(d, l1, l2, l3) = 1, so d is the
+    lcm of the weights' denominators (``_u_rows`` divides the gcd out).
 
     U_{k,p} = C(n,k) (lam2)_k (lam3)_{n-k} * _column_scale(p) * R_p(lambda(k)),
     with lambda(k) = k(k+lam1+lam2-1), R_0 = 1,
@@ -146,8 +154,8 @@ def _u_cached(
     A_p = (p+lam2)(p+lam2+lam3-1)(p+L+n-1)(p-n) / [(2p+lam2+lam3-1)(2p+lam2+lam3)],
     C_p = p(p+lam2+lam3+n-1)(p-lam1-n)(p+lam3-1) / [(2p+lam2+lam3-2)(2p+lam2+lam3-1)].
 
-    It runs on integers of their true size.  Scale the weights by d = lcm of
-    their denominators (``common_scale``): l_i = d lam_i, s = l2+l3,
+    It runs on integers of their true size, the weights scaled by d:
+    l_i = d lam_i, s = l2+l3,
     T = l1+l2+l3+(n-1)d (``top``), Lambda_k = d lambda(k) = k(kd+l1+l2-d), and
     rho(x, m) = ``rising(x, d, m)`` = d^m (x/d)_m.  The recurrence runs on
     P_p = d^{2p} (lam2)_p (L+n-1)_p (-n)_p R_p = rho(l2, p) rho(T, p) (-n)_p R_p,
@@ -171,7 +179,6 @@ def _u_cached(
     at lam2+lam3 in {1, 2}, which the gate admits; that is why P_1 is seeded
     rather than recurred.
     """
-    d, (l1, l2, l3) = common_scale(lam1, lam2, lam3)
     s, top = l2 + l3, l1 + l2 + l3 + (n - 1) * d
     # every column is checked before the first row, so a vanishing factor always
     # raises VanishingDenominatorError, as from _column_scale
@@ -233,23 +240,39 @@ def u_reverse(params: ParamTriple, query: RacahQuery) -> Fraction:
 def check_row(params: ParamTriple, n: int, k: int) -> None:
     """Gate ``params`` and check 0 <= k <= n, with the messages of a single entry.
 
-    Every reader of a row of U (and the bracket-solve oracle) validates here,
-    once; nothing is computed.
+    The row readers check the same on scaled integers (``_u_rows``); the
+    bracket-solve oracle validates here, once; nothing is computed.
     """
     _require_admissible(params)
     RacahQuery(n, k, 0)
 
 
+def _u_rows(
+    l1: int, l2: int, l3: int, d: int, n: int, k: int
+) -> tuple[tuple[Fraction, ...], ...]:
+    """The cached matrix at (l1, l2, l3) / d after ``check_row``'s checks, with
+    ``check_row``'s messages; a ``ParamTriple`` is built only to raise."""
+    if not admissible_scaled(l1, l2, l3, d):
+        _require_admissible(ParamTriple(Fraction(l1, d), Fraction(l2, d), Fraction(l3, d)))
+    RacahQuery(n, k, 0)
+    g = gcd(d, l1, l2, l3)
+    return _u_cached(d // g, l1 // g, l2 // g, l3 // g, n)
+
+
+def u_row_scaled(l1: int, l2: int, l3: int, d: int, n: int, k: int) -> tuple[Fraction, ...]:
+    """Row k of U at the weights (l1, l2, l3) / d, for any integer scale d > 0,
+    gated and index-checked like ``u_row``; the cached row itself, not a copy."""
+    return _u_rows(l1, l2, l3, d, n, k)[k]
+
+
 def u_row(params: ParamTriple, n: int, k: int) -> list[Fraction]:
     """Row k of u_matrix: [U_{k,p} for p = 0..n], with one gate and index check."""
-    check_row(params, n, k)
-    return list(_u_cached(params.lam1, params.lam2, params.lam3, n)[k])
+    return list(u_row_scaled(*params.scaled(), n, k))
 
 
 def u_matrix(params: ParamTriple, n: int) -> list[list[Fraction]]:
     """Rows k = 0..n, columns p = 0..n."""
-    check_row(params, n, 0)
-    return [list(row) for row in _u_cached(params.lam1, params.lam2, params.lam3, n)]
+    return [list(row) for row in _u_rows(*params.scaled(), n, 0)]
 
 
 def u_reverse_matrix(params: ParamTriple, n: int) -> list[list[Fraction]]:

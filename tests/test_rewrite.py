@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcbrackets import rewrite, transition
 from rcbrackets.brackets import (
     DuplicateSlotError,
     Leaf,
@@ -265,6 +266,19 @@ def test_rewrite_golden_normal_forms(capsys) -> None:
         assert main(["rewrite", "--expr", expr, "--weights", "1/2,1,7/3,3/5"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, expr
+
+
+def test_rewriter_builds_no_rational_triple(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rewriter built a rational weight triple")
+
+    expr = parse_bracket("[[[[f1,f2]_3,f3]_3,f4]_3,f5]_3")
+    weights = {**GENERIC_WEIGHTS, 5: Fraction(5, 4)}
+    expected = to_standard(expr, weights)
+    transition._u_cached.cache_clear()
+    monkeypatch.setattr(rewrite, "ParamTriple", refuse)
+    monkeypatch.setattr(transition, "ParamTriple", refuse)
+    assert to_standard(expr, weights) == expected
 
 
 def test_rewrite_preserves_semantics() -> None:

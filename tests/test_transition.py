@@ -1,17 +1,18 @@
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rcbrackets import transition
+from rcbrackets import rewrite, transition
 from rcbrackets.poly import poly_from_string
-from rcbrackets.rationals import binom_general, common_scale
+from rcbrackets.rationals import binom_general, common_scale, is_nonpositive_integer
 from rcbrackets.transition import (
     InadmissibleParametersError,
     ParamTriple,
     RacahQuery,
     VanishingDenominatorError,
+    admissible_scaled,
     cmz_t_closed,
     cmz_t_pair,
     cmz_t_sum,
@@ -21,6 +22,7 @@ from rcbrackets.transition import (
     u_reverse,
     u_reverse_matrix,
     u_row,
+    u_row_scaled,
 )
 
 positive = st.fractions(min_value=Fraction(1, 5), max_value=Fraction(5), max_denominator=5)
@@ -40,6 +42,20 @@ def test_param_triple_admissibility():
     assert not ParamTriple(1, 2, -3).is_admissible()  # total 0
     # the outer pair lam1 + lam3 is allowed to be a nonpositive integer
     assert ParamTriple(Fraction(-1, 2), 1, Fraction(1, 2)).is_admissible()
+
+
+@given(st.tuples(signed, signed, signed), st.integers(min_value=1, max_value=4))
+@example((Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3)), 2)  # l1 + l2 = 0
+@example((Fraction(5, 6), Fraction(1, 6), Fraction(-4)), 3)  # total -3
+@example((Fraction(-5, 2), Fraction(1, 3), Fraction(-1, 3)), 4)  # l2 + l3 = 0
+@example((Fraction(-5, 2), Fraction(1, 2), Fraction(1, 3)), 1)  # l1 + l2 = -2, not the total
+def test_scaled_gate_is_the_rational_gate(lams, m):
+    l1, l2, l3 = lams
+    sums = (l1, l2, l3, l1 + l2, l2 + l3, l1 + l2 + l3)
+    expected = not any(is_nonpositive_integer(value) for value in sums)
+    d = m * lcm(*(lam.denominator for lam in lams))
+    assert admissible_scaled(*(int(lam * d) for lam in lams), d) == expected
+    assert ParamTriple(*lams).is_admissible() == expected
 
 
 def test_param_triple_swapped_outer():
@@ -203,7 +219,7 @@ def test_matrix_equals_generating_poly_columns_at_n32(tr):
         assert [row[p] for row in table] == [poly.coeff({"t": k}) for k in range(n + 1)]
 
 
-def test_u_cache_holds_one_matrix_per_triple_and_n():
+def test_u_cache_holds_one_matrix_per_triple_and_n(monkeypatch):
     # perfbench's traced mode reads this cache by name
     cache = transition._u_cached
     tr = ParamTriple(Fraction(11, 13), Fraction(3, 17), Fraction(19, 5))
@@ -212,6 +228,26 @@ def test_u_cache_holds_one_matrix_per_triple_and_n():
     for k in range(9):
         u_row(tr, 8, k)
     assert cache.cache_info().currsize == 1
+    # the key is canonical: the rewriter reads rows at the slot-wide d = 30,
+    # u_row at each site triple's own lcm, and both reach one entry
+    cache.cache_clear()
+    reads = []
+
+    def recording(*args):
+        reads.append(args)
+        return u_row_scaled(*args)
+
+    monkeypatch.setattr(rewrite, "u_row_scaled", recording)
+    weights = {1: Fraction(1, 2), 2: Fraction(1), 3: Fraction(7, 3), 4: Fraction(3, 5)}
+    rewrite.to_standard(rewrite.parse_bracket("[[f3,f1]_2,[f2,f4]_1]_1"), weights)
+    entries = cache.cache_info().currsize
+    assert reads and {args[3] for args in reads} == {30} and entries > 1
+    for l1, l2, l3, d, n, k in reads:
+        row = u_row_scaled(l1, l2, l3, d, n, k)
+        site = ParamTriple(Fraction(l1, d), Fraction(l2, d), Fraction(l3, d))
+        assert u_row(site, n, k) == list(row)
+        assert u_row_scaled(3 * l1, 3 * l2, 3 * l3, 3 * d, n, k) is row
+    assert cache.cache_info().currsize == entries
 
 
 def test_u_row_validates_gate_and_indices():
@@ -222,6 +258,11 @@ def test_u_row_validates_gate_and_indices():
         u_row(tr, 2, 3)
     with pytest.raises(ValueError, match="n must be a nonnegative integer"):
         u_row(tr, -1, 0)
+    # the integer reader at (1/2, 1, 7/3) scaled by 12, and at (0, 1, 1) by 2
+    with pytest.raises(ValueError, match="need 0 <= k, p <= n, got k=3, p=0, n=2"):
+        u_row_scaled(6, 12, 28, 12, 2, 3)
+    with pytest.raises(InadmissibleParametersError, match=r"^weights \(0, 1, 1\) fail the gate"):
+        u_row_scaled(0, 2, 2, 2, 1, 0)
     for read in (u_matrix, u_reverse_matrix):
         with pytest.raises(ValueError, match="n must be a nonnegative integer, got -1"):
             read(ParamTriple(1, 1, 1), -1)
