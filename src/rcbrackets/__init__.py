@@ -78,11 +78,9 @@ from .rewrite import (
     bind_terms,
     check_identity,
     format_combo,
-    is_standard,
     parse_bracket,
     standard_tree,
     to_standard,
-    tree_to_standard_term,
 )
 from .samples import base_triples, default_triples, seeded_rows, seeded_triples
 from .star import StarSeries, TruncationMismatchError, assoc_defect, star

@@ -14,10 +14,9 @@ gives it over the lcm of its denominators, and a table per
 two monomials.  Trees on monomial leaves are evaluated by one grid
 tabulator, ``tabulate_trees``: at fixed slot weights it evaluates a list of
 trees on a whole list of leaf-degree tuples, one pass per distinct subtree,
-reading and filling those memos; ``integer_evaluator`` and
-``monomial_evaluator`` are its grid of one tuple.  A tree of total order N
-on D slots is the constant-coefficient operator sum_{|j|=N} s_j prod f_i^(j_i),
-so on leaves z^(a_i) with sum a_i = N it is s_a prod a_i!, and
+reading and filling those memos.  A tree of total order N on D slots is the
+constant-coefficient operator sum_{|j|=N} s_j prod f_i^(j_i), so on leaves
+z^(a_i) with sum a_i = N it is s_a prod a_i!, and
 ``tabulate_on_slice`` reads its symbol, the polynomial ``tree_symbol``
 builds from Jacobi forms, off that simplex slice.  The general bracket is one
 kernel that takes and returns ``poly.Numerators``, the format ``star`` sums
@@ -36,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm, prod
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .hypergeom import bracket_coeff_row, jacobi_two_var
 from .poly import Numerators, Poly, _numerators, _reduced
@@ -282,8 +281,6 @@ def tree_symbol(
     return sum1 + sum2, prod(children, start=outer), weight1 + weight2 + 2 * expr.order
 
 
-MonomialEvaluator = Callable[[Sequence[int]], tuple[int, Fraction]]
-IntegerEvaluator = Callable[[Sequence[int]], tuple[int, int]]
 Tabulation = tuple[list[tuple[int, int]], int]
 # a subtree's values on the grid, its weight and its denominator
 _Table = tuple[list[tuple[int, int]], Fraction, int]
@@ -391,37 +388,3 @@ def tabulate_on_slice(
     tables = tabulate_trees(trees, weights, [*head, *grid])
     return tables, grid, [prod(map(factorial, a)) for a in grid]
 
-
-def integer_evaluator(
-    expr: BracketExpr, weights: Mapping[int, RationalLike]
-) -> tuple[IntegerEvaluator, int]:
-    """``(evaluate, den)``: ``evaluate(degrees)`` is ``(d, v)`` where
-    ``monomial_evaluator`` gives ``(d, v / den)``; :func:`tabulate_trees` on a
-    grid of one tuple.  Slot weights are checked here, once."""
-    ((_, den),) = tabulate_trees([expr], weights, ())
-
-    def evaluate(degrees: Sequence[int]) -> tuple[int, int]:
-        ((values, _),) = tabulate_trees([expr], weights, (degrees,))
-        return values[0]
-
-    return evaluate, den
-
-
-def monomial_evaluator(expr: BracketExpr, weights: Mapping[int, RationalLike]) -> MonomialEvaluator:
-    """A scalar evaluator of ``expr`` at fixed slot weights on monomial leaves.
-
-    The result maps leaf degrees, slot i reading ``degrees[i - 1]``, to
-    ``(d, c)`` such that binding slot i to z^(degrees[i - 1]) evaluates the
-    tree to c z^d.  d is always the sum of the slots' degrees minus
-    ``expr_total_order(expr)``, and c == 0 is the zero form.  Slot weights
-    are checked here, once: a slot without a weight raises
-    :class:`UnboundSlotError`.  It wraps :func:`integer_evaluator` and
-    builds one ``Fraction`` per evaluation.
-    """
-    evaluate, den = integer_evaluator(expr, weights)
-
-    def scalar(degrees: Sequence[int]) -> tuple[int, Fraction]:
-        degree, numerator = evaluate(degrees)
-        return degree, Fraction(numerator, den)
-
-    return scalar

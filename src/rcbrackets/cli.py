@@ -3,10 +3,12 @@
 Subcommands: verify, u-table, racah, bracket, star, rewrite, check, verma.
 Exit codes: 0 on success (including report_only outcomes), 1 when a checked
 identity fails or a domain gate rejects the inputs, 2 on usage or syntax
-errors (a slot repeated in a bracket expression is a syntax error).  All
-output goes to standard output.  Reports are deterministic: the same
-configuration (including the seed) produces byte-identical output, so there
-are no timestamps.
+errors (a slot repeated in a bracket expression is a syntax error).  Results
+go to standard output and error messages to standard error.  Reports are
+deterministic: the same configuration (including the seed) produces
+byte-identical output, so there are no timestamps.  The argument parser is
+built on the first call of ``main`` and reused by every later call in the
+process.
 
 A flat ``key=value`` config file can preset the run parameters (seed,
 sample_count, max_n, max_degree, hbar_order, output); explicit command-line
@@ -340,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", dest="max_n", type=int, default=None)
     p_verify.add_argument("--max-degree", dest="max_degree", type=int, default=None)
     p_verify.add_argument("--hbar-order", dest="hbar_order", type=int, default=None)
-    p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("u-table", help="emit the transition matrix U as CSV or JSON")
     p_racah = sub.add_parser("racah", help="emit the Racah-value table R as CSV")
@@ -349,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
             table_parser.add_argument(f"--{name}", required=True, help=_weight_help(name))
         table_parser.add_argument("--n", type=int, required=True)
     p_table.add_argument("--json", action="store_true")
-    p_table.set_defaults(func=cmd_u_table)
-    p_racah.set_defaults(func=cmd_racah)
 
     p_bracket = sub.add_parser("bracket", help="bracket two weighted polynomials in z")
     p_bracket.add_argument("--l1", required=True, help="weight of f; " + _weight_help("l1"))
@@ -358,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bracket.add_argument("--n", type=int, required=True)
     p_bracket.add_argument("--f", required=True)
     p_bracket.add_argument("--g", required=True)
-    p_bracket.set_defaults(func=cmd_bracket)
 
     p_star = sub.add_parser("star", help="truncated star product of two symbols")
     p_star.add_argument("--N", dest="order", type=int, required=True, help="truncation order")
@@ -367,37 +365,40 @@ def build_parser() -> argparse.ArgumentParser:
             f"--{name}", required=True, help=f"WEIGHT:POLY in z; a negative weight needs --{name}=-1:z"
         )
     p_star.add_argument("--kappa", default=None)
-    p_star.set_defaults(func=cmd_star)
 
     p_rewrite = sub.add_parser("rewrite", help="rewrite a bracket expression to standard form")
     p_rewrite.add_argument("--expr", required=True)
     p_rewrite.add_argument("--weights", required=True, help="comma-separated, by ascending slot")
-    p_rewrite.set_defaults(func=cmd_rewrite)
 
     p_check = sub.add_parser("check", help="certify a bracket identity from a file")
     p_check.add_argument("--identity-file", required=True)
     p_check.add_argument("--weights", default=None, help="comma-separated, by ascending slot")
     add_run_flags(p_check)
-    p_check.set_defaults(func=cmd_check)
 
     p_verma = sub.add_parser("verma", help="apply a module generator to a polynomial")
     p_verma.add_argument("--model", choices=tuple(_MODELS), required=True)
     p_verma.add_argument("--weights", required=True, help="comma-separated model weights")
     p_verma.add_argument("--gen", choices=GENERATORS, required=True)
     p_verma.add_argument("--poly", required=True)
-    p_verma.set_defaults(func=cmd_verma)
 
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exit_:
         return exit_.code if isinstance(exit_.code, int) else 2
+    # read by name at each call, so the parser holds no command function
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (UsageError, PolySyntaxError, BracketSyntaxError, DuplicateSlotError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

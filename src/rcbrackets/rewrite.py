@@ -21,14 +21,28 @@ exactly one leaf inversion.  So rewriting terminates whichever redex is
 taken, and since the standard combs are a basis, every order reaches the
 same normal form.
 
-Every rewrite site is gated by local admissibility of the weight triple it
-touches; an inadmissible site raises instead of producing wrong output.  The
-triple a row of U is read at is gated by ``u_row_scaled``, and its failure is
-re-raised naming the site.  A transposition site also gates (a, b, c), so
-that with the row's (b, c, a) it tests a, b, c, a+b, b+c, a+c and the total.
+The rewriter works on a combination: one work list of trees with their
+coefficients, in which equal trees are summed, and a tree whose coefficient
+cancels to zero is dropped before it is rewritten.  ``to_standard`` is the
+combination of one tree.  ``check_identity`` seeds one work list with every
+term of an identity, so terms that cancel as trees are never rewritten, nor
+is a piece that cancels against another term's before the loop reaches it.
 
-``to_standard`` runs on integers.  The slot weights are scaled once by d, the
-lcm of their denominators.  A tree is then a nested tuple
+Every rewrite site is gated by local admissibility of the weight triple it
+touches; an inadmissible site raises instead of producing wrong output.  Only
+the sites the work list reaches are gated: an inadmissible site inside terms
+that cancel before it is rewritten raises nothing.  Which pieces meet before
+they are rewritten can depend on the order of the terms, so an identity may
+pass in one order and raise in another; every move made is at an admissible
+site and a cancellation is of equal trees, so a result is exact either way.
+The triple a row of U is read at is gated by ``u_row_scaled``, and its
+failure is re-raised naming the site.  A transposition site also gates
+(a, b, c), so that with the row's (b, c, a) it tests a, b, c, a+b, b+c, a+c
+and the total.
+
+The rewriter runs on integers.  The slot weights are scaled once by d, the
+lcm of their denominators (``rationals.common_scale``), one d for all the
+terms of a combination.  A tree is then a nested tuple
 (left, right, order, d * weight), a leaf (None, slot, 0, d * weight), so trees
 hash and compare as tuples and a site reads its weights off its subtrees.  A
 coefficient is a reduced pair (num, den) of integers: a move multiplies both
@@ -46,12 +60,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Mapping, Sequence
 
 from .brackets import BracketExpr, Leaf, Node, UnboundSlotError, expr_slots, format_expr
 from .poly import MAX_NESTING, NestingTooDeepError, Token, Tokens, parse_infix
-from .rationals import RationalLike, as_rational, parse_rational
+from .rationals import RationalLike, as_rational, common_scale, parse_rational
 from .report import VerificationReport
 from .transition import InadmissibleParametersError, ParamTriple, admissible_scaled, u_row_scaled
 
@@ -128,46 +142,6 @@ def standard_tree(term: StandardTerm) -> BracketExpr:
     for order, slot in zip(term.orders, reversed(term.slots[:-1])):
         node = Node(Leaf(slot), node, order)
     return node
-
-
-def _comb_profile(tree: BracketExpr) -> tuple[list[int], list[int]] | None:
-    """(slots, outermost-first orders) when tree is a right comb, else None."""
-    slots: list[int] = []
-    orders: list[int] = []
-    node = tree
-    while isinstance(node, Node):
-        if not isinstance(node.left, Leaf):
-            return None
-        slots.append(node.left.slot)
-        orders.append(node.order)
-        node = node.right
-    slots.append(node.slot)
-    return slots, orders
-
-
-def is_standard(tree: BracketExpr) -> bool:
-    profile = _comb_profile(tree)
-    if profile is None:
-        return False
-    slots, _ = profile
-    return all(a < b for a, b in zip(slots, slots[1:]))
-
-
-def tree_to_standard_term(tree: BracketExpr) -> StandardTerm:
-    profile = _comb_profile(tree)
-    if profile is None or not is_standard(tree):
-        raise ValueError(f"not in standard form: {format_expr(tree)}")
-    slots, orders = profile
-    return StandardTerm(tuple(reversed(orders)), tuple(slots))
-
-
-def _accumulate(combo: dict, key, coeff: Fraction) -> None:
-    """Add coeff to combo[key], dropping the entry when it cancels to zero."""
-    acc = combo.get(key, Fraction(0)) + coeff
-    if acc:
-        combo[key] = acc
-    else:
-        combo.pop(key, None)
 
 
 # -- the rewriter on integer tuple trees ----------------------------------------------
@@ -300,11 +274,11 @@ def _add_pair(combo: dict, key: Tree, num: int, den: int) -> None:
         del combo[key]
 
 
-def _normal_form(root: Tree, d: int) -> dict[Tree, tuple[int, int]]:
-    """The standard trees ``root`` rewrites to, with their coefficients; the
-    rows read and the work list are dropped on return."""
+def _normal_form(pending: dict[Tree, tuple[int, int]], d: int) -> LinearCombo:
+    """The standard combination that ``pending``, a combination of d-scaled
+    trees with nonzero reduced pairs, rewrites to.  ``pending`` is the work
+    list and is emptied; the rows read are dropped on return."""
     rows: dict = {}
-    pending = {root: (1, 1)}
     done: dict[Tree, tuple[int, int]] = {}
     while pending:
         tree = next(iter(pending))
@@ -315,7 +289,25 @@ def _normal_form(root: Tree, d: int) -> dict[Tree, tuple[int, int]]:
             continue
         for piece, piece_num, piece_den in pieces:
             _add_pair(pending, piece, num * piece_num, den * piece_den)
-    return done
+    # popped as read, so that no coefficient is held twice
+    return {_standard_term(tree): Fraction(*done.pop(tree)) for tree in list(done)}
+
+
+def _scaled_trees(
+    exprs: Sequence[BracketExpr], weights: Mapping[int, RationalLike]
+) -> tuple[int, list[Tree]]:
+    """``(d, trees)``: d is the lcm of the denominators of the slot weights that
+    ``exprs`` read, and ``trees[i]`` is ``exprs[i]`` as a d-scaled tuple tree."""
+    bound: dict[int, Fraction] = {}
+    for expr in exprs:
+        _check_nesting(expr)
+        for slot in expr_slots(expr):
+            if slot not in weights:
+                raise UnboundSlotError(f"no weight bound for slot {slot}")
+            bound[slot] = as_rational(weights[slot])
+    d, scaled = common_scale(*bound.values())
+    by_slot = dict(zip(bound, scaled))
+    return d, [_tuple_tree(expr, by_slot, d) for expr in exprs]
 
 
 def to_standard(expr: BracketExpr, weights: Mapping[int, RationalLike]) -> LinearCombo:
@@ -323,22 +315,8 @@ def to_standard(expr: BracketExpr, weights: Mapping[int, RationalLike]) -> Linea
 
     Trees nested deeper than ``MAX_NESTING`` raise :class:`NestingTooDeepError`.
     """
-    _check_nesting(expr)
-    weights = {slot: as_rational(w) for slot, w in weights.items()}
-    slots = expr_slots(expr)
-    for slot in slots:
-        if slot not in weights:
-            raise UnboundSlotError(f"no weight bound for slot {slot}")
-    d = lcm(*(weights[slot].denominator for slot in slots))
-    scaled = {slot: weights[slot].numerator * (d // weights[slot].denominator) for slot in slots}
-    done = _normal_form(_tuple_tree(expr, scaled, d), d)
-    # popped as read, so that no coefficient is held twice
-    return {_standard_term(tree): Fraction(*done.pop(tree)) for tree in list(done)}
-
-
-def combo_add(accum: LinearCombo, incoming: LinearCombo, scale: Fraction) -> None:
-    for term, c in incoming.items():
-        _accumulate(accum, term, scale * c)
+    d, (tree,) = _scaled_trees([expr], weights)
+    return _normal_form({tree: (1, 1)}, d)
 
 
 def format_combo(combo: LinearCombo) -> str:
@@ -411,12 +389,19 @@ def check_identity(
 
     ``terms`` holds (coefficient text, bracket expression text) pairs; the
     coefficient language admits rationals, slot weights l1, l2, ..., and
-    + - * with parentheses.
+    + - * with parentheses.  The terms are rewritten as one combination, at
+    one scale, so only the sites it reaches are gated (see the module
+    docstring).
     """
     weights = {slot: as_rational(w) for slot, w in weights.items()}
-    total: LinearCombo = {}
-    for scale, expr in bind_terms(terms, weights):
-        combo_add(total, to_standard(expr, weights), scale)
+    bound = bind_terms(terms, weights)
+    d, trees = _scaled_trees([expr for _, expr in bound], weights)
+    pending: dict[Tree, tuple[int, int]] = {}
+    for (coeff, _), tree in zip(bound, trees):
+        # _add_pair deletes a key whose sum is 0, so a zero coefficient is skipped
+        if coeff:
+            _add_pair(pending, tree, coeff.numerator, coeff.denominator)
+    total = _normal_form(pending, d)
     failures = []
     if total:
         failures.append(

@@ -18,8 +18,6 @@ from rcbrackets.brackets import (
     expr_total_order,
     expr_weight,
     format_expr,
-    integer_evaluator,
-    monomial_evaluator,
     monomial_form,
     rc_bracket,
     simplex_slice,
@@ -169,15 +167,15 @@ row_weights = st.one_of(
 # n = 6 is above deg f + deg g
 @example(Fraction(5, 3), Fraction(1, 4), zpoly("z^2 + 1/2"), zpoly("z^3 - 2/3"), 6)
 def test_dense_bracket_is_bilinear_sum_of_monomial_brackets(w1, w2, p, q, n):
-    evaluate, den = integer_evaluator(Node(Leaf(1), Leaf(2), n), {1: w1, 2: w2})
+    pairs = list(product(p.terms.items(), q.terms.items()))
+    grid = [(d1, d2) for ((d1,), _), ((d2,), _) in pairs]
+    ((values, den),) = tabulate_trees([Node(Leaf(1), Leaf(2), n)], {1: w1, 2: w2}, grid)
     expected = Poly.zero(("z",))
-    for (d1,), c1 in p.terms.items():
-        for (d2,), c2 in q.terms.items():
-            degree, value = evaluate((d1, d2))
-            assert degree == d1 + d2 - n
-            scalar = Fraction(value, den)
-            if scalar:
-                expected = expected + Poly.monomial(("z",), {"z": d1 + d2 - n}, c1 * c2 * scalar)
+    for (((d1,), c1), ((d2,), c2)), (degree, value) in zip(pairs, values):
+        assert degree == d1 + d2 - n
+        scalar = Fraction(value, den)
+        if scalar:
+            expected = expected + Poly.monomial(("z",), {"z": d1 + d2 - n}, c1 * c2 * scalar)
     out = rc_bracket(WeightedForm(w1, p), WeightedForm(w2, q), n)
     assert out.weight == w1 + w2 + 2 * n
     assert out.form == expected
@@ -291,7 +289,7 @@ def test_eval_bracket_tree_missing_leaf():
         eval_bracket_tree(expr, {1: monomial_form(1, 1)})
 
 
-# -- compiled monomial evaluator ----------------------------------------------------
+# -- tabulation on monomial leaves ----------------------------------------------------
 
 signed_weights = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 leaf_degrees = st.lists(st.integers(min_value=0, max_value=4), min_size=5, max_size=5)
@@ -329,14 +327,15 @@ def test_monomial_evaluator_matches_eval_bracket_tree(expr, ws, degree_tuples):
     # the mirror meets each (w1, w2, n) node of expr as (w2, w1, n) and reads
     # (d1, d2) as (d2, d1); both trees share the monomial tables
     trees = [expr, _mirrored(expr)]
-    evaluators = [monomial_evaluator(tree, slot_weights) for tree in trees]
     slots = expr_slots(expr)
-    for degs in degree_tuples:  # later tuples reuse the table values of earlier ones
+    # one call per tuple: later calls reuse the table values of earlier ones
+    for degs in degree_tuples:
         leaves = {slot: monomial_form(slot_weights[slot], degs[slot - 1]) for slot in slots}
-        for tree, evaluate in zip(trees, evaluators):
-            degree, c = evaluate(degs)
+        tables = tabulate_trees(trees, slot_weights, [degs])
+        for tree, (((degree, v),), den) in zip(trees, tables):
+            assert isinstance(v, int) and isinstance(den, int)
+            c = Fraction(v, den)
             expected = eval_bracket_tree(tree, leaves).form
-            assert isinstance(c, Fraction)
             assert degree == sum(degs[slot - 1] for slot in slots) - expr_total_order(expr)
             if c:
                 assert expected == Poly.monomial(("z",), {"z": degree}, c)
@@ -375,7 +374,7 @@ def test_tabulated_trees_equal_eval_bracket_tree(expr, order, ws, grid):
     for tree, (values, den) in zip(trees, tables):
         slots = expr_slots(tree)
         assert len(values) == len(grid)
-        assert den == integer_evaluator(tree, slot_weights)[1]
+        assert den == tabulate_trees([tree], slot_weights, [])[0][1]
         for degs, (degree, v) in zip(grid, values):
             leaves = {slot: monomial_form(slot_weights[slot], degs[slot - 1]) for slot in slots}
             expected = eval_bracket_tree(tree, leaves).form
@@ -392,28 +391,32 @@ def test_tabulate_trees_checks_weights_on_an_empty_grid():
     expr = Node(Node(Leaf(1), Leaf(2), 1), Leaf(3), 0)
     with pytest.raises(UnboundSlotError, match="slot 3"):
         tabulate_trees([expr], {1: Fraction(1), 2: Fraction(1, 2)}, [])
-    weights = {1: 1, 2: 2, 3: 3}
-    assert tabulate_trees([expr], weights, []) == [([], integer_evaluator(expr, weights)[1])]
+    # den is the product of the nodes' row denominators: [f1,f2]_1 at (1, 2),
+    # then order 0 at (1 + 2 + 2, 3)
+    inner = _monomial_bracket(Fraction(1), Fraction(2), 1)
+    outer = _monomial_bracket(Fraction(5), Fraction(3), 0)
+    den = inner[1] * outer[1]
+    assert tabulate_trees([expr], {1: 1, 2: 2, 3: 3}, []) == [([], den)]
 
 
 def test_monomial_evaluator_degree_below_order_is_zero():
-    evaluate = monomial_evaluator(Node(Leaf(1), Leaf(2), 3), {1: Fraction(1, 2), 2: 1})
-    assert evaluate((1, 1)) == (-1, 0)
-    assert evaluate((2, 0)) == (-1, 0)
-    assert evaluate((2, 1))[1] != 0
+    tree = Node(Leaf(1), Leaf(2), 3)
+    ((values, _),) = tabulate_trees([tree], {1: Fraction(1, 2), 2: 1}, [(1, 1), (2, 0), (2, 1)])
+    assert values[:2] == [(-1, 0), (-1, 0)]
+    assert values[2][1] != 0
     # a zero inner bracket makes the whole tree zero, at the formal degree
     outer = Node(Node(Leaf(1), Leaf(2), 2), Leaf(3), 0)
-    assert monomial_evaluator(outer, {1: 1, 2: 2, 3: 3})((1, 0, 5)) == (4, 0)
+    assert tabulate_trees([outer], {1: 1, 2: 2, 3: 3}, [(1, 0, 5)])[0][0] == [(4, 0)]
 
 
 def test_monomial_evaluator_single_leaf():
-    assert monomial_evaluator(Leaf(2), {2: Fraction(7, 3)})((5, 3)) == (3, 1)
+    assert tabulate_trees([Leaf(2)], {2: Fraction(7, 3)}, [(5, 3)]) == [([(3, 1)], 1)]
 
 
 def test_monomial_evaluator_unbound_slot_at_compile_time():
     expr = Node(Node(Leaf(1), Leaf(2), 1), Leaf(3), 0)
     with pytest.raises(UnboundSlotError, match="slot 3"):
-        monomial_evaluator(expr, {1: Fraction(1), 2: Fraction(1, 2)})
+        tabulate_trees([expr], {1: Fraction(1), 2: Fraction(1, 2)}, [(1, 1, 1)])
 
 
 # -- tree symbols ------------------------------------------------------------------
@@ -444,14 +447,15 @@ def test_tree_symbol_acts_as_monomial_evaluator(expr, ws, degs):
     assert weight == expr_weight(expr, slot_weights)
     assert total == sum((SYMBOL_LEAVES[slot] for slot in slots), Poly.zero(VAR_ORDER))
     assert symbol.total_degree() in (-1, expr_total_order(expr))
-    assert monomial_evaluator(expr, slot_weights)(degs)[1] == _symbol_on_monomials(symbol, degs)
+    ((((_, v),), den),) = tabulate_trees([expr], slot_weights, [degs])
+    assert Fraction(v, den) == _symbol_on_monomials(symbol, degs)
 
 
 def test_tree_symbol_single_leaf():
     total, symbol, weight = tree_symbol(Leaf(2), {2: Fraction(7, 3)}, SYMBOL_LEAVES)
     assert (total, symbol, weight) == (SYMBOL_LEAVES[2], None, Fraction(7, 3))
     degs = (5, 3, 0, 0, 0)
-    assert monomial_evaluator(Leaf(2), {2: Fraction(7, 3)})(degs) == (3, 1)
+    assert tabulate_trees([Leaf(2)], {2: Fraction(7, 3)}, [degs]) == [([(3, 1)], 1)]
     assert _symbol_on_monomials(symbol, degs) == 1
 
 
@@ -543,7 +547,9 @@ def test_tabulate_on_slice_reads_head_first_and_checks_its_trees() -> None:
     tree = Node(Leaf(2), Leaf(1), 2)
     ((values, den),), grid, _ = tabulate_on_slice([tree], weights, 2, head=[(3, 4)])
     assert grid == [(0, 2), (1, 1), (2, 0)]
-    assert Fraction(values[0][1], den) == monomial_evaluator(tree, weights)((3, 4))[1]
+    leaves = {1: monomial_form(weights[1], 3), 2: monomial_form(weights[2], 4)}
+    head = Poly.monomial(("z",), {"z": 5}, Fraction(values[0][1], den))
+    assert values[0][0] == 5 and eval_bracket_tree(tree, leaves).form == head
     assert len(values) == 1 + len(grid)
     with pytest.raises(ValueError, match="total order 3"):
         tabulate_on_slice([tree], weights, 3)

@@ -659,3 +659,31 @@ def test_console_script_entrypoint() -> None:
     )
     assert proc.returncode == 0
     assert proc.stdout == "k\\p,0,1\n0,1/2,3/2\n1,1/2,-1/2\n"
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch) -> None:
+    # argparse wraps usage lines at the terminal width, so fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    commands = [
+        ["rewrite", "--expr", "[f2,f1]_1"],  # no --weights: a usage error, exit 2
+        ["rewrite", "--expr", "[[f1,f2]_1,f3]_1", "--weights", "1/2,1,7/3"],
+        ["u-table", "--l1", "1/2", "--l2", "1", "--l3", "7/3", "--n", "2"],
+        ["verify", "--suite", "classical", "--n", "1"],
+    ]
+    alone = [
+        subprocess.run([sys.executable, "-m", "rcbrackets", *argv], capture_output=True, text=True)
+        for argv in commands
+    ]
+    builds = []
+    build_parser = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for argv, proc in zip(commands, alone):
+        assert run_cli(capsys, argv) == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert [proc.returncode for proc in alone] == [2, 0, 0, 0]
+    assert len(builds) == 1

@@ -15,8 +15,8 @@ from rcbrackets.brackets import (
     Node,
     eval_bracket_tree,
     format_expr,
-    monomial_evaluator,
     monomial_form,
+    tabulate_trees,
     tree_symbol,
 )
 from rcbrackets.hypergeom import jacobi_two_var
@@ -202,9 +202,10 @@ def test_right_nests_are_triangular_at_solver_degrees(params, n) -> None:
     l2, l3 = params.lam2, params.lam3
     weights = dict(enumerate((params.lam1, l2, l3), start=1))
     for q in range(n + 1):
-        evaluate = monomial_evaluator(identities._right_nest(n, q), weights)
-        for j in range(q + 1):
-            degree, value = evaluate((n - j, 0, j))
+        grid = [(n - j, 0, j) for j in range(q + 1)]
+        ((values, den),) = tabulate_trees([identities._right_nest(n, q)], weights, grid)
+        for j, (degree, numerator) in enumerate(values):
+            value = Fraction(numerator, den)
             if j < q:
                 assert value == 0
             else:
@@ -491,16 +492,15 @@ def _zagier_sum_by_poly(lams, degrees, slots, n, reading):
     """``zagier._zagier_sums`` by public ``Poly`` arithmetic, one reduction per step."""
     l1, l2, l3 = lams
     s1, s2, s3 = slots
-    weights = dict(enumerate(lams, start=1))
+    leaves = {slot: monomial_form(w, d) for slot, w, d in zip((1, 2, 3), lams, degrees)}
     total = Poly.zero(zagier.ZAGIER_VARS)
     for k in range(n + 1):
         scalar = _zagier_scalar(l1, l2, l3, n, k)
         d_first, d_second = (k, n - k) if reading == "corrected" else (n, n)
         first = jacobi_two_var(d_first, l1, l2).subst({"x": s1, "y": s2})
         second = jacobi_two_var(d_second, l1 + l2 + 2 * k, l3).subst({"x": s1 + s2, "y": s3})
-        degree, c = monomial_evaluator(identities._left_nest(n, k), weights)(degrees)
-        bracket = Poly.monomial(zagier.ZAGIER_VARS, {"z": degree}, c)
-        total = total + scalar * (first * second * bracket)
+        bracket = eval_bracket_tree(identities._left_nest(n, k), leaves).form
+        total = total + scalar * (first * second * bracket.lift(zagier.ZAGIER_VARS))
     return total
 
 

@@ -2,11 +2,15 @@
 module-private top-level name is referenced somewhere in the package, only
 ``transition`` imports the single-entry U readers, the only private names one
 module imports from another are ``poly``'s integer-numerator helpers and the
-bracket kernel, the caches the benchmark reads by name exist, and the
-package's ``lru_cache``s are exactly the known ones."""
+bracket kernel, the caches the benchmark reads by name exist, the
+package's ``lru_cache``s are exactly the known ones, and importing the
+package raises no warning."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -134,3 +138,17 @@ def test_package_caches_are_known() -> None:
         "transition._u_cached",
         "transition._cmz_sum",
     }
+
+
+def test_import_raises_no_warning(tmp_path: Path) -> None:
+    """``python -W error -c "import rcbrackets"`` exits 0.  No bytecode is
+    written, and an empty cache prefix makes every module compile from source,
+    so that compile-time warnings are raised too."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": str(tmp_path)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", "import rcbrackets"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr

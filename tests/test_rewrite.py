@@ -32,15 +32,12 @@ from rcbrackets.rewrite import (
     InadmissibleLocalWeightsError,
     StandardTerm,
     check_identity,
-    combo_add,
     eval_coeff,
     format_combo,
-    is_standard,
     parse_bracket,
     parse_coeff,
     standard_tree,
     to_standard,
-    tree_to_standard_term,
 )
 from rcbrackets.transition import (
     ParamTriple,
@@ -119,24 +116,29 @@ def test_standard_tree_round_trip() -> None:
     term = StandardTerm(orders=(1, 2), slots=(1, 2, 3))
     tree = standard_tree(term)
     assert format_expr(tree) == "[f1,[f2,f3]_1]_2"
-    assert is_standard(tree)
-    assert tree_to_standard_term(tree) == term
+    assert to_standard(tree, GENERIC_WEIGHTS) == {term: 1}
 
 
 def test_single_leaf_is_standard() -> None:
-    assert is_standard(Leaf(3))
-    assert tree_to_standard_term(Leaf(3)) == StandardTerm(orders=(), slots=(3,))
+    term = StandardTerm(orders=(), slots=(3,))
+    assert standard_tree(term) == Leaf(3)
+    assert to_standard(Leaf(3), GENERIC_WEIGHTS) == {term: 1}
+
+
+def _rewritten_to_three_combs(src: str) -> bool:
+    """Whether ``src`` rewrites to all three standard combs on slots 1, 2, 3
+    of total order 2, as a non-standard tree must."""
+    combo = to_standard(parse_bracket(src), GENERIC_WEIGHTS)
+    orders = sorted(term.orders for term in combo)
+    return orders == [(0, 2), (1, 1), (2, 0)] and all(term.slots == (1, 2, 3) for term in combo)
 
 
 def test_left_nest_is_not_standard() -> None:
-    tree = parse_bracket("[[f1,f2]_1,f3]_1")
-    assert not is_standard(tree)
-    with pytest.raises(ValueError):
-        tree_to_standard_term(tree)
+    assert _rewritten_to_three_combs("[[f1,f2]_1,f3]_1")
 
 
 def test_descending_slots_are_not_standard() -> None:
-    assert not is_standard(parse_bracket("[f2,[f1,f3]_1]_1"))
+    assert _rewritten_to_three_combs("[f2,[f1,f3]_1]_1")
 
 
 # -- rewriting ----------------------------------------------------------------------
@@ -298,15 +300,17 @@ def test_rewrite_preserves_semantics() -> None:
 
 
 @st.composite
-def small_trees(draw) -> Node:
-    """Random 3-4-leaf shapes over a random slot order, bracket orders 0-2."""
-    slots = draw(st.permutations(range(1, draw(st.integers(min_value=3, max_value=4)) + 1)))
+def small_trees(draw, min_leaves: int = 3, max_order: int = 2) -> Node:
+    """Random shapes on ``min_leaves``-4 leaves over a random slot order,
+    bracket orders 0 to ``max_order``."""
+    leaf_count = draw(st.integers(min_value=min_leaves, max_value=4))
+    slots = draw(st.permutations(range(1, leaf_count + 1)))
 
     def build(leaves):
         if len(leaves) == 1:
             return Leaf(leaves[0])
         cut = draw(st.integers(min_value=1, max_value=len(leaves) - 1))
-        order = draw(st.integers(min_value=0, max_value=2))
+        order = draw(st.integers(min_value=0, max_value=max_order))
         return Node(build(leaves[:cut]), build(leaves[cut:]), order)
 
     return build(list(slots))
@@ -396,13 +400,6 @@ def test_tree_at_the_nesting_bound_is_admitted() -> None:
 # -- combos -------------------------------------------------------------------------
 
 
-def test_combo_add_cancels_to_empty() -> None:
-    term = StandardTerm(orders=(1,), slots=(1, 2))
-    accum = {term: Fraction(1, 2)}
-    combo_add(accum, {term: Fraction(1, 4)}, Fraction(-2))
-    assert accum == {}
-
-
 def test_format_combo() -> None:
     assert format_combo({}) == "0"
     combo = {
@@ -471,6 +468,93 @@ def test_four_function_identity_certifies() -> None:
     ]
     report = check_identity(terms, GENERIC_WEIGHTS, "four-function")
     assert report.status == "pass"
+
+
+def test_check_identity_cancels_to_empty() -> None:
+    # equal trees cancel in the work list; [f2,f1]_1 = -[f1,f2]_1 cancels once rewritten
+    for terms in (
+        [("1/2", "[f1,f2]_1"), ("-2*1/4", "[f1,f2]_1")],
+        [("1", "[f2,f1]_1"), ("1", "[f1,f2]_1")],
+    ):
+        report = check_identity(terms, GENERIC_WEIGHTS)
+        assert report.status == "pass" and report.failures == []
+
+
+# [[f1,f2]_1,f3]_1 expands at (1, 1, -2), whose total is 0
+INADMISSIBLE_TREE = "[[f1,f2]_1,f3]_1"
+INADMISSIBLE_WEIGHTS = {1: Fraction(1), 2: Fraction(1), 3: Fraction(-2)}
+
+
+def test_terms_cancelling_as_trees_are_not_gated() -> None:
+    # one work list: the terms cancel, or the coefficient is 0, before any move
+    for terms in (
+        [("1", INADMISSIBLE_TREE), ("-1", INADMISSIBLE_TREE)],
+        [("0", INADMISSIBLE_TREE)],
+        [("l1 - 1", INADMISSIBLE_TREE), ("1", "[f2,f1]_0"), ("-1", "[f1,f2]_0")],
+    ):
+        assert check_identity(terms, INADMISSIBLE_WEIGHTS).status == "pass"
+    with pytest.raises(InadmissibleLocalWeightsError):
+        to_standard(parse_bracket(INADMISSIBLE_TREE), INADMISSIBLE_WEIGHTS)
+
+
+def test_pieces_cancel_in_the_work_list_in_term_order() -> None:
+    # the first move flips [f2,f1]_0 into the second tree, which then cancels,
+    # so the inadmissible expansion is never reached; listed the other way,
+    # the expansion is the first move and raises
+    terms = [("1", "[[f2,f1]_0,f3]_1"), ("-1", "[[f1,f2]_0,f3]_1")]
+    assert check_identity(terms, INADMISSIBLE_WEIGHTS).status == "pass"
+    with pytest.raises(InadmissibleLocalWeightsError, match=r"site \[\[f1,f2\]_0,f3\]_1"):
+        check_identity(terms[::-1], INADMISSIBLE_WEIGHTS)
+
+
+def test_non_cancelling_inadmissible_term_still_raises() -> None:
+    terms = [("1", "[f3,[[f1,f2]_2,f4]_1]_0"), ("1/2", "[f1,f2]_0")]
+    weights = dict(enumerate((Fraction(1, 2), Fraction(-1, 2), 1, 2), start=1))
+    with pytest.raises(InadmissibleLocalWeightsError) as got:
+        check_identity(terms, weights)
+    assert str(got.value) == (
+        "rewrite site [[f1,f2]_2,f4]_1 has inadmissible weights (1/2, -1/2, 2)"
+    )
+
+
+coefficients = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def identity_terms(draw) -> tuple[list[tuple[Fraction, Node]], dict[int, Fraction]]:
+    """2-4 (coefficient, tree) terms on 1-4 leaves with orders 0-3, at slot
+    weights that pass every site gate; a term may repeat an earlier tree,
+    with the negated coefficient or a fresh one."""
+    trees = small_trees(min_leaves=1, max_order=3)
+    terms = [(draw(coefficients), draw(trees))]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        if draw(st.booleans()):
+            coeff, tree = draw(st.sampled_from(terms))
+            terms.append((draw(st.sampled_from((-coeff, draw(coefficients)))), tree))
+        else:
+            terms.append((draw(coefficients), draw(trees)))
+    weights = draw(st.tuples(*[signed] * 4).filter(_gate_free))
+    return terms, dict(enumerate(weights, start=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(identity_terms())
+def test_one_work_list_is_the_sum_of_the_terms(case) -> None:
+    terms, weights = case
+    # the per-term route: each tree rewritten alone, summed in Fractions
+    expected: dict[StandardTerm, Fraction] = {}
+    for coeff, tree in terms:
+        for term, value in to_standard(tree, weights).items():
+            expected[term] = expected.get(term, Fraction(0)) + coeff * value
+    expected = {term: value for term, value in expected.items() if value}
+    report = check_identity([(str(coeff), format_expr(tree)) for coeff, tree in terms], weights)
+    if expected:
+        assert report.status == "fail"
+        assert report.failures[0]["residual"] == format_combo(expected)
+    else:
+        assert report.status == "pass"
 
 
 def test_broken_identity_reports_residual() -> None:
