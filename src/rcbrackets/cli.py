@@ -253,9 +253,7 @@ def cmd_star(args: argparse.Namespace) -> int:
     return 0
 
 
-def _weights_for_slots(slots: Sequence[int], text: str | None) -> dict[int, Fraction]:
-    if text is None:
-        raise UsageError("this invocation needs --weights w1,w2,...")
+def _weights_for_slots(slots: Sequence[int], text: str) -> dict[int, Fraction]:
     values = _rational_list(text)
     if len(values) != len(slots):
         raise UsageError(f"expected {len(slots)} weights for slots {tuple(slots)}, got {len(values)}")

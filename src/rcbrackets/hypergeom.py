@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, prod
 
 from .poly import Poly
 from .rationals import (
     RationalLike,
     as_rational,
     binom_general,
+    common_scale,
     factorial,
     is_nonpositive_integer,
     pochhammer,
@@ -133,7 +134,7 @@ def bracket_coeff_row(weight1: Fraction, weight2: Fraction, n: int) -> tuple[tup
     dividing them and d^n n! by one gcd leaves ``den``, the lcm of the reduced
     denominators of the c_s (1 for a zero row).
     """
-    d = lcm(weight1.denominator, weight2.denominator)
+    d, (a, b) = common_scale(weight1, weight2)
 
     def tail(x: int) -> list[int]:
         """[prod_{i=s}^{n-1} (x + i d) for s = 0..n]; entry n is the empty product 1."""
@@ -142,8 +143,7 @@ def bracket_coeff_row(weight1: Fraction, weight2: Fraction, n: int) -> tuple[tup
             out.append(out[-1] * (x + i * d))
         return out[::-1]
 
-    heads = tail(weight1.numerator * (d // weight1.denominator))
-    tails = tail(weight2.numerator * (d // weight2.denominator))
+    heads, tails = tail(a), tail(b)
     row = [(-1) ** s * comb(n, s) * heads[s] * tails[n - s] for s in range(n + 1)]
     full = d**n * prod(range(1, n + 1))
     common = gcd(full, *row)

@@ -20,9 +20,9 @@ For each triple and n, the main identity is the matrix identity L = U R:
 row k of U takes the n+1 right nests R_p to the left nest L_k.  The suites
 check it as one block per (triple, n), which tabulates the block's 2(n+1)
 nests once for all of its rows: ``main`` and ``reverse`` on the degree grid,
-``convolution`` and ``operator`` on the simplex slice.  The public one-row
-verifiers (``verify_main_identity`` and the like) are the one-row case of
-the same block code, and every block reads U through ``u_row``.  Block
+``convolution`` and ``operator`` on the simplex slice.  Each block is the
+identity's one public verifier (``verify_main_identity`` and the like),
+which returns one report per row 0..n and reads U through ``u_row``.  Block
 tables are local to the block.  The star product (``star.assoc_defect``)
 stays an independent route to the Eholzer table, cross-checked in the tests.
 
@@ -98,14 +98,9 @@ def _blocks(
     bound: int,
     *args: object,
 ) -> list[VerificationReport]:
-    """``block(triple, n, range(n + 1), *args)`` for every triple and n <= bound:
-    one report per case of ``_grid(triples, bound)``, in its order."""
-    return [
-        report
-        for tr in triples
-        for n in range(bound + 1)
-        for report in block(tr, n, range(n + 1), *args)
-    ]
+    """``block(triple, n, *args)`` for every triple and n <= bound: one report
+    per case of ``_grid(triples, bound)``, in its order."""
+    return [report for tr in triples for n in range(bound + 1) for report in block(tr, n, *args)]
 
 
 # -- checked identities -----------------------------------------------------------
@@ -196,9 +191,8 @@ def _integer_terms(
     """``(den, [(multiplier, values), ...])``: each coefficient of ``terms`` over
     its tree's table denominator, as an integer multiplier over one lcm ``den``,
     beside the tree's tabulated values."""
-    scaled = [(as_rational(c) / tables[expr][1], tables[expr][0]) for c, expr in terms]
-    den = lcm(*(scale.denominator for scale, _ in scaled))
-    return den, [(s.numerator * (den // s.denominator), values) for s, values in scaled]
+    den, multipliers = common_scale(*(as_rational(c) / tables[expr][1] for c, expr in terms))
+    return den, [(m, tables[expr][0]) for m, (_, expr) in zip(multipliers, terms)]
 
 
 def _triple(params: ParamTriple) -> tuple[Fraction, Fraction, Fraction]:
@@ -227,34 +221,22 @@ def reverse_terms(params: ParamTriple, n: int, p: int) -> Terms:
     return terms + [(-u, _left_nest(n, k)) for k, u in enumerate(row) if u]
 
 
-def _main_block(
-    params: ParamTriple, n: int, ks: Sequence[int], max_degree: int
+def verify_main_identity(
+    params: ParamTriple, n: int, max_degree: int = 3
 ) -> list[VerificationReport]:
-    """The main identity at (params, n) for each row k of ``ks``: L = U R as one block."""
-    rows = [[({"n": n, "k": k}, main_terms(params, n, k))] for k in ks]
+    """[[f1,f2]_k, f3]_{n-k} = sum_p U_{k,p} [f1, [f2,f3]_p]_{n-p} on monomials,
+    one report per row k = 0..n: L = U R at (params, n) as one block."""
+    rows = [[({"n": n, "k": k}, main_terms(params, n, k))] for k in range(n + 1)]
     return _monomial_reports("main-recoupling", _triple(params), rows, max_degree)
 
 
-def _reverse_block(
-    params: ParamTriple, n: int, ps: Sequence[int], max_degree: int
-) -> list[VerificationReport]:
-    """The reverse identity at (params, n) for each row p of ``ps``, as one block."""
-    rows = [[({"n": n, "p": p}, reverse_terms(params, n, p))] for p in ps]
-    return _monomial_reports("reverse-recoupling", _triple(params), rows, max_degree)
-
-
-def verify_main_identity(
-    params: ParamTriple, n: int, k: int, max_degree: int = 3
-) -> VerificationReport:
-    """[[f1,f2]_k, f3]_{n-k} = sum_p U_p [f1, [f2,f3]_p]_{n-p} on monomials."""
-    return _main_block(params, n, [k], max_degree)[0]
-
-
 def verify_reverse_identity(
-    params: ParamTriple, n: int, p: int, max_degree: int = 3
-) -> VerificationReport:
-    """[f1, [f2,f3]_p]_{n-p} = sum_k Utilde_k [[f1,f2]_k, f3]_{n-k} on monomials."""
-    return _reverse_block(params, n, [p], max_degree)[0]
+    params: ParamTriple, n: int, max_degree: int = 3
+) -> list[VerificationReport]:
+    """[f1, [f2,f3]_p]_{n-p} = sum_k Utilde_{p,k} [[f1,f2]_k, f3]_{n-k} on monomials,
+    one report per row p = 0..n, as one block."""
+    rows = [[({"n": n, "p": p}, reverse_terms(params, n, p))] for p in range(n + 1)]
+    return _monomial_reports("reverse-recoupling", _triple(params), rows, max_degree)
 
 
 def verify_classical(params: ParamTriple, max_degree: int = 4) -> VerificationReport:
@@ -275,19 +257,9 @@ def verify_four_function(
     return verify_on_monomials("four-function-first-order", weights, [({}, terms)], max_degree)
 
 
-def verify_convolution(params: ParamTriple, n: int, k: int) -> VerificationReport:
-    """The main table on symbols (slots x, y, z): sum_T c_T S_T = 0 in Poly(z, x, y).
-
-    This is the convolution identity between products of homogeneous Jacobi
-    forms, checked on the simplex slice |a| = n; a failure records the
-    nonzero residual symbol.
-    """
-    return _convolution_block(params, n, [k])[0]
-
-
-def _slice_residuals(params: ParamTriple, n: int, ks: Sequence[int]) -> list[Poly]:
+def _slice_residuals(params: ParamTriple, n: int) -> list[Poly]:
     """The residual symbol sum_T c_T S_T of the main table at (params, n), for
-    each row k of ``ks``.
+    each row k = 0..n.
 
     The block's 2(n+1) nests are tabulated once on the slice |a| = n
     (:func:`tabulate_on_slice`), and row k's residual sum_T c_T value_T(a) is
@@ -295,7 +267,7 @@ def _slice_residuals(params: ParamTriple, n: int, ks: Sequence[int]) -> list[Pol
     symbol's coefficient of x^a1 y^a2 z^a3 is residual(a) / (den prod a_i!).
     """
     weights = dict(enumerate(_triple(params), start=1))
-    rows = [main_terms(params, n, k) for k in ks]
+    rows = [main_terms(params, n, k) for k in range(n + 1)]
     trees = list(dict.fromkeys(expr for terms in rows for _, expr in terms))
     tables, grid, factorials = tabulate_on_slice(trees, weights, n)
     by_tree = dict(zip(trees, tables))
@@ -313,12 +285,18 @@ def _slice_residuals(params: ParamTriple, n: int, ks: Sequence[int]) -> list[Pol
     return symbols
 
 
-def _convolution_block(params: ParamTriple, n: int, ks: Sequence[int]) -> list[VerificationReport]:
-    """``verify_convolution`` at (params, n) for each row k of ``ks``: row k
-    passes iff its slice residual (:func:`_slice_residuals`) is 0."""
+def verify_convolution(params: ParamTriple, n: int) -> list[VerificationReport]:
+    """The main table on symbols (slots x, y, z): sum_T c_T S_T = 0 in Poly(z, x, y),
+    one report per row k = 0..n.
+
+    This is the convolution identity between products of homogeneous Jacobi
+    forms, checked on the simplex slice |a| = n: row k passes iff its slice
+    residual (:func:`_slice_residuals`) is 0, and a failure records that
+    nonzero residual symbol.
+    """
     sample = sample_dict(params)
     reports = []
-    for k, symbol in zip(ks, _slice_residuals(params, n, ks)):
+    for k, symbol in enumerate(_slice_residuals(params, n)):
         record = {"sample": sample, "n": n, "k": k}
         failures = [] if symbol.is_zero() else [{**record, "value": str(symbol)}]
         reports.append(VerificationReport.checked("jacobi-convolution", [sample], 1, failures))
@@ -326,27 +304,20 @@ def _convolution_block(params: ParamTriple, n: int, ks: Sequence[int]) -> list[V
 
 
 def verify_operator_convolution(
-    params: ParamTriple, n: int, k: int, max_degree: int = 3
-) -> VerificationReport:
-    """The main table as an operator on inputs t^m, m <= ``max_degree``.
+    params: ParamTriple, n: int, max_degree: int = 3
+) -> list[VerificationReport]:
+    """The main table as an operator on inputs t^m, m <= ``max_degree``, one
+    report per row k = 0..n.
 
     A tree T with symbol S_T maps t^m (in every slot) to S_T (x+y+z)^m, so
     row k's residual on t^m is its ``convolution`` residual symbol times
-    (x+y+z)^m: one instance per m, each a pass iff that symbol is 0.
+    (x+y+z)^m: one instance per m, each a pass iff that symbol is 0.  Only a
+    failing row multiplies its symbol by (x+y+z)^m, for the records.
     """
-    return _operator_block(params, n, [k], max_degree)[0]
-
-
-def _operator_block(
-    params: ParamTriple, n: int, ks: Sequence[int], max_degree: int
-) -> list[VerificationReport]:
-    """``verify_operator_convolution`` at (params, n) for each row k of ``ks``,
-    read off the block's slice residuals (:func:`_slice_residuals`).  Only a
-    failing row multiplies its residual symbol by (x+y+z)^m, for the records."""
     sample = sample_dict(params)
     leaf_sum = sum(SYMBOL_LEAVES.values(), Poly.zero(GEOMETRIC_VARS))
     reports = []
-    for k, symbol in zip(ks, _slice_residuals(params, n, ks)):
+    for k, symbol in enumerate(_slice_residuals(params, n)):
         record = {"sample": sample, "n": n, "k": k}
         failures = [
             {**record, "input_degree": m, "value": str(symbol * leaf_sum**m)}
@@ -447,9 +418,8 @@ def _deformation_compatible(
     left = [u1 * u2 * (den // (v1 * v2)) for (u1, v1), (u2, v2) in left]
     out = []
     for p in range(n + 1):
-        column = [row[p] for row in matrix]
-        column_den = lcm(*(u.denominator for u in column))
-        total = sum(u.numerator * (column_den // u.denominator) * v for u, v in zip(column, left))
+        column_den, column = common_scale(*(row[p] for row in matrix))
+        total = sum(u * v for u, v in zip(column, left))
         u1, v1 = cmz_t_pair(k, b, c, d, p)
         u2, v2 = cmz_t_pair(k, a, b + c + 2 * s * p, d, n - p)
         out.append(total * v1 * v2 == u1 * u2 * den * column_den)
@@ -550,10 +520,10 @@ def run_suite(
             out.extend(run_suite(suite, triples, max_n, max_degree, hbar_order))
         return out
     if name == "main":
-        reports = _blocks(_main_block, triples, max_n, max_degree)
+        reports = _blocks(verify_main_identity, triples, max_n, max_degree)
         return [merge_reports("main-recoupling", reports)]
     if name == "reverse":
-        reports = _blocks(_reverse_block, triples, min(max_n, 4), max_degree)
+        reports = _blocks(verify_reverse_identity, triples, min(max_n, 4), max_degree)
         return [merge_reports("reverse-recoupling", reports)]
     if name == "classical":
         first = [verify_classical(tr, max_degree=4) for tr in triples]
@@ -566,10 +536,10 @@ def run_suite(
             merge_reports("four-function-first-order", second),
         ]
     if name == "convolution":
-        reports = _blocks(_convolution_block, triples, min(max_n, 4))
+        reports = _blocks(verify_convolution, triples, min(max_n, 4))
         return [merge_reports("jacobi-convolution", reports)]
     if name == "operator":
-        reports = _blocks(_operator_block, triples, min(max_n, 3), max_degree)
+        reports = _blocks(verify_operator_convolution, triples, min(max_n, 3), max_degree)
         return [merge_reports("operator-convolution", reports)]
     if name == "zagier":
         return [zagier_suite(triples, max_n=min(max_n, 3))]

@@ -410,9 +410,9 @@ _TOKEN_CHARS = set("+-*^()[],_")
 
 class Tokens:
     """A cursor over the tokens (kind, text, position) of ``src``, ending in an
-    ``end`` token; ``error(message, position)`` reports bad input, and
-    '['/'(' nesting deeper than ``MAX_NESTING`` raises
-    :class:`NestingTooDeepError`."""
+    ``end`` token; ``error(message, position)`` reports bad input, such as a
+    literal ``p/q`` whose q is missing or all zeros, and '['/'(' nesting deeper
+    than ``MAX_NESTING`` raises :class:`NestingTooDeepError`."""
 
     def __init__(self, src: str, error: type[ValueError]) -> None:
         self.error = error
@@ -441,6 +441,8 @@ class Tokens:
                     k = self._run(src, j + 1, str.isdecimal)
                     if k == j + 1:
                         raise error("missing denominator", k)
+                    if not any(map(int, src[j + 1 : k])):  # each digit 0, in any script
+                        raise error("zero denominator", j + 1)
                     j = k
                 self.items.append(("number", src[i:j], i))
                 i = j

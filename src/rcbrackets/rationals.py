@@ -91,7 +91,7 @@ def binom_general(x: RationalLike, k: int) -> Fraction:
 
 def common_scale(*values: Fraction) -> tuple[int, list[int]]:
     """(d, [d * value, ...]) with d the lcm of the denominators, so every entry is an integer."""
-    d = math.lcm(*(value.denominator for value in values))
+    d = math.lcm(*[value.denominator for value in values])
     return d, [value.numerator * (d // value.denominator) for value in values]
 
 

@@ -61,6 +61,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .brackets import BracketExpr, Leaf, Node, UnboundSlotError, expr_slots, format_expr
@@ -344,6 +345,7 @@ def _coeff_leaf(tok: Token):
 
 # the AST: ("num", q), ("slot", n), ("neg", a) and (op, a, b) for op in + - *
 _COEFF_OPS = {op: (lambda *args, op=op: (op, *args)) for op in ("+", "-", "*", "neg")}
+_COEFF_APPLY = {"+": add, "-": sub, "*": mul}
 
 
 def parse_coeff(src: str):
@@ -352,22 +354,25 @@ def parse_coeff(src: str):
 
 
 def eval_coeff(ast, weights: Mapping[int, Fraction]) -> Fraction:
-    kind = ast[0]
-    if kind == "num":
-        return ast[1]
-    if kind == "slot":
-        slot = ast[1]
-        if slot not in weights:
-            raise UnboundSlotError(f"no weight bound for slot {slot}")
-        return as_rational(weights[slot])
-    if kind == "neg":
-        return -eval_coeff(ast[1], weights)
-    a, b = eval_coeff(ast[1], weights), eval_coeff(ast[2], weights)
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
-    return a * b
+    """The value of a coefficient AST at the slot weights, walked with an explicit
+    stack, so a flat chain such as 1+1+...+1 (an AST as deep as it is long) does
+    not recurse.  Operands are read left to right."""
+    values: list[Fraction] = []
+    stack = [ast]
+    while stack:
+        node = stack.pop()
+        if type(node) is str:  # an operator, whose operands' values are on top
+            b = values.pop()
+            values.append(-b if node == "neg" else _COEFF_APPLY[node](values.pop(), b))
+        elif node[0] == "num":
+            values.append(node[1])
+        elif node[0] == "slot":
+            if node[1] not in weights:
+                raise UnboundSlotError(f"no weight bound for slot {node[1]}")
+            values.append(as_rational(weights[node[1]]))
+        else:
+            stack += [node[0], *reversed(node[1:])]
+    return values[0]
 
 
 def bind_terms(

@@ -267,6 +267,25 @@ def test_bracket_rejects_bad_polynomial(capsys) -> None:
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["bracket", "--l1", "1", "--l2", "1", "--n", "1", "--f", "1/0", "--g", "z"], None),
+        (["bracket", "--l1", "1", "--l2", "1", "--n", "1", "--f", "1/00", "--g", "z"], None),
+        (["star", "--N", "1", "--f=1:1/0", "--g", "1:z"], None),
+        (["verma", "--model", "lowest", "--weights", "1", "--gen", "E", "--poly", "1/0"], None),
+        (["check"], "1/0 | [f1,f2]_1\n"),
+    ],
+    ids=["bracket", "bracket-00", "star", "verma", "check"],
+)
+def test_zero_denominator_is_syntax_error(capsys, tmp_path, argv, line) -> None:
+    if line is not None:
+        identity = tmp_path / "identity.txt"
+        identity.write_text(line)
+        argv = argv + ["--identity-file", str(identity)]
+    assert run_cli(capsys, argv) == (2, "", "error: zero denominator (at position 2)\n")
+
+
 def test_star_weight_zero_unit(capsys) -> None:
     code, out, _ = run_cli(capsys, ["star", "--N", "2", "--f", "0:1", "--g", "1:z"])
     assert code == 0
@@ -493,6 +512,22 @@ def test_nesting_bound_refuses_one_more_level(capsys, argv) -> None:
     assert run_cli(capsys, argv) == (1, "", "error: input nested too deeply\n")
 
 
+@pytest.mark.parametrize(
+    "coeff, value",
+    [("+".join(["1"] * 1500), "1500"), ("-" * 1500 + "1", "1")],
+    ids=["sum-1500", "signs-1500"],
+)
+def test_flat_coefficient_chain_is_evaluated_in_a_loop(capsys, tmp_path, coeff, value) -> None:
+    # each chain's AST is far deeper than the interpreter's recursion limit
+    identity = tmp_path / "identity.txt"
+    identity.write_text(f"{coeff} | [f1,f2]_1\n-{value} | [f1,f2]_1\n")
+    argv = ["check", "--identity-file", str(identity), "--weights", "1/2,1", "--output", "text"]
+    assert run_cli(capsys, argv) == (0, "bracket-identity: pass (1 instances)\n", "")
+    identity.write_text(f"{coeff}+l9 | [f1,f2]_1\n")
+    argv = ["check", "--identity-file", str(identity), "--weights", "1/2,1"]
+    assert run_cli(capsys, argv) == (1, "", "error: no weight bound for slot 9\n")
+
+
 def test_check_missing_file_exit_2(capsys) -> None:
     code, _, err = run_cli(capsys, ["check", "--identity-file", "/nonexistent/identity.txt"])
     assert code == 2
@@ -524,6 +559,13 @@ def test_check_non_utf8_identity_file_exit_2(capsys, tmp_path) -> None:
     assert out == ""
     assert err.startswith(f"error: cannot read identity file {binary}: 'utf-8' codec can't decode")
     assert err.count("\n") == 1
+
+
+def test_check_comments_only_file_exit_2(capsys, tmp_path) -> None:
+    empty = tmp_path / "identity.txt"
+    empty.write_text("# no terms here\n\n   # nor here\n")
+    code, out, err = run_cli(capsys, ["check", "--identity-file", str(empty)])
+    assert (code, out, err) == (2, "", f"error: {empty}: no terms found\n")
 
 
 def test_check_line_without_bar_exit_2(capsys, tmp_path) -> None:

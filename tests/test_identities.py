@@ -38,7 +38,6 @@ from rcbrackets.identities import (
     verify_reverse_identity,
 )
 from rcbrackets.rationals import factorial, pochhammer
-from rcbrackets.report import merge_reports
 from rcbrackets.transition import (
     InadmissibleParametersError,
     ParamTriple,
@@ -53,7 +52,7 @@ ONES = ParamTriple(Fraction(1), Fraction(1), Fraction(1))
 
 
 def test_main_identity_small() -> None:
-    report = verify_main_identity(GENERIC, n=2, k=1, max_degree=2)
+    report = verify_main_identity(GENERIC, n=2, max_degree=2)[1]
     assert report.status == "pass"
     assert report.instances_checked == 27
     assert report.failures == []
@@ -61,14 +60,13 @@ def test_main_identity_small() -> None:
 
 def test_main_identity_integer_weights() -> None:
     for n in range(4):
-        for k in range(n + 1):
-            assert verify_main_identity(ONES, n, k, max_degree=1).status == "pass"
+        reports = verify_main_identity(ONES, n, max_degree=1)
+        assert [report.status for report in reports] == ["pass"] * (n + 1)
 
 
 def test_reverse_identity_small() -> None:
-    report = verify_reverse_identity(GENERIC, n=2, p=1, max_degree=2)
-    assert report.status == "pass"
-    assert report.instances_checked == 27
+    reports = verify_reverse_identity(GENERIC, n=2, max_degree=2)
+    assert [(report.status, report.instances_checked) for report in reports] == [("pass", 27)] * 3
 
 
 def test_classical_identities() -> None:
@@ -87,16 +85,16 @@ def test_four_function_identity() -> None:
 
 def test_convolution_small() -> None:
     for n in range(4):
-        for k in range(n + 1):
-            report = verify_convolution(GENERIC, n, k)
+        reports = verify_convolution(GENERIC, n)
+        assert len(reports) == n + 1
+        for report in reports:
             assert report.status == "pass"
             assert report.instances_checked == 1
 
 
 def test_operator_convolution_small() -> None:
-    report = verify_operator_convolution(GENERIC, n=2, k=1, max_degree=2)
-    assert report.status == "pass"
-    assert report.instances_checked == 3
+    reports = verify_operator_convolution(GENERIC, n=2, max_degree=2)
+    assert [(report.status, report.instances_checked) for report in reports] == [("pass", 3)] * 3
 
 
 def test_eholzer_associativity_small() -> None:
@@ -389,8 +387,8 @@ def test_run_suite_unknown_name() -> None:
 
 def test_convolution_failure_records_residual(monkeypatch) -> None:
     n, k, max_degree = 2, 1, 2
-    clean_conv = verify_convolution(GENERIC, n, k)
-    clean_op = verify_operator_convolution(GENERIC, n, k, max_degree)
+    clean_conv = verify_convolution(GENERIC, n)[k]
+    clean_op = verify_operator_convolution(GENERIC, n, max_degree)[k]
     formula = identities.u_row
     monkeypatch.setattr(
         identities,
@@ -402,14 +400,14 @@ def test_convolution_failure_records_residual(monkeypatch) -> None:
     l1, l2, l3 = GENERIC.lam1, GENERIC.lam2, GENERIC.lam3
     extra = jacobi_two_var(n, l1, l2 + l3).subst({"x": x, "y": y + z})
 
-    conv = verify_convolution(GENERIC, n, k)
+    conv = verify_convolution(GENERIC, n)[k]
     assert conv.status == "fail"
     assert conv.instances_checked == clean_conv.instances_checked
     assert conv.failures == [
         {"sample": identities.sample_dict(GENERIC), "n": n, "k": k, "value": str(-extra)}
     ]
 
-    op = verify_operator_convolution(GENERIC, n, k, max_degree)
+    op = verify_operator_convolution(GENERIC, n, max_degree)[k]
     assert op.status == "fail"
     assert op.instances_checked == clean_op.instances_checked
     assert [record["input_degree"] for record in op.failures] == list(range(max_degree + 1))
@@ -453,7 +451,7 @@ def test_operator_failure_records_match_poly_chain(monkeypatch) -> None:
     monkeypatch.setattr(identities, "u_row", off_by_a_thousandth)
     residuals = _operator_residuals_by_poly(broken, n, k, max_degree)
     assert not any(residual.is_zero() for residual in residuals)
-    report = verify_operator_convolution(broken, n, k, max_degree)
+    report = verify_operator_convolution(broken, n, max_degree)[k]
     assert report.status == "fail"
     assert report.failures == [
         {
@@ -466,7 +464,7 @@ def test_operator_failure_records_match_poly_chain(monkeypatch) -> None:
         for m, residual in enumerate(residuals)
     ]
     for params, n_, k_ in ((GENERIC, n, k), (broken, n, 2), (broken, 2, k)):
-        assert verify_operator_convolution(params, n_, k_, max_degree).failures == []
+        assert verify_operator_convolution(params, n_, max_degree)[k_].failures == []
 
 
 def _zagier_scalar(l1, l2, l3, n, k):
@@ -553,45 +551,36 @@ def test_zagier_pair_scalar_raises_where_the_ratio_divides_by_zero() -> None:
 
 BLOCK_TRIPLES = (GENERIC, CROSS_TRIPLES[2])
 BLOCK_DEGREE = 2
-# suite -> (merged report id, the public one-row verifier at (triple, n, row))
-PER_ROW = {
-    "main": ("main-recoupling", lambda tr, n, k: verify_main_identity(tr, n, k, BLOCK_DEGREE)),
-    "reverse": (
-        "reverse-recoupling",
-        lambda tr, n, p: verify_reverse_identity(tr, n, p, BLOCK_DEGREE),
-    ),
-    "convolution": ("jacobi-convolution", verify_convolution),
-    "operator": (
-        "operator-convolution",
-        lambda tr, n, k: verify_operator_convolution(tr, n, k, BLOCK_DEGREE),
-    ),
+BLOCK_IDS = {
+    "main": "main-recoupling",
+    "reverse": "reverse-recoupling",
+    "convolution": "jacobi-convolution",
+    "operator": "operator-convolution",
 }
 
 
-@pytest.mark.parametrize("perturbed", [False, True], ids=["clean", "perturbed"])
-@pytest.mark.parametrize("suite", sorted(PER_ROW))
-def test_blocks_equal_per_row_verifiers(monkeypatch, suite, perturbed) -> None:
-    if perturbed:
-        formula = identities.u_row
+@pytest.mark.parametrize("suite", sorted(BLOCK_IDS))
+def test_nudged_u_entry_fails_only_its_row(monkeypatch, suite) -> None:
+    (clean,) = run_suite(suite, BLOCK_TRIPLES, max_n=3, max_degree=BLOCK_DEGREE)
+    assert clean.identity_id == BLOCK_IDS[suite]
+    assert clean.status == "pass"
+    formula = identities.u_row
 
-        def nudged(params, n, k):
-            row = formula(params, n, k)
-            if (n, k) == (2, 1):
-                row[0] += Fraction(1, 1000)
-            return row
+    def nudged(params, n, k):
+        row = formula(params, n, k)
+        if (n, k) == (2, 1):
+            row[0] += Fraction(1, 1000)
+        return row
 
-        monkeypatch.setattr(identities, "u_row", nudged)
-    identity_id, verify_row = PER_ROW[suite]
-    (block,) = run_suite(suite, BLOCK_TRIPLES, max_n=3, max_degree=BLOCK_DEGREE)
-    rows = [verify_row(tr, n, j) for tr in BLOCK_TRIPLES for n in range(4) for j in range(n + 1)]
-    assert block.to_dict() == merge_reports(identity_id, rows).to_dict()
-    assert block.instances_checked == sum(row.instances_checked for row in rows)
-    # the nudge reaches every suite, and only its rows, (n, k) or (n, p) = (2, 1), fail
-    failing = [row for row in rows if row.failures]
-    assert bool(failing) == perturbed
-    for row in failing:
-        rows_hit = {(record["n"], record.get("k", record.get("p"))) for record in row.failures}
-        assert rows_hit == {(2, 1)}
+    monkeypatch.setattr(identities, "u_row", nudged)
+    (report,) = run_suite(suite, BLOCK_TRIPLES, max_n=3, max_degree=BLOCK_DEGREE)
+    assert report.status == "fail"
+    assert report.instances_checked == clean.instances_checked
+    # the nudge reaches every suite, and only its row, (n, k) or (n, p) = (2, 1), fails
+    rows_hit = {(record["n"], record.get("k", record.get("p"))) for record in report.failures}
+    assert rows_hit == {(2, 1)}
+    samples = {tuple(record["sample"].items()) for record in report.failures}
+    assert samples == {tuple(identities.sample_dict(tr).items()) for tr in BLOCK_TRIPLES}
 
 
 def test_failures_are_degree_major_across_tables() -> None:
@@ -628,9 +617,9 @@ def _convolution_residual(params, n, k):
 
 
 def test_convolution_failures_are_the_tree_symbol_residual(monkeypatch) -> None:
-    cases = [(tr, n, k) for tr in CONVOLUTION_TRIPLES for n in range(5) for k in range(n + 1)]
-    for params, n, k in cases:
-        assert verify_convolution(params, n, k).failures == []
+    blocks = [(tr, n) for tr in CONVOLUTION_TRIPLES for n in range(5)]
+    for params, n in blocks:
+        assert all(report.failures == [] for report in verify_convolution(params, n))
     formula = identities.u_row
 
     def nudged(params, n, k):
@@ -641,12 +630,12 @@ def test_convolution_failures_are_the_tree_symbol_residual(monkeypatch) -> None:
         return row
 
     monkeypatch.setattr(identities, "u_row", nudged)
-    for params, n, k in cases:
-        report = verify_convolution(params, n, k)
-        if n == 0:
-            assert report.failures == []
-            continue
-        residual = _convolution_residual(params, n, k)
-        assert not residual.is_zero()
-        record = {"sample": identities.sample_dict(params), "n": n, "k": k, "value": str(residual)}
-        assert report.failures == [record]
+    for params, n in blocks:
+        for k, report in enumerate(verify_convolution(params, n)):
+            if n == 0:
+                assert report.failures == []
+                continue
+            residual = _convolution_residual(params, n, k)
+            assert not residual.is_zero()
+            sample = identities.sample_dict(params)
+            assert report.failures == [{"sample": sample, "n": n, "k": k, "value": str(residual)}]
