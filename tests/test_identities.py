@@ -38,6 +38,7 @@ from rcbrackets.identities import (
     verify_reverse_identity,
 )
 from rcbrackets.rationals import factorial, pochhammer
+from rcbrackets.report import merge_reports
 from rcbrackets.transition import (
     InadmissibleParametersError,
     ParamTriple,
@@ -551,36 +552,50 @@ def test_zagier_pair_scalar_raises_where_the_ratio_divides_by_zero() -> None:
 
 BLOCK_TRIPLES = (GENERIC, CROSS_TRIPLES[2])
 BLOCK_DEGREE = 2
-BLOCK_IDS = {
-    "main": "main-recoupling",
-    "reverse": "reverse-recoupling",
-    "convolution": "jacobi-convolution",
-    "operator": "operator-convolution",
+# suite -> (merged report id, the public block verifier at (triple, n): one report per row)
+PER_ROW = {
+    "main": ("main-recoupling", lambda tr, n: verify_main_identity(tr, n, BLOCK_DEGREE)),
+    "reverse": ("reverse-recoupling", lambda tr, n: verify_reverse_identity(tr, n, BLOCK_DEGREE)),
+    "convolution": ("jacobi-convolution", verify_convolution),
+    "operator": (
+        "operator-convolution",
+        lambda tr, n: verify_operator_convolution(tr, n, BLOCK_DEGREE),
+    ),
 }
 
 
-@pytest.mark.parametrize("suite", sorted(BLOCK_IDS))
-def test_nudged_u_entry_fails_only_its_row(monkeypatch, suite) -> None:
-    (clean,) = run_suite(suite, BLOCK_TRIPLES, max_n=3, max_degree=BLOCK_DEGREE)
-    assert clean.identity_id == BLOCK_IDS[suite]
-    assert clean.status == "pass"
-    formula = identities.u_row
+@pytest.mark.parametrize("perturbed", [False, True], ids=["clean", "perturbed"])
+@pytest.mark.parametrize("suite", sorted(PER_ROW))
+def test_blocks_equal_per_row_verifiers(monkeypatch, suite, perturbed) -> None:
+    identity_id, verify_block = PER_ROW[suite]
+    if perturbed:
+        formula = identities.u_row
 
-    def nudged(params, n, k):
-        row = formula(params, n, k)
-        if (n, k) == (2, 1):
-            row[0] += Fraction(1, 1000)
-        return row
+        def nudged(params, n, k):
+            row = formula(params, n, k)
+            if (n, k) == (2, 1):
+                row[0] += Fraction(1, 1000)
+            return row
 
-    monkeypatch.setattr(identities, "u_row", nudged)
-    (report,) = run_suite(suite, BLOCK_TRIPLES, max_n=3, max_degree=BLOCK_DEGREE)
-    assert report.status == "fail"
-    assert report.instances_checked == clean.instances_checked
-    # the nudge reaches every suite, and only its row, (n, k) or (n, p) = (2, 1), fails
-    rows_hit = {(record["n"], record.get("k", record.get("p"))) for record in report.failures}
-    assert rows_hit == {(2, 1)}
-    samples = {tuple(record["sample"].items()) for record in report.failures}
-    assert samples == {tuple(identities.sample_dict(tr).items()) for tr in BLOCK_TRIPLES}
+        monkeypatch.setattr(identities, "u_row", nudged)
+    (merged,) = run_suite(suite, BLOCK_TRIPLES, max_n=3, max_degree=BLOCK_DEGREE)
+    blocks = [verify_block(tr, n) for tr in BLOCK_TRIPLES for n in range(4)]
+    assert [len(block) for block in blocks] == [n + 1 for _ in BLOCK_TRIPLES for n in range(4)]
+    rows = [row for block in blocks for row in block]
+    assert merged.identity_id == identity_id
+    assert merged.to_dict() == merge_reports(identity_id, rows).to_dict()
+    assert merged.instances_checked == sum(row.instances_checked for row in rows)
+    assert merged.status == ("fail" if perturbed else "pass")
+    # the nudge reaches every suite, and only its rows, (n, k) or (n, p) = (2, 1), fail,
+    # from both triples
+    failing = [row for row in rows if row.failures]
+    assert bool(failing) == perturbed
+    for row in failing:
+        rows_hit = {(record["n"], record.get("k", record.get("p"))) for record in row.failures}
+        assert rows_hit == {(2, 1)}
+    samples = {tuple(record["sample"].items()) for record in merged.failures}
+    expected = {tuple(identities.sample_dict(tr).items()) for tr in BLOCK_TRIPLES}
+    assert samples == (expected if perturbed else set())
 
 
 def test_failures_are_degree_major_across_tables() -> None:
