@@ -16,9 +16,10 @@ tabulator, ``tabulate_trees``: at fixed slot weights it evaluates a list of
 trees on a whole list of leaf-degree tuples, one pass per distinct subtree,
 reading and filling those memos.  A tree of total order N on D slots is the
 constant-coefficient operator sum_{|j|=N} s_j prod f_i^(j_i), so on leaves
-z^(a_i) with sum a_i = N it is s_a prod a_i!, and
-``tabulate_on_slice`` reads its symbol, the polynomial ``tree_symbol``
-builds from Jacobi forms, off that simplex slice.  The general bracket is one
+z^(a_i) with sum a_i = N it is s_a prod a_i!, and ``tabulate_on_slice``
+reads its symbol, the polynomial ``tree_symbol`` builds from Jacobi forms,
+off that simplex slice; ``read_off_slice`` reads its value at any leaf
+degrees back off the slice.  The general bracket is one
 kernel that takes and returns ``poly.Numerators``, the format ``star`` sums
 its pieces in, and serves every order of a range at once: it reads the
 derivatives of both polynomials as big integers at X = 2^W (Kronecker
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, perm, prod
+from math import comb, factorial, perm, prod
 from typing import Mapping, Sequence, Union
 
 from .hypergeom import bracket_coeff_row, jacobi_two_var
@@ -361,10 +362,7 @@ def simplex_slice(slots: int, order: int) -> list[tuple[int, ...]]:
 
 
 def tabulate_on_slice(
-    trees: Sequence[BracketExpr],
-    weights: Mapping[int, RationalLike],
-    order: int,
-    head: Sequence[Sequence[int]] = (),
+    trees: Sequence[BracketExpr], weights: Mapping[int, RationalLike], order: int
 ) -> tuple[list[Tabulation], list[tuple[int, ...]], list[int]]:
     """``(tables, slice, factorials)``: ``trees`` tabulated on the simplex slice.
 
@@ -373,18 +371,20 @@ def tabulate_on_slice(
     ``factorials[i]`` is prod_j slice[i][j]!.  Each tree is the operator
     sum_{|j|=order} s_j prod f_j^(j_j), so on z^(a_j) with a = slice[i] it is
     the constant s_a prod a_j!: with ``(values, den)`` its table,
-    s_a = values[len(head) + i][1] / (den factorials[i]).  The tuples of
-    ``head`` are tabulated first, in the same :func:`tabulate_trees`
-    pass, so ``values[:len(head)]`` are the trees at them.
+    s_a = values[i][1] / (den factorials[i]).
     """
     slots = len(weights)
     for tree in trees:
         if sorted(expr_slots(tree)) != list(range(1, slots + 1)):
             raise ValueError(f"a slice tree needs the slots 1..{slots}, got {expr_slots(tree)}")
-        if expr_total_order(tree) != order:
-            total = expr_total_order(tree)
+        if (total := expr_total_order(tree)) != order:
             raise ValueError(f"a slice tree needs total order {order}, got {total}")
     grid = simplex_slice(slots, order)
-    tables = tabulate_trees(trees, weights, [*head, *grid])
-    return tables, grid, [prod(map(factorial, a)) for a in grid]
+    return tabulate_trees(trees, weights, grid), grid, [prod(map(factorial, a)) for a in grid]
 
+
+def read_off_slice(values: Mapping[tuple[int, ...], int], degrees: Sequence[int]) -> int:
+    """sum_a values[a] prod_i C(degrees[i], a_i): with ``values`` a tree's values
+    s_a prod a_i! on the slice |a| = N, its coefficient of z^(|b| - N) at leaf
+    degrees b = ``degrees``, over the same denominator (0 when |b| < N)."""
+    return sum(v * prod(map(comb, degrees, a)) for a, v in values.items())

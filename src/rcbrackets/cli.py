@@ -34,7 +34,15 @@ from .identities import SUITE_NAMES, run_suite, sample_dict
 from .poly import PolySyntaxError, poly_from_string
 from .rationals import parse_rational
 from .report import VerificationReport, merge_reports
-from .rewrite import BracketSyntaxError, check_identity, format_combo, parse_bracket, to_standard
+from .rewrite import (
+    BracketSyntaxError,
+    check_bound,
+    eval_coeff,
+    format_combo,
+    parse_bracket,
+    parse_coeff,
+    to_standard,
+)
 from .samples import BASE_VALUES, default_triples, seeded_rows
 from .star import StarSeries, star
 from .transition import ParamTriple, u_matrix
@@ -233,7 +241,9 @@ def _parse_symbol(text: str) -> WeightedForm:
     weight, sep, body = text.partition(":")
     if not sep:
         raise UsageError(f"expected WEIGHT:POLY, got {text!r}")
-    return WeightedForm(_rational_arg(weight), poly_from_string(body, ("z",)))
+    # blanked, not cut, so a syntax error's position is its offset in ``text``
+    form = poly_from_string(" " * len(weight + sep) + body, ("z",))
+    return WeightedForm(_rational_arg(weight), form)
 
 
 def cmd_star(args: argparse.Namespace) -> int:
@@ -269,28 +279,30 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_weight_assignments(
-    slot_count: int, seed: int, sample_count: int
-) -> list[list[Fraction]]:
-    base = [BASE_VALUES[i % len(BASE_VALUES)] for i in range(slot_count)]
-    return [base] + seeded_rows(seed, sample_count, slot_count)
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    entries = _read_entries(args.identity_file, "identity file", "|", "'coeff | expr'")
-    terms = [(coeff, expr) for _, coeff, expr in entries]
-    if not terms:
-        raise UsageError(f"{args.identity_file}: no terms found")
+    path = args.identity_file
+    entries = _read_entries(path, "identity file", "|", "'coeff | expr'")
+    if not entries:
+        raise UsageError(f"{path}: no terms found")
     config = resolve_config(args)
-    slots = sorted({slot for _, expr in terms for slot in expr_slots(parse_bracket(expr))})
+    terms, slots = [], set()
+    for lineno, coeff, expr in entries:
+        try:
+            terms.append((parse_coeff(coeff), parse_bracket(expr)))
+            slots.update(expr_slots(terms[-1][1]))
+        except (BracketSyntaxError, DuplicateSlotError) as err:
+            raise UsageError(f"{path}:{lineno}: {err}") from None
+    slots = sorted(slots)
     if args.weights is not None:
         assignments = [list(_weights_for_slots(slots, args.weights).values())]
     else:
-        assignments = _default_weight_assignments(len(slots), config.seed, config.sample_count)
+        base = [BASE_VALUES[i % len(BASE_VALUES)] for i in range(len(slots))]
+        assignments = [base] + seeded_rows(config.seed, config.sample_count, len(slots))
     reports = []
     for values in assignments:
         weights = dict(zip(slots, values))
-        reports.append(check_identity(terms, weights, identity_id="bracket-identity"))
+        bound = [(eval_coeff(ast, weights), expr) for ast, expr in terms]
+        reports.append(check_bound(bound, weights, identity_id="bracket-identity"))
     merged = merge_reports("bracket-identity", reports)
     _emit(_render_reports(merged.to_dict(), [merged], config.output))
     return 0 if merged.status == "pass" else 1

@@ -6,36 +6,25 @@ return pass/fail reports; survey suites (``zagier``, parts of ``cmz``)
 return ``report_only`` findings without gating.
 
 The bracket-tree identities (main and reverse recoupling, the classical
-first-order pair, the four-function identity and the associativity of the
-Eholzer product) are term tables: lists of (coefficient, BracketExpr) pairs
-whose sum vanishes.  Their verifiers only build tables, and one engine,
-``verify_on_monomials``, evaluates every table on monomial leaves: each
-distinct tree, and each subtree trees share, is tabulated once on the whole
-degree grid (``brackets.tabulate_trees``), and the integer residuals are
-summed over one denominator per table.  The fixed tables are written in the
-coefficient and bracket languages of ``rcbrackets check`` files, so the
-rewriter can certify the same text.
+first-order pair, the four-function identity and Eholzer associativity) are
+term tables: (coefficient, BracketExpr) pairs whose sum vanishes, the fixed
+ones written in the languages of ``rcbrackets check`` files.  A tree of
+total order N is the operator sum_{|j|=N} s_j prod f_i^(j_i), so a table
+vanishes on every input iff it vanishes on the simplex slices |a| = N of its
+trees.  One engine, ``_residuals``, tabulates each total order's distinct
+trees once on its slice (``brackets.tabulate_on_slice``) and sums each
+table's integer residuals over one denominator.  ``verify_on_monomials``
+reads them as reports on the leaf-degree grid {0..max_degree}^slots, reading
+only a nonzero residual at each tuple (``brackets.read_off_slice``), and
+``convolution`` and ``operator`` read the main table's as symbols, so their
+pass means the main identity holds for every polynomial input at that triple.
 
-For each triple and n, the main identity is the matrix identity L = U R:
-row k of U takes the n+1 right nests R_p to the left nest L_k.  The suites
-check it as one block per (triple, n), which tabulates the block's 2(n+1)
-nests once for all of its rows: ``main`` and ``reverse`` on the degree grid,
-``convolution`` and ``operator`` on the simplex slice.  Each block is the
-identity's one public verifier (``verify_main_identity`` and the like),
-which returns one report per row 0..n and reads U through ``u_row``.  Block
-tables are local to the block.  The star product (``star.assoc_defect``)
-stays an independent route to the Eholzer table, cross-checked in the tests.
-
-A tree's values on the simplex slice (``brackets.tabulate_on_slice``) are
-its symbol.  ``convolution`` checks the main table there, so a pass at
-(triple, n, k) means the main identity holds for every polynomial input at
-that triple, and a failure records the residual symbol.  ``operator`` reads
-the same slice residual: a tree with symbol S_T maps t^m to S_T (x+y+z)^m,
-so row k's residual on t^m is the ``convolution`` residual symbol times
-(x+y+z)^m, and its pass at n <= 3 is the same fact as ``convolution``'s at
-that (triple, n, k).  ``brackets.tree_symbol`` (Jacobi substitutions) and
-``verma.intertwiner_phi_tilde`` (the raising intertwiner) stay the tests'
-reference routes for both suites' records; this module does not call them.
+For each triple and n, the main identity is the matrix identity L = U R
+(row k of U takes the right nests R_p to the left nest L_k), checked as one
+block per (triple, n) whose public verifier (``verify_main_identity`` and
+the like) returns one report per row 0..n and reads U through ``u_row``.
+``brackets.tree_symbol``, ``verma.intertwiner_phi_tilde`` and
+``star.assoc_defect`` stay the tests' independent routes.
 
 The ``zagier`` survey lives in its own module, ``zagier``, and ``run_suite``
 runs it.  ``cmz`` reads each U matrix once per (triple, n) and the left side
@@ -47,25 +36,25 @@ identity is compared on integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import lcm
-from typing import Callable, Mapping, Sequence
+from itertools import product, repeat
+from math import factorial, lcm
+from typing import Callable, Sequence
 
-from .brackets import BracketExpr, Leaf, Node, Tabulation, tabulate_on_slice, tabulate_trees
+from .brackets import (
+    BracketExpr,
+    Leaf,
+    Node,
+    expr_total_order,
+    read_off_slice,
+    tabulate_on_slice,
+    tabulate_trees,
+)
 from .poly import Poly
 from .rationals import RationalLike, as_rational, common_scale
 from .report import VerificationReport, merge_reports
 from .rewrite import bind_terms
 from .samples import default_triples, sample_dict
-from .transition import (
-    ParamTriple,
-    check_row,
-    cmz_t_closed,
-    cmz_t_pair,
-    cmz_t_sum,
-    u_matrix,
-    u_row,
-)
+from .transition import ParamTriple, check_row, cmz_t_closed, cmz_t_pair, cmz_t_sum, u_matrix, u_row
 from .zagier import zagier_suite
 
 SUITE_NAMES = (
@@ -87,11 +76,6 @@ ASSERTED_KAPPAS = (Fraction(1, 2), Fraction(3, 2))
 GENERIC_KAPPAS = (Fraction(5, 7),)
 
 
-def _grid(triples: Sequence[ParamTriple], bound: int) -> list[tuple[ParamTriple, int, int]]:
-    """Every (triple, n, j) with n <= bound and j <= n, triple-major."""
-    return [(tr, n, j) for tr in triples for n in range(bound + 1) for j in range(n + 1)]
-
-
 def _blocks(
     block: Callable[..., list[VerificationReport]],
     triples: Sequence[ParamTriple],
@@ -99,7 +83,7 @@ def _blocks(
     *args: object,
 ) -> list[VerificationReport]:
     """``block(triple, n, *args)`` for every triple and n <= bound: one report
-    per case of ``_grid(triples, bound)``, in its order."""
+    per (triple, n, row), triple-major."""
     return [report for tr in triples for n in range(bound + 1) for report in block(tr, n, *args)]
 
 
@@ -128,71 +112,83 @@ FOUR_FUNCTION_TERMS = (
 )
 
 
-def verify_on_monomials(
-    identity_id: str,
-    weights: Sequence[RationalLike],
-    identities: Sequence[tuple[dict[str, object], Terms]],
-    max_degree: int,
-) -> VerificationReport:
-    """Check that every term table sums to zero on all monomial leaf bindings.
+def _residuals(
+    weights: Sequence[RationalLike], tables: Sequence[Terms]
+) -> list[tuple[int, dict[int, dict[tuple[int, ...], int]]]]:
+    """``(den, {N: {a: r}})`` for each term table: its nonzero integer residuals
+    on the simplex slices, r / den = sum_T c_T T(z^a) over its trees T of total
+    order N, at each a with |a| = N.
 
-    Slot i carries ``weights[i-1]``; each degree tuple in {0..max_degree}^slots
-    binds slot i to z^(degree i) once and checks every (failure label, terms)
-    pair in ``identities`` as one instance, so failures are degree-major
-    across the tables.  A failure records the sample, the label's fields, the
-    degrees and the nonzero residual sum.  This is the one-row case of
-    :func:`_monomial_reports`.
+    The distinct trees of all tables are grouped by total order, and each
+    group is tabulated once on its slice (``brackets.tabulate_on_slice``), so
+    every tree must have the slots 1..len(weights).  Each coefficient over its
+    tree's denominator becomes an integer multiplier over one lcm ``den`` per
+    table.  A table vanishes on every input iff its residual is empty.
     """
-    return _monomial_reports(identity_id, weights, [identities], max_degree)[0]
+    slot_weights = dict(enumerate(weights, start=1))
+    groups: dict[int, list[BracketExpr]] = {}
+    for expr in dict.fromkeys(expr for terms in tables for _, expr in terms):
+        groups.setdefault(expr_total_order(expr), []).append(expr)
+    slices, tabulated = {}, {}
+    for order, trees in groups.items():
+        values, slices[order], _ = tabulate_on_slice(trees, slot_weights, order)
+        tabulated.update((tree, (order, *table)) for tree, table in zip(trees, values))
+    out = []
+    for terms in tables:
+        den, multipliers = common_scale(*(as_rational(c) / tabulated[e][2] for c, e in terms))
+        sums: dict[int, list[int]] = {}
+        for m, (_, expr) in zip(multipliers, terms):
+            order, values, _ = tabulated[expr]
+            sums[order] = [r + m * v for r, (_, v) in zip(sums.get(order, repeat(0)), values)]
+        residual = {
+            order: {a: r for a, r in zip(slices[order], rs) if r}
+            for order, rs in sums.items()
+            if any(rs)
+        }
+        out.append((den, residual))
+    return out
 
 
-def _monomial_reports(
+def verify_on_monomials(
     identity_id: str,
     weights: Sequence[RationalLike],
     rows: Sequence[Sequence[tuple[dict[str, object], Terms]]],
     max_degree: int,
 ) -> list[VerificationReport]:
-    """``verify_on_monomials`` of each row of ``rows``, one report per row, as one block.
+    """Check that every term table sums to zero on all monomial leaf bindings,
+    one report per row of ``rows``, a row being (failure label, terms) pairs.
 
-    Every tree of every row is tabulated once on the whole degree grid
-    (``brackets.tabulate_trees``), so trees and subtrees that several rows
-    or tables share are evaluated once.  Each coefficient over its tree's
-    denominator becomes an integer multiplier over one lcm per table, so the
-    residuals are integer sums; only a failure's residual becomes Fractions.
+    Slot i carries ``weights[i-1]``, and every tree must have the slots
+    1..len(weights).  Each degree tuple b in {0..max_degree}^slots is one
+    instance per table.  A table whose slice residual (:func:`_residuals`) is
+    empty passes them all, and nothing is evaluated on the grid.  A nonzero
+    residual is read at each b (``brackets.read_off_slice``, at z-degree
+    |b| - N), and each nonzero value is a failure recording the sample, the
+    label's fields, the degrees and the value, degree-major across the row's
+    tables.
     """
     weights = [as_rational(w) for w in weights]
     sample = {f"lam{slot}": str(w) for slot, w in enumerate(weights, start=1)}
+    residuals = iter(_residuals(weights, [terms for row in rows for _, terms in row]))
     grid = list(product(range(max_degree + 1), repeat=len(weights)))
-    trees = list(dict.fromkeys(expr for row in rows for _, terms in row for _, expr in terms))
-    tables = dict(zip(trees, tabulate_trees(trees, dict(enumerate(weights, start=1)), grid)))
     reports = []
     for row in rows:
-        compiled = [(label, *_integer_terms(terms, tables)) for label, terms in row]
+        tables = zip((label for label, _ in row), residuals)
+        failing = [(label, den, residual) for label, (den, residual) in tables if residual]
         failures = []
-        for i, degs in enumerate(grid):
-            for label, den, terms in compiled:
-                residual: dict[int, int] = {}
-                for multiplier, values in terms:
-                    degree, v = values[i]
-                    if v:
-                        residual[degree] = residual.get(degree, 0) + multiplier * v
-                if any(residual.values()):
-                    value = Poly(("z",), {(d,): Fraction(v, den) for d, v in residual.items()})
-                    record = {"sample": sample, **label, "degrees": list(degs), "value": str(value)}
-                    failures.append(record)
+        for degrees in grid if failing else ():
+            for label, den, residual in failing:
+                value = {
+                    (sum(degrees) - order,): Fraction(v, den)
+                    for order, values in residual.items()
+                    if (v := read_off_slice(values, degrees))
+                }
+                if value:
+                    record = {"sample": sample, **label, "degrees": list(degrees)}
+                    failures.append({**record, "value": str(Poly._trusted(("z",), value))})
         instances = len(grid) * len(row)
         reports.append(VerificationReport.checked(identity_id, [sample], instances, failures))
     return reports
-
-
-def _integer_terms(
-    terms: Terms, tables: Mapping[BracketExpr, Tabulation]
-) -> tuple[int, list[tuple[int, list[tuple[int, int]]]]]:
-    """``(den, [(multiplier, values), ...])``: each coefficient of ``terms`` over
-    its tree's table denominator, as an integer multiplier over one lcm ``den``,
-    beside the tree's tabulated values."""
-    den, multipliers = common_scale(*(as_rational(c) / tables[expr][1] for c, expr in terms))
-    return den, [(m, tables[expr][0]) for m, (_, expr) in zip(multipliers, terms)]
 
 
 def _triple(params: ParamTriple) -> tuple[Fraction, Fraction, Fraction]:
@@ -227,7 +223,7 @@ def verify_main_identity(
     """[[f1,f2]_k, f3]_{n-k} = sum_p U_{k,p} [f1, [f2,f3]_p]_{n-p} on monomials,
     one report per row k = 0..n: L = U R at (params, n) as one block."""
     rows = [[({"n": n, "k": k}, main_terms(params, n, k))] for k in range(n + 1)]
-    return _monomial_reports("main-recoupling", _triple(params), rows, max_degree)
+    return verify_on_monomials("main-recoupling", _triple(params), rows, max_degree)
 
 
 def verify_reverse_identity(
@@ -236,50 +232,34 @@ def verify_reverse_identity(
     """[f1, [f2,f3]_p]_{n-p} = sum_k Utilde_{p,k} [[f1,f2]_k, f3]_{n-k} on monomials,
     one report per row p = 0..n, as one block."""
     rows = [[({"n": n, "p": p}, reverse_terms(params, n, p))] for p in range(n + 1)]
-    return _monomial_reports("reverse-recoupling", _triple(params), rows, max_degree)
+    return verify_on_monomials("reverse-recoupling", _triple(params), rows, max_degree)
 
 
 def verify_classical(params: ParamTriple, max_degree: int = 4) -> VerificationReport:
     """First-bracket Jacobi-type cyclic identity and its weighted order-0 variant."""
     weights = _triple(params)
     slot_weights = dict(enumerate(weights, start=1))
-    identities = [
-        ({"identity": name}, bind_terms(terms, slot_weights)) for name, terms in CLASSICAL_TERMS
-    ]
-    return verify_on_monomials("classical-first-order", weights, identities, max_degree)
+    row = [({"identity": name}, bind_terms(terms, slot_weights)) for name, terms in CLASSICAL_TERMS]
+    return verify_on_monomials("classical-first-order", weights, [row], max_degree)[0]
 
 
-def verify_four_function(
-    weights: Sequence[Fraction], max_degree: int = 2
-) -> VerificationReport:
+def verify_four_function(weights: Sequence[Fraction], max_degree: int = 2) -> VerificationReport:
     """Four-slot identity: the sum of the four order-(0,0,1) triple products vanishes."""
-    terms = bind_terms(FOUR_FUNCTION_TERMS, {})
-    return verify_on_monomials("four-function-first-order", weights, [({}, terms)], max_degree)
+    rows = [[({}, bind_terms(FOUR_FUNCTION_TERMS, {}))]]
+    return verify_on_monomials("four-function-first-order", weights, rows, max_degree)[0]
 
 
 def _slice_residuals(params: ParamTriple, n: int) -> list[Poly]:
     """The residual symbol sum_T c_T S_T of the main table at (params, n), for
-    each row k = 0..n.
-
-    The block's 2(n+1) nests are tabulated once on the slice |a| = n
-    (:func:`tabulate_on_slice`), and row k's residual sum_T c_T value_T(a) is
-    an integer at every tuple a.  Only a nonzero one becomes Fractions: the
-    symbol's coefficient of x^a1 y^a2 z^a3 is residual(a) / (den prod a_i!).
-    """
-    weights = dict(enumerate(_triple(params), start=1))
+    each row k = 0..n: the symbol view of :func:`_residuals`, whose
+    coefficient of x^a1 y^a2 z^a3 is r / (den prod a_i!)."""
     rows = [main_terms(params, n, k) for k in range(n + 1)]
-    trees = list(dict.fromkeys(expr for terms in rows for _, expr in terms))
-    tables, grid, factorials = tabulate_on_slice(trees, weights, n)
-    by_tree = dict(zip(trees, tables))
     symbols = []
-    for terms in rows:
-        den, multipliers = _integer_terms(terms, by_tree)
-        residuals = [sum(m * values[i][1] for m, values in multipliers) for i in range(len(grid))]
+    for den, residual in _residuals(_triple(params), rows):
         # slots 1, 2, 3 read x, y, z (SYMBOL_LEAVES), and z leads GEOMETRIC_VARS
         symbol = {
-            (a3, a1, a2): Fraction(r, den * f)
-            for (a1, a2, a3), r, f in zip(grid, residuals, factorials)
-            if r
+            (a3, a1, a2): Fraction(r, den * factorial(a1) * factorial(a2) * factorial(a3))
+            for (a1, a2, a3), r in residual.get(n, {}).items()
         }
         symbols.append(Poly._trusted(GEOMETRIC_VARS, symbol))
     return symbols
@@ -290,9 +270,8 @@ def verify_convolution(params: ParamTriple, n: int) -> list[VerificationReport]:
     one report per row k = 0..n.
 
     This is the convolution identity between products of homogeneous Jacobi
-    forms, checked on the simplex slice |a| = n: row k passes iff its slice
-    residual (:func:`_slice_residuals`) is 0, and a failure records that
-    nonzero residual symbol.
+    forms: row k passes iff its residual symbol (:func:`_slice_residuals`) is
+    0, and a failure records that symbol.
     """
     sample = sample_dict(params)
     reports = []
@@ -309,10 +288,8 @@ def verify_operator_convolution(
     """The main table as an operator on inputs t^m, m <= ``max_degree``, one
     report per row k = 0..n.
 
-    A tree T with symbol S_T maps t^m (in every slot) to S_T (x+y+z)^m, so
-    row k's residual on t^m is its ``convolution`` residual symbol times
-    (x+y+z)^m: one instance per m, each a pass iff that symbol is 0.  Only a
-    failing row multiplies its symbol by (x+y+z)^m, for the records.
+    Row k's residual on t^m is its ``convolution`` residual symbol times
+    (x+y+z)^m: one instance per m, each a pass iff that symbol is 0.
     """
     sample = sample_dict(params)
     leaf_sum = sum(SYMBOL_LEAVES.values(), Poly.zero(GEOMETRIC_VARS))
@@ -352,9 +329,8 @@ def verify_eholzer_associativity(
     params: ParamTriple, order: int = 6, max_degree: int = 3
 ) -> VerificationReport:
     """Associativity of the truncated star product on monomial symbols."""
-    return verify_on_monomials(
-        "eholzer-associativity", _triple(params), [({}, eholzer_terms(order))], max_degree
-    )
+    rows = [[({}, eholzer_terms(order))]]
+    return verify_on_monomials("eholzer-associativity", _triple(params), rows, max_degree)[0]
 
 
 # -- independent oracle ------------------------------------------------------------
@@ -455,7 +431,7 @@ def cmz_reports(triples: Sequence[ParamTriple], max_n: int = 4) -> list[Verifica
         "cmz-sum-vs-closed-special-kappas", samples, per_kappa * len(ASSERTED_KAPPAS), failures
     )
 
-    cases = _grid(triples, max_n)
+    cases = [(tr, n, p) for tr in triples for n in range(max_n + 1) for p in range(n + 1)]
     matrices = {(tr, n): u_matrix(tr, n) for tr in triples for n in range(max_n + 1)}
     scales = (Fraction(1), Fraction(1, 2))
     # one (literal, half-weight) pair per case, in the (triple, n, p) order of ``cases``
@@ -546,8 +522,6 @@ def run_suite(
     if name == "cmz":
         return cmz_reports(triples, max_n=min(max_n, 4))
     if name == "eholzer":
-        reports = [
-            verify_eholzer_associativity(tr, hbar_order, max_degree) for tr in triples
-        ]
+        reports = [verify_eholzer_associativity(tr, hbar_order, max_degree) for tr in triples]
         return [merge_reports("eholzer-associativity", reports)]
     raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")

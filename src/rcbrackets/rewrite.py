@@ -399,7 +399,13 @@ def check_identity(
     docstring).
     """
     weights = {slot: as_rational(w) for slot, w in weights.items()}
-    bound = bind_terms(terms, weights)
+    return check_bound(bind_terms(terms, weights), weights, identity_id)
+
+
+def check_bound(
+    bound: Sequence[tuple[Fraction, BracketExpr]], weights: Mapping[int, Fraction], identity_id: str
+) -> VerificationReport:
+    """:func:`check_identity` of (coefficient, tree) pairs already bound at ``weights``."""
     d, trees = _scaled_trees([expr for _, expr in bound], weights)
     pending: dict[Tree, tuple[int, int]] = {}
     for (coeff, _), tree in zip(bound, trees):

@@ -13,9 +13,9 @@ survey records, without gating, whether each reading is invariant under a
 cycle and a swap of the three slots.
 
 The corrected reading is the symbol of the left nest [[f1,f2]_k, f3]_{n-k},
-so it is read off the simplex slice (``brackets.tabulate_on_slice``) in the
-same tabulation that evaluates the nests; the printed reading substitutes
-each of its two factors once per permutation.  Every piece stays
+so the nests are tabulated on the simplex slice, and their brackets are
+read back off it (``brackets.read_off_slice``); the printed reading
+substitutes each of its two factors once per permutation.  Every piece stays
 ``poly.Numerators`` until one reduction per (reading, permutation), and the
 scalars are integer pairs, so no ``Fraction`` Pochhammer is built.
 """
@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .brackets import Leaf, Node, tabulate_on_slice
+from .brackets import Leaf, Node, read_off_slice, tabulate_on_slice
 from .hypergeom import bracket_coeff_row, jacobi_two_var
 from .poly import Poly, _reduced, _substituted, _sum, _times
 from .rationals import common_scale, rising
@@ -85,19 +85,19 @@ def _zagier_sums(
 
     The corrected reading's G_k(s1,s2) G_{n-k}(s1+s2,s3) is the symbol of the
     left nest [[f1,f2]_k,f3]_{n-k}, so one tabulation of the n+1 nests on
-    ``degrees`` and the slice |a| = n (:func:`tabulate_on_slice`) gives both
-    the brackets and the symbols.  The printed reading's first factor
-    G_n(s1,s2) does not depend on k, and its second G_n(s1+s2,s3) only
-    through its weight l1+l2+2k, so the integer rows of the second are summed
-    over k, scaled by scalar_k times the bracket, before each factor is
-    substituted once.  Every piece stays integer numerators until the one
-    reduction of each sum.
+    the slice |a| = n (:func:`tabulate_on_slice`) gives the symbols, and the
+    brackets at ``degrees`` are read off it (:func:`read_off_slice`).  The
+    printed reading's first factor G_n(s1,s2) does not depend on k, and its
+    second G_n(s1+s2,s3) only through its weight l1+l2+2k, so the integer
+    rows of the second are summed over k, scaled by scalar_k times the
+    bracket, before each factor is substituted once.  Every piece stays
+    integer numerators until the one reduction of each sum.
     """
     l1, l2, l3 = lams
     s1, s2, s3 = slots
     weights = dict(enumerate(lams, start=1))
     nests = [Node(Node(Leaf(1), Leaf(2), k), Leaf(3), n - k) for k in range(n + 1)]
-    tables, grid, factorials = tabulate_on_slice(nests, weights, n, head=[degrees])
+    tables, grid, factorials = tabulate_on_slice(nests, weights, n)
     # every nest has total order n, so the brackets are multiples of z^degree
     degree = sum(degrees) - n
     # z^degree s^a for each slice tuple a; z leads ZAGIER_VARS
@@ -110,7 +110,8 @@ def _zagier_sums(
         monomials.append(tuple(exps))
     full = factorial(n)
     corrected, second_rows = [], []
-    for k, (((_, v), *symbol), den) in enumerate(tables):
+    for k, (symbol, den) in enumerate(tables):
+        v = read_off_slice({a: w for a, (_, w) in zip(grid, symbol)}, degrees)
         num, scalar_den = _zagier_pair_scalar(l1, l2, l3, n, k)
         # scalar_k v / den z^degree times the symbol s_a = w / (den prod a!),
         # over one denominator: prod a! divides n!

@@ -20,6 +20,7 @@ from rcbrackets.brackets import (
     format_expr,
     monomial_form,
     rc_bracket,
+    read_off_slice,
     simplex_slice,
     tabulate_on_slice,
     tabulate_trees,
@@ -501,9 +502,9 @@ def test_simplex_slice_is_every_tuple_of_the_order(slots) -> None:
 
 
 @st.composite
-def slice_trees(draw):
-    """Trees on the slots 1..D, D <= 3, in any leaf order, of total order <= 4."""
-    slots = draw(st.permutations(range(1, draw(st.integers(1, 3)) + 1)))
+def slice_trees(draw, max_slots=3):
+    """Trees on the slots 1..D, D <= ``max_slots``, in any leaf order, of total order <= 4."""
+    slots = draw(st.permutations(range(1, draw(st.integers(1, max_slots)) + 1)))
     budget = [draw(st.integers(0, 4))]
 
     def build(part):
@@ -542,16 +543,33 @@ def test_slice_values_are_tree_symbol_coefficients(tree, ws) -> None:
     assert read == symbol
 
 
-def test_tabulate_on_slice_reads_head_first_and_checks_its_trees() -> None:
+def test_tabulate_on_slice_reads_brackets_back_and_checks_its_trees() -> None:
     weights = {1: Fraction(1, 2), 2: Fraction(7, 3)}
     tree = Node(Leaf(2), Leaf(1), 2)
-    ((values, den),), grid, _ = tabulate_on_slice([tree], weights, 2, head=[(3, 4)])
+    ((values, den),), grid, _ = tabulate_on_slice([tree], weights, 2)
     assert grid == [(0, 2), (1, 1), (2, 0)]
+    on_slice = {a: v for a, (_, v) in zip(grid, values)}
     leaves = {1: monomial_form(weights[1], 3), 2: monomial_form(weights[2], 4)}
-    head = Poly.monomial(("z",), {"z": 5}, Fraction(values[0][1], den))
-    assert values[0][0] == 5 and eval_bracket_tree(tree, leaves).form == head
-    assert len(values) == 1 + len(grid)
+    value = Poly.monomial(("z",), {"z": 5}, Fraction(read_off_slice(on_slice, (3, 4)), den))
+    assert eval_bracket_tree(tree, leaves).form == value
+    assert read_off_slice(on_slice, (1, 0)) == 0
     with pytest.raises(ValueError, match="total order 3"):
         tabulate_on_slice([tree], weights, 3)
     with pytest.raises(ValueError, match="slots 1..3"):
         tabulate_on_slice([tree], {**weights, 3: Fraction(1)}, 2)
+
+
+@given(
+    slice_trees(max_slots=4),
+    st.lists(slice_weights, min_size=4, max_size=4),
+    st.lists(degrees, min_size=4, max_size=4),
+)
+def test_read_off_slice_is_the_tree_at_any_leaf_degrees(tree, ws, degs) -> None:
+    slots = len(expr_slots(tree))
+    weights, degs = dict(enumerate(ws[:slots], start=1)), degs[:slots]
+    order = expr_total_order(tree)
+    (((values, den),), grid, _) = tabulate_on_slice([tree], weights, order)
+    on_slice = {a: v for a, (_, v) in zip(grid, values)}
+    ((direct, direct_den),) = tabulate_trees([tree], weights, [degs])
+    assert direct_den == den
+    assert direct == [(sum(degs) - order, read_off_slice(on_slice, degs))]

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import runpy
 import subprocess
 import sys
 
@@ -268,22 +269,52 @@ def test_bracket_rejects_bad_polynomial(capsys) -> None:
 
 
 @pytest.mark.parametrize(
-    "argv, line",
+    "argv, line, position",
     [
-        (["bracket", "--l1", "1", "--l2", "1", "--n", "1", "--f", "1/0", "--g", "z"], None),
-        (["bracket", "--l1", "1", "--l2", "1", "--n", "1", "--f", "1/00", "--g", "z"], None),
-        (["star", "--N", "1", "--f=1:1/0", "--g", "1:z"], None),
-        (["verma", "--model", "lowest", "--weights", "1", "--gen", "E", "--poly", "1/0"], None),
-        (["check"], "1/0 | [f1,f2]_1\n"),
+        (["bracket", "--l1", "1", "--l2", "1", "--n", "1", "--f", "1/0", "--g", "z"], None, 2),
+        (["bracket", "--l1", "1", "--l2", "1", "--n", "1", "--f", "1/00", "--g", "z"], None, 2),
+        (["star", "--N", "1", "--f=1:1/0", "--g", "1:z"], None, 4),
+        (["verma", "--model", "lowest", "--weights", "1", "--gen", "E", "--poly", "1/0"], None, 2),
+        (["check"], "1/0 | [f1,f2]_1\n", 2),
     ],
     ids=["bracket", "bracket-00", "star", "verma", "check"],
 )
-def test_zero_denominator_is_syntax_error(capsys, tmp_path, argv, line) -> None:
+def test_zero_denominator_is_syntax_error(capsys, tmp_path, argv, line, position) -> None:
+    where = ""
     if line is not None:
         identity = tmp_path / "identity.txt"
         identity.write_text(line)
         argv = argv + ["--identity-file", str(identity)]
-    assert run_cli(capsys, argv) == (2, "", "error: zero denominator (at position 2)\n")
+        where = f"{identity}:1: "
+    message = f"error: {where}zero denominator (at position {position})\n"
+    assert run_cli(capsys, argv) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "operands, message",
+    [
+        (["--f=1:1/0", "--g", "1:z"], "zero denominator (at position 4)"),
+        (["--f", "1:z", "--g=7/3:z^"], "expected an integer, found 'end of input' (at position 6)"),
+    ],
+    ids=["f", "g"],
+)
+def test_star_syntax_error_position_is_in_the_whole_value(capsys, operands, message) -> None:
+    assert run_cli(capsys, ["star", "--N", "1", *operands]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("1/0 | [f1,f2]_1", "zero denominator (at position 2)"),
+        ("2*l1 | [f1,[f2 f3]_1]_0", "expected ',', found 'f3' (at position 8)"),
+    ],
+    ids=["coefficient", "expression"],
+)
+def test_check_syntax_error_names_file_and_line(capsys, tmp_path, line, message) -> None:
+    identity = tmp_path / "identity.txt"
+    identity.write_text(f"1 | [[f1,f2]_1,f3]_0\n# a comment\n\n{line}\n")
+    argv = ["check", "--identity-file", str(identity)]
+    assert run_cli(capsys, argv) == (2, "", f"error: {identity}:4: {message}\n")
 
 
 def test_star_weight_zero_unit(capsys) -> None:
@@ -585,10 +616,8 @@ def test_repeated_slot_is_syntax_error(capsys, tmp_path, command) -> None:
         identity = tmp_path / "identity.txt"
         identity.write_text("1 | [f1,f1]_0\n")
         argv = ["check", "--identity-file", str(identity)]
-    code, out, err = run_cli(capsys, argv)
-    assert code == 2
-    assert out == ""
-    assert err == "error: slot 1 occurs twice\n"
+    where = "" if command == "rewrite" else f"{identity}:1: "
+    assert run_cli(capsys, argv) == (2, "", f"error: {where}slot 1 occurs twice\n")
 
 
 @pytest.mark.parametrize("command", ["rewrite", "check"])
@@ -599,10 +628,9 @@ def test_slot_zero_is_syntax_error(capsys, tmp_path, command) -> None:
         identity = tmp_path / "identity.txt"
         identity.write_text("1 | [f0,f1]_1\n")
         argv = ["check", "--identity-file", str(identity)]
-    code, out, err = run_cli(capsys, argv)
-    assert code == 2
-    assert out == ""
-    assert err == "error: leaf slots are positive integers, got 0 (at position 2)\n"
+    where = "" if command == "rewrite" else f"{identity}:1: "
+    message = f"error: {where}leaf slots are positive integers, got 0 (at position 2)\n"
+    assert run_cli(capsys, argv) == (2, "", message)
 
 
 def test_unbound_slot_message_is_unquoted(capsys, tmp_path) -> None:
@@ -693,14 +721,35 @@ def test_unknown_suite_exit_2(capsys) -> None:
     assert run_cli(capsys, ["verify", "--suite", "mystery"])[0] == 2
 
 
-def test_console_script_entrypoint() -> None:
-    proc = subprocess.run(
-        [sys.executable, "-m", "rcbrackets", "u-table", "--l1", "1", "--l2", "1", "--l3", "1", "--n", "1"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "k\\p,0,1\n0,1/2,3/2\n1,1/2,-1/2\n"
+ENTRY_CASES = {
+    "u-table": (["u-table", "--l1", "1", "--l2", "1", "--l3", "1", "--n", "1"], 0),
+    "usage-error": (["u-table", "--l1", "1"], 2),
+}
+
+
+def test_console_script_entrypoint(capsys, monkeypatch) -> None:
+    # argparse wraps usage lines at the terminal width, so fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv, code in ENTRY_CASES.values():
+        proc = subprocess.run(
+            [sys.executable, "-m", "rcbrackets", *argv], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, argv)
+        assert proc.returncode == code
+    assert proc.stderr.startswith("usage: rcbrackets u-table")
+    assert run_cli(capsys, ENTRY_CASES["u-table"][0])[1] == "k\\p,0,1\n0,1/2,3/2\n1,1/2,-1/2\n"
+
+
+@pytest.mark.parametrize("argv, code", list(ENTRY_CASES.values()), ids=list(ENTRY_CASES))
+def test_module_entry_point_exits_with_the_code_of_main(capsys, monkeypatch, argv, code) -> None:
+    # in process, so that __main__ and cli.entrypoint run under this interpreter
+    expected = run_cli(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["rcbrackets", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("rcbrackets", run_name="__main__")
+    captured = capsys.readouterr()
+    assert (exit_.value.code, captured.out, captured.err) == expected
+    assert exit_.value.code == code
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch) -> None:

@@ -119,14 +119,14 @@ def test_eholzer_table_agrees_with_star_route(params) -> None:
     order, max_degree = 3, 2
     weights = (params.lam1, params.lam2, params.lam3)
     terms = identities.eholzer_terms(order)
-    full = verify_on_monomials("eholzer", weights, [({}, terms)], max_degree)
+    (full,) = verify_on_monomials("eholzer", weights, [[({}, terms)]], max_degree)
     degree_tuples = [(0, 0, 0), (1, 2, 0), (2, 1, 2), (2, 2, 2)]
     assert full.failures == []
     assert all(_flat_defect(params, degs, order).is_zero() for degs in degree_tuples)
     for dropped in (0, 5, len(terms) - 1):
         coeff, expr = terms[dropped]
         broken = terms[:dropped] + terms[dropped + 1 :]
-        report = verify_on_monomials("eholzer", weights, [({}, broken)], max_degree)
+        (report,) = verify_on_monomials("eholzer", weights, [[({}, broken)]], max_degree)
         failing = {tuple(record["degrees"]): record for record in report.failures}
         assert failing, format_expr(expr)
         for degs in degree_tuples:
@@ -606,7 +606,7 @@ def test_failures_are_degree_major_across_tables() -> None:
         ({"table": name}, [(Fraction(1), Node(Leaf(1), Leaf(2), j))])
         for name, j in (("a", 0), ("b", 1))
     ]
-    report = verify_on_monomials("two-tables", weights, tables, 2)
+    (report,) = verify_on_monomials("two-tables", weights, [tables], 2)
     expected = []
     for degrees in product(range(3), repeat=2):
         leaves = {slot: monomial_form(1, d) for slot, d in enumerate(degrees, start=1)}

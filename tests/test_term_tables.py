@@ -10,6 +10,7 @@ from rcbrackets.brackets import Leaf, Node, eval_bracket_tree, monomial_form
 from rcbrackets.identities import (
     CLASSICAL_TERMS,
     FOUR_FUNCTION_TERMS,
+    _residuals,
     verify_main_identity,
     verify_on_monomials,
 )
@@ -33,7 +34,8 @@ def main_table(n: int, k: int, bumped_p: int | None = None, bump: Fraction = Fra
 
 
 def test_engine_matches_main_identity_report() -> None:
-    report = verify_on_monomials("main-recoupling", WEIGHTS, [({"n": 2, "k": 1}, main_table(2, 1))], 2)
+    rows = [[({"n": 2, "k": 1}, main_table(2, 1))]]
+    (report,) = verify_on_monomials("main-recoupling", WEIGHTS, rows, 2)
     assert report.status == "pass"
     assert report.instances_checked == 27
     assert report.to_dict() == verify_main_identity(GENERIC, 2, max_degree=2)[1].to_dict()
@@ -41,7 +43,7 @@ def test_engine_matches_main_identity_report() -> None:
 
 def test_engine_records_off_by_one_coefficient() -> None:
     table = main_table(2, 1, bumped_p=0)
-    report = verify_on_monomials("main-recoupling", WEIGHTS, [({"n": 2, "k": 1}, table)], 2)
+    (report,) = verify_on_monomials("main-recoupling", WEIGHTS, [[({"n": 2, "k": 1}, table)]], 2)
     assert report.status == "fail"
     assert report.instances_checked == 27
     assert report.failures
@@ -58,7 +60,7 @@ def test_engine_records_off_by_one_coefficient() -> None:
 def test_engine_is_exact_over_one_common_denominator() -> None:
     # a bump far below float resolution must still fail, with the exact residual
     table = main_table(5, 2, bumped_p=3, bump=Fraction(1, 10**40 + 7))
-    report = verify_on_monomials("main-recoupling", WEIGHTS, [({"n": 5, "k": 2}, table)], 3)
+    (report,) = verify_on_monomials("main-recoupling", WEIGHTS, [[({"n": 5, "k": 2}, table)]], 3)
     assert report.status == "fail"
     assert report.instances_checked == 64
     failed = {tuple(record["degrees"]): record["value"] for record in report.failures}
@@ -78,10 +80,10 @@ def test_engine_is_exact_over_one_common_denominator() -> None:
 def test_engine_labels_broken_classical_table() -> None:
     (name, cyclic), _ = CLASSICAL_TERMS
     broken = list(cyclic[:2]) + [("-1", cyclic[2][1])]
-    report = verify_on_monomials(
+    (report,) = verify_on_monomials(
         "classical-first-order",
         WEIGHTS,
-        [({"identity": name}, bind_terms(broken, SLOT_WEIGHTS))],
+        [[({"identity": name}, bind_terms(broken, SLOT_WEIGHTS))]],
         2,
     )
     assert report.status == "fail"
@@ -89,6 +91,32 @@ def test_engine_labels_broken_classical_table() -> None:
     for record in report.failures:
         assert set(record) == {"sample", "identity", "degrees", "value"}
         assert record["identity"] == "cyclic-first-order"
+
+
+def test_each_row_is_one_report_of_its_tables() -> None:
+    rows = [[({"n": 2, "k": k}, main_table(2, k))] for k in range(3)]
+    rows[2].append(({"n": 2, "k": 2, "bumped": True}, main_table(2, 2, bumped_p=1)))
+    reports = verify_on_monomials("main-recoupling", WEIGHTS, rows, 1)
+    assert [r.instances_checked for r in reports] == [8, 8, 16]
+    assert [r.status for r in reports] == ["pass", "pass", "fail"]
+    assert {record["bumped"] for record in reports[2].failures} == {True}
+
+
+def test_table_zero_on_the_grid_passes_though_its_slice_residual_is_not() -> None:
+    # [f1,f2]_4 takes four derivatives in all, so it kills z^a z^b with a, b <= 1
+    table = [(Fraction(1), Node(F1, F2, 4))]
+    ((_, residual),) = _residuals(WEIGHTS[:2], [table])
+    assert residual and set(residual) == {4}
+    (report,) = verify_on_monomials("order-four", WEIGHTS[:2], [[({}, table)]], 1)
+    assert (report.status, report.instances_checked, report.failures) == ("pass", 4, [])
+    (report,) = verify_on_monomials("order-four", WEIGHTS[:2], [[({}, table)]], 2)
+    assert [record["degrees"] for record in report.failures] == [[2, 2]]
+
+
+def test_table_with_a_tree_missing_a_slot_is_refused() -> None:
+    table = [(Fraction(1), Node(Node(F1, F2, 0), F3, 1)), (Fraction(-1), Node(F1, F2, 1))]
+    with pytest.raises(ValueError, match=r"needs the slots 1\.\.3, got \(1, 2\)"):
+        verify_on_monomials("missing-slot", WEIGHTS, [[({}, table)]], 1)
 
 
 def test_fixed_tables_certify_through_the_rewriter() -> None:
