@@ -6,33 +6,34 @@ the degree-n bracket of weights (a, b) is
     [f, g]_n = sum_s (-1)^s C(a+n-1, n-s) C(b+n-1, s) f^(s) g^(n-s)
 
 with plain (unnormalized) derivatives, and the result carries weight
-a + b + 2n.  Bracket expression trees (leaves = numbered function slots,
-nodes = brackets with an order) evaluate bottom-up with that weight rule.
-The coefficient row is integers from the start: ``bracket_coeff_row``
-gives it over the lcm of its denominators, and a table per
-(weight1, weight2, n) keeps its nonzero entries and memoizes the bracket of
-two monomials.  Trees on monomial leaves are evaluated by one grid
+a + b + 2n.  A bracket tree is a :class:`Leaf`, the tuple (slot,), or a
+:class:`Node`, the tuple (left, right, order), so trees compare and hash by
+value as tuples do: in C, uncached and with no recursion guard, so a caller's
+tree is walked in Python before its first hash.  Trees evaluate bottom-up with
+that weight rule.  The coefficient row is integers from the start:
+``bracket_coeff_row`` gives it over the lcm of its denominators, and a table
+per (weight1, weight2, n) keeps its nonzero entries and memoizes the bracket
+of two monomials.  Trees on monomial leaves are evaluated by one grid
 tabulator, ``tabulate_trees``: at fixed slot weights it evaluates a list of
 trees on a whole list of leaf-degree tuples, one pass per distinct subtree,
 reading and filling those memos.  A tree of total order N on D slots is the
 constant-coefficient operator sum_{|j|=N} s_j prod f_i^(j_i), so on leaves
-z^(a_i) with sum a_i = N it is s_a prod a_i!, and ``tabulate_on_slice``
-reads its symbol, the polynomial ``tree_symbol`` builds from Jacobi forms,
-off that simplex slice; ``read_off_slice`` reads its value at any leaf
-degrees back off the slice.  The general bracket is one
-kernel that takes and returns ``poly.Numerators``, the format ``star`` sums
-its pieces in, and serves every order of a range at once: it reads the
-derivatives of both polynomials as big integers at X = 2^W (Kronecker
-substitution), multiplies them with Python's integer product and reads the
-result's signed base-2^W digits back.  W is one bit wider than the largest
-bound, over the orders, on an output coefficient: the sum over the row of
-|c_s| times the absolute coefficient sums of f^(s) and g^(n-s).  Both paths
-build a ``Fraction`` only for what they return.
+z^(a_i) with sum a_i = N it is s_a prod a_i!, and ``tabulate_on_slice`` reads
+its symbol, the polynomial ``tree_symbol`` builds from Jacobi forms, off that
+simplex slice; ``read_off_slice`` reads its value at any leaf degrees back off
+the slice.  The general bracket is one kernel that takes and returns
+``poly.Numerators``, the format ``star`` sums its pieces in, and serves every
+order of a range at once: it reads the derivatives of both polynomials as big
+integers at X = 2^W (Kronecker substitution), multiplies them with Python's
+integer product and reads the result's signed base-2^W digits back.  W is one
+bit wider than the largest bound, over the orders, on an output coefficient:
+the sum over the row of |c_s| times the absolute coefficient sums of f^(s) and
+g^(n-s).  Both paths build a ``Fraction`` only for what they return.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm, prod
@@ -168,35 +169,40 @@ def rc_bracket(f: WeightedForm, g: WeightedForm, n: int) -> WeightedForm:
 # -- bracket expression trees ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Leaf:
-    slot: int
+class Leaf(namedtuple("Leaf", "slot")):
+    """Function slot ``slot``: the tuple (slot,)."""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.slot, int) or self.slot < 1:
-            raise ValueError(f"leaf slots are positive integers, got {self.slot!r}")
+    __slots__ = ()
+
+    def __new__(cls, slot: int) -> Leaf:
+        if not isinstance(slot, int) or slot < 1:
+            raise ValueError(f"leaf slots are positive integers, got {slot!r}")
+        return tuple.__new__(cls, (slot,))
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
-    left: BracketExpr
-    right: BracketExpr
-    order: int
-    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+class Node(namedtuple("Node", "left right order")):
+    """The bracket [left, right]_order: the tuple (left, right, order)."""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.order, int) or self.order < 0:
-            raise ValueError(f"bracket order must be a nonnegative integer, got {self.order!r}")
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        # computed on first use and kept, so a tree is walked once; a tree
-        # nested past the interpreter's recursion limit raises RecursionError
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.left, self.right, self.order)))
-        return self._hash
+    def __new__(cls, left: BracketExpr, right: BracketExpr, order: int) -> Node:
+        if not isinstance(order, int) or order < 0:
+            raise ValueError(f"bracket order must be a nonnegative integer, got {order!r}")
+        return tuple.__new__(cls, (left, right, order))
 
 
 BracketExpr = Union[Leaf, Node]
+
+F1, F2, F3 = Leaf(1), Leaf(2), Leaf(3)
+
+
+# the nests of the main identity, [[f1,f2]_k, f3]_{n-k} and [f1, [f2,f3]_p]_{n-p}
+def left_nest(n: int, k: int) -> Node:
+    return Node(Node(F1, F2, k), F3, n - k)
+
+
+def right_nest(n: int, p: int) -> Node:
+    return Node(F1, Node(F2, F3, p), n - p)
 
 
 class UnboundSlotError(KeyError):
@@ -306,6 +312,9 @@ def tabulate_trees(
     multiplies integers only.  Slot weights are read even for an empty grid:
     a slot without one raises :class:`UnboundSlotError`.
     """
+    for expr in exprs:
+        # a Python walk first: a tree too deep to hash in C raises RecursionError
+        expr_total_order(expr)
     tables: dict[BracketExpr, _Table] = {}
     return [_tabulate(expr, weights, grid, tables)[::2] for expr in exprs]
 

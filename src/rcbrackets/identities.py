@@ -36,16 +36,16 @@ identity is compared on integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from math import factorial, lcm
 from typing import Callable, Sequence
 
 from .brackets import (
     BracketExpr,
-    Leaf,
-    Node,
     expr_total_order,
+    left_nest,
     read_off_slice,
+    right_nest,
     tabulate_on_slice,
     tabulate_trees,
 )
@@ -91,8 +91,6 @@ def _blocks(
 
 Terms = list[tuple[Fraction, BracketExpr]]
 
-F1, F2, F3 = Leaf(1), Leaf(2), Leaf(3)
-
 CLASSICAL_TERMS = (
     (
         "cyclic-first-order",
@@ -126,12 +124,13 @@ def _residuals(
     table.  A table vanishes on every input iff its residual is empty.
     """
     slot_weights = dict(enumerate(weights, start=1))
-    groups: dict[int, list[BracketExpr]] = {}
-    for expr in dict.fromkeys(expr for terms in tables for _, expr in terms):
-        groups.setdefault(expr_total_order(expr), []).append(expr)
+    groups: dict[int, dict[BracketExpr, None]] = {}
+    for _, expr in chain.from_iterable(tables):
+        # the order's Python walk comes before the tree's first hash
+        groups.setdefault(expr_total_order(expr), {})[expr] = None
     slices, tabulated = {}, {}
     for order, trees in groups.items():
-        values, slices[order], _ = tabulate_on_slice(trees, slot_weights, order)
+        values, slices[order], _ = tabulate_on_slice(list(trees), slot_weights, order)
         tabulated.update((tree, (order, *table)) for tree, table in zip(trees, values))
     out = []
     for terms in tables:
@@ -195,26 +194,18 @@ def _triple(params: ParamTriple) -> tuple[Fraction, Fraction, Fraction]:
     return params.lam1, params.lam2, params.lam3
 
 
-def _left_nest(n: int, k: int) -> Node:
-    return Node(Node(F1, F2, k), F3, n - k)
-
-
-def _right_nest(n: int, p: int) -> Node:
-    return Node(F1, Node(F2, F3, p), n - p)
-
-
 def main_terms(params: ParamTriple, n: int, k: int) -> Terms:
     """[[f1,f2]_k, f3]_{n-k} - sum_p U_p [f1, [f2,f3]_p]_{n-p} as a term table, U_p != 0."""
-    terms = [(Fraction(1), _left_nest(n, k))]
-    return terms + [(-u, _right_nest(n, p)) for p, u in enumerate(u_row(params, n, k)) if u]
+    terms = [(Fraction(1), left_nest(n, k))]
+    return terms + [(-u, right_nest(n, p)) for p, u in enumerate(u_row(params, n, k)) if u]
 
 
 def reverse_terms(params: ParamTriple, n: int, p: int) -> Terms:
     """[f1, [f2,f3]_p]_{n-p} - sum_k Utilde_k [[f1,f2]_k, f3]_{n-k} as a term table,
     Utilde the U row at the outer-swapped triple, Utilde_k != 0."""
-    terms = [(Fraction(1), _right_nest(n, p))]
+    terms = [(Fraction(1), right_nest(n, p))]
     row = u_row(params.swapped_outer(), n, p)
-    return terms + [(-u, _left_nest(n, k)) for k, u in enumerate(row) if u]
+    return terms + [(-u, left_nest(n, k)) for k, u in enumerate(row) if u]
 
 
 def verify_main_identity(
@@ -320,8 +311,8 @@ def eholzer_terms(order: int) -> Terms:
         raise ValueError(f"truncation order must be a nonnegative integer, got {order!r}")
     terms: Terms = []
     for m in range(order + 1):
-        terms += [(Fraction(1), _left_nest(m, k)) for k in range(m + 1)]
-        terms += [(Fraction(-1), _right_nest(m, p)) for p in range(m + 1)]
+        terms += [(Fraction(1), left_nest(m, k)) for k in range(m + 1)]
+        terms += [(Fraction(-1), right_nest(m, p)) for p in range(m + 1)]
     return terms
 
 
@@ -352,7 +343,7 @@ def solve_u_from_brackets(params: ParamTriple, n: int, k: int) -> list[Fraction]
     """
     check_row(params, n, k)
     weights = dict(enumerate(_triple(params), start=1))
-    trees = [_left_nest(n, k)] + [_right_nest(n, q) for q in range(n + 1)]
+    trees = [left_nest(n, k)] + [right_nest(n, q) for q in range(n + 1)]
     grid = [(n - j, 0, j) for j in range(n + 1)]
     # tables[t][j]: tree t at a_j, with L first and R_q at t = q + 1
     tables = [

@@ -40,19 +40,19 @@ failure is re-raised naming the site.  A transposition site also gates
 (a, b, c), so that with the row's (b, c, a) it tests a, b, c, a+b, b+c, a+c
 and the total.
 
-The rewriter runs on integers.  The slot weights are scaled once by d, the
-lcm of their denominators (``rationals.common_scale``), one d for all the
-terms of a combination.  A tree is then a nested tuple
-(left, right, order, d * weight), a leaf (None, slot, 0, d * weight), so trees
-hash and compare as tuples and a site reads its weights off its subtrees.  A
-coefficient is a reduced pair (num, den) of integers: a move multiplies both
-parts, each accumulation reduces once by a gcd, and one ``Fraction`` is built
-per output term, whose ``StandardTerm`` is read down the tree's right spine.
-Each (scaled site triple, n, k) is gated on the integers
-(``transition.admissible_scaled``) and its row read by ``u_row_scaled`` once
-per call, with no ``Fraction`` per row; a failing site alone builds its
-rational triple, for the message.  Input nested deeper than
-``poly.MAX_NESTING`` is refused.
+The rewriter rewrites the caller's ``Node``/``Leaf`` trees, on integers.  The
+slot weights are scaled once by d, the lcm of their denominators
+(``rationals.common_scale``), one d for all the terms of a combination.  The
+walk that finds a site returns each standard subtree's d-scaled weight, off
+which the site reads its own, and carries the move's pieces back up, each
+ancestor rebuilt as a new node.  A coefficient is a reduced pair (num, den) of
+integers: a move multiplies both parts, each accumulation reduces once by a
+gcd, and one ``Fraction`` is built per output term, whose ``StandardTerm`` is
+read down the tree's right spine.  Each (scaled site triple, n, k) is gated on
+the integers (``transition.admissible_scaled``) and its row read by
+``u_row_scaled`` once per call, with no ``Fraction`` per row; a failing site
+alone builds its rational triple, for the message.  Input nested deeper than
+``poly.MAX_NESTING`` is refused before any tree is hashed.
 """
 
 from __future__ import annotations
@@ -145,10 +145,7 @@ def standard_tree(term: StandardTerm) -> BracketExpr:
     return node
 
 
-# -- the rewriter on integer tuple trees ----------------------------------------------
-
-# (left, right, order, d * weight), or (None, slot, 0, d * weight) for a leaf
-Tree = tuple
+# -- the rewriter ----------------------------------------------------------------------
 
 
 def _check_nesting(expr: BracketExpr, depth: int = 0) -> None:
@@ -159,41 +156,26 @@ def _check_nesting(expr: BracketExpr, depth: int = 0) -> None:
         _check_nesting(expr.right, depth + 1)
 
 
-def _tuple_tree(expr: BracketExpr, scaled: Mapping[int, int], d: int) -> Tree:
-    if isinstance(expr, Leaf):
-        return (None, expr.slot, 0, scaled[expr.slot])
-    left = _tuple_tree(expr.left, scaled, d)
-    right = _tuple_tree(expr.right, scaled, d)
-    return (left, right, expr.order, left[3] + right[3] + 2 * d * expr.order)
-
-
-def _standard_term(tree: Tree) -> StandardTerm:
+def _standard_term(tree: BracketExpr) -> StandardTerm:
     """The term of a standard tree, read down its right spine."""
     slots, orders = [], []
-    while tree[0] is not None:
-        left, tree, order, _ = tree
-        slots.append(left[1])
+    while type(tree) is Node:
+        left, tree, order = tree
+        slots.append(left.slot)
         orders.append(order)
-    slots.append(tree[1])
+    slots.append(tree.slot)
     return StandardTerm(tuple(reversed(orders)), tuple(slots))
 
 
-def _node(tree: Tree) -> BracketExpr:
-    left, right, order, _ = tree
-    if left is None:
-        return Leaf(right)
-    return Node(_node(left), _node(right), order)
-
-
-def _site_error(site: Tree, a: int, b: int, c: int, d: int) -> InadmissibleLocalWeightsError:
+def _site_error(site: Node, a: int, b: int, c: int, d: int) -> InadmissibleLocalWeightsError:
     triple = ParamTriple(Fraction(a, d), Fraction(b, d), Fraction(c, d))
     return InadmissibleLocalWeightsError(
-        f"rewrite site {format_expr(_node(site))} has inadmissible weights "
+        f"rewrite site {format_expr(site)} has inadmissible weights "
         f"({triple.lam1}, {triple.lam2}, {triple.lam3})"
     )
 
 
-def _row(rows: dict, d: int, site: Tree, key: tuple) -> tuple[Fraction, ...]:
+def _row(rows: dict, d: int, site: Node, key: tuple) -> tuple[Fraction, ...]:
     """Row k of U for ``key`` = (a, b, c, n, k, swap): at (a, b, c) / d, or for a
     transposition (swap) at (b, c, a) / d after gating (a, b, c) / d too.
 
@@ -214,51 +196,67 @@ def _row(rows: dict, d: int, site: Tree, key: tuple) -> tuple[Fraction, ...]:
     return row
 
 
-def _step(tree: Tree, rows: dict, d: int) -> list[tuple[Tree, int, int]] | None:
-    """One move at the first redex in post-order, rebuilt up to ``tree`` (a node)
-    as (tree, num, den) pieces; None when ``tree`` is standard."""
-    left, right, order, weight = tree
-    if left[0] is not None:
-        pieces = _step(left, rows, d)
-        if pieces is not None:
-            return [((sub, right, order, weight), num, den) for sub, num, den in pieces]
-    if right[0] is not None:
-        pieces = _step(right, rows, d)
-        if pieces is not None:
-            return [((left, sub, order, weight), num, den) for sub, num, den in pieces]
-        if left[0] is None and left[1] > right[0][1]:
-            # [a, [b,c]_p]_{n-p} -> sum_q (-1)^(n+p+q) U^{(b,c,a)}_{p,q} [b, [a,c]_q]_{n-q}
-            b, c, p = right[0], right[1], right[2]
-            n = p + order
-            row = _row(rows, d, tree, (left[3], b[3], c[3], n, p, True))
-            ac = left[3] + c[3]
-            return [
-                (
-                    (b, (left, c, q, ac + 2 * d * q), n - q, weight),
-                    -u.numerator if (n + p + q) % 2 else u.numerator,
-                    u.denominator,
-                )
-                for q, u in enumerate(row)
-                if u
-            ]
-    if left[0] is not None:
-        # [[a,b]_k, c]_m -> sum_p U_{k,p} [a, [b,c]_p]_{n-p}, n = k+m
-        a, b, k = left[0], left[1], left[2]
-        n = k + order
-        row = _row(rows, d, tree, (a[3], b[3], right[3], n, k, False))
-        bc = b[3] + right[3]
-        return [
-            ((a, (b, right, p, bc + 2 * d * p), n - p, weight), u.numerator, u.denominator)
-            for p, u in enumerate(row)
-            if u
+_new = tuple.__new__  # builds a move's nodes unvalidated: their orders are ints >= 0
+
+
+def _recoupled(x, y, z, n: int, row: tuple[Fraction, ...], flip: int | None = None) -> list:
+    """The pieces [x, [y,z]_q]_{n-q} with coefficient row[q], negated where
+    q % 2 == ``flip``, for each row[q] != 0."""
+    return [
+        [
+            _new(Node, (x, _new(Node, (y, z, q)), n - q)),
+            -u.numerator if q % 2 == flip else u.numerator,
+            u.denominator,
         ]
-    if right[0] is None and left[1] > right[1]:
+        for q, u in enumerate(row)
+        if u
+    ]
+
+
+def _step(tree: Node, rows: dict, scaled: Mapping[int, int], d: int) -> list | int:
+    """One move at the first redex in post-order, as [tree, num, den] pieces
+    rebuilt up to ``tree`` (a node); or, when ``tree`` is standard, its d-scaled
+    weight.  A standard tree's left child is a leaf (slot,), so a site reads its
+    weights off its children's: a leaf's from ``scaled``, the rest as differences.
+    """
+    left, right, order = tree
+    left_is_node = type(left) is Node
+    if left_is_node:
+        w_left = _step(left, rows, scaled, d)
+        if type(w_left) is list:
+            for piece in w_left:
+                piece[0] = _new(Node, (piece[0], right, order))
+            return w_left
+    else:
+        w_left = scaled[left[0]]
+    if type(right) is Node:
+        w_right = _step(right, rows, scaled, d)
+        if type(w_right) is list:
+            for piece in w_right:
+                piece[0] = _new(Node, (left, piece[0], order))
+            return w_right
+        if not left_is_node and left[0] > right[0][0]:
+            # [a, [b,c]_p]_{n-p} -> sum_q (-1)^(n+p+q) U^{(b,c,a)}_{p,q} [b, [a,c]_q]_{n-q}
+            b, c, p = right
+            w_b = scaled[b[0]]
+            key = (w_left, w_b, w_right - w_b - 2 * d * p, p + order, p, True)
+            # n+p+q = 2p + order + q is odd where q % 2 == 1 - order % 2
+            return _recoupled(b, left, c, p + order, _row(rows, d, tree, key), 1 - order % 2)
+    elif not left_is_node and left[0] > right[0]:
         # [u, w]_m -> (-1)^m [w, u]_m
-        return [((right, left, order, weight), -1 if order % 2 else 1, 1)]
-    return None
+        return [[_new(Node, (right, left, order)), -1 if order % 2 else 1, 1]]
+    else:
+        w_right = scaled[right[0]]
+    if left_is_node:
+        # [[a,b]_k, c]_m -> sum_p U_{k,p} [a, [b,c]_p]_{n-p}, n = k+m
+        a, b, k = left
+        w_a = scaled[a[0]]
+        key = (w_a, w_left - w_a - 2 * d * k, w_right, k + order, k, False)
+        return _recoupled(a, b, right, k + order, _row(rows, d, tree, key))
+    return w_left + w_right + 2 * d * order
 
 
-def _add_pair(combo: dict, key: Tree, num: int, den: int) -> None:
+def _add_pair(combo: dict, key: BracketExpr, num: int, den: int) -> None:
     """Add num/den to combo[key] as a reduced pair, dropping the entry when it cancels."""
     old = combo.get(key)
     if old is not None:
@@ -275,17 +273,18 @@ def _add_pair(combo: dict, key: Tree, num: int, den: int) -> None:
         del combo[key]
 
 
-def _normal_form(pending: dict[Tree, tuple[int, int]], d: int) -> LinearCombo:
-    """The standard combination that ``pending``, a combination of d-scaled
-    trees with nonzero reduced pairs, rewrites to.  ``pending`` is the work
-    list and is emptied; the rows read are dropped on return."""
+def _normal_form(pending: dict, scaled: Mapping[int, int], d: int) -> LinearCombo:
+    """The standard combination that ``pending``, a combination of trees with
+    nonzero reduced pairs, rewrites to at the d-scaled slot weights ``scaled``.
+    ``pending`` is the work list and is emptied; the rows read are dropped on
+    return."""
     rows: dict = {}
-    done: dict[Tree, tuple[int, int]] = {}
+    done: dict[BracketExpr, tuple[int, int]] = {}
     while pending:
         tree = next(iter(pending))
         num, den = pending.pop(tree)
-        pieces = None if tree[0] is None else _step(tree, rows, d)
-        if pieces is None:
+        pieces = _step(tree, rows, scaled, d) if type(tree) is Node else None
+        if type(pieces) is not list:  # standard: _step gave the tree's weight
             _add_pair(done, tree, num, den)
             continue
         for piece, piece_num, piece_den in pieces:
@@ -294,11 +293,11 @@ def _normal_form(pending: dict[Tree, tuple[int, int]], d: int) -> LinearCombo:
     return {_standard_term(tree): Fraction(*done.pop(tree)) for tree in list(done)}
 
 
-def _scaled_trees(
+def _scale(
     exprs: Sequence[BracketExpr], weights: Mapping[int, RationalLike]
-) -> tuple[int, list[Tree]]:
-    """``(d, trees)``: d is the lcm of the denominators of the slot weights that
-    ``exprs`` read, and ``trees[i]`` is ``exprs[i]`` as a d-scaled tuple tree."""
+) -> tuple[int, dict[int, int]]:
+    """``(d, scaled)``: d is the lcm of the denominators of the slot weights that
+    ``exprs`` read, and ``scaled[slot]`` is d times the slot's weight."""
     bound: dict[int, Fraction] = {}
     for expr in exprs:
         _check_nesting(expr)
@@ -307,8 +306,7 @@ def _scaled_trees(
                 raise UnboundSlotError(f"no weight bound for slot {slot}")
             bound[slot] = as_rational(weights[slot])
     d, scaled = common_scale(*bound.values())
-    by_slot = dict(zip(bound, scaled))
-    return d, [_tuple_tree(expr, by_slot, d) for expr in exprs]
+    return d, dict(zip(bound, scaled))
 
 
 def to_standard(expr: BracketExpr, weights: Mapping[int, RationalLike]) -> LinearCombo:
@@ -316,8 +314,8 @@ def to_standard(expr: BracketExpr, weights: Mapping[int, RationalLike]) -> Linea
 
     Trees nested deeper than ``MAX_NESTING`` raise :class:`NestingTooDeepError`.
     """
-    d, (tree,) = _scaled_trees([expr], weights)
-    return _normal_form({tree: (1, 1)}, d)
+    d, scaled = _scale([expr], weights)
+    return _normal_form({expr: (1, 1)}, scaled, d)
 
 
 def format_combo(combo: LinearCombo) -> str:
@@ -406,13 +404,13 @@ def check_bound(
     bound: Sequence[tuple[Fraction, BracketExpr]], weights: Mapping[int, Fraction], identity_id: str
 ) -> VerificationReport:
     """:func:`check_identity` of (coefficient, tree) pairs already bound at ``weights``."""
-    d, trees = _scaled_trees([expr for _, expr in bound], weights)
-    pending: dict[Tree, tuple[int, int]] = {}
-    for (coeff, _), tree in zip(bound, trees):
+    d, scaled = _scale([expr for _, expr in bound], weights)
+    pending: dict[BracketExpr, tuple[int, int]] = {}
+    for coeff, expr in bound:
         # _add_pair deletes a key whose sum is 0, so a zero coefficient is skipped
         if coeff:
-            _add_pair(pending, tree, coeff.numerator, coeff.denominator)
-    total = _normal_form(pending, d)
+            _add_pair(pending, expr, coeff.numerator, coeff.denominator)
+    total = _normal_form(pending, scaled, d)
     failures = []
     if total:
         failures.append(

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .brackets import Leaf, Node, read_off_slice, tabulate_on_slice
+from .brackets import left_nest, read_off_slice, tabulate_on_slice
 from .hypergeom import bracket_coeff_row, jacobi_two_var
 from .poly import Poly, _reduced, _substituted, _sum, _times
 from .rationals import common_scale, rising
@@ -96,7 +96,7 @@ def _zagier_sums(
     l1, l2, l3 = lams
     s1, s2, s3 = slots
     weights = dict(enumerate(lams, start=1))
-    nests = [Node(Node(Leaf(1), Leaf(2), k), Leaf(3), n - k) for k in range(n + 1)]
+    nests = [left_nest(n, k) for k in range(n + 1)]
     tables, grid, factorials = tabulate_on_slice(nests, weights, n)
     # every nest has total order n, so the brackets are multiples of z^degree
     degree = sum(degrees) - n

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, lcm, perm, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import rcbrackets
 from rcbrackets.brackets import (
     DuplicateSlotError,
     Leaf,
@@ -250,6 +255,77 @@ def test_leaf_and_node_validation():
         Leaf(0)
     with pytest.raises(ValueError):
         Node(Leaf(1), Leaf(2), -1)
+
+
+def test_equal_trees_built_apart_are_one_dict_key():
+    # the term-table engine and the rewriter's work list merge equal trees by dict
+    first = Node(Node(Leaf(1), Leaf(2), 1), Leaf(3), 0)
+    second = Node(Node(Leaf(1), Leaf(2), 1), Leaf(3), 0)
+    assert first == second and first is not second
+    assert hash(first) == hash(second)
+    assert len({first: 1, second: 2}) == 1
+    assert Node(Leaf(1), Leaf(2), 1) != Node(Leaf(2), Leaf(1), 1)
+    assert Node(Leaf(1), Leaf(2), 1) != Node(Leaf(1), Leaf(2), 2)
+    assert Leaf(1) != Node(Leaf(1), Leaf(2), 0)
+
+
+def test_trees_are_immutable():
+    node = Node(Leaf(1), Leaf(2), 1)
+    for tree, name in ((node, "left"), (node, "order"), (node, "extra"), (Leaf(1), "slot")):
+        with pytest.raises(AttributeError):
+            setattr(tree, name, Leaf(3))
+
+
+def test_a_tree_is_the_tuple_of_its_fields():
+    """Pinned: a Node is the tuple (left, right, order) and a Leaf the tuple
+    (slot,), so each equals, and hashes as, that plain tuple."""
+    node = Node(Leaf(1), Leaf(2), 3)
+    assert node == (Leaf(1), Leaf(2), 3) and hash(node) == hash((Leaf(1), Leaf(2), 3))
+    assert Leaf(1) == (1,) and hash(Leaf(1)) == hash((1,))
+    assert (node.left, node.right, node.order, Leaf(4).slot) == (Leaf(1), Leaf(2), 3, 4)
+    assert repr(node) == "Node(left=Leaf(slot=1), right=Leaf(slot=2), order=3)"
+
+
+def test_tree_deeper_than_the_recursion_limit_raises_recursion_error():
+    tree = Leaf(1)
+    for slot in range(2, 5002):
+        tree = Node(tree, Leaf(slot), 0)
+    weights = {slot: 1 for slot in range(1, 5002)}
+    with pytest.raises(RecursionError):
+        tabulate_trees([tree], weights, [])
+    with pytest.raises(RecursionError):
+        tabulate_on_slice([tree], weights, 0)
+
+
+def test_tree_too_deep_for_the_c_hash_is_refused_not_crashed():
+    """A tuple hash recurses in C with no guard, so a tree some 10^5 deep can
+    overflow the C stack.  Each entry point that takes a caller's trees walks
+    them in Python first, so it raises; in a child process, which a crash kills."""
+    script = (
+        "from rcbrackets.brackets import Leaf, Node, tabulate_on_slice, tabulate_trees\n"
+        "from rcbrackets.identities import verify_on_monomials\n"
+        "from rcbrackets.poly import NestingTooDeepError\n"
+        "from rcbrackets.rewrite import to_standard\n"
+        "tree, leaf = Leaf(1), Leaf(2)\n"
+        "for _ in range(400_000):\n"
+        "    tree = Node(tree, leaf, 0)\n"
+        "for call in (\n"
+        "    lambda: tabulate_trees([tree], {1: 1, 2: 1}, []),\n"
+        "    lambda: tabulate_on_slice([tree], {1: 1, 2: 1}, 0),\n"
+        "    lambda: verify_on_monomials('deep', [1, 1], [[({}, [(1, tree)])]], 0),\n"
+        "    lambda: to_standard(tree, {1: 1, 2: 1}),\n"
+        "):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except (RecursionError, NestingTooDeepError) as error:\n"
+        "        print(type(error).__name__)\n"
+    )
+    src = str(Path(rcbrackets.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    expected = ["RecursionError"] * 3 + ["NestingTooDeepError"]
+    assert proc.stdout.split() == expected
 
 
 def test_expr_slots_and_duplicates():

@@ -15,7 +15,9 @@ from rcbrackets.brackets import (
     Node,
     eval_bracket_tree,
     format_expr,
+    left_nest,
     monomial_form,
+    right_nest,
     tabulate_trees,
     tree_symbol,
 )
@@ -202,7 +204,7 @@ def test_right_nests_are_triangular_at_solver_degrees(params, n) -> None:
     weights = dict(enumerate((params.lam1, l2, l3), start=1))
     for q in range(n + 1):
         grid = [(n - j, 0, j) for j in range(q + 1)]
-        ((values, den),) = tabulate_trees([identities._right_nest(n, q)], weights, grid)
+        ((values, den),) = tabulate_trees([right_nest(n, q)], weights, grid)
         for j, (degree, numerator) in enumerate(values):
             value = Fraction(numerator, den)
             if j < q:
@@ -498,7 +500,7 @@ def _zagier_sum_by_poly(lams, degrees, slots, n, reading):
         d_first, d_second = (k, n - k) if reading == "corrected" else (n, n)
         first = jacobi_two_var(d_first, l1, l2).subst({"x": s1, "y": s2})
         second = jacobi_two_var(d_second, l1 + l2 + 2 * k, l3).subst({"x": s1 + s2, "y": s3})
-        bracket = eval_bracket_tree(identities._left_nest(n, k), leaves).form
+        bracket = eval_bracket_tree(left_nest(n, k), leaves).form
         total = total + scalar * (first * second * bracket.lift(zagier.ZAGIER_VARS))
     return total
 

@@ -119,6 +119,20 @@ def test_standard_tree_round_trip() -> None:
     assert to_standard(tree, GENERIC_WEIGHTS) == {term: 1}
 
 
+@st.composite
+def standard_terms(draw) -> StandardTerm:
+    """Standard terms on 1-6 ascending slots out of 1..9, orders 0-4."""
+    slots = sorted(draw(st.sets(st.integers(1, 9), min_size=1, max_size=6)))
+    orders = draw(st.lists(st.integers(0, 4), min_size=len(slots) - 1, max_size=len(slots) - 1))
+    return StandardTerm(tuple(orders), tuple(slots))
+
+
+@given(standard_terms())
+def test_standard_tree_and_standard_term_round_trip(term: StandardTerm) -> None:
+    tree = standard_tree(term)
+    assert rewrite._standard_term(tree) == term
+
+
 def test_single_leaf_is_standard() -> None:
     term = StandardTerm(orders=(), slots=(3,))
     assert standard_tree(term) == Leaf(3)
