@@ -8,8 +8,9 @@ the degree-n bracket of weights (a, b) is
 with plain (unnormalized) derivatives, and the result carries weight
 a + b + 2n.  A bracket tree is a :class:`Leaf`, the tuple (slot,), or a
 :class:`Node`, the tuple (left, right, order), so trees compare and hash by
-value as tuples do: in C, uncached and with no recursion guard, so a caller's
-tree is walked in Python before its first hash.  Trees evaluate bottom-up with
+value as tuples do: in C, uncached and with no recursion guard, so a function
+that hashes or rewrites a caller's tree first calls ``expr_slots`` or
+``expr_total_order``, which bound its nesting.  Trees evaluate bottom-up with
 that weight rule.  The coefficient row is integers from the start:
 ``bracket_coeff_row`` gives it over the lcm of its denominators, and a table
 per (weight1, weight2, n) keeps its nonzero entries and memoizes the bracket
@@ -40,7 +41,7 @@ from math import comb, factorial, perm, prod
 from typing import Mapping, Sequence, Union
 
 from .hypergeom import bracket_coeff_row, jacobi_two_var
-from .poly import Numerators, Poly, _numerators, _reduced
+from .poly import MAX_NESTING, NestingTooDeepError, Numerators, Poly, _numerators, _reduced
 from .rationals import RationalLike, as_rational
 
 
@@ -179,6 +180,8 @@ class Leaf(namedtuple("Leaf", "slot")):
             raise ValueError(f"leaf slots are positive integers, got {slot!r}")
         return tuple.__new__(cls, (slot,))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+
 
 class Node(namedtuple("Node", "left right order")):
     """The bracket [left, right]_order: the tuple (left, right, order)."""
@@ -189,6 +192,8 @@ class Node(namedtuple("Node", "left right order")):
         if not isinstance(order, int) or order < 0:
             raise ValueError(f"bracket order must be a nonnegative integer, got {order!r}")
         return tuple.__new__(cls, (left, right, order))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 BracketExpr = Union[Leaf, Node]
@@ -214,27 +219,31 @@ class DuplicateSlotError(ValueError):
 
 
 def expr_slots(expr: BracketExpr) -> tuple[int, ...]:
-    """Leaf slots in left-to-right order; duplicates are rejected."""
-    out: list[int] = []
-
-    def walk(node: BracketExpr) -> None:
-        if isinstance(node, Leaf):
-            if node.slot in out:
-                raise DuplicateSlotError(f"slot {node.slot} occurs twice")
-            out.append(node.slot)
-        else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(expr)
-    return tuple(out)
+    """Leaf slots in left-to-right order; a repeated slot raises :class:`DuplicateSlotError`
+    and nesting deeper than ``MAX_NESTING`` raises :class:`NestingTooDeepError`."""
+    slots: list[int] = []
+    _walk(expr, 0, slots)
+    seen: set[int] = set()
+    for slot in slots:
+        if slot in seen:
+            raise DuplicateSlotError(f"slot {slot} occurs twice")
+        seen.add(slot)
+    return tuple(slots)
 
 
 def expr_total_order(expr: BracketExpr) -> int:
-    """Sum of bracket orders over all internal nodes."""
+    """Sum of bracket orders over all internal nodes; see :func:`expr_slots` on nesting."""
+    return _walk(expr, 0, [])
+
+
+def _walk(expr: BracketExpr, depth: int, slots: list[int]) -> int:
+    """The total order of ``expr`` at nesting ``depth``, appending its leaf slots to ``slots``."""
     if isinstance(expr, Leaf):
+        slots.append(expr.slot)
         return 0
-    return expr.order + expr_total_order(expr.left) + expr_total_order(expr.right)
+    if depth == MAX_NESTING:
+        raise NestingTooDeepError
+    return expr.order + _walk(expr.left, depth + 1, slots) + _walk(expr.right, depth + 1, slots)
 
 
 def expr_weight(expr: BracketExpr, weights: Mapping[int, Fraction]) -> Fraction:
@@ -313,8 +322,7 @@ def tabulate_trees(
     a slot without one raises :class:`UnboundSlotError`.
     """
     for expr in exprs:
-        # a Python walk first: a tree too deep to hash in C raises RecursionError
-        expr_total_order(expr)
+        expr_total_order(expr)  # the nesting bound, before the first hash
     tables: dict[BracketExpr, _Table] = {}
     return [_tabulate(expr, weights, grid, tables)[::2] for expr in exprs]
 

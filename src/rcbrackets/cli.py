@@ -3,8 +3,10 @@
 Subcommands: verify, u-table, racah, bracket, star, rewrite, check, verma.
 Exit codes: 0 on success (including report_only outcomes), 1 when a checked
 identity fails or a domain gate rejects the inputs, 2 on usage or syntax
-errors (a slot repeated in a bracket expression is a syntax error).  Results
-go to standard output and error messages to standard error.  Reports are
+errors (a slot repeated in a bracket expression is a syntax error).  Nesting
+deeper than ``poly.MAX_NESTING``, in text or in a tree, is a domain error, and
+every input within it runs at the default recursion limit.  Results go to
+standard output and error messages to standard error.  Reports are
 deterministic: the same configuration (including the seed) produces
 byte-identical output, so there are no timestamps.  The argument parser is
 built on the first call of ``main`` and reused by every later call in the
@@ -412,9 +414,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, PolySyntaxError, BracketSyntaxError, DuplicateSlotError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except RecursionError:
-        print("error: input nested too deeply", file=sys.stderr)
-        return 1
     except (ValueError, UnboundSlotError, ArithmeticError) as err:
         # str() of a KeyError is the repr of its message
         message = err.args[0] if isinstance(err, KeyError) and err.args else err

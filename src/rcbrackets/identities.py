@@ -126,7 +126,6 @@ def _residuals(
     slot_weights = dict(enumerate(weights, start=1))
     groups: dict[int, dict[BracketExpr, None]] = {}
     for _, expr in chain.from_iterable(tables):
-        # the order's Python walk comes before the tree's first hash
         groups.setdefault(expr_total_order(expr), {})[expr] = None
     slices, tabulated = {}, {}
     for order, trees in groups.items():

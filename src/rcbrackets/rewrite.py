@@ -51,8 +51,9 @@ gcd, and one ``Fraction`` is built per output term, whose ``StandardTerm`` is
 read down the tree's right spine.  Each (scaled site triple, n, k) is gated on
 the integers (``transition.admissible_scaled``) and its row read by
 ``u_row_scaled`` once per call, with no ``Fraction`` per row; a failing site
-alone builds its rational triple, for the message.  Input nested deeper than
-``poly.MAX_NESTING`` is refused before any tree is hashed.
+alone builds its rational triple, for the message.  The slots are read with
+``brackets.expr_slots``, which refuses a tree nested deeper than
+``poly.MAX_NESTING`` before any tree is hashed or rewritten.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .brackets import BracketExpr, Leaf, Node, UnboundSlotError, expr_slots, format_expr
-from .poly import MAX_NESTING, NestingTooDeepError, Token, Tokens, parse_infix
+from .poly import Token, Tokens, parse_infix
 from .rationals import RationalLike, as_rational, common_scale, parse_rational
 from .report import VerificationReport
 from .transition import InadmissibleParametersError, ParamTriple, admissible_scaled, u_row_scaled
@@ -146,14 +147,6 @@ def standard_tree(term: StandardTerm) -> BracketExpr:
 
 
 # -- the rewriter ----------------------------------------------------------------------
-
-
-def _check_nesting(expr: BracketExpr, depth: int = 0) -> None:
-    if isinstance(expr, Node):
-        if depth == MAX_NESTING:
-            raise NestingTooDeepError
-        _check_nesting(expr.left, depth + 1)
-        _check_nesting(expr.right, depth + 1)
 
 
 def _standard_term(tree: BracketExpr) -> StandardTerm:
@@ -300,7 +293,6 @@ def _scale(
     ``exprs`` read, and ``scaled[slot]`` is d times the slot's weight."""
     bound: dict[int, Fraction] = {}
     for expr in exprs:
-        _check_nesting(expr)
         for slot in expr_slots(expr):
             if slot not in weights:
                 raise UnboundSlotError(f"no weight bound for slot {slot}")
@@ -312,7 +304,7 @@ def _scale(
 def to_standard(expr: BracketExpr, weights: Mapping[int, RationalLike]) -> LinearCombo:
     """Rewrite into the standard basis; exact coefficients, deterministic order.
 
-    Trees nested deeper than ``MAX_NESTING`` raise :class:`NestingTooDeepError`.
+    Trees nested deeper than ``poly.MAX_NESTING`` raise ``NestingTooDeepError``.
     """
     d, scaled = _scale([expr], weights)
     return _normal_form({expr: (1, 1)}, scaled, d)

@@ -32,7 +32,7 @@ from rcbrackets.brackets import (
     tree_symbol,
 )
 from rcbrackets.hypergeom import bracket_coeff_row
-from rcbrackets.poly import VAR_ORDER, Poly, poly_from_string
+from rcbrackets.poly import VAR_ORDER, NestingTooDeepError, Poly, poly_from_string
 from rcbrackets.rationals import binom_general
 
 weights = st.fractions(min_value=Fraction(1, 4), max_value=Fraction(5), max_denominator=6)
@@ -286,21 +286,35 @@ def test_a_tree_is_the_tuple_of_its_fields():
     assert repr(node) == "Node(left=Leaf(slot=1), right=Leaf(slot=2), order=3)"
 
 
-def test_tree_deeper_than_the_recursion_limit_raises_recursion_error():
+def test_trees_built_by_make_or_replace_are_validated():
+    # namedtuple's _replace builds through _make, which calls the constructor
+    node = Node(Leaf(1), Leaf(2), 1)
+    with pytest.raises(ValueError, match="^bracket order must be a nonnegative integer, got -1$"):
+        node._replace(order=-1)
+    with pytest.raises(ValueError, match="^bracket order must be a nonnegative integer, got 1.5$"):
+        Node._make((Leaf(1), Leaf(2), 3 / 2))
+    with pytest.raises(ValueError, match="^leaf slots are positive integers, got 0$"):
+        Leaf(1)._replace(slot=0)
+    assert node._replace(order=3) == Node._make((Leaf(1), Leaf(2), 3)) == Node(Leaf(1), Leaf(2), 3)
+    assert type(node._replace(order=3)) is Node and Leaf._make([4]) == Leaf(4)
+
+
+def test_tree_deeper_than_the_recursion_limit_is_refused():
     tree = Leaf(1)
     for slot in range(2, 5002):
         tree = Node(tree, Leaf(slot), 0)
     weights = {slot: 1 for slot in range(1, 5002)}
-    with pytest.raises(RecursionError):
+    with pytest.raises(NestingTooDeepError):
         tabulate_trees([tree], weights, [])
-    with pytest.raises(RecursionError):
+    with pytest.raises(NestingTooDeepError):
         tabulate_on_slice([tree], weights, 0)
 
 
 def test_tree_too_deep_for_the_c_hash_is_refused_not_crashed():
     """A tuple hash recurses in C with no guard, so a tree some 10^5 deep can
     overflow the C stack.  Each entry point that takes a caller's trees walks
-    them in Python first, so it raises; in a child process, which a crash kills."""
+    them with the nesting bound first, so it raises; in a child process, which
+    a crash kills."""
     script = (
         "from rcbrackets.brackets import Leaf, Node, tabulate_on_slice, tabulate_trees\n"
         "from rcbrackets.identities import verify_on_monomials\n"
@@ -317,15 +331,14 @@ def test_tree_too_deep_for_the_c_hash_is_refused_not_crashed():
         "):\n"
         "    try:\n"
         "        call()\n"
-        "    except (RecursionError, NestingTooDeepError) as error:\n"
+        "    except NestingTooDeepError as error:\n"
         "        print(type(error).__name__)\n"
     )
     src = str(Path(rcbrackets.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    expected = ["RecursionError"] * 3 + ["NestingTooDeepError"]
-    assert proc.stdout.split() == expected
+    assert proc.stdout.split() == ["NestingTooDeepError"] * 4
 
 
 def test_expr_slots_and_duplicates():

@@ -521,13 +521,35 @@ def _right_comb_argv(depth: int) -> list[str]:
     return ["rewrite", "--expr", expr, "--weights", ",".join(["1"] * (depth + 1))]
 
 
-def test_nesting_bound_admits_its_own_depth(capsys) -> None:
+def test_nesting_bound_admits_its_own_depth(capsys, tmp_path) -> None:
+    """Each command's deepest accepted input runs at the default recursion limit,
+    so no accepted input ends in RecursionError."""
+    assert sys.getrecursionlimit() == 1000
     # a standard right comb at the bound is its own normal form
     argv = _right_comb_argv(MAX_NESTING)
     assert run_cli(capsys, argv) == (0, "1  (" + ",".join(["0"] * MAX_NESTING) + ")\n", "")
     parens = "(" * MAX_NESTING + "z" + ")" * MAX_NESTING
     argv = ["bracket", "--l1", "1", "--l2", "1", "--n", "0", "--f", parens, "--g", "z"]
     assert run_cli(capsys, argv) == (0, "weight: 2\nform: z^2\n", "")
+    # [f1,f2]_0 = [f2,f1]_0 with one coefficient as deep as the bound allows
+    coeff = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+    identity = tmp_path / "deep-coeff.txt"
+    identity.write_text(f"{coeff} | [f1,f2]_0\n-1 | [f2,f1]_0\n")
+    assert run_cli(capsys, ["check", "--identity-file", str(identity)])[0] == 0
+    # the comb at the bound equals itself with its two outer leaves swapped,
+    # one transposition at the root of a tree nested MAX_NESTING deep
+    expr = _right_comb_argv(MAX_NESTING)[2]
+    swapped = "[f2,[f1," + expr[len("[f1,[f2,") :]
+    identity = tmp_path / "deep-tree.txt"
+    identity.write_text(f"1 | {expr}\n-1 | {swapped}\n")
+    weights = ",".join(["1"] * (MAX_NESTING + 1))
+    argv = ["check", "--identity-file", str(identity), "--weights", weights]
+    assert run_cli(capsys, argv)[0] == 0
+    argv = ["star", "--N", "1", "--f=1:" + parens, "--g", "1:z"]
+    assert run_cli(capsys, argv) == (0, "h^0 weight 2: z^2\n", "")
+    poly = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    argv = ["verma", "--model", "highest", "--weights", "3", "--gen", "F", "--poly", poly]
+    assert run_cli(capsys, argv) == (0, "4*x^2\n", "")
 
 
 @pytest.mark.parametrize(

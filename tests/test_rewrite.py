@@ -18,8 +18,11 @@ from rcbrackets.brackets import (
     eval_bracket_tree,
     expr_slots,
     format_expr,
+    tabulate_on_slice,
+    tabulate_trees,
 )
 from rcbrackets.cli import main
+from rcbrackets.identities import verify_on_monomials
 from rcbrackets.poly import (
     MAX_NESTING,
     NestingTooDeepError,
@@ -31,6 +34,7 @@ from rcbrackets.rewrite import (
     BracketSyntaxError,
     InadmissibleLocalWeightsError,
     StandardTerm,
+    check_bound,
     check_identity,
     eval_coeff,
     format_combo,
@@ -379,36 +383,82 @@ def test_rewrite_preserves_semantics_at_signed_weights(case) -> None:
     assert total == direct.form
 
 
-@pytest.mark.parametrize(
-    "spine, depth",
-    [
-        pytest.param(spine, depth, id=str(depth) if spine == "left" else f"right-{depth}")
-        for spine in ("left", "right")
-        for depth in (MAX_NESTING + 1, 600)
-    ],
-)
-def test_over_deep_tree_is_refused_at_entry(spine: str, depth: int) -> None:
-    # a left comb, or a standard right comb that would be its own normal form
+def _comb(spine: str, depth: int) -> Node:
+    """An order-0 comb of ``depth`` nodes on the slots 1..depth+1: a left comb,
+    or a standard right comb, which is its own normal form."""
     if spine == "left":
         tree = Leaf(1)
         for slot in range(2, depth + 2):
             tree = Node(tree, Leaf(slot), 0)
-    else:
-        tree = Leaf(depth + 1)
-        for slot in range(depth, 0, -1):
-            tree = Node(Leaf(slot), tree, 0)
+        return tree
+    tree = Leaf(depth + 1)
+    for slot in range(depth, 0, -1):
+        tree = Node(Leaf(slot), tree, 0)
+    return tree
+
+
+def _itself(tree: Node) -> list[tuple[Fraction, Node]]:
+    return [(Fraction(1), tree), (Fraction(-1), tree)]
+
+
+# each entry point that hashes or rewrites a caller's tree, as a call on
+# (tree, slot weights), with its result on the order-0 standard comb at the bound
+ENTRY_POINTS = {
+    "tabulate_trees": (
+        lambda tree, weights: tabulate_trees([tree], weights, [[0] * len(weights)]),
+        [([(0, 1)], 1)],
+    ),
+    "tabulate_on_slice": (
+        lambda tree, weights: tabulate_on_slice([tree], weights, 0)[0],
+        [([(0, 1)], 1)],
+    ),
+    "verify_on_monomials": (
+        lambda tree, weights: [
+            report.status
+            for report in verify_on_monomials(
+                "deep", list(weights.values()), [[({}, _itself(tree))]], 0
+            )
+        ],
+        ["pass"],
+    ),
+    "to_standard": (
+        to_standard,
+        {StandardTerm((0,) * MAX_NESTING, tuple(range(1, MAX_NESTING + 2))): 1},
+    ),
+    "check_bound": (
+        lambda tree, weights: check_bound(_itself(tree), weights, "deep").status,
+        "pass",
+    ),
+}
+
+
+def _deep_id(entry: str, spine: str, depth: int) -> str:
+    shape = str(depth) if spine == "left" else f"right-{depth}"
+    # the rewriter's cases keep their bare shape ids
+    return shape if entry == "to_standard" else f"{entry}-{shape}"
+
+
+@pytest.mark.parametrize(
+    "entry, spine, depth",
+    [
+        pytest.param(entry, spine, depth, id=_deep_id(entry, spine, depth))
+        for entry in ENTRY_POINTS
+        for spine in ("left", "right")
+        for depth in (MAX_NESTING + 1, 600)
+    ],
+)
+def test_over_deep_tree_is_refused_at_entry(entry: str, spine: str, depth: int) -> None:
+    call, _ = ENTRY_POINTS[entry]
+    weights = {slot: 1 for slot in range(1, depth + 2)}
     with pytest.raises(NestingTooDeepError, match="^input nested too deeply$"):
-        to_standard(tree, {slot: 1 for slot in range(1, depth + 2)})
+        call(_comb(spine, depth), weights)
 
 
-def test_tree_at_the_nesting_bound_is_admitted() -> None:
-    # a standard right comb is its own normal form
-    comb = Leaf(MAX_NESTING + 1)
-    for slot in range(MAX_NESTING, 0, -1):
-        comb = Node(Leaf(slot), comb, 1)
-    term = StandardTerm((1,) * MAX_NESTING, tuple(range(1, MAX_NESTING + 2)))
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_tree_at_the_nesting_bound_is_admitted(entry: str) -> None:
+    call, expected = ENTRY_POINTS[entry]
     weights = {slot: Fraction(1, 2) for slot in range(1, MAX_NESTING + 2)}
-    assert to_standard(comb, weights) == {term: 1}
+    assert call(_comb("right", MAX_NESTING), weights) == expected
 
 
 # -- combos -------------------------------------------------------------------------
