@@ -37,6 +37,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial, perm, prod
 from typing import Mapping, Sequence, Union
 
@@ -223,11 +224,9 @@ def expr_slots(expr: BracketExpr) -> tuple[int, ...]:
     and nesting deeper than ``MAX_NESTING`` raises :class:`NestingTooDeepError`."""
     slots: list[int] = []
     _walk(expr, 0, slots)
-    seen: set[int] = set()
-    for slot in slots:
-        if slot in seen:
-            raise DuplicateSlotError(f"slot {slot} occurs twice")
-        seen.add(slot)
+    if len(set(slots)) < len(slots):
+        slot = next(slot for i, slot in enumerate(slots) if slot in slots[:i])
+        raise DuplicateSlotError(f"slot {slot} occurs twice")
     return tuple(slots)
 
 
@@ -368,14 +367,13 @@ def _tabulate(
 
 def simplex_slice(slots: int, order: int) -> list[tuple[int, ...]]:
     """The C(order+slots-1, slots-1) tuples a of nonnegative integers with
-    ``slots`` entries and sum(a) = ``order``, in lexicographic order."""
+    ``slots`` entries and sum(a) = ``order``, in lexicographic order: the gaps
+    between slots - 1 bars among order + slots - 1 places, found with no recursion."""
     if slots == 0:
         return [()] if order == 0 else []
-    return [
-        (first, *rest)
-        for first in range(order + 1)
-        for rest in simplex_slice(slots - 1, order - first)
-    ]
+    places = order + slots - 1
+    bars = combinations(range(places), slots - 1)
+    return [tuple(b - a - 1 for a, b in zip((-1, *bar), (*bar, places))) for bar in bars]
 
 
 def tabulate_on_slice(

@@ -4,8 +4,8 @@ Subcommands: verify, u-table, racah, bracket, star, rewrite, check, verma.
 Exit codes: 0 on success (including report_only outcomes), 1 when a checked
 identity fails or a domain gate rejects the inputs, 2 on usage or syntax
 errors (a slot repeated in a bracket expression is a syntax error).  Nesting
-deeper than ``poly.MAX_NESTING``, in text or in a tree, is a domain error, and
-every input within it runs at the default recursion limit.  Results go to
+deeper than ``poly.MAX_NESTING``, in text, in a tree or in its normal form, is a
+domain error, and all else runs at the default recursion limit.  Results go to
 standard output and error messages to standard error.  Reports are
 deterministic: the same configuration (including the seed) produces
 byte-identical output, so there are no timestamps.  The argument parser is

@@ -397,10 +397,10 @@ MAX_NESTING = 200
 
 
 class NestingTooDeepError(ValueError):
-    """Input nested deeper than ``MAX_NESTING`` brackets or parentheses."""
+    """Input nested deeper than ``MAX_NESTING`` brackets or parentheses, or rewritten so."""
 
-    def __init__(self) -> None:
-        super().__init__("input nested too deeply")
+    def __init__(self, message: str = "input nested too deeply") -> None:
+        super().__init__(message)
 
 
 Token = tuple[str, str, int]

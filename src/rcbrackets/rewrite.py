@@ -51,9 +51,10 @@ gcd, and one ``Fraction`` is built per output term, whose ``StandardTerm`` is
 read down the tree's right spine.  Each (scaled site triple, n, k) is gated on
 the integers (``transition.admissible_scaled``) and its row read by
 ``u_row_scaled`` once per call, with no ``Fraction`` per row; a failing site
-alone builds its rational triple, for the message.  The slots are read with
-``brackets.expr_slots``, which refuses a tree nested deeper than
-``poly.MAX_NESTING`` before any tree is hashed or rewritten.
+alone builds its rational triple, for the message.  Before any tree is hashed
+or rewritten, one nested deeper than ``poly.MAX_NESTING`` is refused (by
+``brackets.expr_slots``), and so is one of more leaves than that plus one:
+the walk recurses down the normal form of D leaves, which nests D - 1 deep.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .brackets import BracketExpr, Leaf, Node, UnboundSlotError, expr_slots, format_expr
-from .poly import Token, Tokens, parse_infix
+from .poly import MAX_NESTING, NestingTooDeepError, Token, Tokens, parse_infix
 from .rationals import RationalLike, as_rational, common_scale, parse_rational
 from .report import VerificationReport
 from .transition import InadmissibleParametersError, ParamTriple, admissible_scaled, u_row_scaled
@@ -293,7 +294,9 @@ def _scale(
     ``exprs`` read, and ``scaled[slot]`` is d times the slot's weight."""
     bound: dict[int, Fraction] = {}
     for expr in exprs:
-        for slot in expr_slots(expr):
+        if len(slots := expr_slots(expr)) > MAX_NESTING + 1:
+            raise NestingTooDeepError(f"{len(slots)} leaves nest too deeply once rewritten")
+        for slot in slots:
             if slot not in weights:
                 raise UnboundSlotError(f"no weight bound for slot {slot}")
             bound[slot] = as_rational(weights[slot])
@@ -304,7 +307,7 @@ def _scale(
 def to_standard(expr: BracketExpr, weights: Mapping[int, RationalLike]) -> LinearCombo:
     """Rewrite into the standard basis; exact coefficients, deterministic order.
 
-    Trees nested deeper than ``poly.MAX_NESTING`` raise ``NestingTooDeepError``.
+    A tree nested, or rewritten, deeper than ``poly.MAX_NESTING`` raises ``NestingTooDeepError``.
     """
     d, scaled = _scale([expr], weights)
     return _normal_form({expr: (1, 1)}, scaled, d)

@@ -310,6 +310,20 @@ def test_tree_deeper_than_the_recursion_limit_is_refused():
         tabulate_on_slice([tree], weights, 0)
 
 
+def test_wide_shallow_tree_tabulates_on_its_slice():
+    # 1,500 slots nested 11 deep: the slice is built with no recursion on its
+    # slot count, so only a tree's nesting bounds the tabulators' recursion
+    def balanced(lo: int, hi: int):
+        if lo == hi:
+            return Leaf(lo)
+        mid = (lo + hi) // 2
+        return Node(balanced(lo, mid), balanced(mid + 1, hi), 0)
+
+    weights = {slot: 1 for slot in range(1, 1501)}
+    assert tabulate_on_slice([balanced(1, 1500)], weights, 0) == ([([(0, 1)], 1)], [(0,) * 1500], [1])
+    assert simplex_slice(1500, 1) == [(0,) * i + (1,) + (0,) * (1499 - i) for i in range(1499, -1, -1)]
+
+
 def test_tree_too_deep_for_the_c_hash_is_refused_not_crashed():
     """A tuple hash recurses in C with no guard, so a tree some 10^5 deep can
     overflow the C stack.  Each entry point that takes a caller's trees walks
@@ -581,7 +595,7 @@ def test_memo_entries_equal_the_full_row_sum(w1, w2, n, grid):
 # -- the simplex slice ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("slots", range(4))
+@pytest.mark.parametrize("slots", range(6))
 def test_simplex_slice_is_every_tuple_of_the_order(slots) -> None:
     for order in range(5):
         grid = simplex_slice(slots, order)

@@ -521,6 +521,22 @@ def _right_comb_argv(depth: int) -> list[str]:
     return ["rewrite", "--expr", expr, "--weights", ",".join(["1"] * (depth + 1))]
 
 
+def _comb_of_combs(leaves: int, parts: int) -> tuple[str, str]:
+    """The expression [C1,[C2,...,C_parts]_0...]_0 on the slots 1..leaves, with each
+    Ci a standard order-0 comb on consecutive slots, and its weights (all 1)."""
+    size = -(-leaves // parts)
+    combs = []
+    for first in range(1, leaves + 1, size):
+        expr = f"f{min(first + size, leaves + 1) - 1}"
+        for slot in range(min(first + size, leaves + 1) - 2, first - 1, -1):
+            expr = f"[f{slot},{expr}]_0"
+        combs.append(expr)
+    expr = combs.pop()
+    while combs:
+        expr = f"[{combs.pop()},{expr}]_0"
+    return expr, ",".join(["1"] * leaves)
+
+
 def test_nesting_bound_admits_its_own_depth(capsys, tmp_path) -> None:
     """Each command's deepest accepted input runs at the default recursion limit,
     so no accepted input ends in RecursionError."""
@@ -550,6 +566,14 @@ def test_nesting_bound_admits_its_own_depth(capsys, tmp_path) -> None:
     poly = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
     argv = ["verma", "--model", "highest", "--weights", "3", "--gen", "F", "--poly", poly]
     assert run_cli(capsys, argv) == (0, "4*x^2\n", "")
+    # a shallow tree of the most leaves the rewriter takes: its normal form, the
+    # order-0 comb, nests MAX_NESTING deep
+    expr, weights = _comb_of_combs(MAX_NESTING + 1, 2)
+    argv = ["rewrite", "--expr", expr, "--weights", weights]
+    assert run_cli(capsys, argv) == (0, "1  (" + ",".join(["0"] * MAX_NESTING) + ")\n", "")
+    identity.write_text(f"1 | {expr}\n-1 | {_right_comb_argv(MAX_NESTING)[2]}\n")
+    argv = ["check", "--identity-file", str(identity), "--weights", weights]
+    assert run_cli(capsys, argv)[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -563,6 +587,19 @@ def test_nesting_bound_admits_its_own_depth(capsys, tmp_path) -> None:
 )
 def test_nesting_bound_refuses_one_more_level(capsys, argv) -> None:
     assert run_cli(capsys, argv) == (1, "", "error: input nested too deeply\n")
+
+
+def test_tree_too_wide_to_rewrite_is_refused(capsys, tmp_path) -> None:
+    # 1,020 leaves nested 175 deep: the rewriter would recurse down a normal
+    # form nested 1,019 deep, past the default recursion limit
+    expr, weights = _comb_of_combs(1020, 6)
+    error = "error: 1020 leaves nest too deeply once rewritten\n"
+    argv = ["rewrite", "--expr", expr, "--weights", weights]
+    assert run_cli(capsys, argv) == (1, "", error)
+    identity = tmp_path / "wide.txt"
+    identity.write_text(f"1 | {expr}\n")
+    for extra in ([], ["--weights", weights]):
+        assert run_cli(capsys, ["check", "--identity-file", str(identity), *extra]) == (1, "", error)
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from rcbrackets.brackets import (
     WeightedForm,
     eval_bracket_tree,
     expr_slots,
+    expr_total_order,
     format_expr,
     tabulate_on_slice,
     tabulate_trees,
@@ -383,17 +384,17 @@ def test_rewrite_preserves_semantics_at_signed_weights(case) -> None:
     assert total == direct.form
 
 
-def _comb(spine: str, depth: int) -> Node:
-    """An order-0 comb of ``depth`` nodes on the slots 1..depth+1: a left comb,
-    or a standard right comb, which is its own normal form."""
+def _comb(spine: str, depth: int, order: int = 0, first: int = 1) -> Node:
+    """A comb of ``depth`` nodes of one ``order`` on the slots first..first+depth:
+    a left comb, or a standard right comb, which is its own normal form."""
     if spine == "left":
-        tree = Leaf(1)
-        for slot in range(2, depth + 2):
-            tree = Node(tree, Leaf(slot), 0)
+        tree = Leaf(first)
+        for slot in range(first + 1, first + depth + 1):
+            tree = Node(tree, Leaf(slot), order)
         return tree
-    tree = Leaf(depth + 1)
-    for slot in range(depth, 0, -1):
-        tree = Node(Leaf(slot), tree, 0)
+    tree = Leaf(first + depth)
+    for slot in range(first + depth - 1, first - 1, -1):
+        tree = Node(Leaf(slot), tree, order)
     return tree
 
 
@@ -402,15 +403,15 @@ def _itself(tree: Node) -> list[tuple[Fraction, Node]]:
 
 
 # each entry point that hashes or rewrites a caller's tree, as a call on
-# (tree, slot weights), with its result on the order-0 standard comb at the bound
+# (tree, slot weights), with its result on the standard comb of orders k at the bound
 ENTRY_POINTS = {
     "tabulate_trees": (
         lambda tree, weights: tabulate_trees([tree], weights, [[0] * len(weights)]),
-        [([(0, 1)], 1)],
+        lambda k: [([(0, 1)], 1)],
     ),
     "tabulate_on_slice": (
         lambda tree, weights: tabulate_on_slice([tree], weights, 0)[0],
-        [([(0, 1)], 1)],
+        lambda k: [([(0, 1)], 1)],
     ),
     "verify_on_monomials": (
         lambda tree, weights: [
@@ -419,15 +420,15 @@ ENTRY_POINTS = {
                 "deep", list(weights.values()), [[({}, _itself(tree))]], 0
             )
         ],
-        ["pass"],
+        lambda k: ["pass"],
     ),
     "to_standard": (
         to_standard,
-        {StandardTerm((0,) * MAX_NESTING, tuple(range(1, MAX_NESTING + 2))): 1},
+        lambda k: {StandardTerm((k,) * MAX_NESTING, tuple(range(1, MAX_NESTING + 2))): 1},
     ),
     "check_bound": (
         lambda tree, weights: check_bound(_itself(tree), weights, "deep").status,
-        "pass",
+        lambda k: "pass",
     ),
 }
 
@@ -454,11 +455,39 @@ def test_over_deep_tree_is_refused_at_entry(entry: str, spine: str, depth: int) 
         call(_comb(spine, depth), weights)
 
 
-@pytest.mark.parametrize("entry", ENTRY_POINTS)
-def test_tree_at_the_nesting_bound_is_admitted(entry: str) -> None:
+@pytest.mark.parametrize(
+    "entry, order",
+    [pytest.param(entry, 0, id=entry) for entry in ENTRY_POINTS]
+    # an order-1 comb's simplex slice has C(400, 200) points, so only the
+    # rewriter's entry points take it
+    + [pytest.param(entry, 1, id=f"{entry}-order-1") for entry in ("to_standard", "check_bound")],
+)
+def test_tree_at_the_nesting_bound_is_admitted(entry: str, order: int) -> None:
     call, expected = ENTRY_POINTS[entry]
     weights = {slot: Fraction(1, 2) for slot in range(1, MAX_NESTING + 2)}
-    assert call(_comb("right", MAX_NESTING), weights) == expected
+    assert call(_comb("right", MAX_NESTING, order), weights) == expected(order)
+
+
+def _two_combs(leaves: int) -> Node:
+    """[C1, C2]_0 on the slots 1..leaves, C1 and C2 standard order-0 combs of
+    about half the leaves each: nested about leaves/2 deep, and rewritten by
+    left-nest moves alone to the order-0 comb nested leaves - 1 deep."""
+    half = leaves // 2
+    return Node(_comb("right", half - 1), _comb("right", leaves - half - 1, first=half + 1), 0)
+
+
+@pytest.mark.parametrize("entry", ["to_standard", "check_bound"])
+def test_tree_too_wide_to_rewrite_is_refused(entry: str) -> None:
+    # the rewriter recurses as deep as its standard form nests, one node per
+    # leaf but the last, however shallow the input
+    call, expected = ENTRY_POINTS[entry]
+    weights = {slot: 1 for slot in range(1, MAX_NESTING + 3)}
+    tree = _two_combs(MAX_NESTING + 2)
+    assert expr_total_order(tree) == 0 and len(expr_slots(tree)) == MAX_NESTING + 2
+    with pytest.raises(NestingTooDeepError, match="^202 leaves nest too deeply once rewritten$"):
+        call(tree, weights)
+    del weights[MAX_NESTING + 2]
+    assert call(_two_combs(MAX_NESTING + 1), weights) == expected(0)
 
 
 # -- combos -------------------------------------------------------------------------
