@@ -9,20 +9,21 @@ with plain (unnormalized) derivatives, and the result carries weight
 a + b + 2n.  A bracket tree is a :class:`Leaf`, the tuple (slot,), or a
 :class:`Node`, the tuple (left, right, order), so trees compare and hash by
 value as tuples do: in C, uncached and with no recursion guard, so a function
-that hashes or rewrites a caller's tree first calls ``expr_slots`` or
-``expr_total_order``, which bound its nesting.  Trees evaluate bottom-up with
-that weight rule.  The coefficient row is integers from the start:
+that hashes or rewrites a caller's tree first walks it with ``_walk``, the
+walk behind ``expr_slots`` and ``expr_total_order``, which bounds its
+nesting.  Trees evaluate bottom-up with that weight rule.  The coefficient
+row is integers from the start:
 ``bracket_coeff_row`` gives it over the lcm of its denominators, and a table
-per (weight1, weight2, n) keeps its nonzero entries and memoizes the bracket
-of two monomials.  Trees on monomial leaves are evaluated by one grid
-tabulator, ``tabulate_trees``: at fixed slot weights it evaluates a list of
-trees on a whole list of leaf-degree tuples, one pass per distinct subtree,
-reading and filling those memos.  A tree of total order N on D slots is the
-constant-coefficient operator sum_{|j|=N} s_j prod f_i^(j_i), so on leaves
-z^(a_i) with sum a_i = N it is s_a prod a_i!, and ``tabulate_on_slice`` reads
-its symbol, the polynomial ``tree_symbol`` builds from Jacobi forms, off that
-simplex slice; ``read_off_slice`` reads its value at any leaf degrees back off
-the slice.  The general bracket is one kernel that takes and returns
+per (weight1, weight2, n) keeps that row and memoizes the bracket of two
+monomials.  A tree of total order N on D slots is the constant-coefficient
+operator sum_{|j|=N} s_j prod f_i^(j_i), so on leaves z^(a_i) with
+sum a_i = N it is the constant s_a prod a_i!, and it is fixed by those
+values.  One tabulator, ``tabulate_on_slice``, evaluates a list of trees at
+fixed slot weights on that simplex slice, one pass per distinct subtree,
+reading and filling those memos; s_a is the coefficient of the tree's symbol,
+the polynomial ``tree_symbol`` builds from Jacobi forms, and
+``read_off_slice`` reads the tree's value at any leaf degrees back off the
+slice.  The general bracket is one kernel that takes and returns
 ``poly.Numerators``, the format ``star`` sums its pieces in, and serves every
 order of a range at once: it reads the derivatives of both polynomials as big
 integers at X = 2^W (Kronecker substitution), multiplies them with Python's
@@ -38,7 +39,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, factorial, perm, prod
+from math import comb, perm, prod
 from typing import Mapping, Sequence, Union
 
 from .hypergeom import bracket_coeff_row, jacobi_two_var
@@ -71,23 +72,21 @@ def monomial_form(weight: RationalLike, degree: int, coeff: RationalLike = 1) ->
     return WeightedForm(weight, Poly.monomial(("z",), {"z": degree}, coeff))
 
 
-MonomialTable = tuple[tuple[tuple[int, int], ...], int, dict[tuple[int, int], int]]
+MonomialTable = tuple[tuple[int, ...], int, dict[tuple[int, int], int]]
 
 
 @lru_cache(maxsize=None)
 def _monomial_bracket(weight1: Fraction, weight2: Fraction, n: int) -> MonomialTable:
     """The order-n bracket at weights (weight1, weight2) on integers: ``(row, den, memo)``.
 
-    ``row`` holds (s, den * c_s) for each nonzero entry c_s of the integer
-    row of ``bracket_coeff_row``, and ``den`` is that row's ``den``, the lcm
-    of the reduced denominators of the c_s.  ``memo`` starts empty;
-    :func:`tabulate_trees` fills ``memo[d1, d2]`` with den times the coefficient of
-    [z^d1, z^d2]_n = sum_s c_s d1^(s) d2^(n-s) z^(d1+d2-n), where d^(s) is
-    the falling factorial (0 for s > d), so it sums only the s with
-    n - d2 <= s <= d1.
+    ``(row, den)`` is ``bracket_coeff_row``: row[s] / den = c_s for s = 0..n,
+    ``den`` the lcm of the reduced denominators of the c_s.  ``memo`` starts
+    empty; :func:`tabulate_on_slice` fills ``memo[d1, d2]`` with den times the
+    coefficient of [z^d1, z^d2]_n = sum_s c_s d1^(s) d2^(n-s) z^(d1+d2-n),
+    where d^(s) is the falling factorial (0 for s > d), so it sums only the s
+    with n - d2 <= s <= d1.
     """
-    row, den = bracket_coeff_row(weight1, weight2, n)
-    return tuple((s, c) for s, c in enumerate(row) if c), den, {}
+    return (*bracket_coeff_row(weight1, weight2, n), {})
 
 
 # -- the general bracket on integer numerators ----------------------------------
@@ -139,8 +138,12 @@ def _bracket_kernel(
     width = 1
     for n in orders:
         row, den, _ = _monomial_bracket(weight1, weight2, n)
-        # the terms (c_s, s, n - s) whose derivatives are both nonzero
-        terms = [(c, s, n - s) for s, c in row if s < len(f_ders) and n - s < len(g_ders)]
+        # the terms (c_s, s, n - s) with c_s and both derivatives nonzero
+        terms = [
+            (c, s, n - s)
+            for s, c in enumerate(row)
+            if c and s < len(f_ders) and n - s < len(g_ders)
+        ]
         bound = sum(abs(c) * f_norms[s] * g_norms[t] for c, s, t in terms)
         width = max(width, bound.bit_length() + 1)
         tables.append((terms, den * f_den * g_den))
@@ -222,17 +225,22 @@ class DuplicateSlotError(ValueError):
 def expr_slots(expr: BracketExpr) -> tuple[int, ...]:
     """Leaf slots in left-to-right order; a repeated slot raises :class:`DuplicateSlotError`
     and nesting deeper than ``MAX_NESTING`` raises :class:`NestingTooDeepError`."""
-    slots: list[int] = []
-    _walk(expr, 0, slots)
-    if len(set(slots)) < len(slots):
-        slot = next(slot for i, slot in enumerate(slots) if slot in slots[:i])
-        raise DuplicateSlotError(f"slot {slot} occurs twice")
-    return tuple(slots)
+    return _slots_and_order(expr)[0]
 
 
 def expr_total_order(expr: BracketExpr) -> int:
     """Sum of bracket orders over all internal nodes; see :func:`expr_slots` on nesting."""
     return _walk(expr, 0, [])
+
+
+def _slots_and_order(expr: BracketExpr) -> tuple[tuple[int, ...], int]:
+    """``(expr_slots(expr), expr_total_order(expr))`` from one walk."""
+    slots: list[int] = []
+    total = _walk(expr, 0, slots)
+    if len(set(slots)) < len(slots):
+        slot = next(slot for i, slot in enumerate(slots) if slot in slots[:i])
+        raise DuplicateSlotError(f"slot {slot} occurs twice")
+    return tuple(slots), total
 
 
 def _walk(expr: BracketExpr, depth: int, slots: list[int]) -> int:
@@ -296,34 +304,9 @@ def tree_symbol(
     return sum1 + sum2, prod(children, start=outer), weight1 + weight2 + 2 * expr.order
 
 
-Tabulation = tuple[list[tuple[int, int]], int]
-# a subtree's values on the grid, its weight and its denominator
+Tabulation = tuple[list[int], int]
+# a subtree's (z-degree, value) pairs on the grid, its weight and its denominator
 _Table = tuple[list[tuple[int, int]], Fraction, int]
-
-
-def tabulate_trees(
-    exprs: Sequence[BracketExpr],
-    weights: Mapping[int, RationalLike],
-    grid: Sequence[Sequence[int]],
-) -> list[Tabulation]:
-    """Every tree of ``exprs`` at fixed slot weights, on every leaf-degree tuple of ``grid``.
-
-    Entry j is ``(values, den)`` with ``values[i] = (d, v)`` such that binding
-    slot s to z^(grid[i][s - 1]) evaluates ``exprs[j]`` to (v / den) z^d.  d
-    is always the sum of the slots' degrees minus ``expr_total_order``, and
-    v == 0 is the zero form.  Each distinct subtree is tabulated in one pass
-    over the whole grid, and subtrees that several trees share (equal as
-    values) once, in a dict local to the call.  A node of order n at child
-    weights (w1, w2) reads and fills the memo of the ``_monomial_bracket``
-    table for (w1, w2, n), which every tree at those weights shares; a tree's
-    ``den`` is the product of its nodes' table ``den``s, so tabulation
-    multiplies integers only.  Slot weights are read even for an empty grid:
-    a slot without one raises :class:`UnboundSlotError`.
-    """
-    for expr in exprs:
-        expr_total_order(expr)  # the nesting bound, before the first hash
-    tables: dict[BracketExpr, _Table] = {}
-    return [_tabulate(expr, weights, grid, tables)[::2] for expr in exprs]
 
 
 def _tabulate(
@@ -343,10 +326,7 @@ def _tabulate(
         left, weight1, den1 = _tabulate(expr.left, weights, grid, tables)
         right, weight2, den2 = _tabulate(expr.right, weights, grid, tables)
         n = expr.order
-        row, row_den, memo = _monomial_bracket(weight1, weight2, n)
-        coeffs = [0] * (n + 1)
-        for s, c in row:
-            coeffs[s] = c
+        coeffs, row_den, memo = _monomial_bracket(weight1, weight2, n)
         values = []
         for (deg1, c1), (deg2, c2) in zip(left, right):
             if not (c1 and c2):
@@ -378,24 +358,37 @@ def simplex_slice(slots: int, order: int) -> list[tuple[int, ...]]:
 
 def tabulate_on_slice(
     trees: Sequence[BracketExpr], weights: Mapping[int, RationalLike], order: int
-) -> tuple[list[Tabulation], list[tuple[int, ...]], list[int]]:
-    """``(tables, slice, factorials)``: ``trees`` tabulated on the simplex slice.
+) -> tuple[list[Tabulation], list[tuple[int, ...]]]:
+    """``(tables, slice)``: ``trees`` evaluated at fixed slot weights on the simplex slice.
 
     Every tree must have the slots 1..D of ``weights`` (D of them) and total
-    order ``order``.  ``slice`` is ``simplex_slice(D, order)`` and
-    ``factorials[i]`` is prod_j slice[i][j]!.  Each tree is the operator
-    sum_{|j|=order} s_j prod f_j^(j_j), so on z^(a_j) with a = slice[i] it is
-    the constant s_a prod a_j!: with ``(values, den)`` its table,
-    s_a = values[i][1] / (den factorials[i]).
+    order ``order``, and ``slice`` is ``simplex_slice(D, order)``.  Each tree
+    is the operator sum_{|j|=order} s_j prod f_j^(j_j), so binding slot j to
+    z^(a_j), a = slice[i], evaluates it to a constant: with ``(values, den)``
+    its table, that constant is values[i] / den = s_a prod a_j!.
+
+    Each distinct subtree is tabulated in one pass over the slice, and
+    subtrees that several trees share (equal as values) once.  A node of
+    order n at child weights (w1, w2) reads and fills the memo of the
+    ``_monomial_bracket`` table for (w1, w2, n), which every tree at those
+    weights shares; a tree's ``den`` is the product of its nodes' table
+    ``den``s, so tabulation multiplies integers only.  A slot without a
+    weight raises :class:`UnboundSlotError`.
     """
     slots = len(weights)
     for tree in trees:
-        if sorted(expr_slots(tree)) != list(range(1, slots + 1)):
-            raise ValueError(f"a slice tree needs the slots 1..{slots}, got {expr_slots(tree)}")
-        if (total := expr_total_order(tree)) != order:
+        found, total = _slots_and_order(tree)
+        if sorted(found) != list(range(1, slots + 1)):
+            raise ValueError(f"a slice tree needs the slots 1..{slots}, got {found}")
+        if total != order:
             raise ValueError(f"a slice tree needs total order {order}, got {total}")
     grid = simplex_slice(slots, order)
-    return tabulate_trees(trees, weights, grid), grid, [prod(map(factorial, a)) for a in grid]
+    tables: dict[BracketExpr, _Table] = {}
+    out = []
+    for tree in trees:
+        values, _, den = _tabulate(tree, weights, grid, tables)
+        out.append(([v for _, v in values], den))
+    return out, grid
 
 
 def read_off_slice(values: Mapping[tuple[int, ...], int], degrees: Sequence[int]) -> int:

@@ -47,7 +47,6 @@ from .brackets import (
     read_off_slice,
     right_nest,
     tabulate_on_slice,
-    tabulate_trees,
 )
 from .poly import Poly
 from .rationals import RationalLike, as_rational, common_scale
@@ -129,7 +128,7 @@ def _residuals(
         groups.setdefault(expr_total_order(expr), {})[expr] = None
     slices, tabulated = {}, {}
     for order, trees in groups.items():
-        values, slices[order], _ = tabulate_on_slice(list(trees), slot_weights, order)
+        values, slices[order] = tabulate_on_slice(list(trees), slot_weights, order)
         tabulated.update((tree, (order, *table)) for tree, table in zip(trees, values))
     out = []
     for terms in tables:
@@ -137,7 +136,7 @@ def _residuals(
         sums: dict[int, list[int]] = {}
         for m, (_, expr) in zip(multipliers, terms):
             order, values, _ = tabulated[expr]
-            sums[order] = [r + m * v for r, (_, v) in zip(sums.get(order, repeat(0)), values)]
+            sums[order] = [r + m * v for r, v in zip(sums.get(order, repeat(0)), values)]
         residual = {
             order: {a: r for a, r in zip(slices[order], rs) if r}
             for order, rs in sums.items()
@@ -343,12 +342,12 @@ def solve_u_from_brackets(params: ParamTriple, n: int, k: int) -> list[Fraction]
     check_row(params, n, k)
     weights = dict(enumerate(_triple(params), start=1))
     trees = [left_nest(n, k)] + [right_nest(n, q) for q in range(n + 1)]
-    grid = [(n - j, 0, j) for j in range(n + 1)]
+    # every tree has total order n, so the a_j lie on its slice
+    tabulated, grid = tabulate_on_slice(trees, weights, n)
+    at = {a: i for i, a in enumerate(grid)}
+    points = [at[n - j, 0, j] for j in range(n + 1)]
     # tables[t][j]: tree t at a_j, with L first and R_q at t = q + 1
-    tables = [
-        [Fraction(v, den) for _, v in values]
-        for values, den in tabulate_trees(trees, weights, grid)
-    ]
+    tables = [[Fraction(values[i], den) for i in points] for values, den in tabulated]
     lhs, rhs = tables[0], tables[1:]
     row: list[Fraction] = []
     for j in range(n + 1):

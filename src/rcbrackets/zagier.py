@@ -23,7 +23,7 @@ scalars are integer pairs, so no ``Fraction`` Pochhammer is built.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Sequence
 
 from .brackets import left_nest, read_off_slice, tabulate_on_slice
@@ -97,7 +97,7 @@ def _zagier_sums(
     s1, s2, s3 = slots
     weights = dict(enumerate(lams, start=1))
     nests = [left_nest(n, k) for k in range(n + 1)]
-    tables, grid, factorials = tabulate_on_slice(nests, weights, n)
+    tables, grid = tabulate_on_slice(nests, weights, n)
     # every nest has total order n, so the brackets are multiples of z^degree
     degree = sum(degrees) - n
     # z^degree s^a for each slice tuple a; z leads ZAGIER_VARS
@@ -109,16 +109,18 @@ def _zagier_sums(
             exps[pos] = e
         monomials.append(tuple(exps))
     full = factorial(n)
+    # n! / prod a! for each slice tuple a: prod a! divides n!
+    cofactors = [full // prod(map(factorial, a)) for a in grid]
     corrected, second_rows = [], []
     for k, (symbol, den) in enumerate(tables):
-        v = read_off_slice({a: w for a, (_, w) in zip(grid, symbol)}, degrees)
+        v = read_off_slice(dict(zip(grid, symbol)), degrees)
         num, scalar_den = _zagier_pair_scalar(l1, l2, l3, n, k)
         # scalar_k v / den z^degree times the symbol s_a = w / (den prod a!),
-        # over one denominator: prod a! divides n!
-        terms = zip(monomials, symbol, factorials)
+        # over one denominator
+        terms = zip(monomials, symbol, cofactors)
         corrected.append(
             (
-                {exps: num * v * w * (full // f) for exps, (_, w), f in terms},
+                {exps: num * v * w * f for exps, w, f in terms},
                 scalar_den * den * den * full,
             )
         )

@@ -28,7 +28,6 @@ from rcbrackets.brackets import (
     read_off_slice,
     simplex_slice,
     tabulate_on_slice,
-    tabulate_trees,
     tree_symbol,
 )
 from rcbrackets.hypergeom import bracket_coeff_row
@@ -42,6 +41,11 @@ orders = st.integers(min_value=0, max_value=4)
 
 def zpoly(src):
     return poly_from_string(src, ("z",))
+
+
+def z_term(degree, c):
+    """c z^degree, or the zero polynomial when c == 0 (degree may then be negative)."""
+    return Poly.monomial(("z",), {"z": degree}, c) if c else Poly.zero(("z",))
 
 
 def test_weighted_form_lifts_constants():
@@ -173,15 +177,12 @@ row_weights = st.one_of(
 # n = 6 is above deg f + deg g
 @example(Fraction(5, 3), Fraction(1, 4), zpoly("z^2 + 1/2"), zpoly("z^3 - 2/3"), 6)
 def test_dense_bracket_is_bilinear_sum_of_monomial_brackets(w1, w2, p, q, n):
-    pairs = list(product(p.terms.items(), q.terms.items()))
-    grid = [(d1, d2) for ((d1,), _), ((d2,), _) in pairs]
-    ((values, den),) = tabulate_trees([Node(Leaf(1), Leaf(2), n)], {1: w1, 2: w2}, grid)
+    ((values, den),), grid = tabulate_on_slice([Node(Leaf(1), Leaf(2), n)], {1: w1, 2: w2}, n)
+    on_slice = dict(zip(grid, values))
     expected = Poly.zero(("z",))
-    for (((d1,), c1), ((d2,), c2)), (degree, value) in zip(pairs, values):
-        assert degree == d1 + d2 - n
-        scalar = Fraction(value, den)
-        if scalar:
-            expected = expected + Poly.monomial(("z",), {"z": d1 + d2 - n}, c1 * c2 * scalar)
+    for ((d1,), c1), ((d2,), c2) in product(p.terms.items(), q.terms.items()):
+        scalar = Fraction(read_off_slice(on_slice, (d1, d2)), den)
+        expected = expected + z_term(d1 + d2 - n, c1 * c2 * scalar)
     out = rc_bracket(WeightedForm(w1, p), WeightedForm(w2, q), n)
     assert out.weight == w1 + w2 + 2 * n
     assert out.form == expected
@@ -197,7 +198,7 @@ def test_integer_bracket_row_equals_binomial_formula(w1, w2, n):
     assert [Fraction(v, den) for v in row] == want
     table_row, table_den, _ = _monomial_bracket(w1, w2, n)
     assert den == table_den == lcm(*(c.denominator for c in want))
-    assert table_row == tuple((s, c * den) for s, c in enumerate(want) if c)
+    assert table_row == tuple(c * den for c in want)
 
 
 def schoolbook_bracket(w1, w2, f, g, n):
@@ -305,8 +306,6 @@ def test_tree_deeper_than_the_recursion_limit_is_refused():
         tree = Node(tree, Leaf(slot), 0)
     weights = {slot: 1 for slot in range(1, 5002)}
     with pytest.raises(NestingTooDeepError):
-        tabulate_trees([tree], weights, [])
-    with pytest.raises(NestingTooDeepError):
         tabulate_on_slice([tree], weights, 0)
 
 
@@ -320,7 +319,7 @@ def test_wide_shallow_tree_tabulates_on_its_slice():
         return Node(balanced(lo, mid), balanced(mid + 1, hi), 0)
 
     weights = {slot: 1 for slot in range(1, 1501)}
-    assert tabulate_on_slice([balanced(1, 1500)], weights, 0) == ([([(0, 1)], 1)], [(0,) * 1500], [1])
+    assert tabulate_on_slice([balanced(1, 1500)], weights, 0) == ([([1], 1)], [(0,) * 1500])
     assert simplex_slice(1500, 1) == [(0,) * i + (1,) + (0,) * (1499 - i) for i in range(1499, -1, -1)]
 
 
@@ -330,7 +329,7 @@ def test_tree_too_deep_for_the_c_hash_is_refused_not_crashed():
     them with the nesting bound first, so it raises; in a child process, which
     a crash kills."""
     script = (
-        "from rcbrackets.brackets import Leaf, Node, tabulate_on_slice, tabulate_trees\n"
+        "from rcbrackets.brackets import Leaf, Node, tabulate_on_slice\n"
         "from rcbrackets.identities import verify_on_monomials\n"
         "from rcbrackets.poly import NestingTooDeepError\n"
         "from rcbrackets.rewrite import to_standard\n"
@@ -338,7 +337,6 @@ def test_tree_too_deep_for_the_c_hash_is_refused_not_crashed():
         "for _ in range(400_000):\n"
         "    tree = Node(tree, leaf, 0)\n"
         "for call in (\n"
-        "    lambda: tabulate_trees([tree], {1: 1, 2: 1}, []),\n"
         "    lambda: tabulate_on_slice([tree], {1: 1, 2: 1}, 0),\n"
         "    lambda: verify_on_monomials('deep', [1, 1], [[({}, [(1, tree)])]], 0),\n"
         "    lambda: to_standard(tree, {1: 1, 2: 1}),\n"
@@ -352,7 +350,7 @@ def test_tree_too_deep_for_the_c_hash_is_refused_not_crashed():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["NestingTooDeepError"] * 4
+    assert proc.stdout.split() == ["NestingTooDeepError"] * 3
 
 
 def test_expr_slots_and_duplicates():
@@ -421,30 +419,43 @@ def _mirrored(expr):
     return Node(_mirrored(expr.right), _mirrored(expr.left), expr.order)
 
 
+def _on_first_slots(expr, weights):
+    """``expr`` with its slots renamed 1..D in increasing order, and their weights."""
+    rename = {slot: i for i, slot in enumerate(sorted(expr_slots(expr)), start=1)}
+
+    def build(e):
+        if isinstance(e, Leaf):
+            return Leaf(rename[e.slot])
+        return Node(build(e.left), build(e.right), e.order)
+
+    return build(expr), {i: weights[slot] for slot, i in rename.items()}
+
+
+def _read_at(tables, grid, degs):
+    """Each table's value at leaf degrees ``degs``, read off the slice, over its den."""
+    return [Fraction(read_off_slice(dict(zip(grid, values)), degs), den) for values, den in tables]
+
+
 @given(
     bracket_trees(),
     st.lists(signed_weights, min_size=5, max_size=5),
     st.lists(leaf_degrees, min_size=1, max_size=3),
 )
 def test_monomial_evaluator_matches_eval_bracket_tree(expr, ws, degree_tuples):
-    slot_weights = dict(enumerate(ws, start=1))
+    slots = expr_slots(expr)
+    weights = {slot: ws[slot - 1] for slot in slots}
+    order = expr_total_order(expr)
     # the mirror meets each (w1, w2, n) node of expr as (w2, w1, n) and reads
     # (d1, d2) as (d2, d1); both trees share the monomial tables
     trees = [expr, _mirrored(expr)]
-    slots = expr_slots(expr)
-    # one call per tuple: later calls reuse the table values of earlier ones
+    tables, grid = tabulate_on_slice(trees, weights, order)
+    for values, den in tables:
+        assert all(isinstance(v, int) for v in values) and isinstance(den, int)
     for degs in degree_tuples:
-        leaves = {slot: monomial_form(slot_weights[slot], degs[slot - 1]) for slot in slots}
-        tables = tabulate_trees(trees, slot_weights, [degs])
-        for tree, (((degree, v),), den) in zip(trees, tables):
-            assert isinstance(v, int) and isinstance(den, int)
-            c = Fraction(v, den)
-            expected = eval_bracket_tree(tree, leaves).form
-            assert degree == sum(degs[slot - 1] for slot in slots) - expr_total_order(expr)
-            if c:
-                assert expected == Poly.monomial(("z",), {"z": degree}, c)
-            else:
-                assert expected.is_zero()
+        leaves = {slot: monomial_form(weights[slot], degs[slot - 1]) for slot in slots}
+        degree = sum(degs[slot - 1] for slot in slots) - order
+        for tree, c in zip(trees, _read_at(tables, grid, degs[: len(slots)])):
+            assert eval_bracket_tree(tree, leaves).form == z_term(degree, c)
 
 
 def _subtrees(expr):
@@ -461,66 +472,71 @@ def _subtrees(expr):
     st.lists(leaf_degrees, min_size=1, max_size=5),
 )
 def test_tabulated_trees_equal_eval_bracket_tree(expr, order, ws, grid):
-    slot_weights = dict(enumerate(ws, start=1))
-    # the trees share subtrees: every subtree of expr, the mirror (which shares
-    # its leaves), expr's children under another order and expr's left child
-    # at expr's order beside the mirrored right child
-    trees = _subtrees(expr) + [
+    weights = {slot: ws[slot - 1] for slot in range(1, len(expr_slots(expr)) + 1)}
+    # the trees on all of expr's slots share subtrees: the mirror shares its
+    # leaves, expr's children come under another order, and expr's left child
+    # at expr's order sits beside the mirrored right child.  Each total order
+    # is one call on its slice, as in ``identities._residuals``
+    trees = [
+        expr,
         _mirrored(expr),
         Node(expr.left, expr.right, order),
         Node(expr.left, _mirrored(expr.right), expr.order),
     ]
+    groups = {}
+    for tree in trees:
+        groups.setdefault(expr_total_order(tree), {})[tree] = None
+    calls = [(list(group), weights) for group in groups.values()]
+    # and every subtree alone, its slots renamed to start at 1
+    calls += [([tree], w) for tree, w in (_on_first_slots(t, weights) for t in _subtrees(expr))]
     # the zero tuple has degree 0, below the total order of every tree with a
     # nonzero order, so those trees are zero there
     grid = grid + [[0] * 5]
-    tables = tabulate_trees(trees, slot_weights, grid)
-    assert len(tables) == len(trees)
-    for tree, (values, den) in zip(trees, tables):
-        slots = expr_slots(tree)
-        assert len(values) == len(grid)
-        assert den == tabulate_trees([tree], slot_weights, [])[0][1]
-        for degs, (degree, v) in zip(grid, values):
-            leaves = {slot: monomial_form(slot_weights[slot], degs[slot - 1]) for slot in slots}
-            expected = eval_bracket_tree(tree, leaves).form
-            assert degree == sum(degs[slot - 1] for slot in slots) - expr_total_order(tree)
-            if v:
-                assert expected == Poly.monomial(("z",), {"z": degree}, Fraction(v, den))
-            else:
-                assert expected.is_zero()
-        if expr_total_order(tree):
-            assert values[-1] == (-expr_total_order(tree), 0)
-
-
-def test_tabulate_trees_checks_weights_on_an_empty_grid():
-    expr = Node(Node(Leaf(1), Leaf(2), 1), Leaf(3), 0)
-    with pytest.raises(UnboundSlotError, match="slot 3"):
-        tabulate_trees([expr], {1: Fraction(1), 2: Fraction(1, 2)}, [])
-    # den is the product of the nodes' row denominators: [f1,f2]_1 at (1, 2),
-    # then order 0 at (1 + 2 + 2, 3)
-    inner = _monomial_bracket(Fraction(1), Fraction(2), 1)
-    outer = _monomial_bracket(Fraction(5), Fraction(3), 0)
-    den = inner[1] * outer[1]
-    assert tabulate_trees([expr], {1: 1, 2: 2, 3: 3}, []) == [([], den)]
+    for group, slot_weights in calls:
+        total = expr_total_order(group[0])
+        tables, slice_ = tabulate_on_slice(group, slot_weights, total)
+        assert len(tables) == len(group)
+        for tree, (values, den) in zip(group, tables):
+            assert len(values) == len(slice_)
+            assert den == tabulate_on_slice([tree], slot_weights, total)[0][0][1]
+            for degs in grid:
+                degs = degs[: len(slot_weights)]
+                leaves = {i: monomial_form(slot_weights[i], d) for i, d in enumerate(degs, 1)}
+                (c,) = _read_at([(values, den)], slice_, degs)
+                assert eval_bracket_tree(tree, leaves).form == z_term(sum(degs) - total, c)
+            if total:
+                assert c == 0
 
 
 def test_monomial_evaluator_degree_below_order_is_zero():
     tree = Node(Leaf(1), Leaf(2), 3)
-    ((values, _),) = tabulate_trees([tree], {1: Fraction(1, 2), 2: 1}, [(1, 1), (2, 0), (2, 1)])
-    assert values[:2] == [(-1, 0), (-1, 0)]
-    assert values[2][1] != 0
-    # a zero inner bracket makes the whole tree zero, at the formal degree
+    tables, grid = tabulate_on_slice([tree], {1: Fraction(1, 2), 2: 1}, 3)
+    assert [_read_at(tables, grid, degs)[0] for degs in ((1, 1), (2, 0))] == [0, 0]
+    assert _read_at(tables, grid, (2, 1))[0] != 0
+    # a zero inner bracket makes the whole tree zero: on the slice of
+    # [[f1,f2]_2,f3]_0 that is every a with a1 + a2 < 2, and at (1, 0, 5)
     outer = Node(Node(Leaf(1), Leaf(2), 2), Leaf(3), 0)
-    assert tabulate_trees([outer], {1: 1, 2: 2, 3: 3}, [(1, 0, 5)])[0][0] == [(4, 0)]
+    tables, grid = tabulate_on_slice([outer], {1: 1, 2: 2, 3: 3}, 2)
+    assert [v for a, v in zip(grid, tables[0][0]) if a[0] + a[1] < 2] == [0, 0, 0]
+    assert _read_at(tables, grid, (1, 0, 5)) == [0]
 
 
 def test_monomial_evaluator_single_leaf():
-    assert tabulate_trees([Leaf(2)], {2: Fraction(7, 3)}, [(5, 3)]) == [([(3, 1)], 1)]
+    assert tabulate_on_slice([Leaf(1)], {1: Fraction(7, 3)}, 0) == ([([1], 1)], [(0,)])
+    assert read_off_slice({(0,): 1}, (3,)) == 1
 
 
 def test_monomial_evaluator_unbound_slot_at_compile_time():
     expr = Node(Node(Leaf(1), Leaf(2), 1), Leaf(3), 0)
+    # three weights, so the slot check passes, but none for slot 3
     with pytest.raises(UnboundSlotError, match="slot 3"):
-        tabulate_trees([expr], {1: Fraction(1), 2: Fraction(1, 2)}, [(1, 1, 1)])
+        tabulate_on_slice([expr], {1: Fraction(1), 2: Fraction(1, 2), 4: Fraction(1)}, 1)
+    # den is the product of the nodes' row denominators: [f1,f2]_1 at (1, 2),
+    # then order 0 at (1 + 2 + 2, 3)
+    inner = _monomial_bracket(Fraction(1), Fraction(2), 1)
+    outer = _monomial_bracket(Fraction(5), Fraction(3), 0)
+    ((_, den),), _ = tabulate_on_slice([expr], {1: 1, 2: 2, 3: 3}, 1)
+    assert den == inner[1] * outer[1]
 
 
 # -- tree symbols ------------------------------------------------------------------
@@ -551,16 +567,17 @@ def test_tree_symbol_acts_as_monomial_evaluator(expr, ws, degs):
     assert weight == expr_weight(expr, slot_weights)
     assert total == sum((SYMBOL_LEAVES[slot] for slot in slots), Poly.zero(VAR_ORDER))
     assert symbol.total_degree() in (-1, expr_total_order(expr))
-    ((((_, v),), den),) = tabulate_trees([expr], slot_weights, [degs])
-    assert Fraction(v, den) == _symbol_on_monomials(symbol, degs)
+    weights = {slot: slot_weights[slot] for slot in slots}
+    tables, grid = tabulate_on_slice([expr], weights, expr_total_order(expr))
+    assert _read_at(tables, grid, degs[: len(slots)]) == [_symbol_on_monomials(symbol, degs)]
 
 
 def test_tree_symbol_single_leaf():
     total, symbol, weight = tree_symbol(Leaf(2), {2: Fraction(7, 3)}, SYMBOL_LEAVES)
     assert (total, symbol, weight) == (SYMBOL_LEAVES[2], None, Fraction(7, 3))
     degs = (5, 3, 0, 0, 0)
-    assert tabulate_trees([Leaf(2)], {2: Fraction(7, 3)}, [degs]) == [([(3, 1)], 1)]
-    assert _symbol_on_monomials(symbol, degs) == 1
+    tables, grid = tabulate_on_slice([Leaf(1)], {1: Fraction(7, 3)}, 0)
+    assert _read_at(tables, grid, degs[1:2]) == [1] == [_symbol_on_monomials(symbol, degs)]
 
 
 def test_tree_symbol_unbound_slot():
@@ -571,25 +588,29 @@ def test_tree_symbol_unbound_slot():
         tree_symbol(expr, {1: 1}, SYMBOL_LEAVES)
 
 
-# a row with zeros, (d1, d2) below n in either slot, and pairs with no live s at all
-@example(Fraction(-2), Fraction(1, 2), 4, [(0, 0), (1, 2), (3, 0), (0, 5), (2, 2)])
-@example(Fraction(1, 3), Fraction(5, 2), 3, [(0, 1), (1, 0), (3, 0), (0, 3), (1, 1)])
+# a row with zeros, and pairs (d1, d2) below n in either slot or with no live s at all
+@example(Fraction(-2), Fraction(1, 2), 4, 3)
+@example(Fraction(1, 3), Fraction(5, 2), 3, 2)
 @given(
     row_weights,
     row_weights,
     st.integers(min_value=0, max_value=6),
-    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), min_size=1, max_size=8),
+    st.integers(min_value=0, max_value=4),
 )
-def test_memo_entries_equal_the_full_row_sum(w1, w2, n, grid):
-    ((values, den),) = tabulate_trees([Node(Leaf(1), Leaf(2), n)], {1: w1, 2: w2}, grid)
+def test_memo_entries_equal_the_full_row_sum(w1, w2, n, extra):
+    # on its slice, the inner node of [[f1,f2]_n,f3]_extra meets every (a1, a2)
+    # with a1 + a2 <= n + extra, including those with a1 + a2 < n
+    outer = Node(Node(Leaf(1), Leaf(2), n), Leaf(3), extra)
+    _, grid = tabulate_on_slice([outer], {1: w1, 2: w2, 3: Fraction(1, 2)}, n + extra)
+    ((values, den),), pairs = tabulate_on_slice([Node(Leaf(1), Leaf(2), n)], {1: w1, 2: w2}, n)
     row, table_den, memo = _monomial_bracket(w1, w2, n)
     assert den == table_den
-    for d1, d2 in grid:
+    for d1, d2, _ in grid:
         assert (d1, d2) in memo
     # every entry, including those earlier calls filled, sums over s = 0..n
     for (d1, d2), value in memo.items():
-        assert value == sum(c * perm(d1, s) * perm(d2, n - s) for s, c in row)
-    assert values == [(d1 + d2 - n, memo[d1, d2]) for d1, d2 in grid]
+        assert value == sum(c * perm(d1, s) * perm(d2, n - s) for s, c in enumerate(row))
+    assert values == [memo[d1, d2] for d1, d2 in pairs]
 
 
 # -- the simplex slice ------------------------------------------------------------
@@ -633,15 +654,14 @@ def test_slice_values_are_tree_symbol_coefficients(tree, ws) -> None:
     slots = len(expr_slots(tree))
     weights = dict(enumerate(ws[:slots], start=1))
     order = expr_total_order(tree)
-    (((values, den),), grid, factorials) = tabulate_on_slice([tree], weights, order)
+    ((values, den),), grid = tabulate_on_slice([tree], weights, order)
     leaves = {slot: Poly.variable(SLICE_VARS[slot - 1], SLICE_VARS) for slot in weights}
     symbol = tree_symbol(tree, weights, leaves)[1] or Poly.const(SLICE_VARS, 1)
-    assert factorials == [prod(map(factorial, a)) for a in grid]
     read = Poly.zero(SLICE_VARS)
-    for a, (degree, v), f in zip(grid, values, factorials):
-        assert degree == 0
+    for a, v in zip(grid, values):
+        assert isinstance(v, int)
         s_a = symbol.coeff({name: e for name, e in zip(SLICE_VARS, a)})
-        assert Fraction(v, den) == s_a * f
+        assert Fraction(v, den) == s_a * prod(map(factorial, a))
         read = read + Poly.monomial(SLICE_VARS, dict(zip(SLICE_VARS, a)), s_a)
     assert read == symbol
 
@@ -649,17 +669,20 @@ def test_slice_values_are_tree_symbol_coefficients(tree, ws) -> None:
 def test_tabulate_on_slice_reads_brackets_back_and_checks_its_trees() -> None:
     weights = {1: Fraction(1, 2), 2: Fraction(7, 3)}
     tree = Node(Leaf(2), Leaf(1), 2)
-    ((values, den),), grid, _ = tabulate_on_slice([tree], weights, 2)
+    ((values, den),), grid = tabulate_on_slice([tree], weights, 2)
     assert grid == [(0, 2), (1, 1), (2, 0)]
-    on_slice = {a: v for a, (_, v) in zip(grid, values)}
+    on_slice = dict(zip(grid, values))
     leaves = {1: monomial_form(weights[1], 3), 2: monomial_form(weights[2], 4)}
     value = Poly.monomial(("z",), {"z": 5}, Fraction(read_off_slice(on_slice, (3, 4)), den))
     assert eval_bracket_tree(tree, leaves).form == value
     assert read_off_slice(on_slice, (1, 0)) == 0
-    with pytest.raises(ValueError, match="total order 3"):
+    # one walk per tree finds its slots and total order, and each check keeps its error
+    with pytest.raises(ValueError, match="^a slice tree needs total order 3, got 2$"):
         tabulate_on_slice([tree], weights, 3)
-    with pytest.raises(ValueError, match="slots 1..3"):
+    with pytest.raises(ValueError, match=r"^a slice tree needs the slots 1\.\.3, got \(2, 1\)$"):
         tabulate_on_slice([tree], {**weights, 3: Fraction(1)}, 2)
+    with pytest.raises(DuplicateSlotError, match="^slot 1 occurs twice$"):
+        tabulate_on_slice([tree, Node(Leaf(1), Leaf(1), 2)], weights, 2)
 
 
 @given(
@@ -671,8 +694,8 @@ def test_read_off_slice_is_the_tree_at_any_leaf_degrees(tree, ws, degs) -> None:
     slots = len(expr_slots(tree))
     weights, degs = dict(enumerate(ws[:slots], start=1)), degs[:slots]
     order = expr_total_order(tree)
-    (((values, den),), grid, _) = tabulate_on_slice([tree], weights, order)
-    on_slice = {a: v for a, (_, v) in zip(grid, values)}
-    ((direct, direct_den),) = tabulate_trees([tree], weights, [degs])
-    assert direct_den == den
-    assert direct == [(sum(degs) - order, read_off_slice(on_slice, degs))]
+    tables, grid = tabulate_on_slice([tree], weights, order)
+    # the general kernel on monomial forms, an independent route
+    leaves = {slot: monomial_form(weights[slot], d) for slot, d in zip(weights, degs)}
+    (c,) = _read_at(tables, grid, degs)
+    assert eval_bracket_tree(tree, leaves).form == z_term(sum(degs) - order, c)

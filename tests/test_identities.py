@@ -18,7 +18,7 @@ from rcbrackets.brackets import (
     left_nest,
     monomial_form,
     right_nest,
-    tabulate_trees,
+    tabulate_on_slice,
     tree_symbol,
 )
 from rcbrackets.hypergeom import jacobi_two_var
@@ -203,14 +203,14 @@ def test_right_nests_are_triangular_at_solver_degrees(params, n) -> None:
     l2, l3 = params.lam2, params.lam3
     weights = dict(enumerate((params.lam1, l2, l3), start=1))
     for q in range(n + 1):
-        grid = [(n - j, 0, j) for j in range(q + 1)]
-        ((values, den),) = tabulate_trees([right_nest(n, q)], weights, grid)
-        for j, (degree, numerator) in enumerate(values):
-            value = Fraction(numerator, den)
+        # the degrees (n-j, 0, j) lie on the slice of total order n
+        ((values, den),), grid = tabulate_on_slice([right_nest(n, q)], weights, n)
+        on_slice = dict(zip(grid, values))
+        for j in range(q + 1):
+            value = Fraction(on_slice[n - j, 0, j], den)
             if j < q:
                 assert value == 0
             else:
-                assert degree == 0
                 assert value == (-1) ** (n - j) * pochhammer(l2, j) * pochhammer(
                     l2 + l3 + 2 * j, n - j
                 )

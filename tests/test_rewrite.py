@@ -20,7 +20,6 @@ from rcbrackets.brackets import (
     expr_total_order,
     format_expr,
     tabulate_on_slice,
-    tabulate_trees,
 )
 from rcbrackets.cli import main
 from rcbrackets.identities import verify_on_monomials
@@ -405,13 +404,9 @@ def _itself(tree: Node) -> list[tuple[Fraction, Node]]:
 # each entry point that hashes or rewrites a caller's tree, as a call on
 # (tree, slot weights), with its result on the standard comb of orders k at the bound
 ENTRY_POINTS = {
-    "tabulate_trees": (
-        lambda tree, weights: tabulate_trees([tree], weights, [[0] * len(weights)]),
-        lambda k: [([(0, 1)], 1)],
-    ),
     "tabulate_on_slice": (
         lambda tree, weights: tabulate_on_slice([tree], weights, 0)[0],
-        lambda k: [([(0, 1)], 1)],
+        lambda k: [([1], 1)],
     ),
     "verify_on_monomials": (
         lambda tree, weights: [
