@@ -18,6 +18,7 @@ from rcbrackets.brackets import (
     WeightedForm,
     _bracket_kernel,
     _monomial_bracket,
+    _tabulate,
     eval_bracket_tree,
     expr_slots,
     expr_total_order,
@@ -531,12 +532,23 @@ def test_monomial_evaluator_unbound_slot_at_compile_time():
     # three weights, so the slot check passes, but none for slot 3
     with pytest.raises(UnboundSlotError, match="slot 3"):
         tabulate_on_slice([expr], {1: Fraction(1), 2: Fraction(1, 2), 4: Fraction(1)}, 1)
+
+
+def test_tabulate_trees_checks_weights_on_an_empty_grid():
+    # the slice is never empty, so the tree walk under tabulate_on_slice is
+    # run on an empty grid directly: weights and dens do not need a point
+    expr = Node(Node(Leaf(1), Leaf(2), 1), Leaf(3), 0)
+    with pytest.raises(UnboundSlotError, match="slot 3"):
+        _tabulate(expr, {1: Fraction(1), 2: Fraction(1, 2)}, [], {})
     # den is the product of the nodes' row denominators: [f1,f2]_1 at (1, 2),
     # then order 0 at (1 + 2 + 2, 3)
     inner = _monomial_bracket(Fraction(1), Fraction(2), 1)
     outer = _monomial_bracket(Fraction(5), Fraction(3), 0)
-    ((_, den),), _ = tabulate_on_slice([expr], {1: 1, 2: 2, 3: 3}, 1)
-    assert den == inner[1] * outer[1]
+    den = inner[1] * outer[1]
+    assert _tabulate(expr, {1: 1, 2: 2, 3: 3}, [], {}) == ([], 8, den)
+    # the slice tabulator gives the same den at its points
+    ((_, slice_den),), _ = tabulate_on_slice([expr], {1: 1, 2: 2, 3: 3}, 1)
+    assert slice_den == den
 
 
 # -- tree symbols ------------------------------------------------------------------
