@@ -40,14 +40,10 @@ from .identities import (
     cmz_reports,
     run_suite,
     solve_u_from_brackets,
+    verify_block,
     verify_classical,
-    verify_convolution,
-    verify_eholzer_associativity,
     verify_four_function,
-    verify_main_identity,
     verify_on_monomials,
-    verify_operator_convolution,
-    verify_reverse_identity,
 )
 from .poly import (
     MAX_NESTING,

@@ -14,15 +14,20 @@ vanishes on every input iff it vanishes on the simplex slices |a| = N of its
 trees.  One engine, ``_residuals``, tabulates each total order's distinct
 trees once on its slice (``brackets.tabulate_on_slice``) and sums each
 table's integer residuals over one denominator.  ``verify_on_monomials``
-reads them as reports on the leaf-degree grid {0..max_degree}^slots, reading
-only a nonzero residual at each tuple (``brackets.read_off_slice``), and
-``convolution`` and ``operator`` read the main table's as symbols, so their
-pass means the main identity holds for every polynomial input at that triple.
+reads them on the leaf-degree grid {0..max_degree}^slots, reading only a
+nonzero residual at each tuple (``brackets.read_off_slice``).
 
-For each triple and n, the main identity is the matrix identity L = U R
-(row k of U takes the right nests R_p to the left nest L_k), checked as one
-block per (triple, n) whose public verifier (``verify_main_identity`` and
-the like) returns one report per row 0..n and reads U through ``u_row``.
+The main identity is the matrix identity L = U R (row k of U takes the right
+nests R_p to the left nest L_k), one block per (triple, n).  The block suites
+(``main``, ``reverse``, ``convolution``, ``operator``, ``eholzer``) run as
+one plan, the n of each suite: ``_tree_reports`` builds each of a triple's
+tables once and makes one ``_residuals`` call, so shared nests are
+tabulated once; ``verify_block`` runs one suite at one n.  ``convolution``
+and ``operator`` are views of the main residual as a symbol, not independent
+routes: a pass means the main identity holds for every polynomial input at
+that triple.  ``run_suite`` builds every plan table of a triple before
+reading any, so on a bad triple the error may come from another suite than
+when each suite ran alone, with the same exception types.
 ``brackets.tree_symbol``, ``verma.intertwiner_phi_tilde`` and
 ``star.assoc_defect`` stay the tests' independent routes.
 
@@ -38,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, product, repeat
 from math import factorial, lcm
-from typing import Callable, Sequence
+from typing import Mapping, Sequence
 
 from .brackets import (
     BracketExpr,
@@ -75,20 +80,11 @@ ASSERTED_KAPPAS = (Fraction(1, 2), Fraction(3, 2))
 GENERIC_KAPPAS = (Fraction(5, 7),)
 
 
-def _blocks(
-    block: Callable[..., list[VerificationReport]],
-    triples: Sequence[ParamTriple],
-    bound: int,
-    *args: object,
-) -> list[VerificationReport]:
-    """``block(triple, n, *args)`` for every triple and n <= bound: one report
-    per (triple, n, row), triple-major."""
-    return [report for tr in triples for n in range(bound + 1) for report in block(tr, n, *args)]
-
-
 # -- checked identities -----------------------------------------------------------
 
 Terms = list[tuple[Fraction, BracketExpr]]
+# (den, {N: {a: r}}): a table's nonzero integer residuals on its slices (:func:`_residuals`)
+Residual = tuple[int, dict[int, dict[tuple[int, ...], int]]]
 
 CLASSICAL_TERMS = (
     (
@@ -109,9 +105,7 @@ FOUR_FUNCTION_TERMS = (
 )
 
 
-def _residuals(
-    weights: Sequence[RationalLike], tables: Sequence[Terms]
-) -> list[tuple[int, dict[int, dict[tuple[int, ...], int]]]]:
+def _residuals(weights: Sequence[RationalLike], tables: Sequence[Terms]) -> list[Residual]:
     """``(den, {N: {a: r}})`` for each term table: its nonzero integer residuals
     on the simplex slices, r / den = sum_T c_T T(z^a) over its trees T of total
     order N, at each a with |a| = N.
@@ -154,24 +148,33 @@ def verify_on_monomials(
 ) -> list[VerificationReport]:
     """Check that every term table sums to zero on all monomial leaf bindings,
     one report per row of ``rows``, a row being (failure label, terms) pairs.
-
     Slot i carries ``weights[i-1]``, and every tree must have the slots
-    1..len(weights).  Each degree tuple b in {0..max_degree}^slots is one
-    instance per table.  A table whose slice residual (:func:`_residuals`) is
-    empty passes them all, and nothing is evaluated on the grid.  A nonzero
-    residual is read at each b (``brackets.read_off_slice``, at z-degree
-    |b| - N), and each nonzero value is a failure recording the sample, the
-    label's fields, the degrees and the value, degree-major across the row's
-    tables.
-    """
+    1..len(weights).  The residuals are read by :func:`_grid_reports`."""
     weights = [as_rational(w) for w in weights]
-    sample = {f"lam{slot}": str(w) for slot, w in enumerate(weights, start=1)}
     residuals = iter(_residuals(weights, [terms for row in rows for _, terms in row]))
+    read = [[(label, next(residuals)) for label, _ in row] for row in rows]
+    return _grid_reports(identity_id, weights, read, max_degree)
+
+
+def _grid_reports(
+    identity_id: str,
+    weights: Sequence[Fraction],
+    rows: Sequence[Sequence[tuple[dict[str, object], Residual]]],
+    max_degree: int,
+) -> list[VerificationReport]:
+    """One report per row of (failure label, slice residual) pairs, each table
+    checked on the degree grid {0..max_degree}^slots, one instance per tuple b.
+
+    A table whose residual is empty passes them all, and nothing is evaluated
+    on the grid.  A nonzero residual is read at each b (``read_off_slice``, at
+    z-degree |b| - N); each nonzero value is a failure recording the sample,
+    the label's fields, the degrees and the value, degree-major in the row.
+    """
+    sample = {f"lam{slot}": str(w) for slot, w in enumerate(weights, start=1)}
     grid = list(product(range(max_degree + 1), repeat=len(weights)))
     reports = []
     for row in rows:
-        tables = zip((label for label, _ in row), residuals)
-        failing = [(label, den, residual) for label, (den, residual) in tables if residual]
+        failing = [(label, den, residual) for label, (den, residual) in row if residual]
         failures = []
         for degrees in grid if failing else ():
             for label, den, residual in failing:
@@ -206,24 +209,6 @@ def reverse_terms(params: ParamTriple, n: int, p: int) -> Terms:
     return terms + [(-u, left_nest(n, k)) for k, u in enumerate(row) if u]
 
 
-def verify_main_identity(
-    params: ParamTriple, n: int, max_degree: int = 3
-) -> list[VerificationReport]:
-    """[[f1,f2]_k, f3]_{n-k} = sum_p U_{k,p} [f1, [f2,f3]_p]_{n-p} on monomials,
-    one report per row k = 0..n: L = U R at (params, n) as one block."""
-    rows = [[({"n": n, "k": k}, main_terms(params, n, k))] for k in range(n + 1)]
-    return verify_on_monomials("main-recoupling", _triple(params), rows, max_degree)
-
-
-def verify_reverse_identity(
-    params: ParamTriple, n: int, max_degree: int = 3
-) -> list[VerificationReport]:
-    """[f1, [f2,f3]_p]_{n-p} = sum_k Utilde_{p,k} [[f1,f2]_k, f3]_{n-k} on monomials,
-    one report per row p = 0..n, as one block."""
-    rows = [[({"n": n, "p": p}, reverse_terms(params, n, p))] for p in range(n + 1)]
-    return verify_on_monomials("reverse-recoupling", _triple(params), rows, max_degree)
-
-
 def verify_classical(params: ParamTriple, max_degree: int = 4) -> VerificationReport:
     """First-bracket Jacobi-type cyclic identity and its weighted order-0 variant."""
     weights = _triple(params)
@@ -236,64 +221,6 @@ def verify_four_function(weights: Sequence[Fraction], max_degree: int = 2) -> Ve
     """Four-slot identity: the sum of the four order-(0,0,1) triple products vanishes."""
     rows = [[({}, bind_terms(FOUR_FUNCTION_TERMS, {}))]]
     return verify_on_monomials("four-function-first-order", weights, rows, max_degree)[0]
-
-
-def _slice_residuals(params: ParamTriple, n: int) -> list[Poly]:
-    """The residual symbol sum_T c_T S_T of the main table at (params, n), for
-    each row k = 0..n: the symbol view of :func:`_residuals`, whose
-    coefficient of x^a1 y^a2 z^a3 is r / (den prod a_i!)."""
-    rows = [main_terms(params, n, k) for k in range(n + 1)]
-    symbols = []
-    for den, residual in _residuals(_triple(params), rows):
-        # slots 1, 2, 3 read x, y, z (SYMBOL_LEAVES), and z leads GEOMETRIC_VARS
-        symbol = {
-            (a3, a1, a2): Fraction(r, den * factorial(a1) * factorial(a2) * factorial(a3))
-            for (a1, a2, a3), r in residual.get(n, {}).items()
-        }
-        symbols.append(Poly._trusted(GEOMETRIC_VARS, symbol))
-    return symbols
-
-
-def verify_convolution(params: ParamTriple, n: int) -> list[VerificationReport]:
-    """The main table on symbols (slots x, y, z): sum_T c_T S_T = 0 in Poly(z, x, y),
-    one report per row k = 0..n.
-
-    This is the convolution identity between products of homogeneous Jacobi
-    forms: row k passes iff its residual symbol (:func:`_slice_residuals`) is
-    0, and a failure records that symbol.
-    """
-    sample = sample_dict(params)
-    reports = []
-    for k, symbol in enumerate(_slice_residuals(params, n)):
-        record = {"sample": sample, "n": n, "k": k}
-        failures = [] if symbol.is_zero() else [{**record, "value": str(symbol)}]
-        reports.append(VerificationReport.checked("jacobi-convolution", [sample], 1, failures))
-    return reports
-
-
-def verify_operator_convolution(
-    params: ParamTriple, n: int, max_degree: int = 3
-) -> list[VerificationReport]:
-    """The main table as an operator on inputs t^m, m <= ``max_degree``, one
-    report per row k = 0..n.
-
-    Row k's residual on t^m is its ``convolution`` residual symbol times
-    (x+y+z)^m: one instance per m, each a pass iff that symbol is 0.
-    """
-    sample = sample_dict(params)
-    leaf_sum = sum(SYMBOL_LEAVES.values(), Poly.zero(GEOMETRIC_VARS))
-    reports = []
-    for k, symbol in enumerate(_slice_residuals(params, n)):
-        record = {"sample": sample, "n": n, "k": k}
-        failures = [
-            {**record, "input_degree": m, "value": str(symbol * leaf_sum**m)}
-            for m in range(max_degree + 1)
-            if not symbol.is_zero()
-        ]
-        reports.append(
-            VerificationReport.checked("operator-convolution", [sample], max_degree + 1, failures)
-        )
-    return reports
 
 
 def eholzer_terms(order: int) -> Terms:
@@ -314,12 +241,86 @@ def eholzer_terms(order: int) -> Terms:
     return terms
 
 
-def verify_eholzer_associativity(
-    params: ParamTriple, order: int = 6, max_degree: int = 3
-) -> VerificationReport:
-    """Associativity of the truncated star product on monomial symbols."""
-    rows = [[({}, eholzer_terms(order))]]
-    return verify_on_monomials("eholzer-associativity", _triple(params), rows, max_degree)[0]
+# the block suites, read off the term tables of one (triple, n), and their report ids
+BLOCK_IDS = {
+    "main": "main-recoupling",
+    "reverse": "reverse-recoupling",
+    "convolution": "jacobi-convolution",
+    "operator": "operator-convolution",
+    "eholzer": "eholzer-associativity",
+}
+
+
+def _tree_reports(
+    params: ParamTriple, plan: Mapping[str, Sequence[int]], max_degree: int
+) -> dict[str, list[VerificationReport]]:
+    """Each block suite's reports at one triple, one per row of each n that
+    ``plan`` maps the suite to, n-major (for ``eholzer``, one per order).
+
+    Every table is built once and all go through one :func:`_residuals` call.
+    ``main``, ``reverse`` and ``eholzer`` read the degree grid.  Main row k's
+    residual symbol sum_T c_T S_T in Poly(z, x, y), with coefficient
+    r / (den prod a_i!) at x^a1 y^a2 z^a3, is one ``convolution`` instance
+    and one ``operator`` instance per input t^m, m <= ``max_degree``, where
+    it acts as the symbol times (x+y+z)^m; each passes iff the symbol is 0.
+    """
+    weights = _triple(params)
+    main_ns = {n for suite in ("main", "convolution", "operator") for n in plan.get(suite, ())}
+    # (table source, n) -> its rows, one (label, table) each; convolution and operator read main's
+    rows = {
+        ("main", n): [({"n": n, "k": k}, main_terms(params, n, k)) for k in range(n + 1)]
+        for n in sorted(main_ns)
+    }
+    for n in plan.get("reverse", ()):
+        rows["reverse", n] = [({"n": n, "p": p}, reverse_terms(params, n, p)) for p in range(n + 1)]
+    for order in plan.get("eholzer", ()):
+        rows["eholzer", order] = [({}, eholzer_terms(order))]
+    residuals = iter(_residuals(weights, [terms for block in rows.values() for _, terms in block]))
+    read = {key: [(label, next(residuals)) for label, _ in block] for key, block in rows.items()}
+    sample = sample_dict(params)
+    leaf_sum = sum(SYMBOL_LEAVES.values(), Poly.zero(GEOMETRIC_VARS))
+    out = {}
+    for suite, ns in plan.items():
+        identity_id = BLOCK_IDS[suite]
+        if suite not in ("convolution", "operator"):
+            grid_rows = [[row] for n in ns for row in read[suite, n]]
+            out[suite] = _grid_reports(identity_id, weights, grid_rows, max_degree)
+            continue
+        instances = 1 if suite == "convolution" else max_degree + 1
+        out[suite] = []
+        for n in ns:
+            for label, (den, residual) in read["main", n]:
+                # slots 1, 2, 3 read x, y, z (SYMBOL_LEAVES), and z leads GEOMETRIC_VARS
+                symbol = {
+                    (a3, a1, a2): Fraction(r, den * factorial(a1) * factorial(a2) * factorial(a3))
+                    for (a1, a2, a3), r in residual.get(n, {}).items()
+                }
+                symbol = Poly._trusted(GEOMETRIC_VARS, symbol)
+                record = {"sample": sample, **label}
+                if symbol.is_zero():
+                    failures = []
+                elif suite == "convolution":
+                    failures = [{**record, "value": str(symbol)}]
+                else:
+                    failures = [
+                        {**record, "input_degree": m, "value": str(symbol * leaf_sum**m)}
+                        for m in range(instances)
+                    ]
+                report = VerificationReport.checked(identity_id, [sample], instances, failures)
+                out[suite].append(report)
+    return out
+
+
+def verify_block(
+    suite: str, params: ParamTriple, n: int, max_degree: int = 3
+) -> list[VerificationReport]:
+    """One block suite of ``BLOCK_IDS`` at (params, n), one report per row 0..n
+    of its tables (:func:`main_terms`, :func:`reverse_terms`; ``convolution``
+    and ``operator`` read main's).  For ``eholzer``, n is the truncation order
+    of :func:`eholzer_terms`, and there is one report."""
+    if suite not in BLOCK_IDS:
+        raise ValueError(f"unknown block suite {suite!r}; choose from {tuple(BLOCK_IDS)}")
+    return _tree_reports(params, {suite: [n]}, max_degree)[suite]
 
 
 # -- independent oracle ------------------------------------------------------------
@@ -476,41 +477,38 @@ def run_suite(
     max_degree: int = 3,
     hbar_order: int = 6,
 ) -> list[VerificationReport]:
-    """Run one named suite (or ``all``) and return its aggregated reports."""
+    """Run one named suite (or ``all``) and return its aggregated reports, the
+    block suites as one plan at the scopes below, one :func:`_tree_reports`
+    call per triple."""
+    if name != "all" and name not in SUITE_NAMES:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     if triples is None:
         triples = default_triples()
-    if name == "all":
-        out: list[VerificationReport] = []
-        for suite in SUITE_NAMES:
-            out.extend(run_suite(suite, triples, max_n, max_degree, hbar_order))
-        return out
-    if name == "main":
-        reports = _blocks(verify_main_identity, triples, max_n, max_degree)
-        return [merge_reports("main-recoupling", reports)]
-    if name == "reverse":
-        reports = _blocks(verify_reverse_identity, triples, min(max_n, 4), max_degree)
-        return [merge_reports("reverse-recoupling", reports)]
-    if name == "classical":
-        first = [verify_classical(tr, max_degree=4) for tr in triples]
-        second = [
-            verify_four_function((tr.lam1, tr.lam2, tr.lam3, tr.lam1 + 1), max_degree=2)
-            for tr in triples
-        ]
-        return [
-            merge_reports("classical-first-order", first),
-            merge_reports("four-function-first-order", second),
-        ]
-    if name == "convolution":
-        reports = _blocks(verify_convolution, triples, min(max_n, 4))
-        return [merge_reports("jacobi-convolution", reports)]
-    if name == "operator":
-        reports = _blocks(verify_operator_convolution, triples, min(max_n, 3), max_degree)
-        return [merge_reports("operator-convolution", reports)]
-    if name == "zagier":
-        return [zagier_suite(triples, max_n=min(max_n, 3))]
-    if name == "cmz":
-        return cmz_reports(triples, max_n=min(max_n, 4))
-    if name == "eholzer":
-        reports = [verify_eholzer_associativity(tr, hbar_order, max_degree) for tr in triples]
-        return [merge_reports("eholzer-associativity", reports)]
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
+    suites = SUITE_NAMES if name == "all" else (name,)
+    scopes = {
+        "main": range(max_n + 1),
+        "reverse": range(min(max_n, 4) + 1),
+        "convolution": range(min(max_n, 4) + 1),
+        "operator": range(min(max_n, 3) + 1),
+        "eholzer": [hbar_order],
+    }
+    plan = {suite: scopes[suite] for suite in suites if suite in scopes}
+    per_triple = [_tree_reports(tr, plan, max_degree) for tr in triples]
+    out: list[VerificationReport] = []
+    for suite in suites:
+        if suite in plan:
+            reports = [report for by_suite in per_triple for report in by_suite[suite]]
+            out.append(merge_reports(BLOCK_IDS[suite], reports))
+        elif suite == "classical":
+            first = [verify_classical(tr, max_degree=4) for tr in triples]
+            second = [
+                verify_four_function((tr.lam1, tr.lam2, tr.lam3, tr.lam1 + 1), max_degree=2)
+                for tr in triples
+            ]
+            out.append(merge_reports("classical-first-order", first))
+            out.append(merge_reports("four-function-first-order", second))
+        elif suite == "zagier":
+            out.append(zagier_suite(triples, max_n=min(max_n, 3)))
+        else:
+            out.extend(cmz_reports(triples, max_n=min(max_n, 4)))
+    return out

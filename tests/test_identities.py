@@ -30,14 +30,10 @@ from rcbrackets.identities import (
     cmz_reports,
     run_suite,
     solve_u_from_brackets,
+    verify_block,
     verify_classical,
-    verify_convolution,
-    verify_eholzer_associativity,
     verify_four_function,
-    verify_main_identity,
     verify_on_monomials,
-    verify_operator_convolution,
-    verify_reverse_identity,
 )
 from rcbrackets.rationals import factorial, pochhammer
 from rcbrackets.report import merge_reports
@@ -55,7 +51,7 @@ ONES = ParamTriple(Fraction(1), Fraction(1), Fraction(1))
 
 
 def test_main_identity_small() -> None:
-    report = verify_main_identity(GENERIC, n=2, max_degree=2)[1]
+    report = verify_block("main", GENERIC, 2, max_degree=2)[1]
     assert report.status == "pass"
     assert report.instances_checked == 27
     assert report.failures == []
@@ -63,12 +59,12 @@ def test_main_identity_small() -> None:
 
 def test_main_identity_integer_weights() -> None:
     for n in range(4):
-        reports = verify_main_identity(ONES, n, max_degree=1)
+        reports = verify_block("main", ONES, n, max_degree=1)
         assert [report.status for report in reports] == ["pass"] * (n + 1)
 
 
 def test_reverse_identity_small() -> None:
-    reports = verify_reverse_identity(GENERIC, n=2, max_degree=2)
+    reports = verify_block("reverse", GENERIC, 2, max_degree=2)
     assert [(report.status, report.instances_checked) for report in reports] == [("pass", 27)] * 3
 
 
@@ -88,7 +84,7 @@ def test_four_function_identity() -> None:
 
 def test_convolution_small() -> None:
     for n in range(4):
-        reports = verify_convolution(GENERIC, n)
+        reports = verify_block("convolution", GENERIC, n)
         assert len(reports) == n + 1
         for report in reports:
             assert report.status == "pass"
@@ -96,12 +92,12 @@ def test_convolution_small() -> None:
 
 
 def test_operator_convolution_small() -> None:
-    reports = verify_operator_convolution(GENERIC, n=2, max_degree=2)
+    reports = verify_block("operator", GENERIC, 2, max_degree=2)
     assert [(report.status, report.instances_checked) for report in reports] == [("pass", 3)] * 3
 
 
 def test_eholzer_associativity_small() -> None:
-    report = verify_eholzer_associativity(GENERIC, order=4, max_degree=1)
+    (report,) = verify_block("eholzer", GENERIC, 4, max_degree=1)
     assert report.status == "pass"
     assert report.instances_checked == 8
 
@@ -144,14 +140,14 @@ def test_eholzer_table_agrees_with_star_route(params) -> None:
 
 
 def test_eholzer_rejects_negative_order() -> None:
-    with pytest.raises(ValueError, match="nonnegative"):
-        verify_eholzer_associativity(GENERIC, order=-1, max_degree=1)
+    with pytest.raises(ValueError, match="^truncation order must be a nonnegative integer, got -1$"):
+        verify_block("eholzer", GENERIC, -1, max_degree=1)
 
 
 def test_eholzer_failure_record_shape(monkeypatch) -> None:
     terms = identities.eholzer_terms
     monkeypatch.setattr(identities, "eholzer_terms", lambda order: terms(order)[1:])
-    report = verify_eholzer_associativity(GENERIC, order=2, max_degree=1)
+    (report,) = verify_block("eholzer", GENERIC, 2, max_degree=1)
     assert report.status == "fail"
     assert report.instances_checked == 8
     assert len(report.failures) == 8  # the dropped [[f1,f2]_0,f3]_0 is f1 f2 f3
@@ -390,8 +386,8 @@ def test_run_suite_unknown_name() -> None:
 
 def test_convolution_failure_records_residual(monkeypatch) -> None:
     n, k, max_degree = 2, 1, 2
-    clean_conv = verify_convolution(GENERIC, n)[k]
-    clean_op = verify_operator_convolution(GENERIC, n, max_degree)[k]
+    clean_conv = verify_block("convolution", GENERIC, n)[k]
+    clean_op = verify_block("operator", GENERIC, n, max_degree)[k]
     formula = identities.u_row
     monkeypatch.setattr(
         identities,
@@ -403,14 +399,14 @@ def test_convolution_failure_records_residual(monkeypatch) -> None:
     l1, l2, l3 = GENERIC.lam1, GENERIC.lam2, GENERIC.lam3
     extra = jacobi_two_var(n, l1, l2 + l3).subst({"x": x, "y": y + z})
 
-    conv = verify_convolution(GENERIC, n)[k]
+    conv = verify_block("convolution", GENERIC, n)[k]
     assert conv.status == "fail"
     assert conv.instances_checked == clean_conv.instances_checked
     assert conv.failures == [
         {"sample": identities.sample_dict(GENERIC), "n": n, "k": k, "value": str(-extra)}
     ]
 
-    op = verify_operator_convolution(GENERIC, n, max_degree)[k]
+    op = verify_block("operator", GENERIC, n, max_degree)[k]
     assert op.status == "fail"
     assert op.instances_checked == clean_op.instances_checked
     assert [record["input_degree"] for record in op.failures] == list(range(max_degree + 1))
@@ -420,7 +416,7 @@ def test_convolution_failure_records_residual(monkeypatch) -> None:
 
 
 def _operator_residuals_by_poly(params, n, k, max_degree):
-    """verify_operator_convolution's residual at each input degree, by public
+    """The operator block's residual at each input degree, by public
     ``Poly`` arithmetic: ``.subst(bindings)``, then ``scale * image``, then ``+``."""
     weights = dict(enumerate((params.lam1, params.lam2, params.lam3), start=1))
     leaves = identities.SYMBOL_LEAVES
@@ -454,7 +450,7 @@ def test_operator_failure_records_match_poly_chain(monkeypatch) -> None:
     monkeypatch.setattr(identities, "u_row", off_by_a_thousandth)
     residuals = _operator_residuals_by_poly(broken, n, k, max_degree)
     assert not any(residual.is_zero() for residual in residuals)
-    report = verify_operator_convolution(broken, n, max_degree)[k]
+    report = verify_block("operator", broken, n, max_degree)[k]
     assert report.status == "fail"
     assert report.failures == [
         {
@@ -467,7 +463,7 @@ def test_operator_failure_records_match_poly_chain(monkeypatch) -> None:
         for m, residual in enumerate(residuals)
     ]
     for params, n_, k_ in ((GENERIC, n, k), (broken, n, 2), (broken, 2, k)):
-        assert verify_operator_convolution(params, n_, max_degree)[k_].failures == []
+        assert verify_block("operator", params, n_, max_degree)[k_].failures == []
 
 
 def _zagier_scalar(l1, l2, l3, n, k):
@@ -550,26 +546,18 @@ def test_zagier_pair_scalar_raises_where_the_ratio_divides_by_zero() -> None:
             zagier._zagier_pair_scalar(*lams, n, k)
 
 
-# -- blocks: one (triple, n) at a time, every row of it ------------------------------
+# -- blocks: the shared plan against one (triple, n) at a time ---------------------
 
 BLOCK_TRIPLES = (GENERIC, CROSS_TRIPLES[2])
 BLOCK_DEGREE = 2
-# suite -> (merged report id, the public block verifier at (triple, n): one report per row)
-PER_ROW = {
-    "main": ("main-recoupling", lambda tr, n: verify_main_identity(tr, n, BLOCK_DEGREE)),
-    "reverse": ("reverse-recoupling", lambda tr, n: verify_reverse_identity(tr, n, BLOCK_DEGREE)),
-    "convolution": ("jacobi-convolution", verify_convolution),
-    "operator": (
-        "operator-convolution",
-        lambda tr, n: verify_operator_convolution(tr, n, BLOCK_DEGREE),
-    ),
-}
 
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["clean", "perturbed"])
-@pytest.mark.parametrize("suite", sorted(PER_ROW))
+@pytest.mark.parametrize("suite", ["convolution", "main", "operator", "reverse"])
 def test_blocks_equal_per_row_verifiers(monkeypatch, suite, perturbed) -> None:
-    identity_id, verify_block = PER_ROW[suite]
+    # run_suite("all") tabulates every n of every block suite in one call per triple,
+    # shared across suites; verify_block tabulates one suite at one n
+    identity_id = identities.BLOCK_IDS[suite]
     if perturbed:
         formula = identities.u_row
 
@@ -580,11 +568,11 @@ def test_blocks_equal_per_row_verifiers(monkeypatch, suite, perturbed) -> None:
             return row
 
         monkeypatch.setattr(identities, "u_row", nudged)
-    (merged,) = run_suite(suite, BLOCK_TRIPLES, max_n=3, max_degree=BLOCK_DEGREE)
-    blocks = [verify_block(tr, n) for tr in BLOCK_TRIPLES for n in range(4)]
+    reports = run_suite("all", BLOCK_TRIPLES, max_n=3, max_degree=BLOCK_DEGREE, hbar_order=2)
+    (merged,) = [report for report in reports if report.identity_id == identity_id]
+    blocks = [verify_block(suite, tr, n, BLOCK_DEGREE) for tr in BLOCK_TRIPLES for n in range(4)]
     assert [len(block) for block in blocks] == [n + 1 for _ in BLOCK_TRIPLES for n in range(4)]
     rows = [row for block in blocks for row in block]
-    assert merged.identity_id == identity_id
     assert merged.to_dict() == merge_reports(identity_id, rows).to_dict()
     assert merged.instances_checked == sum(row.instances_checked for row in rows)
     assert merged.status == ("fail" if perturbed else "pass")
@@ -598,6 +586,59 @@ def test_blocks_equal_per_row_verifiers(monkeypatch, suite, perturbed) -> None:
     samples = {tuple(record["sample"].items()) for record in merged.failures}
     expected = {tuple(identities.sample_dict(tr).items()) for tr in BLOCK_TRIPLES}
     assert samples == (expected if perturbed else set())
+
+
+def test_plan_tabulates_each_tree_once_per_triple(monkeypatch) -> None:
+    triples = (GENERIC, CROSS_TRIPLES[2])
+    residuals, tabulate = identities._residuals, identities.tabulate_on_slice
+    on_monomials = identities.verify_on_monomials
+    caller = ["plan"]
+    calls = []  # the caller of each _residuals call
+    tabulated = []  # (weights, tree) for each tree the plan's calls tabulate
+
+    def counting_residuals(weights, tables):
+        calls.append(caller[0])
+        return residuals(weights, tables)
+
+    def counting_tabulate(trees, weights, order):
+        if caller[0] == "plan":
+            tabulated.extend((tuple(weights.items()), tree) for tree in trees)
+        return tabulate(trees, weights, order)
+
+    def tagged_on_monomials(*args, **kwargs):
+        # classical and four-function make their own _residuals calls
+        caller[0] = "monomials"
+        try:
+            return on_monomials(*args, **kwargs)
+        finally:
+            caller[0] = "plan"
+
+    monkeypatch.setattr(identities, "_residuals", counting_residuals)
+    monkeypatch.setattr(identities, "tabulate_on_slice", counting_tabulate)
+    monkeypatch.setattr(identities, "verify_on_monomials", tagged_on_monomials)
+    reports = run_suite("all", triples, max_n=3, max_degree=1, hbar_order=3)
+    assert all(report.status in ("pass", "report_only") for report in reports)
+    assert calls.count("plan") == len(triples)
+    assert calls.count("monomials") == 2 * len(triples)
+    assert tabulated and len(set(tabulated)) == len(tabulated)
+
+
+def test_verify_block_input_checks() -> None:
+    listed = "choose from ('main', 'reverse', 'convolution', 'operator', 'eholzer')"
+    for name in ("classical", "zagier", "cmz", "spectral", "all"):
+        with pytest.raises(ValueError) as info:
+            verify_block(name, GENERIC, 1)
+        assert str(info.value) == f"unknown block suite {name!r}; {listed}"
+    for order in (-1, -3):
+        with pytest.raises(ValueError) as info:
+            verify_block("eholzer", GENERIC, order, max_degree=1)
+        assert str(info.value) == f"truncation order must be a nonnegative integer, got {order}"
+    with pytest.raises(ValueError) as info:
+        run_suite("spectral", [GENERIC])
+    assert str(info.value) == (
+        "unknown suite 'spectral'; choose from ('main', 'classical', 'reverse',"
+        " 'convolution', 'operator', 'zagier', 'cmz', 'eholzer', 'all')"
+    )
 
 
 def test_failures_are_degree_major_across_tables() -> None:
@@ -636,7 +677,7 @@ def _convolution_residual(params, n, k):
 def test_convolution_failures_are_the_tree_symbol_residual(monkeypatch) -> None:
     blocks = [(tr, n) for tr in CONVOLUTION_TRIPLES for n in range(5)]
     for params, n in blocks:
-        assert all(report.failures == [] for report in verify_convolution(params, n))
+        assert all(report.failures == [] for report in verify_block("convolution", params, n))
     formula = identities.u_row
 
     def nudged(params, n, k):
@@ -648,7 +689,7 @@ def test_convolution_failures_are_the_tree_symbol_residual(monkeypatch) -> None:
 
     monkeypatch.setattr(identities, "u_row", nudged)
     for params, n in blocks:
-        for k, report in enumerate(verify_convolution(params, n)):
+        for k, report in enumerate(verify_block("convolution", params, n)):
             if n == 0:
                 assert report.failures == []
                 continue

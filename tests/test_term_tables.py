@@ -11,7 +11,7 @@ from rcbrackets.identities import (
     CLASSICAL_TERMS,
     FOUR_FUNCTION_TERMS,
     _residuals,
-    verify_main_identity,
+    verify_block,
     verify_on_monomials,
 )
 from rcbrackets.poly import Poly
@@ -38,7 +38,7 @@ def test_engine_matches_main_identity_report() -> None:
     (report,) = verify_on_monomials("main-recoupling", WEIGHTS, rows, 2)
     assert report.status == "pass"
     assert report.instances_checked == 27
-    assert report.to_dict() == verify_main_identity(GENERIC, 2, max_degree=2)[1].to_dict()
+    assert report.to_dict() == verify_block("main", GENERIC, 2, max_degree=2)[1].to_dict()
 
 
 def test_engine_records_off_by_one_coefficient() -> None:
