@@ -4,31 +4,42 @@ For weights (l1, l2, l3) and order n, the combination is
 
     sum_k scalar_k G_first(s1,s2) G_second(s1+s2,s3) [[f1,f2]_k, f3]_{n-k},
 
-with the bracket read at monomials, the scalar from the normalizations
-c_k(l1,l2) c_{n-k}(l1+l2+2k,l3) (Zagier, Modular forms and differential
-operators, 1994) and the G two-variable Jacobi forms.  Two readings of the
+with the bracket read at monomials of degrees (n+1, n+2, n+3), the scalar
+from the normalizations c_k(l1,l2) c_{n-k}(l1+l2+2k,l3) (Zagier, Modular
+forms and differential operators, 1994) and the G two-variable Jacobi forms.  Two readings of the
 geometric factor are compared: the corrected one, G_k(s1,s2)
 G_{n-k}(s1+s2,s3), and the printed one, of degree n in both slots.  The
 survey records, without gating, whether each reading is invariant under a
 cycle and a swap of the three slots.
 
-The corrected reading is the symbol of the left nest [[f1,f2]_k, f3]_{n-k},
-so the nests are tabulated on the simplex slice, and their brackets are
-read back off it (``brackets.read_off_slice``); the printed reading
-substitutes each of its two factors once per permutation.  Every piece stays
-``poly.Numerators`` until one reduction per (reading, permutation), and the
-scalars are integer pairs, so no ``Fraction`` Pochhammer is built.
+A permutation (i, j, m) of the slots acts on the trees, not on the
+weights: each (triple, n) tabulates the 3(n+1) nests
+[[f_i,f_j]_k, f_m]_{n-k} at the triple's own weights in one call, on the
+simplex slice |a| = n (``brackets.tabulate_on_slice``), and reads every
+nest's bracket off it at the unpermuted degrees (n+1, n+2, n+3)
+(``brackets.read_off_slice``).  The identity's nests are ``left_nest(n, k)``.
+
+Why the slice decides the corrected reading: its G_k G_{n-k} is the symbol of
+the nest.  With x, y, t the variables of slots 1, 2, 3, (values_k, den_k) the
+nest's table and v_k / den_k its bracket, the reading's coefficient at
+z^(2n+6) x^a1 y^a2 t^a3 is sum_k scalar_k v_k values_k[a] / den_k^2, divided
+by a1! a2! a3!.  That divisor is the same for every permutation, so two
+corrected readings are equal iff their vectors on the slice are.  The printed
+reading is no tree symbol: its two factors are substituted at the permuted
+weights and variables.  Both readings stay ``poly.Numerators`` and are
+compared by cross multiplication, and the scalars are integer pairs, so no
+``Fraction`` Pochhammer is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 from typing import Sequence
 
-from .brackets import left_nest, read_off_slice, tabulate_on_slice
+from .brackets import F1, F2, F3, Node, read_off_slice, tabulate_on_slice
 from .hypergeom import bracket_coeff_row, jacobi_two_var
-from .poly import Poly, _reduced, _substituted, _sum, _times
+from .poly import Numerators, Poly, _reduced, _substituted, _sum, _times
 from .rationals import common_scale, rising
 from .report import VerificationReport, merge_reports
 from .samples import sample_dict
@@ -71,70 +82,54 @@ def _zagier_pair_scalar(
     return num * d**n, den * d
 
 
-ZAGIER_VARS = ("z", "x", "y", "t")
+def _same(a: Numerators, b: Numerators) -> bool:
+    """Whether two numerator maps over their denominators hold the same values."""
+    (a_nums, a_den), (b_nums, b_den) = a, b
+    return all(
+        a_nums.get(key, 0) * b_den == b_nums.get(key, 0) * a_den
+        for key in a_nums.keys() | b_nums.keys()
+    )
 
 
-def _zagier_sums(
-    lams: tuple[Fraction, Fraction, Fraction],
-    degrees: tuple[int, int, int],
-    slots: tuple[Poly, Poly, Poly],
-    n: int,
-) -> dict[str, Poly]:
-    """Per reading, sum_k scalar_k G_first(s1,s2) G_second(s1+s2,s3) [[f1,f2]_k,f3]_{n-k},
-    the bracket read at monomials of ``degrees``.
+def _zagier_readings(
+    lams: tuple[Fraction, Fraction, Fraction], n: int
+) -> dict[str, dict[str, Numerators]]:
+    """Per permutation (i, j, m), the two readings of the combination
+    sum_k scalar_k G_first G_second [[f_i,f_j]_k, f_m]_{n-k}, without the
+    factor z^(2n+6) that every permutation shares.
 
-    The corrected reading's G_k(s1,s2) G_{n-k}(s1+s2,s3) is the symbol of the
-    left nest [[f1,f2]_k,f3]_{n-k}, so one tabulation of the n+1 nests on
-    the slice |a| = n (:func:`tabulate_on_slice`) gives the symbols, and the
-    brackets at ``degrees`` are read off it (:func:`read_off_slice`).  The
-    printed reading's first factor G_n(s1,s2) does not depend on k, and its
-    second G_n(s1+s2,s3) only through its weight l1+l2+2k, so the integer
-    rows of the second are summed over k, scaled by scalar_k times the
-    bracket, before each factor is substituted once.  Every piece stays
-    integer numerators until the one reduction of each sum.
+    "corrected" maps each slice tuple a to a1! a2! a3! times the coefficient of
+    x^a1 y^a2 t^a3, and "printed" maps exponents of (x, y, t) to coefficients.
     """
-    l1, l2, l3 = lams
-    s1, s2, s3 = slots
-    weights = dict(enumerate(lams, start=1))
-    nests = [left_nest(n, k) for k in range(n + 1)]
-    tables, grid = tabulate_on_slice(nests, weights, n)
-    # every nest has total order n, so the brackets are multiples of z^degree
-    degree = sum(degrees) - n
-    # z^degree s^a for each slice tuple a; z leads ZAGIER_VARS
-    positions = [exps.index(1) for slot in slots for exps in slot.terms]
-    monomials = []
-    for a in grid:
-        exps = [degree, 0, 0, 0]
-        for pos, e in zip(positions, a):
-            exps[pos] = e
-        monomials.append(tuple(exps))
-    full = factorial(n)
-    # n! / prod a! for each slice tuple a: prod a! divides n!
-    cofactors = [full // prod(map(factorial, a)) for a in grid]
-    corrected, second_rows = [], []
-    for k, (symbol, den) in enumerate(tables):
-        v = read_off_slice(dict(zip(grid, symbol)), degrees)
-        num, scalar_den = _zagier_pair_scalar(l1, l2, l3, n, k)
-        # scalar_k v / den z^degree times the symbol s_a = w / (den prod a!),
-        # over one denominator
-        terms = zip(monomials, symbol, cofactors)
-        corrected.append(
-            (
-                {exps: num * v * w * f for exps, w, f in terms},
-                scalar_den * den * den * full,
+    perms = {"identity": (0, 1, 2), "cycle": (1, 2, 0), "swap": (1, 0, 2)}
+    leaves, degrees = (F1, F2, F3), (n + 1, n + 2, n + 3)
+    trees = [
+        Node(Node(leaves[i], leaves[j], k), leaves[m], n - k)
+        for i, j, m in perms.values()
+        for k in range(n + 1)
+    ]
+    tables, grid = tabulate_on_slice(trees, dict(enumerate(lams, start=1)), n)
+    slots = [Poly.variable(name, ("x", "y", "t")) for name in ("x", "y", "t")]
+    readings = {}
+    for p, (name, (i, j, m)) in enumerate(perms.items()):
+        corrected, second_rows = [], []
+        for k, (values, den) in enumerate(tables[p * (n + 1) : (p + 1) * (n + 1)]):
+            on_slice = dict(zip(grid, values))
+            v = read_off_slice(on_slice, degrees)
+            num, scalar_den = _zagier_pair_scalar(lams[i], lams[j], lams[m], n, k)
+            # scalar_k v / den times the symbol's value w / den at a
+            scale = scalar_den * den * den
+            corrected.append(({a: num * v * w for a, w in on_slice.items()}, scale))
+            row, row_den = bracket_coeff_row(lams[i] + lams[j] + 2 * k, lams[m], n)
+            second_rows.append(
+                ({(s, n - s): num * v * c for s, c in enumerate(row)}, scalar_den * den * row_den)
             )
-        )
-        row, row_den = bracket_coeff_row(l1 + l2 + 2 * k, l3, n)
-        second_rows.append(
-            ({(s, n - s): num * v * c for s, c in enumerate(row)}, scalar_den * den * row_den)
-        )
-    first = _substituted(jacobi_two_var(n, l1, l2), {"x": s1, "y": s2})
-    second = _substituted(_reduced(("x", "y"), _sum(second_rows)), {"x": s1 + s2, "y": s3})
-    printed = _times(_times(first, second), ({(degree, 0, 0, 0): 1}, 1))
-    return {
-        "corrected": _reduced(ZAGIER_VARS, _sum(corrected)),
-        "printed": _reduced(ZAGIER_VARS, printed),
-    }
+        # G_n(s_i, s_j) does not depend on k, and G_n(s_i+s_j, s_m) only through its weight
+        first = _substituted(jacobi_two_var(n, lams[i], lams[j]), {"x": slots[i], "y": slots[j]})
+        second = _reduced(("x", "y"), _sum(second_rows))
+        second = _substituted(second, {"x": slots[i] + slots[j], "y": slots[m]})
+        readings[name] = {"corrected": _sum(corrected), "printed": _times(first, second)}
+    return readings
 
 
 def verify_zagier_invariance(params: ParamTriple, n: int) -> VerificationReport:
@@ -158,24 +153,12 @@ def verify_zagier_invariance(params: ParamTriple, n: int) -> VerificationReport:
             0,
             {"sample": sample, "n": n, "skipped": "pairwise weight sum equals 1"},
         )
-    lams = (params.lam1, params.lam2, params.lam3)
-    degrees = (n + 1, n + 2, n + 3)
-    slots = tuple(Poly.variable(name, ZAGIER_VARS) for name in ("x", "y", "t"))
-    perms = {"identity": (0, 1, 2), "cycle": (1, 2, 0), "swap": (1, 0, 2)}
+    sums = _zagier_readings((params.lam1, params.lam2, params.lam3), n)
     findings: dict[str, object] = {"sample": sample, "n": n}
-    sums = {
-        name: _zagier_sums(
-            tuple(lams[i] for i in perm),
-            tuple(degrees[i] for i in perm),
-            tuple(slots[i] for i in perm),
-            n,
-        )
-        for name, perm in perms.items()
-    }
     for reading in ("corrected", "printed"):
         findings[reading] = {
-            "cycle_invariant": sums["identity"][reading] == sums["cycle"][reading],
-            "swap_invariant": sums["identity"][reading] == sums["swap"][reading],
+            "cycle_invariant": _same(sums["identity"][reading], sums["cycle"][reading]),
+            "swap_invariant": _same(sums["identity"][reading], sums["swap"][reading]),
         }
     return VerificationReport.survey("zagier-invariance", [sample], 4, findings)
 

@@ -1,13 +1,14 @@
 """Tests for the batch identity verifiers and the suite driver."""
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import product
 from math import lcm
 
 import pytest
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rcbrackets import identities, transition, zagier
 from rcbrackets.brackets import (
@@ -228,11 +229,22 @@ def test_zagier_survey_adjudicates_between_readings() -> None:
 
 
 def test_zagier_survey_skips_vanishing_normalizer() -> None:
-    params = ParamTriple(Fraction(1, 2), Fraction(1, 2), Fraction(1))
-    report = verify_zagier_invariance(params, 1)
-    assert report.status == "report_only"
-    assert report.instances_checked == 0
-    assert report.findings["skipped"] == "pairwise weight sum equals 1"
+    for params in (
+        ParamTriple(Fraction(1, 2), Fraction(1, 2), Fraction(1)),
+        ParamTriple(Fraction(-1), Fraction(1, 2), Fraction(2)),
+    ):
+        report = verify_zagier_invariance(params, 1)
+        assert report.status == "report_only"
+        assert report.instances_checked == 0
+        assert report.findings["skipped"] == "pairwise weight sum equals 1"
+
+
+def test_zagier_survey_raises_where_no_pair_sum_is_one() -> None:
+    # l1 + l2 = 0 escapes the skip rule, but (k+l1+l2-1)_{n+1} vanishes at n=1, k=0
+    params = ParamTriple(Fraction(1, 2), Fraction(-1, 2), Fraction(2))
+    message = "the pair scalar at n=1, k=0 has a vanishing Pochhammer"
+    with pytest.raises(ZeroDivisionError, match=re.escape(message)):
+        verify_zagier_invariance(params, 1)
 
 
 def test_zagier_suite_aggregates() -> None:
@@ -485,33 +497,103 @@ def _zagier_scalar(l1, l2, l3, n, k):
     return numerator / denominator
 
 
+ZAGIER_VARS = ("z", "x", "y", "t")
+ZAGIER_PERMS = {"identity": (0, 1, 2), "cycle": (1, 2, 0), "swap": (1, 0, 2)}
+
+
 def _zagier_sum_by_poly(lams, degrees, slots, n, reading):
-    """``zagier._zagier_sums`` by public ``Poly`` arithmetic, one reduction per step."""
+    """The survey's combination by public ``Poly`` arithmetic over ``ZAGIER_VARS``,
+    at weights, degrees and slot variables already permuted."""
     l1, l2, l3 = lams
     s1, s2, s3 = slots
     leaves = {slot: monomial_form(w, d) for slot, w, d in zip((1, 2, 3), lams, degrees)}
-    total = Poly.zero(zagier.ZAGIER_VARS)
+    total = Poly.zero(ZAGIER_VARS)
     for k in range(n + 1):
         scalar = _zagier_scalar(l1, l2, l3, n, k)
         d_first, d_second = (k, n - k) if reading == "corrected" else (n, n)
         first = jacobi_two_var(d_first, l1, l2).subst({"x": s1, "y": s2})
         second = jacobi_two_var(d_second, l1 + l2 + 2 * k, l3).subst({"x": s1 + s2, "y": s3})
         bracket = eval_bracket_tree(left_nest(n, k), leaves).form
-        total = total + scalar * (first * second * bracket.lift(zagier.ZAGIER_VARS))
+        total = total + scalar * (first * second * bracket.lift(ZAGIER_VARS))
     return total
+
+
+def _zagier_sums_by_poly(lams, n, reading):
+    """``_zagier_sum_by_poly`` per permutation of the weights, degrees and variables."""
+    degrees = (n + 1, n + 2, n + 3)
+    slots = tuple(Poly.variable(name, ZAGIER_VARS) for name in ("x", "y", "t"))
+    sums = {}
+    for name, perm in ZAGIER_PERMS.items():
+        args = [tuple(seq[i] for i in perm) for seq in (lams, degrees, slots)]
+        sums[name] = _zagier_sum_by_poly(*args, n, reading)
+    return sums
 
 
 @pytest.mark.parametrize("params", CROSS_TRIPLES, ids=str)
 def test_zagier_sum_matches_poly_route(params) -> None:
     lams = (params.lam1, params.lam2, params.lam3)
-    slots = tuple(Poly.variable(name, zagier.ZAGIER_VARS) for name in ("x", "y", "t"))
     for n in range(4):
-        degrees = (n + 1, n + 2, n + 3)
-        for perm in ((0, 1, 2), (1, 2, 0), (1, 0, 2)):
-            args = [tuple(seq[i] for i in perm) for seq in (lams, degrees, slots)]
-            for reading in ("corrected", "printed"):
-                want = _zagier_sum_by_poly(*args, n, reading)
-                assert zagier._zagier_sums(*args, n)[reading] == want
+        # every term carries the bracket's z^(2n+6), which the survey drops
+        degree = 2 * n + 6
+        readings = zagier._zagier_readings(lams, n)
+        printed = _zagier_sums_by_poly(lams, n, "printed")
+        corrected = _zagier_sums_by_poly(lams, n, "corrected")
+        for name in ZAGIER_PERMS:
+            nums, den = readings[name]["printed"]
+            assert {exps[0] for exps in printed[name].terms} <= {degree}
+            want = Poly(("x", "y", "t"), {exps[1:]: c for exps, c in printed[name].terms.items()})
+            assert Poly(("x", "y", "t"), {e: Fraction(v, den) for e, v in nums.items()}) == want
+            # the corrected reading is read on the slice: its value at a is
+            # a1! a2! a3! times the coefficient of z^degree x^a1 y^a2 t^a3
+            nums, den = readings[name]["corrected"]
+            assert set(corrected[name].terms) <= {(degree, *a) for a in nums}
+            for (a1, a2, a3), value in nums.items():
+                coeff = corrected[name].coeff({"z": degree, "x": a1, "y": a2, "t": a3})
+                assert coeff * factorial(a1) * factorial(a2) * factorial(a3) == Fraction(value, den)
+
+
+def test_zagier_tabulates_one_slice_per_triple_and_order(monkeypatch) -> None:
+    # the permutations act on the trees, so one call at the triple's own
+    # weights serves all three, and the identity's nests are the plan's
+    calls = []
+    tabulate = zagier.tabulate_on_slice
+
+    def counting(trees, weights, order):
+        calls.append((list(trees), dict(weights), order))
+        return tabulate(trees, weights, order)
+
+    monkeypatch.setattr(zagier, "tabulate_on_slice", counting)
+    for params in (GENERIC, CROSS_TRIPLES[2]):
+        for n in range(4):
+            calls.clear()
+            report = verify_zagier_invariance(params, n)
+            assert "skipped" not in report.findings
+            assert len(calls) == 1
+            trees, weights, order = calls[0]
+            assert weights == {1: params.lam1, 2: params.lam2, 3: params.lam3}
+            assert order == n and len(trees) == 3 * (n + 1)
+            assert trees[: n + 1] == [left_nest(n, k) for k in range(n + 1)]
+
+
+positive_weights = st.builds(
+    Fraction, st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=20)
+)
+
+
+@settings(max_examples=25)
+@given(positive_weights, positive_weights, positive_weights, st.integers(min_value=0, max_value=2))
+def test_zagier_findings_match_poly_route(l1, l2, l3, n) -> None:
+    lams = (l1, l2, l3)
+    report = verify_zagier_invariance(ParamTriple(*lams), n)
+    if 1 in (l1 + l2, l2 + l3, l1 + l3):
+        assert report.findings["skipped"] == "pairwise weight sum equals 1"
+        return
+    for reading in ("corrected", "printed"):
+        sums = _zagier_sums_by_poly(lams, n, reading)
+        assert report.findings[reading] == {
+            "cycle_invariant": sums["identity"] == sums["cycle"],
+            "swap_invariant": sums["identity"] == sums["swap"],
+        }
 
 
 @pytest.mark.parametrize(
