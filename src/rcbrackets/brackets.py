@@ -11,26 +11,29 @@ a + b + 2n.  A bracket tree is a :class:`Leaf`, the tuple (slot,), or a
 value as tuples do: in C, uncached and with no recursion guard, so a function
 that hashes or rewrites a caller's tree first walks it with ``_walk``, the
 walk behind ``expr_slots`` and ``expr_total_order``, which bounds its
-nesting.  Trees evaluate bottom-up with that weight rule.  The coefficient
-row is integers from the start:
-``bracket_coeff_row`` gives it over the lcm of its denominators, and a table
-per (weight1, weight2, n) keeps that row and memoizes the bracket of two
-monomials.  A tree of total order N on D slots is the constant-coefficient
-operator sum_{|j|=N} s_j prod f_i^(j_i), so on leaves z^(a_i) with
-sum a_i = N it is the constant s_a prod a_i!, and it is fixed by those
-values.  One tabulator, ``tabulate_on_slice``, evaluates a list of trees at
-fixed slot weights on that simplex slice, one pass per distinct subtree,
-reading and filling those memos; s_a is the coefficient of the tree's symbol,
-the polynomial ``tree_symbol`` builds from Jacobi forms, and
-``read_off_slice`` reads the tree's value at any leaf degrees back off the
-slice.  The general bracket is one kernel that takes and returns
-``poly.Numerators``, the format ``star`` sums its pieces in, and serves every
-order of a range at once: it reads the derivatives of both polynomials as big
-integers at X = 2^W (Kronecker substitution), multiplies them with Python's
-integer product and reads the result's signed base-2^W digits back.  W is one
-bit wider than the largest bound, over the orders, on an output coefficient:
-the sum over the row of |c_s| times the absolute coefficient sums of f^(s) and
-g^(n-s).  Both paths build a ``Fraction`` only for what they return.
+nesting.  Trees evaluate bottom-up with that weight rule.  The coefficient row
+is integers from the start: ``bracket_coeff_row`` gives it over the lcm of its
+denominators, and a table per canonical scaled integer pair keeps that row and
+memoizes the bracket of two monomials: the weights (a/d, b/d) with
+gcd(a, b, d) = 1, and the order n, keyed as U is in ``transition``, so a pair
+reached at any scale shares one table.  A tree of total order N on D slots is
+the constant-coefficient operator sum_{|j|=N} s_j prod f_i^(j_i), so on leaves
+z^(a_i) with sum a_i = N it is the constant s_a prod a_i!, and it is fixed by
+those values.  One tabulator, ``tabulate_on_slice``, evaluates a list of trees
+at fixed slot weights on that simplex slice, one pass per distinct subtree, on
+the weights scaled once to integers, reading and filling those memos; s_a is
+the coefficient of the tree's symbol, the polynomial ``tree_symbol`` builds
+from Jacobi forms, and ``read_off_slice`` reads the tree's value at any leaf
+degrees back off the slice.  The general bracket is one kernel that takes and
+returns ``poly.Numerators``, the format ``star`` sums its pieces in, and
+serves every order of a range at once, at the weights as a scaled integer
+pair: it reads the derivatives of both polynomials as big integers at X = 2^W
+(Kronecker substitution), multiplies them with Python's integer product and
+reads the result's signed base-2^W digits back.  W is one bit wider than the
+largest bound, over the orders, on an output coefficient: the sum over the row
+of |c_s| times the absolute coefficient sums of f^(s) and g^(n-s).  Both paths
+build a ``Fraction`` only for what they return and, once per cached table, for
+its two weights.
 """
 
 from __future__ import annotations
@@ -39,12 +42,12 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, perm, prod
+from math import comb, gcd, perm, prod
 from typing import Mapping, Sequence, Union
 
 from .hypergeom import bracket_coeff_row, jacobi_two_var
 from .poly import MAX_NESTING, NestingTooDeepError, Numerators, Poly, _numerators, _reduced
-from .rationals import RationalLike, as_rational
+from .rationals import RationalLike, as_rational, common_scale
 
 
 class WeightedForm:
@@ -76,9 +79,12 @@ MonomialTable = tuple[tuple[int, ...], int, dict[tuple[int, int], int]]
 
 
 @lru_cache(maxsize=None)
-def _monomial_bracket(weight1: Fraction, weight2: Fraction, n: int) -> MonomialTable:
-    """The order-n bracket at weights (weight1, weight2) on integers: ``(row, den, memo)``.
+def _monomial_bracket(a: int, b: int, d: int, n: int) -> MonomialTable:
+    """The order-n bracket at weights (a/d, b/d) on integers: ``(row, den, memo)``.
 
+    The key is canonical, gcd(a, b, d) = 1 (``_bracket_table`` divides the gcd
+    out), so a weight pair reached at any multiple of its scale shares one
+    entry; the ``Fraction`` weights are built only here, on a cache miss.
     ``(row, den)`` is ``bracket_coeff_row``: row[s] / den = c_s for s = 0..n,
     ``den`` the lcm of the reduced denominators of the c_s.  ``memo`` starts
     empty; :func:`tabulate_on_slice` fills ``memo[d1, d2]`` with den times the
@@ -86,7 +92,13 @@ def _monomial_bracket(weight1: Fraction, weight2: Fraction, n: int) -> MonomialT
     where d^(s) is the falling factorial (0 for s > d), so it sums only the s
     with n - d2 <= s <= d1.
     """
-    return (*bracket_coeff_row(weight1, weight2, n), {})
+    return (*bracket_coeff_row(Fraction(a, d), Fraction(b, d), n), {})
+
+
+def _bracket_table(a: int, b: int, d: int, n: int) -> MonomialTable:
+    """``_monomial_bracket`` at the weights (a/d, b/d), for any integer scale d > 0."""
+    c = gcd(a, b, d)
+    return _monomial_bracket(a // c, b // c, d // c, n)
 
 
 # -- the general bracket on integer numerators ----------------------------------
@@ -114,10 +126,11 @@ def _pack(coeffs: list[int], width: int) -> int:
 
 
 def _bracket_kernel(
-    weight1: Fraction, weight2: Fraction, f: Numerators, g: Numerators, orders: range
+    a: int, b: int, d: int, f: Numerators, g: Numerators, orders: range
 ) -> list[Numerators]:
-    """[f, g]_n of two z-polynomials over ("z",) for every n in ``orders``, each
-    over the product of its row's ``den`` and the two input denominators.
+    """[f, g]_n of two z-polynomials over ("z",) at the weights (a/d, b/d), for
+    every n in ``orders``, each over the product of its row's ``den`` and the
+    two input denominators; d is any integer scale > 0.
 
     Kronecker substitution: F_s = f^(s) and G_t = g^(t) are read at X = 2^W,
     once for all orders, so [f, g]_n is the integer sum_s c_s F_s G_{n-s}
@@ -137,7 +150,7 @@ def _bracket_kernel(
     tables = []
     width = 1
     for n in orders:
-        row, den, _ = _monomial_bracket(weight1, weight2, n)
+        row, den, _ = _bracket_table(a, b, d, n)
         # the terms (c_s, s, n - s) with c_s and both derivatives nonzero
         terms = [
             (c, s, n - s)
@@ -167,7 +180,8 @@ def rc_bracket(f: WeightedForm, g: WeightedForm, n: int) -> WeightedForm:
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"bracket order must be a nonnegative integer, got {n!r}")
     f_nums, g_nums = _numerators(f.form.terms), _numerators(g.form.terms)
-    (value,) = _bracket_kernel(f.weight, g.weight, f_nums, g_nums, range(n, n + 1))
+    d, (a, b) = common_scale(f.weight, g.weight)
+    (value,) = _bracket_kernel(a, b, d, f_nums, g_nums, range(n, n + 1))
     return WeightedForm(f.weight + g.weight + 2 * n, _reduced(("z",), value))
 
 
@@ -305,28 +319,34 @@ def tree_symbol(
 
 
 Tabulation = tuple[list[int], int]
-# a subtree's (z-degree, value) pairs on the grid, its weight and its denominator
-_Table = tuple[list[tuple[int, int]], Fraction, int]
+# a subtree's (z-degree, value) pairs on the grid, its d-scaled weight and its denominator
+_Table = tuple[list[tuple[int, int]], int, int]
 
 
 def _tabulate(
     expr: BracketExpr,
-    weights: Mapping[int, RationalLike],
+    weights: Mapping[int, int],
+    d: int,
     grid: Sequence[Sequence[int]],
     tables: dict[BracketExpr, _Table],
 ) -> _Table:
-    """(values, weight, den) of ``expr`` on ``grid``, read from or added to ``tables``."""
+    """(values, d * weight, den) of ``expr`` on ``grid``, with slot i at weight
+    weights[i] / d, read from or added to ``tables``."""
     out = tables.get(expr)
     if out is not None:
         return out
     if isinstance(expr, Leaf):
         i = expr.slot - 1
-        out = [(degrees[i], 1) for degrees in grid], expr_weight(expr, weights), 1
+        try:
+            weight = weights[expr.slot]
+        except KeyError:
+            raise UnboundSlotError(f"no weight bound for slot {expr.slot}") from None
+        out = [(degrees[i], 1) for degrees in grid], weight, 1
     else:
-        left, weight1, den1 = _tabulate(expr.left, weights, grid, tables)
-        right, weight2, den2 = _tabulate(expr.right, weights, grid, tables)
+        left, weight1, den1 = _tabulate(expr.left, weights, d, grid, tables)
+        right, weight2, den2 = _tabulate(expr.right, weights, d, grid, tables)
         n = expr.order
-        coeffs, row_den, memo = _monomial_bracket(weight1, weight2, n)
+        coeffs, row_den, memo = _bracket_table(weight1, weight2, d, n)
         values = []
         for (deg1, c1), (deg2, c2) in zip(left, right):
             if not (c1 and c2):
@@ -340,7 +360,7 @@ def _tabulate(
                     value += coeffs[s] * perm(deg1, s) * perm(deg2, n - s)
                 memo[deg1, deg2] = value
             values.append((deg1 + deg2 - n, c1 * c2 * value))
-        out = values, weight1 + weight2 + 2 * n, row_den * den1 * den2
+        out = values, weight1 + weight2 + 2 * d * n, row_den * den1 * den2
     tables[expr] = out
     return out
 
@@ -367,13 +387,16 @@ def tabulate_on_slice(
     z^(a_j), a = slice[i], evaluates it to a constant: with ``(values, den)``
     its table, that constant is values[i] / den = s_a prod a_j!.
 
-    Each distinct subtree is tabulated in one pass over the slice, and
-    subtrees that several trees share (equal as values) once.  A node of
-    order n at child weights (w1, w2) reads and fills the memo of the
-    ``_monomial_bracket`` table for (w1, w2, n), which every tree at those
-    weights shares; a tree's ``den`` is the product of its nodes' table
-    ``den``s, so tabulation multiplies integers only.  A slot without a
-    weight raises :class:`UnboundSlotError`.
+    The slot weights are scaled once to integers by the lcm d of their
+    denominators (``rationals.common_scale``), and each distinct subtree is
+    tabulated in one pass over the slice at d-scaled integer weights, so a
+    node's weight is w1 + w2 + 2dn; subtrees that several trees share (equal
+    as values) are tabulated once.  A node of order n at child weights
+    (w1, w2) reads and fills the memo of the ``_monomial_bracket`` table of
+    (w1/d, w2/d, n), keyed on canonical integers, which every tree and every
+    call at those weights shares, whatever its scale; a tree's ``den`` is the
+    product of its nodes' table ``den``s, so tabulation multiplies integers
+    only.  A slot without a weight raises :class:`UnboundSlotError`.
     """
     slots = len(weights)
     for tree in trees:
@@ -383,10 +406,12 @@ def tabulate_on_slice(
         if total != order:
             raise ValueError(f"a slice tree needs total order {order}, got {total}")
     grid = simplex_slice(slots, order)
+    d, scaled = common_scale(*map(as_rational, weights.values()))
+    scaled_weights = dict(zip(weights, scaled))
     tables: dict[BracketExpr, _Table] = {}
     out = []
     for tree in trees:
-        values, _, den = _tabulate(tree, weights, grid, tables)
+        values, _, den = _tabulate(tree, scaled_weights, d, grid, tables)
         out.append(([v for _, v in values], den))
     return out, grid
 

@@ -8,14 +8,15 @@ return ``report_only`` findings without gating.
 The bracket-tree identities (main and reverse recoupling, the classical
 first-order pair, the four-function identity and Eholzer associativity) are
 term tables: (coefficient, BracketExpr) pairs whose sum vanishes, the fixed
-ones written in the languages of ``rcbrackets check`` files.  A tree of
-total order N is the operator sum_{|j|=N} s_j prod f_i^(j_i), so a table
-vanishes on every input iff it vanishes on the simplex slices |a| = N of its
-trees.  One engine, ``_residuals``, tabulates each total order's distinct
-trees once on its slice (``brackets.tabulate_on_slice``) and sums each
-table's integer residuals over one denominator.  ``verify_on_monomials``
-reads them on the leaf-degree grid {0..max_degree}^slots, reading only a
-nonzero residual at each tuple (``brackets.read_off_slice``).
+ones written in the languages of ``rcbrackets check`` files, parsed once per
+process and bound at each triple's weights.  A tree of total order N is the
+operator sum_{|j|=N} s_j prod f_i^(j_i), so a table vanishes on every input
+iff it vanishes on the simplex slices |a| = N of its trees.  One engine,
+``_residuals``, tabulates each total order's distinct trees once on its
+slice (``brackets.tabulate_on_slice``) and sums each table's integer
+residuals over one denominator.  ``verify_on_monomials`` reads them on the
+leaf-degree grid {0..max_degree}^slots, reading only a nonzero residual at
+each tuple (``brackets.read_off_slice``).
 
 The main identity is the matrix identity L = U R (row k of U takes the right
 nests R_p to the left nest L_k), one block per (triple, n).  The block suites
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, product, repeat
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Mapping, Sequence
 
 from .brackets import (
@@ -56,7 +57,7 @@ from .brackets import (
 from .poly import Poly
 from .rationals import RationalLike, as_rational, common_scale
 from .report import VerificationReport, merge_reports
-from .rewrite import bind_terms
+from .rewrite import eval_coeff, parse_bracket, parse_coeff
 from .samples import default_triples, sample_dict
 from .transition import ParamTriple, check_row, cmz_t_closed, cmz_t_pair, cmz_t_sum, u_matrix, u_row
 from .zagier import zagier_suite
@@ -105,6 +106,20 @@ FOUR_FUNCTION_TERMS = (
 )
 
 
+def _parsed(terms: Sequence[tuple[str, str]]) -> list[tuple[object, BracketExpr]]:
+    """(coefficient AST, tree) pairs of check-file texts; ``_bind`` reads them at weights."""
+    return [(parse_coeff(c), parse_bracket(e)) for c, e in terms]
+
+
+def _bind(parsed: Sequence[tuple[object, BracketExpr]], weights: Mapping[int, Fraction]) -> Terms:
+    return [(eval_coeff(ast, weights), tree) for ast, tree in parsed]
+
+
+# the fixed tables, parsed once per process and bound at each triple's weights
+_CLASSICAL_PARSED = [(name, _parsed(terms)) for name, terms in CLASSICAL_TERMS]
+_FOUR_FUNCTION_PARSED = _parsed(FOUR_FUNCTION_TERMS)
+
+
 def _residuals(weights: Sequence[RationalLike], tables: Sequence[Terms]) -> list[Residual]:
     """``(den, {N: {a: r}})`` for each term table: its nonzero integer residuals
     on the simplex slices, r / den = sum_T c_T T(z^a) over its trees T of total
@@ -112,9 +127,11 @@ def _residuals(weights: Sequence[RationalLike], tables: Sequence[Terms]) -> list
 
     The distinct trees of all tables are grouped by total order, and each
     group is tabulated once on its slice (``brackets.tabulate_on_slice``), so
-    every tree must have the slots 1..len(weights).  Each coefficient over its
-    tree's denominator becomes an integer multiplier over one lcm ``den`` per
-    table.  A table vanishes on every input iff its residual is empty.
+    every tree must have the slots 1..len(weights).  Each coefficient p/q over
+    its tree's denominator t is the reduced p' / t' with g = gcd(p, t),
+    p' = p/g and t' = q t/g; ``den`` is the lcm of a table's t', and each
+    multiplier p' den/t' is formed on integers.  A table vanishes on every
+    input iff its residual is empty.
     """
     slot_weights = dict(enumerate(weights, start=1))
     groups: dict[int, dict[BracketExpr, None]] = {}
@@ -126,10 +143,15 @@ def _residuals(weights: Sequence[RationalLike], tables: Sequence[Terms]) -> list
         tabulated.update((tree, (order, *table)) for tree, table in zip(trees, values))
     out = []
     for terms in tables:
-        den, multipliers = common_scale(*(as_rational(c) / tabulated[e][2] for c, e in terms))
+        reduced = []
+        for c, expr in terms:
+            order, values, t = tabulated[expr]
+            g = gcd(c.numerator, t)
+            reduced.append((c.numerator // g, c.denominator * t // g, order, values))
+        den = lcm(*(t for _, t, _, _ in reduced))
         sums: dict[int, list[int]] = {}
-        for m, (_, expr) in zip(multipliers, terms):
-            order, values, _ = tabulated[expr]
+        for p, t, order, values in reduced:
+            m = p * (den // t)
             sums[order] = [r + m * v for r, v in zip(sums.get(order, repeat(0)), values)]
         residual = {
             order: {a: r for a, r in zip(slices[order], rs) if r}
@@ -213,13 +235,13 @@ def verify_classical(params: ParamTriple, max_degree: int = 4) -> VerificationRe
     """First-bracket Jacobi-type cyclic identity and its weighted order-0 variant."""
     weights = _triple(params)
     slot_weights = dict(enumerate(weights, start=1))
-    row = [({"identity": name}, bind_terms(terms, slot_weights)) for name, terms in CLASSICAL_TERMS]
+    row = [({"identity": name}, _bind(parsed, slot_weights)) for name, parsed in _CLASSICAL_PARSED]
     return verify_on_monomials("classical-first-order", weights, [row], max_degree)[0]
 
 
 def verify_four_function(weights: Sequence[Fraction], max_degree: int = 2) -> VerificationReport:
     """Four-slot identity: the sum of the four order-(0,0,1) triple products vanishes."""
-    rows = [[({}, bind_terms(FOUR_FUNCTION_TERMS, {}))]]
+    rows = [[({}, _bind(_FOUR_FUNCTION_PARSED, {}))]]
     return verify_on_monomials("four-function-first-order", weights, rows, max_degree)[0]
 
 

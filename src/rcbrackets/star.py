@@ -15,7 +15,8 @@ through one shared loop, ``_product``: the weights and kappa are scaled to
 integers by one common d, so slice keys are integers and t_n^kappa is a
 reduced integer pair (``transition.cmz_t_pair``); the brackets come from
 the integer kernel of ``brackets`` as ``poly.Numerators``, one kernel call
-per pair of operand slices for all the orders that pair reaches.
+per pair of operand slices for all the orders that pair reaches, at the
+pair's slice keys over d, so no weight is a ``Fraction`` inside the loop.
 ``assoc_defect`` keeps its inner products as ``Numerators``, and every
 output (order, weight) slice is summed with ``poly._sum`` and reduced once.
 """
@@ -106,9 +107,9 @@ class StarSeries:
         return "StarSeries(" + "; ".join(layers) + ")" if layers else "StarSeries(0)"
 
 
-# Slices on integers: per hbar order, d * weight -> (weight, numerators), with d
-# one common scale of kappa and of every weight in play.
-Layers = list[dict[int, tuple[Fraction, Numerators]]]
+# Slices on integers: per hbar order, d * weight -> numerators, with d one common
+# scale of kappa and of every weight in play.
+Layers = list[dict[int, Numerators]]
 # Bracket pieces per hbar order and d * weight, not yet summed.
 Pieces = list[dict[int, list[Numerators]]]
 
@@ -119,7 +120,7 @@ def _scaled(kappa: Fraction | None, *series: StarSeries) -> tuple[int, int | Non
     d, (k, *scaled) = common_scale(Fraction(1) if kappa is None else kappa, *weights)
     keys = dict(zip(weights, scaled))
     layers = [
-        [{keys[w]: (w, _numerators(p.terms)) for w, p in layer.items()} for layer in one.coeffs]
+        [{keys[w]: _numerators(p.terms) for w, p in layer.items()} for layer in one.coeffs]
         for one in series
     ]
     return d, None if kappa is None else k, layers
@@ -130,20 +131,20 @@ def _product(left: Layers, right: Layers, d: int, k: int | None) -> Pieces:
     with k = d * kappa (None for unit deformation coefficients).
 
     Each pair of slices (a_i at d * w1 = a, b_j at d * w2 = b) goes through
-    the bracket kernel once for every order n <= order - i - j.  The pair's
-    slice keys a + b + 2dn and its t_n^kappa, as reduced integer pairs, are
-    computed once, before the kernel runs.
+    the bracket kernel once, at the weights (a, b) over d, for every order
+    n <= order - i - j.  The pair's slice keys a + b + 2dn and its t_n^kappa,
+    as reduced integer pairs, are computed once, before the kernel runs.
     """
     order = len(left) - 1
     pieces: Pieces = [{} for _ in left]
     for i, layer1 in enumerate(left):
         for j, layer2 in enumerate(right[: order + 1 - i]):
             orders = range(order + 1 - i - j)
-            for a, (w1, f) in layer1.items():
-                for b, (w2, g) in layer2.items():
+            for a, f in layer1.items():
+                for b, g in layer2.items():
                     keys = [a + b + 2 * d * n for n in orders]
                     scales = [(1, 1) if k is None else cmz_t_pair(k, a, b, d, n) for n in orders]
-                    brackets = _bracket_kernel(w1, w2, f, g, orders)
+                    brackets = _bracket_kernel(a, b, d, f, g, orders)
                     for n, key, (num, den), (nums, nums_den) in zip(orders, keys, scales, brackets):
                         if not num:
                             continue
@@ -153,7 +154,7 @@ def _product(left: Layers, right: Layers, d: int, k: int | None) -> Pieces:
     return pieces
 
 
-def _content_free(pieces: Pieces, d: int) -> Layers:
+def _content_free(pieces: Pieces) -> Layers:
     """Each (order, weight) group summed, trimmed of zero entries and divided
     by the gcd of its content, so that its denominator is the lcm of its
     reduced coefficients' denominators, as ``_numerators`` of the reduced
@@ -166,7 +167,7 @@ def _content_free(pieces: Pieces, d: int) -> Layers:
             nums = {e: v for e, v in nums.items() if v}
             if nums:
                 c = gcd(den, *nums.values())
-                layer[key] = (Fraction(key, d), ({e: v // c for e, v in nums.items()}, den // c))
+                layer[key] = {e: v // c for e, v in nums.items()}, den // c
         out.append(layer)
     return out
 
@@ -218,12 +219,12 @@ def assoc_defect(
     if kappa is not None:
         kappa = as_rational(kappa)
     d, k, (lf, lg, lh) = _scaled(kappa, sf, sg, sh)
-    lhs = _product(_content_free(_product(lf, lg, d, k), d), lh, d, k)
+    lhs = _product(_content_free(_product(lf, lg, d, k)), lh, d, k)
     minus_f = [
-        {a: (w, ({e: -v for e, v in nums.items()}, den)) for a, (w, (nums, den)) in layer.items()}
+        {a: ({e: -v for e, v in nums.items()}, den) for a, (nums, den) in layer.items()}
         for layer in lf
     ]
-    rhs = _product(minus_f, _content_free(_product(lg, lh, d, k), d), d, k)
+    rhs = _product(minus_f, _content_free(_product(lg, lh, d, k)), d, k)
     for lhs_groups, rhs_groups in zip(lhs, rhs):
         for key, group in rhs_groups.items():
             lhs_groups.setdefault(key, []).extend(group)

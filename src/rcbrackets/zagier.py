@@ -46,6 +46,21 @@ from .samples import sample_dict
 from .transition import ParamTriple
 
 
+# the permutations (i, j, m) of the slots that the survey reads
+PERMUTATIONS = {"identity": (0, 1, 2), "cycle": (1, 2, 0), "swap": (1, 0, 2)}
+
+
+def _scalar_den(a: int, b: int, c: int, d: int, n: int, k: int) -> int:
+    """(l1)_k (l2)_k (l3)_{n-k} (k+l1+l2-1)_{n+1} at l = (a, b, c) / d, times
+    d^(2n+k+1): an integer that vanishes iff one of those Pochhammers does."""
+    return (
+        rising(a, d, k)
+        * rising(b, d, k)
+        * rising(c, d, n - k)
+        * rising(k * d + a + b - d, d, n + 1)
+    )
+
+
 def _zagier_pair_scalar(
     l1: Fraction, l2: Fraction, l3: Fraction, n: int, k: int
 ) -> tuple[int, int]:
@@ -70,12 +85,7 @@ def _zagier_pair_scalar(
         * factorial(n - k)
         * rising(total - d, d, n + k)
     )
-    den = (
-        rising(a, d, k)
-        * rising(b, d, k)
-        * rising(c, d, n - k)
-        * rising(k * d + a + b - d, d, n + 1)
-    )
+    den = _scalar_den(a, b, c, d, n, k)
     if not den:
         raise ZeroDivisionError(f"the pair scalar at n={n}, k={k} has a vanishing Pochhammer")
     # d^(n-1), as d^n over d
@@ -101,17 +111,16 @@ def _zagier_readings(
     "corrected" maps each slice tuple a to a1! a2! a3! times the coefficient of
     x^a1 y^a2 t^a3, and "printed" maps exponents of (x, y, t) to coefficients.
     """
-    perms = {"identity": (0, 1, 2), "cycle": (1, 2, 0), "swap": (1, 0, 2)}
     leaves, degrees = (F1, F2, F3), (n + 1, n + 2, n + 3)
     trees = [
         Node(Node(leaves[i], leaves[j], k), leaves[m], n - k)
-        for i, j, m in perms.values()
+        for i, j, m in PERMUTATIONS.values()
         for k in range(n + 1)
     ]
     tables, grid = tabulate_on_slice(trees, dict(enumerate(lams, start=1)), n)
     slots = [Poly.variable(name, ("x", "y", "t")) for name in ("x", "y", "t")]
     readings = {}
-    for p, (name, (i, j, m)) in enumerate(perms.items()):
+    for p, (name, (i, j, m)) in enumerate(PERMUTATIONS.items()):
         corrected, second_rows = [], []
         for k, (values, den) in enumerate(tables[p * (n + 1) : (p + 1) * (n + 1)]):
             on_slice = dict(zip(grid, values))
@@ -132,29 +141,37 @@ def _zagier_readings(
     return readings
 
 
+def _skip_reason(lams: tuple[Fraction, Fraction, Fraction], n: int) -> str | None:
+    """Why some pair scalar of the survey at (lams, n) has no value, or None."""
+    if any(lams[i] + lams[j] == 1 for i, j in ((0, 1), (1, 2), (0, 2))):
+        return "pairwise weight sum equals 1"
+    d, scaled = common_scale(*lams)
+    for i, j, m in PERMUTATIONS.values():
+        for k in range(n + 1):
+            if not _scalar_den(scaled[i], scaled[j], scaled[m], d, n, k):
+                return "pair scalar denominator vanishes"
+    return None
+
+
 def verify_zagier_invariance(params: ParamTriple, n: int) -> VerificationReport:
     """Survey: permutation invariance of the paired-bracket combination.
 
     Two readings of the geometric factor are compared (degrees (k, n-k)
     versus degree n in both slots); findings are recorded without gating.
-    Samples with a pairwise weight sum equal to 1 are skipped because the
-    scalar normalization divides by a Pochhammer that vanishes there.
+    The scalar normalization divides by (l_i)_k (l_j)_k (l_m)_{n-k}
+    (k+l_i+l_j-1)_{n+1}, so a sample where that vanishes for some
+    permutation and k is skipped, before anything is read: with the reason
+    "pairwise weight sum equals 1" where one does (the last factor vanishes
+    at k = 0), else "pair scalar denominator vanishes".
     """
     sample = sample_dict(params)
-    pair_sums = (
-        params.lam1 + params.lam2,
-        params.lam2 + params.lam3,
-        params.lam1 + params.lam3,
-    )
-    if any(value == 1 for value in pair_sums):
-        return VerificationReport.survey(
-            "zagier-invariance",
-            [sample],
-            0,
-            {"sample": sample, "n": n, "skipped": "pairwise weight sum equals 1"},
-        )
-    sums = _zagier_readings((params.lam1, params.lam2, params.lam3), n)
+    lams = (params.lam1, params.lam2, params.lam3)
     findings: dict[str, object] = {"sample": sample, "n": n}
+    skipped = _skip_reason(lams, n)
+    if skipped:
+        findings["skipped"] = skipped
+        return VerificationReport.survey("zagier-invariance", [sample], 0, findings)
+    sums = _zagier_readings(lams, n)
     for reading in ("corrected", "printed"):
         findings[reading] = {
             "cycle_invariant": _same(sums["identity"][reading], sums["cycle"][reading]),

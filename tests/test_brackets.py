@@ -33,7 +33,7 @@ from rcbrackets.brackets import (
 )
 from rcbrackets.hypergeom import bracket_coeff_row
 from rcbrackets.poly import VAR_ORDER, NestingTooDeepError, Poly, poly_from_string
-from rcbrackets.rationals import binom_general
+from rcbrackets.rationals import binom_general, common_scale
 
 weights = st.fractions(min_value=Fraction(1, 4), max_value=Fraction(5), max_denominator=6)
 degrees = st.integers(min_value=0, max_value=5)
@@ -197,7 +197,9 @@ def test_integer_bracket_row_equals_binomial_formula(w1, w2, n):
     ]
     row, den = bracket_coeff_row(w1, w2, n)
     assert [Fraction(v, den) for v in row] == want
-    table_row, table_den, _ = _monomial_bracket(w1, w2, n)
+    # the lcm scale of two weights is the canonical key: gcd(a, b, d) = 1
+    d, (a, b) = common_scale(w1, w2)
+    table_row, table_den, _ = _monomial_bracket(a, b, d, n)
     assert den == table_den == lcm(*(c.denominator for c in want))
     assert table_row == tuple(c * den for c in want)
 
@@ -245,8 +247,11 @@ ALTERNATING = ({(d,): (-1) ** d * (10**40 + d) for d in range(10)}, 7)
 @example(Fraction(0), Fraction(-2), ({(9,): 2, (0,): -3}, 5), ({(4,): -7}, 1), range(3, 9))
 @example(Fraction(5, 3), Fraction(1, 4), ({(2,): 1, (0,): 1}, 1), ({(1,): -1}, 1), range(4, 8))
 def test_kernel_equals_schoolbook_convolution_per_order(w1, w2, f, g, orders):
-    got = _bracket_kernel(w1, w2, f, g, orders)
+    d, (a, b) = common_scale(w1, w2)
+    got = _bracket_kernel(a, b, d, f, g, orders)
     assert got == [schoolbook_bracket(w1, w2, f, g, n) for n in orders]
+    # any scale of the pair reads the same row
+    assert _bracket_kernel(3 * a, 3 * b, 3 * d, f, g, orders) == got
 
 
 # -- bracket expression trees -------------------------------------------------------
@@ -538,17 +543,37 @@ def test_tabulate_trees_checks_weights_on_an_empty_grid():
     # the slice is never empty, so the tree walk under tabulate_on_slice is
     # run on an empty grid directly: weights and dens do not need a point
     expr = Node(Node(Leaf(1), Leaf(2), 1), Leaf(3), 0)
+    # slot weights 1 and 1/2 at the scale d = 2
     with pytest.raises(UnboundSlotError, match="slot 3"):
-        _tabulate(expr, {1: Fraction(1), 2: Fraction(1, 2)}, [], {})
+        _tabulate(expr, {1: 2, 2: 1}, 2, [], {})
     # den is the product of the nodes' row denominators: [f1,f2]_1 at (1, 2),
-    # then order 0 at (1 + 2 + 2, 3)
-    inner = _monomial_bracket(Fraction(1), Fraction(2), 1)
-    outer = _monomial_bracket(Fraction(5), Fraction(3), 0)
+    # then order 0 at (1 + 2 + 2, 3); at d = 1 the scaled weight is the weight
+    inner = _monomial_bracket(1, 2, 1, 1)
+    outer = _monomial_bracket(5, 3, 1, 0)
     den = inner[1] * outer[1]
-    assert _tabulate(expr, {1: 1, 2: 2, 3: 3}, [], {}) == ([], 8, den)
+    assert _tabulate(expr, {1: 1, 2: 2, 3: 3}, 1, [], {}) == ([], 8, den)
     # the slice tabulator gives the same den at its points
     ((_, slice_den),), _ = tabulate_on_slice([expr], {1: 1, 2: 2, 3: 3}, 1)
     assert slice_den == den
+
+
+def test_bracket_tables_are_shared_across_scales():
+    # perfbench's traced mode reads this cache by name
+    cache = _monomial_bracket
+    cache.cache_clear()
+    inner = Node(Leaf(1), Leaf(2), 2)
+    weights = {1: Fraction(1, 2), 2: Fraction(-2, 3)}
+    ((values, den),), grid = tabulate_on_slice([inner], weights, 2)
+    entries = cache.cache_info().currsize
+    # beside a slot of denominator 7 the same pair is reached at 7 times the
+    # scale d = 6: no new entry, and the same values
+    got, weight, got_den = _tabulate(inner, {1: 21, 2: -28}, 42, grid, {})
+    assert cache.cache_info().currsize == entries
+    assert [v for _, v in got] == values and got_den == den
+    assert weight == 42 * (weights[1] + weights[2] + 4)
+    # on the slice of that three-slot tree, only the outer node's pair is new
+    tabulate_on_slice([Node(inner, Leaf(3), 1)], {**weights, 3: Fraction(3, 7)}, 3)
+    assert cache.cache_info().currsize == entries + 1
 
 
 # -- tree symbols ------------------------------------------------------------------
@@ -615,7 +640,9 @@ def test_memo_entries_equal_the_full_row_sum(w1, w2, n, extra):
     outer = Node(Node(Leaf(1), Leaf(2), n), Leaf(3), extra)
     _, grid = tabulate_on_slice([outer], {1: w1, 2: w2, 3: Fraction(1, 2)}, n + extra)
     ((values, den),), pairs = tabulate_on_slice([Node(Leaf(1), Leaf(2), n)], {1: w1, 2: w2}, n)
-    row, table_den, memo = _monomial_bracket(w1, w2, n)
+    # the first call reached the pair at the scale lcm(d, 2), this one at d
+    d, (a, b) = common_scale(w1, w2)
+    row, table_den, memo = _monomial_bracket(a, b, d, n)
     assert den == table_den
     for d1, d2, _ in grid:
         assert (d1, d2) in memo
@@ -638,9 +665,10 @@ def test_simplex_slice_is_every_tuple_of_the_order(slots) -> None:
 
 
 @st.composite
-def slice_trees(draw, max_slots=3):
-    """Trees on the slots 1..D, D <= ``max_slots``, in any leaf order, of total order <= 4."""
-    slots = draw(st.permutations(range(1, draw(st.integers(1, max_slots)) + 1)))
+def slice_trees(draw, max_slots=3, min_slots=1):
+    """Trees on the slots 1..D, ``min_slots`` <= D <= ``max_slots``, in any leaf
+    order, of total order <= 4."""
+    slots = draw(st.permutations(range(1, draw(st.integers(min_slots, max_slots)) + 1)))
     budget = [draw(st.integers(0, 4))]
 
     def build(part):
@@ -711,3 +739,24 @@ def test_read_off_slice_is_the_tree_at_any_leaf_degrees(tree, ws, degs) -> None:
     leaves = {slot: monomial_form(weights[slot], d) for slot, d in zip(weights, degs)}
     (c,) = _read_at(tables, grid, degs)
     assert eval_bracket_tree(tree, leaves).form == z_term(sum(degs) - order, c)
+
+
+mixed_weights = st.fractions(min_value=-4, max_value=4, max_denominator=7)
+
+
+@given(
+    slice_trees(max_slots=4, min_slots=3),
+    st.lists(mixed_weights, min_size=3, max_size=3),
+    st.integers(min_value=-3, max_value=0),
+    st.integers(min_value=0, max_value=2),
+)
+def test_integer_slice_engine_equals_the_bracket_evaluator(tree, ws, pole, at) -> None:
+    """At every slice tuple a the scaled integer table is the constant the
+    general kernel gives at leaves z^(a_j); one slot has a nonpositive integer weight."""
+    ws.insert(at, Fraction(pole))
+    slots = len(expr_slots(tree))
+    weights = dict(enumerate(ws[:slots], start=1))
+    ((values, den),), grid = tabulate_on_slice([tree], weights, expr_total_order(tree))
+    for a, v in zip(grid, values):
+        leaves = {slot: monomial_form(weights[slot], d) for slot, d in zip(weights, a)}
+        assert eval_bracket_tree(tree, leaves).form == z_term(0, Fraction(v, den))

@@ -1,7 +1,6 @@
 """Tests for the batch identity verifiers and the suite driver."""
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -239,12 +238,18 @@ def test_zagier_survey_skips_vanishing_normalizer() -> None:
         assert report.findings["skipped"] == "pairwise weight sum equals 1"
 
 
-def test_zagier_survey_raises_where_no_pair_sum_is_one() -> None:
-    # l1 + l2 = 0 escapes the skip rule, but (k+l1+l2-1)_{n+1} vanishes at n=1, k=0
+def test_zagier_survey_skips_where_no_pair_sum_is_one() -> None:
+    # l1 + l2 = 0 escapes the pair-sum rule, but (k+l1+l2-1)_{n+1} vanishes at n=1, k=0
     params = ParamTriple(Fraction(1, 2), Fraction(-1, 2), Fraction(2))
-    message = "the pair scalar at n=1, k=0 has a vanishing Pochhammer"
-    with pytest.raises(ZeroDivisionError, match=re.escape(message)):
-        verify_zagier_invariance(params, 1)
+    report = verify_zagier_invariance(params, 1)
+    assert report.status == "report_only"
+    assert report.instances_checked == 0
+    assert report.findings["skipped"] == "pair scalar denominator vanishes"
+    # (l2)_k vanishes at l2 = -1, k = 2, for the identity and the cycle
+    params = ParamTriple(Fraction(1, 3), Fraction(-1), Fraction(5, 2))
+    assert verify_zagier_invariance(params, 1).findings["corrected"]
+    skipped = verify_zagier_invariance(params, 2).findings["skipped"]
+    assert skipped == "pair scalar denominator vanishes"
 
 
 def test_zagier_suite_aggregates() -> None:
