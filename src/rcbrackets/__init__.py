@@ -22,6 +22,13 @@ from .brackets import (
     monomial_form,
     rc_bracket,
 )
+from .cmz import cmz_reports
+from .engine import (
+    solve_u_from_brackets,
+    verify_classical,
+    verify_four_function,
+    verify_on_monomials,
+)
 from .hypergeom import (
     BottomPoleError,
     HypSpec,
@@ -35,16 +42,7 @@ from .hypergeom import (
     jacobi_two_var,
     racah_value,
 )
-from .identities import (
-    SUITE_NAMES,
-    cmz_reports,
-    run_suite,
-    solve_u_from_brackets,
-    verify_block,
-    verify_classical,
-    verify_four_function,
-    verify_on_monomials,
-)
+from .identities import SUITE_NAMES, run_suite, verify_block
 from .poly import (
     MAX_NESTING,
     NestingTooDeepError,

@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .brackets import DuplicateSlotError, UnboundSlotError, WeightedForm, expr_slots, rc_bracket
 from .hypergeom import racah_value
-from .identities import SUITE_NAMES, run_suite, sample_dict
+from .identities import SUITE_NAMES, run_suite
 from .poly import PolySyntaxError, poly_from_string
 from .rationals import parse_rational
 from .report import VerificationReport, merge_reports
@@ -45,7 +45,7 @@ from .rewrite import (
     parse_coeff,
     to_standard,
 )
-from .samples import BASE_VALUES, default_triples, seeded_rows
+from .samples import BASE_VALUES, default_triples, sample_dict, seeded_rows
 from .star import StarSeries, star
 from .transition import ParamTriple, u_matrix
 from .verma import GENERATORS, Highest, Lowest, TensorLowest, TensorLowestTV, act
@@ -171,13 +171,8 @@ def _render_reports(doc: dict[str, object], reports: list[VerificationReport], f
 def cmd_verify(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     triples = default_triples(config.seed, config.sample_count)
-    reports = run_suite(
-        args.suite,
-        triples,
-        max_n=config.max_n,
-        max_degree=config.max_degree,
-        hbar_order=config.hbar_order,
-    )
+    scope = {key: getattr(config, key) for key in ("max_n", "max_degree", "hbar_order")}
+    reports = run_suite(args.suite, triples, **scope)
     doc = {
         "suite": args.suite,
         "config": {key: getattr(config, key) for key in _CONFIG_INT_KEYS},
@@ -347,9 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", choices=OUTPUT_FORMATS, default=None, help="report rendering")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument(
-        "--suite", choices=SUITE_NAMES + ("all",), default="all"
-    )
+    p_verify.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     add_run_flags(p_verify)
     p_verify.add_argument("--n", dest="max_n", type=int, default=None)
     p_verify.add_argument("--max-degree", dest="max_degree", type=int, default=None)

@@ -17,13 +17,10 @@ from fractions import Fraction
 
 from rcbrackets.brackets import WeightedForm, rc_bracket
 from rcbrackets.cli import main
+from rcbrackets.cmz import cmz_reports
+from rcbrackets.engine import solve_u_from_brackets
 from rcbrackets.hypergeom import jacobi_poly
-from rcbrackets.identities import (
-    cmz_reports,
-    run_suite,
-    solve_u_from_brackets,
-    zagier_suite,
-)
+from rcbrackets.identities import run_suite
 from rcbrackets.poly import Poly
 from rcbrackets.rewrite import check_identity, parse_bracket, to_standard
 from rcbrackets.samples import default_triples
@@ -43,6 +40,7 @@ from rcbrackets.verma import (
     adjoint_phi_tilde,
     intertwiner_phi_tilde,
 )
+from rcbrackets.zagier import zagier_suite
 
 TRIPLES = default_triples(seed=42, count=20)
 

@@ -336,7 +336,7 @@ def test_tree_too_deep_for_the_c_hash_is_refused_not_crashed():
     a crash kills."""
     script = (
         "from rcbrackets.brackets import Leaf, Node, tabulate_on_slice\n"
-        "from rcbrackets.identities import verify_on_monomials\n"
+        "from rcbrackets.engine import verify_on_monomials\n"
         "from rcbrackets.poly import NestingTooDeepError\n"
         "from rcbrackets.rewrite import to_standard\n"
         "tree, leaf = Leaf(1), Leaf(2)\n"
@@ -482,7 +482,7 @@ def test_tabulated_trees_equal_eval_bracket_tree(expr, order, ws, grid):
     # the trees on all of expr's slots share subtrees: the mirror shares its
     # leaves, expr's children come under another order, and expr's left child
     # at expr's order sits beside the mirrored right child.  Each total order
-    # is one call on its slice, as in ``identities._residuals``
+    # is one call on its slice, as in ``engine._residuals``
     trees = [
         expr,
         _mirrored(expr),

@@ -11,8 +11,8 @@ import pytest
 
 from rcbrackets import cli
 from rcbrackets.cli import RunConfig, UsageError, load_config_file, main
-from rcbrackets.identities import sample_dict
 from rcbrackets.poly import MAX_NESTING
+from rcbrackets.samples import sample_dict
 from rcbrackets.transition import ParamTriple, u_matrix
 
 WEIGHTED_IDENTITY = """\

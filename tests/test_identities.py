@@ -9,7 +9,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from rcbrackets import identities, transition, zagier
+from rcbrackets import cmz, engine, identities, transition, zagier
 from rcbrackets.brackets import (
     Leaf,
     Node,
@@ -25,18 +25,17 @@ from rcbrackets.hypergeom import jacobi_two_var
 from rcbrackets.poly import Poly
 from rcbrackets.star import assoc_defect
 from rcbrackets.verma import intertwiner_phi_tilde
-from rcbrackets.identities import (
-    SUITE_NAMES,
-    cmz_reports,
-    run_suite,
+from rcbrackets.cmz import cmz_reports
+from rcbrackets.engine import (
     solve_u_from_brackets,
-    verify_block,
     verify_classical,
     verify_four_function,
     verify_on_monomials,
 )
+from rcbrackets.identities import SUITE_NAMES, run_suite, verify_block
 from rcbrackets.rationals import factorial, pochhammer
 from rcbrackets.report import merge_reports
+from rcbrackets.samples import sample_dict
 from rcbrackets.transition import (
     InadmissibleParametersError,
     ParamTriple,
@@ -116,7 +115,7 @@ def _flat_defect(params: ParamTriple, degrees, order: int) -> Poly:
 def test_eholzer_table_agrees_with_star_route(params) -> None:
     order, max_degree = 3, 2
     weights = (params.lam1, params.lam2, params.lam3)
-    terms = identities.eholzer_terms(order)
+    terms = engine.eholzer_terms(order)
     (full,) = verify_on_monomials("eholzer", weights, [[({}, terms)]], max_degree)
     degree_tuples = [(0, 0, 0), (1, 2, 0), (2, 1, 2), (2, 2, 2)]
     assert full.failures == []
@@ -145,15 +144,15 @@ def test_eholzer_rejects_negative_order() -> None:
 
 
 def test_eholzer_failure_record_shape(monkeypatch) -> None:
-    terms = identities.eholzer_terms
-    monkeypatch.setattr(identities, "eholzer_terms", lambda order: terms(order)[1:])
+    terms = engine.eholzer_terms
+    monkeypatch.setattr(engine, "eholzer_terms", lambda order: terms(order)[1:])
     (report,) = verify_block("eholzer", GENERIC, 2, max_degree=1)
     assert report.status == "fail"
     assert report.instances_checked == 8
     assert len(report.failures) == 8  # the dropped [[f1,f2]_0,f3]_0 is f1 f2 f3
     for record in report.failures:
         assert set(record) == {"sample", "degrees", "value"}
-        assert record["sample"] == identities.sample_dict(GENERIC)
+        assert record["sample"] == sample_dict(GENERIC)
 
 
 def test_solved_coefficients_match_formula() -> None:
@@ -179,8 +178,7 @@ def test_solver_reads_no_entry_of_u(monkeypatch) -> None:
 
     expected = u_row(GENERIC, 4, 2)
     monkeypatch.setattr(transition, "_u_cached", refuse)
-    monkeypatch.setattr(identities, "u_row", refuse)
-    monkeypatch.setattr(identities, "u_matrix", refuse)
+    monkeypatch.setattr(engine, "u_row", refuse)
     assert solve_u_from_brackets(GENERIC, 4, 2) == expected
 
 
@@ -292,9 +290,9 @@ def test_cmz_survey_findings_structure() -> None:
 
 def test_cmz_mismatch_split_by_kappa(monkeypatch) -> None:
     clean_gated, clean_survey = cmz_reports([GENERIC, ONES], max_n=3)
-    closed = identities.cmz_t_closed
+    closed = cmz.cmz_t_closed
     monkeypatch.setattr(
-        identities,
+        cmz,
         "cmz_t_closed",
         lambda kappa, lam1, lam2, n: closed(kappa, lam1, lam2, n) + (1 if n == 2 else 0),
     )
@@ -337,19 +335,19 @@ def _compatible_by_fractions(kappa, scale, params, matrix):
 @pytest.mark.parametrize("params", CROSS_TRIPLES + (ODD_DENOMINATORS,), ids=str)
 def test_deformation_compatible_equals_fraction_reference(params) -> None:
     for kappa, scale, n in product(
-        identities.ASSERTED_KAPPAS + identities.GENERIC_KAPPAS,
+        cmz.ASSERTED_KAPPAS + cmz.GENERIC_KAPPAS,
         (Fraction(1), Fraction(1, 2)),
         range(5),
     ):
         matrix = transition.u_matrix(params, n)
-        clean = identities._deformation_compatible(kappa, scale, params, matrix)
+        clean = cmz._deformation_compatible(kappa, scale, params, matrix)
         assert clean == _compatible_by_fractions(kappa, scale, params, matrix)
         k, p = n // 2, (n + 1) // 2
         nudged = [list(row) for row in matrix]
         nudged[k][p] += Fraction(1, 1000)
-        bools = identities._deformation_compatible(kappa, scale, params, nudged)
+        bools = cmz._deformation_compatible(kappa, scale, params, nudged)
         assert bools == _compatible_by_fractions(kappa, scale, params, nudged)
-        if kappa in identities.ASSERTED_KAPPAS:
+        if kappa in cmz.ASSERTED_KAPPAS:
             # t_n = (-1/4)^n here, so the identity holds and the nudge breaks column p only
             assert clean == [True] * (n + 1)
             assert bools == [q != p for q in range(n + 1)]
@@ -392,8 +390,24 @@ def test_run_suite_single_names() -> None:
     }
     for name in SUITE_NAMES:
         reports = run_suite(name, [GENERIC], max_n=1, max_degree=1)
-        assert reports
+        assert [report.identity_id for report in reports] == list(identities.SUITES[name].reports)
         assert all(report.status in {"pass", "report_only"} for report in reports)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES + ("all",))
+def test_run_suite_rejects_negative_scopes(monkeypatch, name) -> None:
+    # every suite and ``all`` checks its scope before it builds a plan, reads the
+    # default triples or runs a survey
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before the scope check")
+
+    for target in ("plan_reports", "default_triples", "zagier_suite", "cmz_reports"):
+        monkeypatch.setattr(identities, target, refuse)
+    for key in ("max_n", "max_degree", "hbar_order"):
+        for value in (-1, -3):
+            with pytest.raises(ValueError) as info:
+                run_suite(name, **{key: value})
+            assert str(info.value) == f"{key} must be nonnegative, got {value}"
 
 
 def test_run_suite_unknown_name() -> None:
@@ -405,14 +419,14 @@ def test_convolution_failure_records_residual(monkeypatch) -> None:
     n, k, max_degree = 2, 1, 2
     clean_conv = verify_block("convolution", GENERIC, n)[k]
     clean_op = verify_block("operator", GENERIC, n, max_degree)[k]
-    formula = identities.u_row
+    formula = engine.u_row
     monkeypatch.setattr(
-        identities,
+        engine,
         "u_row",
         lambda params, n, k: [u + (1 if p == 0 else 0) for p, u in enumerate(formula(params, n, k))],
     )
     # the extra term is -[f1, [f2,f3]_0]_n, whose symbol is G_n(x, y+z) at (l1, l2+l3)
-    x, y, z = (Poly.variable(name, identities.GEOMETRIC_VARS) for name in "xyz")
+    x, y, z = (Poly.variable(name, engine.GEOMETRIC_VARS) for name in "xyz")
     l1, l2, l3 = GENERIC.lam1, GENERIC.lam2, GENERIC.lam3
     extra = jacobi_two_var(n, l1, l2 + l3).subst({"x": x, "y": y + z})
 
@@ -420,7 +434,7 @@ def test_convolution_failure_records_residual(monkeypatch) -> None:
     assert conv.status == "fail"
     assert conv.instances_checked == clean_conv.instances_checked
     assert conv.failures == [
-        {"sample": identities.sample_dict(GENERIC), "n": n, "k": k, "value": str(-extra)}
+        {"sample": sample_dict(GENERIC), "n": n, "k": k, "value": str(-extra)}
     ]
 
     op = verify_block("operator", GENERIC, n, max_degree)[k]
@@ -436,15 +450,15 @@ def _operator_residuals_by_poly(params, n, k, max_degree):
     """The operator block's residual at each input degree, by public
     ``Poly`` arithmetic: ``.subst(bindings)``, then ``scale * image``, then ``+``."""
     weights = dict(enumerate((params.lam1, params.lam2, params.lam3), start=1))
-    leaves = identities.SYMBOL_LEAVES
+    leaves = engine.SYMBOL_LEAVES
     residuals = []
     for m in range(max_degree + 1):
         q = Poly.monomial(("t",), {"t": m})
-        residual = Poly.zero(identities.GEOMETRIC_VARS)
-        for coeff, expr in identities.main_terms(params, n, k):
+        residual = Poly.zero(engine.GEOMETRIC_VARS)
+        for coeff, expr in engine.main_terms(params, n, k):
             sum1, symbol1, weight1 = tree_symbol(expr.left, weights, leaves)
             sum2, symbol2, weight2 = tree_symbol(expr.right, weights, leaves)
-            scale = Poly.const(identities.GEOMETRIC_VARS, coeff)
+            scale = Poly.const(engine.GEOMETRIC_VARS, coeff)
             for symbol in (symbol1, symbol2):
                 if symbol is not None:
                     scale = scale * symbol
@@ -456,7 +470,7 @@ def _operator_residuals_by_poly(params, n, k, max_degree):
 
 def test_operator_failure_records_match_poly_chain(monkeypatch) -> None:
     broken, n, k, max_degree = CROSS_TRIPLES[2], 3, 1, 3
-    formula = identities.u_row
+    formula = engine.u_row
 
     def off_by_a_thousandth(params, n_, k_):
         row = formula(params, n_, k_)
@@ -464,14 +478,14 @@ def test_operator_failure_records_match_poly_chain(monkeypatch) -> None:
             row[2] += Fraction(1, 1000)
         return row
 
-    monkeypatch.setattr(identities, "u_row", off_by_a_thousandth)
+    monkeypatch.setattr(engine, "u_row", off_by_a_thousandth)
     residuals = _operator_residuals_by_poly(broken, n, k, max_degree)
     assert not any(residual.is_zero() for residual in residuals)
     report = verify_block("operator", broken, n, max_degree)[k]
     assert report.status == "fail"
     assert report.failures == [
         {
-            "sample": identities.sample_dict(broken),
+            "sample": sample_dict(broken),
             "n": n,
             "k": k,
             "input_degree": m,
@@ -644,9 +658,9 @@ BLOCK_DEGREE = 2
 def test_blocks_equal_per_row_verifiers(monkeypatch, suite, perturbed) -> None:
     # run_suite("all") tabulates every n of every block suite in one call per triple,
     # shared across suites; verify_block tabulates one suite at one n
-    identity_id = identities.BLOCK_IDS[suite]
+    (identity_id,) = identities.SUITES[suite].reports
     if perturbed:
-        formula = identities.u_row
+        formula = engine.u_row
 
         def nudged(params, n, k):
             row = formula(params, n, k)
@@ -654,7 +668,7 @@ def test_blocks_equal_per_row_verifiers(monkeypatch, suite, perturbed) -> None:
                 row[0] += Fraction(1, 1000)
             return row
 
-        monkeypatch.setattr(identities, "u_row", nudged)
+        monkeypatch.setattr(engine, "u_row", nudged)
     reports = run_suite("all", BLOCK_TRIPLES, max_n=3, max_degree=BLOCK_DEGREE, hbar_order=2)
     (merged,) = [report for report in reports if report.identity_id == identity_id]
     blocks = [verify_block(suite, tr, n, BLOCK_DEGREE) for tr in BLOCK_TRIPLES for n in range(4)]
@@ -671,42 +685,36 @@ def test_blocks_equal_per_row_verifiers(monkeypatch, suite, perturbed) -> None:
         rows_hit = {(record["n"], record.get("k", record.get("p"))) for record in row.failures}
         assert rows_hit == {(2, 1)}
     samples = {tuple(record["sample"].items()) for record in merged.failures}
-    expected = {tuple(identities.sample_dict(tr).items()) for tr in BLOCK_TRIPLES}
+    expected = {tuple(sample_dict(tr).items()) for tr in BLOCK_TRIPLES}
     assert samples == (expected if perturbed else set())
 
 
 def test_plan_tabulates_each_tree_once_per_triple(monkeypatch) -> None:
+    # one _residuals call per weight vector: the triple's (main, reverse,
+    # eholzer, classical) and four-function's (l1, l2, l3, l1+1)
     triples = (GENERIC, CROSS_TRIPLES[2])
-    residuals, tabulate = identities._residuals, identities.tabulate_on_slice
-    on_monomials = identities.verify_on_monomials
-    caller = ["plan"]
-    calls = []  # the caller of each _residuals call
+    residuals, tabulate = engine._residuals, engine.tabulate_on_slice
+    calls = []  # the weights of each _residuals call
     tabulated = []  # (weights, tree) for each tree the plan's calls tabulate
 
     def counting_residuals(weights, tables):
-        calls.append(caller[0])
+        calls.append(tuple(weights))
         return residuals(weights, tables)
 
     def counting_tabulate(trees, weights, order):
-        if caller[0] == "plan":
-            tabulated.extend((tuple(weights.items()), tree) for tree in trees)
+        tabulated.extend((tuple(weights.items()), tree) for tree in trees)
         return tabulate(trees, weights, order)
 
-    def tagged_on_monomials(*args, **kwargs):
-        # classical and four-function make their own _residuals calls
-        caller[0] = "monomials"
-        try:
-            return on_monomials(*args, **kwargs)
-        finally:
-            caller[0] = "plan"
-
-    monkeypatch.setattr(identities, "_residuals", counting_residuals)
-    monkeypatch.setattr(identities, "tabulate_on_slice", counting_tabulate)
-    monkeypatch.setattr(identities, "verify_on_monomials", tagged_on_monomials)
+    monkeypatch.setattr(engine, "_residuals", counting_residuals)
+    monkeypatch.setattr(engine, "tabulate_on_slice", counting_tabulate)
     reports = run_suite("all", triples, max_n=3, max_degree=1, hbar_order=3)
     assert all(report.status in ("pass", "report_only") for report in reports)
-    assert calls.count("plan") == len(triples)
-    assert calls.count("monomials") == 2 * len(triples)
+    assert len(calls) == 2 * len(triples)
+    assert sorted(calls) == sorted(
+        weights
+        for tr in triples
+        for weights in ((tr.lam1, tr.lam2, tr.lam3), (tr.lam1, tr.lam2, tr.lam3, tr.lam1 + 1))
+    )
     assert tabulated and len(set(tabulated)) == len(tabulated)
 
 
@@ -755,9 +763,9 @@ CONVOLUTION_TRIPLES = (GENERIC, CROSS_TRIPLES[2])
 def _convolution_residual(params, n, k):
     """sum_T c_T S_T of the main table, with every S_T from ``tree_symbol``."""
     weights = dict(enumerate((params.lam1, params.lam2, params.lam3), start=1))
-    residual = Poly.zero(identities.GEOMETRIC_VARS)
-    for coeff, expr in identities.main_terms(params, n, k):
-        residual = residual + coeff * tree_symbol(expr, weights, identities.SYMBOL_LEAVES)[1]
+    residual = Poly.zero(engine.GEOMETRIC_VARS)
+    for coeff, expr in engine.main_terms(params, n, k):
+        residual = residual + coeff * tree_symbol(expr, weights, engine.SYMBOL_LEAVES)[1]
     return residual
 
 
@@ -765,7 +773,7 @@ def test_convolution_failures_are_the_tree_symbol_residual(monkeypatch) -> None:
     blocks = [(tr, n) for tr in CONVOLUTION_TRIPLES for n in range(5)]
     for params, n in blocks:
         assert all(report.failures == [] for report in verify_block("convolution", params, n))
-    formula = identities.u_row
+    formula = engine.u_row
 
     def nudged(params, n, k):
         # one entry of every row at n >= 1, a different column per row
@@ -774,7 +782,7 @@ def test_convolution_failures_are_the_tree_symbol_residual(monkeypatch) -> None:
             row[(n + k) % (n + 1)] += Fraction(1, 1000)
         return row
 
-    monkeypatch.setattr(identities, "u_row", nudged)
+    monkeypatch.setattr(engine, "u_row", nudged)
     for params, n in blocks:
         for k, report in enumerate(verify_block("convolution", params, n)):
             if n == 0:
@@ -782,5 +790,5 @@ def test_convolution_failures_are_the_tree_symbol_residual(monkeypatch) -> None:
                 continue
             residual = _convolution_residual(params, n, k)
             assert not residual.is_zero()
-            sample = identities.sample_dict(params)
+            sample = sample_dict(params)
             assert report.failures == [{"sample": sample, "n": n, "k": k, "value": str(residual)}]

@@ -2,15 +2,16 @@
 module-private top-level name is referenced somewhere in the package, only
 ``transition`` imports the single-entry U readers, the only private names one
 module imports from another are ``poly``'s integer-numerator helpers and the
-bracket kernel, the caches the benchmark reads by name exist, the
-package's ``lru_cache``s are exactly the known ones, and importing the
-package raises no warning."""
+bracket kernel, the caches, layers and hooked callables the benchmark reads by
+name exist, the package's ``lru_cache``s are exactly the known ones, importing
+the package raises no warning, and the README lists every module."""
 from __future__ import annotations
 
 import ast
 import os
 import subprocess
 import sys
+import types
 from importlib import import_module
 from pathlib import Path
 
@@ -118,6 +119,44 @@ def test_benchmark_cache_names_exist() -> None:
         module, attr = name.split(".")
         cache = getattr(import_module(f"rcbrackets.{module}"), attr, None)
         assert hasattr(cache, "cache_info"), name
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_benchmark_layers_and_hooks_resolve() -> None:
+    """``perfbench/spans.py`` wraps the public callables of each module in
+    ``LAYERS`` and hooks some by name, so a callable moved to another module
+    would silently zero its per-layer metrics.  The file is compiled from its
+    text, so no bytecode is written next to it."""
+    path = ROOT / "perfbench" / "spans.py"
+    spans = types.ModuleType("spans")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), spans.__dict__)
+    for layer in spans.LAYERS:
+        import_module(f"rcbrackets.{layer}")
+    hooks = spans.Tracer()._after_hooks()
+    assert hooks
+    for key in hooks:
+        layer, *names = key.split(".")
+        target = import_module(f"rcbrackets.{layer}")
+        for name in names:
+            target = getattr(target, name, None)
+        assert callable(target), key
+        assert target.__module__ == f"rcbrackets.{layer}", key
+
+
+def test_readme_lists_every_module() -> None:
+    """The README's "What is inside" table has a row for every module."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## What is inside", 1)[1].split("\n## ", 1)[0]
+    rows = {
+        line.split("`")[1].removeprefix("rcbrackets.")
+        for line in section.splitlines()
+        if line.startswith("| `rcbrackets.")
+    }
+    modules = {path.stem for path in MODULES} - {"__main__"}
+    assert sorted(modules - rows) == []
+    assert sorted(rows - modules) == []
 
 
 def test_package_caches_are_known() -> None:

@@ -22,7 +22,7 @@ from rcbrackets.brackets import (
     tabulate_on_slice,
 )
 from rcbrackets.cli import main
-from rcbrackets.identities import verify_on_monomials
+from rcbrackets.engine import verify_on_monomials
 from rcbrackets.poly import (
     MAX_NESTING,
     NestingTooDeepError,

@@ -7,13 +7,8 @@ from itertools import product
 import pytest
 
 from rcbrackets.brackets import Leaf, Node, eval_bracket_tree, monomial_form
-from rcbrackets.identities import (
-    CLASSICAL_TERMS,
-    FOUR_FUNCTION_TERMS,
-    _residuals,
-    verify_block,
-    verify_on_monomials,
-)
+from rcbrackets.engine import CLASSICAL_TERMS, FOUR_FUNCTION_TERMS, _residuals, verify_on_monomials
+from rcbrackets.identities import verify_block
 from rcbrackets.poly import Poly
 from rcbrackets.rewrite import BracketSyntaxError, bind_terms, check_identity, parse_coeff
 from rcbrackets.transition import ParamTriple, RacahQuery, u_coefficient
