@@ -12,7 +12,7 @@ value as tuples do: in C, uncached and with no recursion guard, so a function
 that hashes or rewrites a caller's tree first walks it with ``_walk``, the
 walk behind ``expr_slots`` and ``expr_total_order``, which bounds its
 nesting.  Trees evaluate bottom-up with that weight rule.  The coefficient row
-is integers from the start: ``bracket_coeff_row`` gives it over the lcm of its
+is integers from the start: ``bracket_row_scaled`` gives it over the lcm of its
 denominators, and a table per canonical scaled integer pair keeps that row and
 memoizes the bracket of two monomials: the weights (a/d, b/d) with
 gcd(a, b, d) = 1, and the order n, keyed as U is in ``transition``, so a pair
@@ -32,8 +32,7 @@ pair: it reads the derivatives of both polynomials as big integers at X = 2^W
 reads the result's signed base-2^W digits back.  W is one bit wider than the
 largest bound, over the orders, on an output coefficient: the sum over the row
 of |c_s| times the absolute coefficient sums of f^(s) and g^(n-s).  Both paths
-build a ``Fraction`` only for what they return and, once per cached table, for
-its two weights.
+build a ``Fraction`` only for what they return.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from itertools import combinations
 from math import comb, gcd, perm, prod
 from typing import Mapping, Sequence, Union
 
-from .hypergeom import bracket_coeff_row, jacobi_two_var
+from .hypergeom import bracket_row_scaled, jacobi_two_var
 from .poly import MAX_NESTING, NestingTooDeepError, Numerators, Poly, _numerators, _reduced
 from .rationals import RationalLike, as_rational, common_scale
 
@@ -84,15 +83,14 @@ def _monomial_bracket(a: int, b: int, d: int, n: int) -> MonomialTable:
 
     The key is canonical, gcd(a, b, d) = 1 (``_bracket_table`` divides the gcd
     out), so a weight pair reached at any multiple of its scale shares one
-    entry; the ``Fraction`` weights are built only here, on a cache miss.
-    ``(row, den)`` is ``bracket_coeff_row``: row[s] / den = c_s for s = 0..n,
+    entry.  ``(row, den)`` is ``bracket_row_scaled``: row[s] / den = c_s for s = 0..n,
     ``den`` the lcm of the reduced denominators of the c_s.  ``memo`` starts
     empty; :func:`tabulate_on_slice` fills ``memo[d1, d2]`` with den times the
     coefficient of [z^d1, z^d2]_n = sum_s c_s d1^(s) d2^(n-s) z^(d1+d2-n),
     where d^(s) is the falling factorial (0 for s > d), so it sums only the s
     with n - d2 <= s <= d1.
     """
-    return (*bracket_coeff_row(Fraction(a, d), Fraction(b, d), n), {})
+    return (*bracket_row_scaled(a, b, d, n), {})
 
 
 def _bracket_table(a: int, b: int, d: int, n: int) -> MonomialTable:

@@ -210,7 +210,11 @@ def plan_reports(
     classical and four-function (n None); the readers are "grid" and, of main's
     residual as a symbol, "convolution" and "operator".  Each table is built once
     per (source, n), and the tables of one weight vector go through one
-    :func:`_residuals` call, so trees they share are tabulated once."""
+    :func:`_residuals` call, so trees they share are tabulated once.  An unknown
+    reader raises ``ValueError`` before any work."""
+    for _, reader, _, _ in plan.values():
+        if reader not in ("grid", "convolution", "operator"):
+            raise ValueError(f"unknown reader {reader!r}")
     blocks: dict[tuple, dict[tuple, list[Row]]] = {}  # weights -> (source, n) -> rows
     keys = dict.fromkeys((source, n) for source, _, ns, _ in plan.values() for n in ns)
     for source, n in keys:

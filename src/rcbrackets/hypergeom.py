@@ -5,6 +5,9 @@ only when some top parameter is a nonpositive integer, the sum is truncated
 at the least such termination index T, and bottom parameters are checked for
 poles over the summation range actually used (b + j != 0 for 0 <= j <= T-1),
 which is what keeps the term ratio of every series free of division by zero.
+Every series runs through one integer term-ratio loop, ``series_terms_scaled``,
+on parameters x / d over one scale d (both tests read x <= 0 and d | x), and
+returns numerators over one denominator, which its caller reduces once.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, prod
+from typing import Sequence
 
 from .poly import Poly
 from .rationals import (
@@ -47,42 +51,65 @@ class HypSpec:
 
     def termination_index(self) -> int:
         """Least T with some top parameter equal to -T."""
-        candidates = [-int(a) for a in self.top if is_nonpositive_integer(a)]
-        if not candidates:
-            raise NonTerminatingError(f"no nonpositive-integer top parameter in {self.top}")
-        return min(candidates)
+        return _termination(*common_scale(*self.top))
 
     def check_bottom(self, upto: int) -> None:
         """Reject b + j = 0 for any bottom b and 0 <= j < upto."""
-        for b in self.bottom:
-            if b.denominator == 1 and -int(b) in range(upto):
-                raise BottomPoleError(f"bottom parameter {b} vanishes at shift {-int(b)}")
+        _check_poles(*common_scale(*self.bottom), upto)
 
 
-def _series_terms(spec: HypSpec) -> list[Fraction]:
-    """Terms t_0..t_T of the series at unit argument, built by the term ratio.
+def _termination(d: int, top: Sequence[int]) -> int:
+    """Least T with some top parameter a / d equal to -T: a <= 0 and d | a."""
+    stops = [-a // d for a in top if a <= 0 and not a % d]
+    if not stops:
+        tops = tuple(Fraction(a, d) for a in top)
+        raise NonTerminatingError(f"no nonpositive-integer top parameter in {tops}")
+    return min(stops)
 
-    t_0 = 1 and t_{j+1} = t_j * prod(a + j) / ((j + 1) * prod(b + j)).  No
-    division is by zero: T is the least termination index, and check_bottom(T)
-    rules out b + j = 0 for every j < T, the only shifts the ratio uses.
-    """
-    T = spec.termination_index()
-    spec.check_bottom(T)
-    terms = [Fraction(1)]
+
+def _check_poles(d: int, bottom: Sequence[int], upto: int) -> None:
+    """Reject b / d + j = 0 for any bottom b and 0 <= j < upto."""
+    for b in bottom:
+        if b <= 0 and not b % d and -b // d < upto:
+            raise BottomPoleError(f"bottom parameter {b // d} vanishes at shift {-b // d}")
+
+
+def series_terms_scaled(
+    top: Sequence[int], bottom: Sequence[int], d: int, upto: int = 0
+) -> tuple[list[int], int]:
+    """``(nums, den)``: t_j = nums[j] / den, j = 0..T, the terms at unit argument of
+    the series with top parameters a / d and bottom parameters b / d (d > 0).
+
+    T is the least termination index, and every shift j < max(T, upto) is checked
+    for bottom poles, so nothing divides by zero.  The term ratio is
+    d^len(bottom) prod(a + j d) / ((j + 1) d^len(top) prod(b + j d)); nums[j] is its
+    numerators over i < j times its denominators over j <= i < T, den all T of them."""
+    T = _termination(d, top)
+    _check_poles(d, bottom, max(T, upto))
+    heads, tails = [1], [1]
     for j in range(T):
-        num = terms[-1] * prod(a + j for a in spec.top)
-        terms.append(num / ((j + 1) * prod(b + j for b in spec.bottom)))
-    return terms
+        heads.append(heads[-1] * d ** len(bottom) * prod(a + j * d for a in top))
+    for j in reversed(range(T)):
+        tails.append(tails[-1] * (j + 1) * d ** len(top) * prod(b + j * d for b in bottom))
+    return [h * t for h, t in zip(heads, reversed(tails))], tails[-1]
+
+
+def _series_terms(spec: HypSpec) -> tuple[list[int], int]:
+    """``series_terms_scaled`` at the spec's parameters over their one common scale."""
+    d, scaled = common_scale(*spec.top, *spec.bottom)
+    return series_terms_scaled(scaled[: len(spec.top)], scaled[len(spec.top) :], d)
 
 
 def hyp_terminating_poly(spec: HypSpec) -> Poly:
     """The terminating series as a polynomial in t: sum_j t_j t^j (see _series_terms)."""
-    return Poly(("t",), {(j,): term for j, term in enumerate(_series_terms(spec))})
+    nums, den = _series_terms(spec)
+    return Poly(("t",), {(j,): Fraction(v, den) for j, v in enumerate(nums)})
 
 
 def hyp_terminating_at_one(spec: HypSpec) -> Fraction:
     """Exact value of the terminating series at unit argument."""
-    return sum(_series_terms(spec), Fraction(0))
+    nums, den = _series_terms(spec)
+    return Fraction(sum(nums), den)
 
 
 def jacobi_basis_admissible(alpha: RationalLike, beta: RationalLike) -> bool:
@@ -122,19 +149,16 @@ def jacobi_poly_hyp(ell: int, alpha: RationalLike, beta: RationalLike) -> Poly:
     return (pochhammer(alpha + 1, ell) / factorial(ell)) * value
 
 
-@lru_cache(maxsize=None)
-def bracket_coeff_row(weight1: Fraction, weight2: Fraction, n: int) -> tuple[tuple[int, ...], int]:
-    """``(row, den)``: row[s] / den, s = 0..n, is the coefficient of f^(s) g^(n-s)
-    in the bracket [f, g]_n and of x^s y^(n-s) in ``jacobi_two_var(n, weight1, weight2)``.
+def bracket_row_scaled(a: int, b: int, d: int, n: int) -> tuple[tuple[int, ...], int]:
+    """``bracket_coeff_row`` at the weights (a/d, b/d), for any integer scale d > 0,
+    uncached.  The reduced ``(row, den)`` does not depend on the scale.
 
-    The coefficient is c_s = (-1)^s C(weight1+n-1, n-s) C(weight2+n-1, s).  With
-    d the lcm of the weights' denominators, A = d weight1 and B = d weight2,
+    The coefficient is c_s = (-1)^s C(a/d+n-1, n-s) C(b/d+n-1, s), and
     C(x, k) = (x-k+1)_k / k! gives the integers
-    c_s d^n n! = (-1)^s C(n, s) prod_{i=s}^{n-1} (A + i d) prod_{i=n-s}^{n-1} (B + i d);
+    c_s d^n n! = (-1)^s C(n, s) prod_{i=s}^{n-1} (a + i d) prod_{i=n-s}^{n-1} (b + i d);
     dividing them and d^n n! by one gcd leaves ``den``, the lcm of the reduced
     denominators of the c_s (1 for a zero row).
     """
-    d, (a, b) = common_scale(weight1, weight2)
 
     def tail(x: int) -> list[int]:
         """[prod_{i=s}^{n-1} (x + i d) for s = 0..n]; entry n is the empty product 1."""
@@ -148,6 +172,15 @@ def bracket_coeff_row(weight1: Fraction, weight2: Fraction, n: int) -> tuple[tup
     full = d**n * prod(range(1, n + 1))
     common = gcd(full, *row)
     return tuple(v // common for v in row), full // common
+
+
+@lru_cache(maxsize=None)
+def bracket_coeff_row(weight1: Fraction, weight2: Fraction, n: int) -> tuple[tuple[int, ...], int]:
+    """``(row, den)``: row[s] / den, s = 0..n, is the coefficient of f^(s) g^(n-s)
+    in the bracket [f, g]_n and of x^s y^(n-s) in ``jacobi_two_var(n, weight1, weight2)``,
+    ``bracket_row_scaled`` at the weights scaled by the lcm of their denominators."""
+    d, (a, b) = common_scale(weight1, weight2)
+    return bracket_row_scaled(a, b, d, n)
 
 
 def jacobi_two_var(ell: int, lam1: RationalLike, lam2: RationalLike) -> Poly:
@@ -214,9 +247,7 @@ def racah_value(
             raise ValueError(f"{label} must be a nonnegative integer, got {idx!r}")
     if p > n or k > n:
         raise ValueError(f"indices out of range: p={p}, k={k}, n={n}")
-    lam1, lam2, lam3 = as_rational(lam1), as_rational(lam2), as_rational(lam3)
-    spec = HypSpec(
-        (-p, p + lam2 + lam3 - 1, -k, k + lam1 + lam2 - 1),
-        (lam2, lam1 + lam2 + lam3 + n - 1, Fraction(-n)),
-    )
-    return hyp_terminating_at_one(spec)
+    d, (l1, l2, l3) = common_scale(as_rational(lam1), as_rational(lam2), as_rational(lam3))
+    top = (-p * d, p * d + l2 + l3 - d, -k * d, k * d + l1 + l2 - d)
+    nums, den = series_terms_scaled(top, (l2, l1 + l2 + l3 + (n - 1) * d, -n * d), d)
+    return Fraction(sum(nums), den)

@@ -93,7 +93,7 @@ def run_suite(
     hbar_order: int = 6,
 ) -> list[VerificationReport]:
     """Run one named suite (or ``all``) and return its aggregated reports, in
-    registry order, the planned reports at their scopes as one plan."""
+    registry order, the planned reports at their scopes as one plan, if any."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     keywords = {"max_n": max_n, "max_degree": max_degree, "hbar_order": hbar_order}
@@ -113,7 +113,7 @@ def run_suite(
         if suite.run is None
         for report_id, scope in suite.reports.items()
     }
-    per_triple = [plan_reports(tr, plan) for tr in triples]
+    per_triple = [plan_reports(tr, plan) for tr in triples] if plan else []
     out: list[VerificationReport] = []
     for suite in suites:
         if suite.run is not None:

@@ -37,7 +37,8 @@ routes as well: the binomial sum, run on the weights scaled to integers by
 one common d (integer ratio rows and an integer lead over one denominator,
 one cached reduced integer pair per t_n, ``cmz_t_pair``, which ``cmz_t_sum``
 turns into one Fraction) and the closed form as a terminating 4F3
-(``cmz_t_closed``, evaluated by ``hypergeom``).
+(``cmz_t_closed``), on integers over 2d by ``hypergeom``'s one term-ratio
+loop, with one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -47,10 +48,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
 
-from .hypergeom import (
-    BottomPoleError, HypSpec, hyp_terminating_at_one, hyp_terminating_poly, racah_value
-)
-from .poly import Poly
+from .hypergeom import BottomPoleError, racah_value, series_terms_scaled
+from .poly import Poly, _times
 from .rationals import (
     RationalLike,
     as_rational,
@@ -291,12 +290,13 @@ def u_generating_poly(params: ParamTriple, n: int, p: int) -> Poly:
     _require_admissible(params)
     if not isinstance(n, int) or not isinstance(p, int) or not 0 <= p <= n:
         raise ValueError(f"need integers 0 <= p <= n, got p={p!r}, n={n!r}")
-    lam1, lam2, lam3 = params.lam1, params.lam2, params.lam3
-    total = params.total
-    prefactor = pochhammer(lam3, n) * _column_scale(lam2, lam3, total, n, p)
-    first = hyp_terminating_poly(HypSpec((-p, lam1 + n - p), (total + n - 1,)))
-    second = hyp_terminating_poly(HypSpec((p - n, p + lam2), (-lam3 - n + 1,)))
-    return prefactor * (first * second)
+    lam2, lam3 = params.lam2, params.lam3
+    prefactor = pochhammer(lam3, n) * _column_scale(lam2, lam3, params.total, n, p)
+    l1, l2, l3, d = params.scaled()
+    first = series_terms_scaled((-p * d, l1 + (n - p) * d), (l1 + l2 + l3 + (n - 1) * d,), d)
+    second = series_terms_scaled(((p - n) * d, p * d + l2), (-l3 - (n - 1) * d,), d)
+    nums, den = _times(*(({(j,): v for j, v in enumerate(vs)}, vd) for vs, vd in (first, second)))
+    return Poly(("t",), {e: prefactor * Fraction(v, den) for e, v in nums.items()})
 
 
 # -- CMZ deformation coefficients ------------------------------------------------
@@ -385,18 +385,16 @@ def cmz_t_closed(kappa: RationalLike, lam1: RationalLike, lam2: RationalLike, n:
     Term j is C(n, 2j) C(-1/2, j) C(kappa-3/2, j) C(1/2-kappa, j)
     / [C(-l1-1/2, j) C(-l2-1/2, j) C(n+l1+l2-3/2, j)], since
     C(n, 2j) = (-n/2)_j ((1-n)/2)_j / ((1/2)_j j!) and C(x, j) = (-1)^j (-x)_j / j!.
-    The bottoms are checked for every j <= n//2 even when kappa = 1/2 or 3/2
-    stops the series at j = 0.
+    Its seven parameters are integers over 2d (d the lcm of the denominators of
+    kappa, l1, l2) for ``hypergeom.series_terms_scaled``.  The bottoms are checked
+    for every j < n//2 even when kappa = 1/2 or 3/2 stops the series at j = 0.
     """
     _check_order(n)
-    kappa, lam1, lam2 = as_rational(kappa), as_rational(lam1), as_rational(lam2)
-    half = Fraction(1, 2)
-    spec = HypSpec(
-        (Fraction(-n, 2), Fraction(1 - n, 2), 1 + half - kappa, kappa - half),
-        (lam1 + half, lam2 + half, 1 + half - n - lam1 - lam2),
-    )
+    d, (k, a, b) = common_scale(as_rational(kappa), as_rational(lam1), as_rational(lam2))
+    top = (-n * d, (1 - n) * d, 3 * d - 2 * k, 2 * k - d)
+    bottom = (2 * a + d, 2 * b + d, (3 - 2 * n) * d - 2 * a - 2 * b)
     try:
-        spec.check_bottom(n // 2)
-        return Fraction(-1, 4) ** n * hyp_terminating_at_one(spec)
+        nums, den = series_terms_scaled(top, bottom, 2 * d, n // 2)
     except BottomPoleError as err:
         raise VanishingDenominatorError(str(err)) from None
+    return Fraction((-1) ** n * sum(nums), 4**n * den)

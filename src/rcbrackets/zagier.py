@@ -25,21 +25,25 @@ nest's table and v_k / den_k its bracket, the reading's coefficient at
 z^(2n+6) x^a1 y^a2 t^a3 is sum_k scalar_k v_k values_k[a] / den_k^2, divided
 by a1! a2! a3!.  That divisor is the same for every permutation, so two
 corrected readings are equal iff their vectors on the slice are.  The printed
-reading is no tree symbol: its two factors are substituted at the permuted
-weights and variables.  Both readings stay ``poly.Numerators`` and are
-compared by cross multiplication, and the scalars are integer pairs, so no
-``Fraction`` Pochhammer is built.
+reading is no tree symbol: it is the product (``poly._times``) of integer
+coefficient maps over (x, y, t), read off bracket rows at the weights scaled
+once (``hypergeom.bracket_row_scaled``): G_n(s_i, s_j), and the k-sum of
+G_n(s_i+s_j, s_m), sum_r e_r (x_i+x_j)^r x_m^(n-r) expanded with binomials.
+Both readings stay ``poly.Numerators`` and are compared by cross
+multiplication, and the scalars are integer pairs, so no ``Fraction``
+Pochhammer is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+from operator import itemgetter
 from typing import Sequence
 
 from .brackets import F1, F2, F3, Node, read_off_slice, tabulate_on_slice
-from .hypergeom import bracket_coeff_row, jacobi_two_var
-from .poly import Numerators, Poly, _reduced, _substituted, _sum, _times
+from .hypergeom import bracket_row_scaled
+from .poly import Numerators, _sum, _times
 from .rationals import common_scale, rising
 from .report import VerificationReport, merge_reports
 from .samples import sample_dict
@@ -118,26 +122,31 @@ def _zagier_readings(
         for k in range(n + 1)
     ]
     tables, grid = tabulate_on_slice(trees, dict(enumerate(lams, start=1)), n)
-    slots = [Poly.variable(name, ("x", "y", "t")) for name in ("x", "y", "t")]
+    d, scaled = common_scale(*lams)
     readings = {}
-    for p, (name, (i, j, m)) in enumerate(PERMUTATIONS.items()):
+    for p, (name, slots) in enumerate(PERMUTATIONS.items()):
+        i, j, m = slots
+        # at(powers): the exponents over (x, y, t), powers[r] on the variable of slot slots[r]
+        at = itemgetter(*map(slots.index, range(3)))
         corrected, second_rows = [], []
         for k, (values, den) in enumerate(tables[p * (n + 1) : (p + 1) * (n + 1)]):
             on_slice = dict(zip(grid, values))
             v = read_off_slice(on_slice, degrees)
             num, scalar_den = _zagier_pair_scalar(lams[i], lams[j], lams[m], n, k)
-            # scalar_k v / den times the symbol's value w / den at a
-            scale = scalar_den * den * den
-            corrected.append(({a: num * v * w for a, w in on_slice.items()}, scale))
-            row, row_den = bracket_coeff_row(lams[i] + lams[j] + 2 * k, lams[m], n)
-            second_rows.append(
-                ({(s, n - s): num * v * c for s, c in enumerate(row)}, scalar_den * den * row_den)
-            )
-        # G_n(s_i, s_j) does not depend on k, and G_n(s_i+s_j, s_m) only through its weight
-        first = _substituted(jacobi_two_var(n, lams[i], lams[j]), {"x": slots[i], "y": slots[j]})
-        second = _reduced(("x", "y"), _sum(second_rows))
-        second = _substituted(second, {"x": slots[i] + slots[j], "y": slots[m]})
-        readings[name] = {"corrected": _sum(corrected), "printed": _times(first, second)}
+            # scalar_k v / den, times the symbol's value w / den at a or a row entry
+            num, scalar_den = num * v, scalar_den * den
+            corrected.append(({a: num * w for a, w in on_slice.items()}, scalar_den * den))
+            row, row_den = bracket_row_scaled(scaled[i] + scaled[j] + 2 * k * d, scaled[m], d, n)
+            second_rows.append(({(r,): num * c for r, c in enumerate(row)}, scalar_den * row_den))
+        # G_n(s_i, s_j) does not depend on k, and G_n(s_i+s_j, s_m) only through its
+        # weight: its k-sum is sum_r e_r (x_i + x_j)^r x_m^(n-r), expanded with binomials
+        row, row_den = bracket_row_scaled(scaled[i], scaled[j], d, n)
+        first = {at((s, n - s, 0)): c for s, c in enumerate(row)}, row_den
+        nums, e_den = _sum(second_rows)
+        second = {
+            at((q, r - q, n - r)): comb(r, q) * e for (r,), e in nums.items() for q in range(r + 1)
+        }
+        readings[name] = {"corrected": _sum(corrected), "printed": _times(first, (second, e_den))}
     return readings
 
 

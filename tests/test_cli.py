@@ -746,6 +746,21 @@ def test_verify_all_small_scope_golden_bytes(capsys) -> None:
     assert digest == "86e49205109b5a7b5b57ec4545b9c38c6bb47457faab9e05d3b7cd605e425a9d"
 
 
+@pytest.mark.parametrize(
+    "suite, digest",
+    [
+        ("cmz", "adc29ed5a641567f2a75671535b42177b69a269bd2290dd3797575890cb761fb"),
+        ("zagier", "e7d6d1dda2913eb4b245e7c200f07056e3d347fb7f1b41483384cf2556071902"),
+    ],
+)
+def test_verify_survey_suites_golden_bytes(capsys, suite, digest) -> None:
+    # the two surveys off the slice plan, at a seeded scope wider than the default
+    argv = ["verify", "--suite", suite, "--seed", "5", "--samples", "40", "--output", "json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_verify_csv_and_text_renderings(capsys) -> None:
     base = ["verify", "--suite", "main", "--samples", "0", "--n", "1", "--max-degree", "1"]
     code, out, _ = run_cli(capsys, base + ["--output", "csv"])

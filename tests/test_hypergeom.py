@@ -1,13 +1,16 @@
 from fractions import Fraction
+from functools import partial
 from math import prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rcbrackets.hypergeom import (
     BottomPoleError,
     HypSpec,
     NonTerminatingError,
+    bracket_coeff_row,
+    bracket_row_scaled,
     hyp_terminating_at_one,
     hyp_terminating_poly,
     jacobi_basis_admissible,
@@ -18,7 +21,8 @@ from rcbrackets.hypergeom import (
     racah_value,
 )
 from rcbrackets.poly import Poly, poly_from_string
-from rcbrackets.rationals import factorial, pochhammer
+from rcbrackets.rationals import common_scale, factorial, pochhammer
+from rcbrackets.transition import VanishingDenominatorError, cmz_t_closed
 
 params = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(6), max_denominator=6
@@ -191,3 +195,122 @@ def test_term_ratio_series_matches_pochhammer_formula(others, stop, bottom, data
     ]
     assert hyp_terminating_poly(spec) == Poly(("t",), {(j,): c for j, c in enumerate(expected)})
     assert hyp_terminating_at_one(spec) == sum(expected)
+
+
+# -- the integer series against a Fraction reference ------------------------------
+
+# signed parameters on small denominators, so that poles and stops are common
+small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+def series_by_fractions(top, bottom, upto=0):
+    """A terminating series at unit argument, term by term from ``pochhammer`` and
+    ``factorial``, with the errors and messages of the package: the least
+    termination index T, and bottom poles at every shift below max(T, upto)."""
+    top, bottom = tuple(map(Fraction, top)), tuple(map(Fraction, bottom))
+    stops = [-a for a in top if a.denominator == 1 and a <= 0]
+    if not stops:
+        raise NonTerminatingError(f"no nonpositive-integer top parameter in {top}")
+    T = int(min(stops))
+    for b in bottom:
+        if b.denominator == 1 and 0 <= -b < max(T, upto):
+            raise BottomPoleError(f"bottom parameter {b} vanishes at shift {-b}")
+    return sum(
+        (
+            prod((pochhammer(a, j) for a in top), start=Fraction(1))
+            / (factorial(j) * prod((pochhammer(b, j) for b in bottom), start=Fraction(1)))
+            for j in range(T + 1)
+        ),
+        Fraction(0),
+    )
+
+
+def cmz_closed_by_fractions(kappa, lam1, lam2, n):
+    """(-1/4)^n 4F3(-n/2, (1-n)/2, 3/2-kappa, kappa-1/2; l1+1/2, l2+1/2, 3/2-n-l1-l2; 1),
+    its bottoms checked for every j < n//2."""
+    half = Fraction(1, 2)
+    top = (Fraction(-n, 2), Fraction(1 - n, 2), 3 * half - kappa, kappa - half)
+    bottom = (lam1 + half, lam2 + half, 3 * half - n - lam1 - lam2)
+    try:
+        return Fraction(-1, 4) ** n * series_by_fractions(top, bottom, n // 2)
+    except BottomPoleError as err:
+        raise VanishingDenominatorError(str(err)) from None
+
+
+def assert_same_outcome(got, want):
+    """``got()`` equals ``want()``, or raises the same class with the same message."""
+    try:
+        expected = want()
+    except (ArithmeticError, ValueError) as err:
+        with pytest.raises(type(err)) as info:
+            got()
+        assert type(info.value) is type(err) and str(info.value) == str(err)
+    else:
+        assert got() == expected
+
+
+@given(
+    st.lists(small, max_size=3),
+    st.lists(small, max_size=3),
+    st.one_of(st.none(), st.integers(min_value=-5, max_value=0)),
+    st.data(),
+)
+@example([Fraction(1, 2), Fraction(2)], [Fraction(3)], None, None)  # no stop
+@example([Fraction(1, 3)], [Fraction(-1)], -3, None)  # pole at shift 1 < T = 3
+def test_series_matches_fraction_reference(others, bottom, stop, data):
+    top = others if stop is None else others + [Fraction(stop)]
+    if stop is not None and data is not None:
+        top = data.draw(st.permutations(top))
+    spec = HypSpec(top, bottom)
+    want = partial(series_by_fractions, top, bottom)
+    assert_same_outcome(lambda: hyp_terminating_at_one(spec), want)
+    assert_same_outcome(lambda: hyp_terminating_poly(spec).eval_at({"t": Fraction(1)}), want)
+
+
+@given(
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=4),
+    small,
+    small,
+    small,
+)
+@example(1, 1, 2, Fraction(1), Fraction(-1), Fraction(1))  # bottom l2 = -1 at shift 1
+def test_racah_value_matches_fraction_reference(p, k, n, lam1, lam2, lam3):
+    p, k = min(p, n), min(k, n)
+    top = (-p, p + lam2 + lam3 - 1, -k, k + lam1 + lam2 - 1)
+    bottom = (lam2, lam1 + lam2 + lam3 + n - 1, -n)
+    assert_same_outcome(
+        lambda: racah_value(p, k, n, lam1, lam2, lam3), lambda: series_by_fractions(top, bottom)
+    )
+
+
+@given(small, small, small, st.integers(min_value=0, max_value=6))
+@example(Fraction(5, 7), Fraction(-1, 4), Fraction(-1, 4), 2)  # 3/2-n-l1-l2 = 0 at j = 0
+@example(Fraction(1, 2), Fraction(-3, 2), Fraction(1), 4)  # kappa stops at j = 0, pole at j = 1
+def test_cmz_closed_matches_fraction_reference(kappa, lam1, lam2, n):
+    assert_same_outcome(
+        lambda: cmz_t_closed(kappa, lam1, lam2, n),
+        lambda: cmz_closed_by_fractions(kappa, lam1, lam2, n),
+    )
+
+
+def test_cmz_closed_pole_message():
+    with pytest.raises(VanishingDenominatorError) as info:
+        cmz_t_closed(Fraction(5, 7), Fraction(-1, 4), Fraction(-1, 4), 2)
+    assert str(info.value) == "bottom parameter 0 vanishes at shift 0"
+
+
+def test_non_terminating_message():
+    with pytest.raises(NonTerminatingError) as info:
+        hyp_terminating_at_one(HypSpec((Fraction(1, 2), 2), (3,)))
+    assert str(info.value) == (
+        "no nonpositive-integer top parameter in (Fraction(1, 2), Fraction(2, 1))"
+    )
+
+
+@given(small, small, st.integers(min_value=0, max_value=5))
+def test_bracket_row_scaled_is_free_of_the_scale(w1, w2, n):
+    d, (a, b) = common_scale(w1, w2)
+    for m in (1, 6, 42):
+        assert bracket_row_scaled(a * m, b * m, d * m, n) == bracket_coeff_row(w1, w2, n)

@@ -410,6 +410,36 @@ def test_run_suite_rejects_negative_scopes(monkeypatch, name) -> None:
             assert str(info.value) == f"{key} must be nonnegative, got {value}"
 
 
+def test_run_suite_skips_an_empty_plan(monkeypatch) -> None:
+    # the surveys plan no report, so a run of one of them reads no triple's plan
+    calls = []
+    plan_reports = identities.plan_reports
+
+    def counting(params, plan):
+        calls.append(params)
+        return plan_reports(params, plan)
+
+    monkeypatch.setattr(identities, "plan_reports", counting)
+    triples = [GENERIC, ONES]
+    for name in ("zagier", "cmz"):
+        run_suite(name, triples, max_n=1, max_degree=1)
+        assert calls == []
+    run_suite("main", triples, max_n=1, max_degree=1)
+    assert calls == triples
+
+
+def test_plan_rejects_an_unknown_reader(monkeypatch) -> None:
+    # the reader is checked before any table is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built before the reader check")
+
+    monkeypatch.setattr(engine, "_source_rows", refuse)
+    plan = {"main-recoupling": ("main", "grid", [1], 1), "typo": ("main", "opertor", [1], 1)}
+    with pytest.raises(ValueError) as info:
+        engine.plan_reports(GENERIC, plan)
+    assert str(info.value) == "unknown reader 'opertor'"
+
+
 def test_run_suite_unknown_name() -> None:
     with pytest.raises(ValueError):
         run_suite("spectral", [GENERIC])
