@@ -295,20 +295,6 @@ def test_cmz_closed_matches_fraction_reference(kappa, lam1, lam2, n):
     )
 
 
-def test_cmz_closed_pole_message():
-    with pytest.raises(VanishingDenominatorError) as info:
-        cmz_t_closed(Fraction(5, 7), Fraction(-1, 4), Fraction(-1, 4), 2)
-    assert str(info.value) == "bottom parameter 0 vanishes at shift 0"
-
-
-def test_non_terminating_message():
-    with pytest.raises(NonTerminatingError) as info:
-        hyp_terminating_at_one(HypSpec((Fraction(1, 2), 2), (3,)))
-    assert str(info.value) == (
-        "no nonpositive-integer top parameter in (Fraction(1, 2), Fraction(2, 1))"
-    )
-
-
 @given(small, small, st.integers(min_value=0, max_value=5))
 def test_bracket_row_scaled_is_free_of_the_scale(w1, w2, n):
     d, (a, b) = common_scale(w1, w2)
