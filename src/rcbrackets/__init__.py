@@ -86,6 +86,7 @@ from .transition import (
     admissible_scaled,
     cmz_t_closed,
     cmz_t_pair,
+    cmz_t_row,
     cmz_t_sum,
     u_coefficient,
     u_generating_poly,

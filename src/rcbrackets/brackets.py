@@ -396,22 +396,60 @@ def tabulate_on_slice(
     product of its nodes' table ``den``s, so tabulation multiplies integers
     only.  A slot without a weight raises :class:`UnboundSlotError`.
     """
-    slots = len(weights)
     for tree in trees:
-        found, total = _slots_and_order(tree)
-        if sorted(found) != list(range(1, slots + 1)):
-            raise ValueError(f"a slice tree needs the slots 1..{slots}, got {found}")
+        total = _slice_order(tree, len(weights))
         if total != order:
             raise ValueError(f"a slice tree needs total order {order}, got {total}")
-    grid = simplex_slice(slots, order)
+    tables, slices = _tabulate_groups({order: trees}, weights)
+    return tables[order], slices[order]
+
+
+def tabulate_by_order(
+    trees: Sequence[BracketExpr], weights: Mapping[int, RationalLike]
+) -> tuple[dict[BracketExpr, tuple[int, Tabulation]], dict[int, list[tuple[int, ...]]]]:
+    """``(tables, slices)``: ``tabulate_on_slice`` for distinct trees of any total orders.
+
+    Each tree, on the slots 1..D of ``weights``, is walked once, for its slots
+    and its total order N, and tabulated on ``slices[N]``, the slice of N:
+    ``tables[tree]`` is ``(N, (values, den))``.  The trees of one order are
+    tabulated in one pass, sharing their subtrees, and the weights are scaled
+    to integers once for all orders.
+    """
+    groups: dict[int, list[BracketExpr]] = {}
+    for tree in trees:
+        groups.setdefault(_slice_order(tree, len(weights)), []).append(tree)
+    tables, slices = _tabulate_groups(groups, weights)
+    out = {}
+    for order, group in groups.items():
+        out.update((tree, (order, table)) for tree, table in zip(group, tables[order]))
+    return out, slices
+
+
+def _slice_order(tree: BracketExpr, slots: int) -> int:
+    """The total order of a slice tree, from the one walk that checks it has the
+    slots 1..``slots``."""
+    found, total = _slots_and_order(tree)
+    if sorted(found) != list(range(1, slots + 1)):
+        raise ValueError(f"a slice tree needs the slots 1..{slots}, got {found}")
+    return total
+
+
+def _tabulate_groups(
+    groups: Mapping[int, Sequence[BracketExpr]], weights: Mapping[int, RationalLike]
+) -> tuple[dict[int, list[Tabulation]], dict[int, list[tuple[int, ...]]]]:
+    """Per total order N, the tables of the trees ``groups[N]`` on the slice of
+    N, and the slices, at the weights scaled once to integers."""
     d, scaled = common_scale(*map(as_rational, weights.values()))
     scaled_weights = dict(zip(weights, scaled))
-    tables: dict[BracketExpr, _Table] = {}
-    out = []
-    for tree in trees:
-        values, _, den = _tabulate(tree, scaled_weights, d, grid, tables)
-        out.append(([v for _, v in values], den))
-    return out, grid
+    tables, slices = {}, {}
+    for order, trees in groups.items():
+        grid = slices[order] = simplex_slice(len(weights), order)
+        memo: dict[BracketExpr, _Table] = {}
+        tables[order] = []
+        for tree in trees:
+            values, _, den = _tabulate(tree, scaled_weights, d, grid, memo)
+            tables[order].append(([v for _, v in values], den))
+    return tables, slices
 
 
 def read_off_slice(values: Mapping[tuple[int, ...], int], degrees: Sequence[int]) -> int:

@@ -19,12 +19,12 @@ from math import factorial, gcd, lcm
 from typing import Mapping, Sequence
 
 from .brackets import BracketExpr, expr_total_order, left_nest, right_nest
-from .brackets import read_off_slice, tabulate_on_slice
+from .brackets import read_off_slice, tabulate_by_order, tabulate_on_slice
 from .poly import Poly
 from .rationals import RationalLike, as_rational
 from .report import VerificationReport
 from .rewrite import bind_terms, eval_coeff, parse_bracket, parse_coeff
-from .transition import ParamTriple, check_row, u_row
+from .transition import ParamTriple, check_row, u_row_scaled
 
 GEOMETRIC_VARS = ("z", "x", "y")
 # slots 1, 2, 3 of a symbol read the variables x, y, z, and z leads GEOMETRIC_VARS
@@ -67,26 +67,22 @@ _FOUR_ROWS = [[({}, bind_terms(FOUR_FUNCTION_TERMS, {}))]]
 def _residuals(weights: Sequence[RationalLike], tables: Sequence[Terms]) -> list[Residual]:
     """``(den, {N: {a: r}})`` for each term table: its nonzero integer residuals
     on the simplex slices, r / den = sum_T c_T T(z^a) over its trees T of total
-    order N, at each a with |a| = N.  The distinct trees of all tables are
-    grouped by total order, and each group is tabulated once on its slice
-    (``brackets.tabulate_on_slice``), so every tree must have the slots
-    1..len(weights).  Each coefficient p/q over its tree's denominator t is the
-    reduced p' / t' with g = gcd(p, t), p' = p/g and t' = q t/g; ``den`` is the
-    lcm of a table's t', and each multiplier p' den/t' is formed on integers.
-    A table vanishes on every input iff its residual is empty."""
-    slot_weights = dict(enumerate(weights, start=1))
-    groups: dict[int, dict[BracketExpr, None]] = {}
-    for _, expr in chain.from_iterable(tables):
-        groups.setdefault(expr_total_order(expr), {})[expr] = None
-    slices, tabulated = {}, {}
-    for order, trees in groups.items():
-        values, slices[order] = tabulate_on_slice(list(trees), slot_weights, order)
-        tabulated.update((tree, (order, *table)) for tree, table in zip(trees, values))
+    order N, at each a with |a| = N.  The distinct trees of all tables, whose
+    nesting the caller has bounded, go to one ``brackets.tabulate_by_order``
+    call, which walks each once, for its order and its slot check, and
+    tabulates each order's trees once on its slice, so every tree must have
+    the slots 1..len(weights).  Each coefficient p/q over its tree's
+    denominator t is the reduced p' / t' with g = gcd(p, t), p' = p/g and
+    t' = q t/g; ``den`` is the lcm of a table's t', and each multiplier
+    p' den/t' is formed on integers.  A table vanishes on every input iff its
+    residual is empty."""
+    trees = list(dict.fromkeys(expr for _, expr in chain.from_iterable(tables)))
+    tabulated, slices = tabulate_by_order(trees, dict(enumerate(weights, start=1)))
     out = []
     for terms in tables:
         reduced = []
         for c, expr in terms:
-            order, values, t = tabulated[expr]
+            order, (values, t) = tabulated[expr]
             g = gcd(c.numerator, t)
             reduced.append((c.numerator // g, c.denominator * t // g, order, values))
         den = lcm(*(t for _, t, _, _ in reduced))
@@ -114,8 +110,14 @@ def verify_on_monomials(
 ) -> list[VerificationReport]:
     """Check that every term table sums to zero on all monomial leaf bindings, one report
     per row, a row being (failure label, terms) pairs.  Slot i carries ``weights[i-1]``,
-    and every tree must have the slots 1..len(weights); :func:`_grid_reports` reads them."""
+    and every tree must have the slots 1..len(weights); :func:`_grid_reports` reads them.
+    A tuple hash recurses in C with no guard, so every caller tree is first walked
+    with the nesting bound (``expr_total_order``), before :func:`_residuals` hashes it."""
     weights = [as_rational(w) for w in weights]
+    for row in rows:
+        for _, terms in row:
+            for _, expr in terms:
+                expr_total_order(expr)
     return _grid_reports(identity_id, weights, _read(weights, rows), max_degree)
 
 
@@ -151,15 +153,29 @@ def _grid_reports(
 
 def main_terms(params: ParamTriple, n: int, k: int) -> Terms:
     """[[f1,f2]_k, f3]_{n-k} - sum_p U_p [f1, [f2,f3]_p]_{n-p} as a term table, U_p != 0."""
-    terms = [(Fraction(1), left_nest(n, k))]
-    return terms + [(-u, right_nest(n, p)) for p, u in enumerate(u_row(params, n, k)) if u]
+    return _main_table(params.scaled(), n, k)
 
 
 def reverse_terms(params: ParamTriple, n: int, p: int) -> Terms:
     """[f1, [f2,f3]_p]_{n-p} - sum_k Utilde_k [[f1,f2]_k, f3]_{n-k} as a term table,
     Utilde the U row at the outer-swapped triple, Utilde_k != 0."""
+    return _reverse_table(params.scaled(), n, p)
+
+
+# the tables above at a triple scaled once: (l1, l2, l3, d) from ``ParamTriple.scaled``
+Scaled = tuple[int, int, int, int]
+
+
+def _main_table(scaled: Scaled, n: int, k: int) -> Terms:
+    terms = [(Fraction(1), left_nest(n, k))]
+    row = u_row_scaled(*scaled, n, k)
+    return terms + [(-u, right_nest(n, p)) for p, u in enumerate(row) if u]
+
+
+def _reverse_table(scaled: Scaled, n: int, p: int) -> Terms:
+    l1, l2, l3, d = scaled
     terms = [(Fraction(1), right_nest(n, p))]
-    row = u_row(params.swapped_outer(), n, p)
+    row = u_row_scaled(l3, l2, l1, d, n, p)
     return terms + [(-u, left_nest(n, k)) for k, u in enumerate(row) if u]
 
 
@@ -185,9 +201,11 @@ def _source_rows(source: str, params: ParamTriple, n: int | None) -> tuple[tuple
     """(weight vector, report rows) of one table source at one triple and n."""
     weights = (params.lam1, params.lam2, params.lam3)
     if source == "main":
-        rows = [[({"n": n, "k": k}, main_terms(params, n, k))] for k in range(n + 1)]
+        scaled = params.scaled()
+        rows = [[({"n": n, "k": k}, _main_table(scaled, n, k))] for k in range(n + 1)]
     elif source == "reverse":
-        rows = [[({"n": n, "p": p}, reverse_terms(params, n, p))] for p in range(n + 1)]
+        scaled = params.scaled()
+        rows = [[({"n": n, "p": p}, _reverse_table(scaled, n, p))] for p in range(n + 1)]
     elif source == "eholzer":
         rows = [[({}, eholzer_terms(n))]]
     elif source == "classical":
@@ -225,7 +243,8 @@ def plan_reports(
         residuals = iter(_read(weights, [row for rows in keyed.values() for row in rows]))
         for key, rows in keyed.items():
             read[key] = weights, [next(residuals) for _ in rows]
-    leaf_sum = sum(SYMBOL_LEAVES.values(), Poly.zero(GEOMETRIC_VARS))
+    if any(reader == "operator" for _, reader, _, _ in plan.values()):
+        leaf_sum = sum(SYMBOL_LEAVES.values(), Poly.zero(GEOMETRIC_VARS))
     out: dict[str, list[VerificationReport]] = {}
     for report_id, (source, reader, ns, degree) in plan.items():
         out[report_id] = reports = []

@@ -271,12 +271,25 @@ def _normal_form(pending: dict, scaled: Mapping[int, int], d: int) -> LinearComb
     """The standard combination that ``pending``, a combination of trees with
     nonzero reduced pairs, rewrites to at the d-scaled slot weights ``scaled``.
     ``pending`` is the work list and is emptied; the rows read are dropped on
-    return."""
+    return.
+
+    The work list is first in, first out: each pop takes the oldest tree.  A
+    pop leaves a dead slot at the head of the dict, which ``next(iter())``
+    scans past until the dict is next resized, so once the pops since the
+    last rebuild outnumber the live entries, the dict is rebuilt in place, in
+    the same order."""
     rows: dict = {}
     done: dict[BracketExpr, tuple[int, int]] = {}
+    popped = 0
     while pending:
+        if popped > len(pending):
+            live = list(pending.items())
+            pending.clear()
+            pending.update(live)
+            popped = 0
         tree = next(iter(pending))
         num, den = pending.pop(tree)
+        popped += 1
         pieces = _step(tree, rows, scaled, d) if type(tree) is Node else None
         if type(pieces) is not list:  # standard: _step gave the tree's weight
             _add_pair(done, tree, num, den)

@@ -13,7 +13,8 @@ deformation coefficient t_n^kappa(w1, w2).
 Both ``star`` and ``assoc_defect`` run on integers from input to output,
 through one shared loop, ``_product``: the weights and kappa are scaled to
 integers by one common d, so slice keys are integers and t_n^kappa is a
-reduced integer pair (``transition.cmz_t_pair``); the brackets come from
+reduced integer pair, read by rows (``transition.cmz_t_row``, one per pair of
+operand slices for all the orders that pair reaches); the brackets come from
 the integer kernel of ``brackets`` as ``poly.Numerators``, one kernel call
 per pair of operand slices for all the orders that pair reaches, at the
 pair's slice keys over d, so no weight is a ``Fraction`` inside the loop.
@@ -30,7 +31,7 @@ from typing import Mapping, Sequence
 from .brackets import WeightedForm, _bracket_kernel
 from .poly import Numerators, Poly, _numerators, _reduced, _sum
 from .rationals import RationalLike, as_rational, common_scale
-from .transition import cmz_t_pair
+from .transition import cmz_t_row
 
 WeightSlice = Mapping[Fraction, Poly]
 
@@ -132,8 +133,9 @@ def _product(left: Layers, right: Layers, d: int, k: int | None) -> Pieces:
 
     Each pair of slices (a_i at d * w1 = a, b_j at d * w2 = b) goes through
     the bracket kernel once, at the weights (a, b) over d, for every order
-    n <= order - i - j.  The pair's slice keys a + b + 2dn and its t_n^kappa,
-    as reduced integer pairs, are computed once, before the kernel runs.
+    n <= order - i - j.  The pair's slice keys a + b + 2dn and its t_n^kappa
+    for every such n, one ``cmz_t_row`` of reduced integer pairs, are computed
+    once, before the kernel runs, so an invalid t_n raises at its first order.
     """
     order = len(left) - 1
     pieces: Pieces = [{} for _ in left]
@@ -143,7 +145,9 @@ def _product(left: Layers, right: Layers, d: int, k: int | None) -> Pieces:
             for a, f in layer1.items():
                 for b, g in layer2.items():
                     keys = [a + b + 2 * d * n for n in orders]
-                    scales = [(1, 1) if k is None else cmz_t_pair(k, a, b, d, n) for n in orders]
+                    scales = (
+                        [(1, 1)] * len(orders) if k is None else cmz_t_row(k, a, b, d, orders)
+                    )
                     brackets = _bracket_kernel(a, b, d, f, g, orders)
                     for n, key, (num, den), (nums, nums_den) in zip(orders, keys, scales, brackets):
                         if not num:

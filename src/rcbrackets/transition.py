@@ -34,11 +34,13 @@ vanishing check stays in as a hard error for inadmissible use.
 
 The Cohen-Manin-Zagier deformation coefficients t_n^kappa(l1, l2) have two
 routes as well: the binomial sum, run on the weights scaled to integers by
-one common d (integer ratio rows and an integer lead over one denominator,
-one cached reduced integer pair per t_n, ``cmz_t_pair``, which ``cmz_t_sum``
-turns into one Fraction) and the closed form as a terminating 4F3
-(``cmz_t_closed``), on integers over 2d by ``hypergeom``'s one term-ratio
-loop, with one Fraction at the end.
+one common d (integer ratio rows and an integer lead over one denominator),
+and the closed form as a terminating 4F3 (``cmz_t_closed``), on integers over
+2d by ``hypergeom``'s one term-ratio loop, with one Fraction at the end.  The
+binomial sum is read by rows and is not cached: one pass of ``cmz_t_row``
+gives the reduced integer pair of t_n for every n in a range of orders,
+sharing the n-independent ratio row; ``cmz_t_pair`` is its one-order read,
+and ``cmz_t_sum`` turns that pair into one Fraction.
 """
 
 from __future__ import annotations
@@ -302,55 +304,9 @@ def u_generating_poly(params: ParamTriple, n: int, p: int) -> Poly:
 # -- CMZ deformation coefficients ------------------------------------------------
 
 
-def _ratio_products(x: int, y: int, z: int, d: int, n: int) -> tuple[list[int], list[int]]:
-    """Integer rows for C(x/d, j) C(y/d, j) / C(z/d, j), j = 0..n, over one denominator.
-
-    heads[j] is the product of (x - i d)(y - i d) over i < j, and tails[j] the
-    product of d (i+1)(z - i d) over n - j <= i < n, so the quotient at j is
-    heads[j] * tails[n-j] / tails[n].  tails[n] is 0 exactly when some
-    C(z/d, j) with j <= n vanishes.
-    """
-    heads, tails = [1], [1]
-    for i in range(n):
-        heads.append(heads[-1] * (x - i * d) * (y - i * d))
-    for i in reversed(range(n)):
-        tails.append(tails[-1] * d * (i + 1) * (z - i * d))
-    return heads, tails
-
-
 def _scaled_binom(x: int, d: int, n: int) -> int:
     """d^n n! C(x/d, n) = x (x - d) ... (x - (n-1) d), from C(y, n) = (y-n+1)_n / n!."""
     return rising(x - (n - 1) * d, d, n)
-
-
-@lru_cache(maxsize=None)
-def _cmz_sum(k: int, a: int, b: int, d: int, n: int) -> tuple[int, int]:
-    """t_n at kappa = k/d, l1 = a/d, l2 = b/d as a reduced pair (num, den), den > 0:
-    t_n = sum_r C(-l1, r) C(-l1+kappa-1, r) C(m-kappa, s) C(m-1, s)
-    / [C(-2*l1, r) C(2m-2, s)] / C(-2*l2, n), with s = n - r, m = n + l1 + l2.
-
-    Both quotient rows come from ``_ratio_products`` on the d-scaled
-    integers, and so does the lead C(-2*l2, n), as ``_scaled_binom(-2*b, d, n)``
-    over d^n n!, so the sum runs on integers over one common denominator and
-    is reduced by one gcd.  Any common scale d > 0 of the three gives the
-    same pair.
-    """
-    lead = _scaled_binom(-2 * b, d, n)
-    if not lead:
-        raise VanishingDenominatorError(f"leading factor C(-2*l2, {n}) vanishes")
-    md = n * d + a + b
-    f_heads, f_tails = _ratio_products(-a, k - a - d, -2 * a, d, n)
-    g_heads, g_tails = _ratio_products(md - k, md - d, 2 * (md - d), d, n)
-    if not (f_tails[n] and g_tails[n]):
-        # C(2m-2, s) fails first at s = n (r = 0); C(-2*l1, r) fails from r = 1 - 2*l1 on
-        r = 0 if not g_tails[n] else 1 - 2 * a // d
-        raise VanishingDenominatorError(
-            f"denominator C(-2*l1, {r}) * C(2n+2*l1+2*l2-2, {n - r}) vanishes"
-        )
-    total = sum(f_heads[r] * f_tails[n - r] * g_heads[n - r] * g_tails[r] for r in range(n + 1))
-    num, den = total * d**n * factorial(n), f_tails[n] * g_tails[n] * lead
-    divisor = gcd(num, den) if den > 0 else -gcd(num, den)
-    return num // divisor, den // divisor
 
 
 def _check_order(n: int) -> None:
@@ -358,23 +314,86 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order must be a nonnegative integer, got {n!r}")
 
 
+def cmz_t_row(k: int, a: int, b: int, d: int, orders: range) -> list[tuple[int, int]]:
+    """t_n^kappa(l1, l2) for each n in ``orders``, a range of consecutive
+    nonnegative orders, as reduced integer pairs (num, den) with den > 0, on the
+    weights scaled by one integer d > 0: kappa = k/d, l1 = a/d, l2 = b/d.
+
+    t_n = sum_r C(-l1, r) C(-l1+kappa-1, r) C(m-kappa, s) C(m-1, s)
+    / [C(-2*l1, r) C(2m-2, s)] / C(-2*l2, n), with s = n - r, m = n + l1 + l2.
+
+    One pass, on the d-scaled integers.  A ratio C(x, j) C(y, j) / C(z, j) at
+    x, y, z = X/d, Y/d, Z/d is heads[j] / tails[j], with heads[j] the product of
+    (X - i d)(Y - i d) and tails[j] that of d (i+1)(Z - i d) over i < j.  The r
+    side does not depend on n, so its ratio row is built once up to the last
+    order, and so are the lead C(-2*l2, n), as ``_scaled_binom(-2*b, d, n)``
+    over d^n n!, and d^n n! itself, from the first order on.  The s side
+    depends on n through m and is rebuilt per order.  Each order sums over one
+    common denominator, with the r side's tail and the s side's head as
+    running products, and is reduced by one gcd.  The orders run in
+    increasing order, and the first whose lead or denominator vanishes raises
+    ``VanishingDenominatorError``.  d may be any common scale of the three,
+    such as the lcm of the denominators of every weight of a star product;
+    the pairs do not depend on it.
+    """
+    if type(orders) is not range or orders.step != 1 or orders.start < 0:
+        raise ValueError(f"orders must be a range of consecutive orders >= 0, got {orders!r}")
+    heads, steps = [1], []
+    for i in range(orders.stop - 1):
+        heads.append(heads[-1] * (-a - i * d) * (k - a - d - i * d))
+        steps.append(d * (i + 1) * (-2 * a - i * d))
+    first = orders.start
+    lead, unit = _scaled_binom(-2 * b, d, first), d**first * factorial(first)
+    out = []
+    for n in orders:
+        if n > first:
+            lead *= -2 * b - (n - 1) * d
+            unit *= d * n
+        if not lead:
+            raise VanishingDenominatorError(f"leading factor C(-2*l2, {n}) vanishes")
+        # the s side at m = n + l1 + l2: heads over x, y and tails[j] over z, n - j <= i < n
+        md = n * d + a + b
+        x, y, z = md - k, md - d, 2 * (md - d)
+        g_tails = [1]
+        for i in reversed(range(n)):
+            g_tails.append(g_tails[-1] * d * (i + 1) * (z - i * d))
+        # r runs down from n, so the r side's tail and the s side's head grow by one factor
+        total, f_tail, g_head = 0, 1, 1
+        for r in reversed(range(n + 1)):
+            total += heads[r] * f_tail * g_head * g_tails[r]
+            if r:
+                f_tail *= steps[r - 1]
+                g_head *= (x - (n - r) * d) * (y - (n - r) * d)
+        if not (f_tail and g_tails[n]):
+            # C(2m-2, s) fails first at s = n (r = 0); C(-2*l1, r) fails from r = 1 - 2*l1 on
+            r = 0 if not g_tails[n] else 1 - 2 * a // d
+            raise VanishingDenominatorError(
+                f"denominator C(-2*l1, {r}) * C(2n+2*l1+2*l2-2, {n - r}) vanishes"
+            )
+        num, den = total * unit, f_tail * g_tails[n] * lead
+        divisor = gcd(num, den) if den > 0 else -gcd(num, den)
+        out.append((num // divisor, den // divisor))
+    return out
+
+
 def cmz_t_pair(k: int, a: int, b: int, d: int, n: int) -> tuple[int, int]:
     """t_n^kappa(l1, l2) as a reduced integer pair (num, den) with den > 0, on
-    the weights scaled by one integer d > 0: kappa = k/d, l1 = a/d, l2 = b/d.
+    the weights scaled by one integer d > 0: kappa = k/d, l1 = a/d, l2 = b/d;
+    the one order n of ``cmz_t_row``.
 
     d may be any common scale of the three, such as the lcm of the
     denominators of every weight of a star product; the pair does not
     depend on it.
     """
     _check_order(n)
-    return _cmz_sum(k, a, b, d, n)
+    return cmz_t_row(k, a, b, d, range(n, n + 1))[0]
 
 
 def cmz_t_sum(kappa: RationalLike, lam1: RationalLike, lam2: RationalLike, n: int) -> Fraction:
-    """Deformation coefficient t_n^kappa(l1, l2), binomial-sum form."""
+    """Deformation coefficient t_n^kappa(l1, l2), binomial-sum form (``cmz_t_pair``)."""
     _check_order(n)
     d, (k, a, b) = common_scale(as_rational(kappa), as_rational(lam1), as_rational(lam2))
-    return Fraction(*_cmz_sum(k, a, b, d, n))
+    return Fraction(*cmz_t_pair(k, a, b, d, n))
 
 
 def cmz_t_closed(kappa: RationalLike, lam1: RationalLike, lam2: RationalLike, n: int) -> Fraction:

@@ -65,22 +65,18 @@ def _scalar_den(a: int, b: int, c: int, d: int, n: int, k: int) -> int:
     )
 
 
-def _zagier_pair_scalar(
-    l1: Fraction, l2: Fraction, l3: Fraction, n: int, k: int
-) -> tuple[int, int]:
+def _zagier_pair_scalar(a: int, b: int, c: int, d: int, n: int, k: int) -> tuple[int, int]:
     """``(num, den)``, integers with num / den the Gamma-ratio content of
-    c_k(l1,l2) c_{n-k}(l1+l2+2k,l3) reduced to Pochhammers, with the
-    k-independent symmetric Gamma factor dropped:
+    c_k(l1,l2) c_{n-k}(l1+l2+2k,l3) at l = (a, b, c) / d, for an integer d > 0,
+    reduced to Pochhammers, with the k-independent symmetric Gamma factor dropped:
 
         (2k+l1+l2-1) (2n+l1+l2+l3-1) k! (n-k)! (l1+l2+l3-1)_{n+k}
         / [(l1)_k (l2)_k (l3)_{n-k} (k+l1+l2-1)_{n+1}].
 
-    With d the lcm of the weights' denominators, a linear factor x is (d x) / d
-    and a Pochhammer (x)_m is ``rising(d x, d, m)`` / d^m; the powers of d net
-    to d^(n-1).  The pair is not reduced, and a vanishing ``den`` raises
-    ZeroDivisionError.
+    A linear factor x is (d x) / d and a Pochhammer (x)_m is ``rising(d x, d, m)``
+    / d^m; the powers of d net to d^(n-1).  The pair is not reduced, and a
+    vanishing ``den`` raises ZeroDivisionError.
     """
-    d, (a, b, c) = common_scale(l1, l2, l3)
     total = a + b + c
     num = (
         (2 * k * d + a + b - d)
@@ -106,11 +102,13 @@ def _same(a: Numerators, b: Numerators) -> bool:
 
 
 def _zagier_readings(
-    lams: tuple[Fraction, Fraction, Fraction], n: int
+    lams: tuple[Fraction, Fraction, Fraction], n: int, d: int, scaled: Sequence[int]
 ) -> dict[str, dict[str, Numerators]]:
     """Per permutation (i, j, m), the two readings of the combination
     sum_k scalar_k G_first G_second [[f_i,f_j]_k, f_m]_{n-k}, without the
-    factor z^(2n+6) that every permutation shares.
+    factor z^(2n+6) that every permutation shares; ``scaled`` is ``lams``
+    times d, the lcm of their denominators (``rationals.common_scale``), and
+    the scalars and the bracket rows are read at it.
 
     "corrected" maps each slice tuple a to a1! a2! a3! times the coefficient of
     x^a1 y^a2 t^a3, and "printed" maps exponents of (x, y, t) to coefficients.
@@ -122,7 +120,6 @@ def _zagier_readings(
         for k in range(n + 1)
     ]
     tables, grid = tabulate_on_slice(trees, dict(enumerate(lams, start=1)), n)
-    d, scaled = common_scale(*lams)
     readings = {}
     for p, (name, slots) in enumerate(PERMUTATIONS.items()):
         i, j, m = slots
@@ -132,7 +129,7 @@ def _zagier_readings(
         for k, (values, den) in enumerate(tables[p * (n + 1) : (p + 1) * (n + 1)]):
             on_slice = dict(zip(grid, values))
             v = read_off_slice(on_slice, degrees)
-            num, scalar_den = _zagier_pair_scalar(lams[i], lams[j], lams[m], n, k)
+            num, scalar_den = _zagier_pair_scalar(scaled[i], scaled[j], scaled[m], d, n, k)
             # scalar_k v / den, times the symbol's value w / den at a or a row entry
             num, scalar_den = num * v, scalar_den * den
             corrected.append(({a: num * w for a, w in on_slice.items()}, scalar_den * den))
@@ -150,11 +147,11 @@ def _zagier_readings(
     return readings
 
 
-def _skip_reason(lams: tuple[Fraction, Fraction, Fraction], n: int) -> str | None:
-    """Why some pair scalar of the survey at (lams, n) has no value, or None."""
-    if any(lams[i] + lams[j] == 1 for i, j in ((0, 1), (1, 2), (0, 2))):
+def _skip_reason(n: int, d: int, scaled: Sequence[int]) -> str | None:
+    """Why some pair scalar of the survey at the weights ``scaled`` / d and n
+    has no value, or None."""
+    if any(scaled[i] + scaled[j] == d for i, j in ((0, 1), (1, 2), (0, 2))):
         return "pairwise weight sum equals 1"
-    d, scaled = common_scale(*lams)
     for i, j, m in PERMUTATIONS.values():
         for k in range(n + 1):
             if not _scalar_den(scaled[i], scaled[j], scaled[m], d, n, k):
@@ -176,11 +173,13 @@ def verify_zagier_invariance(params: ParamTriple, n: int) -> VerificationReport:
     sample = sample_dict(params)
     lams = (params.lam1, params.lam2, params.lam3)
     findings: dict[str, object] = {"sample": sample, "n": n}
-    skipped = _skip_reason(lams, n)
+    # one scale for the skip test and both readings
+    d, scaled = common_scale(*lams)
+    skipped = _skip_reason(n, d, scaled)
     if skipped:
         findings["skipped"] = skipped
         return VerificationReport.survey("zagier-invariance", [sample], 0, findings)
-    sums = _zagier_readings(lams, n)
+    sums = _zagier_readings(lams, n, d, scaled)
     for reading in ("corrected", "printed"):
         findings[reading] = {
             "cycle_invariant": _same(sums["identity"][reading], sums["cycle"][reading]),

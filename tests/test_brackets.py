@@ -28,6 +28,7 @@ from rcbrackets.brackets import (
     rc_bracket,
     read_off_slice,
     simplex_slice,
+    tabulate_by_order,
     tabulate_on_slice,
     tree_symbol,
 )
@@ -512,6 +513,35 @@ def test_tabulated_trees_equal_eval_bracket_tree(expr, order, ws, grid):
                 assert eval_bracket_tree(tree, leaves).form == z_term(sum(degs) - total, c)
             if total:
                 assert c == 0
+
+
+def test_tabulate_by_order_is_one_slice_per_order():
+    weights = {1: Fraction(1, 2), 2: 1, 3: Fraction(-7, 3)}
+    f1, f2, f3 = Leaf(1), Leaf(2), Leaf(3)
+    trees = [
+        Node(Node(f1, f2, 1), f3, 1),
+        Node(f1, Node(f2, f3, 2), 0),
+        Node(Node(f3, f1, 0), f2, 1),
+        Node(Node(f2, f1, 2), f3, 1),
+    ]
+    tables, slices = tabulate_by_order(trees, weights)
+    assert list(tables) == trees and sorted(slices) == [1, 2, 3]
+    for tree in trees:
+        order, table = tables[tree]
+        assert order == expr_total_order(tree)
+        (want,), grid = tabulate_on_slice([tree], weights, order)
+        assert (table, slices[order]) == (want, grid)
+    # the slot check of tabulate_on_slice, from the one walk that gives the order
+    for bad in (Node(f1, f2, 0), Node(Node(f1, f1, 0), f3, 0), Node(Node(f1, f2, 0), Leaf(4), 0)):
+        raised = []
+        for call in (
+            lambda: tabulate_on_slice([bad], weights, 0),
+            lambda: tabulate_by_order([bad], weights),
+        ):
+            with pytest.raises(ValueError) as got:
+                call()
+            raised.append((type(got.value), str(got.value)))
+        assert raised[0] == raised[1]
 
 
 def test_monomial_evaluator_degree_below_order_is_zero():

@@ -33,7 +33,7 @@ from rcbrackets.engine import (
     verify_on_monomials,
 )
 from rcbrackets.identities import SUITE_NAMES, run_suite, verify_block
-from rcbrackets.rationals import factorial, pochhammer
+from rcbrackets.rationals import common_scale, factorial, pochhammer
 from rcbrackets.report import merge_reports
 from rcbrackets.samples import sample_dict
 from rcbrackets.transition import (
@@ -178,7 +178,7 @@ def test_solver_reads_no_entry_of_u(monkeypatch) -> None:
 
     expected = u_row(GENERIC, 4, 2)
     monkeypatch.setattr(transition, "_u_cached", refuse)
-    monkeypatch.setattr(engine, "u_row", refuse)
+    monkeypatch.setattr(engine, "u_row_scaled", refuse)
     assert solve_u_from_brackets(GENERIC, 4, 2) == expected
 
 
@@ -334,23 +334,55 @@ def _compatible_by_fractions(kappa, scale, params, matrix):
 
 @pytest.mark.parametrize("params", CROSS_TRIPLES + (ODD_DENOMINATORS,), ids=str)
 def test_deformation_compatible_equals_fraction_reference(params) -> None:
+    # one rows dict for every call, so rows are shared across kappas and scales
+    # and grow with n, as across the triples of one survey
+    rows = {}
     for kappa, scale, n in product(
         cmz.ASSERTED_KAPPAS + cmz.GENERIC_KAPPAS,
         (Fraction(1), Fraction(1, 2)),
         range(5),
     ):
+        columns = [cmz._columns(transition.u_matrix(params, m)) for m in range(n + 1)]
         matrix = transition.u_matrix(params, n)
-        clean = cmz._deformation_compatible(kappa, scale, params, matrix)
+        clean = cmz._deformation_compatible(kappa, scale, params, columns, rows)[n]
         assert clean == _compatible_by_fractions(kappa, scale, params, matrix)
         k, p = n // 2, (n + 1) // 2
         nudged = [list(row) for row in matrix]
         nudged[k][p] += Fraction(1, 1000)
-        bools = cmz._deformation_compatible(kappa, scale, params, nudged)
+        columns[n] = cmz._columns(nudged)
+        bools = cmz._deformation_compatible(kappa, scale, params, columns, rows)[n]
         assert bools == _compatible_by_fractions(kappa, scale, params, nudged)
         if kappa in cmz.ASSERTED_KAPPAS:
             # t_n = (-1/4)^n here, so the identity holds and the nudge breaks column p only
             assert clean == [True] * (n + 1)
             assert bools == [q != p for q in range(n + 1)]
+
+
+def test_cmz_scales_each_column_once_and_shares_rows(monkeypatch) -> None:
+    # U's columns are scaled once per (triple, n, p) and the weights once per
+    # (triple, kappa, scale), for every kappa and scale; each t_n of one weight
+    # pair, keyed on canonical integers, is computed once per survey
+    triples, max_n = (GENERIC, ONES, CROSS_TRIPLES[2], ParamTriple(1, 1, Fraction(1, 2))), 3
+    scalings, orders = [], []
+    scale, row = cmz.common_scale, cmz.cmz_t_row
+
+    def counting_scale(*values):
+        scalings.append(values)
+        return scale(*values)
+
+    def counting_row(k, x, y, d, span):
+        orders.extend((k, x, y, d, n) for n in span)
+        return row(k, x, y, d, span)
+
+    monkeypatch.setattr(cmz, "common_scale", counting_scale)
+    monkeypatch.setattr(cmz, "cmz_t_row", counting_row)
+    cmz_reports(triples, max_n)
+    cases = len(triples) * sum(n + 1 for n in range(max_n + 1))
+    kappas = len(cmz.ASSERTED_KAPPAS + cmz.GENERIC_KAPPAS)
+    assert len(scalings) == cases + len(triples) * kappas * 2
+    assert orders and len(set(orders)) == len(orders)
+    # ONES and (1, 1, 1/2) share the pair (1, 1) at every kappa
+    assert len(orders) < len(triples) * kappas * 2 * (2 * (max_n + 1) + (max_n + 1) * (max_n + 2))
 
 
 def test_run_suite_dispatch_and_order() -> None:
@@ -449,11 +481,11 @@ def test_convolution_failure_records_residual(monkeypatch) -> None:
     n, k, max_degree = 2, 1, 2
     clean_conv = verify_block("convolution", GENERIC, n)[k]
     clean_op = verify_block("operator", GENERIC, n, max_degree)[k]
-    formula = engine.u_row
+    formula = engine.u_row_scaled
     monkeypatch.setattr(
         engine,
-        "u_row",
-        lambda params, n, k: [u + (1 if p == 0 else 0) for p, u in enumerate(formula(params, n, k))],
+        "u_row_scaled",
+        lambda *args: [u + (1 if p == 0 else 0) for p, u in enumerate(formula(*args))],
     )
     # the extra term is -[f1, [f2,f3]_0]_n, whose symbol is G_n(x, y+z) at (l1, l2+l3)
     x, y, z = (Poly.variable(name, engine.GEOMETRIC_VARS) for name in "xyz")
@@ -500,15 +532,15 @@ def _operator_residuals_by_poly(params, n, k, max_degree):
 
 def test_operator_failure_records_match_poly_chain(monkeypatch) -> None:
     broken, n, k, max_degree = CROSS_TRIPLES[2], 3, 1, 3
-    formula = engine.u_row
+    formula = engine.u_row_scaled
 
-    def off_by_a_thousandth(params, n_, k_):
-        row = formula(params, n_, k_)
-        if (params, n_, k_) == (broken, n, k):
+    def off_by_a_thousandth(l1, l2, l3, d, n_, k_):
+        row = list(formula(l1, l2, l3, d, n_, k_))
+        if (l1, l2, l3, d, n_, k_) == (*broken.scaled(), n, k):
             row[2] += Fraction(1, 1000)
         return row
 
-    monkeypatch.setattr(engine, "u_row", off_by_a_thousandth)
+    monkeypatch.setattr(engine, "u_row_scaled", off_by_a_thousandth)
     residuals = _operator_residuals_by_poly(broken, n, k, max_degree)
     assert not any(residual.is_zero() for residual in residuals)
     report = verify_block("operator", broken, n, max_degree)[k]
@@ -584,7 +616,7 @@ def test_zagier_sum_matches_poly_route(params) -> None:
     for n in range(4):
         # every term carries the bracket's z^(2n+6), which the survey drops
         degree = 2 * n + 6
-        readings = zagier._zagier_readings(lams, n)
+        readings = zagier._zagier_readings(lams, n, *common_scale(*lams))
         printed = _zagier_sums_by_poly(lams, n, "printed")
         corrected = _zagier_sums_by_poly(lams, n, "corrected")
         for name in ZAGIER_PERMS:
@@ -657,9 +689,10 @@ def test_zagier_findings_match_poly_route(l1, l2, l3, n) -> None:
 )
 def test_zagier_pair_scalar_is_the_pochhammer_ratio(lams) -> None:
     assert lcm(*(lam.denominator for lam in lams)) > 1
+    d, scaled = common_scale(*lams)
     for n in range(6):
         for k in range(n + 1):
-            num, den = zagier._zagier_pair_scalar(*lams, n, k)
+            num, den = zagier._zagier_pair_scalar(*scaled, d, n, k)
             assert isinstance(num, int) and isinstance(den, int)
             assert Fraction(num, den) == _zagier_scalar(*lams, n, k)
 
@@ -673,8 +706,9 @@ def test_zagier_pair_scalar_raises_where_the_ratio_divides_by_zero() -> None:
     for lams, n, k in cases:
         with pytest.raises(ZeroDivisionError):
             _zagier_scalar(*lams, n, k)
+        d, scaled = common_scale(*lams)
         with pytest.raises(ZeroDivisionError):
-            zagier._zagier_pair_scalar(*lams, n, k)
+            zagier._zagier_pair_scalar(*scaled, d, n, k)
 
 
 # -- blocks: the shared plan against one (triple, n) at a time ---------------------
@@ -690,15 +724,15 @@ def test_blocks_equal_per_row_verifiers(monkeypatch, suite, perturbed) -> None:
     # shared across suites; verify_block tabulates one suite at one n
     (identity_id,) = identities.SUITES[suite].reports
     if perturbed:
-        formula = engine.u_row
+        formula = engine.u_row_scaled
 
-        def nudged(params, n, k):
-            row = formula(params, n, k)
+        def nudged(l1, l2, l3, d, n, k):
+            row = list(formula(l1, l2, l3, d, n, k))
             if (n, k) == (2, 1):
                 row[0] += Fraction(1, 1000)
             return row
 
-        monkeypatch.setattr(engine, "u_row", nudged)
+        monkeypatch.setattr(engine, "u_row_scaled", nudged)
     reports = run_suite("all", BLOCK_TRIPLES, max_n=3, max_degree=BLOCK_DEGREE, hbar_order=2)
     (merged,) = [report for report in reports if report.identity_id == identity_id]
     blocks = [verify_block(suite, tr, n, BLOCK_DEGREE) for tr in BLOCK_TRIPLES for n in range(4)]
@@ -723,7 +757,7 @@ def test_plan_tabulates_each_tree_once_per_triple(monkeypatch) -> None:
     # one _residuals call per weight vector: the triple's (main, reverse,
     # eholzer, classical) and four-function's (l1, l2, l3, l1+1)
     triples = (GENERIC, CROSS_TRIPLES[2])
-    residuals, tabulate = engine._residuals, engine.tabulate_on_slice
+    residuals, tabulate = engine._residuals, engine.tabulate_by_order
     calls = []  # the weights of each _residuals call
     tabulated = []  # (weights, tree) for each tree the plan's calls tabulate
 
@@ -731,12 +765,12 @@ def test_plan_tabulates_each_tree_once_per_triple(monkeypatch) -> None:
         calls.append(tuple(weights))
         return residuals(weights, tables)
 
-    def counting_tabulate(trees, weights, order):
+    def counting_tabulate(trees, weights):
         tabulated.extend((tuple(weights.items()), tree) for tree in trees)
-        return tabulate(trees, weights, order)
+        return tabulate(trees, weights)
 
     monkeypatch.setattr(engine, "_residuals", counting_residuals)
-    monkeypatch.setattr(engine, "tabulate_on_slice", counting_tabulate)
+    monkeypatch.setattr(engine, "tabulate_by_order", counting_tabulate)
     reports = run_suite("all", triples, max_n=3, max_degree=1, hbar_order=3)
     assert all(report.status in ("pass", "report_only") for report in reports)
     assert len(calls) == 2 * len(triples)
@@ -746,6 +780,22 @@ def test_plan_tabulates_each_tree_once_per_triple(monkeypatch) -> None:
         for weights in ((tr.lam1, tr.lam2, tr.lam3), (tr.lam1, tr.lam2, tr.lam3, tr.lam1 + 1))
     )
     assert tabulated and len(set(tabulated)) == len(tabulated)
+
+
+def test_plan_scales_the_triple_once_per_table(monkeypatch) -> None:
+    # main and reverse read each row of U at the triple scaled once per (source, n)
+    calls = []
+    scaled = ParamTriple.scaled
+
+    def counting(params):
+        calls.append(params)
+        return scaled(params)
+
+    monkeypatch.setattr(ParamTriple, "scaled", counting)
+    plan = {"m": ("main", "grid", [0, 1, 2, 3], 1), "r": ("reverse", "grid", [3], 1)}
+    reports = engine.plan_reports(CROSS_TRIPLES[2], plan)
+    assert calls == [CROSS_TRIPLES[2]] * 5
+    assert [len(reports[key]) for key in plan] == [10, 4]
 
 
 def test_verify_block_input_checks() -> None:
@@ -803,16 +853,16 @@ def test_convolution_failures_are_the_tree_symbol_residual(monkeypatch) -> None:
     blocks = [(tr, n) for tr in CONVOLUTION_TRIPLES for n in range(5)]
     for params, n in blocks:
         assert all(report.failures == [] for report in verify_block("convolution", params, n))
-    formula = engine.u_row
+    formula = engine.u_row_scaled
 
-    def nudged(params, n, k):
+    def nudged(l1, l2, l3, d, n, k):
         # one entry of every row at n >= 1, a different column per row
-        row = formula(params, n, k)
+        row = list(formula(l1, l2, l3, d, n, k))
         if n >= 1:
             row[(n + k) % (n + 1)] += Fraction(1, 1000)
         return row
 
-    monkeypatch.setattr(engine, "u_row", nudged)
+    monkeypatch.setattr(engine, "u_row_scaled", nudged)
     for params, n in blocks:
         for k, report in enumerate(verify_block("convolution", params, n)):
             if n == 0:

@@ -175,7 +175,6 @@ def test_package_caches_are_known() -> None:
         "hypergeom.bracket_coeff_row",
         "brackets._monomial_bracket",
         "transition._u_cached",
-        "transition._cmz_sum",
     }
 
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rcbrackets.brackets import WeightedForm, monomial_form, rc_bracket
 from rcbrackets.poly import Poly, poly_from_string
@@ -231,3 +231,39 @@ def test_assoc_defect_reports_vanishing_t_n_as_cmz_t_sum(w1, w2, order):
     with pytest.raises(VanishingDenominatorError) as got:
         assoc_defect(f, g, h, order, kappa)
     assert str(got.value) == str(want.value)
+
+
+small_weights = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_weights, small_weights, small_weights, st.integers(0, 4))
+@example(Fraction(1), Fraction(-1, 2), Fraction(1), 4)  # lead vanishes from n = 2 on
+@example(Fraction(-11, 6), Fraction(1, 3), Fraction(1), 4)  # C(2m-2, s) at n = 3 and 4
+def test_star_and_defect_raise_at_the_first_failing_order(w1, w2, w3, order):
+    """``star`` reads each slice pair's t_n as one row, yet raises the error of the
+    first order n whose t_n has none, as ``cmz_t_sum`` gives it; ``assoc_defect``
+    raises what the nested ``star`` calls raise first, or equals their difference."""
+    kappa = Fraction(5, 7)
+    f, g, h = zform(w1, "z^3 + 2"), zform(w2, "z^2 - z"), zform(w3, "z")
+    sf, sg, sh = (StarSeries.inject(x, order) for x in (f, g, h))
+    errors = []
+    for n in range(order + 1):
+        try:
+            cmz_t_sum(kappa, w1, w2, n)
+        except VanishingDenominatorError as err:
+            errors.append(str(err))
+    try:
+        star(sf, sg, kappa)
+    except VanishingDenominatorError as err:
+        assert errors and str(err) == errors[0]
+    else:
+        assert not errors
+    try:
+        want = star(star(sf, sg, kappa), sh, kappa) - star(sf, star(sg, sh, kappa), kappa)
+    except VanishingDenominatorError as err:
+        with pytest.raises(VanishingDenominatorError) as got:
+            assoc_defect(f, g, h, order, kappa)
+        assert str(got.value) == str(err)
+    else:
+        assert assoc_defect(f, g, h, order, kappa) == want

@@ -15,6 +15,7 @@ from rcbrackets.transition import (
     admissible_scaled,
     cmz_t_closed,
     cmz_t_pair,
+    cmz_t_row,
     cmz_t_sum,
     u_coefficient,
     u_generating_poly,
@@ -422,6 +423,47 @@ def test_cmz_integer_sum_matches_binomial_terms(kappa, lam1, lam2, n):
         assert str(got.value) == str(err)
     else:
         assert cmz_t_sum(kappa, lam1, lam2, n) == want
+
+
+@given(
+    small_denominators,
+    small_denominators,
+    small_denominators,
+    st.integers(0, 4),
+    st.integers(0, 5),
+    st.integers(1, 3),
+)
+@example(Fraction(5, 7), Fraction(1), Fraction(-1, 2), 0, 5, 1)  # lead vanishes from n = 2
+@example(Fraction(5, 7), Fraction(-1, 2), Fraction(1), 1, 4, 2)  # C(-2*l1, r) from n = 2
+@example(Fraction(5, 7), Fraction(-11, 6), Fraction(1, 3), 2, 4, 1)  # C(2m-2, s) at n = 3, 4
+@example(Fraction(5, 7), Fraction(-11, 6), Fraction(1, 3), 5, 3, 3)  # and past them
+@example(Fraction(3, 2), Fraction(-7, 3), Fraction(5, 6), 0, 0, 1)  # an empty range
+def test_cmz_row_matches_binomial_oracle(kappa, lam1, lam2, start, length, scale):
+    """Each order of one ``cmz_t_row`` pass, at any multiple of the weights'
+    scale, is ``cmz_binomial_oracle``'s t_n, a binom_general sum term by term,
+    as a reduced pair; a range that meets an order where the oracle raises
+    raises the first such order's error, class and message, wherever the
+    range starts."""
+    d, (k, a, b) = common_scale(kappa, lam1, lam2)
+    args = (k * scale, a * scale, b * scale, d * scale)
+    orders = range(start, start + length)
+    want = []
+    for n in orders:
+        try:
+            want.append(cmz_binomial_oracle(kappa, lam1, lam2, n))
+        except VanishingDenominatorError as err:
+            with pytest.raises(VanishingDenominatorError) as got:
+                cmz_t_row(*args, orders)
+            assert str(got.value) == str(err)
+            return
+    assert cmz_t_row(*args, orders) == [(t.numerator, t.denominator) for t in want]
+
+
+@pytest.mark.parametrize("orders", [range(-1, 2), range(0, 4, 2), [0, 1], 3])
+def test_cmz_row_rejects_bad_orders(orders):
+    with pytest.raises(ValueError) as got:
+        cmz_t_row(1, 1, 1, 2, orders)
+    assert str(got.value) == f"orders must be a range of consecutive orders >= 0, got {orders!r}"
 
 
 def test_cmz_varying_row_vanishing_message():
