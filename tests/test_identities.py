@@ -342,8 +342,8 @@ def test_deformation_compatible_equals_fraction_reference(params) -> None:
         (Fraction(1), Fraction(1, 2)),
         range(5),
     ):
-        columns = [cmz._columns(transition.u_matrix(params, m)) for m in range(n + 1)]
-        matrix = transition.u_matrix(params, n)
+        matrices = [transition.u_matrix(params, m) for m in range(n + 1)]
+        columns, matrix = [cmz._columns(m) for m in matrices], matrices[n]
         clean = cmz._deformation_compatible(kappa, scale, params, columns, rows)[n]
         assert clean == _compatible_by_fractions(kappa, scale, params, matrix)
         k, p = n // 2, (n + 1) // 2
