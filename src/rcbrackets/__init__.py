@@ -85,7 +85,6 @@ from .transition import (
     VanishingDenominatorError,
     admissible_scaled,
     cmz_t_closed,
-    cmz_t_pair,
     cmz_t_row,
     cmz_t_sum,
     u_coefficient,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, gcd, prod
 from typing import Sequence
 
@@ -150,8 +149,10 @@ def jacobi_poly_hyp(ell: int, alpha: RationalLike, beta: RationalLike) -> Poly:
 
 
 def bracket_row_scaled(a: int, b: int, d: int, n: int) -> tuple[tuple[int, ...], int]:
-    """``bracket_coeff_row`` at the weights (a/d, b/d), for any integer scale d > 0,
-    uncached.  The reduced ``(row, den)`` does not depend on the scale.
+    """``(row, den)``: row[s] / den, s = 0..n, is the coefficient of f^(s) g^(n-s)
+    in the bracket [f, g]_n and of x^s y^(n-s) in ``jacobi_two_var(n, a/d, b/d)``,
+    at the weights (a/d, b/d) for any integer scale d > 0, uncached.  The
+    reduced ``(row, den)`` does not depend on the scale.
 
     The coefficient is c_s = (-1)^s C(a/d+n-1, n-s) C(b/d+n-1, s), and
     C(x, k) = (x-k+1)_k / k! gives the integers
@@ -174,15 +175,6 @@ def bracket_row_scaled(a: int, b: int, d: int, n: int) -> tuple[tuple[int, ...],
     return tuple(v // common for v in row), full // common
 
 
-@lru_cache(maxsize=None)
-def bracket_coeff_row(weight1: Fraction, weight2: Fraction, n: int) -> tuple[tuple[int, ...], int]:
-    """``(row, den)``: row[s] / den, s = 0..n, is the coefficient of f^(s) g^(n-s)
-    in the bracket [f, g]_n and of x^s y^(n-s) in ``jacobi_two_var(n, weight1, weight2)``,
-    ``bracket_row_scaled`` at the weights scaled by the lcm of their denominators."""
-    d, (a, b) = common_scale(weight1, weight2)
-    return bracket_row_scaled(a, b, d, n)
-
-
 def jacobi_two_var(ell: int, lam1: RationalLike, lam2: RationalLike) -> Poly:
     """Homogeneous two-variable Jacobi form in (x, y):
 
@@ -191,8 +183,9 @@ def jacobi_two_var(ell: int, lam1: RationalLike, lam2: RationalLike) -> Poly:
     """
     if not isinstance(ell, int) or ell < 0:
         raise ValueError(f"jacobi degree must be a nonnegative integer, got {ell!r}")
-    row, den = bracket_coeff_row(as_rational(lam1), as_rational(lam2), ell)
-    # one reduced Fraction per nonzero entry of the cached integer row
+    d, (a, b) = common_scale(as_rational(lam1), as_rational(lam2))
+    row, den = bracket_row_scaled(a, b, d, ell)
+    # one reduced Fraction per nonzero entry of the integer row
     terms = {(s, ell - s): Fraction(v, den) for s, v in enumerate(row) if v}
     return Poly._trusted(("x", "y"), terms)
 

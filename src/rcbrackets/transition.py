@@ -39,8 +39,8 @@ and the closed form as a terminating 4F3 (``cmz_t_closed``), on integers over
 2d by ``hypergeom``'s one term-ratio loop, with one Fraction at the end.  The
 binomial sum is read by rows and is not cached: one pass of ``cmz_t_row``
 gives the reduced integer pair of t_n for every n in a range of orders,
-sharing the n-independent ratio row; ``cmz_t_pair`` is its one-order read,
-and ``cmz_t_sum`` turns that pair into one Fraction.
+sharing the n-independent ratio row, and ``cmz_t_sum`` turns the pair of one
+order into one Fraction.
 """
 
 from __future__ import annotations
@@ -376,24 +376,12 @@ def cmz_t_row(k: int, a: int, b: int, d: int, orders: range) -> list[tuple[int, 
     return out
 
 
-def cmz_t_pair(k: int, a: int, b: int, d: int, n: int) -> tuple[int, int]:
-    """t_n^kappa(l1, l2) as a reduced integer pair (num, den) with den > 0, on
-    the weights scaled by one integer d > 0: kappa = k/d, l1 = a/d, l2 = b/d;
-    the one order n of ``cmz_t_row``.
-
-    d may be any common scale of the three, such as the lcm of the
-    denominators of every weight of a star product; the pair does not
-    depend on it.
-    """
-    _check_order(n)
-    return cmz_t_row(k, a, b, d, range(n, n + 1))[0]
-
-
 def cmz_t_sum(kappa: RationalLike, lam1: RationalLike, lam2: RationalLike, n: int) -> Fraction:
-    """Deformation coefficient t_n^kappa(l1, l2), binomial-sum form (``cmz_t_pair``)."""
+    """Deformation coefficient t_n^kappa(l1, l2), binomial-sum form: the order n
+    of ``cmz_t_row``."""
     _check_order(n)
     d, (k, a, b) = common_scale(as_rational(kappa), as_rational(lam1), as_rational(lam2))
-    return Fraction(*cmz_t_pair(k, a, b, d, n))
+    return Fraction(*cmz_t_row(k, a, b, d, range(n, n + 1))[0])
 
 
 def cmz_t_closed(kappa: RationalLike, lam1: RationalLike, lam2: RationalLike, n: int) -> Fraction:

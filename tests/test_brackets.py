@@ -32,7 +32,7 @@ from rcbrackets.brackets import (
     tabulate_on_slice,
     tree_symbol,
 )
-from rcbrackets.hypergeom import bracket_coeff_row
+from rcbrackets.hypergeom import bracket_row_scaled
 from rcbrackets.poly import VAR_ORDER, NestingTooDeepError, Poly, poly_from_string
 from rcbrackets.rationals import binom_general, common_scale
 
@@ -196,10 +196,10 @@ def test_integer_bracket_row_equals_binomial_formula(w1, w2, n):
         (-1) ** s * binom_general(w1 + n - 1, n - s) * binom_general(w2 + n - 1, s)
         for s in range(n + 1)
     ]
-    row, den = bracket_coeff_row(w1, w2, n)
-    assert [Fraction(v, den) for v in row] == want
     # the lcm scale of two weights is the canonical key: gcd(a, b, d) = 1
     d, (a, b) = common_scale(w1, w2)
+    row, den = bracket_row_scaled(a, b, d, n)
+    assert [Fraction(v, den) for v in row] == want
     table_row, table_den, _ = _monomial_bracket(a, b, d, n)
     assert den == table_den == lcm(*(c.denominator for c in want))
     assert table_row == tuple(c * den for c in want)
@@ -208,7 +208,8 @@ def test_integer_bracket_row_equals_binomial_formula(w1, w2, n):
 def schoolbook_bracket(w1, w2, f, g, n):
     """[f, g]_n on integer numerators, term by term: sum_s row[s] f^(s) g^(n-s)."""
     (f_nums, f_den), (g_nums, g_den) = f, g
-    row, row_den = bracket_coeff_row(w1, w2, n)
+    d, (a, b) = common_scale(w1, w2)
+    row, row_den = bracket_row_scaled(a, b, d, n)
     out = {}
     for s, c in enumerate(row):
         for (d1,), v1 in f_nums.items():

@@ -40,6 +40,7 @@ from rcbrackets.transition import (
     InadmissibleParametersError,
     ParamTriple,
     RacahQuery,
+    VanishingDenominatorError,
     u_coefficient,
     u_row,
 )
@@ -344,13 +345,13 @@ def test_deformation_compatible_equals_fraction_reference(params) -> None:
     ):
         matrices = [transition.u_matrix(params, m) for m in range(n + 1)]
         columns, matrix = [cmz._columns(m) for m in matrices], matrices[n]
-        clean = cmz._deformation_compatible(kappa, scale, params, columns, rows)[n]
+        clean = cmz._deformation_compatible(kappa, scale, params.scaled(), columns, rows)[n]
         assert clean == _compatible_by_fractions(kappa, scale, params, matrix)
         k, p = n // 2, (n + 1) // 2
         nudged = [list(row) for row in matrix]
         nudged[k][p] += Fraction(1, 1000)
         columns[n] = cmz._columns(nudged)
-        bools = cmz._deformation_compatible(kappa, scale, params, columns, rows)[n]
+        bools = cmz._deformation_compatible(kappa, scale, params.scaled(), columns, rows)[n]
         assert bools == _compatible_by_fractions(kappa, scale, params, nudged)
         if kappa in cmz.ASSERTED_KAPPAS:
             # t_n = (-1/4)^n here, so the identity holds and the nudge breaks column p only
@@ -359,9 +360,9 @@ def test_deformation_compatible_equals_fraction_reference(params) -> None:
 
 
 def test_cmz_scales_each_column_once_and_shares_rows(monkeypatch) -> None:
-    # U's columns are scaled once per (triple, n, p) and the weights once per
-    # (triple, kappa, scale), for every kappa and scale; each t_n of one weight
-    # pair, keyed on canonical integers, is computed once per survey
+    # U's columns are the only Fractions scaled, once per (triple, n, p) for
+    # every kappa and scale; each t_n of one weight pair, keyed on canonical
+    # integers, is computed once per survey, gated sums and survey together
     triples, max_n = (GENERIC, ONES, CROSS_TRIPLES[2], ParamTriple(1, 1, Fraction(1, 2))), 3
     scalings, orders = [], []
     scale, row = cmz.common_scale, cmz.cmz_t_row
@@ -371,7 +372,8 @@ def test_cmz_scales_each_column_once_and_shares_rows(monkeypatch) -> None:
         return scale(*values)
 
     def counting_row(k, x, y, d, span):
-        orders.extend((k, x, y, d, n) for n in span)
+        # (kappa, l1, l2, n), so one pair read at two scales counts twice
+        orders.extend((Fraction(k, d), Fraction(x, d), Fraction(y, d), n) for n in span)
         return row(k, x, y, d, span)
 
     monkeypatch.setattr(cmz, "common_scale", counting_scale)
@@ -379,10 +381,78 @@ def test_cmz_scales_each_column_once_and_shares_rows(monkeypatch) -> None:
     cmz_reports(triples, max_n)
     cases = len(triples) * sum(n + 1 for n in range(max_n + 1))
     kappas = len(cmz.ASSERTED_KAPPAS + cmz.GENERIC_KAPPAS)
-    assert len(scalings) == cases + len(triples) * kappas * 2
+    assert len(scalings) == cases
     assert orders and len(set(orders)) == len(orders)
     # ONES and (1, 1, 1/2) share the pair (1, 1) at every kappa
     assert len(orders) < len(triples) * kappas * 2 * (2 * (max_n + 1) + (max_n + 1) * (max_n + 2))
+
+
+VANISHING_C0 = "denominator C(-2*l1, 0) * C(2n+2*l1+2*l2-2, 1) vanishes"
+
+
+@pytest.mark.parametrize(
+    "triples, error, message",
+    [
+        # t_2(1, -1/2) has no lead
+        (
+            [ParamTriple(1, Fraction(-1, 2), 1)],
+            VanishingDenominatorError,
+            "leading factor C(-2*l2, 2) vanishes",
+        ),
+        # the gated sum t_1(1, -1) raises before U at (1, -1, 3) fails the gate
+        ([ParamTriple(1, -1, 3)], VanishingDenominatorError, VANISHING_C0),
+        (
+            [ParamTriple(1, -1, 3), ParamTriple(1, Fraction(-1, 2), 1)],
+            VanishingDenominatorError,
+            VANISHING_C0,
+        ),
+        # U at (1/2, 1, -1) fails the gate before the survey reaches t_3(1, -1)
+        (
+            [ParamTriple(1, 1, 1), ParamTriple(Fraction(1, 2), 1, -1)],
+            InadmissibleParametersError,
+            "weights (1/2, 1, -1) fail the gate: no weight or consecutive partial sum"
+            " may be a nonpositive integer",
+        ),
+    ],
+    ids=["lead", "sum-before-U", "first-triple-first", "U-before-survey"],
+)
+def test_cmz_reports_raises_gated_sums_then_u_then_survey(triples, error, message) -> None:
+    # every gated sum is read before any U matrix, and every U before the survey
+    with pytest.raises(error) as got:
+        cmz_reports(triples, 3)
+    assert type(got.value) is error
+    assert str(got.value) == message
+
+
+def test_cmz_mismatch_examples_are_kappa_major(monkeypatch) -> None:
+    # a nudged U entry at (ONES, n = 1) breaks every kappa there; the examples
+    # run kappa first, then (triple, n, p)
+    matrix = transition.u_matrix
+
+    def nudged(params, n):
+        out = matrix(params, n)
+        if params == ONES and n == 1:
+            out[0][1] += Fraction(1, 1000)
+        return out
+
+    monkeypatch.setattr(cmz, "u_matrix", nudged)
+    _, survey = cmz_reports([GENERIC, ONES], 3)
+    findings = survey.findings
+    assert findings["transition_compatibility_by_kappa"] == {
+        "1/2": False,
+        "3/2": False,
+        "5/7": False,
+    }
+    examples = [
+        (e["kappa"], e["sample"]["lam1"], e["n"], e["p"])
+        for e in findings["transition_compatibility_mismatch_examples"]
+    ]
+    assert examples == [
+        ("1/2", "1", 1, 1),
+        ("3/2", "1", 1, 1),
+        *(("5/7", "1/2", n, p) for n in (2, 3) for p in range(n + 1)),
+        ("5/7", "1", 1, 1),
+    ]
 
 
 def test_run_suite_dispatch_and_order() -> None:

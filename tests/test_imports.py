@@ -4,7 +4,8 @@ module-private top-level name is referenced somewhere in the package, only
 module imports from another are ``poly``'s integer-numerator helpers and the
 bracket kernel, the caches, layers and hooked callables the benchmark reads by
 name exist, the package's ``lru_cache``s are exactly the known ones, importing
-the package raises no warning, and the README lists every module."""
+the package raises no warning, and the README lists every module and its quick
+tour runs."""
 from __future__ import annotations
 
 import ast
@@ -159,6 +160,18 @@ def test_readme_lists_every_module() -> None:
     assert sorted(rows - modules) == []
 
 
+def test_readme_quick_tour_runs() -> None:
+    """The ```python blocks of the README's "Python quick tour" run in order in
+    one namespace, so the tour names no function the package does not have."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Python quick tour", 1)[1].split("\n## ", 1)[0]
+    blocks = [part.split("```", 1)[0] for part in section.split("```python\n")[1:]]
+    assert len(blocks) == 3
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+
+
 def test_package_caches_are_known() -> None:
     """Every cache is unbounded, so a new one has to be added here on purpose."""
     cached = {
@@ -172,7 +185,6 @@ def test_package_caches_are_known() -> None:
         "rationals.factorial",
         "rationals._pochhammer_cached",
         "rationals._binom_cached",
-        "hypergeom.bracket_coeff_row",
         "brackets._monomial_bracket",
         "transition._u_cached",
     }

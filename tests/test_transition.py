@@ -14,7 +14,6 @@ from rcbrackets.transition import (
     VanishingDenominatorError,
     admissible_scaled,
     cmz_t_closed,
-    cmz_t_pair,
     cmz_t_row,
     cmz_t_sum,
     u_coefficient,
@@ -364,7 +363,7 @@ def test_cmz_vanishing_denominator_reported():
 @example(Fraction(0), 3, 4)
 @example(Fraction(-3), 1, 7)
 def test_cmz_integer_lead_equals_binomial(lam2, scale, n):
-    """The lead C(-2*l2, n) of ``_cmz_sum`` on integers, with d any multiple of l2's denominator."""
+    """The lead C(-2*l2, n) of ``cmz_t_row`` on integers, d any multiple of l2's denominator."""
     d = lam2.denominator * scale
     lead = transition._scaled_binom(-2 * lam2.numerator * scale, d, n)
     assert lead == binom_general(-2 * lam2, n) * d**n * factorial(n)
@@ -375,27 +374,27 @@ def test_cmz_integer_lead_equals_binomial(lam2, scale, n):
 @example(Fraction(5, 7), Fraction(-1, 2), Fraction(1), 3, 3)  # C(-2*l1, r) vanishes
 @example(Fraction(-3, 2), Fraction(-7, 3), Fraction(5, 6), 4, 5)  # signed, off the gate
 def test_cmz_pair_is_reduced_and_free_of_the_scale(kappa, lam1, lam2, scale, n):
-    """``cmz_t_pair`` on the weights scaled by any multiple of their lcm is
-    ``cmz_t_sum``'s Fraction as a reduced pair with a positive denominator,
-    and raises its errors with the same messages."""
+    """The order n of ``cmz_t_row`` on the weights scaled by any multiple of
+    their lcm is ``cmz_t_sum``'s Fraction as a reduced pair with a positive
+    denominator, and raises its errors with the same messages."""
     d, (k, a, b) = common_scale(kappa, lam1, lam2)
-    args = (k * scale, a * scale, b * scale, d * scale, n)
+    args = (k * scale, a * scale, b * scale, d * scale, range(n, n + 1))
     try:
         want = cmz_t_sum(kappa, lam1, lam2, n)
     except VanishingDenominatorError as err:
         with pytest.raises(VanishingDenominatorError) as got:
-            cmz_t_pair(*args)
+            cmz_t_row(*args)
         assert str(got.value) == str(err)
         return
-    num, den = cmz_t_pair(*args)
+    [(num, den)] = cmz_t_row(*args)
     assert den > 0 and gcd(num, den) == 1
     assert (num, den) == (want.numerator, want.denominator)
-    assert cmz_t_pair(k, a, b, d, n) == (num, den)
+    assert cmz_t_row(k, a, b, d, range(n, n + 1)) == [(num, den)]
 
 
-def test_cmz_pair_rejects_bad_order():
+def test_cmz_sum_rejects_bad_order():
     with pytest.raises(ValueError) as got:
-        cmz_t_pair(1, 1, 1, 2, -1)
+        cmz_t_sum(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), -1)
     assert str(got.value) == "order must be a nonnegative integer, got -1"
 
 
