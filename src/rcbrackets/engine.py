@@ -156,12 +156,6 @@ def main_terms(params: ParamTriple, n: int, k: int) -> Terms:
     return _main_table(params.scaled(), n, k)
 
 
-def reverse_terms(params: ParamTriple, n: int, p: int) -> Terms:
-    """[f1, [f2,f3]_p]_{n-p} - sum_k Utilde_k [[f1,f2]_k, f3]_{n-k} as a term table,
-    Utilde the U row at the outer-swapped triple, Utilde_k != 0."""
-    return _reverse_table(params.scaled(), n, p)
-
-
 # the tables above at a triple scaled once: (l1, l2, l3, d) from ``ParamTriple.scaled``
 Scaled = tuple[int, int, int, int]
 

@@ -13,13 +13,23 @@ used:
 
 The transposition is a recoupling in its own right: antisymmetry of the
 inner bracket, the reverse family at (a, c, b) and antisymmetry of the outer
-bracket fold into that single row.  Each tree is rewritten at its first redex
-in post-order (left subtree, right subtree, then the node itself).  Each move
-strictly decreases the lexicographic metric (leaf inversions, sum over
-internal nodes of (left-subtree leaf count - 1)); a transposition removes
-exactly one leaf inversion.  So rewriting terminates whichever redex is
-taken, and since the standard combs are a basis, every order reaches the
-same normal form.
+bracket fold into that single row.
+
+Each tree is rewritten at its first redex, found from the root.  A node
+[[A,B]_k, C]_m whose A is a node and whose left child's leaves already ascend
+is recoupled at once, at the weights of A, B and C: a left spine is rotated
+from the top, so the order-0 left comb of D leaves reaches the standard comb
+in D - 2 moves (its rotation distance in the associahedron) where post-order
+made (D-1)(D-2)/2.  Every other node is taken in post-order (left subtree,
+right subtree, then the node itself).  The guard on the left child's leaves
+is there because recoupling an unsorted left child at the top carries its
+inversions into every piece, each to be transposed there; and it keeps
+[[f2,f1]_0, f3]_m flipping before it recouples.  Each move strictly
+decreases the lexicographic metric (leaf inversions, sum over internal nodes
+of (left-subtree leaf count - 1)): a transposition removes exactly one leaf
+inversion, and recoupling at [[A,B]_k, C]_m lowers the sum by A's leaf
+count.  So rewriting terminates whichever redex is taken, and since the
+standard combs are a basis, every order reaches the same normal form.
 
 The rewriter works on a combination: one work list of trees with their
 coefficients, in which equal trees are summed, and a tree whose coefficient
@@ -33,22 +43,26 @@ touches; an inadmissible site raises instead of producing wrong output.  Only
 the sites the work list reaches are gated: an inadmissible site inside terms
 that cancel before it is rewritten raises nothing.  Which pieces meet before
 they are rewritten can depend on the order of the terms, so an identity may
-pass in one order and raise in another; every move made is at an admissible
-site and a cancellation is of equal trees, so a result is exact either way.
-The triple a row of U is read at is gated by ``u_row_scaled``, and its
-failure is re-raised naming the site.  A transposition site also gates
-(a, b, c), so that with the row's (b, c, a) it tests a, b, c, a+b, b+c, a+c
-and the total.
+pass in one order and raise in another.  Likewise the redex order decides
+which sites are reached: recoupling a sorted left spine from the top gates
+(A, B, C) in place of the inner sites that post-order reads, so a tree
+refused at an inner site may now normalize.  Every move made is at an
+admissible site and a cancellation is of equal trees, so a result is exact
+whichever sites are reached.  The triple a row of U is read at is gated by
+``u_row_scaled``, and its failure is re-raised naming the site.  A
+transposition site also gates (a, b, c), so that with the row's (b, c, a) it
+tests a, b, c, a+b, b+c, a+c and the total.
 
 The rewriter rewrites the caller's ``Node``/``Leaf`` trees, on integers.  The
 slot weights are scaled once by d, the lcm of their denominators
 (``rationals.common_scale``), one d for all the terms of a combination.  The
 walk that finds a site returns each standard subtree's d-scaled weight, off
-which the site reads its own, and carries the move's pieces back up, each
-ancestor rebuilt as a new node.  A coefficient is a reduced pair (num, den) of
-integers: a move multiplies both parts, each accumulation reduces once by a
-gcd, and one ``Fraction`` is built per output term, whose ``StandardTerm`` is
-read down the tree's right spine.  Each (scaled site triple, n, k) is gated on
+which a post-order site reads its own, and carries the move's pieces back up,
+each ancestor rebuilt as a new node; a site recoupled from the top reads the
+weights of A, B and C off those subtrees.  A coefficient is a reduced pair
+(num, den) of integers: a move multiplies both parts, each accumulation
+reduces once by a gcd, and one ``Fraction`` is built per output term, whose
+``StandardTerm`` is read down the tree's right spine.  Each (scaled site triple, n, k) is gated on
 the integers (``transition.admissible_scaled``) and its row read by
 ``u_row_scaled`` once per call, with no ``Fraction`` per row; a failing site
 alone builds its rational triple, for the message.  Before any tree is hashed
@@ -207,15 +221,61 @@ def _recoupled(x, y, z, n: int, row: tuple[Fraction, ...], flip: int | None = No
     ]
 
 
+def _ascending(tree: BracketExpr, scaled: Mapping[int, int], d: int) -> tuple[int, int, int] | None:
+    """(first slot, last slot, d-scaled weight) of a tree whose leaves ascend, else None."""
+    if type(tree) is not Node:
+        slot = tree[0]
+        return slot, slot, scaled[slot]
+    left, right, order = tree
+    span_left = _ascending(left, scaled, d)
+    if span_left is None:
+        return None
+    span_right = _ascending(right, scaled, d)
+    if span_right is None or span_left[1] > span_right[0]:
+        return None
+    return span_left[0], span_right[1], span_left[2] + span_right[2] + 2 * d * order
+
+
+def _weight(tree: BracketExpr, scaled: Mapping[int, int], d: int) -> int:
+    """The d-scaled weight of a tree: its slots' weights plus 2d times its orders."""
+    if type(tree) is not Node:
+        return scaled[tree[0]]
+    left, right, order = tree
+    return _weight(left, scaled, d) + _weight(right, scaled, d) + 2 * d * order
+
+
+def _spine_slot(tree: BracketExpr, side: int) -> int:
+    """The slot of the first (side 0) or last (side 1) leaf of a tree."""
+    while type(tree) is Node:
+        tree = tree[side]
+    return tree[0]
+
+
 def _step(tree: Node, rows: dict, scaled: Mapping[int, int], d: int) -> list | int:
-    """One move at the first redex in post-order, as [tree, num, den] pieces
-    rebuilt up to ``tree`` (a node); or, when ``tree`` is standard, its d-scaled
-    weight.  A standard tree's left child is a leaf (slot,), so a site reads its
-    weights off its children's: a leaf's from ``scaled``, the rest as differences.
+    """One move at the first redex, as [tree, num, den] pieces rebuilt up to
+    ``tree`` (a node); or, when ``tree`` is standard, its d-scaled weight.
+
+    A node [[A,B]_k, C]_m whose A is a node and whose left child's leaves
+    ascend is recoupled at once, at the weights of A, B and C, each read off
+    its subtree.  Every other node is taken in post-order (left subtree, right
+    subtree, then the node), and its site reads its weights off its children's:
+    a standard tree's left child is a leaf (slot,), whose weight is in
+    ``scaled``, and the rest are differences.
     """
     left, right, order = tree
     left_is_node = type(left) is Node
     if left_is_node:
+        a, b, k = left
+        # the last leaf of A against the first of B rejects most unsorted left children at once
+        if (
+            type(a) is Node
+            and _spine_slot(a, 1) < _spine_slot(b, 0)
+            and (span_a := _ascending(a, scaled, d)) is not None
+            and (span_b := _ascending(b, scaled, d)) is not None
+        ):
+            # [[A,B]_k, C]_m -> sum_p U_{k,p} [A, [B,C]_p]_{n-p}, n = k+m
+            key = (span_a[2], span_b[2], _weight(right, scaled, d), k + order, k, False)
+            return _recoupled(a, b, right, k + order, _row(rows, d, tree, key))
         w_left = _step(left, rows, scaled, d)
         if type(w_left) is list:
             for piece in w_left:
@@ -242,7 +302,7 @@ def _step(tree: Node, rows: dict, scaled: Mapping[int, int], d: int) -> list | i
     else:
         w_right = scaled[right[0]]
     if left_is_node:
-        # [[a,b]_k, c]_m -> sum_p U_{k,p} [a, [b,c]_p]_{n-p}, n = k+m
+        # the left child is standard: [[a,b]_k, c]_m -> sum_p U_{k,p} [a, [b,c]_p]_{n-p}
         a, b, k = left
         w_a = scaled[a[0]]
         key = (w_a, w_left - w_a - 2 * d * k, w_right, k + order, k, False)

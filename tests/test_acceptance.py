@@ -15,14 +15,14 @@ import hashlib
 import time
 from fractions import Fraction
 
-from rcbrackets.brackets import WeightedForm, rc_bracket
+from rcbrackets.brackets import WeightedForm, eval_bracket_tree, rc_bracket
 from rcbrackets.cli import main
 from rcbrackets.cmz import cmz_reports
 from rcbrackets.engine import solve_u_from_brackets
 from rcbrackets.hypergeom import jacobi_poly
 from rcbrackets.identities import run_suite
 from rcbrackets.poly import Poly
-from rcbrackets.rewrite import check_identity, parse_bracket, to_standard
+from rcbrackets.rewrite import StandardTerm, check_identity, parse_bracket, to_standard
 from rcbrackets.samples import default_triples
 from rcbrackets.transition import (
     ParamTriple,
@@ -304,26 +304,31 @@ COMB_WEIGHTS = {
 }
 
 
+def comb_sources(leaves: int, m: int) -> tuple[str, str]:
+    """The left comb [[f1,f2]_m,...,fD]_m and the descending comb [fD,[...,[f2,f1]_m]]_m."""
+    left = descending = "f1"
+    for slot in range(2, leaves + 1):
+        left = f"[{left},f{slot}]_{m}"
+        descending = f"[f{slot},{descending}]_{m}"
+    return left, descending
+
+
+def descending_equals_signed_left(leaves: int, m: int) -> bool:
+    weights = {slot: COMB_WEIGHTS[slot] for slot in range(1, leaves + 1)}
+    left, descending = comb_sources(leaves, m)
+    sign = (-1) ** ((leaves - 1) * m)
+    left_nf = to_standard(parse_bracket(left), weights)
+    descending_nf = to_standard(parse_bracket(descending), weights)
+    return descending_nf == {term: sign * c for term, c in left_nf.items()}
+
+
 def test_criterion_12_descending_combs_equal_signed_left_combs(capsys) -> None:
     started = time.perf_counter()
-    problems = []
     # the left comb needs only left-nest moves, the descending comb only
     # transpositions and flips: flipping its D-1 nodes gives the left comb
     scope = [(leaves, m) for leaves in range(3, 6) for m in range(4)]
     scope += [(6, m) for m in range(3)]
-    for leaves, m in scope:
-        left = "f1"
-        for slot in range(2, leaves + 1):
-            left = f"[{left},f{slot}]_{m}"
-        descending = "f1"
-        for slot in range(2, leaves + 1):
-            descending = f"[f{slot},{descending}]_{m}"
-        weights = {slot: COMB_WEIGHTS[slot] for slot in range(1, leaves + 1)}
-        sign = (-1) ** ((leaves - 1) * m)
-        left_nf = to_standard(parse_bracket(left), weights)
-        descending_nf = to_standard(parse_bracket(descending), weights)
-        if descending_nf != {term: sign * c for term, c in left_nf.items()}:
-            problems.append((leaves, m))
+    problems = [(leaves, m) for leaves, m in scope if not descending_equals_signed_left(leaves, m)]
     finish(capsys, 12, "descending combs equal signed left combs (D<=5 m<=3, D=6 m<=2)", started, 10.0, problems)
 
 
@@ -342,3 +347,53 @@ def test_criterion_13_default_verify_output_is_byte_identical(capsys) -> None:
     if digest != DEFAULT_VERIFY_SHA256:
         problems.append(f"sha256 {digest}")
     finish(capsys, 13, "default verify --suite all JSON is byte-identical", started, 60.0, problems)
+
+
+DEEP_WEIGHTS = {**COMB_WEIGHTS, 7: Fraction(3, 7), 8: Fraction(5, 3)}
+
+
+def combo_value(combo: dict[StandardTerm, Fraction], leaves: dict[int, WeightedForm]) -> Poly:
+    """The value of a combination of standard combs on one slot set at the leaf
+    forms: each comb is built innermost first, partial values shared by inner
+    orders, and dropped at its first partial value that vanishes."""
+    partial: dict[tuple[int, ...], WeightedForm] = {}
+    total = Poly.zero(("z",))
+    for term, coeff in combo.items():
+        value = leaves[term.slots[-1]]
+        for depth, slot in enumerate(reversed(term.slots[:-1]), start=1):
+            inner = term.orders[:depth]
+            if inner not in partial:
+                partial[inner] = rc_bracket(leaves[slot], value, inner[-1])
+            value = partial[inner]
+            if value.form.is_zero():
+                break
+        else:
+            total = total + coeff * value.form
+    return total
+
+
+def test_criterion_14_deep_left_combs(capsys) -> None:
+    started = time.perf_counter()
+    problems = []
+    # an order-0 bracket is the product, so an order-0 tree's normal form is the order-0 comb
+    for leaves in (51, 101, 201):
+        weights = {slot: Fraction(slot, 3) for slot in range(1, leaves + 1)}
+        expected = {StandardTerm((0,) * (leaves - 1), tuple(range(1, leaves + 1))): 1}
+        if to_standard(parse_bracket(comb_sources(leaves, 0)[0]), weights) != expected:
+            problems.append((leaves, 0))
+    # the 8-leaf order-2 comb against evaluation, at leaf degrees where most
+    # combs of its 21,945 terms vanish early and the comb itself does not
+    tree = parse_bracket(comb_sources(8, 2)[0])
+    combo = to_standard(tree, DEEP_WEIGHTS)
+    for degrees in ((7, 7, 0, 0, 0, 0, 0, 0), (4, 4, 3, 3, 0, 0, 0, 0)):
+        leaves = {
+            slot: WeightedForm(DEEP_WEIGHTS[slot], Poly.monomial(("z",), {"z": degree}))
+            for slot, degree in enumerate(degrees, start=1)
+        }
+        direct = eval_bracket_tree(tree, leaves).form
+        if direct.is_zero() or combo_value(combo, leaves) != direct:
+            problems.append((8, 2, degrees))
+    # criterion 12's identity one order past its scope
+    if not descending_equals_signed_left(6, 3):
+        problems.append((6, 3))
+    finish(capsys, 14, "deep left combs (m=0 D=51,101,201; D=8 m=2; D=6 m=3)", started, 5.0, problems)

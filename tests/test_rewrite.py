@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from rcbrackets import rewrite, transition
 from rcbrackets.brackets import (
+    BracketExpr,
     DuplicateSlotError,
     Leaf,
     Node,
@@ -317,21 +319,22 @@ def test_rewrite_preserves_semantics() -> None:
     assert total == direct.form
 
 
+def _shape(draw, leaves: list[int], max_order: int) -> BracketExpr:
+    """A random shape on ``leaves`` in that order, bracket orders 0 to ``max_order``."""
+    if len(leaves) == 1:
+        return Leaf(leaves[0])
+    cut = draw(st.integers(min_value=1, max_value=len(leaves) - 1))
+    order = draw(st.integers(min_value=0, max_value=max_order))
+    return Node(_shape(draw, leaves[:cut], max_order), _shape(draw, leaves[cut:], max_order), order)
+
+
 @st.composite
 def small_trees(draw, min_leaves: int = 3, max_order: int = 2) -> Node:
     """Random shapes on ``min_leaves``-4 leaves over a random slot order,
     bracket orders 0 to ``max_order``."""
     leaf_count = draw(st.integers(min_value=min_leaves, max_value=4))
     slots = draw(st.permutations(range(1, leaf_count + 1)))
-
-    def build(leaves):
-        if len(leaves) == 1:
-            return Leaf(leaves[0])
-        cut = draw(st.integers(min_value=1, max_value=len(leaves) - 1))
-        order = draw(st.integers(min_value=0, max_value=max_order))
-        return Node(build(leaves[:cut]), build(leaves[cut:]), order)
-
-    return build(list(slots))
+    return _shape(draw, list(slots), max_order)
 
 
 @given(small_trees())
@@ -381,6 +384,90 @@ def test_rewrite_preserves_semantics_at_signed_weights(case) -> None:
     for term, coeff in combo.items():
         total = total + coeff * eval_bracket_tree(standard_tree(term), leaves).form
     assert total == direct.form
+
+
+@st.composite
+def sorted_spine_trees(draw) -> tuple[Node, dict[int, Fraction]]:
+    """[[A,B]_k, C]_m on 5-6 leaves, with A a node and the left child's leaves
+    ascending (C's in any order), so that the root is recoupled from the top;
+    bracket orders 0-2, at signed slot weights that pass every site gate."""
+    count = draw(st.integers(min_value=5, max_value=6))
+    slots = list(draw(st.permutations(range(1, count + 1))))
+    cut = draw(st.integers(min_value=3, max_value=count - 1))
+    inner = sorted(slots[:cut])
+    split = draw(st.integers(min_value=2, max_value=cut - 1))
+    orders = st.integers(min_value=0, max_value=2)
+    left = Node(_shape(draw, inner[:split], 2), _shape(draw, inner[split:], 2), draw(orders))
+    tree = Node(left, _shape(draw, slots[cut:], 2), draw(orders))
+    weights = draw(st.tuples(*[signed] * count).filter(_gate_free))
+    return tree, dict(enumerate(weights, start=1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sorted_spine_trees())
+def test_sorted_left_spines_preserve_semantics(case) -> None:
+    tree, weights = case
+    combo = to_standard(tree, weights)
+    leaves = {slot: monomial(weights[slot], slot + 1) for slot in expr_slots(tree)}
+    total = Poly.zero(("z",))
+    for term, coeff in combo.items():
+        total = total + coeff * eval_bracket_tree(standard_tree(term), leaves).form
+    assert total == eval_bracket_tree(tree, leaves).form
+
+
+def _count_recouplings(monkeypatch) -> list:
+    """The moves that read a row of U (recouplings and transpositions), one
+    entry per move from here on."""
+    moves = []
+    recoupled = rewrite._recoupled
+
+    def counted(*args):
+        moves.append(args)
+        return recoupled(*args)
+
+    monkeypatch.setattr(rewrite, "_recoupled", counted)
+    return moves
+
+
+@pytest.mark.parametrize("leaves", [5, 51, 201])
+def test_ascending_left_comb_is_recoupled_from_the_top(monkeypatch, leaves: int) -> None:
+    # each move rotates the left spine at its top: D - 2 recouplings, the
+    # rotation distance from the left comb to the right comb, where
+    # post-order made (D-1)(D-2)/2
+    moves = _count_recouplings(monkeypatch)
+    weights = {slot: Fraction(1, 2) for slot in range(1, leaves + 1)}
+    combo = to_standard(_comb("left", leaves - 1), weights)
+    assert combo == {StandardTerm((0,) * (leaves - 1), tuple(range(1, leaves + 1))): 1}
+    assert len(moves) == leaves - 2
+
+
+def test_unsorted_left_child_is_not_recoupled_from_the_top(monkeypatch) -> None:
+    # the left child's leaves 2, 4, 1 do not ascend, so the root waits for
+    # post-order, which makes 15 moves; recoupled from the top first, the
+    # root would carry the inversion into every piece and make 91
+    moves = _count_recouplings(monkeypatch)
+    combo = to_standard(parse_bracket("[[[f2,f4]_3,f1]_3,f3]_2"), GENERIC_WEIGHTS)
+    assert len(combo) == 39
+    assert len(moves) == 15
+
+
+def test_top_recoupling_passes_over_an_inadmissible_inner_site() -> None:
+    # (-3/2, 1, -1/2) sums to -1, so [[f1,f2]_1,f3]_1 is refused on its own,
+    # and post-order refused the 4-leaf comb there; recoupled from the top,
+    # the comb reads (3/2, -1/2, 3/2) and then (-3/2, 1, 1+2p), which pass
+    weights = dict(enumerate((Fraction(-3, 2), Fraction(1), Fraction(-1, 2), Fraction(3, 2)), start=1))
+    with pytest.raises(InadmissibleLocalWeightsError) as got:
+        to_standard(parse_bracket("[[f1,f2]_1,f3]_1"), weights)
+    assert str(got.value) == "rewrite site [[f1,f2]_1,f3]_1 has inadmissible weights (-3/2, 1, -1/2)"
+    tree = parse_bracket("[[[f1,f2]_1,f3]_1,f4]_1")
+    combo = to_standard(tree, weights)
+    assert len(combo) == 9
+    for degrees in itertools.product(range(4), repeat=4):
+        leaves = {slot: monomial(weights[slot], degree) for slot, degree in enumerate(degrees, start=1)}
+        total = Poly.zero(("z",))
+        for term, coeff in combo.items():
+            total = total + coeff * eval_bracket_tree(standard_tree(term), leaves).form
+        assert total == eval_bracket_tree(tree, leaves).form, degrees
 
 
 def _comb(spine: str, depth: int, order: int = 0, first: int = 1) -> Node:
