@@ -62,13 +62,14 @@ each ancestor rebuilt as a new node; a site recoupled from the top reads the
 weights of A, B and C off those subtrees.  A coefficient is a reduced pair
 (num, den) of integers: a move multiplies both parts, each accumulation
 reduces once by a gcd, and one ``Fraction`` is built per output term, whose
-``StandardTerm`` is read down the tree's right spine.  Each (scaled site triple, n, k) is gated on
-the integers (``transition.admissible_scaled``) and its row read by
-``u_row_scaled`` once per call, with no ``Fraction`` per row; a failing site
-alone builds its rational triple, for the message.  Before any tree is hashed
-or rewritten, one nested deeper than ``poly.MAX_NESTING`` is refused (by
-``brackets.expr_slots``), and so is one of more leaves than that plus one:
-the walk recurses down the normal form of D leaves, which nests D - 1 deep.
+``StandardTerm`` is read down the tree's right spine.  Each (scaled site
+triple, n, k) is gated on the integers (``transition.admissible_scaled``) and
+its row read by ``u_row_scaled`` once per call, with no ``Fraction`` per row;
+a failing site alone builds its rational triple, for the message.  Before any
+tree is hashed or rewritten, one nested deeper than ``poly.MAX_NESTING`` is
+refused (by ``brackets.expr_slots``), and so is one of more leaves than that
+plus one: the walk recurses down the normal form of D leaves, which nests
+D - 1 deep.
 """
 
 from __future__ import annotations
@@ -255,18 +256,16 @@ def _step(tree: Node, rows: dict, scaled: Mapping[int, int], d: int) -> list | i
     """One move at the first redex, as [tree, num, den] pieces rebuilt up to
     ``tree`` (a node); or, when ``tree`` is standard, its d-scaled weight.
 
-    A node [[A,B]_k, C]_m whose A is a node and whose left child's leaves
-    ascend is recoupled at once, at the weights of A, B and C, each read off
-    its subtree.  Every other node is taken in post-order (left subtree, right
-    subtree, then the node), and its site reads its weights off its children's:
-    a standard tree's left child is a leaf (slot,), whose weight is in
-    ``scaled``, and the rest are differences.
+    A sorted left spine is recoupled from the top, at the weights of A, B and
+    C read off those subtrees.  A post-order site reads its weights off its
+    children's: a standard tree's left child is a leaf (slot,), whose weight
+    is in ``scaled``, and the rest are differences.
     """
     left, right, order = tree
     left_is_node = type(left) is Node
     if left_is_node:
         a, b, k = left
-        # the last leaf of A against the first of B rejects most unsorted left children at once
+        # A's last leaf against B's first rejects most unsorted left children before a walk
         if (
             type(a) is Node
             and _spine_slot(a, 1) < _spine_slot(b, 0)
@@ -302,7 +301,7 @@ def _step(tree: Node, rows: dict, scaled: Mapping[int, int], d: int) -> list | i
     else:
         w_right = scaled[right[0]]
     if left_is_node:
-        # the left child is standard: [[a,b]_k, c]_m -> sum_p U_{k,p} [a, [b,c]_p]_{n-p}
+        # the left child is standard: [[a,b]_k, c]_m -> sum_p U_{k,p} [a, [b,c]_p]_{n-p}, n = k+m
         a, b, k = left
         w_a = scaled[a[0]]
         key = (w_a, w_left - w_a - 2 * d * k, w_right, k + order, k, False)

@@ -61,6 +61,14 @@ def monomial(weight: Fraction, degree: int) -> WeightedForm:
     return WeightedForm(weight, z**degree)
 
 
+def combo_value(combo: dict[StandardTerm, Fraction], leaves: dict[int, WeightedForm]) -> Poly:
+    """The value at the leaf forms of a combination of standard combs."""
+    total = Poly.zero(("z",))
+    for term, coeff in combo.items():
+        total = total + coeff * eval_bracket_tree(standard_tree(term), leaves).form
+    return total
+
+
 # -- parsing ------------------------------------------------------------------------
 
 
@@ -312,11 +320,7 @@ def test_rewrite_preserves_semantics() -> None:
         3: monomial(GENERIC_WEIGHTS[3], 3),
         4: monomial(GENERIC_WEIGHTS[4], 2),
     }
-    direct = eval_bracket_tree(tree, leaves)
-    total = Poly.zero(("z",))
-    for term, coeff in combo.items():
-        total = total + coeff * eval_bracket_tree(standard_tree(term), leaves).form
-    assert total == direct.form
+    assert combo_value(combo, leaves) == eval_bracket_tree(tree, leaves).form
 
 
 def _shape(draw, leaves: list[int], max_order: int) -> BracketExpr:
@@ -341,11 +345,7 @@ def small_trees(draw, min_leaves: int = 3, max_order: int = 2) -> Node:
 def test_rewrite_preserves_semantics_small(tree: Node) -> None:
     combo = to_standard(tree, GENERIC_WEIGHTS)
     leaves = {slot: monomial(GENERIC_WEIGHTS[slot], slot) for slot in expr_slots(tree)}
-    direct = eval_bracket_tree(tree, leaves)
-    total = Poly.zero(("z",))
-    for term, coeff in combo.items():
-        total = total + coeff * eval_bracket_tree(standard_tree(term), leaves).form
-    assert total == direct.form
+    assert combo_value(combo, leaves) == eval_bracket_tree(tree, leaves).form
 
 
 def _gate_free(weights: tuple[Fraction, ...]) -> bool:
@@ -379,11 +379,7 @@ def test_rewrite_preserves_semantics_at_signed_weights(case) -> None:
     combo = to_standard(tree, weights)
     assert all(combo.values())
     leaves = {slot: monomial(weights[slot], slot + 1) for slot in expr_slots(tree)}
-    direct = eval_bracket_tree(tree, leaves)
-    total = Poly.zero(("z",))
-    for term, coeff in combo.items():
-        total = total + coeff * eval_bracket_tree(standard_tree(term), leaves).form
-    assert total == direct.form
+    assert combo_value(combo, leaves) == eval_bracket_tree(tree, leaves).form
 
 
 @st.composite
@@ -409,10 +405,7 @@ def test_sorted_left_spines_preserve_semantics(case) -> None:
     tree, weights = case
     combo = to_standard(tree, weights)
     leaves = {slot: monomial(weights[slot], slot + 1) for slot in expr_slots(tree)}
-    total = Poly.zero(("z",))
-    for term, coeff in combo.items():
-        total = total + coeff * eval_bracket_tree(standard_tree(term), leaves).form
-    assert total == eval_bracket_tree(tree, leaves).form
+    assert combo_value(combo, leaves) == eval_bracket_tree(tree, leaves).form
 
 
 def _count_recouplings(monkeypatch) -> list:
@@ -455,7 +448,7 @@ def test_top_recoupling_passes_over_an_inadmissible_inner_site() -> None:
     # (-3/2, 1, -1/2) sums to -1, so [[f1,f2]_1,f3]_1 is refused on its own,
     # and post-order refused the 4-leaf comb there; recoupled from the top,
     # the comb reads (3/2, -1/2, 3/2) and then (-3/2, 1, 1+2p), which pass
-    weights = dict(enumerate((Fraction(-3, 2), Fraction(1), Fraction(-1, 2), Fraction(3, 2)), start=1))
+    weights = {1: Fraction(-3, 2), 2: Fraction(1), 3: Fraction(-1, 2), 4: Fraction(3, 2)}
     with pytest.raises(InadmissibleLocalWeightsError) as got:
         to_standard(parse_bracket("[[f1,f2]_1,f3]_1"), weights)
     assert str(got.value) == "rewrite site [[f1,f2]_1,f3]_1 has inadmissible weights (-3/2, 1, -1/2)"
@@ -463,11 +456,8 @@ def test_top_recoupling_passes_over_an_inadmissible_inner_site() -> None:
     combo = to_standard(tree, weights)
     assert len(combo) == 9
     for degrees in itertools.product(range(4), repeat=4):
-        leaves = {slot: monomial(weights[slot], degree) for slot, degree in enumerate(degrees, start=1)}
-        total = Poly.zero(("z",))
-        for term, coeff in combo.items():
-            total = total + coeff * eval_bracket_tree(standard_tree(term), leaves).form
-        assert total == eval_bracket_tree(tree, leaves).form, degrees
+        leaves = {slot: monomial(weights[slot], degree) for slot, degree in zip(weights, degrees)}
+        assert combo_value(combo, leaves) == eval_bracket_tree(tree, leaves).form, degrees
 
 
 def _comb(spine: str, depth: int, order: int = 0, first: int = 1) -> Node:
