@@ -25,8 +25,6 @@ from .brackets import (
 from .cmz import cmz_reports
 from .engine import (
     solve_u_from_brackets,
-    verify_classical,
-    verify_four_function,
     verify_on_monomials,
 )
 from .hypergeom import (
@@ -35,7 +33,6 @@ from .hypergeom import (
     NonTerminatingError,
     hyp_terminating_at_one,
     hyp_terminating_poly,
-    jacobi_basis_admissible,
     jacobi_operator,
     jacobi_poly,
     jacobi_poly_hyp,
@@ -58,7 +55,6 @@ from .rationals import (
     as_rational,
     binom_general,
     factorial,
-    format_rational,
     is_nonpositive_integer,
     parse_rational,
     pochhammer,

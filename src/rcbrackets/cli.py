@@ -47,7 +47,7 @@ from .rewrite import (
 )
 from .samples import BASE_VALUES, default_triples, sample_dict, seeded_rows
 from .star import StarSeries, star
-from .transition import ParamTriple, u_matrix
+from .transition import ParamTriple, check_row, u_matrix
 from .verma import GENERATORS, Highest, Lowest, TensorLowest, TensorLowestTV, act
 
 OUTPUT_FORMATS = ("json", "csv", "text")
@@ -213,6 +213,7 @@ def cmd_u_table(args: argparse.Namespace) -> int:
 
 def cmd_racah(args: argparse.Namespace) -> int:
     params = _parse_table_args(args)
+    check_row(params, args.n, 0)  # u-table's gate, with its message
     lines = ["p\\k," + ",".join(str(k) for k in range(args.n + 1))]
     for p in range(args.n + 1):
         row = [

@@ -270,17 +270,6 @@ def plan_reports(
     return out
 
 
-def verify_classical(params: ParamTriple, max_degree: int = 4) -> VerificationReport:
-    """First-bracket Jacobi-type cyclic identity and its weighted order-0 variant."""
-    plan = {"classical-first-order": ("classical", "grid", [None], max_degree)}
-    return plan_reports(params, plan)["classical-first-order"][0]
-
-
-def verify_four_function(weights: Sequence[Fraction], max_degree: int = 2) -> VerificationReport:
-    """Four-slot identity: the sum of the four order-(0,0,1) triple products vanishes."""
-    return verify_on_monomials("four-function-first-order", weights, _FOUR_ROWS, max_degree)[0]
-
-
 # -- independent oracle ------------------------------------------------------------
 
 

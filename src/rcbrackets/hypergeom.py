@@ -24,7 +24,6 @@ from .rationals import (
     binom_general,
     common_scale,
     factorial,
-    is_nonpositive_integer,
     pochhammer,
 )
 
@@ -109,12 +108,6 @@ def hyp_terminating_at_one(spec: HypSpec) -> Fraction:
     """Exact value of the terminating series at unit argument."""
     nums, den = _series_terms(spec)
     return Fraction(sum(nums), den)
-
-
-def jacobi_basis_admissible(alpha: RationalLike, beta: RationalLike) -> bool:
-    """Degrees stay exact and {P_0..P_m} stays a basis when alpha, beta > -1
-    or, more generally, alpha + beta is not a negative integer >= -(2m)."""
-    return not is_nonpositive_integer(as_rational(alpha) + as_rational(beta) + 1)
 
 
 def jacobi_poly(ell: int, alpha: RationalLike, beta: RationalLike) -> Poly:

@@ -43,11 +43,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"malformed rational literal {text!r}") from None
 
 
-def format_rational(value: RationalLike) -> str:
-    """Render reduced ``p/q``, or ``p`` when the denominator is 1."""
-    return str(as_rational(value))
-
-
 def is_nonpositive_integer(value: RationalLike) -> bool:
     """True iff ``value`` is an integer <= 0 (pole / termination test)."""
     value = as_rational(value)

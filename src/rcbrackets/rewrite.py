@@ -15,18 +15,22 @@ The transposition is a recoupling in its own right: antisymmetry of the
 inner bracket, the reverse family at (a, c, b) and antisymmetry of the outer
 bracket fold into that single row.
 
-Each tree is rewritten at its first redex, found from the root.  A node
-[[A,B]_k, C]_m whose A is a node and whose left child's leaves already ascend
-is recoupled at once, at the weights of A, B and C: a left spine is rotated
-from the top, so the order-0 left comb of D leaves reaches the standard comb
-in D - 2 moves (its rotation distance in the associahedron) where post-order
-made (D-1)(D-2)/2.  Every other node is taken in post-order (left subtree,
-right subtree, then the node itself).  The guard on the left child's leaves
-is there because recoupling an unsorted left child at the top carries its
-inversions into every piece, each to be transposed there; and it keeps
-[[f2,f1]_0, f3]_m flipping before it recouples.  Each move strictly
-decreases the lexicographic metric (leaf inversions, sum over internal nodes
-of (left-subtree leaf count - 1)): a transposition removes exactly one leaf
+Each tree is rewritten at its first redex, found from the root by one rule.
+At a node [L, C]_m whose left child L = [A, B]_k has A's leaves ascending
+and A's last slot below B's first, B and then C are rewritten, and once both
+are standard the node is recoupled at the weights of A, B and C.  A need not
+be standard, so a left spine whose leaves ascend is rotated from the top: the
+order-0 left comb of D leaves reaches the standard comb in D - 2 moves (its
+rotation distance in the associahedron) where post-order makes
+(D-1)(D-2)/2.  At any other node L the move is made inside L.  At a leaf L,
+C is rewritten, and then the node is transposed or flipped, or is standard.
+The guard on A is there because recoupling an unsorted left child at the top
+carries its inversions into every piece, each to be transposed there; and it
+keeps [[f2,f1]_0, f3]_m flipping before it recouples.  B and C go first for
+the same reason: recoupled before they are standard, the node would copy
+their moves into every piece.  Each move strictly decreases the
+lexicographic metric (leaf inversions, sum over internal nodes of
+(left-subtree leaf count - 1)): a transposition removes exactly one leaf
 inversion, and recoupling at [[A,B]_k, C]_m lowers the sum by A's leaf
 count.  So rewriting terminates whichever redex is taken, and since the
 standard combs are a basis, every order reaches the same normal form.
@@ -44,22 +48,23 @@ the sites the work list reaches are gated: an inadmissible site inside terms
 that cancel before it is rewritten raises nothing.  Which pieces meet before
 they are rewritten can depend on the order of the terms, so an identity may
 pass in one order and raise in another.  Likewise the redex order decides
-which sites are reached: recoupling a sorted left spine from the top gates
-(A, B, C) in place of the inner sites that post-order reads, so a tree
-refused at an inner site may now normalize.  Every move made is at an
-admissible site and a cancellation is of equal trees, so a result is exact
-whichever sites are reached.  The triple a row of U is read at is gated by
-``u_row_scaled``, and its failure is re-raised naming the site.  A
-transposition site also gates (a, b, c), so that with the row's (b, c, a) it
-tests a, b, c, a+b, b+c, a+c and the total.
+which sites are reached: a sorted left spine is recoupled from the top at
+(A, B, C), never at the sites inside A, so a tree may normalize although a
+site inside A is inadmissible; and B and C are standard when the node is
+recoupled, so a refusal there names the node with B and C rewritten.  Every
+move made is at an admissible site and a cancellation is of equal trees, so a
+result is exact whichever sites are reached.  The triple a row of U is read
+at is gated by ``u_row_scaled``, and its failure is re-raised naming the
+site.  A transposition site also gates (a, b, c), so that with the row's
+(b, c, a) it tests a, b, c, a+b, b+c, a+c and the total.
 
 The rewriter rewrites the caller's ``Node``/``Leaf`` trees, on integers.  The
 slot weights are scaled once by d, the lcm of their denominators
 (``rationals.common_scale``), one d for all the terms of a combination.  The
-walk that finds a site returns each standard subtree's d-scaled weight, off
-which a post-order site reads its own, and carries the move's pieces back up,
-each ancestor rebuilt as a new node; a site recoupled from the top reads the
-weights of A, B and C off those subtrees.  A coefficient is a reduced pair
+walk that finds a site returns each standard subtree's d-scaled weight, from
+which a site reads B's and C's (a leaf's is in the scaled table), and carries
+the move's pieces back up, each ancestor rebuilt as a new node; A's weight
+comes from the guard's walk of A's leaves.  A coefficient is a reduced pair
 (num, den) of integers: a move multiplies both parts, each accumulation
 reduces once by a gcd, and one ``Fraction`` is built per output term, whose
 ``StandardTerm`` is read down the tree's right spine.  Each (scaled site
@@ -237,14 +242,6 @@ def _ascending(tree: BracketExpr, scaled: Mapping[int, int], d: int) -> tuple[in
     return span_left[0], span_right[1], span_left[2] + span_right[2] + 2 * d * order
 
 
-def _weight(tree: BracketExpr, scaled: Mapping[int, int], d: int) -> int:
-    """The d-scaled weight of a tree: its slots' weights plus 2d times its orders."""
-    if type(tree) is not Node:
-        return scaled[tree[0]]
-    left, right, order = tree
-    return _weight(left, scaled, d) + _weight(right, scaled, d) + 2 * d * order
-
-
 def _spine_slot(tree: BracketExpr, side: int) -> int:
     """The slot of the first (side 0) or last (side 1) leaf of a tree."""
     while type(tree) is Node:
@@ -256,30 +253,31 @@ def _step(tree: Node, rows: dict, scaled: Mapping[int, int], d: int) -> list | i
     """One move at the first redex, as [tree, num, den] pieces rebuilt up to
     ``tree`` (a node); or, when ``tree`` is standard, its d-scaled weight.
 
-    A sorted left spine is recoupled from the top, at the weights of A, B and
-    C read off those subtrees.  A post-order site reads its weights off its
-    children's: a standard tree's left child is a leaf (slot,), whose weight
-    is in ``scaled``, and the rest are differences.
+    At [L, C]_m: when L = [A, B]_k with A's leaves ascending and A's last slot
+    below B's first, B and then C are rewritten, and once both are standard
+    the node is recoupled at the weights of A (read off A's leaves) and of B
+    and C (returned by their walks); any other node L is rewritten inside; at
+    a leaf L, C is rewritten and then the node is transposed, flipped or is
+    standard.
     """
     left, right, order = tree
     left_is_node = type(left) is Node
     if left_is_node:
         a, b, k = left
-        # A's last leaf against B's first rejects most unsorted left children before a walk
-        if (
-            type(a) is Node
-            and _spine_slot(a, 1) < _spine_slot(b, 0)
-            and (span_a := _ascending(a, scaled, d)) is not None
-            and (span_b := _ascending(b, scaled, d)) is not None
-        ):
-            # [[A,B]_k, C]_m -> sum_p U_{k,p} [A, [B,C]_p]_{n-p}, n = k+m
-            key = (span_a[2], span_b[2], _weight(right, scaled, d), k + order, k, False)
-            return _recoupled(a, b, right, k + order, _row(rows, d, tree, key))
-        w_left = _step(left, rows, scaled, d)
-        if type(w_left) is list:
-            for piece in w_left:
+        # A's last leaf against B's first rejects most unsorted left children before A's walk
+        if _spine_slot(a, 1) > _spine_slot(b, 0) or (span_a := _ascending(a, scaled, d)) is None:
+            pieces = _step(left, rows, scaled, d)  # the left child is not standard
+            for piece in pieces:
                 piece[0] = _new(Node, (piece[0], right, order))
-            return w_left
+            return pieces
+        if type(b) is Node:
+            w_b = _step(b, rows, scaled, d)
+            if type(w_b) is list:
+                for piece in w_b:
+                    piece[0] = _new(Node, (_new(Node, (a, piece[0], k)), right, order))
+                return w_b
+        else:
+            w_b = scaled[b[0]]
     else:
         w_left = scaled[left[0]]
     if type(right) is Node:
@@ -301,10 +299,8 @@ def _step(tree: Node, rows: dict, scaled: Mapping[int, int], d: int) -> list | i
     else:
         w_right = scaled[right[0]]
     if left_is_node:
-        # the left child is standard: [[a,b]_k, c]_m -> sum_p U_{k,p} [a, [b,c]_p]_{n-p}, n = k+m
-        a, b, k = left
-        w_a = scaled[a[0]]
-        key = (w_a, w_left - w_a - 2 * d * k, w_right, k + order, k, False)
+        # [[A,B]_k, C]_m -> sum_p U_{k,p} [A, [B,C]_p]_{n-p}, n = k+m
+        key = (span_a[2], w_b, w_right, k + order, k, False)
         return _recoupled(a, b, right, k + order, _row(rows, d, tree, key))
     return w_left + w_right + 2 * d * order
 

@@ -103,6 +103,20 @@ def test_u_table_inadmissible_weights_exit_1(capsys) -> None:
     assert "error:" in err
 
 
+def test_table_commands_share_the_gate(capsys) -> None:
+    # racah reads the 4F3 sum, which is defined at (-1, 1, 1); it is refused
+    # there as u-table is, with the same one-line message
+    for command in ("u-table", "racah"):
+        argv = [command, "--l1=-1", "--l2", "1", "--l3", "1", "--n", "3"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: weights (-1, 1, 1) fail the gate: "
+            "no weight or consecutive partial sum may be a nonpositive integer\n"
+        )
+
+
 def test_u_table_malformed_rational_exit_2(capsys) -> None:
     code, _, err = run_cli(capsys, ["u-table", "--l1", "x", "--l2", "1", "--l3", "1", "--n", "1"])
     assert code == 2

@@ -12,7 +12,6 @@ from rcbrackets.hypergeom import (
     bracket_row_scaled,
     hyp_terminating_at_one,
     hyp_terminating_poly,
-    jacobi_basis_admissible,
     jacobi_operator,
     jacobi_poly,
     jacobi_poly_hyp,
@@ -111,7 +110,6 @@ def test_jacobi_operator_annihilates_constants():
 
 def test_jacobi_basis_triangular():
     alpha, beta = Fraction(1, 2), Fraction(7, 3)
-    assert jacobi_basis_admissible(alpha, beta)
     for ell in range(7):
         p = jacobi_poly(ell, alpha, beta)
         assert p.degree_in("v") == ell

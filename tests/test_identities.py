@@ -28,8 +28,6 @@ from rcbrackets.verma import intertwiner_phi_tilde
 from rcbrackets.cmz import cmz_reports
 from rcbrackets.engine import (
     solve_u_from_brackets,
-    verify_classical,
-    verify_four_function,
     verify_on_monomials,
 )
 from rcbrackets.identities import SUITE_NAMES, run_suite, verify_block
@@ -69,15 +67,17 @@ def test_reverse_identity_small() -> None:
 
 
 def test_classical_identities() -> None:
-    report = verify_classical(GENERIC, max_degree=3)
+    plan = {"classical-first-order": ("classical", "grid", [None], 3)}
+    [report] = engine.plan_reports(GENERIC, plan)["classical-first-order"]
     assert report.status == "pass"
     assert report.instances_checked == 128
     assert report.identity_id == "classical-first-order"
 
 
 def test_four_function_identity() -> None:
-    weights = (Fraction(1, 2), Fraction(1), Fraction(7, 3), Fraction(3, 2))
-    report = verify_four_function(weights, max_degree=1)
+    # the fixed table is read at (l1, l2, l3, l1 + 1) = (1/2, 1, 7/3, 3/2)
+    plan = {"four-function-first-order": ("four-function", "grid", [None], 1)}
+    [report] = engine.plan_reports(GENERIC, plan)["four-function-first-order"]
     assert report.status == "pass"
     assert report.instances_checked == 16
 

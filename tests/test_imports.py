@@ -92,7 +92,6 @@ def test_private_imports_are_the_one_integer_format() -> None:
     allowed = {
         "poly._numerators",
         "poly._reduced",
-        "poly._substituted",
         "poly._sum",
         "poly._times",
         "brackets._bracket_kernel",

@@ -235,6 +235,11 @@ def test_transposition_gates_every_pair_sum(w1: Fraction, w2: Fraction, w3: Frac
             (Fraction(-1, 3), Fraction(1, 3), Fraction(1, 2)),
             "rewrite site [f2,[f1,f3]_1]_1 has inadmissible weights (1/3, -1/3, 1/2)",
         ),
+        (  # recoupling from the top: C = [f5,f2]_1 is flipped before the root is recoupled
+            "[[[f1,f3]_0,f4]_2,[f5,f2]_1]_0",
+            (2, 1, -2, 1, 1),
+            "rewrite site [[[f1,f3]_0,f4]_2,[f2,f5]_1]_0 has inadmissible weights (0, 1, 4)",
+        ),
     ],
 )
 def test_inadmissible_site_messages(src: str, weights: tuple, message: str) -> None:
@@ -442,6 +447,47 @@ def test_unsorted_left_child_is_not_recoupled_from_the_top(monkeypatch) -> None:
     combo = to_standard(parse_bracket("[[[f2,f4]_3,f1]_3,f3]_2"), GENERIC_WEIGHTS)
     assert len(combo) == 39
     assert len(moves) == 15
+
+
+def _count_moves(monkeypatch) -> list:
+    """The work-list pops that made a move, flips included: one popped tree per
+    move from here on."""
+    moves, depth = [], [0]
+    step = rewrite._step
+
+    def counted(tree, *args):
+        depth[0] += 1
+        try:
+            out = step(tree, *args)
+        finally:
+            depth[0] -= 1
+        if not depth[0] and type(out) is list:
+            moves.append(tree)
+        return out
+
+    monkeypatch.setattr(rewrite, "_step", counted)
+    return moves
+
+
+@pytest.mark.parametrize(
+    "src, moves, row_moves, terms",
+    [
+        # C = [f5,f4]_1 flips once, before the root is recoupled; recoupled
+        # first, the root would leave that flip to each of its pieces: 5 moves
+        ("[[[f1,f2]_1,f3]_0,[f5,f4]_1]_1", 4, 3, 5),
+        # the left child flips into [[f1,f2]_1,f3]_1, then C is rewritten to
+        # standard and the root recoupled last: 42 moves the other way round
+        ("[[[f2,f1]_1,f3]_1,[f6,[f5,f4]_3]_0]_2", 27, 21, 56),
+    ],
+)
+def test_top_recoupling_waits_for_standard_b_and_c(
+    monkeypatch, src: str, moves: int, row_moves: int, terms: int
+) -> None:
+    popped = _count_moves(monkeypatch)
+    recoupled = _count_recouplings(monkeypatch)
+    weights = {**GENERIC_WEIGHTS, 5: Fraction(5, 4), 6: Fraction(2)}
+    assert len(to_standard(parse_bracket(src), weights)) == terms
+    assert (len(popped), len(recoupled)) == (moves, row_moves)
 
 
 def test_top_recoupling_passes_over_an_inadmissible_inner_site() -> None:
