@@ -19,12 +19,13 @@ gcd(a, b, d) = 1, and the order n, keyed as U is in ``transition``, so a pair
 reached at any scale shares one table.  A tree of total order N on D slots is
 the constant-coefficient operator sum_{|j|=N} s_j prod f_i^(j_i), so on leaves
 z^(a_i) with sum a_i = N it is the constant s_a prod a_i!, and it is fixed by
-those values.  One tabulator, ``tabulate_on_slice``, evaluates a list of trees
-at fixed slot weights on that simplex slice, one pass per distinct subtree, on
-the weights scaled once to integers, reading and filling those memos; s_a is
-the coefficient of the tree's symbol, the polynomial ``tree_symbol`` builds
-from Jacobi forms, and ``read_off_slice`` reads the tree's value at any leaf
-degrees back off the slice.  The general bracket is one kernel that takes and
+those values.  One tabulator, ``tabulate_by_order``, evaluates a list of trees
+at fixed slot weights, each on the simplex slice of its total order, one pass
+per order and distinct subtree, on the weights scaled once to integers,
+reading and filling those memos; s_a is the coefficient of the tree's symbol,
+the polynomial ``tree_symbol`` builds from Jacobi forms, and
+``read_off_slice`` reads the tree's value at any leaf degrees back off the
+slice.  The general bracket is one kernel that takes and
 returns ``poly.Numerators``, the format ``star`` sums its pieces in, and
 serves every order of a range at once, at the weights as a scaled integer
 pair: it reads the derivatives of both polynomials as big integers at X = 2^W
@@ -85,7 +86,7 @@ def _monomial_bracket(a: int, b: int, d: int, n: int) -> MonomialTable:
     out), so a weight pair reached at any multiple of its scale shares one
     entry.  ``(row, den)`` is ``bracket_row_scaled``: row[s] / den = c_s for s = 0..n,
     ``den`` the lcm of the reduced denominators of the c_s.  ``memo`` starts
-    empty; :func:`tabulate_on_slice` fills ``memo[d1, d2]`` with den times the
+    empty; :func:`tabulate_by_order` fills ``memo[d1, d2]`` with den times the
     coefficient of [z^d1, z^d2]_n = sum_s c_s d1^(s) d2^(n-s) z^(d1+d2-n),
     where d^(s) is the falling factorial (0 for s > d), so it sums only the s
     with n - d2 <= s <= d1.
@@ -374,81 +375,45 @@ def simplex_slice(slots: int, order: int) -> list[tuple[int, ...]]:
     return [tuple(b - a - 1 for a, b in zip((-1, *bar), (*bar, places))) for bar in bars]
 
 
-def tabulate_on_slice(
-    trees: Sequence[BracketExpr], weights: Mapping[int, RationalLike], order: int
-) -> tuple[list[Tabulation], list[tuple[int, ...]]]:
-    """``(tables, slice)``: ``trees`` evaluated at fixed slot weights on the simplex slice.
-
-    Every tree must have the slots 1..D of ``weights`` (D of them) and total
-    order ``order``, and ``slice`` is ``simplex_slice(D, order)``.  Each tree
-    is the operator sum_{|j|=order} s_j prod f_j^(j_j), so binding slot j to
-    z^(a_j), a = slice[i], evaluates it to a constant: with ``(values, den)``
-    its table, that constant is values[i] / den = s_a prod a_j!.
-
-    The slot weights are scaled once to integers by the lcm d of their
-    denominators (``rationals.common_scale``), and each distinct subtree is
-    tabulated in one pass over the slice at d-scaled integer weights, so a
-    node's weight is w1 + w2 + 2dn; subtrees that several trees share (equal
-    as values) are tabulated once.  A node of order n at child weights
-    (w1, w2) reads and fills the memo of the ``_monomial_bracket`` table of
-    (w1/d, w2/d, n), keyed on canonical integers, which every tree and every
-    call at those weights shares, whatever its scale; a tree's ``den`` is the
-    product of its nodes' table ``den``s, so tabulation multiplies integers
-    only.  A slot without a weight raises :class:`UnboundSlotError`.
-    """
-    for tree in trees:
-        total = _slice_order(tree, len(weights))
-        if total != order:
-            raise ValueError(f"a slice tree needs total order {order}, got {total}")
-    tables, slices = _tabulate_groups({order: trees}, weights)
-    return tables[order], slices[order]
-
-
 def tabulate_by_order(
     trees: Sequence[BracketExpr], weights: Mapping[int, RationalLike]
 ) -> tuple[dict[BracketExpr, tuple[int, Tabulation]], dict[int, list[tuple[int, ...]]]]:
-    """``(tables, slices)``: ``tabulate_on_slice`` for distinct trees of any total orders.
+    """``(tables, slices)``: ``trees`` evaluated at fixed slot weights on their simplex slices.
 
-    Each tree, on the slots 1..D of ``weights``, is walked once, for its slots
-    and its total order N, and tabulated on ``slices[N]``, the slice of N:
-    ``tables[tree]`` is ``(N, (values, den))``.  The trees of one order are
-    tabulated in one pass, sharing their subtrees, and the weights are scaled
-    to integers once for all orders.
+    Every tree must have the slots 1..D of ``weights`` (D of them).  Each is
+    walked once, before it is hashed, for that check and its total order N,
+    and is tabulated on ``slices[N]``, which is ``simplex_slice(D, N)``:
+    ``tables[tree]`` is ``(N, (values, den))``.  The tree is the operator
+    sum_{|j|=N} s_j prod f_j^(j_j), so binding slot j to z^(a_j), a =
+    slices[N][i], evaluates it to a constant: values[i] / den = s_a prod a_j!.
+
+    The slot weights are scaled once to integers by the lcm d of their
+    denominators (``rationals.common_scale``), for all orders, and the trees
+    of one order are tabulated in one pass over its slice at d-scaled integer
+    weights, one per distinct subtree, so a node's weight is w1 + w2 + 2dn;
+    subtrees that several trees of an order share (equal as values) are
+    tabulated once.  A node of order n at child weights (w1, w2) reads and
+    fills the memo of the ``_monomial_bracket`` table of (w1/d, w2/d, n),
+    keyed on canonical integers, which every tree and every call at those
+    weights shares, whatever its scale; a tree's ``den`` is the product of its
+    nodes' table ``den``s, so tabulation multiplies integers only.  A slot
+    without a weight raises :class:`UnboundSlotError`.
     """
     groups: dict[int, list[BracketExpr]] = {}
     for tree in trees:
-        groups.setdefault(_slice_order(tree, len(weights)), []).append(tree)
-    tables, slices = _tabulate_groups(groups, weights)
-    out = {}
-    for order, group in groups.items():
-        out.update((tree, (order, table)) for tree, table in zip(group, tables[order]))
-    return out, slices
-
-
-def _slice_order(tree: BracketExpr, slots: int) -> int:
-    """The total order of a slice tree, from the one walk that checks it has the
-    slots 1..``slots``."""
-    found, total = _slots_and_order(tree)
-    if sorted(found) != list(range(1, slots + 1)):
-        raise ValueError(f"a slice tree needs the slots 1..{slots}, got {found}")
-    return total
-
-
-def _tabulate_groups(
-    groups: Mapping[int, Sequence[BracketExpr]], weights: Mapping[int, RationalLike]
-) -> tuple[dict[int, list[Tabulation]], dict[int, list[tuple[int, ...]]]]:
-    """Per total order N, the tables of the trees ``groups[N]`` on the slice of
-    N, and the slices, at the weights scaled once to integers."""
+        slots, order = _slots_and_order(tree)
+        if sorted(slots) != list(range(1, len(weights) + 1)):
+            raise ValueError(f"a slice tree needs the slots 1..{len(weights)}, got {slots}")
+        groups.setdefault(order, []).append(tree)
     d, scaled = common_scale(*map(as_rational, weights.values()))
     scaled_weights = dict(zip(weights, scaled))
     tables, slices = {}, {}
-    for order, trees in groups.items():
+    for order, group in groups.items():
         grid = slices[order] = simplex_slice(len(weights), order)
         memo: dict[BracketExpr, _Table] = {}
-        tables[order] = []
-        for tree in trees:
+        for tree in group:
             values, _, den = _tabulate(tree, scaled_weights, d, grid, memo)
-            tables[order].append(([v for _, v in values], den))
+            tables[tree] = order, ([v for _, v in values], den)
     return tables, slices
 
 

@@ -19,7 +19,7 @@ from math import factorial, gcd, lcm
 from typing import Mapping, Sequence
 
 from .brackets import BracketExpr, expr_total_order, left_nest, right_nest
-from .brackets import read_off_slice, tabulate_by_order, tabulate_on_slice
+from .brackets import read_off_slice, tabulate_by_order
 from .poly import Poly
 from .rationals import RationalLike, as_rational
 from .report import VerificationReport
@@ -192,7 +192,8 @@ def eholzer_terms(order: int) -> Terms:
 
 
 def _source_rows(source: str, params: ParamTriple, n: int | None) -> tuple[tuple, list[Row]]:
-    """(weight vector, report rows) of one table source at one triple and n."""
+    """(weight vector, report rows) of one table source, which ``plan_reports``
+    has checked, at one triple and n."""
     weights = (params.lam1, params.lam2, params.lam3)
     if source == "main":
         scaled = params.scaled()
@@ -206,10 +207,8 @@ def _source_rows(source: str, params: ParamTriple, n: int | None) -> tuple[tuple
         at = dict(enumerate(weights, start=1))
         row = [(label, [(eval_coeff(c, at), t) for c, t in table]) for label, table in _CLASSICAL]
         rows = [row]
-    elif source == "four-function":
+    else:  # four-function
         return (*weights, params.lam1 + 1), _FOUR_ROWS
-    else:
-        raise ValueError(f"unknown table source {source!r}")
     return weights, rows
 
 
@@ -223,8 +222,10 @@ def plan_reports(
     residual as a symbol, "convolution" and "operator".  Each table is built once
     per (source, n), and the tables of one weight vector go through one
     :func:`_residuals` call, so trees they share are tabulated once.  An unknown
-    reader raises ``ValueError`` before any work."""
-    for _, reader, _, _ in plan.values():
+    source or reader raises ``ValueError`` before any work."""
+    for source, reader, _, _ in plan.values():
+        if source not in ("main", "reverse", "eholzer", "classical", "four-function"):
+            raise ValueError(f"unknown table source {source!r}")
         if reader not in ("grid", "convolution", "operator"):
             raise ValueError(f"unknown reader {reader!r}")
     blocks: dict[tuple, dict[tuple, list[Row]]] = {}  # weights -> (source, n) -> rows
@@ -291,11 +292,14 @@ def solve_u_from_brackets(params: ParamTriple, n: int, k: int) -> list[Fraction]
     weights = {1: params.lam1, 2: params.lam2, 3: params.lam3}
     trees = [left_nest(n, k)] + [right_nest(n, q) for q in range(n + 1)]
     # every tree has total order n, so the a_j lie on its slice
-    tabulated, grid = tabulate_on_slice(trees, weights, n)
-    at = {a: i for i, a in enumerate(grid)}
+    tabulated, slices = tabulate_by_order(trees, weights)
+    at = {a: i for i, a in enumerate(slices[n])}
     points = [at[n - j, 0, j] for j in range(n + 1)]
     # tables[t][j]: tree t at a_j, with L first and R_q at t = q + 1
-    tables = [[Fraction(values[i], den) for i in points] for values, den in tabulated]
+    tables = []
+    for tree in trees:
+        _, (values, den) = tabulated[tree]
+        tables.append([Fraction(values[i], den) for i in points])
     lhs, rhs = tables[0], tables[1:]
     row: list[Fraction] = []
     for j in range(n + 1):

@@ -15,7 +15,7 @@ cycle and a swap of the three slots.
 A permutation (i, j, m) of the slots acts on the trees, not on the
 weights: each (triple, n) tabulates the 3(n+1) nests
 [[f_i,f_j]_k, f_m]_{n-k} at the triple's own weights in one call, on the
-simplex slice |a| = n (``brackets.tabulate_on_slice``), and reads every
+simplex slice |a| = n (``brackets.tabulate_by_order``), and reads every
 nest's bracket off it at the unpermuted degrees (n+1, n+2, n+3)
 (``brackets.read_off_slice``).  The identity's nests are ``left_nest(n, k)``.
 
@@ -41,7 +41,7 @@ from math import comb, factorial
 from operator import itemgetter
 from typing import Sequence
 
-from .brackets import F1, F2, F3, Node, read_off_slice, tabulate_on_slice
+from .brackets import F1, F2, F3, Node, read_off_slice, tabulate_by_order
 from .hypergeom import bracket_row_scaled
 from .poly import Numerators, _sum, _times
 from .rationals import common_scale, rising
@@ -119,14 +119,16 @@ def _zagier_readings(
         for i, j, m in PERMUTATIONS.values()
         for k in range(n + 1)
     ]
-    tables, grid = tabulate_on_slice(trees, dict(enumerate(lams, start=1)), n)
+    tables, slices = tabulate_by_order(trees, dict(enumerate(lams, start=1)))
+    grid = slices[n]
     readings = {}
     for p, (name, slots) in enumerate(PERMUTATIONS.items()):
         i, j, m = slots
         # at(powers): the exponents over (x, y, t), powers[r] on the variable of slot slots[r]
         at = itemgetter(*map(slots.index, range(3)))
         corrected, second_rows = [], []
-        for k, (values, den) in enumerate(tables[p * (n + 1) : (p + 1) * (n + 1)]):
+        for k, tree in enumerate(trees[p * (n + 1) : (p + 1) * (n + 1)]):
+            _, (values, den) = tables[tree]
             on_slice = dict(zip(grid, values))
             v = read_off_slice(on_slice, degrees)
             num, scalar_den = _zagier_pair_scalar(scaled[i], scaled[j], scaled[m], d, n, k)

@@ -29,7 +29,6 @@ from rcbrackets.brackets import (
     read_off_slice,
     simplex_slice,
     tabulate_by_order,
-    tabulate_on_slice,
     tree_symbol,
 )
 from rcbrackets.hypergeom import bracket_row_scaled
@@ -48,6 +47,13 @@ def zpoly(src):
 def z_term(degree, c):
     """c z^degree, or the zero polynomial when c == 0 (degree may then be negative)."""
     return Poly.monomial(("z",), {"z": degree}, c) if c else Poly.zero(("z",))
+
+
+def _slice_table(tree, weights):
+    """``((values, den), slice)``: one tree's table and slice, from ``tabulate_by_order``."""
+    tables, slices = tabulate_by_order([tree], weights)
+    order, table = tables[tree]
+    return table, slices[order]
 
 
 def test_weighted_form_lifts_constants():
@@ -179,7 +185,7 @@ row_weights = st.one_of(
 # n = 6 is above deg f + deg g
 @example(Fraction(5, 3), Fraction(1, 4), zpoly("z^2 + 1/2"), zpoly("z^3 - 2/3"), 6)
 def test_dense_bracket_is_bilinear_sum_of_monomial_brackets(w1, w2, p, q, n):
-    ((values, den),), grid = tabulate_on_slice([Node(Leaf(1), Leaf(2), n)], {1: w1, 2: w2}, n)
+    (values, den), grid = _slice_table(Node(Leaf(1), Leaf(2), n), {1: w1, 2: w2})
     on_slice = dict(zip(grid, values))
     expected = Poly.zero(("z",))
     for ((d1,), c1), ((d2,), c2) in product(p.terms.items(), q.terms.items()):
@@ -314,7 +320,7 @@ def test_tree_deeper_than_the_recursion_limit_is_refused():
         tree = Node(tree, Leaf(slot), 0)
     weights = {slot: 1 for slot in range(1, 5002)}
     with pytest.raises(NestingTooDeepError):
-        tabulate_on_slice([tree], weights, 0)
+        tabulate_by_order([tree], weights)
 
 
 def test_wide_shallow_tree_tabulates_on_its_slice():
@@ -327,7 +333,8 @@ def test_wide_shallow_tree_tabulates_on_its_slice():
         return Node(balanced(lo, mid), balanced(mid + 1, hi), 0)
 
     weights = {slot: 1 for slot in range(1, 1501)}
-    assert tabulate_on_slice([balanced(1, 1500)], weights, 0) == ([([1], 1)], [(0,) * 1500])
+    tree = balanced(1, 1500)
+    assert tabulate_by_order([tree], weights) == ({tree: (0, ([1], 1))}, {0: [(0,) * 1500]})
     assert simplex_slice(1500, 1) == [(0,) * i + (1,) + (0,) * (1499 - i) for i in range(1499, -1, -1)]
 
 
@@ -337,7 +344,7 @@ def test_tree_too_deep_for_the_c_hash_is_refused_not_crashed():
     them with the nesting bound first, so it raises; in a child process, which
     a crash kills."""
     script = (
-        "from rcbrackets.brackets import Leaf, Node, tabulate_on_slice\n"
+        "from rcbrackets.brackets import Leaf, Node, tabulate_by_order\n"
         "from rcbrackets.engine import verify_on_monomials\n"
         "from rcbrackets.poly import NestingTooDeepError\n"
         "from rcbrackets.rewrite import to_standard\n"
@@ -345,7 +352,7 @@ def test_tree_too_deep_for_the_c_hash_is_refused_not_crashed():
         "for _ in range(400_000):\n"
         "    tree = Node(tree, leaf, 0)\n"
         "for call in (\n"
-        "    lambda: tabulate_on_slice([tree], {1: 1, 2: 1}, 0),\n"
+        "    lambda: tabulate_by_order([tree], {1: 1, 2: 1}),\n"
         "    lambda: verify_on_monomials('deep', [1, 1], [[({}, [(1, tree)])]], 0),\n"
         "    lambda: to_standard(tree, {1: 1, 2: 1}),\n"
         "):\n"
@@ -456,7 +463,9 @@ def test_monomial_evaluator_matches_eval_bracket_tree(expr, ws, degree_tuples):
     # the mirror meets each (w1, w2, n) node of expr as (w2, w1, n) and reads
     # (d1, d2) as (d2, d1); both trees share the monomial tables
     trees = [expr, _mirrored(expr)]
-    tables, grid = tabulate_on_slice(trees, weights, order)
+    tabulated, slices = tabulate_by_order(trees, weights)
+    assert list(slices) == [order]
+    tables, grid = [tabulated[tree][1] for tree in trees], slices[order]
     for values, den in tables:
         assert all(isinstance(v, int) for v in values) and isinstance(den, int)
     for degs in degree_tuples:
@@ -483,30 +492,29 @@ def test_tabulated_trees_equal_eval_bracket_tree(expr, order, ws, grid):
     weights = {slot: ws[slot - 1] for slot in range(1, len(expr_slots(expr)) + 1)}
     # the trees on all of expr's slots share subtrees: the mirror shares its
     # leaves, expr's children come under another order, and expr's left child
-    # at expr's order sits beside the mirrored right child.  Each total order
-    # is one call on its slice, as in ``engine._residuals``
+    # at expr's order sits beside the mirrored right child.  All of them go
+    # to one call, of one or two total orders, as in ``engine._residuals``
     trees = [
         expr,
         _mirrored(expr),
         Node(expr.left, expr.right, order),
         Node(expr.left, _mirrored(expr.right), expr.order),
     ]
-    groups = {}
-    for tree in trees:
-        groups.setdefault(expr_total_order(tree), {})[tree] = None
-    calls = [(list(group), weights) for group in groups.values()]
+    calls = [(list(dict.fromkeys(trees)), weights)]
     # and every subtree alone, its slots renamed to start at 1
     calls += [([tree], w) for tree, w in (_on_first_slots(t, weights) for t in _subtrees(expr))]
     # the zero tuple has degree 0, below the total order of every tree with a
     # nonzero order, so those trees are zero there
     grid = grid + [[0] * 5]
     for group, slot_weights in calls:
-        total = expr_total_order(group[0])
-        tables, slice_ = tabulate_on_slice(group, slot_weights, total)
-        assert len(tables) == len(group)
-        for tree, (values, den) in zip(group, tables):
+        tables, slices = tabulate_by_order(group, slot_weights)
+        assert tables.keys() == set(group)
+        assert set(slices) == {expr_total_order(tree) for tree in group}
+        for tree in group:
+            total, (values, den) = tables[tree]
+            slice_ = slices[total]
             assert len(values) == len(slice_)
-            assert den == tabulate_on_slice([tree], slot_weights, total)[0][0][1]
+            assert den == _slice_table(tree, slot_weights)[0][1]
             for degs in grid:
                 degs = degs[: len(slot_weights)]
                 leaves = {i: monomial_form(slot_weights[i], d) for i, d in enumerate(degs, 1)}
@@ -527,39 +535,38 @@ def test_tabulate_by_order_is_one_slice_per_order():
     ]
     tables, slices = tabulate_by_order(trees, weights)
     assert list(tables) == trees and sorted(slices) == [1, 2, 3]
+    # trees tabulated together get the tables they get alone
     for tree in trees:
         order, table = tables[tree]
         assert order == expr_total_order(tree)
-        (want,), grid = tabulate_on_slice([tree], weights, order)
-        assert (table, slices[order]) == (want, grid)
-    # the slot check of tabulate_on_slice, from the one walk that gives the order
-    for bad in (Node(f1, f2, 0), Node(Node(f1, f1, 0), f3, 0), Node(Node(f1, f2, 0), Leaf(4), 0)):
-        raised = []
-        for call in (
-            lambda: tabulate_on_slice([bad], weights, 0),
-            lambda: tabulate_by_order([bad], weights),
-        ):
-            with pytest.raises(ValueError) as got:
-                call()
-            raised.append((type(got.value), str(got.value)))
-        assert raised[0] == raised[1]
+        assert (table, slices[order]) == _slice_table(tree, weights)
+    # the slot check, from the one walk that gives the order
+    needs = r"^a slice tree needs the slots 1\.\.3, got "
+    for bad, message in (
+        (Node(f1, f2, 0), needs + r"\(1, 2\)$"),
+        (Node(Node(f1, f1, 0), f3, 0), "^slot 1 occurs twice$"),
+        (Node(Node(f1, f2, 0), Leaf(4), 0), needs + r"\(1, 2, 4\)$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            tabulate_by_order([trees[0], bad], weights)
 
 
 def test_monomial_evaluator_degree_below_order_is_zero():
     tree = Node(Leaf(1), Leaf(2), 3)
-    tables, grid = tabulate_on_slice([tree], {1: Fraction(1, 2), 2: 1}, 3)
-    assert [_read_at(tables, grid, degs)[0] for degs in ((1, 1), (2, 0))] == [0, 0]
-    assert _read_at(tables, grid, (2, 1))[0] != 0
+    table, grid = _slice_table(tree, {1: Fraction(1, 2), 2: 1})
+    assert [_read_at([table], grid, degs)[0] for degs in ((1, 1), (2, 0))] == [0, 0]
+    assert _read_at([table], grid, (2, 1))[0] != 0
     # a zero inner bracket makes the whole tree zero: on the slice of
     # [[f1,f2]_2,f3]_0 that is every a with a1 + a2 < 2, and at (1, 0, 5)
     outer = Node(Node(Leaf(1), Leaf(2), 2), Leaf(3), 0)
-    tables, grid = tabulate_on_slice([outer], {1: 1, 2: 2, 3: 3}, 2)
-    assert [v for a, v in zip(grid, tables[0][0]) if a[0] + a[1] < 2] == [0, 0, 0]
-    assert _read_at(tables, grid, (1, 0, 5)) == [0]
+    table, grid = _slice_table(outer, {1: 1, 2: 2, 3: 3})
+    assert [v for a, v in zip(grid, table[0]) if a[0] + a[1] < 2] == [0, 0, 0]
+    assert _read_at([table], grid, (1, 0, 5)) == [0]
 
 
 def test_monomial_evaluator_single_leaf():
-    assert tabulate_on_slice([Leaf(1)], {1: Fraction(7, 3)}, 0) == ([([1], 1)], [(0,)])
+    tabulated = tabulate_by_order([Leaf(1)], {1: Fraction(7, 3)})
+    assert tabulated == ({Leaf(1): (0, ([1], 1))}, {0: [(0,)]})
     assert read_off_slice({(0,): 1}, (3,)) == 1
 
 
@@ -567,11 +574,11 @@ def test_monomial_evaluator_unbound_slot_at_compile_time():
     expr = Node(Node(Leaf(1), Leaf(2), 1), Leaf(3), 0)
     # three weights, so the slot check passes, but none for slot 3
     with pytest.raises(UnboundSlotError, match="slot 3"):
-        tabulate_on_slice([expr], {1: Fraction(1), 2: Fraction(1, 2), 4: Fraction(1)}, 1)
+        tabulate_by_order([expr], {1: Fraction(1), 2: Fraction(1, 2), 4: Fraction(1)})
 
 
 def test_tabulate_trees_checks_weights_on_an_empty_grid():
-    # the slice is never empty, so the tree walk under tabulate_on_slice is
+    # the slice is never empty, so the tree walk under tabulate_by_order is
     # run on an empty grid directly: weights and dens do not need a point
     expr = Node(Node(Leaf(1), Leaf(2), 1), Leaf(3), 0)
     # slot weights 1 and 1/2 at the scale d = 2
@@ -584,7 +591,7 @@ def test_tabulate_trees_checks_weights_on_an_empty_grid():
     den = inner[1] * outer[1]
     assert _tabulate(expr, {1: 1, 2: 2, 3: 3}, 1, [], {}) == ([], 8, den)
     # the slice tabulator gives the same den at its points
-    ((_, slice_den),), _ = tabulate_on_slice([expr], {1: 1, 2: 2, 3: 3}, 1)
+    (_, slice_den), _ = _slice_table(expr, {1: 1, 2: 2, 3: 3})
     assert slice_den == den
 
 
@@ -594,7 +601,7 @@ def test_bracket_tables_are_shared_across_scales():
     cache.cache_clear()
     inner = Node(Leaf(1), Leaf(2), 2)
     weights = {1: Fraction(1, 2), 2: Fraction(-2, 3)}
-    ((values, den),), grid = tabulate_on_slice([inner], weights, 2)
+    (values, den), grid = _slice_table(inner, weights)
     entries = cache.cache_info().currsize
     # beside a slot of denominator 7 the same pair is reached at 7 times the
     # scale d = 6: no new entry, and the same values
@@ -603,7 +610,7 @@ def test_bracket_tables_are_shared_across_scales():
     assert [v for _, v in got] == values and got_den == den
     assert weight == 42 * (weights[1] + weights[2] + 4)
     # on the slice of that three-slot tree, only the outer node's pair is new
-    tabulate_on_slice([Node(inner, Leaf(3), 1)], {**weights, 3: Fraction(3, 7)}, 3)
+    tabulate_by_order([Node(inner, Leaf(3), 1)], {**weights, 3: Fraction(3, 7)})
     assert cache.cache_info().currsize == entries + 1
 
 
@@ -636,16 +643,16 @@ def test_tree_symbol_acts_as_monomial_evaluator(expr, ws, degs):
     assert total == sum((SYMBOL_LEAVES[slot] for slot in slots), Poly.zero(VAR_ORDER))
     assert symbol.total_degree() in (-1, expr_total_order(expr))
     weights = {slot: slot_weights[slot] for slot in slots}
-    tables, grid = tabulate_on_slice([expr], weights, expr_total_order(expr))
-    assert _read_at(tables, grid, degs[: len(slots)]) == [_symbol_on_monomials(symbol, degs)]
+    table, grid = _slice_table(expr, weights)
+    assert _read_at([table], grid, degs[: len(slots)]) == [_symbol_on_monomials(symbol, degs)]
 
 
 def test_tree_symbol_single_leaf():
     total, symbol, weight = tree_symbol(Leaf(2), {2: Fraction(7, 3)}, SYMBOL_LEAVES)
     assert (total, symbol, weight) == (SYMBOL_LEAVES[2], None, Fraction(7, 3))
     degs = (5, 3, 0, 0, 0)
-    tables, grid = tabulate_on_slice([Leaf(1)], {1: Fraction(7, 3)}, 0)
-    assert _read_at(tables, grid, degs[1:2]) == [1] == [_symbol_on_monomials(symbol, degs)]
+    table, grid = _slice_table(Leaf(1), {1: Fraction(7, 3)})
+    assert _read_at([table], grid, degs[1:2]) == [1] == [_symbol_on_monomials(symbol, degs)]
 
 
 def test_tree_symbol_unbound_slot():
@@ -669,8 +676,8 @@ def test_memo_entries_equal_the_full_row_sum(w1, w2, n, extra):
     # on its slice, the inner node of [[f1,f2]_n,f3]_extra meets every (a1, a2)
     # with a1 + a2 <= n + extra, including those with a1 + a2 < n
     outer = Node(Node(Leaf(1), Leaf(2), n), Leaf(3), extra)
-    _, grid = tabulate_on_slice([outer], {1: w1, 2: w2, 3: Fraction(1, 2)}, n + extra)
-    ((values, den),), pairs = tabulate_on_slice([Node(Leaf(1), Leaf(2), n)], {1: w1, 2: w2}, n)
+    _, grid = _slice_table(outer, {1: w1, 2: w2, 3: Fraction(1, 2)})
+    (values, den), pairs = _slice_table(Node(Leaf(1), Leaf(2), n), {1: w1, 2: w2})
     # the first call reached the pair at the scale lcm(d, 2), this one at d
     d, (a, b) = common_scale(w1, w2)
     row, table_den, memo = _monomial_bracket(a, b, d, n)
@@ -724,8 +731,8 @@ def test_slice_values_are_tree_symbol_coefficients(tree, ws) -> None:
     x^a1 y^a2 t^a3 in ``tree_symbol``; the slice covers the whole symbol."""
     slots = len(expr_slots(tree))
     weights = dict(enumerate(ws[:slots], start=1))
-    order = expr_total_order(tree)
-    ((values, den),), grid = tabulate_on_slice([tree], weights, order)
+    (values, den), grid = _slice_table(tree, weights)
+    assert grid == simplex_slice(slots, expr_total_order(tree))
     leaves = {slot: Poly.variable(SLICE_VARS[slot - 1], SLICE_VARS) for slot in weights}
     symbol = tree_symbol(tree, weights, leaves)[1] or Poly.const(SLICE_VARS, 1)
     read = Poly.zero(SLICE_VARS)
@@ -740,7 +747,7 @@ def test_slice_values_are_tree_symbol_coefficients(tree, ws) -> None:
 def test_tabulate_on_slice_reads_brackets_back_and_checks_its_trees() -> None:
     weights = {1: Fraction(1, 2), 2: Fraction(7, 3)}
     tree = Node(Leaf(2), Leaf(1), 2)
-    ((values, den),), grid = tabulate_on_slice([tree], weights, 2)
+    (values, den), grid = _slice_table(tree, weights)
     assert grid == [(0, 2), (1, 1), (2, 0)]
     on_slice = dict(zip(grid, values))
     leaves = {1: monomial_form(weights[1], 3), 2: monomial_form(weights[2], 4)}
@@ -748,12 +755,10 @@ def test_tabulate_on_slice_reads_brackets_back_and_checks_its_trees() -> None:
     assert eval_bracket_tree(tree, leaves).form == value
     assert read_off_slice(on_slice, (1, 0)) == 0
     # one walk per tree finds its slots and total order, and each check keeps its error
-    with pytest.raises(ValueError, match="^a slice tree needs total order 3, got 2$"):
-        tabulate_on_slice([tree], weights, 3)
     with pytest.raises(ValueError, match=r"^a slice tree needs the slots 1\.\.3, got \(2, 1\)$"):
-        tabulate_on_slice([tree], {**weights, 3: Fraction(1)}, 2)
+        tabulate_by_order([tree], {**weights, 3: Fraction(1)})
     with pytest.raises(DuplicateSlotError, match="^slot 1 occurs twice$"):
-        tabulate_on_slice([tree, Node(Leaf(1), Leaf(1), 2)], weights, 2)
+        tabulate_by_order([tree, Node(Leaf(1), Leaf(1), 2)], weights)
 
 
 @given(
@@ -765,10 +770,10 @@ def test_read_off_slice_is_the_tree_at_any_leaf_degrees(tree, ws, degs) -> None:
     slots = len(expr_slots(tree))
     weights, degs = dict(enumerate(ws[:slots], start=1)), degs[:slots]
     order = expr_total_order(tree)
-    tables, grid = tabulate_on_slice([tree], weights, order)
+    table, grid = _slice_table(tree, weights)
     # the general kernel on monomial forms, an independent route
     leaves = {slot: monomial_form(weights[slot], d) for slot, d in zip(weights, degs)}
-    (c,) = _read_at(tables, grid, degs)
+    (c,) = _read_at([table], grid, degs)
     assert eval_bracket_tree(tree, leaves).form == z_term(sum(degs) - order, c)
 
 
@@ -787,7 +792,7 @@ def test_integer_slice_engine_equals_the_bracket_evaluator(tree, ws, pole, at) -
     ws.insert(at, Fraction(pole))
     slots = len(expr_slots(tree))
     weights = dict(enumerate(ws[:slots], start=1))
-    ((values, den),), grid = tabulate_on_slice([tree], weights, expr_total_order(tree))
+    (values, den), grid = _slice_table(tree, weights)
     for a, v in zip(grid, values):
         leaves = {slot: monomial_form(weights[slot], d) for slot, d in zip(weights, a)}
         assert eval_bracket_tree(tree, leaves).form == z_term(0, Fraction(v, den))

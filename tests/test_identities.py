@@ -18,7 +18,7 @@ from rcbrackets.brackets import (
     left_nest,
     monomial_form,
     right_nest,
-    tabulate_on_slice,
+    tabulate_by_order,
     tree_symbol,
 )
 from rcbrackets.hypergeom import jacobi_two_var
@@ -199,8 +199,10 @@ def test_right_nests_are_triangular_at_solver_degrees(params, n) -> None:
     weights = dict(enumerate((params.lam1, l2, l3), start=1))
     for q in range(n + 1):
         # the degrees (n-j, 0, j) lie on the slice of total order n
-        ((values, den),), grid = tabulate_on_slice([right_nest(n, q)], weights, n)
-        on_slice = dict(zip(grid, values))
+        tree = right_nest(n, q)
+        tables, slices = tabulate_by_order([tree], weights)
+        _, (values, den) = tables[tree]
+        on_slice = dict(zip(slices[n], values))
         for j in range(q + 1):
             value = Fraction(on_slice[n - j, 0, j], den)
             if j < q:
@@ -542,6 +544,23 @@ def test_plan_rejects_an_unknown_reader(monkeypatch) -> None:
     assert str(info.value) == "unknown reader 'opertor'"
 
 
+def test_plan_rejects_an_unknown_source_before_reading_u(monkeypatch) -> None:
+    # the sources are checked in the readers' loop, before main reads a row of U
+    reads = []
+    formula = engine.u_row_scaled
+
+    def counting(*args):
+        reads.append(args)
+        return formula(*args)
+
+    monkeypatch.setattr(engine, "u_row_scaled", counting)
+    plan = {"a": ("main", "grid", [3], 2), "b": ("mian", "grid", [1], 2)}
+    with pytest.raises(ValueError) as info:
+        engine.plan_reports(GENERIC, plan)
+    assert str(info.value) == "unknown table source 'mian'"
+    assert reads == []
+
+
 def test_run_suite_unknown_name() -> None:
     with pytest.raises(ValueError):
         run_suite("spectral", [GENERIC])
@@ -707,22 +726,23 @@ def test_zagier_tabulates_one_slice_per_triple_and_order(monkeypatch) -> None:
     # the permutations act on the trees, so one call at the triple's own
     # weights serves all three, and the identity's nests are the plan's
     calls = []
-    tabulate = zagier.tabulate_on_slice
+    tabulate = zagier.tabulate_by_order
 
-    def counting(trees, weights, order):
-        calls.append((list(trees), dict(weights), order))
-        return tabulate(trees, weights, order)
+    def counting(trees, weights):
+        tables, slices = tabulate(trees, weights)
+        calls.append((list(trees), dict(weights), list(slices)))
+        return tables, slices
 
-    monkeypatch.setattr(zagier, "tabulate_on_slice", counting)
+    monkeypatch.setattr(zagier, "tabulate_by_order", counting)
     for params in (GENERIC, CROSS_TRIPLES[2]):
         for n in range(4):
             calls.clear()
             report = verify_zagier_invariance(params, n)
             assert "skipped" not in report.findings
             assert len(calls) == 1
-            trees, weights, order = calls[0]
+            trees, weights, orders = calls[0]
             assert weights == {1: params.lam1, 2: params.lam2, 3: params.lam3}
-            assert order == n and len(trees) == 3 * (n + 1)
+            assert orders == [n] and len(trees) == 3 * (n + 1)
             assert trees[: n + 1] == [left_nest(n, k) for k in range(n + 1)]
 
 

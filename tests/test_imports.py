@@ -4,12 +4,15 @@ module-private top-level name is referenced somewhere in the package, only
 module imports from another are ``poly``'s integer-numerator helpers and the
 bracket kernel, the caches, layers and hooked callables the benchmark reads by
 name exist, the package's ``lru_cache``s are exactly the known ones, importing
-the package raises no warning, and the README lists every module and its quick
-tour runs."""
+the package raises no warning, every public name has a caller in the package
+or a place in the README, and the README lists every module and its quick tour
+runs."""
 from __future__ import annotations
 
+import argparse
 import ast
 import os
+import re
 import subprocess
 import sys
 import types
@@ -19,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import rcbrackets
+from rcbrackets import cli
 
 MODULES = sorted(
     path for path in Path(rcbrackets.__file__).parent.glob("*.py") if path.name != "__init__.py"
@@ -58,17 +62,60 @@ def _referenced_names() -> set[str]:
     return out
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
-def test_module_private_names_are_used(path: Path) -> None:
-    defined = []
-    for node in PACKAGE_TREES[path].body:
+def _top_level_names(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """(name, defining statement) for each name a module binds at top level
+    with ``def``, ``class`` or an assignment to a plain name."""
+    out = []
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined.append(node.name)
+            out.append((node.name, node))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            defined += [target.id for target in targets if isinstance(target, ast.Name)]
+            out += [(target.id, node) for target in targets if isinstance(target, ast.Name)]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_module_private_names_are_used(path: Path) -> None:
+    defined = [name for name, _ in _top_level_names(PACKAGE_TREES[path])]
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert sorted(private - _referenced_names()) == []
+
+
+def test_public_names_have_a_caller_or_a_readme_place() -> None:
+    """Every public top-level name of a module is read outside its own
+    definition by a package module other than ``__init__``, or is named in a
+    code span of the README; ``cli.cmd_<name>`` is called through the
+    subcommand <name> of ``build_parser()``."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]*)`", readme))))
+    (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    commands = {"cmd_" + command.replace("-", "_") for command in sub.choices}
+    trees = [PACKAGE_TREES[path] for path in MODULES]
+
+    def read_elsewhere(name: str, definition: ast.stmt) -> bool:
+        own = {id(node) for node in ast.walk(definition)}
+        return any(
+            id(node) not in own
+            and (
+                isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name
+            )
+            for tree in trees
+            for node in ast.walk(tree)
+        )
+
+    unplaced = [
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name, definition in _top_level_names(PACKAGE_TREES[path])
+        if not name.startswith("_")
+        and name not in named
+        and not (path.stem == "cli" and name in commands)
+        and not read_elsewhere(name, definition)
+    ]
+    assert unplaced == []
 
 
 def test_u_is_read_by_rows_outside_transition() -> None:

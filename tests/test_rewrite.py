@@ -21,7 +21,7 @@ from rcbrackets.brackets import (
     expr_slots,
     expr_total_order,
     format_expr,
-    tabulate_on_slice,
+    tabulate_by_order,
 )
 from rcbrackets.cli import main
 from rcbrackets.engine import verify_on_monomials
@@ -527,9 +527,9 @@ def _itself(tree: Node) -> list[tuple[Fraction, Node]]:
 # each entry point that hashes or rewrites a caller's tree, as a call on
 # (tree, slot weights), with its result on the standard comb of orders k at the bound
 ENTRY_POINTS = {
-    "tabulate_on_slice": (
-        lambda tree, weights: tabulate_on_slice([tree], weights, 0)[0],
-        lambda k: [([1], 1)],
+    "tabulate_by_order": (
+        lambda tree, weights: tabulate_by_order([tree], weights)[0][tree],
+        lambda k: (0, ([1], 1)),
     ),
     "verify_on_monomials": (
         lambda tree, weights: [
@@ -777,3 +777,19 @@ def test_broken_identity_reports_residual() -> None:
     assert report.status == "fail"
     assert len(report.failures) == 1
     assert report.failures[0]["residual"] != "0"
+
+
+def test_unsorted_left_child_inside_a_is_not_recoupled_from_the_top(monkeypatch) -> None:
+    # A = [[f2,f1]_1,f3]_1 ends in slot 3, below B = f4, so the spine check
+    # passes, but A's walk finds its left child [f2,f1]_1 unsorted: the root
+    # waits for post-order to flip it first
+    popped = _count_moves(monkeypatch)
+    recoupled = _count_recouplings(monkeypatch)
+    tree = parse_bracket("[[[[f2,f1]_1,f3]_1,f4]_1,f5]_1")
+    weights = {**GENERIC_WEIGHTS, 5: Fraction(5, 4)}
+    combo = to_standard(tree, weights)
+    assert len(combo) == 28
+    assert (len(popped), len(recoupled)) == (14, 13)
+    for degrees in ((2, 3, 4, 5, 6), (1, 0, 2, 1, 3), (4, 4, 0, 1, 2)):
+        leaves = {slot: monomial(weights[slot], degree) for slot, degree in enumerate(degrees, 1)}
+        assert combo_value(combo, leaves) == eval_bracket_tree(tree, leaves).form, degrees
