@@ -112,7 +112,10 @@ def verify_on_monomials(
     per row, a row being (failure label, terms) pairs.  Slot i carries ``weights[i-1]``,
     and every tree must have the slots 1..len(weights); :func:`_grid_reports` reads them.
     A tuple hash recurses in C with no guard, so every caller tree is first walked
-    with the nesting bound (``expr_total_order``), before :func:`_residuals` hashes it."""
+    with the nesting bound (``expr_total_order``), before :func:`_residuals` hashes it.
+    A negative ``max_degree`` raises ``ValueError`` first."""
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     weights = [as_rational(w) for w in weights]
     for row in rows:
         for _, terms in row:
@@ -217,17 +220,29 @@ def plan_reports(
 ) -> dict[str, list[VerificationReport]]:
     """The reports at one triple of each id that ``plan`` maps to (table source,
     reader, n values, grid degree), one per row of each n, n-major.  The sources
-    are main, reverse, eholzer (n the truncation order) and the fixed tables
-    classical and four-function (n None); the readers are "grid" and, of main's
-    residual as a symbol, "convolution" and "operator".  Each table is built once
-    per (source, n), and the tables of one weight vector go through one
-    :func:`_residuals` call, so trees they share are tabulated once.  An unknown
-    source or reader raises ``ValueError`` before any work."""
-    for source, reader, _, _ in plan.values():
+    are main, reverse, eholzer (n the truncation order, an int >= 0 for all three)
+    and the fixed tables classical and four-function (n None); the readers are
+    "grid" and, of main's or reverse's residual as a symbol, "convolution" and
+    "operator".  Each table is built once per (source, n), and the tables of one
+    weight vector go through one :func:`_residuals` call, so trees they share are
+    tabulated once.  An entry outside these, or of negative degree, raises
+    ``ValueError`` before any work."""
+    for source, reader, ns, degree in plan.values():
         if source not in ("main", "reverse", "eholzer", "classical", "four-function"):
             raise ValueError(f"unknown table source {source!r}")
         if reader not in ("grid", "convolution", "operator"):
             raise ValueError(f"unknown reader {reader!r}")
+        if reader != "grid" and source not in ("main", "reverse"):
+            raise ValueError(f"the {reader} reader reads main or reverse, not {source!r}")
+        fixed = source in ("classical", "four-function")
+        for n in ns:
+            if fixed and n is not None:
+                raise ValueError(f"the {source} table takes no n, got {n!r}")
+            if not fixed and (not isinstance(n, int) or n < 0):
+                name = "truncation order" if source == "eholzer" else "n"
+                raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
+        if degree < 0:
+            raise ValueError(f"max_degree must be nonnegative, got {degree}")
     blocks: dict[tuple, dict[tuple, list[Row]]] = {}  # weights -> (source, n) -> rows
     keys = dict.fromkeys((source, n) for source, _, ns, _ in plan.values() for n in ns)
     for source, n in keys:

@@ -36,11 +36,12 @@ count.  So rewriting terminates whichever redex is taken, and since the
 standard combs are a basis, every order reaches the same normal form.
 
 The rewriter works on a combination: one work list of trees with their
-coefficients, in which equal trees are summed, and a tree whose coefficient
-cancels to zero is dropped before it is rewritten.  ``to_standard`` is the
-combination of one tree.  ``check_identity`` seeds one work list with every
-term of an identity, so terms that cancel as trees are never rewritten, nor
-is a piece that cancels against another term's before the loop reaches it.
+coefficients (``_normal_form``), in which equal trees are summed, and a tree
+whose coefficient cancels to zero is dropped before it is rewritten.
+``to_standard`` is the combination of one tree; ``check_identity`` seeds the
+list with every term of an identity, so terms that cancel as trees are never
+rewritten, nor is a piece that cancels against another term's before the
+loop reaches it.
 
 Every rewrite site is gated by local admissibility of the weight triple it
 touches; an inadmissible site raises instead of producing wrong output.  Only
@@ -80,6 +81,7 @@ D - 1 deep.
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -322,29 +324,26 @@ def _add_pair(combo: dict, key: BracketExpr, num: int, den: int) -> None:
         del combo[key]
 
 
-def _normal_form(pending: dict, scaled: Mapping[int, int], d: int) -> LinearCombo:
-    """The standard combination that ``pending``, a combination of trees with
-    nonzero reduced pairs, rewrites to at the d-scaled slot weights ``scaled``.
-    ``pending`` is the work list and is emptied; the rows read are dropped on
-    return.
+def _normal_form(
+    bound: Sequence[tuple[Fraction, BracketExpr]], weights: Mapping[int, RationalLike]
+) -> LinearCombo:
+    """The standard combination that the (coefficient, tree) pairs ``bound``
+    rewrite to at one scale (:func:`_scale`): the rewriter's one loop.
 
-    The work list is first in, first out: each pop takes the oldest tree.  A
-    pop leaves a dead slot at the head of the dict, which ``next(iter())``
-    scans past until the dict is next resized, so once the pops since the
-    last rebuild outnumber the live entries, the dict is rebuilt in place, in
-    the same order."""
+    The work list, first in, first out, is an ``OrderedDict`` of trees with
+    reduced pairs, seeded with ``bound`` in order, zero coefficients skipped.
+    A live tree added again keeps its place; a tree whose coefficient cancels
+    leaves the list, and re-enters at the back.  The rows of U read are
+    dropped on return."""
+    d, scaled = _scale([expr for _, expr in bound], weights)
+    pending: OrderedDict[BracketExpr, tuple[int, int]] = OrderedDict()
+    for coeff, expr in bound:
+        if coeff:
+            _add_pair(pending, expr, coeff.numerator, coeff.denominator)
     rows: dict = {}
     done: dict[BracketExpr, tuple[int, int]] = {}
-    popped = 0
     while pending:
-        if popped > len(pending):
-            live = list(pending.items())
-            pending.clear()
-            pending.update(live)
-            popped = 0
-        tree = next(iter(pending))
-        num, den = pending.pop(tree)
-        popped += 1
+        tree, (num, den) = pending.popitem(last=False)
         pieces = _step(tree, rows, scaled, d) if type(tree) is Node else None
         if type(pieces) is not list:  # standard: _step gave the tree's weight
             _add_pair(done, tree, num, den)
@@ -377,8 +376,7 @@ def to_standard(expr: BracketExpr, weights: Mapping[int, RationalLike]) -> Linea
 
     A tree nested, or rewritten, deeper than ``poly.MAX_NESTING`` raises ``NestingTooDeepError``.
     """
-    d, scaled = _scale([expr], weights)
-    return _normal_form({expr: (1, 1)}, scaled, d)
+    return _normal_form([(Fraction(1), expr)], weights)
 
 
 def format_combo(combo: LinearCombo) -> str:
@@ -467,13 +465,7 @@ def check_bound(
     bound: Sequence[tuple[Fraction, BracketExpr]], weights: Mapping[int, Fraction], identity_id: str
 ) -> VerificationReport:
     """:func:`check_identity` of (coefficient, tree) pairs already bound at ``weights``."""
-    d, scaled = _scale([expr for _, expr in bound], weights)
-    pending: dict[BracketExpr, tuple[int, int]] = {}
-    for coeff, expr in bound:
-        # _add_pair deletes a key whose sum is 0, so a zero coefficient is skipped
-        if coeff:
-            _add_pair(pending, expr, coeff.numerator, coeff.denominator)
-    total = _normal_form(pending, scaled, d)
+    total = _normal_form(bound, weights)
     failures = []
     if total:
         failures.append(

@@ -544,8 +544,8 @@ def test_plan_rejects_an_unknown_reader(monkeypatch) -> None:
     assert str(info.value) == "unknown reader 'opertor'"
 
 
-def test_plan_rejects_an_unknown_source_before_reading_u(monkeypatch) -> None:
-    # the sources are checked in the readers' loop, before main reads a row of U
+def _count_u_reads(monkeypatch) -> list:
+    """The rows of U that ``engine`` reads from here on, one entry per read."""
     reads = []
     formula = engine.u_row_scaled
 
@@ -554,11 +554,83 @@ def test_plan_rejects_an_unknown_source_before_reading_u(monkeypatch) -> None:
         return formula(*args)
 
     monkeypatch.setattr(engine, "u_row_scaled", counting)
+    return reads
+
+
+def test_plan_rejects_an_unknown_source_before_reading_u(monkeypatch) -> None:
+    # the sources are checked in the readers' loop, before main reads a row of U
+    reads = _count_u_reads(monkeypatch)
     plan = {"a": ("main", "grid", [3], 2), "b": ("mian", "grid", [1], 2)}
     with pytest.raises(ValueError) as info:
         engine.plan_reports(GENERIC, plan)
     assert str(info.value) == "unknown table source 'mian'"
     assert reads == []
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (
+            ("eholzer", "convolution", [2], 2),
+            "the convolution reader reads main or reverse, not 'eholzer'",
+        ),
+        (
+            ("classical", "operator", [None], 2),
+            "the operator reader reads main or reverse, not 'classical'",
+        ),
+        (("main", "grid", [None], 2), "n must be a nonnegative integer, got None"),
+        (("main", "grid", [-1], 2), "n must be a nonnegative integer, got -1"),
+        (("reverse", "operator", [1, -2], 2), "n must be a nonnegative integer, got -2"),
+        (("eholzer", "grid", [-1], 2), "truncation order must be a nonnegative integer, got -1"),
+        (("four-function", "grid", [0], 1), "the four-function table takes no n, got 0"),
+        (("main", "grid", [1], -1), "max_degree must be nonnegative, got -1"),
+    ],
+    ids=[
+        "eholzer-convolution",
+        "classical-operator",
+        "main-n-none",
+        "main-n-negative",
+        "reverse-n-negative",
+        "eholzer-n-negative",
+        "four-function-n",
+        "negative-degree",
+    ],
+)
+def test_plan_refuses_a_bad_entry_before_reading_u(monkeypatch, entry, message) -> None:
+    # every entry's source, reader, n and degree are checked before main reads a row of U
+    reads = _count_u_reads(monkeypatch)
+    with pytest.raises(ValueError) as info:
+        engine.plan_reports(GENERIC, {"a": ("main", "grid", [3], 2), "b": entry})
+    assert str(info.value) == message
+    assert reads == []
+
+
+def test_main_block_refuses_a_negative_n() -> None:
+    # as eholzer's block does (test_eholzer_rejects_negative_order); main's
+    # once returned no report at n = -1
+    with pytest.raises(ValueError, match="^n must be a nonnegative integer, got -1$"):
+        verify_block("main", GENERIC, -1)
+
+
+def test_negative_grid_degree_is_refused() -> None:
+    # a grid of degree -1 has no point, so it once gave fail reports with no record
+    message = "^max_degree must be nonnegative, got -1$"
+    with pytest.raises(ValueError, match=message):
+        verify_block("main", GENERIC, 2, max_degree=-1)
+    weights = (GENERIC.lam1, GENERIC.lam2, GENERIC.lam3)
+    rows = [[({}, engine.main_terms(GENERIC, 1, 0))]]
+    with pytest.raises(ValueError, match=message):
+        verify_on_monomials("main-recoupling", weights, rows, -1)
+
+
+def test_reverse_residual_reads_as_a_symbol() -> None:
+    plan = {
+        "convolution": ("reverse", "convolution", [0, 1, 2], 0),
+        "operator": ("reverse", "operator", [2], 2),
+    }
+    reports = engine.plan_reports(GENERIC, plan)
+    assert [(r.status, r.instances_checked) for r in reports["convolution"]] == [("pass", 1)] * 6
+    assert [(r.status, r.instances_checked) for r in reports["operator"]] == [("pass", 3)] * 3
 
 
 def test_run_suite_unknown_name() -> None:

@@ -779,6 +779,26 @@ def test_broken_identity_reports_residual() -> None:
     assert report.failures[0]["residual"] != "0"
 
 
+# T1 flips and T2 is recoupled, so each pop of either makes one move
+T1, T2 = parse_bracket("[f2,f1]_1"), parse_bracket("[[f1,f2]_0,f3]_1")
+
+
+@pytest.mark.parametrize(
+    "bound, order",
+    [
+        pytest.param([(1, T1), (1, T2), (-1, T1), (1, T1)], [T2, T1], id="cancelled-to-back"),
+        pytest.param([(1, T1), (1, T2), (1, T1)], [T1, T2], id="live-keeps-its-place"),
+        pytest.param([(0, T2), (1, T1)], [T1], id="zero-is-not-seeded"),
+    ],
+)
+def test_work_list_order(monkeypatch, bound: list, order: list) -> None:
+    # the work list is first in, first out: a live tree added again keeps its
+    # place, and a tree whose coefficient cancels re-enters at the back
+    popped = _count_moves(monkeypatch)
+    check_bound([(Fraction(c), tree) for c, tree in bound], GENERIC_WEIGHTS, "order")
+    assert popped == order
+
+
 def test_unsorted_left_child_inside_a_is_not_recoupled_from_the_top(monkeypatch) -> None:
     # A = [[f2,f1]_1,f3]_1 ends in slot 3, below B = f4, so the spine check
     # passes, but A's walk finds its left child [f2,f1]_1 unsorted: the root
