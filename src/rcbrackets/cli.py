@@ -31,7 +31,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .brackets import DuplicateSlotError, UnboundSlotError, WeightedForm, expr_slots, rc_bracket
-from .hypergeom import racah_value
 from .identities import SUITE_NAMES, run_suite
 from .poly import PolySyntaxError, poly_from_string
 from .rationals import parse_rational
@@ -47,7 +46,7 @@ from .rewrite import (
 )
 from .samples import BASE_VALUES, default_triples, sample_dict, seeded_rows
 from .star import StarSeries, star
-from .transition import ParamTriple, check_row, u_matrix
+from .transition import ParamTriple, u_matrix
 from .verma import GENERATORS, Highest, Lowest, TensorLowest, TensorLowestTV, act
 
 OUTPUT_FORMATS = ("json", "csv", "text")
@@ -190,6 +189,13 @@ def _parse_table_args(args: argparse.Namespace) -> ParamTriple:
     return ParamTriple(_rational_arg(args.l1), _rational_arg(args.l2), _rational_arg(args.l3))
 
 
+def _emit_csv(corner: str, table: Sequence[Sequence[Fraction]]) -> None:
+    """A square table as CSV: corner label and column indices, then each row after its index."""
+    lines = [corner + "," + ",".join(str(j) for j in range(len(table)))]
+    lines += [f"{i}," + ",".join(str(value) for value in row) for i, row in enumerate(table)]
+    _emit("\n".join(lines))
+
+
 def cmd_u_table(args: argparse.Namespace) -> int:
     params = _parse_table_args(args)
     table = u_matrix(params, args.n)
@@ -204,24 +210,15 @@ def cmd_u_table(args: argparse.Namespace) -> int:
         header = json.dumps(sample_dict(params), indent=2, sort_keys=True).replace("\n", "\n  ")
         _emit(f'{{\n  "entries": [\n{entries}\n  ],\n  "n": {args.n},\n  "params": {header}\n}}')
         return 0
-    lines = ["k\\p," + ",".join(str(p) for p in range(args.n + 1))]
-    for k in range(args.n + 1):
-        lines.append(f"{k}," + ",".join(str(value) for value in table[k]))
-    _emit("\n".join(lines))
+    _emit_csv("k\\p", table)
     return 0
 
 
 def cmd_racah(args: argparse.Namespace) -> int:
-    params = _parse_table_args(args)
-    check_row(params, args.n, 0)  # u-table's gate, with its message
-    lines = ["p\\k," + ",".join(str(k) for k in range(args.n + 1))]
-    for p in range(args.n + 1):
-        row = [
-            str(racah_value(p, k, args.n, params.lam1, params.lam2, params.lam3))
-            for k in range(args.n + 1)
-        ]
-        lines.append(f"{p}," + ",".join(row))
-    _emit("\n".join(lines))
+    # R_p(lambda(k)) = U_{k,p} U_{0,0} / (U_{k,0} U_{0,p}), nonzero factors under U's gate
+    table = u_matrix(_parse_table_args(args), args.n)
+    scale = [u / table[0][0] for u in table[0]]
+    _emit_csv("p\\k", [[row[p] / (row[0] * s) for row in table] for p, s in enumerate(scale)])
     return 0
 
 

@@ -105,6 +105,13 @@ def _read(weights: Sequence[Fraction], rows: Sequence[Row]) -> list[ResidualRow]
     return [[(label, next(residuals)) for label, _ in row] for row in rows]
 
 
+def _check_scope(key: str, value: object) -> None:
+    """Refuse a scope (``max_n``, ``max_degree``, ``hbar_order``) that is not an int >= 0."""
+    if not isinstance(value, int) or value < 0:
+        what = "nonnegative" if isinstance(value, int) else "a nonnegative integer"
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+
+
 def verify_on_monomials(
     identity_id: str, weights: Sequence[RationalLike], rows: Sequence[Row], max_degree: int
 ) -> list[VerificationReport]:
@@ -113,9 +120,8 @@ def verify_on_monomials(
     and every tree must have the slots 1..len(weights); :func:`_grid_reports` reads them.
     A tuple hash recurses in C with no guard, so every caller tree is first walked
     with the nesting bound (``expr_total_order``), before :func:`_residuals` hashes it.
-    A negative ``max_degree`` raises ``ValueError`` first."""
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
+    A ``max_degree`` that is not an int >= 0 raises ``ValueError`` first."""
+    _check_scope("max_degree", max_degree)
     weights = [as_rational(w) for w in weights]
     for row in rows:
         for _, terms in row:
@@ -225,8 +231,8 @@ def plan_reports(
     "grid" and, of main's or reverse's residual as a symbol, "convolution" and
     "operator".  Each table is built once per (source, n), and the tables of one
     weight vector go through one :func:`_residuals` call, so trees they share are
-    tabulated once.  An entry outside these, or of negative degree, raises
-    ``ValueError`` before any work."""
+    tabulated once.  An entry outside these, or whose degree is not an int >= 0,
+    raises ``ValueError`` before any work."""
     for source, reader, ns, degree in plan.values():
         if source not in ("main", "reverse", "eholzer", "classical", "four-function"):
             raise ValueError(f"unknown table source {source!r}")
@@ -241,8 +247,7 @@ def plan_reports(
             if not fixed and (not isinstance(n, int) or n < 0):
                 name = "truncation order" if source == "eholzer" else "n"
                 raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
-        if degree < 0:
-            raise ValueError(f"max_degree must be nonnegative, got {degree}")
+        _check_scope("max_degree", degree)
     blocks: dict[tuple, dict[tuple, list[Row]]] = {}  # weights -> (source, n) -> rows
     keys = dict.fromkeys((source, n) for source, _, ns, _ in plan.values() for n in ns)
     for source, n in keys:

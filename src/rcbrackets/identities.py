@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Sequence
 
 from .cmz import cmz_reports
-from .engine import plan_reports
+from .engine import _check_scope, plan_reports
 from .report import VerificationReport, merge_reports
 from .samples import default_triples
 from .transition import ParamTriple
@@ -98,8 +98,7 @@ def run_suite(
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     keywords = {"max_n": max_n, "max_degree": max_degree, "hbar_order": hbar_order}
     for key, value in keywords.items():
-        if value < 0:
-            raise ValueError(f"{key} must be nonnegative, got {value}")
+        _check_scope(key, value)
     triples = default_triples() if triples is None else triples
     suites = list(SUITES.values()) if name == "all" else [SUITES[name]]
     plan = {

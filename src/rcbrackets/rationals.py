@@ -59,10 +59,7 @@ def factorial(k: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _pochhammer_cached(x: Fraction, m: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(m):
-        out *= x + i
-    return out
+    return Fraction(rising(x.numerator, x.denominator, m), x.denominator**m)
 
 
 def pochhammer(x: RationalLike, m: int) -> Fraction:

@@ -19,6 +19,10 @@ Three independent routes give the same exact entries:
   sum (``hypergeom.racah_value``) per entry, uncached, O(n) each;
 - columns (``u_generating_poly``): a product of two terminating 2F1s.
 
+U normalized by its first row and column is the Racah table: U_{k,p} is a row weight
+times a column scale times R_p(lambda(k)) (``_u_cached``), and R_0 = R_p(lambda(0)) = 1,
+so R_p(lambda(k)) = U_{k,p} U_{0,0} / (U_{k,0} U_{0,p}).
+
 Admissibility gate used throughout (and by the rewriter): none of
 l1, l2, l3, l1+l2, l2+l3, l1+l2+l3 is a nonpositive integer.  It is written
 once, on the weights scaled by an integer d > 0 (``admissible_scaled``: no
@@ -26,11 +30,10 @@ scaled sum is <= 0 and divisible by d), and ``ParamTriple.is_admissible``
 scales by the lcm of the denominators to call it; ``u_row_scaled`` gates and
 reads a row on such integers with no ``Fraction`` built.  Under the
 gate every denominator below is provably nonzero: the Pochhammer factors of
-the column scale, and the recurrence's exact divisors
-(2p+l2+l3-2)(p+l2+l3-1) for 1 <= p <= n-1 (see ``_u_cached``).  The
-recurrence is seeded at p = 1 because its p = 0 divisor (l2+l3-2)(l2+l3-1)
-vanishes at l2+l3 in {1, 2}, which the gate admits.  The Pochhammer
-vanishing check stays in as a hard error for inadmissible use.
+the column scale, the row weights, and the recurrence's exact divisors
+(2p+l2+l3-2)(p+l2+l3-1) for 1 <= p <= n-1 (``_u_cached`` says why it starts
+at p = 1).  The Pochhammer vanishing check stays in as a hard error for
+inadmissible use.
 
 The Cohen-Manin-Zagier deformation coefficients t_n^kappa(l1, l2) have two
 routes as well: the binomial sum, run on the weights scaled to integers by
@@ -239,11 +242,9 @@ def u_reverse(params: ParamTriple, query: RacahQuery) -> Fraction:
 
 
 def check_row(params: ParamTriple, n: int, k: int) -> None:
-    """Gate ``params`` and check 0 <= k <= n, with the messages of a single entry.
-
-    The row readers check the same on scaled integers (``_u_rows``); the
-    bracket-solve oracle validates here, once; nothing is computed.
-    """
+    """Gate ``params`` and check 0 <= k <= n, as ``_u_rows`` does on scaled integers, with
+    the messages of a single entry; its one caller is the bracket-solve oracle,
+    ``engine.solve_u_from_brackets``."""
     _require_admissible(params)
     RacahQuery(n, k, 0)
 

@@ -2,15 +2,24 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import re
 import runpy
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from fractions import Fraction
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from rcbrackets import cli
+from rcbrackets import cli, hypergeom, transition
 from rcbrackets.cli import RunConfig, UsageError, load_config_file, main
+from rcbrackets.hypergeom import racah_value
 from rcbrackets.poly import MAX_NESTING
 from rcbrackets.samples import sample_dict
 from rcbrackets.transition import ParamTriple, u_matrix
@@ -167,12 +176,70 @@ def test_racah_csv_golden(capsys) -> None:
             ["racah", "--l1", "3/5", "--l2", "7/4", "--l3", "2/9", "--n", "10"],
             "92409b17e6b8b9ed62ff05441ede042aa924dec6b0550df939ce0296047cc4da",
         ),
+        (  # as the per-entry 4F3 sums printed it
+            ["racah", "--l1", "1/2", "--l2", "1", "--l3", "7/3", "--n", "48"],
+            "f3186dea5905ef3af2aa97b6648a310337602625b1e4090447ba2983302afc18",
+        ),
     ],
 )
 def test_table_commands_golden_bytes(capsys, argv, digest) -> None:
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+signed = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@given(signed, signed, signed, st.integers(min_value=0, max_value=8))
+def test_racah_csv_is_the_4f3_sum(l1: Fraction, l2: Fraction, l3: Fraction, n: int) -> None:
+    # U scaled by its first row and column is the Racah value, entry by entry
+    assume(ParamTriple(l1, l2, l3).is_admissible())
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["racah", f"--l1={l1}", f"--l2={l2}", f"--l3={l3}", "--n", str(n)])
+    assert code == 0
+    header, *rows = out.getvalue().splitlines()
+    assert header == "p\\k," + ",".join(str(k) for k in range(n + 1))
+    assert [row.split(",") for row in rows] == [
+        [str(p)] + [str(racah_value(p, k, n, l1, l2, l3)) for k in range(n + 1)]
+        for p in range(n + 1)
+    ]
+
+
+def test_racah_reads_one_u_matrix(capsys, monkeypatch) -> None:
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return u_matrix(*args)
+
+    def refuse(*args):
+        raise AssertionError("racah summed a 4F3")
+
+    monkeypatch.setattr(cli, "u_matrix", counting)
+    for module in (hypergeom, transition):
+        monkeypatch.setattr(module, "racah_value", refuse)
+    code, out, _ = run_cli(capsys, ["racah", "--l1", "3/5", "--l2", "7/4", "--l3", "2/9", "--n", "6"])
+    assert code == 0
+    assert out.count("\n") == 8
+    assert calls == [(ParamTriple(Fraction(3, 5), Fraction(7, 4), Fraction(2, 9)), 6)]
+
+
+def test_readme_cli_examples_print_what_they_show(capsys) -> None:
+    # in a ```sh block, a `rcbrackets ...` line followed directly by `# ` lines is an
+    # example whose standard output is those lines without the `# `
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        lines = block.splitlines()
+        for i, line in enumerate(lines):
+            shown = list(takewhile(lambda text: text.startswith("# "), lines[i + 1 :]))
+            if line.startswith("rcbrackets ") and shown:
+                examples.append((line, "".join(text[2:] + "\n" for text in shown)))
+    assert len(examples) == 4
+    for line, expected in examples:
+        assert run_cli(capsys, shlex.split(line)[1:]) == (0, expected, ""), line
 
 
 @pytest.mark.parametrize(

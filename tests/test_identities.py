@@ -512,6 +512,11 @@ def test_run_suite_rejects_negative_scopes(monkeypatch, name) -> None:
             with pytest.raises(ValueError) as info:
                 run_suite(name, **{key: value})
             assert str(info.value) == f"{key} must be nonnegative, got {value}"
+        # a scope that is not an int raised TypeError mid-run, or ran silently
+        for value in (2.5, Fraction(3, 2), "2"):
+            with pytest.raises(ValueError) as info:
+                run_suite(name, **{key: value})
+            assert str(info.value) == f"{key} must be a nonnegative integer, got {value!r}"
 
 
 def test_run_suite_skips_an_empty_plan(monkeypatch) -> None:
@@ -584,6 +589,7 @@ def test_plan_rejects_an_unknown_source_before_reading_u(monkeypatch) -> None:
         (("eholzer", "grid", [-1], 2), "truncation order must be a nonnegative integer, got -1"),
         (("four-function", "grid", [0], 1), "the four-function table takes no n, got 0"),
         (("main", "grid", [1], -1), "max_degree must be nonnegative, got -1"),
+        (("main", "grid", [1], 1.5), "max_degree must be a nonnegative integer, got 1.5"),
     ],
     ids=[
         "eholzer-convolution",
@@ -594,6 +600,7 @@ def test_plan_rejects_an_unknown_source_before_reading_u(monkeypatch) -> None:
         "eholzer-n-negative",
         "four-function-n",
         "negative-degree",
+        "fractional-degree",
     ],
 )
 def test_plan_refuses_a_bad_entry_before_reading_u(monkeypatch, entry, message) -> None:
@@ -612,15 +619,26 @@ def test_main_block_refuses_a_negative_n() -> None:
         verify_block("main", GENERIC, -1)
 
 
-def test_negative_grid_degree_is_refused() -> None:
-    # a grid of degree -1 has no point, so it once gave fail reports with no record
-    message = "^max_degree must be nonnegative, got -1$"
-    with pytest.raises(ValueError, match=message):
-        verify_block("main", GENERIC, 2, max_degree=-1)
+def test_negative_grid_degree_is_refused(monkeypatch) -> None:
+    # a grid of degree -1 has no point, so it once gave fail reports with no record;
+    # a degree of 1.5 once raised TypeError after the tables were read and tabulated
     weights = (GENERIC.lam1, GENERIC.lam2, GENERIC.lam3)
     rows = [[({}, engine.main_terms(GENERIC, 1, 0))]]
-    with pytest.raises(ValueError, match=message):
-        verify_on_monomials("main-recoupling", weights, rows, -1)
+    reads = _count_u_reads(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was tabulated before the degree check")
+
+    monkeypatch.setattr(engine, "tabulate_by_order", refuse)
+    for degree, message in (
+        (-1, "^max_degree must be nonnegative, got -1$"),
+        (1.5, "^max_degree must be a nonnegative integer, got 1.5$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            verify_block("main", GENERIC, 2, max_degree=degree)
+        with pytest.raises(ValueError, match=message):
+            verify_on_monomials("main-recoupling", weights, rows, degree)
+    assert reads == []
 
 
 def test_reverse_residual_reads_as_a_symbol() -> None:

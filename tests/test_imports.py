@@ -1,8 +1,8 @@
 """Every module-level import in the package is used by its module, every
 module-private top-level name is referenced somewhere in the package, only
 ``transition`` imports the single-entry U readers, the only private names one
-module imports from another are ``poly``'s integer-numerator helpers and the
-bracket kernel, the caches, layers and hooked callables the benchmark reads by
+module imports from another are ``poly``'s integer-numerator helpers, the
+bracket kernel and the engine's scope check, the caches, layers and hooked callables the benchmark reads by
 name exist, the package's ``lru_cache``s are exactly the known ones, importing
 the package raises no warning, every public name has a caller in the package
 or a place in the README, and the README lists every module and its quick tour
@@ -135,13 +135,16 @@ def test_u_is_read_by_rows_outside_transition() -> None:
 
 def test_private_imports_are_the_one_integer_format() -> None:
     """``poly.Numerators`` is the package's one integer-numerator format, so a
-    second polynomial format or converter shared across modules fails here."""
+    second polynomial format or converter shared across modules fails here.
+    ``engine._check_scope`` is the one scope check, which ``identities.run_suite``
+    shares with the engine."""
     allowed = {
         "poly._numerators",
         "poly._reduced",
         "poly._sum",
         "poly._times",
         "brackets._bracket_kernel",
+        "engine._check_scope",
     }
     for path, tree in PACKAGE_TREES.items():
         imported = {
